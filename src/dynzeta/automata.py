@@ -10,6 +10,8 @@ keeps arithmetic-progression subsequences local.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import modpoly
 from .errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                      SingularRoot, SpecError)
@@ -108,33 +110,41 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
                    budget: int = 10_000_000) -> KernelReport:
     """Group base-k kernel subsequences by prefix agreement.
 
-    seq is a pure callable on nonnegative ints.  Subsequences
-    n -> seq(k^e n + r) for e <= depth are distinguished by their first
-    prefix_len values.  Classification is "closed" when the class count
-    was flat across the last two depth increments, "growing" otherwise.
+    seq is a numpy array of at least base^depth * prefix_len terms, used
+    as given, or a pure callable on nonnegative ints, which is read once
+    on exactly those indices (its values are compared by equality, so any
+    hashable values will do).  Subsequences n -> seq(k^e n + r) for
+    e <= depth are distinguished by their first prefix_len values.
+    Classification is "closed" when the class count was flat across the
+    last two depth increments, "growing" otherwise.
     """
     if base < 2:
         raise SpecError("kernel base must be at least 2")
     cost = sum(base ** e for e in range(depth + 1)) * prefix_len
     if cost > budget:
         raise ScaleExceeded(f"kernel exploration cost {cost} over budget {budget}")
-    cache = {}
+    horizon = base ** depth * prefix_len
+    if isinstance(seq, np.ndarray):
+        if seq.dtype.hasobject:
+            raise SpecError("kernel arrays must hold numbers, not objects")
+        if len(seq) < horizon:
+            raise SpecError(f"kernel exploration reads {horizon} terms, "
+                            f"the sequence has {len(seq)}")
+        terms = seq
+    else:
+        ids = {}
+        terms = np.fromiter((ids.setdefault(seq(i), len(ids))
+                             for i in range(horizon)), np.int64, horizon)
 
-    def val(i):
-        v = cache.get(i)
-        if v is None:
-            v = seq(i)
-            cache[i] = v
-        return v
-
+    # Row r of the (k^e, prefix_len) transpose is the prefix of
+    # n -> seq(k^e n + r); its bytes key its class.
     signatures = {}
     counts = []
     for e in range(depth + 1):
         ke = base ** e
+        rows = np.ascontiguousarray(terms[:ke * prefix_len].reshape(prefix_len, ke).T)
         for r in range(ke):
-            sig = tuple(val(ke * i + r) for i in range(prefix_len))
-            if sig not in signatures:
-                signatures[sig] = (e, r)
+            signatures.setdefault(rows[r].tobytes(), (e, r))
         counts.append(len(signatures))
     if depth >= 2 and counts[-1] == counts[-2] == counts[-3]:
         classification = "closed"

@@ -1,6 +1,10 @@
 """Integer number-theory helpers: primality, factoring, orders, valuations."""
 
-from .errors import NoAdmissibleEll, NotPrime, ZeroInput
+import math
+
+import numpy as np
+
+from .errors import NoAdmissibleEll, NotPrime, SpecError, ZeroInput
 from .sentinels import INFINITY
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -46,6 +50,35 @@ def v_p(x: int, p: int):
         x //= p
         v += 1
     return v
+
+
+def v_p_progression(alpha: int, beta: int, p: int, n: int):
+    """numpy array of v_p(alpha*i + beta) for 0 <= i < n.
+
+    With a = min(v_p(alpha), v_p(beta)) write alpha = p^a alpha' and
+    beta = p^a beta'.  If p divides alpha' every term has valuation a;
+    otherwise p^k divides alpha' i + beta' exactly when i = -beta'/alpha'
+    mod p^k, so the array is a plus one strided increment per p^k up to
+    the largest |alpha' i + beta'|.  No product alpha*i + beta is formed,
+    so arbitrarily large alpha, beta and p are exact.  A zero term (at
+    most one) gets 0, the value this package's valuation sequences give
+    an index without a valuation.
+    """
+    if alpha == 0:
+        raise SpecError("progression stride must be nonzero")
+    a = v_p(alpha, p) if beta == 0 else min(v_p(alpha, p), v_p(beta, p))
+    alpha1, beta1 = alpha // p ** a, beta // p ** a
+    bound = max(abs(beta1), abs(alpha1 * (n - 1) + beta1))
+    out = np.full(n, a, dtype=np.min_scalar_type(a + bound.bit_length()))
+    if alpha1 % p == 0:
+        return out
+    pk = p
+    while pk <= bound:
+        out[-beta1 * pow(alpha1, -1, pk) % pk::pk] += 1
+        pk *= p
+    if beta1 % alpha1 == 0 and 0 <= -beta1 // alpha1 < n:
+        out[-beta1 // alpha1] = 0
+    return out
 
 
 def v_p_strict(x: int, p: int) -> int:
@@ -160,8 +193,5 @@ def isqrt_exact(n: int) -> int | None:
     """Integer square root if n is a perfect square, else None."""
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None

@@ -3,8 +3,10 @@
 Coefficient lists are ascending (index i holds the x^i coefficient) and
 trimmed: the last entry is nonzero, [] is the zero polynomial.  Values are
 Python ints in [0, p).  Multiplication and the division/gcd remainder
-chains run on int64 numpy arrays; callers always get lists of Python ints
-back, so big-integer arithmetic downstream never sees numpy scalars.
+chains run on int64 numpy arrays while every product of two coefficients
+fits ((p-1)^2 < 2^62), and on object arrays of Python ints above that;
+callers always get lists of Python ints back, so big-integer arithmetic
+downstream never sees numpy scalars.
 """
 
 import numpy as np
@@ -86,6 +88,11 @@ def _kronecker_mul(a: list, b: list, p: int) -> list:
     return trim(out)
 
 
+def _dtype(p: int):
+    """int64 while c*b - r in the remainder loop cannot overflow, else object."""
+    return np.int64 if (p - 1) * (p - 1) < _NP_SAFE else object
+
+
 def divrem(a: list, b: list, p: int) -> tuple:
     b = trim(list(b))
     if not b:
@@ -93,7 +100,8 @@ def divrem(a: list, b: list, p: int) -> tuple:
     a = trim(list(a))
     if len(a) < len(b):
         return [], a
-    q, r = _divrem_np(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+    dtype = _dtype(p)
+    q, r = _divrem_np(np.array(a, dtype=dtype), np.array(b, dtype=dtype), p)
     return trim([int(c) for c in q]), trim([int(c) for c in r])
 
 
@@ -101,7 +109,7 @@ def _divrem_np(a, b, p):
     lb = len(b)
     inv = pow(int(b[-1]), p - 2, p)
     r = a % p
-    q = np.zeros(len(a) - lb + 1, dtype=np.int64)
+    q = np.zeros(len(a) - lb + 1, dtype=a.dtype)
     for i in range(len(a) - lb, -1, -1):
         c = int(r[i + lb - 1]) % p
         if c:
@@ -133,8 +141,9 @@ def gcd(a: list, b: list, p: int) -> list:
         return monic(b, p)
     if not b:
         return monic(a, p)
-    x = np.array(a, dtype=np.int64) % p
-    y = np.array(b, dtype=np.int64) % p
+    dtype = _dtype(p)
+    x = np.array(a, dtype=dtype) % p
+    y = np.array(b, dtype=dtype) % p
     while len(y):
         if len(x) < len(y):
             x, y = y, x

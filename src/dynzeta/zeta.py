@@ -14,6 +14,8 @@ base ell, kernel closure in base p, and a failed periodicity scan).
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .automata import (KernelReport, eventual_period_detect,
                        kernel_explore)
 from .errors import (Mismatch, NoAdmissibleEll, NonIntegerCoefficient,
@@ -23,7 +25,7 @@ from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        SubadditiveMap, VARIANT_NORM, classify_separability,
                        map_degree, per_n_closed)
 from .intarith import (first_prime_where, gcd_int, last_prime_where,
-                       multiplicative_order, v_p)
+                       multiplicative_order, v_p, v_p_progression)
 from .limits import ELL_SEARCH_CAP
 from .orders import norm_sequence, v_frak_p, v_I
 from .sentinels import TRANSCENDENTAL
@@ -47,18 +49,14 @@ def zeta_from_counts(counts) -> ZetaSeries:
     for c in counts:
         if c < 0:
             raise SpecError("periodic-point counts cannot be negative")
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for j in range(1, len(counts) + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            acc += Fraction(counts[i - 1]) * coeffs[j - i]
-        coeffs.append(acc / j)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise NonIntegerCoefficient(f"coefficient {c} is not an integer")
-        out.append(int(c))
-    return ZetaSeries(tuple(out), "exp-formula")
+        acc = sum(counts[i - 1] * coeffs[j - i] for i in range(1, j + 1))
+        if acc % j:
+            raise NonIntegerCoefficient(
+                f"coefficient {Fraction(acc, j)} is not an integer")
+        coeffs.append(acc // j)
+    return ZetaSeries(tuple(coeffs), "exp-formula")
 
 
 def zeta_from_cycles(census, length: int) -> ZetaSeries:
@@ -311,58 +309,115 @@ def _control_period(shape, ratio, a1, p, ell):
     return multiplicative_order(p % reduced, reduced)
 
 
+def _certificate_sequence(shape, ratio, a1, alpha, beta, p, ell, n):
+    """(valuations, values) numpy arrays of the first n certificate terms.
+
+    The driving valuation is v_p(alpha*i + beta) in the geometric shape
+    and v_p(i) in the tower shape, where index 0 takes the generic v = 0.
+    A term depends on its valuation alone (ratio^v, or p^(a1 * p^v) with
+    the exponent reduced mod the order of p), so the values are one table
+    lookup per index.
+    """
+    if shape == "geometric":
+        valuations = v_p_progression(alpha, beta, p, n)
+
+        def term(v):
+            return pow(ratio, v, ell)
+    else:
+        valuations = v_p_progression(1, 0, p, n)
+        ordp = _ord_p(p, ell)
+
+        def term(v):
+            return pow(p, a1 * pow(p, v, ordp) % ordp, ell)
+    table = [term(v) for v in range(int(valuations.max(initial=0)) + 1)]
+    table = np.array(table, dtype=np.min_scalar_type(ell - 1))
+    return valuations, table[valuations]
+
+
 def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
-                     index_base, oracle, crosscheck_terms, opts,
-                     heuristic=False):
+                     rederived, opts, heuristic=False):
+    """Certificate for the sequence described by (shape, ratio, a1, alpha, beta).
+
+    rederived yields (n, term) pairs computed from exact periodic-point
+    counts; each must equal the sequence's term n.
+    """
     ell_prefix = opts.kernel_prefix if ell <= 50 else 64
     ell_depth = _fit_depth(ell, ell_prefix, opts.kernel_budget,
                            opts.max_ell_depth)
-    ell_kernel = kernel_explore(oracle, ell, ell_depth, ell_prefix,
-                                budget=4 * opts.kernel_budget)
+    p_depth_values = _fit_depth(p, opts.kernel_prefix, opts.kernel_budget, 10)
+    depth_cap = _fit_depth(p, 64, opts.kernel_budget, 10)
+    # One sequence prefix serves every kernel below; a kernel whose
+    # horizon alone exceeds its budget refuses before reading any term.
+    kernel_budget = 4 * opts.kernel_budget
+    horizons = (ell ** ell_depth * ell_prefix,
+                p ** p_depth_values * opts.kernel_prefix, p ** depth_cap * 64)
+    horizon = max([opts.period_terms]
+                  + [h for h in horizons if h <= kernel_budget])
+    valuations, values = _certificate_sequence(shape, ratio, a1, alpha, beta,
+                                               p, ell, horizon)
+    checked = 0
+    for n, derived in rederived:
+        if derived != values[n]:
+            raise Mismatch(f"{family} certificate fails count re-derivation at n={n}")
+        checked += 1
+
+    ell_kernel = kernel_explore(values, ell, ell_depth, ell_prefix,
+                                budget=kernel_budget)
 
     # Positive control: the value sequence itself when its base-p kernel
     # certifies closure in budget, else the saturated valuation classes
     # the values factor through.
     profile_period = _control_period(shape, ratio, a1, p, ell)
-    p_depth_values = _fit_depth(p, opts.kernel_prefix, opts.kernel_budget, 10)
     control = None
     p_kernel = None
     if profile_period + 2 <= p_depth_values:
-        candidate = kernel_explore(oracle, p, p_depth_values, opts.kernel_prefix,
-                                   budget=4 * opts.kernel_budget)
+        candidate = kernel_explore(values, p, p_depth_values, opts.kernel_prefix,
+                                   budget=kernel_budget)
         if candidate.closed:
             control = "values"
             p_kernel = candidate
     if p_kernel is None:
         control = "valuation-classes"
-        depth_cap = _fit_depth(p, 64, opts.kernel_budget, 10)
         sat = max(2, min(6, depth_cap - 3))
-
-        if shape == "geometric":
-            def control_seq(n):
-                return min(v_p(alpha * n + beta, p), sat)
-        else:
-            def control_seq(n):
-                return min(v_p(n, p), sat) if n else 0
-
-        p_kernel = kernel_explore(control_seq, p, depth_cap, 64,
-                                  budget=4 * opts.kernel_budget)
+        p_kernel = kernel_explore(np.minimum(valuations, sat), p, depth_cap,
+                                  64, budget=kernel_budget)
 
     # Periodicity scan with adaptive extension: a candidate period found
     # on a short prefix is retried on a window long enough to refute it
     # (the valuation spikes that kill false periods are p^k-sparse).
     scan_len = opts.period_terms
     while True:
-        scan = [oracle(i) for i in range(scan_len)]
-        period = eventual_period_detect(scan)
+        if scan_len > len(values):
+            valuations, values = _certificate_sequence(
+                shape, ratio, a1, alpha, beta, p, ell, scan_len)
+        period = eventual_period_detect(values[:scan_len].tolist())
         if period is None or scan_len >= 400_000:
             break
         pre, per = period
         scan_len = max(2 * scan_len, pre + 8 * per)
-    values = tuple(oracle(i) for i in range(opts.period_terms))
     return Certificate(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
-                       index_base, values, ell_kernel, p_kernel, control,
-                       period, crosscheck_terms, heuristic)
+                       0, tuple(values[:opts.period_terms].tolist()),
+                       ell_kernel, p_kernel, control, period, checked,
+                       heuristic)
+
+
+def _geometric_rederivation(count_fn, m, alpha, beta, group, boundary, other,
+                            inv_main, p, v0, ell, terms, index_cap):
+    """Yield (n, term) re-derived from the exact counts #Per_(m k).
+
+    Along k = alpha*n + beta, group * (#Per_(m k) - boundary) - other is
+    main * p^(-v0) / term mod ell, so each count gives back one term.
+    Stops after terms terms, or once m k passes index_cap (never before
+    n = 1).
+    """
+    scale = pow(p, v0, ell)
+    for n in range(terms):
+        k = alpha * n + beta
+        if m * k > index_cap and n >= 1:
+            return
+        a_k = count_fn(m * k) % ell
+        lhs = (group * ((a_k - boundary) % ell) - other) % ell
+        yield n, pow(lhs * inv_main % ell * scale % ell, -1, ell)
 
 
 def _even_order(D, p):
@@ -403,25 +458,11 @@ def _gm_style_certificate(family, p, D, opts, count_fn, group, boundary,
     inv_main = pow(main_at_beta % ell, -1, ell)
     other_num, other_pexp = other_fn(beta)
     other_const = other_num % ell * pow(pow(p, other_pexp, ell), -1, ell) % ell
-
-    def oracle(n):
-        return pow(p % ell, v_p(alpha * n + beta, p), ell)
-
-    checked = 0
-    n = 0
-    while checked < 48:
-        k = alpha * n + beta
-        if m * k > opts.crosscheck_index_cap and checked >= 1:
-            break
-        a_k = count_fn(m * k) % ell
-        lhs = (group * ((a_k - boundary) % ell) - other_const) % ell
-        derived = pow(lhs * inv_main % ell * pow(p, v0, ell) % ell, -1, ell)
-        if derived != oracle(n):
-            raise Mismatch(f"{family} certificate fails count re-derivation at n={n}")
-        checked += 1
-        n += 1
+    rederived = _geometric_rederivation(count_fn, m, alpha, beta, group,
+                                        boundary, other_const, inv_main, p,
+                                        v0, ell, 48, opts.crosscheck_index_cap)
     return _build_detectors(family, "geometric", m, ell, p, p % ell, alpha,
-                            beta, 0, v0, 0, oracle, checked, opts)
+                            beta, 0, v0, rederived, opts)
 
 
 def _certificate_power(mapping: PowerMap, opts) -> Certificate:
@@ -495,30 +536,20 @@ def _certificate_ga(mapping, opts) -> Certificate:
 
     deg_m = pow(sigma.ctx.p, sigma.top_index * m, ell)
     alpha = ell - 1
-    ordp = _ord_p(p, ell)
 
-    def oracle(n):
-        # Index 0 has no p-adic valuation; it takes the generic (v = 0)
-        # value p^a1 so the sequence stays p-automatic.
-        v = v_p(n, p) if n else 0
-        return pow(p, (a1 * pow(p, v, ordp)) % ordp, ell)
+    def rederived():
+        # n = 0 is skipped: its count index k = 0 carries no valuation.
+        for n in range(1, 9):
+            k = alpha * n
+            if (m * k * max(1, sigma.top_index)) ** 2 > 2_500_000 and n > 1:
+                return
+            a_k = per_n_closed(mapping, m * k) % ell
+            deg_k = pow(deg_m, k, ell)
+            lhs = (d * ((a_k - 1) % ell) - (d - 1) * deg_k) % ell
+            yield n, pow(lhs * pow(deg_k, -1, ell) % ell, -1, ell)
 
-    checked = 0
-    n = 1
-    while checked < 8:
-        k = alpha * n
-        if (m * k * max(1, sigma.top_index)) ** 2 > 2_500_000 and checked >= 1:
-            break
-        a_k = per_n_closed(mapping, m * k) % ell
-        lhs = (d * ((a_k - 1) % ell) - (d - 1) * pow(deg_m, k, ell)) % ell
-        lhs = lhs * pow(pow(deg_m, k, ell), -1, ell) % ell
-        derived = pow(lhs, -1, ell)
-        if derived != oracle(n):
-            raise Mismatch(f"{family} certificate fails count re-derivation at n={n}")
-        checked += 1
-        n += 1
-    return _build_detectors(family, "tower", m, ell, p, p, 0, 0, a1, v0, 0,
-                            oracle, checked, opts, heuristic=heuristic)
+    return _build_detectors(family, "tower", m, ell, p, p, 0, 0, a1, v0,
+                            rederived(), opts, heuristic=heuristic)
 
 
 def _ord_p(p, ell):
@@ -573,32 +604,16 @@ def _certificate_lattes_ordinary(mapping: LattesOrdinary, opts) -> Certificate:
     if v_p(alpha, p) > v_p(beta, p):
         raise Mismatch("stride valuation exceeds offset valuation (internal)")
 
-    def oracle(n):
-        return pow(p % ell, v_p(alpha * n + beta, p), ell)
-
     others = 0
     for g, ce in c_exp.items():
         nv = (sig_m ** beta - g).norm() % ell
         others = (others + nv * pow(pow(p, ce, ell), -1, ell)) % ell
     main = (sig_m ** beta - ctx.ring.one()).norm() % ell
-    inv_main = pow(main, -1, ell)
-
-    checked = 0
-    n = 0
-    while checked < 24:
-        k = alpha * n + beta
-        if m * k > opts.crosscheck_index_cap and checked >= 1:
-            break
-        a_k = per_n_closed(mapping, m * k) % ell
-        lhs = (group * a_k - others) % ell
-        derived = pow(lhs * inv_main % ell * pow(p, v0, ell) % ell, -1, ell)
-        if derived != oracle(n):
-            raise Mismatch(f"ordinary certificate fails re-derivation at n={n}")
-        checked += 1
-        n += 1
+    rederived = _geometric_rederivation(
+        lambda idx: per_n_closed(mapping, idx), m, alpha, beta, group, 0,
+        others, pow(main, -1, ell), p, v0, ell, 24, opts.crosscheck_index_cap)
     return _build_detectors("lattes-ordinary", "geometric", m, ell, p,
-                            p % ell, alpha, beta, 0, v0, 0, oracle, checked,
-                            opts)
+                            p % ell, alpha, beta, 0, v0, rederived, opts)
 
 
 def _certificate_lattes_supersingular(mapping: LattesSupersingular, opts):
@@ -609,14 +624,8 @@ def _certificate_lattes_supersingular(mapping: LattesSupersingular, opts):
         sigma = mapping.sigma_quat
         one = sigma.order.one()
 
-        def val(x):
-            return v_I(x)
-
         def norm_minus(k, g):
             return ((sigma ** k) - g).reduced_norm()
-
-        def power_elem(k):
-            return sigma ** k
     else:
         T, N = mapping.sigma_trace, mapping.sigma_norm
         one = 1
@@ -624,12 +633,6 @@ def _certificate_lattes_supersingular(mapping: LattesSupersingular, opts):
         def norm_minus(k, g):
             from .families import _trace_power
             return N ** k - g * _trace_power(T, N, k) + 1
-
-        def val(x):
-            raise SpecError("unused")
-
-        def power_elem(k):
-            return None
 
     def v0_of(k):
         nv = norm_minus(k, 1)
@@ -694,32 +697,17 @@ def _certificate_lattes_supersingular(mapping: LattesSupersingular, opts):
     if v_p(alpha, p) > v_p(beta, p):
         raise Mismatch("stride valuation exceeds offset valuation (internal)")
 
-    def oracle(n):
-        return pow(ratio_int % ell, v_p(alpha * n + beta, p), ell)
-
     others = 0
     for g, ce in c_exp.items():
         nv = norm_minus(m * beta, g) % ell
         others = (others + nv * pow(pow(p, ce, ell), -1, ell)) % ell
     main = norm_minus(m * beta, 1) % ell
-    inv_main = pow(main, -1, ell)
-
-    checked = 0
-    n = 0
-    while checked < 24:
-        k = alpha * n + beta
-        if m * k > opts.crosscheck_index_cap and checked >= 1:
-            break
-        a_k = per_n_closed(mapping, m * k) % ell
-        lhs = (group * a_k - others) % ell
-        derived = pow(lhs * inv_main % ell * pow(p, v0, ell) % ell, -1, ell)
-        if derived != oracle(n):
-            raise Mismatch(f"supersingular certificate fails re-derivation at n={n}")
-        checked += 1
-        n += 1
+    rederived = _geometric_rederivation(
+        lambda idx: per_n_closed(mapping, idx), m, alpha, beta, group, 0,
+        others, pow(main, -1, ell), p, v0, ell, 24, opts.crosscheck_index_cap)
     return _build_detectors("lattes-supersingular", "geometric", m, ell, p,
-                            ratio_int % ell, alpha, beta, 0, v0, 0, oracle,
-                            checked, opts)
+                            ratio_int % ell, alpha, beta, 0, v0, rederived,
+                            opts)
 
 
 def _tn_period(T, N, m, gamma, ell):

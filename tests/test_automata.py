@@ -1,10 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 
-from dynzeta.automata import (Dfao, christol_series, dfao_eval,
+from dynzeta.automata import (Dfao, KernelReport, christol_series, dfao_eval,
                               eventual_period_detect, kernel_explore,
                               vp_geometric_sequence, vp_tower_sequence)
-from dynzeta.errors import (HypothesisViolated, NotARoot, SingularRoot,
-                            SpecError)
+from dynzeta.errors import (HypothesisViolated, NotARoot, ScaleExceeded,
+                            SingularRoot, SpecError)
 
 PARITY = Dfao(2, ((0, 1), (1, 0)), (0, 1))
 
@@ -122,6 +125,90 @@ class TestKernelExplore:
         assert not rep.closed
         counts = rep.class_counts
         assert counts[1] < counts[2] < counts[3] < counts[4]
+
+
+def _reference_kernel(seq, base, depth, prefix_len):
+    """Kernel exploration by tuples of per-index calls, the defining loop."""
+    signatures = {}
+    counts = []
+    for e in range(depth + 1):
+        ke = base ** e
+        for r in range(ke):
+            sig = tuple(seq(ke * i + r) for i in range(prefix_len))
+            signatures.setdefault(sig, (e, r))
+        counts.append(len(signatures))
+    closed = depth >= 2 and counts[-1] == counts[-2] == counts[-3]
+    return KernelReport(base, depth, prefix_len, tuple(counts),
+                        "closed" if closed else "growing",
+                        tuple(sorted(signatures.values()))[:64])
+
+
+class TestKernelAgainstReference:
+    def _cases(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            base = rng.randint(2, 7)
+            depth = rng.randint(0, 4 if base <= 4 else 3)
+            prefix = rng.randint(1, 40)
+            horizon = base ** depth * prefix
+            kind = rng.choice(("valuation", "periodic", "random", "automatic"))
+            if kind == "valuation":
+                p = rng.choice((2, 3, 5))
+                vals = [min(_vp(i + 1, p), 4) for i in range(horizon)]
+            elif kind == "periodic":
+                period = rng.randint(1, 9)
+                vals = [(i * 7) % period for i in range(horizon)]
+            elif kind == "random":
+                vals = [rng.randint(0, rng.choice((1, 3, 300)))
+                        for _ in range(horizon)]
+            else:
+                vals = [bin(i).count("1") % 3 for i in range(horizon)]
+            yield base, depth, prefix, vals
+
+    def test_int_sequences_arrays_and_callables(self):
+        for base, depth, prefix, vals in self._cases(5, 120):
+            expected = _reference_kernel(vals.__getitem__, base, depth, prefix)
+            assert kernel_explore(vals.__getitem__, base, depth, prefix) == expected
+            for dtype in (np.int64, np.uint16):
+                arr = np.array(vals + [0, 1, 2], dtype=dtype)
+                assert kernel_explore(arr, base, depth, prefix) == expected
+
+    def test_tuple_valued_callables(self):
+        for base, depth, prefix, vals in self._cases(6, 60):
+            def seq(i, vals=vals):
+                return (vals[i] % 2, "odd" if vals[i] % 3 else "even")
+            assert kernel_explore(seq, base, depth, prefix) == \
+                _reference_kernel(seq, base, depth, prefix)
+
+    def test_many_classes_keep_witness_order(self):
+        rng = random.Random(8)
+        vals = [rng.randint(0, 1) for _ in range(3 ** 4 * 12)]
+        rep = kernel_explore(np.array(vals, dtype=np.int8), 3, 4, 12)
+        assert rep == _reference_kernel(vals.__getitem__, 3, 4, 12)
+        assert len(rep.witnesses) == 64 and rep.class_counts[-1] > 64
+
+    def test_short_array_rejected(self):
+        with pytest.raises(SpecError):
+            kernel_explore(np.zeros(3 ** 3 * 10 - 1, dtype=np.int64), 3, 3, 10)
+        with pytest.raises(SpecError):
+            kernel_explore(np.array([1] * 200, dtype=object), 2, 2, 10)
+
+    def test_short_callable_raises_its_own_error(self):
+        vals = list(range(100))
+        with pytest.raises(IndexError):
+            kernel_explore(vals.__getitem__, 2, 4, 10)
+
+    def test_budget_checked_before_length(self):
+        with pytest.raises(ScaleExceeded):
+            kernel_explore(np.zeros(5, dtype=np.int64), 10, 4, 256, budget=1000)
+
+
+def _vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 class TestPeriodDetect:

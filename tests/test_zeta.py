@@ -1,10 +1,16 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from dynzeta.dynmap import cycle_census, per_n_oracle, rat_map
 from dynzeta.errors import NonIntegerCoefficient
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
-                              PowerMap, SubadditiveMap, per_n_closed)
+                              LattesOrdinary, LattesSupersingular, PowerMap,
+                              SubadditiveMap, per_n_closed)
 from dynzeta.field import field_make, ratfunc_field
+from dynzeta.intarith import multiplicative_order, v_p
+from dynzeta.orders import B3_ORDER, QuadRing, QuatElem, prime_context
 from dynzeta.twisted import TwistedPoly
 from dynzeta.zeta import (certificate_build, rationality_guess,
                           series_of_rational, verdict, zeta_from_counts,
@@ -25,6 +31,39 @@ class TestSeries:
     def test_non_realizable_counts_rejected(self):
         with pytest.raises(NonIntegerCoefficient):
             zeta_from_counts([2, 1, 1, 1])
+
+    def test_matches_fraction_reference(self):
+        def reference(counts):
+            coeffs = [Fraction(1)]
+            for j in range(1, len(counts) + 1):
+                acc = sum(counts[i - 1] * coeffs[j - i] for i in range(1, j + 1))
+                coeffs.append(Fraction(acc) / j)
+                if coeffs[-1].denominator != 1:
+                    return f"coefficient {coeffs[-1]} is not an integer"
+            return tuple(int(c) for c in coeffs)
+
+        rng = random.Random(3)
+        raised = 0
+        for trial in range(300):
+            length = rng.randint(0, 40)
+            if trial % 2:
+                # Counts of a permutation with cycles[L] cycles of length L
+                # always give integer coefficients.
+                cycles = [rng.randint(0, 5) for _ in range(length)]
+                counts = [sum(L * cycles[L - 1] for L in range(1, n + 1)
+                              if n % L == 0) for n in range(1, length + 1)]
+            else:
+                counts = [rng.randint(0, 10 ** rng.randint(1, 12))
+                          for _ in range(length)]
+            expected = reference(counts)
+            if isinstance(expected, str):
+                raised += 1
+                with pytest.raises(NonIntegerCoefficient) as info:
+                    zeta_from_counts(counts)
+                assert str(info.value) == expected
+            else:
+                assert zeta_from_counts(counts).coeffs == expected
+        assert 50 < raised < 150
 
     def test_product_formula_agreement(self, F3):
         f = rat_map(F3, [0, 0, 1])
@@ -121,6 +160,34 @@ class TestCertificates:
         cert = certificate_build(SubadditiveMap(TwistedPoly.from_ints(F3, [-1, 1]), 2))
         assert cert.ell == 29
         assert cert.consistent()
+
+    def test_values_follow_the_valuation_formula(self, F3):
+        ring = QuadRing(-3, 5)
+        geometric = [
+            PowerMap(3, 2), PowerMap(11, -3), ChebyshevMap(2, 3),
+            ChebyshevMap(5, 4), LattesGenericJ(3, 2), LattesGenericJ(5, -3),
+            LattesOrdinary(prime_context(ring, 5), ring.elem(2, 0), 2),
+            LattesSupersingular(7, sigma_trace=4, sigma_norm=4),
+            LattesSupersingular(3, sigma_quat=QuatElem(B3_ORDER, 2, 2, 0, 0),
+                                gamma="units")]
+        for fam in geometric:
+            cert = certificate_build(fam)
+            assert cert.shape == "geometric" and len(cert.values) == 2000
+            p, ell = cert.p, cert.ell
+            assert all(cert.values[i] == pow(cert.ratio,
+                                             v_p(cert.alpha * i + cert.beta, p),
+                                             ell)
+                       for i in range(2000)), fam
+        for fam in (AdditiveMap(TwistedPoly.from_ints(F3, [-1, 1])),
+                    SubadditiveMap(TwistedPoly.from_ints(F3, [-1, 1]), 2)):
+            cert = certificate_build(fam)
+            assert cert.shape == "tower" and len(cert.values) == 2000
+            p, ell, a1 = cert.p, cert.ell, cert.tower_multiplier
+            ordp = multiplicative_order(p, ell)
+            # index 0 takes the generic valuation 0
+            vs = [v_p(i, p) if i else 0 for i in range(2000)]
+            assert all(cert.values[i] == pow(p, a1 * pow(p, v, ordp) % ordp, ell)
+                       for i, v in enumerate(vs)), fam
 
     def test_tower_values_match_module_sequence(self, F3):
         from dynzeta.automata import vp_tower_sequence
