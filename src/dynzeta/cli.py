@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid specification, 3 scale budget exceeded,
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -45,11 +46,16 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise SpecError("a job file holds one JSON object")
         if data.get("schema") not in (None, SCHEMA):
             raise SpecError(f"unsupported job schema {data.get('schema')!r}")
         if "command" not in data:
             raise SpecError("job file lacks a command")
-        return cls(data["command"], dict(data.get("params", {})))
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise SpecError("job params must be a JSON object")
+        return cls(data["command"], dict(params))
 
 
 # -- tiny polynomial string parser -------------------------------------------------
@@ -186,14 +192,92 @@ def _resolve_map(params):
     raise SpecError("map description needs a family tag or raw coefficients")
 
 
+# -- parameter validation -------------------------------------------------------------
+
+_INT_KEYS = frozenset({"p", "k", "seed", "d", "s", "translation", "gamma_order",
+                       "unit_root", "n_min", "n_max", "terms", "max_order",
+                       "ext_degree", "max_period", "a", "ell", "alpha", "beta",
+                       "base", "depth", "prefix_len", "show"})
+_STR_KEYS = frozenset({"family", "variant", "gamma", "kind", "poly"})
+# integer lists, with their fixed length or None
+_INT_LIST_KEYS = {"tau": 2, "sigma_tn": 2, "sigma_quat": 4, "num": None,
+                  "den": None, "prefix": None}
+_FAMILY_KEYS = {
+    "power": ("p", "d"),
+    "chebyshev": ("p", "d"),
+    "additive": ("p", "sigma"),
+    "subadditive": ("p", "sigma", "d"),
+    "lattes-generic": ("p", "s"),
+    "lattes-ordinary": ("p", "tau", "sigma"),
+    "lattes-supersingular": ("p",),
+}
+_AUTOMATA_KEYS = {"christol": ("p", "poly"), "vp-geometric": ("a", "p", "ell"),
+                  "vp-tower": ("a", "p", "ell")}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value, length=None):
+    return (isinstance(value, list) and all(_is_int(v) for v in value)
+            and (length is None or len(value) == length))
+
+
+def validate_params(command, params):
+    """Raise SpecError for a missing or mistyped parameter.
+
+    Checks only presence and JSON types; the map constructors still check
+    values (primality, degrees).  Unknown keys are ignored.
+    """
+    family = params.get("family")
+    for key, value in params.items():
+        if key in _INT_KEYS:
+            ok = _is_int(value)
+        elif key in _STR_KEYS:
+            ok = isinstance(value, str)
+        elif key in _INT_LIST_KEYS:
+            ok = _is_int_list(value, _INT_LIST_KEYS[key])
+        elif key == "sigma" and family == "lattes-ordinary":
+            ok = _is_int_list(value, 2)
+        elif key == "sigma":
+            ok = isinstance(value, list) and all(
+                _is_int(c) or isinstance(c, str) for c in value)
+        elif key == "ratfunc":
+            ok = isinstance(value, bool)
+        else:
+            continue
+        if not ok:
+            raise SpecError(f"parameter {key!r} has the wrong type: {value!r}")
+    if command == "automata":
+        required = _AUTOMATA_KEYS.get(params.get("kind"), ())
+    elif family is not None:
+        required = _FAMILY_KEYS.get(family, ())
+        if (family == "lattes-supersingular" and "sigma_quat" not in params
+                and "sigma_tn" not in params):
+            raise SpecError("lattes-supersingular needs sigma_quat or sigma_tn")
+    elif "num" in params:
+        required = ("p",)
+    else:
+        required = ()
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise SpecError(f"missing parameter(s) {', '.join(missing)}")
+
+
 # -- commands -----------------------------------------------------------------------
 
 
 def run_job(spec: JobSpec):
-    """Yield output records (dicts) for a job; deterministic."""
+    """Yield output records (dicts) for a job; deterministic.
+
+    The spec is validated before the header record, so a rejected spec
+    writes nothing.
+    """
     handler = _COMMANDS.get(spec.command)
     if handler is None:
         raise SpecError(f"unknown command {spec.command!r}")
+    validate_params(spec.command, spec.params)
     yield {"record": "header", "schema": SCHEMA, "command": spec.command,
            "params": spec.params}
     yield from handler(spec.params)
@@ -446,7 +530,9 @@ def _collect_map_params(args):
     return params
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process (parsing leaves it as is)."""
     parser = argparse.ArgumentParser(prog="dynzeta",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--job", help="JSON job file; flags are ignored")
@@ -486,7 +572,11 @@ def make_parser():
 def compile_spec(args) -> JobSpec:
     if args.job:
         with open(args.job, "r", encoding="utf-8") as handle:
-            return JobSpec.from_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise SpecError(f"job file is not JSON: {exc}") from None
+        return JobSpec.from_dict(data)
     if not args.command:
         raise SpecError("no command given (and no --job file)")
     if args.command == "automata":

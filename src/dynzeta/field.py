@@ -375,6 +375,8 @@ class FieldElem:
             num = tuple((e * scale, c) for e, c in num)
             den = tuple((e * scale, c) for e, c in den)
             return ctx._make((num, den))
+        if ctx.is_prime_field:
+            return self
         return self ** (ctx.p ** times)
 
     def pth_root(self):

@@ -11,6 +11,16 @@ big integer where needed.
 Coefficients live in a finite FieldCtx or in F_p(u); the latter supports
 exactly the arithmetic, Frobenius and zero-testing that the transcendental
 linear-coefficient analysis needs.
+
+Products and powers can be truncated to the coefficients of F^0, ...,
+F^(K-1).  This is exact: F^K c = c^(p^K) F^K gives F^K R = R F^K, so the
+multiples of F^K form a two-sided ideal, and reducing mod F^K commutes
+with every product.  Concretely, the coefficient of F^k in a product only
+involves coefficients of index <= k of either factor, so a power built
+from truncated products has exactly the first K coefficients of the full
+power.  v_phi(sigma^n - omega) is read off such low coefficients, with K
+doubled until one of them is nonzero; the valuation is usually far below
+the top * n + 1 coefficients of the full power.
 """
 
 from dataclasses import dataclass
@@ -91,34 +101,43 @@ def tw_sub(a: TwistedPoly, b: TwistedPoly) -> TwistedPoly:
     return tw_add(a, tw_neg(b))
 
 
-def tw_mul(a: TwistedPoly, b: TwistedPoly) -> TwistedPoly:
-    """Composition product with the twist rule F c = c^p F."""
+def tw_mul(a: TwistedPoly, b: TwistedPoly, trunc=None) -> TwistedPoly:
+    """Composition product with the twist rule F c = c^p F.
+
+    With ``trunc = K`` only the coefficients of F^0, ..., F^(K-1) are
+    formed; they equal those of the full product.
+    """
     _check(a, b)
     if a.is_zero() or b.is_zero():
         return TwistedPoly.zero(a.ctx)
-    out = [a.ctx.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
-    twisted = list(b.coeffs)
-    for i, ca in enumerate(a.coeffs):
+    size = len(a.coeffs) + len(b.coeffs) - 1
+    if trunc is not None:
+        size = min(size, trunc)
+    out = [a.ctx.zero()] * size
+    # nonzero (index, coefficient) pairs of b, twisted once per step in i
+    twisted = [(j, c) for j, c in enumerate(b.coeffs[:size]) if not c.is_zero()]
+    for i, ca in enumerate(a.coeffs[:size]):
         if i > 0:
-            twisted = [c.frobenius() for c in twisted]
+            twisted = [(j, c.frobenius()) for j, c in twisted if i + j < size]
         if ca.is_zero():
             continue
-        for j, cb in enumerate(twisted):
-            if not cb.is_zero():
-                out[i + j] = out[i + j] + ca * cb
+        for j, cb in twisted:
+            out[i + j] = out[i + j] + ca * cb
     return TwistedPoly.from_elems(a.ctx, out)
 
 
-def tw_pow(a: TwistedPoly, n: int) -> TwistedPoly:
+def tw_pow(a: TwistedPoly, n: int, trunc=None) -> TwistedPoly:
+    """a^n by repeated squaring; ``trunc`` as in :func:`tw_mul`."""
     if n < 0:
         raise SpecError("negative twisted powers are not defined")
     result = TwistedPoly.one(a.ctx)
     acc = a
     while n:
         if n & 1:
-            result = tw_mul(result, acc)
-        acc = tw_mul(acc, acc)
+            result = tw_mul(result, acc, trunc)
         n >>= 1
+        if n:
+            acc = tw_mul(acc, acc, trunc)
     return result
 
 
@@ -209,7 +228,9 @@ def v_phi_pow_minus(sigma: TwistedPoly, n: int, omega):
 
     The linear coefficient of sigma^n is c_0^n; when it differs from omega
     the valuation is zero.  Equality can only happen for algebraic linear
-    coefficients, in which case the full twisted power is formed.
+    coefficients.  Then sigma^n is formed modulo F^K for K = 2, 4, 8, ...
+    until a coefficient of index below K is nonzero, or K covers all
+    top * n + 1 coefficients of sigma^n.
     """
     omega = sigma.ctx.elem(omega)
     c0n = sigma.constant_coeff() ** n
@@ -217,7 +238,14 @@ def v_phi_pow_minus(sigma: TwistedPoly, n: int, omega):
         return 0
     if (sigma.top_index + 1) * n > _DIRECT_CHECK_COEFF_CAP * 8:
         raise ScaleExceeded("twisted power too large for direct valuation")
-    return v_phi(tw_sub_scalar(tw_pow(sigma, n), omega))
+    full = sigma.top_index * n + 1
+    trunc = 2
+    while True:
+        trunc = min(trunc, full)
+        v = v_phi(tw_sub_scalar(tw_pow(sigma, n, trunc), omega))
+        if v is not INFINITY or trunc == full:
+            return v
+        trunc *= 2
 
 
 def _check(a, b):

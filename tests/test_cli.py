@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 from dynzeta.cli import (JobSpec, compile_spec, main, make_parser,
                          parse_poly_string, run_job)
@@ -137,6 +138,53 @@ class TestExitCodes:
         code, _ = run_cli(["oracle", "--num", "1", "--den", "0,1", "--p", "3",
                            "--n-min", "2", "--n-max", "2"])
         assert code == 2
+
+
+class TestSpecValidation:
+    """Missing or mistyped params exit 2 before the header is written."""
+
+    def test_missing_d(self):
+        assert run_cli(["count", "--family", "power", "--p", "3"]) == (2, "")
+
+    def test_missing_p(self):
+        assert run_cli(["count", "--family", "power", "--d", "2"]) == (2, "")
+
+    def test_string_param_in_job_file(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"command": "count", "params": {
+            "family": "power", "p": 3, "d": "2"}}))
+        assert run_cli(["--job", str(path)]) == (2, "")
+
+    def test_job_params_must_be_an_object(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"command": "count", "params": [3, 2]}))
+        assert run_cli(["--job", str(path)]) == (2, "")
+
+    def test_job_file_not_json(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text("{\"command\": \"count\",")
+        assert run_cli(["--job", str(path)]) == (2, "")
+
+    def test_parser_built_once(self):
+        assert make_parser() is make_parser()
+        assert run_cli(["count", "--family", "power", "--p", "3", "--d", "2",
+                        "--n-max", "1"])[0] == 0
+        assert run_cli(["count", "--family", "power", "--p", "3"]) == (2, "")
+
+
+class TestRegressions:
+    def test_additive_p5_verdict_within_budget(self):
+        # its first re-derivation term is #Per_12544, a twisted power with
+        # 12545 coefficients unless it is truncated
+        start = time.perf_counter()
+        code, text = run_cli(["verdict", "--family", "additive", "--p", "5",
+                              "--sigma", "2,1"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        cert = next(r for r in map(json.loads, text.splitlines())
+                    if r["record"] == "certificate")
+        assert (cert["m"], cert["ell"]) == ("4", "3137")
+        assert elapsed < 10.0
 
 
 class TestPolyParser:

@@ -169,3 +169,102 @@ class TestConstantTermShortcut:
         for n in (1, 2, 3, 4, 6):
             direct = v_phi(tw_sub_scalar(tw_pow(sigma, n), F3.one()))
             assert v_phi_pow_minus(sigma, n, F3.one()) == direct
+
+
+# F_2, F_3, F_5 and the flat extensions F_(2^3), F_(3^2)
+TRUNCATION_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2)]
+
+
+def _random_tw(F, rng, length):
+    return TwistedPoly.from_elems(
+        F, [F.elem_at(rng.randrange(F.order)) for _ in range(length)])
+
+
+class TestTruncatedProducts:
+    @pytest.mark.parametrize("p,k", TRUNCATION_FIELDS)
+    def test_mul_keeps_low_coefficients(self, p, k):
+        F = field_make(p, k)
+        rng = random.Random(100 * p + k)
+        for _ in range(40):
+            a = _random_tw(F, rng, rng.randint(0, 6))
+            b = _random_tw(F, rng, rng.randint(0, 6))
+            full = tw_mul(a, b)
+            for trunc in range(1, len(full.coeffs) + 2):
+                assert tw_mul(a, b, trunc) == TwistedPoly.from_elems(
+                    F, full.coeffs[:trunc])
+
+    @pytest.mark.parametrize("p,k", TRUNCATION_FIELDS)
+    def test_pow_keeps_low_coefficients(self, p, k):
+        F = field_make(p, k)
+        rng = random.Random(200 * p + k)
+        for _ in range(25):
+            a = _random_tw(F, rng, rng.randint(1, 4))
+            n = rng.randint(0, 2 * p * p)
+            full = tw_pow(a, n)
+            for trunc in (1, 2, 3, 5, 8, 13):
+                assert tw_pow(a, n, trunc) == TwistedPoly.from_elems(
+                    F, full.coeffs[:trunc])
+
+    def test_ratfunc_coefficients(self, F3u):
+        u = F3u.u()
+        pool = [F3u.zero(), F3u.one(), -F3u.one(), u, u + 1, u * u]
+        rng = random.Random(5)
+        for _ in range(20):
+            a = TwistedPoly.from_elems(F3u, [rng.choice(pool) for _ in range(3)])
+            b = TwistedPoly.from_elems(F3u, [rng.choice(pool) for _ in range(3)])
+            full = tw_mul(a, b)
+            for trunc in (1, 2, 3, 4):
+                assert tw_mul(a, b, trunc) == TwistedPoly.from_elems(
+                    F3u, full.coeffs[:trunc])
+
+
+class TestTruncatedValuation:
+    """v_phi_pow_minus against the valuation of the full power."""
+
+    @staticmethod
+    def _sigmas(F, rng):
+        nonzero = [z for z in F.elements() if not z.is_zero()]
+        out = [TwistedPoly.from_elems(F, [rng.choice(nonzero)])]  # top 0
+        for top in (1, 2, 3):
+            # 1 + c F^top: (sigma^(p^j) - 1) has valuation top * p^j, its
+            # top index, so the doubling has to reach every coefficient
+            out.append(TwistedPoly.from_elems(
+                F, [F.one()] + [F.zero()] * (top - 1) + [rng.choice(nonzero)]))
+            for _ in range(3):
+                mid = [F.elem_at(rng.randrange(F.order)) for _ in range(top - 1)]
+                out.append(TwistedPoly.from_elems(
+                    F, [rng.choice(nonzero)] + mid + [rng.choice(nonzero)]))
+        return out
+
+    @pytest.mark.parametrize("p,k", TRUNCATION_FIELDS)
+    def test_matches_full_power(self, p, k):
+        F = field_make(p, k)
+        rng = random.Random(300 * p + k)
+        # every nonzero element is a root of unity, so omega covers mu_d
+        # for each d | q - 1, the roots a subadditive map uses
+        omegas = [z for z in F.elements() if not z.is_zero()]
+        hits = 0
+        for sigma in self._sigmas(F, rng):
+            m = constant_order(sigma)
+            exps = {1, 2, p, p * p, 2 * p}
+            exps |= {m * t for t in (1, p, p * p, 3)}
+            for n in sorted(exps):
+                if sigma.top_index * n > 400:
+                    continue
+                power = tw_pow(sigma, n)
+                for omega in omegas:
+                    direct = v_phi(tw_sub_scalar(power, omega))
+                    assert v_phi_pow_minus(sigma, n, omega) == direct
+                    hits += direct != 0
+        assert hits > 20
+
+    def test_additive_one_plus_frobenius(self, F2):
+        # (1 + F)^(2^j) = 1 + F^(2^j) over F_2
+        sigma = tw(F2, 1, 1)
+        for j in range(8):
+            assert v_phi_pow_minus(sigma, 2 ** j, 1) == 2 ** j
+
+    def test_constant_sigma(self, F5):
+        sigma = tw(F5, 2)
+        assert v_phi_pow_minus(sigma, 4, 1) is INFINITY
+        assert v_phi_pow_minus(sigma, 2, 1) == 0
