@@ -16,7 +16,7 @@ from .twisted import (TwistedPoly, constant_order, kernel_size_ga, lte_ga,
 from .orders import (B3_ORDER, HURWITZ, NormSequenceReport, PrimeContext,
                      QuadElem, QuadRing, QuatElem, aut_group_table, lte_int,
                      lte_quad, lte_quat, norm_sequence, prime_context,
-                     v_I, v_frak_p, v_p_int)
+                     v_I, v_frak_p)
 from .elliptic import (CurvePoint, EllipticCurve, is_supersingular,
                        lattes_oracle, lattes_realize, point_count,
                        torsion_count)
@@ -25,7 +25,7 @@ from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        SubadditiveMap, VARIANT_ABSOLUTE, VARIANT_NORM,
                        classify_separability, map_degree, per_n_closed,
                        per_n_template, realize)
-from .automata import (Dfao, KernelReport, christol_series, dfao_eval,
+from .automata import (Dfao, KernelReport, christol_series,
                        eventual_period_detect, kernel_explore,
                        vp_geometric_sequence, vp_tower_sequence)
 from .zeta import (Certificate, Verdict, VerdictOptions, ZetaSeries,

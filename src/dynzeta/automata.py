@@ -8,6 +8,7 @@ classification field.  Digits are read least-significant first, which
 keeps arithmetic-progression subsequences local.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import modpoly
 from .errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                      SingularRoot, SpecError)
-from .intarith import check_prime, gcd_int, multiplicative_order, v_p
+from .intarith import check_prime, multiplicative_order, v_p
 
 # -- automata ------------------------------------------------------------------
 
@@ -70,10 +71,6 @@ class Dfao:
             state = self.transitions[state][n % self.base]
             n //= self.base
         return self.outputs[state]
-
-
-def dfao_eval(automaton: Dfao, n: int):
-    return automaton.eval(n)
 
 
 # -- kernel exploration ------------------------------------------------------------
@@ -357,7 +354,7 @@ def vp_tower_sequence(a: int, p: int, ell: int, length: int,
     if enforce_bound and ell <= p ** (a * p ** a):
         raise HypothesisViolated("ell must exceed p^(a p^a)")
     if p % 2:
-        if gcd_int(p, ell - 1) != 1:
+        if math.gcd(p, ell - 1) != 1:
             raise HypothesisViolated("p must not divide ell - 1")
     elif ell % 8 != 7:
         raise HypothesisViolated("p = 2 requires ell = 7 mod 8")

@@ -600,6 +600,9 @@ def compile_spec(args) -> JobSpec:
 
 def main(argv=None, out=None):
     out = out or sys.stdout
+    # Counts are printed as exact decimals, however many digits they have.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = make_parser()
     args = parser.parse_args(argv)
     try:

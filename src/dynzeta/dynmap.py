@@ -142,10 +142,8 @@ def cycle_census(f: RatMap, max_k: int, max_n: int):
         num, den = f.num, f.den
     else:
         ext = extend_field(ctx, max_k)
-        num = f.num.map_coeffs(lambda c: embed(c, ext))
-        num = Poly.from_elems(ext, list(num.coeffs))
-        den = f.den.map_coeffs(lambda c: embed(c, ext))
-        den = Poly.from_elems(ext, list(den.coeffs))
+        num = Poly.from_elems(ext, [embed(c, ext) for c in f.num.coeffs])
+        den = Poly.from_elems(ext, [embed(c, ext) for c in f.den.coeffs])
 
     infinity = size  # index sentinel for the point at infinity
     if f.num.degree > f.den.degree:

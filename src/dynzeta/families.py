@@ -25,13 +25,14 @@ form.  Both are implemented; VARIANT_NORM is the default, pinned by the
 acceptance suite's torsion-enumeration oracle.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
                      SpecError, SubadditiveConditionViolated)
 from .field import Poly, embed, extend_field, field_make
 from .dynmap import RatMap, poly_map, rat_map
-from .intarith import check_prime, gcd_int, v_p
+from .intarith import check_prime, v_p
 from .limits import enum_cap
 from .orders import (PrimeContext, QuadElem, QuatElem, aut_group_table,
                      v_frak_p)
@@ -92,7 +93,7 @@ class SubadditiveMap:
         if self.d < 2:
             raise SpecError("subadditive quotient needs d >= 2")
         p = self.sigma.ctx.p
-        if gcd_int(p, self.d) != 1:
+        if math.gcd(p, self.d) != 1:
             raise SpecError("quotient order must be prime to p")
         if self.sigma.is_zero() or self.sigma.top_index < 1:
             raise SpecError("subadditive maps need degree at least p")
@@ -353,9 +354,9 @@ def _subadditive_roots(m: SubadditiveMap):
         ext = ctx
         sigma = m.sigma
     else:
-        ext = extend_field(ctx, e)
-        if ext.order > enum_cap():
+        if q ** e > enum_cap():
             raise SpecError("root-of-unity field exceeds the enumeration cap")
+        ext = extend_field(ctx, e)
         sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in m.sigma.coeffs])
     roots = []
     for z in ext.elements():

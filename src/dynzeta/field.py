@@ -3,9 +3,8 @@
 Representation conventions:
 
 * A prime field F_p stores elements as ints in [0, p).
-* An extension F_(p^k) built directly over F_p (``field_make(p, k)``, or
-  ``extend_field`` on a prime field) also stores each element as one int:
-  its ``elem_at`` index in [0, p^k), whose base-p digits are the element's
+* Every extension F_(p^k) is built directly over F_p and also stores
+  each element as one int: its ``elem_at`` index in [0, p^k), whose base-p digits are the element's
   coefficients in ascending powers of the adjoined root.  So ``rep`` is
   the index, ``from_int(n)`` is the constant n mod p, and ``index_of`` is
   the identity.  The modulus is a monic irreducible polynomial over F_p,
@@ -15,10 +14,14 @@ Representation conventions:
   element (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT,
   1990); products, sums, negations, inverses and powers are then table
   lookups.  Larger fields build no tables and compute on the digits.
-* An extension of degree k over a non-prime finite context (a tower, from
-  ``extend_field``) stores length-k tuples of base elements (ascending
-  powers of the adjoined root) and reduces by a monic irreducible
-  modulus over the base.
+  ``extend_field(ctx, b)`` on F_(p^a) returns the field of
+  ``field_make(p, a*b)``, so equal fields share one set of tables.
+* A subfield F_(p^a) of F_(p^(ab)) is reached by ``embed``, which sends
+  the adjoined root of the smaller field to a fixed root of its modulus
+  in the larger one (Lidl-Niederreiter, *Finite Fields*, Thm 2.14).  That
+  root is the first norm z = elem_at(i)^((Q-1)/(q-1)), i = 2, 3, ..., at
+  which the modulus vanishes; the norm maps F_Q^* onto F_q^*, which holds
+  every root, so the walk ends.
 * F_p(u) stores a reduced fraction of sparse polynomials in u: tuples of
   (exponent, coefficient) pairs with ascending exponents, denominator
   monic and coprime to the numerator.  Sparseness matters because the
@@ -29,6 +32,7 @@ lists (class Poly).  Over a prime field the heavy operations are routed
 through the int-list kernel in ``modpoly``.
 """
 
+import itertools
 import math
 from array import array
 
@@ -45,12 +49,15 @@ _RF_GCD_DEGREE_CAP = 4096
 # contexts are rebuilt per call, so the tables must outlive them.
 _FLAT_OPS = {}
 _FLAT_OPS_CAP = 8
+# Index of the image of a subfield's adjoined root, per (subfield, field)
+# signature pair; bounded like the tables.
+_SUBFIELD_ROOTS = {}
 
 
 class FieldCtx:
     """Immutable description of a field; shared freely between values."""
 
-    __slots__ = ("p", "k", "flavor", "base", "modulus", "flat", "tower",
+    __slots__ = ("p", "k", "flavor", "base", "modulus", "flat",
                  "_sig", "_order", "_ops")
 
     def __init__(self, p, k, flavor, base=None, modulus=None):
@@ -59,8 +66,7 @@ class FieldCtx:
         self.flavor = flavor
         self.base = base
         self.modulus = modulus
-        self.flat = base is not None and base.is_prime_field
-        self.tower = base is not None and not self.flat
+        self.flat = base is not None
         self._ops = None
         if flavor == "ratfunc":
             self._sig = ("rf", p)
@@ -108,8 +114,6 @@ class FieldCtx:
     def _zero_rep(self):
         if self.flavor == "ratfunc":
             return ((), ((0, 1),))
-        if self.tower:
-            return (self.base.zero(),) * self.k
         return 0
 
     def _make(self, rep):
@@ -120,9 +124,6 @@ class FieldCtx:
             c = n % self.p
             num = ((0, c),) if c else ()
             return self._make((num, ((0, 1),)))
-        if self.tower:
-            rep = (self.base.from_int(n),) + (self.base.zero(),) * (self.k - 1)
-            return self._make(rep)
         return self._make(n % self.p)
 
     def elem(self, value):
@@ -133,14 +134,11 @@ class FieldCtx:
             return value
         if isinstance(value, int):
             return self.from_int(value)
-        if isinstance(value, (list, tuple)) and self.flavor == "finite" and self.base is not None:
+        if isinstance(value, (list, tuple)) and self.flat:
             vec = [self.base.elem(v) for v in value]
             if len(vec) > self.k:
                 raise SpecError("vector longer than extension degree")
-            if self.flat:
-                return self._make(sum(c.rep * self.p ** i for i, c in enumerate(vec)))
-            vec += [self.base.zero()] * (self.k - len(vec))
-            return self._make(tuple(vec))
+            return self._make(sum(c.rep * self.p ** i for i, c in enumerate(vec)))
         raise SpecError(f"cannot coerce {value!r} into {self!r}")
 
     def u(self):
@@ -156,31 +154,18 @@ class FieldCtx:
             yield self.elem_at(i)
 
     def elem_at(self, index):
-        if not self.tower:
-            return self._make(index % self.order)
-        q = self.base.order
-        vec = []
-        for _ in range(self.k):
-            vec.append(self.base.elem_at(index % q))
-            index //= q
-        return self._make(tuple(vec))
+        return self._make(index % self.order)
 
     def index_of(self, elem):
-        if not self.tower:
-            return elem.rep
-        q = self.base.order
-        idx = 0
-        for part in reversed(elem.rep):
-            idx = idx * q + self.base.index_of(part)
-        return idx
+        return elem.rep
 
     # -- discrete logarithms (flat extensions with tables) -------------------
 
     def log(self, z):
         """Discrete logarithm of nonzero z to the base of this field's tables.
 
-        None where the field keeps no tables: prime fields, towers, F_p(u)
-        and flat extensions with more than ``limits.DEFAULT_ENUM_CAP``
+        None where the field keeps no tables: prime fields, F_p(u) and
+        extensions with more than ``limits.DEFAULT_ENUM_CAP``
         elements.
         """
         if not self.flat:
@@ -210,9 +195,8 @@ class FieldCtx:
 class FieldElem:
     """Element of a FieldCtx in canonical form.  Immutable.
 
-    ``rep`` is an int in [0, p) over F_p, the ``elem_at`` index over a
-    flat extension, a tuple of base elements over a tower, and a pair of
-    sparse polynomials over F_p(u).
+    ``rep`` is an int in [0, p) over F_p, the ``elem_at`` index over an
+    extension, and a pair of sparse polynomials over F_p(u).
     """
 
     __slots__ = ("ctx", "rep")
@@ -224,17 +208,13 @@ class FieldElem:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        ctx = self.ctx
-        if ctx.tower:
-            return all(c.is_zero() for c in self.rep)
-        if ctx.flavor == "ratfunc":
+        if self.ctx.flavor == "ratfunc":
             return not self.rep[0]
         return self.rep == 0
 
     def is_one(self):
-        ctx = self.ctx
-        if ctx.tower or ctx.flavor == "ratfunc":
-            return self == ctx.one()
+        if self.ctx.flavor == "ratfunc":
+            return self == self.ctx.one()
         return self.rep == 1
 
     # -- equality -----------------------------------------------------------
@@ -247,12 +227,7 @@ class FieldElem:
         return self.rep == other.rep
 
     def __hash__(self):
-        return hash((self.ctx._sig, self._repkey()))
-
-    def _repkey(self):
-        if self.ctx.tower:
-            return tuple(c._repkey() for c in self.rep)
-        return self.rep
+        return hash((self.ctx._sig, self.rep))
 
     def __repr__(self):
         return f"{self.rep!r} in {self.ctx!r}"
@@ -277,9 +252,7 @@ class FieldElem:
             b_n, b_d = other.rep
             num = _sp_add(_sp_mul(a_n, b_d, ctx.p), _sp_mul(b_n, a_d, ctx.p), ctx.p)
             return ctx._make(_rf_normalize(num, _sp_mul(a_d, b_d, ctx.p), ctx.p))
-        if ctx.base is None:
-            return ctx._make((self.rep + other.rep) % ctx.p)
-        return ctx._make(tuple(a + b for a, b in zip(self.rep, other.rep)))
+        return ctx._make((self.rep + other.rep) % ctx.p)
 
     __radd__ = __add__
 
@@ -290,9 +263,7 @@ class FieldElem:
         if ctx.flavor == "ratfunc":
             num, den = self.rep
             return ctx._make((_sp_neg(num, ctx.p), den))
-        if ctx.base is None:
-            return ctx._make(-self.rep % ctx.p)
-        return ctx._make(tuple(-a for a in self.rep))
+        return ctx._make(-self.rep % ctx.p)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -311,16 +282,7 @@ class FieldElem:
             num = _sp_mul(a_n, b_n, ctx.p)
             den = _sp_mul(a_d, b_d, ctx.p)
             return ctx._make(_rf_normalize(num, den, ctx.p))
-        if ctx.base is None:
-            return ctx._make(self.rep * other.rep % ctx.p)
-        conv = [ctx.base.zero()] * (2 * ctx.k - 1)
-        for i, a in enumerate(self.rep):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.rep):
-                if not b.is_zero():
-                    conv[i + j] = conv[i + j] + a * b
-        return ctx._make(_ext_reduce(ctx, conv))
+        return ctx._make(self.rep * other.rep % ctx.p)
 
     __rmul__ = __mul__
 
@@ -333,16 +295,7 @@ class FieldElem:
         if ctx.flavor == "ratfunc":
             num, den = self.rep
             return ctx._make(_rf_normalize(den, num, ctx.p))
-        if ctx.base is None:
-            return ctx._make(pow(self.rep, ctx.p - 2, ctx.p))
-        me = Poly.from_elems(ctx.base, list(self.rep))
-        modulus = Poly.from_elems(ctx.base, list(ctx.modulus))
-        g, s = _poly_half_xgcd(me, modulus)
-        if g.degree != 0:
-            raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-        s = s * Poly.from_elems(ctx.base, [g.coeffs[0].inverse()])
-        rep = list(s.coeffs) + [ctx.base.zero()] * (ctx.k - len(s.coeffs))
-        return ctx._make(tuple(rep[:ctx.k]))
+        return ctx._make(pow(self.rep, ctx.p - 2, ctx.p))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -353,7 +306,7 @@ class FieldElem:
         ctx = self.ctx
         if ctx.flat:
             return FieldElem(ctx, (ctx._ops or ctx._arith()).pow(self.rep, e))
-        if ctx.base is None and ctx.flavor == "finite":
+        if ctx.is_prime_field:
             return ctx._make(pow(self.rep, e, ctx.p))
         result = ctx.one()
         acc = self
@@ -472,19 +425,6 @@ def _rf_normalize(num, den, p):
         num = tuple((e, c * inv % p) for e, c in num)
         den = tuple((e, c * inv % p) for e, c in den)
     return (num, den)
-
-
-def _ext_reduce(ctx, conv):
-    """Reduce a raw convolution by the monic modulus of an extension."""
-    mod = ctx.modulus
-    k = ctx.k
-    for i in range(len(conv) - 1, k - 1, -1):
-        c = conv[i]
-        if c.is_zero():
-            continue
-        for j in range(k):
-            conv[i - k + j] = conv[i - k + j] - c * mod[j]
-    return tuple(conv[:k])
 
 
 # -- flat extensions: elements are elem_at indices -----------------------------------
@@ -634,16 +574,35 @@ def _compact(values):
 
 
 def embed(elem, target):
-    """Inject an element into an extension built over its own context."""
-    if elem.ctx == target:
+    """Image of elem under the subfield embedding into the field target."""
+    src = elem.ctx
+    if src == target:
         return elem
-    if target.flavor == "finite" and target.base is not None:
-        below = embed(elem, target.base)
-        if target.flat:
-            return target._make(below.rep)
-        rep = (below,) + (target.base.zero(),) * (target.k - 1)
-        return target._make(rep)
-    raise SpecError("no embedding path to the requested field")
+    if (src.flavor != "finite" or target.flavor != "finite"
+            or src.p != target.p or target.k % src.k):
+        raise SpecError("no embedding path to the requested field")
+    if src.is_prime_field:
+        return target.from_int(elem.rep)
+    root = _subfield_root(src, target)
+    acc, n = target.zero(), elem.rep
+    for i in range(src.k - 1, -1, -1):
+        acc = acc * root + n // src.p ** i % src.p
+    return acc
+
+
+def _subfield_root(src, target):
+    """Root in target of src's modulus: the first norm at which it vanishes."""
+    key = (src._sig, target._sig)
+    rep = _SUBFIELD_ROOTS.get(key)
+    if rep is None:
+        modulus = Poly.from_ints(target, [c.rep for c in src.modulus])
+        e = (target.order - 1) // (src.order - 1)
+        rep = next(z for z in (target.elem_at(i) ** e for i in itertools.count(2))
+                   if modulus.eval(z).is_zero()).rep
+        if len(_SUBFIELD_ROOTS) >= _FLAT_OPS_CAP:
+            del _SUBFIELD_ROOTS[next(iter(_SUBFIELD_ROOTS))]
+        _SUBFIELD_ROOTS[key] = rep
+    return FieldElem(target, rep)
 
 
 # -- polynomials -----------------------------------------------------------------
@@ -705,7 +664,7 @@ class Poly:
                 and other.coeffs == self.coeffs)
 
     def __hash__(self):
-        return hash((self.ctx._sig, tuple(c._repkey() for c in self.coeffs)))
+        return hash((self.ctx._sig, tuple(c.rep for c in self.coeffs)))
 
     def __repr__(self):
         if not self.coeffs:
@@ -856,24 +815,9 @@ class Poly:
             return self
         return Poly(self.ctx, (self.ctx.zero(),) * n + self.coeffs)
 
-    def map_coeffs(self, fn):
-        return Poly.from_elems(self.ctx, [fn(c) for c in self.coeffs])
-
     def _check(self, other):
         if not isinstance(other, Poly) or other.ctx != self.ctx:
             raise SpecError("mixed-context polynomial arithmetic")
-
-
-def _poly_half_xgcd(a, b):
-    """Return (g, s) with s*a == g (mod b), g = gcd(a, b), not normalized."""
-    ctx = a.ctx
-    r0, r1 = a, b
-    s0, s1 = Poly.one(ctx), Poly.zero(ctx)
-    while not r1.is_zero():
-        q, r = r0.divrem(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    return r0, s0
 
 
 # -- field construction -----------------------------------------------------------
@@ -892,19 +836,6 @@ def _irreducible_int(coeffs, p):
     return True
 
 
-def _irreducible_generic(poly, ctx):
-    k = poly.degree
-    q = ctx.order
-    x = Poly.x_power(ctx, 1)
-    if x.pow_mod(q ** k, poly) != x:
-        return False
-    for r in factorize(k):
-        probe = x.pow_mod(q ** (k // r), poly) - x
-        if probe.gcd(poly).degree != 0:
-            return False
-    return True
-
-
 def field_make(p, k=1, seed=None):
     """Deterministic field constructor.
 
@@ -913,8 +844,32 @@ def field_make(p, k=1, seed=None):
     so runs are reproducible.
     """
     check_prime(p)
+    _check_degree(k)
+    return _flat_field(p, k, seed)
+
+
+def extend_field(ctx, degree):
+    """Degree-`degree` extension of a finite context, built flat over F_p.
+
+    Over F_(p^a) this is the field of ``field_make(p, a*degree)``, so
+    equal contexts share their tables; elements of ctx reach it through
+    ``embed``.  The degree cap bounds `degree`, not a*degree; callers that
+    enumerate the field bound its size through ``enum_cap()``.
+    """
+    if ctx.flavor != "finite":
+        raise SpecError("can only extend finite fields")
+    if degree == 1:
+        return ctx
+    _check_degree(degree)
+    return _flat_field(ctx.p, ctx.k * degree)
+
+
+def _check_degree(k):
     if not 1 <= k <= EXTENSION_DEGREE_CAP:
         raise SpecError(f"extension degree {k} outside [1, {EXTENSION_DEGREE_CAP}]")
+
+
+def _flat_field(p, k, seed=None):
     prime = FieldCtx(p, 1, "finite")
     if k == 1:
         return prime
@@ -932,32 +887,6 @@ def field_make(p, k=1, seed=None):
                 return FieldCtx(p, k, "finite", base=prime, modulus=modulus)
             skip -= 1
     raise NoIrreducibleFound(f"no irreducible of degree {k} over F_{p}")
-
-
-def extend_field(ctx, degree, seed=None):
-    """Degree-`degree` extension of an existing finite context (tower step)."""
-    if ctx.flavor != "finite":
-        raise SpecError("can only extend finite fields")
-    if degree == 1:
-        return ctx
-    if ctx.is_prime_field:
-        return field_make(ctx.p, degree, seed=seed)
-    skip = seed or 0
-    q = ctx.order
-    for m in range(q ** degree):
-        vec = []
-        mm = m
-        for _ in range(degree):
-            vec.append(ctx.elem_at(mm % q))
-            mm //= q
-        vec.append(ctx.one())
-        cand = Poly.from_elems(ctx, vec)
-        if cand.degree == degree and _irreducible_generic(cand, ctx):
-            if skip == 0:
-                return FieldCtx(ctx.p, degree, "finite", base=ctx,
-                                modulus=tuple(cand.coeffs))
-            skip -= 1
-    raise NoIrreducibleFound(f"no irreducible of degree {degree} over {ctx!r}")
 
 
 def ratfunc_field(p):

@@ -97,17 +97,11 @@ def _pollard_rho(n: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = gcd_int(abs(x - y), n)
+            d = math.gcd(abs(x - y), n)
         if d != n:
             return d
         c += 1
         x = c + 1
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factorize(n: int) -> dict:
@@ -141,7 +135,7 @@ def factorize(n: int) -> dict:
 def multiplicative_order(a: int, modulus: int) -> int:
     """Order of a in (Z/modulus)^*; requires gcd(a, modulus) == 1."""
     a %= modulus
-    if gcd_int(a, modulus) != 1:
+    if math.gcd(a, modulus) != 1:
         raise ZeroInput(f"{a} is not a unit mod {modulus}")
     if modulus == 1:
         return 1
@@ -164,7 +158,7 @@ def _group_exponent(modulus: int) -> int:
             part = 2 ** (e - 2)
         else:
             part = (q - 1) * q ** (e - 1)
-        lam = lam * part // gcd_int(lam, part)
+        lam = lam * part // math.gcd(lam, part)
     return lam
 
 

@@ -32,25 +32,20 @@ _DIRECT_CHECK_N_CAP = 32
 # -- rational integers -----------------------------------------------------------
 
 
-def v_p_int(x: int, p: int) -> int:
-    """Exact p-adic valuation of a nonzero integer."""
-    return v_p_strict(x, p)
-
-
 def lte_int(x: int, y: int, p: int, n: int) -> int:
     """v_p(x^n - y^n) = v_p(x - y) + v_p(n) under the classical hypotheses."""
     if x % p == 0 or y % p == 0:
         raise HypothesisViolated("x and y must be units mod p")
     if (x - y) % p != 0:
         raise HypothesisViolated("x - y must be divisible by p")
-    base = v_p_int(x - y, p) if x != y else None
+    base = v_p_strict(x - y, p) if x != y else None
     if base is None:
         raise HypothesisViolated("x == y makes the identity vacuous")
     if p == 2 and base < 2:
         raise HypothesisViolated("p = 2 requires v_2(x - y) >= 2")
     value = base + v_p(n, p)
     if n <= _DIRECT_CHECK_N_CAP:
-        direct = v_p_int(x ** n - y ** n, p)
+        direct = v_p_strict(x ** n - y ** n, p)
         if direct != value:
             raise Mismatch(f"integer exponent lift: {value} != direct {direct}")
     return value
@@ -237,7 +232,7 @@ def v_frak_p(x: QuadElem, ctx: PrimeContext) -> int:
     conjugate valuation read off from the unit root."""
     if x.is_zero():
         raise ZeroInput("valuation of zero")
-    nv = v_p_int(x.norm(), ctx.p) if x.norm() != 0 else None
+    nv = v_p_strict(x.norm(), ctx.p) if x.norm() != 0 else None
     if nv is None:
         raise ZeroInput("norm vanishes only at zero in an imaginary ring")
     work = ctx
@@ -390,7 +385,7 @@ def v_I(x: QuatElem, p: int | None = None) -> int:
         raise ZeroInput("valuation of zero")
     if p is not None and p != x.order.p:
         raise SpecError(f"order belongs to p = {x.order.p}, not {p}")
-    return v_p_int(x.reduced_norm(), x.order.p)
+    return v_p_strict(x.reduced_norm(), x.order.p)
 
 
 def lte_quat(x: QuatElem, y: QuatElem, n: int) -> int:
@@ -590,17 +585,7 @@ def norm_sequence(sigma, gamma, ell: int, length: int) -> NormSequenceReport:
     check_prime(ell)
     if length < 8:
         raise SpecError("need at least 8 terms")
-    T = _trace_of(sigma) % ell
-    N = _norm_of(sigma) % ell
-    # (x-1)(x-N) = x^2 - (1+N)x + N ; times (x^2 - Tx + N)
-    q1 = [N % ell, (-(1 + N)) % ell, 1]
-    q2 = [N % ell, (-T) % ell, 1]
-    char = [0] * 5
-    for i, ci in enumerate(q1):
-        for j, cj in enumerate(q2):
-            char[i + j] = (char[i + j] + ci * cj) % ell
-    # a_n = r3 a_{n-1} + r2 a_{n-2} + r1 a_{n-3} + r0 a_{n-4}
-    rec = [(-char[i]) % ell for i in range(4)]
+    char, rec = _norm_recurrence(_trace_of(sigma), _norm_of(sigma), ell)
 
     one = _one_like(sigma)
     direct = []
@@ -627,6 +612,22 @@ def norm_sequence(sigma, gamma, ell: int, length: int) -> NormSequenceReport:
         raise Mismatch(f"least period {period} violates the recurrence bound")
     return NormSequenceReport(tuple(direct[:length]), ell, tuple(char),
                               period, preperiod, bound_a)
+
+
+def _norm_recurrence(T, N, ell):
+    """(char, rec) for norm(sigma^n - gamma) mod ell, sigma of trace T, norm N.
+
+    char lists the coefficients of (x-1)(x-N)(x^2-Tx+N) mod ell in
+    ascending order; the sequence satisfies
+    a_n = rec[3] a_(n-1) + rec[2] a_(n-2) + rec[1] a_(n-3) + rec[0] a_(n-4).
+    """
+    q1 = [N % ell, (-(1 + N)) % ell, 1]
+    q2 = [N % ell, (-T) % ell, 1]
+    char = [0] * 5
+    for i, ci in enumerate(q1):
+        for j, cj in enumerate(q2):
+            char[i + j] = (char[i + j] + ci * cj) % ell
+    return char, [(-c) % ell for c in char[:4]]
 
 
 def _state_cycle(state0, rec, ell):

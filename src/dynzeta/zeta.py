@@ -11,6 +11,7 @@ sequence manipulated out of the periodic-point counts, kernel growth in
 base ell, kernel closure in base p, and a failed periodicity scan).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        LattesOrdinary, LattesSupersingular, PowerMap,
                        SubadditiveMap, VARIANT_NORM, classify_separability,
                        map_degree, per_n_closed)
-from .intarith import (first_prime_where, gcd_int, last_prime_where,
+from .intarith import (first_prime_where, last_prime_where,
                        multiplicative_order, v_p, v_p_progression)
 from .limits import ELL_SEARCH_CAP
 from .orders import norm_sequence, v_frak_p, v_I
@@ -303,7 +304,7 @@ def _control_period(shape, ratio, a1, p, ell):
     if shape == "geometric":
         return multiplicative_order(ratio % ell, ell)
     ordp = multiplicative_order(p % ell, ell)
-    reduced = ordp // gcd_int(ordp, a1)
+    reduced = ordp // math.gcd(ordp, a1)
     if reduced == 1:
         return 1
     return multiplicative_order(p % reduced, reduced)
@@ -520,7 +521,7 @@ def _certificate_ga(mapping, opts) -> Certificate:
             return False
         if p == 2:
             return ell % 8 == 7
-        return ell % p == 2 % p and gcd_int(p, ell - 1) == 1
+        return ell % p == 2 % p and math.gcd(p, ell - 1) == 1
 
     heuristic = False
     if bound < opts.ell_cap:
@@ -600,7 +601,7 @@ def _certificate_lattes_ordinary(mapping: LattesOrdinary, opts) -> Certificate:
     alpha = 1
     for g in mapping.gammas:
         rep = norm_sequence(sig_m, g, ell, 16)
-        alpha = alpha * rep.least_period // gcd_int(alpha, rep.least_period)
+        alpha = alpha * rep.least_period // math.gcd(alpha, rep.least_period)
     if v_p(alpha, p) > v_p(beta, p):
         raise Mismatch("stride valuation exceeds offset valuation (internal)")
 
@@ -693,7 +694,7 @@ def _certificate_lattes_supersingular(mapping: LattesSupersingular, opts):
             period = rep.least_period
         else:
             period = _tn_period(mapping.sigma_trace, mapping.sigma_norm, m, g, ell)
-        alpha = alpha * period // gcd_int(alpha, period)
+        alpha = alpha * period // math.gcd(alpha, period)
     if v_p(alpha, p) > v_p(beta, p):
         raise Mismatch("stride valuation exceeds offset valuation (internal)")
 
@@ -718,16 +719,10 @@ def _tn_period(T, N, m, gamma, ell):
     (x-1)(x-N_m)(x^2 - T_m x + N_m).
     """
     from .families import _trace_power
-    from .orders import _state_cycle
+    from .orders import _norm_recurrence, _state_cycle
     Tm = _trace_power(T, N, m) % ell
     Nm = pow(N, m, ell)
-    q1 = [Nm, (-(1 + Nm)) % ell, 1]
-    q2 = [Nm, (-Tm) % ell, 1]
-    char = [0] * 5
-    for i, ci in enumerate(q1):
-        for j, cj in enumerate(q2):
-            char[i + j] = (char[i + j] + ci * cj) % ell
-    rec = [(-char[i]) % ell for i in range(4)]
+    rec = _norm_recurrence(Tm, Nm, ell)[1]
     tr0, tr1 = 2 % ell, Tm
     seed = []
     npow = 1

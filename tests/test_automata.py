@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from dynzeta.automata import (Dfao, KernelReport, christol_series, dfao_eval,
+from dynzeta.automata import (Dfao, KernelReport, christol_series,
                               eventual_period_detect, kernel_explore,
                               vp_geometric_sequence, vp_tower_sequence)
 from dynzeta.errors import (HypothesisViolated, NotARoot, ScaleExceeded,
@@ -26,7 +26,7 @@ class TestDfao:
 
     def test_powers_of_two_indicator(self):
         for n in range(512):
-            assert dfao_eval(PO2, n) == po2(n)
+            assert PO2.eval(n) == po2(n)
 
     def test_zero_reads_empty_word(self):
         assert PO2.eval(0) == 0 and PARITY.eval(0) == 0
@@ -89,7 +89,7 @@ class TestChristol:
     def test_dfao_against_christol(self):
         coeffs = christol_series([[0, 1], [1], [1]], 2, [0, 1], 512)
         for n in range(512):
-            assert dfao_eval(PO2, n) == coeffs[n]
+            assert PO2.eval(n) == coeffs[n]
 
 
 class TestKernelExplore:

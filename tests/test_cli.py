@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
 import time
+
+import pytest
 
 from dynzeta.cli import (JobSpec, compile_spec, main, make_parser,
                          parse_poly_string, run_job)
@@ -184,6 +187,55 @@ class TestRegressions:
         cert = next(r for r in map(json.loads, text.splitlines())
                     if r["record"] == "certificate")
         assert (cert["m"], cert["ell"]) == ("4", "3137")
+        assert elapsed < 10.0
+
+    def test_counts_past_the_int_string_limit(self):
+        # about 5^16384: some 11,452 digits, past Python's default 4300
+        argv = ["count", "--family", "additive", "--p", "5", "--sigma=2,1",
+                "--n-min", "16384", "--n-max", "16384"]
+        code, text = run_cli(argv)
+        assert code == 0
+        row = next(r for r in map(json.loads, text.splitlines())
+                   if r["record"] == "row")
+        assert len(row["closed"]) > 4300 and row["closed"].isdigit()
+        code, table = run_cli(argv + ["--table"])
+        assert code == 0 and f"closed={row['closed']}" in table
+
+
+# stdout sha256 of specs over extension fields of extension fields, as
+# printed before those were built flat over F_p
+TOWER_INPUT_DIGESTS = [
+    ("census --p 3 --k 2 --num 0,0,1 --ext-degree 2 --max-period 4",
+     "c73a1c97f45aba164db4cde5e879dd987b4bb74354fc6600cd824400a0e257c5"),
+    ("census --p 3 --k 2 --num 0,0,1 --ext-degree 4 --max-period 3",
+     "7084c53361af3e79dd0b008564683e437930fbddba0e8569648c63c1fbe79d08"),
+    ("census --p 3 --k 3 --num 0,1,1 --ext-degree 3 --max-period 3",
+     "ee77623293ecf35bf929552e5ee76674b691196af38e0713585e39f166c24aec"),
+    ("census --p 2 --k 3 --num 0,0,1 --ext-degree 5 --max-period 3",
+     "5e6f89620cb09cf9c88ccc0b51cbc0c36f0c2d63f069ad3ae84790d0740d65a2"),
+    ("count --family subadditive --p 2 --k 2 --sigma 1,0,0,1 --d 7 "
+     "--n-min 1 --n-max 4",
+     "e697241f69e2e3c47a6306fa65dd14c08a811dcee84f97e657bb5acfc55d63d7"),
+]
+
+
+class TestTowerInputs:
+    @pytest.mark.parametrize("argv,digest", TOWER_INPUT_DIGESTS)
+    def test_stdout_pinned(self, argv, digest):
+        code, text = run_cli(argv.split())
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_subadditive_over_f9_within_budget(self):
+        # mu_11 lives in F_(3^10), a degree-5 extension of F_9
+        start = time.perf_counter()
+        code, text = run_cli(["count", "--family", "subadditive", "--p", "3",
+                              "--k", "2", "--sigma", "1,0,0,0,0,1", "--d",
+                              "11", "--n-min", "1", "--n-max", "3"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fa70ef537d1d2da442e925afd0e2d517d7f6aa7281dcc8a085b7f1ec8d63e513")
         assert elapsed < 10.0
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynzeta import modpoly
-from dynzeta.errors import NotPrime, ZeroPolynomial
+from dynzeta.errors import NotPrime, SpecError, ZeroPolynomial
 from dynzeta.field import (Poly, distinct_root_count, extend_field, embed,
                            field_make, ratfunc_field, separable_radical)
 from dynzeta.limits import DEFAULT_ENUM_CAP
@@ -189,6 +189,65 @@ def test_embedding_through_towers():
             a, b = F9.elem_at(i), F9.elem_at(j)
             assert embed(a * b, F81) == embed(a, F81) * embed(b, F81)
             assert embed(a + b, F81) == embed(a, F81) + embed(b, F81)
+
+
+def _subfields(p, a):
+    """F_(p^a) with its least modulus and, where there is one, the next."""
+    if (p, a) == (2, 2):  # x^2 + x + 1 is the only irreducible quadratic
+        return [field_make(p, a)]
+    return [field_make(p, a), field_make(p, a, seed=1)]
+
+
+@pytest.mark.parametrize("p,a,b", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (5, 2, 2),
+                                   (7, 1, 3)])
+def test_extension_of_an_extension_is_the_flat_field(p, a, b):
+    flat = field_make(p, a * b)
+    for src in _subfields(p, a):
+        ext = extend_field(src, b)
+        assert ext == flat and hash(ext) == hash(flat)
+        assert [c.rep for c in ext.modulus] == [c.rep for c in flat.modulus]
+        assert ext.base.is_prime_field and ext.k == a * b
+        assert extend_field(src, 1) is src
+
+
+@pytest.mark.parametrize("p,a,b", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 3),
+                                   (5, 2, 2)])
+def test_embed_is_an_injective_ring_homomorphism(p, a, b):
+    for src in _subfields(p, a):
+        target = extend_field(src, b)
+        image = {x: embed(x, target) for x in src.elements()}
+        assert len(set(image.values())) == src.order
+        assert image[src.zero()].is_zero() and image[src.one()].is_one()
+        for x, y in image.items():
+            assert y.ctx == target
+            assert y.frobenius(a) == y  # the image lies in F_(p^a)
+            assert embed(-x, target) == -y
+            if not x.is_zero():
+                assert embed(x.inverse(), target) == y.inverse()
+        for x in src.elements():
+            for z in src.elements():
+                assert image[x + z] == image[x] + image[z]
+                assert image[x * z] == image[x] * image[z]
+
+
+def test_embed_into_a_field_without_tables():
+    src = field_make(37, 2)
+    target = extend_field(src, 2)
+    assert target.order > DEFAULT_ENUM_CAP and target.log(target.one()) is None
+    rng = random.Random(37)
+    for _ in range(50):
+        x, z = (src.elem_at(rng.randrange(src.order)) for _ in range(2))
+        assert embed(x * z, target) == embed(x, target) * embed(z, target)
+        assert embed(x + z, target) == embed(x, target) + embed(z, target)
+    root = embed(src.elem([0, 1]), target)
+    assert Poly.from_ints(target, [c.rep for c in src.modulus]).eval(root).is_zero()
+
+
+def test_embed_refuses_a_field_that_is_not_a_subfield():
+    with pytest.raises(SpecError):
+        embed(field_make(2, 2).elem([0, 1]), field_make(2, 3))
+    with pytest.raises(SpecError):
+        embed(field_make(3).one(), field_make(5, 2))
 
 
 # -- flat extensions against coefficient-list arithmetic ------------------------------

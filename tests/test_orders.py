@@ -8,7 +8,8 @@ from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             aut_group_table, b3_units, hurwitz_units,
                             lte_int, lte_quad, lte_quat, norm_sequence,
                             prime_context, quad_roots_of_unity, v_I,
-                            v_frak_p, v_p_int)
+                            v_frak_p)
+from dynzeta.intarith import v_p_strict
 
 ZI = QuadRing(0, 1)       # Z[i]
 ZW = QuadRing(-1, 1)      # Z[w], w^2 = -w - 1
@@ -16,13 +17,13 @@ ZW = QuadRing(-1, 1)      # Z[w], w^2 = -w - 1
 
 class TestIntegerValuation:
     def test_examples(self):
-        assert v_p_int(63, 3) == 2
-        assert v_p_int(3 ** 2 - 1, 2) == 3
-        assert v_p_int(7, 5) == 0
+        assert v_p_strict(63, 3) == 2
+        assert v_p_strict(3 ** 2 - 1, 2) == 3
+        assert v_p_strict(7, 5) == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroInput):
-            v_p_int(0, 3)
+            v_p_strict(0, 3)
 
 
 class TestIntegerLift:
@@ -32,11 +33,11 @@ class TestIntegerLift:
 
     def test_direct_example(self):
         assert lte_int(4, 1, 3, 3) == 2
-        assert v_p_int(4 ** 3 - 1, 3) == 2
+        assert v_p_strict(4 ** 3 - 1, 3) == 2
 
     def test_powers_of_four(self):
         for n in (1, 2, 3, 9):
-            assert lte_int(4, 1, 3, n) == 1 + v_p_int(n, 3) if n % 3 == 0 \
+            assert lte_int(4, 1, 3, n) == 1 + v_p_strict(n, 3) if n % 3 == 0 \
                 else lte_int(4, 1, 3, n) == 1
 
     def test_random_agreement(self):
@@ -52,7 +53,7 @@ class TestIntegerLift:
                     continue
                 n = rng.randint(1, 30)
                 v = lte_int(x, y, p, n)
-                assert v == v_p_int(x ** n - y ** n, p)
+                assert v == v_p_strict(x ** n - y ** n, p)
                 done += 1
 
     def test_p2_guard(self):
@@ -100,7 +101,7 @@ class TestSplitPrimeValuation:
         a = v_frak_p(ZI.elem(1, 2), ctx)
         b = v_frak_p(ZI.elem(1, -2), ctx)
         assert sorted((a, b)) == [0, 1]
-        assert a + b == v_p_int(ZI.elem(1, 2).norm(), 5)
+        assert a + b == v_p_strict(ZI.elem(1, 2).norm(), 5)
 
     def test_rational_prime_has_valuation_one(self):
         ctx = prime_context(ZI, 5)
@@ -119,7 +120,7 @@ class TestSplitPrimeValuation:
                 continue
             v1 = v_frak_p(x, ctx)
             v2 = v_frak_p(x.conj(), ctx)
-            assert v1 + v2 == v_p_int(x.norm(), 7)
+            assert v1 + v2 == v_p_strict(x.norm(), 7)
 
     def test_inert_prime_rejected(self):
         with pytest.raises(InvalidCombination):
@@ -141,7 +142,7 @@ class TestQuadLift:
             m += 1
         base = v_frak_p(sigma ** m - ZI.one(), ctx)
         for n in (1, 2, 5, 10, 25):
-            bump = v_p_int(n, 5) if n % 5 == 0 else 0
+            bump = v_p_strict(n, 5) if n % 5 == 0 else 0
             assert lte_quad(sigma ** m, ZI.one(), ctx, n) == base + bump
 
     def test_random_agreement(self):
@@ -241,7 +242,7 @@ class TestQuatLift:
                 if v_I(x - y) < guard:
                     continue
                 n = rng.randint(1, 25)
-                expected = v_I(x - y) + 2 * v_p_int(n, p) if n % p == 0 else v_I(x - y)
+                expected = v_I(x - y) + 2 * v_p_strict(n, p) if n % p == 0 else v_I(x - y)
                 assert lte_quat(x, y, n) == expected
                 assert expected == v_I(x ** n - y ** n)
                 done += 1
