@@ -16,7 +16,8 @@ import numpy as np
 from . import modpoly
 from .errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                      SingularRoot, SpecError)
-from .intarith import check_prime, multiplicative_order, v_p
+from .intarith import (check_prime, multiplicative_order, v_p,
+                       v_p_progression)
 
 # -- automata ------------------------------------------------------------------
 
@@ -103,6 +104,14 @@ class KernelReport:
         return self.depth
 
 
+def check_kernel_budget(base: int, depth: int, prefix_len: int, budget: int):
+    """ScaleExceeded unless kernel_explore(seq, base, depth, prefix_len)
+    costs at most budget."""
+    cost = sum(base ** e for e in range(depth + 1)) * prefix_len
+    if cost > budget:
+        raise ScaleExceeded(f"kernel exploration cost {cost} over budget {budget}")
+
+
 def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
                    budget: int = 10_000_000) -> KernelReport:
     """Group base-k kernel subsequences by prefix agreement.
@@ -117,9 +126,7 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
     """
     if base < 2:
         raise SpecError("kernel base must be at least 2")
-    cost = sum(base ** e for e in range(depth + 1)) * prefix_len
-    if cost > budget:
-        raise ScaleExceeded(f"kernel exploration cost {cost} over budget {budget}")
+    check_kernel_budget(base, depth, prefix_len, budget)
     horizon = base ** depth * prefix_len
     if isinstance(seq, np.ndarray):
         if seq.dtype.hasobject:
@@ -279,31 +286,46 @@ def christol_series(poly_y, p: int, prefix, length: int):
 # -- the two canonical non-automatic witness families ----------------------------------------
 
 
+def residue_sequence(shape, ratio, a1, alpha, beta, p, ell, n):
+    """(valuations, values) numpy arrays of the first n residue-sequence terms.
+
+    The driving valuation is v_p(alpha*i + beta) in the geometric shape
+    and v_p(i) in the tower shape, where a zero term takes the generic
+    v = 0.  A term depends on its valuation alone (ratio^v mod ell, or
+    p^(a1 * p^v) mod ell with the exponent reduced mod the order of p), so
+    the values are one table lookup per index.
+    """
+    if shape == "geometric":
+        valuations = v_p_progression(alpha, beta, p, n)
+
+        def term(v):
+            return pow(ratio, v, ell)
+    else:
+        valuations = v_p_progression(1, 0, p, n)
+        ordp = multiplicative_order(p % ell, ell)
+
+        def term(v):
+            return pow(p, a1 * pow(p, v, ordp) % ordp, ell)
+    table = [term(v) for v in range(int(valuations.max(initial=0)) + 1)]
+    table = np.array(table, dtype=np.min_scalar_type(ell - 1))
+    return valuations, table[valuations]
+
+
 @dataclass(frozen=True)
 class ValuationSequence:
     """A residue sequence driven by p-adic valuations, plus its witness data.
 
-    values[i] is the term at index i (see index_base); order is the
-    multiplicative order d of the ratio base mod ell, and classes[i] is
-    the driving valuation reduced mod d, through which the sequence
-    factors.  That factorization is what makes the sequence p-automatic,
-    while its base-ell kernel is expected to grow.
+    values[i] is the term at n = index_base + i; order is the
+    multiplicative order d of the ratio base mod ell.  Each term depends
+    only on its driving valuation mod d, which is what makes the sequence
+    p-automatic, while its base-ell kernel is expected to grow.
     """
 
     values: tuple
-    classes: tuple
     p: int
     ell: int
     order: int
-    index_base: int   # values[i] is the term at n = index_base + i
-
-    def oracle(self):
-        vals = self.values
-
-        def seq(i):
-            return vals[i]
-
-        return seq
+    index_base: int
 
 
 def vp_geometric_sequence(a: int, p: int, ell: int, alpha: int, beta: int,
@@ -324,23 +346,13 @@ def vp_geometric_sequence(a: int, p: int, ell: int, alpha: int, beta: int,
         raise HypothesisViolated("alpha must be nonzero")
     if beta != 0 and v_p(alpha, p) > v_p(beta, p):
         raise HypothesisViolated("v_p(alpha) must not exceed v_p(beta)")
-    d = multiplicative_order(a % ell, ell)
-    values = []
-    classes = []
-    for n in range(length):
-        arg = alpha * n + beta
-        if arg == 0:
-            values.append(1)
-            classes.append(0)
-            continue
-        v = v_p(arg, p)
-        classes.append(v % d)
-        values.append(pow(a % ell, v % d, ell))
-    return ValuationSequence(tuple(values), tuple(classes), p, ell, d, 0)
+    _, values = residue_sequence("geometric", a, 0, alpha, beta, p, ell,
+                                 max(length, 0))
+    return ValuationSequence(tuple(values.tolist()), p, ell,
+                             multiplicative_order(a % ell, ell), 0)
 
 
-def vp_tower_sequence(a: int, p: int, ell: int, length: int,
-                      enforce_bound: bool = True) -> ValuationSequence:
+def vp_tower_sequence(a: int, p: int, ell: int, length: int) -> ValuationSequence:
     """p^(a * p^(v_p(n))) mod ell for n = 1..length (values[i] is n = i+1).
 
     Hypotheses: ell > p^(a*p^a); for odd p additionally gcd(p, ell-1) = 1,
@@ -351,20 +363,13 @@ def vp_tower_sequence(a: int, p: int, ell: int, length: int,
     check_prime(ell)
     if a < 1:
         raise HypothesisViolated("exponent multiplier must be positive")
-    if enforce_bound and ell <= p ** (a * p ** a):
+    if ell <= p ** (a * p ** a):
         raise HypothesisViolated("ell must exceed p^(a p^a)")
     if p % 2:
         if math.gcd(p, ell - 1) != 1:
             raise HypothesisViolated("p must not divide ell - 1")
     elif ell % 8 != 7:
         raise HypothesisViolated("p = 2 requires ell = 7 mod 8")
-    d = multiplicative_order(pow(p, a, ell), ell)
-    ord_p = multiplicative_order(p % ell, ell)
-    values = []
-    classes = []
-    for n in range(1, length + 1):
-        v = v_p(n, p)
-        exponent = (a * pow(p, v, ord_p)) % ord_p
-        classes.append(exponent)
-        values.append(pow(p, exponent, ell))
-    return ValuationSequence(tuple(values), tuple(classes), p, ell, d, 1)
+    _, values = residue_sequence("tower", p, a, 0, 0, p, ell, max(length, 0) + 1)
+    return ValuationSequence(tuple(values[1:].tolist()), p, ell,
+                             multiplicative_order(pow(p, a, ell), ell), 1)

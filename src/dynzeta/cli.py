@@ -8,12 +8,14 @@ an exact decimal string, never a float.  --table renders the same data as
 aligned columns for humans.
 
 Exit codes: 0 success, 2 invalid specification, 3 scale budget exceeded,
-4 internal consistency failure (formula disagreeing with oracle).
+4 internal consistency failure (formula disagreeing with oracle), 141
+stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 """
 
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        SubadditiveMap, classify_separability, per_n_closed,
                        realize)
 from .field import field_make, ratfunc_field
+from .limits import EXTENSION_DEGREE_CAP
 from .automata import (christol_series, eventual_period_detect,
                        kernel_explore, vp_geometric_sequence,
                        vp_tower_sequence)
@@ -227,8 +230,9 @@ def _is_int_list(value, length=None):
 def validate_params(command, params):
     """Raise SpecError for a missing or mistyped parameter.
 
-    Checks only presence and JSON types; the map constructors still check
-    values (primality, degrees).  Unknown keys are ignored.
+    Checks presence and JSON types, and the census ranges; the map
+    constructors still check values (primality, degrees).  Unknown keys
+    are ignored.
     """
     family = params.get("family")
     for key, value in params.items():
@@ -263,6 +267,13 @@ def validate_params(command, params):
     missing = [key for key in required if key not in params]
     if missing:
         raise SpecError(f"missing parameter(s) {', '.join(missing)}")
+    if command == "census":
+        ext_degree = params.get("ext_degree", 1)
+        if not 1 <= ext_degree <= EXTENSION_DEGREE_CAP:
+            raise SpecError(f"extension degree {ext_degree} outside "
+                            f"[1, {EXTENSION_DEGREE_CAP}]")
+        if params.get("max_period", 6) < 1:
+            raise SpecError("max_period must be at least 1")
 
 
 # -- commands -----------------------------------------------------------------------
@@ -412,7 +423,7 @@ def _cmd_automata(params):
                "values": list(seq.values[:params.get("show", 64)])}
         base = params.get("base", params["ell"])
         depth = params.get("depth", 3)
-        report = kernel_explore(seq.oracle(), base, depth,
+        report = kernel_explore(seq.values.__getitem__, base, depth,
                                 params.get("prefix_len", 64))
         yield {"record": "kernel", "base": base,
                "class_counts": list(report.class_counts),
@@ -608,6 +619,12 @@ def main(argv=None, out=None):
     try:
         spec = compile_spec(args)
         emit_records(run_job(spec), out, table=args.table)
+        out.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (say `| head`): stop quietly, and point
+        # stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InfinitePeriodicPoints, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -310,21 +310,25 @@ def per_n_closed(m, n: int, variant: str | None = None) -> int:
         return per_n_template(0, m.gammas, kernel, n)
 
     if isinstance(m, LattesSupersingular):
-        if m.sigma_quat is not None:
-            def kernel(g, k):
-                x = m.sigma_quat ** k - g
-                nv = x.reduced_norm()
-                return nv // m.p ** v_p(nv, m.p)
-        else:
-            T, N = m.sigma_trace, m.sigma_norm
-
-            def kernel(g, k):
-                nv = N ** k - g * _trace_power(T, N, k) + 1
-                return nv // m.p ** v_p(nv, m.p)
+        def kernel(g, k):
+            nv = supersingular_norm(m, k, g)
+            return nv // m.p ** v_p(nv, m.p)
 
         return per_n_template(0, m.gammas, kernel, n)
 
     raise SpecError(f"not a dynamically affine map: {m!r}")
+
+
+def supersingular_norm(m: LattesSupersingular, k: int, g) -> int:
+    """nrd(sigma^k - g), the degree of sigma^k - g on the curve.
+
+    From (trace, norm) data with an integer g this is N^k - g T_k + g^2,
+    T_k the trace of sigma^k; quaternion multipliers are powered exactly.
+    """
+    if m.sigma_quat is not None:
+        return (m.sigma_quat ** k - g).reduced_norm()
+    T, N = m.sigma_trace, m.sigma_norm
+    return N ** k - g * _trace_power(T, N, k) + g * g
 
 
 def _trace_power(T: int, N: int, k: int) -> int:

@@ -230,18 +230,19 @@ def v_phi_pow_minus(sigma: TwistedPoly, n: int, omega):
     the valuation is zero.  Equality can only happen for algebraic linear
     coefficients.  Then sigma^n is formed modulo F^K for K = 2, 4, 8, ...
     until a coefficient of index below K is nonzero, or K covers all
-    top * n + 1 coefficients of sigma^n.
+    top * n + 1 coefficients of sigma^n.  A K past the coefficient cap is
+    refused rather than formed.
     """
     omega = sigma.ctx.elem(omega)
     c0n = sigma.constant_coeff() ** n
     if c0n != omega:
         return 0
-    if (sigma.top_index + 1) * n > _DIRECT_CHECK_COEFF_CAP * 8:
-        raise ScaleExceeded("twisted power too large for direct valuation")
     full = sigma.top_index * n + 1
     trunc = 2
     while True:
         trunc = min(trunc, full)
+        if trunc > _DIRECT_CHECK_COEFF_CAP * 8:
+            raise ScaleExceeded("twisted power too large for direct valuation")
         v = v_phi(tw_sub_scalar(tw_pow(sigma, n, trunc), omega))
         if v is not INFINITY or trunc == full:
             return v

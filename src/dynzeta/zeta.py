@@ -17,18 +17,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .automata import (KernelReport, eventual_period_detect,
-                       kernel_explore)
+from .automata import (KernelReport, check_kernel_budget,
+                       eventual_period_detect, kernel_explore,
+                       residue_sequence)
 from .errors import (Mismatch, NoAdmissibleEll, NonIntegerCoefficient,
                      SpecError)
 from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        LattesOrdinary, LattesSupersingular, PowerMap,
                        SubadditiveMap, VARIANT_NORM, classify_separability,
-                       map_degree, per_n_closed)
+                       map_degree, per_n_closed, supersingular_norm)
 from .intarith import (first_prime_where, last_prime_where,
-                       multiplicative_order, v_p, v_p_progression)
+                       multiplicative_order, v_p)
 from .limits import ELL_SEARCH_CAP
-from .orders import norm_sequence, v_frak_p, v_I
+from .orders import (_norm_recurrence, _state_cycle, norm_sequence,
+                     v_frak_p)
 from .sentinels import TRANSCENDENTAL
 from .twisted import constant_order, tw_pow, tw_sub_scalar, v_phi
 
@@ -226,9 +228,9 @@ class Certificate:
 
     The residue sequence values[] equals ratio^(v_p(alpha*n + beta)) mod
     ell in the geometric shape, or p^(a1 * p^(v_p(n))) mod ell in the
-    tower shape (values[i] is index index_base + i).  crosscheck_terms
-    records how many entries were re-derived from exact periodic-point
-    counts rather than the direct valuation formula.
+    tower shape.  crosscheck_terms records how many entries were
+    re-derived from exact periodic-point counts rather than the direct
+    valuation formula.
 
     The positive control p_kernel explores the base-p kernel of the value
     sequence itself when its class structure is small enough to certify
@@ -248,7 +250,6 @@ class Certificate:
     beta: int             # progression offset (geometric); 0 for tower
     tower_multiplier: int  # a1 (tower shape); 0 for geometric
     v0: int
-    index_base: int
     values: tuple
     ell_kernel: KernelReport
     p_kernel: KernelReport
@@ -310,31 +311,6 @@ def _control_period(shape, ratio, a1, p, ell):
     return multiplicative_order(p % reduced, reduced)
 
 
-def _certificate_sequence(shape, ratio, a1, alpha, beta, p, ell, n):
-    """(valuations, values) numpy arrays of the first n certificate terms.
-
-    The driving valuation is v_p(alpha*i + beta) in the geometric shape
-    and v_p(i) in the tower shape, where index 0 takes the generic v = 0.
-    A term depends on its valuation alone (ratio^v, or p^(a1 * p^v) with
-    the exponent reduced mod the order of p), so the values are one table
-    lookup per index.
-    """
-    if shape == "geometric":
-        valuations = v_p_progression(alpha, beta, p, n)
-
-        def term(v):
-            return pow(ratio, v, ell)
-    else:
-        valuations = v_p_progression(1, 0, p, n)
-        ordp = _ord_p(p, ell)
-
-        def term(v):
-            return pow(p, a1 * pow(p, v, ordp) % ordp, ell)
-    table = [term(v) for v in range(int(valuations.max(initial=0)) + 1)]
-    table = np.array(table, dtype=np.min_scalar_type(ell - 1))
-    return valuations, table[valuations]
-
-
 def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
                      rederived, opts, heuristic=False):
     """Certificate for the sequence described by (shape, ratio, a1, alpha, beta).
@@ -354,8 +330,11 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
                 p ** p_depth_values * opts.kernel_prefix, p ** depth_cap * 64)
     horizon = max([opts.period_terms]
                   + [h for h in horizons if h <= kernel_budget])
-    valuations, values = _certificate_sequence(shape, ratio, a1, alpha, beta,
-                                               p, ell, horizon)
+    valuations, values = residue_sequence(shape, ratio, a1, alpha, beta,
+                                          p, ell, horizon)
+    # An ell past the kernel budget is refused before any count is formed:
+    # the re-derived count indices m k grow with ell.
+    check_kernel_budget(ell, ell_depth, ell_prefix, kernel_budget)
     checked = 0
     for n, derived in rederived:
         if derived != values[n]:
@@ -389,7 +368,7 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     scan_len = opts.period_terms
     while True:
         if scan_len > len(values):
-            valuations, values = _certificate_sequence(
+            valuations, values = residue_sequence(
                 shape, ratio, a1, alpha, beta, p, ell, scan_len)
         period = eventual_period_detect(values[:scan_len].tolist())
         if period is None or scan_len >= 400_000:
@@ -397,28 +376,83 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
         pre, per = period
         scan_len = max(2 * scan_len, pre + 8 * per)
     return Certificate(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
-                       0, tuple(values[:opts.period_terms].tolist()),
+                       tuple(values[:opts.period_terms].tolist()),
                        ell_kernel, p_kernel, control, period, checked,
                        heuristic)
 
 
-def _geometric_rederivation(count_fn, m, alpha, beta, group, boundary, other,
-                            inv_main, p, v0, ell, terms, index_cap):
-    """Yield (n, term) re-derived from the exact counts #Per_(m k).
+def _geometric_certificate(family, mapping, m, v0, beta, ratio, ell_modulus,
+                           group, boundary, main, others, stride, terms, opts):
+    """Certificate for a separable multiplicative-type count.
 
-    Along k = alpha*n + beta, group * (#Per_(m k) - boundary) - other is
-    main * p^(-v0) / term mod ell, so each count gives back one term.
-    Stops after terms terms, or once m k passes index_cap (never before
-    n = 1).
+    Along k = alpha*n + beta the exact counts of the step-m iterate satisfy
+
+        group * (#Per_(m k) - boundary)
+            = main * p^(-v0 - v_p(k)) + sum over others of other * p^(-c),
+
+    where main and every (other, c) of others are given at k = beta and are
+    constant mod ell along the progression.  So each count gives back one
+    term of the residue sequence ratio^(v_p(alpha*n + beta)) mod ell.  The
+    auxiliary prime ell > p is the least with ell = 2 mod ell_modulus
+    (3 when p = 2) dividing none of the map degree, group, ratio - 1 and
+    main; stride(ell) gives alpha.  Re-derivation stops after terms terms,
+    or once m k passes the crosscheck index cap (never before n = 1).
     """
-    scale = pow(p, v0, ell)
-    for n in range(terms):
+    p = mapping.p
+    degree = map_degree(mapping)
+
+    def admissible(ell):
+        return (ell > p and ell % ell_modulus == (3 if p == 2 else 2)
+                and all(x % ell for x in (degree, group, ratio - 1, main)))
+
+    ell = first_prime_where(admissible, start=3, cap=opts.ell_cap,
+                            description=f"{family} auxiliary prime")
+    alpha = stride(ell)
+    if v_p(alpha, p) > v_p(beta, p):
+        raise Mismatch("stride valuation exceeds offset valuation (internal)")
+    other = sum(o * pow(p, -c, ell) for o, c in others) % ell
+    scale = pow(p, v0, ell) * pow(main, -1, ell) % ell
+
+    def term(_k, count):
+        return pow((group * (count - boundary) - other) * scale, -1, ell)
+
+    rederived = _rederived(mapping, m, alpha, beta, 0, terms,
+                           opts.crosscheck_index_cap, term)
+    return _build_detectors(family, "geometric", m, ell, p, ratio % ell, alpha,
+                            beta, 0, v0, rederived, opts)
+
+
+def _rederived(mapping, m, alpha, beta, first, stop, index_cap, term):
+    """Yield (n, term(k, #Per_(m k))) along k = alpha*n + beta.
+
+    n runs over first <= n < stop and ends early at the first n > first
+    whose count index m k passes index_cap.
+    """
+    for n in range(first, stop):
         k = alpha * n + beta
-        if m * k > index_cap and n >= 1:
+        if n > first and m * k > index_cap:
             return
-        a_k = count_fn(m * k) % ell
-        lhs = (group * ((a_k - boundary) % ell) - other) % ell
-        yield n, pow(lhs * inv_main % ell * scale % ell, -1, ell)
+        yield n, term(k, per_n_closed(mapping, m * k))
+
+
+def _gm_certificate(family, mapping, D, group, boundary, squared, opts):
+    """Multiplicative-group families: power, Chebyshev, integer Lattes.
+
+    The step m is the least even order of D mod p; Gamma is {1} (group 1)
+    or {1, -1} (group 2), and -1 adds the term (D^(m k) + 1) p^(-v_p(2)).
+    squared takes norms (squares) of both numerators.
+    """
+    p = mapping.p
+    m = _even_order(D, p)
+    beta = 2 if p == 2 else 1
+    power = D ** (m * beta)
+    main, plus = power - 1, power + 1
+    if squared:
+        main, plus = main * main, plus * plus
+    others = [(plus, v_p(2, p))] if group == 2 else []
+    return _geometric_certificate(family, mapping, m, v_p(D ** m - 1, p), beta,
+                                  p, 4 if p == 2 else p, group, boundary, main,
+                                  others, lambda ell: ell - 1, 48, opts)
 
 
 def _even_order(D, p):
@@ -427,79 +461,6 @@ def _even_order(D, p):
         return 2
     m0 = multiplicative_order(D % p, p)
     return m0 if m0 % 2 == 0 else 2 * m0
-
-
-def _gm_style_certificate(family, p, D, opts, count_fn, group, boundary,
-                          main_fn, other_fn):
-    """Shared construction for multiplicative-type counts.
-
-    count_fn(k) is the exact #Per_(m k); along k = alpha*n + beta the count
-    decomposes as boundary + (main * p^(-v0 - v_p(k)) + other * p^(-c)) / group
-    with main and other constant mod ell.  main_fn(k) gives the exact main
-    numerator, other_fn(k) the pair (other numerator, constant exponent c).
-    """
-    m = _even_order(D, p)
-    beta = 2 if p == 2 else 1
-    v0 = v_p(D ** m - 1, p)
-    main_at_beta = main_fn(beta)
-
-    def admissible(ell):
-        if ell <= p or D % ell == 0:
-            return False
-        if p == 2:
-            if ell % 4 != 3:
-                return False
-        elif ell % p != 2 % p:
-            return False
-        return main_at_beta % ell != 0
-
-    ell = first_prime_where(admissible, start=3, cap=opts.ell_cap,
-                            description=f"{family} auxiliary prime")
-    alpha = ell - 1
-    inv_main = pow(main_at_beta % ell, -1, ell)
-    other_num, other_pexp = other_fn(beta)
-    other_const = other_num % ell * pow(pow(p, other_pexp, ell), -1, ell) % ell
-    rederived = _geometric_rederivation(count_fn, m, alpha, beta, group,
-                                        boundary, other_const, inv_main, p,
-                                        v0, ell, 48, opts.crosscheck_index_cap)
-    return _build_detectors(family, "geometric", m, ell, p, p % ell, alpha,
-                            beta, 0, v0, rederived, opts)
-
-
-def _certificate_power(mapping: PowerMap, opts) -> Certificate:
-    p, d = mapping.p, abs(mapping.d)
-    m = _even_order(d, p)
-    return _gm_style_certificate(
-        "power", p, d, opts, lambda idx: per_n_closed(mapping, idx),
-        1, 2, lambda k: d ** (m * k) - 1, lambda k: (0, 0))
-
-
-def _certificate_chebyshev(mapping: ChebyshevMap, opts) -> Certificate:
-    p, d = mapping.p, mapping.d
-    m = _even_order(d, p)
-    c2 = 1 if p == 2 else 0
-    return _gm_style_certificate(
-        "chebyshev", p, d, opts, lambda idx: per_n_closed(mapping, idx),
-        2, 1, lambda k: d ** (m * k) - 1, lambda k: (d ** (m * k) + 1, c2))
-
-
-def _certificate_lattes_generic(mapping: LattesGenericJ, opts) -> Certificate:
-    p, s = mapping.p, abs(mapping.s)
-    m = _even_order(s, p)
-    c2 = 1 if p == 2 else 0
-    squared = mapping.variant == VARIANT_NORM
-
-    def main_fn(k):
-        base = s ** (m * k) - 1
-        return base * base if squared else base
-
-    def other_fn(k):
-        base = s ** (m * k) + 1
-        return (base * base if squared else base), c2
-
-    return _gm_style_certificate(
-        "lattes-generic", p, s, opts, lambda idx: per_n_closed(mapping, idx),
-        2, 0, main_fn, other_fn)
 
 
 def _certificate_ga(mapping, opts) -> Certificate:
@@ -536,213 +497,118 @@ def _certificate_ga(mapping, opts) -> Certificate:
         heuristic = True
 
     deg_m = pow(sigma.ctx.p, sigma.top_index * m, ell)
-    alpha = ell - 1
 
-    def rederived():
-        # n = 0 is skipped: its count index k = 0 carries no valuation.
-        for n in range(1, 9):
-            k = alpha * n
-            if (m * k * max(1, sigma.top_index)) ** 2 > 2_500_000 and n > 1:
-                return
-            a_k = per_n_closed(mapping, m * k) % ell
-            deg_k = pow(deg_m, k, ell)
-            lhs = (d * ((a_k - 1) % ell) - (d - 1) * deg_k) % ell
-            yield n, pow(lhs * pow(deg_k, -1, ell) % ell, -1, ell)
+    def term(k, count):
+        deg_k = pow(deg_m, k, ell)
+        return pow((d * (count - 1) - (d - 1) * deg_k) * pow(deg_k, -1, ell),
+                   -1, ell)
 
+    # n = 0 is skipped: its count index k = 0 carries no valuation.  The
+    # index cap keeps (m k top)^2 within 2.5M.
+    rederived = _rederived(mapping, m, ell - 1, 0, 1, 9,
+                           math.isqrt(2_500_000) // max(1, sigma.top_index),
+                           term)
     return _build_detectors(family, "tower", m, ell, p, p, 0, 0, a1, v0,
-                            rederived(), opts, heuristic=heuristic)
+                            rederived, opts, heuristic=heuristic)
 
 
-def _ord_p(p, ell):
-    return multiplicative_order(p % ell, ell)
+def _lattes_stride(gammas, period):
+    """alpha(ell): lcm over gamma of period(gamma, ell), so that every gamma
+    term is constant mod ell along the progression."""
+    return lambda ell: math.lcm(*(period(g, ell) for g in gammas))
 
 
 def _certificate_lattes_ordinary(mapping: LattesOrdinary, opts) -> Certificate:
     p = mapping.p
     ctx = mapping.prime_ctx
-    sigma = mapping.sigma
-    group = len(mapping.gammas)
+    one = ctx.ring.one()
     # Step m: order of sigma in the residue ring mod the prime (squared
     # for p = 2 so the exponent-lift guard holds).
-    e0 = 2 if p == 2 else 1
-    modulus = p ** e0
+    modulus = p ** (2 if p == 2 else 1)
     lift = ctx.with_precision(max(ctx.precision, 4))
     coroot = (lift.ring.trace - lift.unit_root) % modulus
-    image = (sigma.a + sigma.b * coroot) % modulus
-    m = multiplicative_order(image, modulus)
-    sig_m = sigma ** m
+    m = multiplicative_order((mapping.sigma.a + mapping.sigma.b * coroot) % modulus,
+                             modulus)
+    sig_m = mapping.sigma ** m
     v0 = v_frak_p(sig_m - lift.ring.one(), ctx)
-    c_exp = {}
-    for g in mapping.gammas:
-        if g == ctx.ring.one():
-            continue
-        c_exp[g] = v_frak_p(ctx.ring.one() - g, ctx)
-        if c_exp[g] >= v0:
-            raise Mismatch("boundary valuation not dominated (internal)")
     beta = {2: 16, 3: 3}.get(p, 1)
-
-    def admissible(ell):
-        if ell <= p or sigma.norm() % ell == 0 or group % ell == 0:
-            return False
-        if p == 2:
-            if ell % 8 != 3:
-                return False
-        elif p == 3:
-            if ell % 9 != 2:
-                return False
-        elif ell % p != 2 % p:
-            return False
-        return (sig_m ** beta - ctx.ring.one()).norm() % ell != 0
-
-    ell = first_prime_where(admissible, start=3, cap=opts.ell_cap,
-                            description="ordinary-quotient auxiliary prime")
-    # Stride: lcm of the norm-sequence periods so every gamma term is
-    # constant along the progression.
-    alpha = 1
+    others = []
     for g in mapping.gammas:
-        rep = norm_sequence(sig_m, g, ell, 16)
-        alpha = alpha * rep.least_period // math.gcd(alpha, rep.least_period)
-    if v_p(alpha, p) > v_p(beta, p):
-        raise Mismatch("stride valuation exceeds offset valuation (internal)")
-
-    others = 0
-    for g, ce in c_exp.items():
-        nv = (sig_m ** beta - g).norm() % ell
-        others = (others + nv * pow(pow(p, ce, ell), -1, ell)) % ell
-    main = (sig_m ** beta - ctx.ring.one()).norm() % ell
-    rederived = _geometric_rederivation(
-        lambda idx: per_n_closed(mapping, idx), m, alpha, beta, group, 0,
-        others, pow(main, -1, ell), p, v0, ell, 24, opts.crosscheck_index_cap)
-    return _build_detectors("lattes-ordinary", "geometric", m, ell, p,
-                            p % ell, alpha, beta, 0, v0, rederived, opts)
+        if g == one:
+            continue
+        c = v_frak_p(one - g, ctx)
+        if c >= v0:
+            raise Mismatch("boundary valuation not dominated (internal)")
+        others.append(((sig_m ** beta - g).norm(), c))
+    stride = _lattes_stride(
+        mapping.gammas, lambda g, ell: norm_sequence(sig_m, g, ell, 16).least_period)
+    return _geometric_certificate(
+        "lattes-ordinary", mapping, m, v0, beta, p, {2: 8, 3: 9}.get(p, p),
+        len(mapping.gammas), 0, (sig_m ** beta - one).norm(), others, stride,
+        24, opts)
 
 
 def _certificate_lattes_supersingular(mapping: LattesSupersingular, opts):
     p = mapping.p
-    group = len(mapping.gammas)
     guard = {2: 3, 3: 2}.get(p, 1)
-    if mapping.sigma_quat is not None:
-        sigma = mapping.sigma_quat
-        one = sigma.order.one()
 
-        def norm_minus(k, g):
-            return ((sigma ** k) - g).reduced_norm()
-    else:
-        T, N = mapping.sigma_trace, mapping.sigma_norm
-        one = 1
+    def norm_minus(k, g):
+        return supersingular_norm(mapping, k, g)
 
-        def norm_minus(k, g):
-            from .families import _trace_power
-            return N ** k - g * _trace_power(T, N, k) + 1
-
-    def v0_of(k):
-        nv = norm_minus(k, 1)
-        return v_p(nv, p)
-
-    m = None
-    for cand in range(1, 2000):
-        if v0_of(cand) >= guard:
-            m = cand
-            break
+    m = next((k for k in range(1, 2000) if v_p(norm_minus(k, 1), p) >= guard),
+             None)
     if m is None:
         raise Mismatch("no step with the required ideal valuation (internal)")
-    v0 = v0_of(m)
-    c_exp = {}
-    gammas = mapping.gammas
-    for g in gammas:
-        if isinstance(g, int):
-            if g == 1:
-                continue
-            c_exp[g] = v_p(4, p)  # norm(1 - (-1)) = 4
-        else:
-            if g == one:
-                continue
-            c_exp[g] = v_I(one - g)
-        if c_exp[g] >= v0:
-            raise Mismatch("unit valuation not dominated (internal)")
+    v0 = v_p(norm_minus(m, 1), p)
     beta = {2: 16, 3: 3}.get(p, 1)
-    norm_sigma = norm_minus(1, 0) if mapping.sigma_quat is None else mapping.sigma_quat.reduced_norm()
-    ratio_int = p * p
-
-    def admissible(ell):
-        if ell <= p or norm_sigma % ell == 0 or group % ell == 0:
-            return False
-        if (ratio_int - 1) % ell == 0:
-            return False
-        if p == 2:
-            if ell % 8 != 3:
-                return False
-        elif p == 3:
-            if ell % 9 != 2:
-                return False
-        elif ell % p != 2 % p:
-            return False
-        return norm_minus(m * beta, 1) % ell != 0
-
-    ell = first_prime_where(admissible, start=3, cap=opts.ell_cap,
-                            description="supersingular auxiliary prime")
-    if mapping.sigma_quat is not None:
-        sig_m = mapping.sigma_quat ** m
-        gam_list = list(gammas)
+    others = []
+    for g in mapping.gammas:
+        unit_gap = norm_minus(0, g)   # nrd(1 - gamma), zero only for gamma = 1
+        if unit_gap == 0:
+            continue
+        c = v_p(unit_gap, p)
+        if c >= v0:
+            raise Mismatch("unit valuation not dominated (internal)")
+        others.append((norm_minus(m * beta, g), c))
+    if mapping.sigma_quat is None:
+        def period(g, ell):
+            return _tn_period(mapping, m, g, ell)
     else:
-        sig_m = None
-        gam_list = [1, -1]
-    alpha = 1
-    for g in gam_list:
-        if mapping.sigma_quat is not None:
-            rep = norm_sequence(sig_m, g, ell, 16)
-            period = rep.least_period
-        else:
-            period = _tn_period(mapping.sigma_trace, mapping.sigma_norm, m, g, ell)
-        alpha = alpha * period // math.gcd(alpha, period)
-    if v_p(alpha, p) > v_p(beta, p):
-        raise Mismatch("stride valuation exceeds offset valuation (internal)")
+        sig_m = mapping.sigma_quat ** m
 
-    others = 0
-    for g, ce in c_exp.items():
-        nv = norm_minus(m * beta, g) % ell
-        others = (others + nv * pow(pow(p, ce, ell), -1, ell)) % ell
-    main = norm_minus(m * beta, 1) % ell
-    rederived = _geometric_rederivation(
-        lambda idx: per_n_closed(mapping, idx), m, alpha, beta, group, 0,
-        others, pow(main, -1, ell), p, v0, ell, 24, opts.crosscheck_index_cap)
-    return _build_detectors("lattes-supersingular", "geometric", m, ell, p,
-                            ratio_int % ell, alpha, beta, 0, v0, rederived,
-                            opts)
+        def period(g, ell):
+            return norm_sequence(sig_m, g, ell, 16).least_period
+    return _geometric_certificate(
+        "lattes-supersingular", mapping, m, v0, beta, p * p,
+        {2: 8, 3: 9}.get(p, p), len(mapping.gammas), 0, norm_minus(m * beta, 1),
+        others, _lattes_stride(mapping.gammas, period), 24, opts)
 
 
-def _tn_period(T, N, m, gamma, ell):
-    """Least period of norm(sigma^(m k) - gamma) mod ell from (T, N) data.
+def _tn_period(mapping, m, gamma, ell):
+    """Least period of nrd(sigma^(m k) - gamma) mod ell from (T, N) data.
 
-    sigma^m has trace/norm (T_m, N^m); the stride-m norm sequence then
-    satisfies the order-4 recurrence with characteristic polynomial
-    (x-1)(x-N_m)(x^2 - T_m x + N_m).
+    sigma^m has norm N_m = N^m and trace T_m = N_m + 1 - nrd(sigma^m - 1);
+    the stride-m norm sequence satisfies the order-4 recurrence with
+    characteristic polynomial (x-1)(x-N_m)(x^2 - T_m x + N_m).
     """
-    from .families import _trace_power
-    from .orders import _norm_recurrence, _state_cycle
-    Tm = _trace_power(T, N, m) % ell
-    Nm = pow(N, m, ell)
-    rec = _norm_recurrence(Tm, Nm, ell)[1]
-    tr0, tr1 = 2 % ell, Tm
-    seed = []
-    npow = 1
-    for k in range(4):
-        trk = tr0 if k == 0 else tr1
-        seed.append((npow - gamma * trk + 1) % ell)
-        npow = npow * Nm % ell
-        if k >= 1:
-            tr0, tr1 = tr1, (Tm * tr1 - Nm * tr0) % ell
+    Nm = mapping.sigma_norm ** m
+    Tm = Nm + 1 - supersingular_norm(mapping, m, 1)
+    rec = _norm_recurrence(Tm % ell, Nm % ell, ell)[1]
+    seed = [supersingular_norm(mapping, m * k, gamma) % ell for k in range(4)]
     return _state_cycle(seed, rec, ell)[1]
 
 
 def certificate_build(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Certificate:
     """Finite transcendence evidence for a separable map on that path."""
     if isinstance(mapping, PowerMap):
-        return _certificate_power(mapping, opts)
+        return _gm_certificate("power", mapping, abs(mapping.d), 1, 2, False,
+                               opts)
     if isinstance(mapping, ChebyshevMap):
-        return _certificate_chebyshev(mapping, opts)
+        return _gm_certificate("chebyshev", mapping, mapping.d, 2, 1, False,
+                               opts)
     if isinstance(mapping, LattesGenericJ):
-        return _certificate_lattes_generic(mapping, opts)
+        return _gm_certificate("lattes-generic", mapping, abs(mapping.s), 2, 0,
+                               mapping.variant == VARIANT_NORM, opts)
     if isinstance(mapping, (AdditiveMap, SubadditiveMap)):
         return _certificate_ga(mapping, opts)
     if isinstance(mapping, LattesOrdinary):

@@ -266,6 +266,6 @@ class TestValuationSequences:
     def test_tower_kernel_evidence(self):
         limit = 29 ** 2 * 48 + 48
         vt = vp_tower_sequence(1, 3, 29, limit)
-        grow = kernel_explore(vt.oracle(), 29, 2, prefix_len=48)
+        grow = kernel_explore(vt.values.__getitem__, 29, 2, prefix_len=48)
         assert not grow.closed
         assert grow.class_counts[1] < grow.class_counts[2]

@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import dynzeta
 from dynzeta.cli import (JobSpec, compile_spec, main, make_parser,
                          parse_poly_string, run_job)
 
@@ -168,6 +172,15 @@ class TestSpecValidation:
         path.write_text("{\"command\": \"count\",")
         assert run_cli(["--job", str(path)]) == (2, "")
 
+    @pytest.mark.parametrize("extra", [["--ext-degree", "0"],
+                                       ["--ext-degree", "13"],
+                                       ["--max-period", "0"],
+                                       ["--max-period", "-1"]])
+    def test_census_ranges(self, extra):
+        argv = ["census", "--family", "power", "--p", "3", "--d", "2"]
+        assert run_cli(argv + extra) == (2, "")
+        assert run_cli(argv + ["--ext-degree", "2", "--max-period", "1"])[0] == 0
+
     def test_parser_built_once(self):
         assert make_parser() is make_parser()
         assert run_cli(["count", "--family", "power", "--p", "3", "--d", "2",
@@ -188,6 +201,34 @@ class TestRegressions:
                     if r["record"] == "certificate")
         assert (cert["m"], cert["ell"]) == ("4", "3137")
         assert elapsed < 10.0
+
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # stdout is a pipe whose reader is already gone, as in `| head -c 100`
+        # once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(dynzeta.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dynzeta.cli", "verdict", "--family",
+                 "power", "--p", "5", "--d", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+
+    def test_count_past_the_old_twisted_power_cap(self):
+        # (top + 1) * n = 32800 passed the old whole-power guard; the
+        # truncated power only needs 32 coefficients
+        code, text = run_cli(["count", "--family", "additive", "--p", "5",
+                              "--sigma=2,1", "--n-min", "16400",
+                              "--n-max", "16400"])
+        assert code == 0
+        row = next(r for r in map(json.loads, text.splitlines())
+                   if r["record"] == "row")
+        assert row["closed"] == str(5 ** (16400 - 25) + 1)
 
     def test_counts_past_the_int_string_limit(self):
         # about 5^16384: some 11,452 digits, past Python's default 4300

@@ -9,7 +9,7 @@ from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               SubadditiveMap, VARIANT_ABSOLUTE, VARIANT_NORM,
                               chebyshev_poly, classify_separability,
                               map_degree, per_n_closed, per_n_template,
-                              realize)
+                              realize, supersingular_norm)
 from dynzeta.field import Poly, field_make
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
@@ -182,6 +182,22 @@ class TestLattesCounts:
         assert per_n_closed(fam5, 2) == 5   # E[5] collapses twice over
         fam7 = LattesSupersingular(7, sigma_trace=4, sigma_norm=4)
         assert per_n_closed(fam7, 2) == 17
+
+    def test_supersingular_norm_agrees_across_encodings(self):
+        # nrd(sigma^k - g) depends on sigma only through (trace, norm), so
+        # a quaternion and its (trace, norm) pair give the same norms
+        for order, coords in ((B3_ORDER, (2, 2, 0, 0)), (B3_ORDER, (1, 1, 3, 1)),
+                              (HURWITZ, (3, 1, 1, 1)), (HURWITZ, (4, 2, 0, 0))):
+            quat = QuatElem(order, *coords)
+            fam_q = LattesSupersingular(order.p, sigma_quat=quat, gamma="mu2")
+            fam_tn = LattesSupersingular(5, sigma_trace=quat.reduced_trace(),
+                                         sigma_norm=quat.reduced_norm())
+            for k in range(7):
+                for g in (-1, 0, 1, 2):
+                    assert (supersingular_norm(fam_q, k, g)
+                            == supersingular_norm(fam_tn, k, g)
+                            == (quat ** k - g).reduced_norm())
+            assert supersingular_norm(fam_tn, 1, 0) == map_degree(fam_tn)
 
     def test_supersingular_quaternion_units(self):
         # Integer multipliers commute with every unit, so quotients by the

@@ -264,6 +264,14 @@ class TestTruncatedValuation:
         for j in range(8):
             assert v_phi_pow_minus(sigma, 2 ** j, 1) == 2 ** j
 
+    def test_commuting_sigma_past_the_old_cap(self, F5):
+        # 2 + F commutes over F_5, so (2 + F)^n - 1 has valuation
+        # 5^(v_5(n)), the first index whose binomial C(n, j) is a unit
+        sigma = tw(F5, 2, 1)
+        assert v_phi_pow_minus(sigma, 100, 1) == 25
+        assert v_phi_pow_minus(sigma, 16000, 1) == 125
+        assert v_phi_pow_minus(sigma, 16400, 1) == 25
+
     def test_constant_sigma(self, F5):
         sigma = tw(F5, 2)
         assert v_phi_pow_minus(sigma, 4, 1) is INFINITY

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from dynzeta.dynmap import cycle_census, per_n_oracle, rat_map
-from dynzeta.errors import NonIntegerCoefficient
+from dynzeta.errors import NonIntegerCoefficient, ScaleExceeded
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
                               SubadditiveMap, per_n_closed)
@@ -212,6 +213,31 @@ class TestCertificates:
         assert not cert.heuristic_bound
         assert cert.control == "valuation-classes"
         assert cert.consistent()
+
+    def test_ell_past_the_kernel_budget_refused_before_counting(self, F3):
+        # ell > 3^18 falls back to a heuristic ell near the search cap, whose
+        # kernel is over budget; the first re-derived count, about
+        # 3^(2 m ell), must not be formed before that refusal
+        start = time.perf_counter()
+        with pytest.raises(ScaleExceeded, match="kernel exploration cost"):
+            certificate_build(AdditiveMap(TwistedPoly.from_ints(F3, [1, 0, 1])))
+        assert time.perf_counter() - start < 5.0
+
+    def test_additive_top_two_certifies(self):
+        # (top + 1) * m * (ell - 1) = 3 * 4 * 3136 passes the old whole-power
+        # guard, but the truncated power needs few coefficients
+        cert = certificate_build(AdditiveMap(
+            TwistedPoly.from_ints(field_make(5), [2, 2, 1])))
+        assert (cert.m, cert.ell) == (4, 3137)
+        assert cert.crosscheck_terms == 1 and cert.consistent()
+
+    def test_supersingular_ell_is_prime_to_the_degree(self):
+        # deg sigma = nrd(sigma) = N; the residue sequence needs ell prime
+        # to it (13 divides N here but not N + 1)
+        cert = certificate_build(LattesSupersingular(11, sigma_trace=2,
+                                                     sigma_norm=13))
+        assert 13 % cert.ell != 0
+        assert cert.ell == 79 and cert.consistent()
 
     def test_lattes_supersingular_certificates(self):
         from dynzeta.families import LattesSupersingular
