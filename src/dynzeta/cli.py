@@ -282,16 +282,20 @@ def validate_params(command, params):
 def run_job(spec: JobSpec):
     """Yield output records (dicts) for a job; deterministic.
 
-    The spec is validated before the header record, so a rejected spec
-    writes nothing.
+    The header record waits for the validated spec's first record, so a
+    spec rejected before its first record writes nothing.
     """
     handler = _COMMANDS.get(spec.command)
     if handler is None:
         raise SpecError(f"unknown command {spec.command!r}")
     validate_params(spec.command, spec.params)
+    records = handler(spec.params)
+    first = next(records, None)
     yield {"record": "header", "schema": SCHEMA, "command": spec.command,
            "params": spec.params}
-    yield from handler(spec.params)
+    if first is not None:
+        yield first
+    yield from records
 
 
 def _cmd_count(params):
@@ -530,15 +534,21 @@ def _collect_map_params(args):
                 entries.append(chunk)
         params["sigma"] = entries
     for key, attr in (("tau", "tau"), ("sigma", "sigma_quad"),
-                      ("sigma_tn", "sigma_tn"), ("sigma_quat", "sigma_quat")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            params[key] = [int(x) for x in val.split(",")]
-    if args.num:
-        params["num"] = [int(x) for x in args.num.split(",")]
-    if args.den:
-        params["den"] = [int(x) for x in args.den.split(",")]
+                      ("sigma_tn", "sigma_tn"), ("sigma_quat", "sigma_quat"),
+                      ("num", "num"), ("den", "den")):
+        val = getattr(args, attr)
+        if val:
+            params[key] = _int_list(val, attr)
     return params
+
+
+def _int_list(text, attr):
+    """The integers of a comma-separated flag value."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise SpecError(f"--{attr.replace('_', '-')} takes comma-separated "
+                        f"integers, not {text!r}") from None
 
 
 @functools.cache
@@ -598,7 +608,7 @@ def compile_spec(args) -> JobSpec:
             if val is not None:
                 params[key] = val
         if args.prefix:
-            params["prefix"] = [int(x) for x in args.prefix.split(",")]
+            params["prefix"] = _int_list(args.prefix, "prefix")
         return JobSpec("automata", params)
     params = _collect_map_params(args)
     for key in ("n_min", "n_max", "terms", "max_order", "ext_degree",

@@ -41,8 +41,8 @@ class RatMap:
 
 def rat_map(ctx, num_coeffs, den_coeffs=(1,)) -> RatMap:
     """Build a reduced RatMap from coefficient lists (ints or elements)."""
-    num = Poly.from_elems(ctx, [ctx.elem(c) for c in num_coeffs])
-    den = Poly.from_elems(ctx, [ctx.elem(c) for c in den_coeffs])
+    num = Poly.from_elems(ctx, num_coeffs)
+    den = Poly.from_elems(ctx, den_coeffs)
     if den.is_zero():
         raise SpecError("zero denominator")
     g = num.gcd(den)

@@ -8,9 +8,9 @@ only decides when an enumeration is complete; a count is never taken
 from it, so counts stay independent of the closed-form counts they are
 used to check.
 
-Over flat extensions small enough to keep exp/log tables (see
-``field``), square tests and square roots are read off the discrete
-logarithm.
+Square tests and square roots are ``FieldElem.is_square`` and
+``FieldElem.sqrt``: read off the discrete logarithm on fields with
+tables, Euler's criterion and Tonelli-Shanks elsewhere.
 """
 
 from dataclasses import dataclass
@@ -110,61 +110,6 @@ def mul_by_m(P: CurvePoint, m: int) -> CurvePoint:
     return out
 
 
-def _is_square(z, ctx):
-    if z.is_zero():
-        return True
-    log = ctx.log(z)
-    if log is not None:
-        return log % 2 == 0  # the order is odd, as p >= 5
-    return (z ** ((ctx.order - 1) // 2)).is_one()
-
-
-_NONRESIDUE_CACHE = {}
-
-
-def _nonresidue(ctx):
-    g = _NONRESIDUE_CACHE.get(ctx)
-    if g is None:
-        for cand in ctx.elements():
-            if not cand.is_zero() and not _is_square(cand, ctx):
-                g = cand
-                break
-        if len(_NONRESIDUE_CACHE) < 256:
-            _NONRESIDUE_CACHE[ctx] = g
-    return g
-
-
-def _sqrt(z, ctx):
-    """Square root by halving the discrete log, else Tonelli-Shanks."""
-    if z.is_zero():
-        return ctx.zero()
-    log = ctx.log(z)
-    if log is not None:
-        if log % 2:
-            raise SpecError("square root of a non-square")
-        return ctx.exp(log // 2)
-    q = ctx.order
-    if q % 4 == 3:
-        return z ** ((q + 1) // 4)
-    e, m = q - 1, 0
-    while e % 2 == 0:
-        e //= 2
-        m += 1
-    g = _nonresidue(ctx)
-    c = g ** e
-    t = z ** e
-    r = z ** ((e + 1) // 2)
-    while not t.is_one():
-        t2 = t
-        i = 0
-        while not t2.is_one():
-            t2 = t2 * t2
-            i += 1
-        b = c ** (1 << (m - i - 1))
-        m, c, t, r = i, b * b, t * b * b, r * b
-    return r
-
-
 def point_count(E: EllipticCurve, k: int = 1) -> int:
     """#E(F_{q^k}) by x-enumeration with quadratic-character tests."""
     size = E.ctx.order ** k
@@ -177,7 +122,7 @@ def point_count(E: EllipticCurve, k: int = 1) -> int:
         r = curve.rhs(x)
         if r.is_zero():
             count += 1
-        elif _is_square(r, ctx):
+        elif r.is_square():
             count += 2
     return count
 
@@ -210,11 +155,6 @@ def is_supersingular(E: EllipticCurve) -> bool:
     return trace_of_frobenius(E) % E.ctx.p == 0
 
 
-def frobenius_ring_params(E: EllipticCurve):
-    """(trace, norm) of the Frobenius endomorphism over the base field."""
-    return trace_of_frobenius(E), E.ctx.order
-
-
 _POINTS_CACHE = {}
 
 
@@ -238,8 +178,8 @@ def points_over(E: EllipticCurve, k: int):
         r = curve.rhs(x)
         if r.is_zero():
             pts.append(CurvePoint(curve, x, ctx.zero()))
-        elif _is_square(r, ctx):
-            y = _sqrt(r, ctx)
+        elif r.is_square():
+            y = r.sqrt()
             if y * y != r:
                 raise SpecError("square root failure (internal)")
             pts.append(CurvePoint(curve, x, y))

@@ -91,7 +91,3 @@ class IncompleteEnumeration(DynzetaError):
 
 class NoAdmissibleEll(DynzetaError):
     """Prime search exhausted its cap; carries the violated constraint."""
-
-
-class InfeasibleBound(DynzetaError):
-    """The certificate's lower bound on the auxiliary prime is out of reach."""

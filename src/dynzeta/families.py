@@ -420,15 +420,7 @@ def _subadditive_realize(m: SubadditiveMap) -> Poly:
     power = Poly.one(psi.ctx)
     for _ in range(m.d):
         power = power * psi
-    coeffs = {}
-    for e, c in enumerate(power.coeffs):
-        if c.is_zero():
-            continue
-        if e % m.d:
-            raise SubadditiveConditionViolated(
-                "psi^d is not a polynomial in x^d (internal)")
-        coeffs[e // m.d] = c
-    out = [psi.ctx.zero()] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return Poly.from_elems(psi.ctx, out)
+    if any(c for e, c in enumerate(power.reps) if e % m.d):
+        raise SubadditiveConditionViolated(
+            "psi^d is not a polynomial in x^d (internal)")
+    return Poly(psi.ctx, power.reps[::m.d])

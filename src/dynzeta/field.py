@@ -3,19 +3,20 @@
 Representation conventions:
 
 * A prime field F_p stores elements as ints in [0, p).
-* Every extension F_(p^k) is built directly over F_p and also stores
-  each element as one int: its ``elem_at`` index in [0, p^k), whose base-p digits are the element's
-  coefficients in ascending powers of the adjoined root.  So ``rep`` is
-  the index, ``from_int(n)`` is the constant n mod p, and ``index_of`` is
-  the identity.  The modulus is a monic irreducible polynomial over F_p,
-  chosen deterministically so every run of the library reproduces the
-  same field.  The first arithmetic on a field with p^k at most
-  ``limits.DEFAULT_ENUM_CAP`` builds exp/log/Zech tables to a primitive
-  element (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT,
-  1990); products, sums, negations, inverses and powers are then table
-  lookups.  Larger fields build no tables and compute on the digits.
-  ``extend_field(ctx, b)`` on F_(p^a) returns the field of
-  ``field_make(p, a*b)``, so equal fields share one set of tables.
+* Every extension F_(p^k) is built directly over F_p and also stores each
+  element as one int: its ``elem_at`` index in [0, p^k), whose base-p
+  digits are the element's coefficients in ascending powers of the
+  adjoined root.  So ``rep`` is the index, ``from_int(n)`` is the
+  constant n mod p, and ``index_of`` is the identity.  The modulus is a
+  monic irreducible polynomial over F_p, chosen deterministically so
+  every run of the library reproduces the same field.  A field with p^k
+  at most ``limits.DEFAULT_ENUM_CAP`` builds exp/log/Zech tables to a
+  primitive element when it is made (Huber, "Some comments on Zech's
+  logarithms", IEEE Trans. IT, 1990); products, sums, negations,
+  inverses and powers are then table lookups.  Larger fields build no
+  tables and compute on the digits.  ``extend_field(ctx, b)`` on F_(p^a)
+  returns the field of ``field_make(p, a*b)``, so equal fields share one
+  set of tables.
 * A subfield F_(p^a) of F_(p^(ab)) is reached by ``embed``, which sends
   the adjoined root of the smaller field to a fixed root of its modulus
   in the larger one (Lidl-Niederreiter, *Finite Fields*, Thm 2.14).  That
@@ -27,11 +28,21 @@ Representation conventions:
   monic and coprime to the numerator.  Sparseness matters because the
   Frobenius c(u) -> c(u)^p multiplies exponents by p.
 
-Polynomials over any of these contexts are dense ascending coefficient
-lists (class Poly).  Over a prime field the heavy operations are routed
-through the int-list kernel in ``modpoly``.
+Each FieldCtx holds one ``ops`` object that adds, negates, multiplies,
+inverts, raises to powers and applies the Frobenius on reps; every
+FieldElem operator is one call to it.  Square roots exist in odd
+characteristic: halved discrete logs where there are tables, Euler's
+criterion and Tonelli-Shanks elsewhere.
+
+A Poly over a finite field keeps its coefficients as a trimmed tuple of
+reps, lowest degree first, and boxes them only when ``coeffs`` is read.
+Over F_p, sums, products, division and gcds run in the int kernel
+``modpoly``; every other operation, and every operation over F_(p^k),
+is one loop through ``ctx.ops``.  ``separable_radical`` serves every
+finite field.
 """
 
+import functools
 import itertools
 import math
 from array import array
@@ -55,10 +66,13 @@ _SUBFIELD_ROOTS = {}
 
 
 class FieldCtx:
-    """Immutable description of a field; shared freely between values."""
+    """Immutable description of a field; shared freely between values.
 
-    __slots__ = ("p", "k", "flavor", "base", "modulus", "flat",
-                 "_sig", "_order", "_ops")
+    ``ops`` does the field's arithmetic on reps; equal extensions share it.
+    """
+
+    __slots__ = ("p", "k", "flavor", "base", "modulus", "is_prime_field",
+                 "ops", "_sig", "_order")
 
     def __init__(self, p, k, flavor, base=None, modulus=None):
         self.p = p
@@ -66,17 +80,19 @@ class FieldCtx:
         self.flavor = flavor
         self.base = base
         self.modulus = modulus
-        self.flat = base is not None
-        self._ops = None
+        self.is_prime_field = flavor == "finite" and base is None
         if flavor == "ratfunc":
             self._sig = ("rf", p)
             self._order = None
+            self.ops = _RatFuncOps(p)
         elif base is None:
             self._sig = ("fp", p)
             self._order = p
+            self.ops = _PrimeOps(p)
         else:
             self._sig = ("ext", base._sig, tuple(c.rep for c in modulus))
             self._order = base.order ** k
+            self.ops = _flat_ops(self._sig, p, k, [c.rep for c in modulus[:-1]])
 
     # -- identity ---------------------------------------------------------
 
@@ -101,30 +117,14 @@ class FieldCtx:
             raise SpecError("F_p(u) is infinite")
         return self._order
 
-    @property
-    def is_prime_field(self):
-        return self.flavor == "finite" and self.base is None
-
     def zero(self):
-        return self._make(self._zero_rep())
+        return FieldElem(self, self.ops.zero)
 
     def one(self):
-        return self.from_int(1)
-
-    def _zero_rep(self):
-        if self.flavor == "ratfunc":
-            return ((), ((0, 1),))
-        return 0
-
-    def _make(self, rep):
-        return FieldElem(self, rep)
+        return FieldElem(self, self.ops.one)
 
     def from_int(self, n):
-        if self.flavor == "ratfunc":
-            c = n % self.p
-            num = ((0, c),) if c else ()
-            return self._make((num, ((0, 1),)))
-        return self._make(n % self.p)
+        return FieldElem(self, self.ops.from_int(n))
 
     def elem(self, value):
         """Coerce an int, a base-element vector, or an element of this ctx."""
@@ -134,18 +134,18 @@ class FieldCtx:
             return value
         if isinstance(value, int):
             return self.from_int(value)
-        if isinstance(value, (list, tuple)) and self.flat:
+        if isinstance(value, (list, tuple)) and self.base is not None:
             vec = [self.base.elem(v) for v in value]
             if len(vec) > self.k:
                 raise SpecError("vector longer than extension degree")
-            return self._make(sum(c.rep * self.p ** i for i, c in enumerate(vec)))
+            return FieldElem(self, sum(c.rep * self.p ** i for i, c in enumerate(vec)))
         raise SpecError(f"cannot coerce {value!r} into {self!r}")
 
     def u(self):
         """The transcendental generator of F_p(u)."""
         if self.flavor != "ratfunc":
             raise SpecError("u() only exists for the rational-function flavor")
-        return self._make((((1, 1),), ((0, 1),)))
+        return FieldElem(self, (((1, 1),), ((0, 1),)))
 
     # -- enumeration (finite flavor only) ----------------------------------
 
@@ -154,7 +154,7 @@ class FieldCtx:
             yield self.elem_at(i)
 
     def elem_at(self, index):
-        return self._make(index % self.order)
+        return FieldElem(self, index % self.order)
 
     def index_of(self, elem):
         return elem.rep
@@ -168,28 +168,12 @@ class FieldCtx:
         extensions with more than ``limits.DEFAULT_ENUM_CAP``
         elements.
         """
-        if not self.flat:
-            return None
-        log = (self._ops or self._arith()).log
+        log = self.ops.log
         return None if log is None else log[z.rep]
 
     def exp(self, n):
         """The element whose ``log`` is n (fields with tables only)."""
-        ops = self._ops or self._arith()
-        return FieldElem(self, ops.exp[n % ops.qm1])
-
-    def _arith(self):
-        """Arithmetic of a flat extension, shared by equal contexts."""
-        ops = _FLAT_OPS.get(self._sig)
-        if ops is None:
-            low = [c.rep for c in self.modulus[:-1]]
-            kind = _TableOps if self._order <= DEFAULT_ENUM_CAP else _DigitOps
-            ops = kind(self.p, self.k, low)
-            if len(_FLAT_OPS) >= _FLAT_OPS_CAP:
-                del _FLAT_OPS[next(iter(_FLAT_OPS))]
-            _FLAT_OPS[self._sig] = ops
-        self._ops = ops
-        return ops
+        return FieldElem(self, self.ops.exp[n % self.ops.qm1])
 
 
 class FieldElem:
@@ -208,14 +192,10 @@ class FieldElem:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        if self.ctx.flavor == "ratfunc":
-            return not self.rep[0]
-        return self.rep == 0
+        return self.rep == self.ctx.ops.zero
 
     def is_one(self):
-        if self.ctx.flavor == "ratfunc":
-            return self == self.ctx.one()
-        return self.rep == 1
+        return self.rep == self.ctx.ops.one
 
     # -- equality -----------------------------------------------------------
 
@@ -243,27 +223,12 @@ class FieldElem:
         raise SpecError("mixed-field arithmetic")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        ctx = self.ctx
-        if ctx.flat:
-            return FieldElem(ctx, (ctx._ops or ctx._arith()).add(self.rep, other.rep))
-        if ctx.flavor == "ratfunc":
-            a_n, a_d = self.rep
-            b_n, b_d = other.rep
-            num = _sp_add(_sp_mul(a_n, b_d, ctx.p), _sp_mul(b_n, a_d, ctx.p), ctx.p)
-            return ctx._make(_rf_normalize(num, _sp_mul(a_d, b_d, ctx.p), ctx.p))
-        return ctx._make((self.rep + other.rep) % ctx.p)
+        return FieldElem(self.ctx, self.ctx.ops.add(self.rep, self._coerce(other).rep))
 
     __radd__ = __add__
 
     def __neg__(self):
-        ctx = self.ctx
-        if ctx.flat:
-            return FieldElem(ctx, (ctx._ops or ctx._arith()).neg(self.rep))
-        if ctx.flavor == "ratfunc":
-            num, den = self.rep
-            return ctx._make((_sp_neg(num, ctx.p), den))
-        return ctx._make(-self.rep % ctx.p)
+        return FieldElem(self.ctx, self.ctx.ops.neg(self.rep))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -272,30 +237,14 @@ class FieldElem:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        ctx = self.ctx
-        if ctx.flat:
-            return FieldElem(ctx, (ctx._ops or ctx._arith()).mul(self.rep, other.rep))
-        if ctx.flavor == "ratfunc":
-            a_n, a_d = self.rep
-            b_n, b_d = other.rep
-            num = _sp_mul(a_n, b_n, ctx.p)
-            den = _sp_mul(a_d, b_d, ctx.p)
-            return ctx._make(_rf_normalize(num, den, ctx.p))
-        return ctx._make(self.rep * other.rep % ctx.p)
+        return FieldElem(self.ctx, self.ctx.ops.mul(self.rep, self._coerce(other).rep))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        ctx = self.ctx
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        if ctx.flat:
-            return FieldElem(ctx, (ctx._ops or ctx._arith()).inverse(self.rep))
-        if ctx.flavor == "ratfunc":
-            num, den = self.rep
-            return ctx._make(_rf_normalize(den, num, ctx.p))
-        return ctx._make(pow(self.rep, ctx.p - 2, ctx.p))
+        return FieldElem(self.ctx, self.ctx.ops.inverse(self.rep))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -303,41 +252,51 @@ class FieldElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        ctx = self.ctx
-        if ctx.flat:
-            return FieldElem(ctx, (ctx._ops or ctx._arith()).pow(self.rep, e))
-        if ctx.is_prime_field:
-            return ctx._make(pow(self.rep, e, ctx.p))
-        result = ctx.one()
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        return FieldElem(self.ctx, self.ctx.ops.pow(self.rep, e))
 
     # -- characteristic-p structure ------------------------------------------
 
     def frobenius(self, times=1):
         """Apply c -> c^p the given number of times."""
-        ctx = self.ctx
-        if ctx.flavor == "ratfunc":
-            num, den = self.rep
-            scale = ctx.p ** times
-            num = tuple((e * scale, c) for e, c in num)
-            den = tuple((e * scale, c) for e, c in den)
-            return ctx._make((num, den))
-        if ctx.is_prime_field:
-            return self
-        return self ** (ctx.p ** times)
+        return FieldElem(self.ctx, self.ctx.ops.frobenius(self.rep, times))
 
     def pth_root(self):
         """Unique p-th root in a finite field (perfect field)."""
-        ctx = self.ctx
-        if ctx.flavor != "finite":
-            raise SpecError("p-th roots only implemented for finite fields")
-        return self ** (ctx.order // ctx.p)
+        return self ** (self.ctx.order // self.ctx.p)
+
+    # -- square roots (finite fields of odd order) ------------------------------
+
+    def is_square(self):
+        """Whether this element of a field of odd order is a square."""
+        ops = self._odd_ops()
+        if not self.rep:
+            return True
+        if ops.log is not None:
+            return ops.log[self.rep] % 2 == 0
+        return ops.pow(self.rep, ops.qm1 // 2) == 1  # Euler's criterion
+
+    def sqrt(self):
+        """A square root; SpecError when there is none.
+
+        Fields with tables halve the discrete log; others run Tonelli-Shanks.
+        """
+        ops = self._odd_ops()
+        z = self.rep
+        if not z:
+            return self
+        if ops.log is None:
+            root = _tonelli_shanks(ops, z)
+        else:
+            log = ops.log[z]
+            root = None if log % 2 else ops.exp[log // 2]
+        if root is None:
+            raise SpecError("square root of a non-square")
+        return FieldElem(self.ctx, root)
+
+    def _odd_ops(self):
+        if self.ctx.order % 2 == 0:
+            raise SpecError("square roots need a field of odd characteristic")
+        return self.ctx.ops
 
     # -- rational-function extras ---------------------------------------------
 
@@ -354,6 +313,35 @@ class FieldElem:
             raise SpecError("constant_value is a rational-function accessor")
         num = self.rep[0]
         return num[0][1] if num else 0
+
+
+def _tonelli_shanks(ops, z):
+    """A square root of the nonzero rep z, or None if z is not a square.
+
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 1.5.1;
+    for q = 3 mod 4 the root is z^((q+1)/4).
+    """
+    e, m = ops.qm1, 0
+    while e % 2 == 0:
+        e //= 2
+        m += 1
+    if ops.nonresidue is None:
+        half = ops.qm1 // 2
+        ops.nonresidue = next(g for g in itertools.count(2) if ops.pow(g, half) != 1)
+    c = ops.pow(ops.nonresidue, e)
+    t = ops.pow(z, e)
+    r = ops.pow(z, (e + 1) // 2)
+    while t != 1:
+        t2, i = t, 0
+        while t2 != 1:
+            t2 = ops.mul(t2, t2)
+            i += 1
+        if i == m:  # t has the full 2-power order: z is not a square
+            return None
+        b = ops.pow(c, 1 << (m - i - 1))
+        c = ops.mul(b, b)
+        m, t, r = i, ops.mul(t, c), ops.mul(r, b)
+    return r
 
 
 # -- sparse F_p[u] helpers (exponent, coefficient) ------------------------------
@@ -427,17 +415,92 @@ def _rf_normalize(num, den, p):
     return (num, den)
 
 
-# -- flat extensions: elements are elem_at indices -----------------------------------
+# -- arithmetic on reps: one ops object per field ------------------------------------
 
 
-class _DigitOps:
+class _RatFuncOps:
+    """Arithmetic of F_p(u) on reduced fractions of sparse polynomials."""
+
+    zero = ((), ((0, 1),))
+    one = (((0, 1),), ((0, 1),))
+    log = None
+
+    def __init__(self, p):
+        self.p = p
+
+    def from_int(self, n):
+        c = n % self.p
+        return (((0, c),) if c else (), ((0, 1),))
+
+    def add(self, a, b):
+        (a_n, a_d), (b_n, b_d), p = a, b, self.p
+        num = _sp_add(_sp_mul(a_n, b_d, p), _sp_mul(b_n, a_d, p), p)
+        return _rf_normalize(num, _sp_mul(a_d, b_d, p), p)
+
+    def neg(self, a):
+        return (_sp_neg(a[0], self.p), a[1])
+
+    def mul(self, a, b):
+        p = self.p
+        return _rf_normalize(_sp_mul(a[0], b[0], p), _sp_mul(a[1], b[1], p), p)
+
+    def inverse(self, a):
+        return _rf_normalize(a[1], a[0], self.p)
+
+    def pow(self, a, e):
+        return _power(self.mul, self.one, a, e)
+
+    def frobenius(self, a, times):
+        scale = self.p ** times
+        return tuple(tuple((e * scale, c) for e, c in part) for part in a)
+
+
+class _FiniteOps:
+    """What the ops of the finite fields share: int reps, 0 and 1 as reps
+    of zero and one, and the constant n at rep n mod p."""
+
+    zero, one, log = 0, 1, None
+    nonresidue = None  # least non-square rep, found by the first square root
+
+    def from_int(self, n):
+        return n % self.p
+
+    def frobenius(self, a, times):
+        return self.pow(a, self.p ** times)
+
+
+class _PrimeOps(_FiniteOps):
+    """Arithmetic of F_p on ints in [0, p)."""
+
+    def __init__(self, p):
+        self.p = p
+        self.qm1 = p - 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inverse(self, a):
+        return pow(a, self.p - 2, self.p)
+
+    def pow(self, a, e):
+        return pow(a, e, self.p)
+
+    def frobenius(self, a, times):
+        return a
+
+
+class _DigitOps(_FiniteOps):
     """Arithmetic of F_(p^k) on indices, through their base-p digits.
 
     ``low`` holds the modulus coefficients below x^k.  Exact for every p
     and k; used as is above the table limit and to build the tables.
     """
-
-    log = None
 
     def __init__(self, p, k, low):
         self.p = p
@@ -487,17 +550,10 @@ class _DigitOps:
     def pow(self, a, e):
         if not a:
             return 0 if e else 1
-        e %= self.qm1
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return _power(self.mul, 1, a, e % self.qm1)
 
 
-class _TableOps:
+class _TableOps(_FiniteOps):
     """Arithmetic of F_(p^k) on indices by exp/log/Zech table lookups.
 
     With g a primitive element: exp[i] = g^i (stored twice over, so a sum
@@ -506,6 +562,7 @@ class _TableOps:
     """
 
     def __init__(self, p, k, low):
+        self.p = p
         self.qm1 = p ** k - 1
         self.exp, self.log, self.zech = _zech_tables(_DigitOps(p, k, low))
         self.minus_one = self.qm1 // 2 if p != 2 else 0  # log of -1
@@ -536,6 +593,28 @@ class _TableOps:
         if not a:
             return 0 if e else 1
         return self.exp[self.log[a] * e % self.qm1]
+
+
+def _power(mul, one, a, e):
+    """a^e for e >= 0 by square-and-multiply."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+def _flat_ops(sig, p, k, low):
+    """Arithmetic of the extension with signature sig, shared by equal fields."""
+    ops = _FLAT_OPS.get(sig)
+    if ops is None:
+        ops = (_TableOps if p ** k <= DEFAULT_ENUM_CAP else _DigitOps)(p, k, low)
+        if len(_FLAT_OPS) >= _FLAT_OPS_CAP:
+            del _FLAT_OPS[next(iter(_FLAT_OPS))]
+        _FLAT_OPS[sig] = ops
+    return ops
 
 
 def _zech_tables(ops):
@@ -609,24 +688,34 @@ def _subfield_root(src, target):
 
 
 class Poly:
-    """Dense univariate polynomial over a FieldCtx (ascending, trimmed)."""
+    """Dense univariate polynomial over a finite FieldCtx.
 
-    __slots__ = ("ctx", "coeffs")
+    ``reps`` is the trimmed tuple of coefficient reps, lowest degree
+    first; ``coeffs`` boxes them as FieldElems.
+    """
 
-    def __init__(self, ctx, coeffs):
+    __slots__ = ("ctx", "reps")
+
+    def __init__(self, ctx, reps):
+        if ctx.flavor != "finite":
+            raise SpecError("polynomials need a finite coefficient field")
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.reps = reps
+
+    @classmethod
+    def from_reps(cls, ctx, reps):
+        n = len(reps)
+        while n and not reps[n - 1]:
+            n -= 1
+        return cls(ctx, tuple(reps[:n]))
 
     @classmethod
     def from_elems(cls, ctx, elems):
-        elems = list(elems)
-        while elems and elems[-1].is_zero():
-            elems.pop()
-        return cls(ctx, tuple(elems))
+        return cls.from_reps(ctx, [ctx.elem(c).rep for c in elems])
 
     @classmethod
     def from_ints(cls, ctx, ints):
-        return cls.from_elems(ctx, [ctx.from_int(c) for c in ints])
+        return cls.from_reps(ctx, [ctx.ops.from_int(c) for c in ints])
 
     @classmethod
     def zero(cls, ctx):
@@ -634,7 +723,7 @@ class Poly:
 
     @classmethod
     def one(cls, ctx):
-        return cls.from_ints(ctx, [1])
+        return cls(ctx, (1,))
 
     @classmethod
     def x_power(cls, ctx, n, scale=1):
@@ -643,114 +732,116 @@ class Poly:
     # -- views -------------------------------------------------------------
 
     @property
+    def coeffs(self):
+        return tuple(FieldElem(self.ctx, c) for c in self.reps)
+
+    @property
     def degree(self):
         """Degree, with -1 as the zero-polynomial sentinel."""
-        return len(self.coeffs) - 1
+        return len(self.reps) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.reps
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self.reps:
             raise ZeroPolynomial("leading coefficient of zero")
-        return self.coeffs[-1]
-
-    def _ints(self):
-        return [c.rep for c in self.coeffs]
+        return FieldElem(self.ctx, self.reps[-1])
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.ctx == self.ctx
-                and other.coeffs == self.coeffs)
+                and other.reps == self.reps)
 
     def __hash__(self):
-        return hash((self.ctx._sig, tuple(c.rep for c in self.coeffs)))
+        return hash((self.ctx._sig, self.reps))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.reps:
             return "Poly(0)"
         if self.ctx.is_prime_field:
-            terms = [f"{c.rep}*x^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
+            terms = [f"{c}*x^{i}" for i, c in enumerate(self.reps) if c]
             return "Poly(" + " + ".join(terms) + f" over {self.ctx!r})"
         return f"Poly(deg {self.degree} over {self.ctx!r})"
 
-    # -- arithmetic -----------------------------------------------------------
+    # -- arithmetic: F_p through modpoly, extensions through ctx.ops -----------
 
     def __add__(self, other):
         self._check(other)
-        if self.ctx.is_prime_field:
-            return Poly.from_ints(self.ctx, modpoly.add(self._ints(), other._ints(), self.ctx.p))
-        a, b = self.coeffs, other.coeffs
+        ctx = self.ctx
+        if ctx.is_prime_field:
+            return Poly(ctx, tuple(modpoly.add(self.reps, other.reps, ctx.p)))
+        a, b = self.reps, other.reps
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly.from_elems(self.ctx, out)
+        add = ctx.ops.add
+        return Poly.from_reps(ctx, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        if self.ctx.is_prime_field:
-            return Poly.from_ints(self.ctx, modpoly.neg(self._ints(), self.ctx.p))
-        return Poly.from_elems(self.ctx, [-c for c in self.coeffs])
+        neg = self.ctx.ops.neg
+        return Poly(self.ctx, tuple(neg(c) for c in self.reps))
 
     def __mul__(self, other):
         if isinstance(other, FieldElem):
-            other = Poly.from_elems(self.ctx, [other])
+            return self.scale(other)
         self._check(other)
-        if self.ctx.is_prime_field:
-            return Poly.from_ints(self.ctx, modpoly.mul(self._ints(), other._ints(), self.ctx.p))
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.ctx)
-        out = [self.ctx.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Poly.from_elems(self.ctx, out)
+        ctx = self.ctx
+        a, b = self.reps, other.reps
+        if ctx.is_prime_field:
+            return Poly(ctx, tuple(modpoly.mul(a, b, ctx.p)))
+        if not a or not b:
+            return Poly.zero(ctx)
+        add, mul = ctx.ops.add, ctx.ops.mul
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = add(out[i + j], mul(x, y))
+        return Poly.from_reps(ctx, out)
 
     def scale(self, elem):
-        return self * Poly.from_elems(self.ctx, [elem])
+        c = self.ctx.elem(elem).rep
+        if not c:
+            return Poly.zero(self.ctx)
+        mul = self.ctx.ops.mul
+        return Poly(self.ctx, tuple(mul(x, c) for x in self.reps))
 
     def __pow__(self, e):
         if e < 0:
             raise SpecError("negative polynomial powers are not defined")
-        result = Poly.one(self.ctx)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        return _power(Poly.__mul__, Poly.one(self.ctx), self, e)
 
     def divrem(self, other):
         """Quotient and remainder with deg r < deg other."""
         self._check(other)
         if other.is_zero():
             raise DivisionByZeroPoly("polynomial division by zero")
-        if self.ctx.is_prime_field:
-            q, r = modpoly.divrem(self._ints(), other._ints(), self.ctx.p)
-            return Poly.from_ints(self.ctx, q), Poly.from_ints(self.ctx, r)
-        if self.degree < other.degree:
-            return Poly.zero(self.ctx), self
-        lead_inv = other.leading.inverse()
-        rem = list(self.coeffs)
-        lb = len(other.coeffs)
-        q = [self.ctx.zero()] * (len(rem) - lb + 1)
-        for i in range(len(rem) - lb, -1, -1):
+        ctx = self.ctx
+        a, b = self.reps, other.reps
+        if ctx.is_prime_field:
+            q, r = modpoly.divrem(a, b, ctx.p)
+            return Poly(ctx, tuple(q)), Poly(ctx, tuple(r))
+        if len(a) < len(b):
+            return Poly.zero(ctx), self
+        ops = ctx.ops
+        add, mul = ops.add, ops.mul
+        inv = ops.inverse(b[-1])
+        rem = list(a)
+        lb = len(b)
+        q = [0] * (len(a) - lb + 1)
+        for i in range(len(a) - lb, -1, -1):
             c = rem[i + lb - 1]
-            if c.is_zero():
+            if not c:
                 continue
-            c = c * lead_inv
-            q[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - c * b
-        return Poly.from_elems(self.ctx, q), Poly.from_elems(self.ctx, rem[:lb - 1])
+            q[i] = c = mul(c, inv)
+            c = ops.neg(c)
+            for j, y in enumerate(b):
+                rem[i + j] = add(rem[i + j], mul(c, y))
+        return Poly.from_reps(ctx, q), Poly.from_reps(ctx, rem[:lb - 1])
 
     def __floordiv__(self, other):
         return self.divrem(other)[0]
@@ -759,61 +850,50 @@ class Poly:
         return self.divrem(other)[1]
 
     def monic(self):
-        if self.is_zero():
+        if not self.reps or self.reps[-1] == 1:
             return self
-        if self.leading.is_one():
-            return self
-        inv = self.leading.inverse()
-        return Poly.from_elems(self.ctx, [c * inv for c in self.coeffs])
+        return self.scale(self.leading.inverse())
 
     def gcd(self, other):
         """Monic greatest common divisor."""
         self._check(other)
-        if self.ctx.is_prime_field:
-            return Poly.from_ints(self.ctx, modpoly.gcd(self._ints(), other._ints(), self.ctx.p))
+        ctx = self.ctx
+        if ctx.is_prime_field:
+            return Poly(ctx, tuple(modpoly.gcd(self.reps, other.reps, ctx.p)))
         a, b = self, other
-        while not b.is_zero():
+        while b.reps:
             a, b = b, a % b
         return a.monic()
 
     def derivative(self):
-        if self.ctx.is_prime_field:
-            return Poly.from_ints(self.ctx, modpoly.derivative(self._ints(), self.ctx.p))
-        out = [self.ctx.from_int(i) * c for i, c in enumerate(self.coeffs)][1:]
-        return Poly.from_elems(self.ctx, out)
+        # the constant i has rep i mod p in every finite field
+        p, mul = self.ctx.p, self.ctx.ops.mul
+        return Poly.from_reps(self.ctx, [mul(i % p, c) for i, c in enumerate(self.reps)][1:])
 
     def eval(self, x):
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        ctx = self.ctx
+        if not (isinstance(x, FieldElem) and x.ctx is ctx):
+            x = ctx.elem(x)
+        x = x.rep
+        add, mul = ctx.ops.add, ctx.ops.mul
+        acc = 0
+        for c in reversed(self.reps):
+            acc = add(mul(acc, x), c)
+        return FieldElem(ctx, acc)
 
     def compose(self, other):
         """Substitution self(other(x))."""
         self._check(other)
         acc = Poly.zero(self.ctx)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.from_elems(self.ctx, [c])
+        for c in reversed(self.reps):
+            acc = acc * other + Poly.from_reps(self.ctx, [c])
         return acc
-
-    def pow_mod(self, e, modulus):
-        if self.ctx.is_prime_field:
-            out = modpoly.pow_mod(self._ints(), e, modulus._ints(), self.ctx.p)
-            return Poly.from_ints(self.ctx, out)
-        result = Poly.one(self.ctx)
-        acc = self % modulus
-        while e:
-            if e & 1:
-                result = (result * acc) % modulus
-            acc = (acc * acc) % modulus
-            e >>= 1
-        return result
 
     def shift(self, n):
         """Multiply by x^n."""
-        if self.is_zero():
+        if not self.reps:
             return self
-        return Poly(self.ctx, (self.ctx.zero(),) * n + self.coeffs)
+        return Poly(self.ctx, (0,) * n + self.reps)
 
     def _check(self, other):
         if not isinstance(other, Poly) or other.ctx != self.ctx:
@@ -900,41 +980,36 @@ def ratfunc_field(p):
 def separable_radical(f: Poly) -> Poly:
     """Monic squarefree polynomial with the same closure roots as f.
 
-    Handles vanishing derivatives by taking coefficientwise p-th roots of
-    f = g(x^p) and recursing; valid because finite fields are perfect.
+    Squarefree part by gcd with the derivative (von zur Gathen-Gerhard,
+    *Modern Computer Algebra*, ch. 14).  The factors whose multiplicity p
+    divides are left in r = g(x^p); the coefficientwise p-th roots of g
+    give a polynomial with the same roots, since finite fields are
+    perfect, and the loop goes on with it.
     """
     if f.is_zero():
         raise ZeroPolynomial("radical of zero polynomial")
     ctx = f.ctx
-    if ctx.flavor != "finite":
-        raise SpecError("separable radical needs a finite coefficient field")
-    if ctx.is_prime_field:
-        rad = modpoly.separable_radical(f._ints(), ctx.p)
-        return Poly.from_ints(ctx, rad)
-    return _radical_generic(f.monic())
-
-
-def _radical_generic(f):
-    ctx = f.ctx
-    if f.degree <= 0:
-        return Poly.one(ctx)
-    fp = f.derivative()
-    if fp.is_zero():
-        g = Poly.from_elems(ctx, [f.coeffs[i].pth_root()
-                                  for i in range(0, len(f.coeffs), ctx.p)])
-        return _radical_generic(g.monic())
-    d = f.gcd(fp)
-    if d.degree == 0:
-        return f
-    w = (f // d).monic()
-    r = f
-    g = r.gcd(w)
-    while g.degree > 0:
-        r = r // g
+    parts = []
+    f = f.monic()
+    while f.degree > 0:
+        fp = f.derivative()
+        if fp.is_zero():
+            root = ctx.order // ctx.p
+            f = Poly(ctx, tuple(ctx.ops.pow(c, root) for c in f.reps[::ctx.p]))
+            continue
+        d = f.gcd(fp)
+        if d.degree == 0:
+            parts.append(f)
+            break
+        w = f // d  # the irreducible factors whose multiplicity p does not divide
+        r = f
         g = r.gcd(w)
-    if r.degree == 0:
-        return w
-    return (w * _radical_generic(r.monic())).monic()
+        while g.degree > 0:
+            r = r // g
+            g = r.gcd(w)
+        parts.append(w)
+        f = r.monic()
+    return functools.reduce(Poly.__mul__, parts) if parts else Poly.one(ctx)
 
 
 def distinct_root_count(f: Poly) -> int:

@@ -11,7 +11,7 @@ downstream never sees numpy scalars.
 
 import numpy as np
 
-from .errors import DivisionByZeroPoly, ZeroPolynomial
+from .errors import DivisionByZeroPoly
 
 _NP_SAFE = 2**62
 
@@ -45,13 +45,6 @@ def sub(a: list, b: list, p: int) -> list:
 
 def neg(a: list, p: int) -> list:
     return [(-c) % p for c in a]
-
-
-def scalar_mul(a: list, c: int, p: int) -> list:
-    c %= p
-    if c == 0:
-        return []
-    return trim([x * c % p for x in a])
 
 
 def mul(a: list, b: list, p: int) -> list:
@@ -130,7 +123,8 @@ def monic(a: list, p: int) -> list:
     lead = a[-1]
     if lead == 1:
         return a
-    return scalar_mul(a, pow(lead, p - 2, p), p)
+    inv = pow(lead, p - 2, p)
+    return [x * inv % p for x in a]
 
 
 def gcd(a: list, b: list, p: int) -> list:
@@ -156,17 +150,6 @@ def gcd(a: list, b: list, p: int) -> list:
     return monic([int(c) for c in x], p)
 
 
-def derivative(a: list, p: int) -> list:
-    return trim([i * c % p for i, c in enumerate(a)][1:])
-
-
-def eval_at(a: list, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def pow_mod(base: list, e: int, modulus: list, p: int) -> list:
     """base^e reduced mod modulus (e >= 0, big ints welcome)."""
     result = [1]
@@ -177,42 +160,3 @@ def pow_mod(base: list, e: int, modulus: list, p: int) -> list:
         acc = rem(mul(acc, acc, p), modulus, p)
         e >>= 1
     return result
-
-
-def separable_radical(f: list, p: int, pth_root=None) -> list:
-    """Monic squarefree polynomial with the same roots as f in the closure.
-
-    pth_root maps a coefficient to its p-th root; for F_p itself that is
-    the identity, extensions pass c -> c^(q/p).
-    """
-    f = trim(list(f))
-    if not f:
-        raise ZeroPolynomial("radical of the zero polynomial")
-    f = monic(f, p)
-    if deg(f) <= 0:
-        return [1]
-    if pth_root is None:
-        pth_root = lambda c: c
-    fp = derivative(f, p)
-    if not fp:
-        # Every exponent is a multiple of p: f = g(x^p) with g as below.
-        g = [pth_root(f[i]) for i in range(0, len(f), p)]
-        return separable_radical(g, p, pth_root)
-    d = gcd(f, fp, p)
-    if deg(d) == 0:
-        return f
-    w = divrem(f, d, p)[0]          # separable part, squarefree
-    r = f
-    g = gcd(r, w, p)
-    while deg(g) > 0:
-        r = divrem(r, g, p)[0]
-        g = gcd(r, w, p)
-    if deg(r) == 0:
-        return monic(w, p)
-    # r collects the factors with multiplicity divisible by p; its
-    # derivative vanishes, so the recursion lands in the branch above.
-    return monic(mul(w, separable_radical(r, p, pth_root), p), p)
-
-
-def distinct_root_count(f: list, p: int, pth_root=None) -> int:
-    return deg(separable_radical(f, p, pth_root))

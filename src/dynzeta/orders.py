@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import (HypothesisViolated, InvalidCombination, Mismatch,
                      PrecisionExhausted, SpecError, ZeroInput)
+from .field import field_make
 from .intarith import check_prime, v_p, v_p_strict
 from .limits import PADIC_PRECISION_CAP
 
@@ -163,37 +164,11 @@ class PrimeContext:
 def _quadratic_roots_mod_p(T, N, p):
     if p < 1000:
         return [r for r in range(p) if (r * r - T * r + N) % p == 0]
-    # Tonelli-Shanks on the discriminant for large p.
-    disc = (T * T - 4 * N) % p
-    if disc == 0:
-        return [T * pow(2, p - 2, p) % p]
-    if pow(disc, (p - 1) // 2, p) != 1:
+    disc = field_make(p).from_int(T * T - 4 * N)
+    if not disc.is_square():
         return []
-    s = _sqrt_mod_p(disc, p)
-    inv2 = pow(2, p - 2, p)
+    s, inv2 = disc.sqrt().rep, pow(2, p - 2, p)
     return sorted({(T + s) * inv2 % p, (T - s) * inv2 % p})
-
-
-def _sqrt_mod_p(a, p):
-    a %= p
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
 
 
 def prime_context(ring: QuadRing, p: int, precision: int = 32,

@@ -58,10 +58,6 @@ class TwistedPoly:
     def one(cls, ctx):
         return cls.from_ints(ctx, [1])
 
-    @classmethod
-    def frobenius_gen(cls, ctx):
-        return cls.from_ints(ctx, [0, 1])
-
     def is_zero(self):
         return not self.coeffs
 
@@ -217,10 +213,10 @@ def realize_additive(sigma: TwistedPoly) -> Poly:
         return Poly.zero(ctx)
     degree = ctx.p ** sigma.top_index
     check_poly_scale(degree)
-    coeffs = [ctx.zero()] * (degree + 1)
+    reps = [0] * (degree + 1)
     for i, c in enumerate(sigma.coeffs):
-        coeffs[ctx.p ** i] = c
-    return Poly.from_elems(ctx, coeffs)
+        reps[ctx.p ** i] = c.rep
+    return Poly.from_reps(ctx, reps)
 
 
 def v_phi_pow_minus(sigma: TwistedPoly, n: int, omega):

@@ -181,6 +181,34 @@ class TestSpecValidation:
         assert run_cli(argv + extra) == (2, "")
         assert run_cli(argv + ["--ext-degree", "2", "--max-period", "1"])[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        "count --family lattes-ordinary --p 11 --tau 1,x --sigma-quad 2,0",
+        "count --family lattes-ordinary --p 11 --tau 1,11 --sigma-quad 2,y",
+        "count --family lattes-supersingular --p 7 --sigma-tn 1,z",
+        "count --family lattes-supersingular --p 7 --sigma-quat 1,1,1,w",
+        "oracle --p 5 --num 1,a",
+        "oracle --p 5 --num 0,0,1 --den 1,b",
+        "automata --kind christol --p 3 --poly y+t --prefix 0,z",
+    ])
+    def test_comma_list_flags_take_integers(self, argv):
+        assert run_cli(argv.split()) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        "count --family power --p 4 --d 2",
+        "verdict --family chebyshev --p 5 --d 1",
+        "zeta --family lattes-ordinary --p 11 --tau 5,2 --sigma-quad 2,0",
+        "verdict --family lattes-supersingular --p 7 --sigma-tn 1,1",
+        "oracle --p 5 --num 0,0,1 --n-min 0 --n-max 1",
+        "count --family power --p 5 --d 2 --n-min 0",
+        "census --p 5 --num 1",
+        "automata --kind vp-geometric --a 2 --p 4 --ell 5",
+        "automata --kind vp-tower --a 1 --p 3 --ell 5",
+        "automata --kind christol --p 4 --poly y+t",
+    ])
+    def test_refused_before_the_first_record(self, argv):
+        # each passes validate_params; the handler refuses it at once
+        assert run_cli(argv.split()) == (2, "")
+
     def test_parser_built_once(self):
         assert make_parser() is make_parser()
         assert run_cli(["count", "--family", "power", "--p", "3", "--d", "2",
@@ -258,6 +286,25 @@ TOWER_INPUT_DIGESTS = [
      "--n-min 1 --n-max 4",
      "e697241f69e2e3c47a6306fa65dd14c08a811dcee84f97e657bb5acfc55d63d7"),
 ]
+
+
+# stdout sha256 of the job files in jobs/
+JOB_FILE_DIGESTS = [
+    ("additive_verdict",
+     "e73d1cc4d3b9735489d29028d851c0765ef018d6f6c356bf716cefc82f653c18"),
+    ("christol_powers_of_two",
+     "d52d8629cb1e1669086e2a6810a873f21cfb90140b74fbdd64c3ffa20cd0e57b"),
+    ("power_count",
+     "114d57af08eb77151093618182ee4748d4a580155ada41053e97cdc26a4ca806"),
+]
+
+
+@pytest.mark.parametrize("name,digest", JOB_FILE_DIGESTS)
+def test_job_file_stdout_pinned(name, digest):
+    path = os.path.join(os.path.dirname(__file__), "..", "jobs", f"{name}.json")
+    code, text = run_cli(["--job", path])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTowerInputs:

@@ -361,3 +361,136 @@ def test_large_flat_extension_is_exact_without_tables():
             assert x ** -5 == elem(power(a, -5))
             assert ctx.log(x) is None
     assert ctx.elem_at(ctx.order + 7) == ctx.elem_at(7)
+
+
+# -- square roots -------------------------------------------------------------------
+
+
+def _check_square_root(z):
+    euler = z.is_zero() or (z ** ((z.ctx.order - 1) // 2)).is_one()
+    assert z.is_square() == euler
+    if euler:
+        root = z.sqrt()
+        assert root.ctx == z.ctx and root * root == z
+    else:
+        with pytest.raises(SpecError):
+            z.sqrt()
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (7, 1), (5, 2), (7, 3)])
+def test_square_roots_of_every_element(p, k):
+    # F_5 and F_13 run Tonelli-Shanks, F_7 takes z^((q+1)/4), and
+    # F_25 and F_343 halve the discrete log
+    ctx = field_make(p, k)
+    for z in ctx.elements():
+        _check_square_root(z)
+    assert sum(z.is_square() for z in ctx.elements()) == (ctx.order + 1) // 2
+
+
+@pytest.mark.parametrize("p,k", [(101, 4), (2 ** 61 - 1, 1), (1_000_000_009, 1)])
+def test_square_roots_without_tables(p, k):
+    ctx = field_make(p, k)
+    assert ctx.log(ctx.one()) is None
+    rng = random.Random(p + k)
+    for _ in range(40):
+        z = ctx.elem_at(rng.randrange(ctx.order))
+        _check_square_root(z)
+        _check_square_root(z * z)
+
+
+def test_square_roots_need_odd_characteristic(F3u):
+    for z in (field_make(2).one(), field_make(2, 3).elem_at(5), F3u.u()):
+        with pytest.raises(SpecError):
+            z.sqrt()
+        with pytest.raises(SpecError):
+            z.is_square()
+
+
+# -- polynomials over extensions against boxed references ------------------------------
+
+
+def _ref_trim(a):
+    while a and a[-1].is_zero():
+        a = a[:-1]
+    return a
+
+
+def _ref_divrem(a, b):
+    """Schoolbook division on lists of field elements."""
+    a, b = _ref_trim(list(a)), _ref_trim(list(b))
+    zero = b[0].ctx.zero()
+    inv = b[-1].inverse()
+    q = [zero] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        c = r[i + len(b) - 1] * inv
+        q[i] = c
+        for j, bj in enumerate(b):
+            r[i + j] = r[i + j] - c * bj
+    return _ref_trim(q), _ref_trim(r[:len(b) - 1])
+
+
+def _ref_gcd(a, b):
+    a, b = _ref_trim(list(a)), _ref_trim(list(b))
+    while b:
+        a, b = b, _ref_divrem(a, b)[1]
+    return [c * a[-1].inverse() for c in a] if a else a
+
+
+@st.composite
+def _ext_poly_pair(draw):
+    ctx = field_make(*draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)])))
+    coeffs = st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=6)
+    a, b = (Poly.from_elems(ctx, [ctx.elem_at(i) for i in draw(coeffs)])
+            for _ in range(2))
+    return ctx, a, b if b.reps else Poly.one(ctx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ext_poly_pair())
+def test_ext_divrem_matches_reference(case):
+    _, a, b = case
+    q, r = a.divrem(b)
+    assert (list(q.coeffs), list(r.coeffs)) == _ref_divrem(a.coeffs, b.coeffs)
+    assert q * b + r == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ext_poly_pair(), st.lists(st.integers(0, 24), min_size=1, max_size=4))
+def test_ext_gcd_matches_reference(case, common):
+    # a shared factor makes the remainder chain longer than one step
+    ctx, a, b = case
+    common = Poly.from_elems(ctx, [ctx.elem_at(i % ctx.order) for i in common])
+    common = common if common.reps else Poly.one(ctx)
+    a, b = a * common, b * common
+    assert list(a.gcd(b).coeffs) == _ref_gcd(a.coeffs, b.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ext_poly_pair(), st.integers(1, 5), st.integers(1, 5))
+def test_ext_separable_radical_matches_reference(case, e1, e2):
+    # f = g^e1 * h^e2: the radical divides f, is squarefree, and every
+    # root of f is one of its roots (f divides rad^deg f)
+    ctx, g, h = case
+    if g.degree < 1 or h.degree < 1:
+        return
+    f = g ** e1 * h ** e2
+    rad = separable_radical(f)
+    assert rad.leading.is_one() and rad.degree >= 1
+    assert _ref_divrem(f.coeffs, rad.coeffs)[1] == []
+    assert _ref_gcd(rad.coeffs, rad.derivative().coeffs) == [ctx.one()]
+    assert _ref_divrem((rad ** f.degree).coeffs, f.coeffs)[1] == []
+
+
+def test_poly_eval_refuses_an_element_of_another_field():
+    f = Poly.from_ints(field_make(3, 2), [1, 1])
+    for x in (field_make(3).one(), field_make(5, 2).one(), field_make(3, 2, seed=1).one()):
+        with pytest.raises(SpecError):
+            f.eval(x)
+
+
+def test_no_polynomials_over_the_function_field(F3u):
+    for build in (lambda: Poly.from_elems(F3u, [F3u.u(), F3u.one()]),
+                  lambda: Poly.from_ints(F3u, [1, 2]), lambda: Poly.one(F3u)):
+        with pytest.raises(SpecError):
+            build()

@@ -1,10 +1,10 @@
-"""Verdict stdout against the digests pinned by the benchmark.
+"""Verdict, oracle and enumerate stdout against the benchmark's digests.
 
-Every job of the benchmark's verdict pool runs through the CLI in process,
-as `dynzeta --job FILE`, and its stdout sha256 must equal the entry in
-perfbench/golden.json.  Certificates are part of verdict stdout, so this
-pins every certificate field the CLI prints.  perfbench/jobs.py is loaded
-by path and only read.
+Every job of the benchmark's verdict, oracle and enumerate pools runs in
+process, a CLI job as `dynzeta --job FILE`, and its stdout sha256 must
+equal the entry in perfbench/golden.json.  Certificates are part of
+verdict stdout, so this pins every certificate field the CLI prints.
+perfbench/jobs.py is loaded by path and only read.
 """
 
 import hashlib
@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from dynzeta.cli import SCHEMA, main
+from dynzeta.elliptic import EllipticCurve, lattes_oracle
+from dynzeta.field import field_make
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,3 +51,40 @@ def test_verdict_stdout_matches_golden(job, tmp_path):
     assert main(["--job", str(path)], out=out) == 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == GOLDEN[JOBS.job_id(job)]
+
+
+POOL_JOBS = [(f"{workload}-{slot}-{i}", job)
+             for workload in ("oracle", "enumerate")
+             for slot, pool in sorted(JOBS.slots(workload).items())
+             for i, job in enumerate(pool)]
+
+
+def _torsion_stdout(job):
+    """The record the benchmark prints for a library call to lattes_oracle."""
+    ctx = field_make(job["p"])
+    curve = EllipticCurve(ctx, ctx.from_int(job["A"]), ctx.from_int(job["B"]))
+    count = lattes_oracle(curve, job["m"], job["n"], k_max=job["k_max"])
+    return json.dumps({"record": "torsion", "p": str(job["p"]),
+                       "m": str(job["m"]), "n": str(job["n"]),
+                       "count": str(count)}, separators=(",", ":")) + "\n"
+
+
+def test_oracle_and_enumerate_pools_are_pinned():
+    # 366 CLI jobs and 14 torsion oracles called as library functions
+    assert len(POOL_JOBS) == 380
+    assert sum("call" in job for _, job in POOL_JOBS) == 14
+    assert all(JOBS.job_id(job) in GOLDEN for _, job in POOL_JOBS)
+
+
+@pytest.mark.parametrize("job", [job for _, job in POOL_JOBS],
+                         ids=[name for name, _ in POOL_JOBS])
+def test_pool_stdout_matches_golden(job, tmp_path):
+    if "call" in job:
+        text = _torsion_stdout(job)
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(job, schema=SCHEMA)), encoding="utf-8")
+        out = io.StringIO()
+        assert main(["--job", str(path)], out=out) == 0
+        text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[JOBS.job_id(job)]
