@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynmap import cycle_census, per_n_oracle, rat_map
 from .errors import (DynzetaError, InfinitePeriodicPoints, Mismatch,
@@ -195,16 +196,8 @@ def _resolve_map(params):
     raise SpecError("map description needs a family tag or raw coefficients")
 
 
-# -- parameter validation -------------------------------------------------------------
+# -- parameters -----------------------------------------------------------------------
 
-_INT_KEYS = frozenset({"p", "k", "seed", "d", "s", "translation", "gamma_order",
-                       "unit_root", "n_min", "n_max", "terms", "max_order",
-                       "ext_degree", "max_period", "a", "ell", "alpha", "beta",
-                       "base", "depth", "prefix_len", "show"})
-_STR_KEYS = frozenset({"family", "variant", "gamma", "kind", "poly"})
-# integer lists, with their fixed length or None
-_INT_LIST_KEYS = {"tau": 2, "sigma_tn": 2, "sigma_quat": 4, "num": None,
-                  "den": None, "prefix": None}
 _FAMILY_KEYS = {
     "power": ("p", "d"),
     "chebyshev": ("p", "d"),
@@ -216,15 +209,85 @@ _FAMILY_KEYS = {
 }
 _AUTOMATA_KEYS = {"christol": ("p", "poly"), "vp-geometric": ("a", "p", "ell"),
                   "vp-tower": ("a", "p", "ell")}
+_TWISTED = "twisted"   # integer or u-polynomial entries
+_MAP = ("count", "oracle", "zeta", "verdict", "census")
+_AUTO = ("automata",)
+
+
+class _Param(NamedTuple):
+    """A key, its JSON type (int, str, bool, _TWISTED, or list of integers
+    of any or the given length), the verbs whose flag sets it, and argparse
+    keywords.  The flag is --key with dashes unless ``name`` is given."""
+    key: str
+    type: object
+    verbs: tuple
+    kwargs: dict = {}
+    length: int | None = None
+    name: str | None = None
+
+    @property
+    def dest(self):
+        return self.name or self.key
+
+    @property
+    def flag(self):
+        return "--" + self.dest.replace("_", "-")
+
+
+# Flag values enter params, and so the header, in this order.
+_PARAMS = (
+    _Param("kind", str, _AUTO, {"choices": list(_AUTOMATA_KEYS), "required": True}),
+    _Param("poly", str, _AUTO),
+    _Param("family", str, _MAP, {"choices": list(_FAMILY_KEYS)}),
+    _Param("p", int, _MAP + _AUTO),
+    *(_Param(key, int, _AUTO) for key in ("a", "ell", "alpha", "beta", "base",
+                                           "depth")),
+    *(_Param(key, int, _MAP) for key in ("k", "seed", "d", "s")),
+    _Param("variant", str, _MAP, {"choices": ["norm", "absolute"]}),
+    *(_Param(key, int, _MAP) for key in ("translation", "gamma_order",
+                                          "unit_root")),
+    _Param("gamma", str, _MAP, {"choices": ["mu2", "units"]}),
+    _Param("ratfunc", bool, _MAP),
+    _Param("sigma", _TWISTED, _MAP, {
+        "help": "comma-separated twisted coefficients, low degree first "
+                "(u-polynomials allowed with --ratfunc)"}),
+    _Param("tau", list, _MAP, {"help": "T,N of the quadratic generator"}, 2),
+    _Param("sigma", list, _MAP, {"help": "a,b coordinates of the multiplier"},
+           2, "sigma_quad"),
+    _Param("sigma_tn", list, _MAP, {"help": "trace,norm of the multiplier"}, 2),
+    _Param("sigma_quat", list, _MAP,
+           {"help": "doubled quaternion coordinates a,b,c,d"}, 4),
+    _Param("num", list, _MAP, {"help": "comma-separated numerator coefficients"}),
+    _Param("den", list, _MAP, {"help": "comma-separated denominator coefficients"}),
+    _Param("n_min", int, _MAP),
+    _Param("n_max", int, _MAP),
+    _Param("terms", int, _MAP + _AUTO),
+    _Param("prefix_len", int, _AUTO),
+    _Param("prefix", list, _AUTO, {"help": "comma-separated initial coefficients"}),
+    *(_Param(key, int, _MAP) for key in ("max_order", "ext_degree",
+                                          "max_period")),
+    _Param("show", int, _AUTO, {"help": "sequence terms to print (64)"}),
+)
+# the row that types each key; sigma takes --sigma-quad's for lattes-ordinary
+_TYPED = {row.key: row for row in _PARAMS if row.name is None}
+_SIGMA_QUAD = next(row for row in _PARAMS if row.name == "sigma_quad")
+_LIST_FLAGS = {row.flag for row in _PARAMS if row.type in (list, _TWISTED)}
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_int_list(value, length=None):
-    return (isinstance(value, list) and all(_is_int(v) for v in value)
-            and (length is None or len(value) == length))
+def _has_type(value, row):
+    if row.type is int:
+        return _is_int(value)
+    if row.type is _TWISTED:
+        return isinstance(value, list) and all(
+            _is_int(c) or isinstance(c, str) for c in value)
+    if row.type is list:
+        return (isinstance(value, list) and all(_is_int(v) for v in value)
+                and row.length in (None, len(value)))
+    return isinstance(value, row.type)
 
 
 def validate_params(command, params):
@@ -236,22 +299,10 @@ def validate_params(command, params):
     """
     family = params.get("family")
     for key, value in params.items():
-        if key in _INT_KEYS:
-            ok = _is_int(value)
-        elif key in _STR_KEYS:
-            ok = isinstance(value, str)
-        elif key in _INT_LIST_KEYS:
-            ok = _is_int_list(value, _INT_LIST_KEYS[key])
-        elif key == "sigma" and family == "lattes-ordinary":
-            ok = _is_int_list(value, 2)
-        elif key == "sigma":
-            ok = isinstance(value, list) and all(
-                _is_int(c) or isinstance(c, str) for c in value)
-        elif key == "ratfunc":
-            ok = isinstance(value, bool)
-        else:
-            continue
-        if not ok:
+        row = _TYPED.get(key)
+        if key == "sigma" and family == "lattes-ordinary":
+            row = _SIGMA_QUAD
+        if row is not None and not _has_type(value, row):
             raise SpecError(f"parameter {key!r} has the wrong type: {value!r}")
     if command == "automata":
         required = _AUTOMATA_KEYS.get(params.get("kind"), ())
@@ -329,11 +380,16 @@ def _cmd_oracle(params):
     _, realized = _resolve_map(params)
     if realized is None:
         raise SpecError("this map has no concrete realization to iterate")
+    # every row is formed before the first is written, so a refusal at a
+    # later n (an iterate that is the identity) leaves stdout empty
+    rows = []
     for n in range(params.get("n_min", 1), params.get("n_max", 4) + 1):
         try:
-            yield {"record": "row", "n": n, "count": per_n_oracle(realized, n)}
+            count = per_n_oracle(realized, n)
         except ScaleExceeded:
-            yield {"record": "row", "n": n, "count": None}
+            count = None
+        rows.append({"record": "row", "n": n, "count": count})
+    yield from rows
 
 
 def _cmd_zeta(params):
@@ -486,113 +542,62 @@ def _fmt(value):
 # -- argument handling ---------------------------------------------------------------
 
 
-def _add_map_flags(sub):
-    sub.add_argument("--family", choices=["power", "chebyshev", "additive",
-                                          "subadditive", "lattes-generic",
-                                          "lattes-ordinary",
-                                          "lattes-supersingular"])
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--s", type=int)
-    sub.add_argument("--variant", choices=["norm", "absolute"])
-    sub.add_argument("--sigma", help="comma-separated twisted coefficients, "
-                                     "low degree first (u-polynomials allowed "
-                                     "with --ratfunc)")
-    sub.add_argument("--ratfunc", action="store_true")
-    sub.add_argument("--translation", type=int)
-    sub.add_argument("--tau", help="T,N of the quadratic generator")
-    sub.add_argument("--sigma-quad", help="a,b coordinates of the multiplier")
-    sub.add_argument("--gamma-order", type=int)
-    sub.add_argument("--unit-root", type=int)
-    sub.add_argument("--sigma-tn", help="trace,norm of the multiplier")
-    sub.add_argument("--sigma-quat", help="doubled quaternion coordinates a,b,c,d")
-    sub.add_argument("--gamma", choices=["mu2", "units"])
-    sub.add_argument("--num", help="comma-separated numerator coefficients")
-    sub.add_argument("--den", help="comma-separated denominator coefficients")
+def _list_value(text, row):
+    """The entries of a comma-separated flag value: integers, and for
+    twisted coefficients u-polynomial strings where not integers."""
+    entries = []
+    for chunk in text.split(","):
+        try:
+            entries.append(int(chunk))
+        except ValueError:
+            if row.type is list:
+                raise SpecError(f"{row.flag} takes comma-separated integers, "
+                                f"not {text!r}") from None
+            entries.append(chunk.strip())
+    return entries
 
 
-def _collect_map_params(args):
-    params = {}
-    if args.family:
-        params["family"] = args.family
-    for key in ("p", "k", "seed", "d", "s", "variant", "translation",
-                "gamma_order", "unit_root", "gamma"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if args.ratfunc:
-        params["ratfunc"] = True
-    if args.sigma:
-        entries = []
-        for chunk in args.sigma.split(","):
-            chunk = chunk.strip()
-            try:
-                entries.append(int(chunk))
-            except ValueError:
-                entries.append(chunk)
-        params["sigma"] = entries
-    for key, attr in (("tau", "tau"), ("sigma", "sigma_quad"),
-                      ("sigma_tn", "sigma_tn"), ("sigma_quat", "sigma_quat"),
-                      ("num", "num"), ("den", "den")):
-        val = getattr(args, attr)
-        if val:
-            params[key] = _int_list(val, attr)
-    return params
-
-
-def _int_list(text, attr):
-    """The integers of a comma-separated flag value."""
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise SpecError(f"--{attr.replace('_', '-')} takes comma-separated "
-                        f"integers, not {text!r}") from None
+def _glue_negative_values(argv):
+    """Join a list flag to a following value such as -1,2, which argparse
+    would otherwise read as an unknown option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and re.match(r"-[\du]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 @functools.cache
 def make_parser():
     """The argument parser, built once per process (parsing leaves it as is)."""
-    parser = argparse.ArgumentParser(prog="dynzeta",
-                                     description=__doc__.splitlines()[0])
-    parser.add_argument("--job", help="JSON job file; flags are ignored")
-    parser.add_argument("--table", action="store_true",
+    # --job and --table go before or after the verb; SUPPRESS keeps the
+    # verb's parser from resetting a value given before it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--job", default=argparse.SUPPRESS,
+                        help="JSON job file; flags are ignored")
+    common.add_argument("--table", action="store_true", default=argparse.SUPPRESS,
                         help="human-readable columns instead of JSON lines")
+    parser = argparse.ArgumentParser(prog="dynzeta", parents=[common],
+                                     description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command")
-    for name in ("count", "oracle", "zeta", "verdict", "census"):
-        sub = subs.add_parser(name)
-        sub.add_argument("--job", help="JSON job file; flags are ignored")
-        sub.add_argument("--table", action="store_true")
-        _add_map_flags(sub)
-        sub.add_argument("--n-min", type=int, dest="n_min")
-        sub.add_argument("--n-max", type=int, dest="n_max")
-        sub.add_argument("--terms", type=int)
-        sub.add_argument("--max-order", type=int, dest="max_order")
-        sub.add_argument("--ext-degree", type=int, dest="ext_degree")
-        sub.add_argument("--max-period", type=int, dest="max_period")
-    auto = subs.add_parser("automata")
-    auto.add_argument("--job", help="JSON job file; flags are ignored")
-    auto.add_argument("--table", action="store_true")
-    auto.add_argument("--kind", choices=["christol", "vp-geometric", "vp-tower"],
-                      required=True)
-    auto.add_argument("--poly")
-    auto.add_argument("--prefix", help="comma-separated initial coefficients")
-    auto.add_argument("--p", type=int)
-    auto.add_argument("--a", type=int)
-    auto.add_argument("--ell", type=int)
-    auto.add_argument("--alpha", type=int)
-    auto.add_argument("--beta", type=int)
-    auto.add_argument("--base", type=int)
-    auto.add_argument("--depth", type=int)
-    auto.add_argument("--terms", type=int)
-    auto.add_argument("--prefix-len", type=int, dest="prefix_len")
+    verbs = {name: subs.add_parser(name, parents=[common]) for name in _COMMANDS}
+    for row in _PARAMS:
+        kwargs = dict(row.kwargs)
+        if row.type is int:
+            kwargs["type"] = int
+        elif row.type is bool:
+            kwargs.update(action="store_true", default=None)
+        for verb in row.verbs:
+            verbs[verb].add_argument(row.flag, **kwargs)
     return parser
 
 
 def compile_spec(args) -> JobSpec:
-    if args.job:
-        with open(args.job, "r", encoding="utf-8") as handle:
+    job = getattr(args, "job", None)
+    if job:
+        with open(job, "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:
@@ -600,22 +605,13 @@ def compile_spec(args) -> JobSpec:
         return JobSpec.from_dict(data)
     if not args.command:
         raise SpecError("no command given (and no --job file)")
-    if args.command == "automata":
-        params = {"kind": args.kind}
-        for key in ("poly", "p", "a", "ell", "alpha", "beta", "base",
-                    "depth", "terms", "prefix_len"):
-            val = getattr(args, key, None)
-            if val is not None:
-                params[key] = val
-        if args.prefix:
-            params["prefix"] = _int_list(args.prefix, "prefix")
-        return JobSpec("automata", params)
-    params = _collect_map_params(args)
-    for key in ("n_min", "n_max", "terms", "max_order", "ext_degree",
-                "max_period"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    params = {}
+    for row in _PARAMS:
+        value = getattr(args, row.dest, None)
+        if row.flag in _LIST_FLAGS:
+            value = _list_value(value, row) if value else None
+        if value is not None:
+            params[row.key] = value
     return JobSpec(args.command, params)
 
 
@@ -624,11 +620,11 @@ def main(argv=None, out=None):
     # Counts are printed as exact decimals, however many digits they have.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(
+        _glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         spec = compile_spec(args)
-        emit_records(run_job(spec), out, table=args.table)
+        emit_records(run_job(spec), out, table=getattr(args, "table", False))
         out.flush()
     except BrokenPipeError:
         # The reader closed stdout (say `| head`): stop quietly, and point

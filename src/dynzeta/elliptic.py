@@ -13,12 +13,13 @@ Square tests and square roots are ``FieldElem.is_square`` and
 tables, Euler's criterion and Tonelli-Shanks elsewhere.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .errors import IncompleteEnumeration, ScaleExceeded, SpecError
 from .field import Poly, embed, extend_field
 from .dynmap import RatMap
-from .intarith import v_p
+from .intarith import power, v_p
 from .limits import enum_cap
 
 
@@ -98,16 +99,10 @@ def add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
 
 
 def mul_by_m(P: CurvePoint, m: int) -> CurvePoint:
+    """[m]P by double-and-add (``intarith.power`` on the group law)."""
     if m < 0:
         return mul_by_m(negate(P), -m)
-    out = identity(P.curve)
-    acc = P
-    while m:
-        if m & 1:
-            out = add(out, acc)
-        acc = add(acc, acc)
-        m >>= 1
-    return out
+    return power(add, identity(P.curve), P, m)
 
 
 def point_count(E: EllipticCurve, k: int = 1) -> int:
@@ -127,16 +122,9 @@ def point_count(E: EllipticCurve, k: int = 1) -> int:
     return count
 
 
-_TRACE_CACHE = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def trace_of_frobenius(E: EllipticCurve) -> int:
-    t = _TRACE_CACHE.get(E)
-    if t is None:
-        t = E.ctx.order + 1 - point_count(E)
-        if len(_TRACE_CACHE) < 4096:
-            _TRACE_CACHE[E] = t
-    return t
+    return E.ctx.order + 1 - point_count(E)
 
 
 def point_orders_by_trace(E: EllipticCurve, k_max: int):

@@ -184,6 +184,10 @@ class LattesSupersingular:
                 raise SpecError("p >= 5 supersingular multipliers are (trace, norm) pairs")
             if self.sigma_norm < 2:
                 raise SpecError("affine morphisms have degree >= 2")
+            if self.sigma_trace ** 2 > 4 * self.sigma_norm:
+                raise InvalidCombination(
+                    "no endomorphism has trace^2 > 4 * norm (the degree form "
+                    "is positive definite)")
             if self.gamma != "mu2":
                 raise InvalidCombination(
                     "abstract (trace, norm) multipliers only support the order-2 group")
@@ -251,7 +255,7 @@ def classify_separability(m) -> str:
     return "inseparable" if insep else "separable"
 
 
-def per_n_closed(m, n: int, variant: str | None = None) -> int:
+def per_n_closed(m, n: int) -> int:
     """Exact #Per_n from the family's closed form (big integers)."""
     if n < 1:
         raise SpecError("periods start at n = 1")
@@ -291,11 +295,9 @@ def per_n_closed(m, n: int, variant: str | None = None) -> int:
         return per_n_template(1, roots, kernel, n)
 
     if isinstance(m, LattesGenericJ):
-        use = variant or m.variant
-
         def kernel(g, k):
             M = m.s ** k - g
-            if use == VARIANT_NORM:
+            if m.variant == VARIANT_NORM:
                 return M * M // m.p ** v_p(abs(M), m.p)
             return abs(M) // m.p ** v_p(abs(M), m.p)
 

@@ -16,7 +16,10 @@ Representation conventions:
   inverses and powers are then table lookups.  Larger fields build no
   tables and compute on the digits.  ``extend_field(ctx, b)`` on F_(p^a)
   returns the field of ``field_make(p, a*b)``, so equal fields share one
-  set of tables.
+  set of tables.  The arithmetic of the eight most recently used
+  extensions, and the subfield roots of the eight most recently used
+  embeddings, live in ``functools.lru_cache``s, whose ``cache_info()``
+  counts hits and misses.
 * A subfield F_(p^a) of F_(p^(ab)) is reached by ``embed``, which sends
   the adjoined root of the smaller field to a fixed root of its modulus
   in the larger one (Lidl-Niederreiter, *Finite Fields*, Thm 2.14).  That
@@ -52,17 +55,10 @@ import numpy as np
 from . import modpoly
 from .errors import (DivisionByZeroPoly, NoIrreducibleFound, ScaleExceeded,
                      SpecError, ZeroPolynomial)
-from .intarith import check_prime, factorize
+from .intarith import check_prime, factorize, power
 from .limits import DEFAULT_ENUM_CAP, EXTENSION_DEGREE_CAP, poly_degree_cap
 
 _RF_GCD_DEGREE_CAP = 4096
-# Flat-extension arithmetic (with its tables) kept per field signature;
-# contexts are rebuilt per call, so the tables must outlive them.
-_FLAT_OPS = {}
-_FLAT_OPS_CAP = 8
-# Index of the image of a subfield's adjoined root, per (subfield, field)
-# signature pair; bounded like the tables.
-_SUBFIELD_ROOTS = {}
 
 
 class FieldCtx:
@@ -92,7 +88,7 @@ class FieldCtx:
         else:
             self._sig = ("ext", base._sig, tuple(c.rep for c in modulus))
             self._order = base.order ** k
-            self.ops = _flat_ops(self._sig, p, k, [c.rep for c in modulus[:-1]])
+            self.ops = _flat_ops(p, k, tuple(c.rep for c in modulus[:-1]))
 
     # -- identity ---------------------------------------------------------
 
@@ -448,7 +444,7 @@ class _RatFuncOps:
         return _rf_normalize(a[1], a[0], self.p)
 
     def pow(self, a, e):
-        return _power(self.mul, self.one, a, e)
+        return power(self.mul, self.one, a, e)
 
     def frobenius(self, a, times):
         scale = self.p ** times
@@ -550,7 +546,7 @@ class _DigitOps(_FiniteOps):
     def pow(self, a, e):
         if not a:
             return 0 if e else 1
-        return _power(self.mul, 1, a, e % self.qm1)
+        return power(self.mul, 1, a, e % self.qm1)
 
 
 class _TableOps(_FiniteOps):
@@ -595,26 +591,14 @@ class _TableOps(_FiniteOps):
         return self.exp[self.log[a] * e % self.qm1]
 
 
-def _power(mul, one, a, e):
-    """a^e for e >= 0 by square-and-multiply."""
-    result = one
-    while e:
-        if e & 1:
-            result = mul(result, a)
-        a = mul(a, a)
-        e >>= 1
-    return result
+@functools.lru_cache(maxsize=8)
+def _flat_ops(p, k, low):
+    """Arithmetic of F_(p^k) modulo the monic x^k + ..., whose lower
+    coefficients are low; shared by equal fields.
 
-
-def _flat_ops(sig, p, k, low):
-    """Arithmetic of the extension with signature sig, shared by equal fields."""
-    ops = _FLAT_OPS.get(sig)
-    if ops is None:
-        ops = (_TableOps if p ** k <= DEFAULT_ENUM_CAP else _DigitOps)(p, k, low)
-        if len(_FLAT_OPS) >= _FLAT_OPS_CAP:
-            del _FLAT_OPS[next(iter(_FLAT_OPS))]
-        _FLAT_OPS[sig] = ops
-    return ops
+    Contexts are rebuilt per call, so the tables must outlive them.
+    """
+    return (_TableOps if p ** k <= DEFAULT_ENUM_CAP else _DigitOps)(p, k, low)
 
 
 def _zech_tables(ops):
@@ -662,26 +646,21 @@ def embed(elem, target):
         raise SpecError("no embedding path to the requested field")
     if src.is_prime_field:
         return target.from_int(elem.rep)
-    root = _subfield_root(src, target)
+    root = FieldElem(target, _subfield_root(src, target))
     acc, n = target.zero(), elem.rep
     for i in range(src.k - 1, -1, -1):
         acc = acc * root + n // src.p ** i % src.p
     return acc
 
 
+@functools.lru_cache(maxsize=8)
 def _subfield_root(src, target):
-    """Root in target of src's modulus: the first norm at which it vanishes."""
-    key = (src._sig, target._sig)
-    rep = _SUBFIELD_ROOTS.get(key)
-    if rep is None:
-        modulus = Poly.from_ints(target, [c.rep for c in src.modulus])
-        e = (target.order - 1) // (src.order - 1)
-        rep = next(z for z in (target.elem_at(i) ** e for i in itertools.count(2))
-                   if modulus.eval(z).is_zero()).rep
-        if len(_SUBFIELD_ROOTS) >= _FLAT_OPS_CAP:
-            del _SUBFIELD_ROOTS[next(iter(_SUBFIELD_ROOTS))]
-        _SUBFIELD_ROOTS[key] = rep
-    return FieldElem(target, rep)
+    """Rep of the root in target of src's modulus: the first norm at which
+    it vanishes."""
+    modulus = Poly.from_ints(target, [c.rep for c in src.modulus])
+    e = (target.order - 1) // (src.order - 1)
+    return next(z for z in (target.elem_at(i) ** e for i in itertools.count(2))
+                if modulus.eval(z).is_zero()).rep
 
 
 # -- polynomials -----------------------------------------------------------------
@@ -813,7 +792,7 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise SpecError("negative polynomial powers are not defined")
-        return _power(Poly.__mul__, Poly.one(self.ctx), self, e)
+        return power(Poly.__mul__, Poly.one(self.ctx), self, e)
 
     def divrem(self, other):
         """Quotient and remainder with deg r < deg other."""

@@ -1,4 +1,5 @@
-"""Integer number-theory helpers: primality, factoring, orders, valuations."""
+"""Integer number-theory helpers: primality, factoring, orders, valuations,
+and the one square-and-multiply loop that every ring of the package uses."""
 
 import math
 
@@ -32,6 +33,21 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def power(mul, one, a, e: int):
+    """a^e (e >= 0) under mul by right-to-left square-and-multiply (Knuth,
+    TAOCP vol. 2, 4.6.3): for e >= 1, e.bit_length() - 1 squarings and
+    popcount(e) products into the result, which starts at one.  The square
+    after the top bit is never formed."""
+    result = one
+    while True:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = mul(a, a)
 
 
 def check_prime(p: int) -> int:

@@ -12,6 +12,7 @@ downstream never sees numpy scalars.
 import numpy as np
 
 from .errors import DivisionByZeroPoly
+from .intarith import power
 
 _NP_SAFE = 2**62
 
@@ -152,11 +153,5 @@ def gcd(a: list, b: list, p: int) -> list:
 
 def pow_mod(base: list, e: int, modulus: list, p: int) -> list:
     """base^e reduced mod modulus (e >= 0, big ints welcome)."""
-    result = [1]
-    acc = rem(base, modulus, p)
-    while e:
-        if e & 1:
-            result = rem(mul(result, acc, p), modulus, p)
-        acc = rem(mul(acc, acc, p), modulus, p)
-        e >>= 1
-    return result
+    return power(lambda a, b: rem(mul(a, b, p), modulus, p), [1],
+                 rem(base, modulus, p), e)

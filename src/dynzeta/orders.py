@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import (HypothesisViolated, InvalidCombination, Mismatch,
                      PrecisionExhausted, SpecError, ZeroInput)
 from .field import field_make
-from .intarith import check_prime, v_p, v_p_strict
+from .intarith import check_prime, power, v_p, v_p_strict
 from .limits import PADIC_PRECISION_CAP
 
 _DIRECT_CHECK_N_CAP = 32
@@ -113,14 +113,7 @@ class QuadElem:
     def __pow__(self, n):
         if n < 0:
             raise SpecError("negative powers not defined in the order")
-        result = self.ring.one()
-        acc = self
-        while n:
-            if n & 1:
-                result = result * acc
-            acc = acc * acc
-            n >>= 1
-        return result
+        return power(QuadElem.__mul__, self.ring.one(), self, n)
 
     def conj(self):
         return QuadElem(self.ring, self.a + self.b * self.ring.trace, -self.b)
@@ -154,11 +147,6 @@ class PrimeContext:
             raise PrecisionExhausted(f"p-adic precision cap {PADIC_PRECISION_CAP} hit")
         return prime_context(self.ring, self.p, precision=precision,
                              unit_root=self.unit_root % self.p)
-
-    @property
-    def coroot(self):
-        """Residue of tau attached to the inseparable prime itself."""
-        return (self.ring.trace - self.unit_root) % self.p
 
 
 def _quadratic_roots_mod_p(T, N, p):
@@ -252,11 +240,8 @@ class QuatOrder:
     alpha: int    # i^2
     beta: int     # j^2
 
-    def elem(self, a, b=0, c=0, d=0, halves=False):
-        """Element with the given coordinates; doubled unless halves=True
-        in which case (a,b,c,d) are already the doubled numerators."""
-        if halves:
-            return QuatElem(self, a, b, c, d)
+    def elem(self, a, b=0, c=0, d=0):
+        """Element a + b i + c j + d k (stored doubled)."""
         return QuatElem(self, 2 * a, 2 * b, 2 * c, 2 * d)
 
     def one(self):
@@ -323,14 +308,7 @@ class QuatElem:
     def __pow__(self, n):
         if n < 0:
             raise SpecError("negative powers not defined in the order")
-        result = self.order.one()
-        acc = self
-        while n:
-            if n & 1:
-                result = result * acc
-            acc = acc * acc
-            n >>= 1
-        return result
+        return power(QuatElem.__mul__, self.order.one(), self, n)
 
     def conj(self):
         return QuatElem(self.order, self.a, -self.b, -self.c, -self.d)

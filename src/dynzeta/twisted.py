@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import (HypothesisViolated, InseparableSigma, Mismatch,
                      ScaleExceeded, SpecError, ZeroElement)
 from .field import Poly, check_poly_scale
-from .intarith import multiplicative_order, v_p
+from .intarith import multiplicative_order, power, v_p
 from .sentinels import INFINITY, TRANSCENDENTAL
 
 _DIRECT_CHECK_COEFF_CAP = 4096
@@ -126,15 +126,7 @@ def tw_pow(a: TwistedPoly, n: int, trunc=None) -> TwistedPoly:
     """a^n by repeated squaring; ``trunc`` as in :func:`tw_mul`."""
     if n < 0:
         raise SpecError("negative twisted powers are not defined")
-    result = TwistedPoly.one(a.ctx)
-    acc = a
-    while n:
-        if n & 1:
-            result = tw_mul(result, acc, trunc)
-        n >>= 1
-        if n:
-            acc = tw_mul(acc, acc, trunc)
-    return result
+    return power(lambda x, y: tw_mul(x, y, trunc), TwistedPoly.one(a.ctx), a, n)
 
 
 def tw_sub_scalar(a: TwistedPoly, omega) -> TwistedPoly:

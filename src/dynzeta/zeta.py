@@ -551,25 +551,22 @@ def _certificate_lattes_ordinary(mapping: LattesOrdinary, opts) -> Certificate:
 def _certificate_lattes_supersingular(mapping: LattesSupersingular, opts):
     p = mapping.p
     guard = {2: 3, 3: 2}.get(p, 1)
-
-    def norm_minus(k, g):
-        return supersingular_norm(mapping, k, g)
-
-    m = next((k for k in range(1, 2000) if v_p(norm_minus(k, 1), p) >= guard),
-             None)
+    m = next((k for k in range(1, 2000)
+              if v_p(supersingular_norm(mapping, k, 1), p) >= guard), None)
     if m is None:
         raise Mismatch("no step with the required ideal valuation (internal)")
-    v0 = v_p(norm_minus(m, 1), p)
+    v0 = v_p(supersingular_norm(mapping, m, 1), p)
     beta = {2: 16, 3: 3}.get(p, 1)
     others = []
     for g in mapping.gammas:
-        unit_gap = norm_minus(0, g)   # nrd(1 - gamma), zero only for gamma = 1
+        # nrd(1 - gamma), zero only for gamma = 1
+        unit_gap = supersingular_norm(mapping, 0, g)
         if unit_gap == 0:
             continue
         c = v_p(unit_gap, p)
         if c >= v0:
             raise Mismatch("unit valuation not dominated (internal)")
-        others.append((norm_minus(m * beta, g), c))
+        others.append((supersingular_norm(mapping, m * beta, g), c))
     if mapping.sigma_quat is None:
         def period(g, ell):
             return _tn_period(mapping, m, g, ell)
@@ -580,7 +577,8 @@ def _certificate_lattes_supersingular(mapping: LattesSupersingular, opts):
             return norm_sequence(sig_m, g, ell, 16).least_period
     return _geometric_certificate(
         "lattes-supersingular", mapping, m, v0, beta, p * p,
-        {2: 8, 3: 9}.get(p, p), len(mapping.gammas), 0, norm_minus(m * beta, 1),
+        {2: 8, 3: 9}.get(p, p), len(mapping.gammas), 0,
+        supersingular_norm(mapping, m * beta, 1),
         others, _lattes_stride(mapping.gammas, period), 24, opts)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -204,16 +205,99 @@ class TestSpecValidation:
         "automata --kind vp-geometric --a 2 --p 4 --ell 5",
         "automata --kind vp-tower --a 1 --p 3 --ell 5",
         "automata --kind christol --p 4 --poly y+t",
+        # T^2 > 4N: the degree form is positive definite
+        "count --family lattes-supersingular --p 7 --sigma-tn 3,2 --n-max 2",
+        "verdict --family lattes-supersingular --p 7 --sigma-tn 5,4",
+        # x -> (x^2+x)/(x^2+1) is an involution: n = 1 has a count, n = 2
+        # is refused
+        "oracle --p 2 --num 0,1,1 --den 1,0,1 --n-max 3",
     ])
     def test_refused_before_the_first_record(self, argv):
-        # each passes validate_params; the handler refuses it at once
+        # each passes validate_params; the handler refuses it before its
+        # first record
         assert run_cli(argv.split()) == (2, "")
+
+    def test_supersingular_trace_at_the_norm_bound(self):
+        # T^2 = 4N is sigma = T/2, an integer
+        code, _ = run_cli("count --family lattes-supersingular --p 7 "
+                          "--sigma-tn 4,4 --n-max 2".split())
+        assert code == 0
 
     def test_parser_built_once(self):
         assert make_parser() is make_parser()
         assert run_cli(["count", "--family", "power", "--p", "3", "--d", "2",
                         "--n-max", "1"])[0] == 0
         assert run_cli(["count", "--family", "power", "--p", "3"]) == (2, "")
+
+
+class TestFlagSpellings:
+    @pytest.mark.parametrize("argv", [
+        "count --family lattes-ordinary --p 1009 --tau -1,2 --sigma-quad 2,0",
+        "count --family lattes-ordinary --p 1009 --tau 1,2 --sigma-quad -2,1",
+        "count --family lattes-supersingular --p 7 --sigma-tn -1,2 --n-max 3",
+        "count --family lattes-supersingular --p 3 --sigma-quat -1,1,1,1",
+        "count --family additive --p 3 --sigma -1,1 --n-max 4",
+        "count --family additive --p 3 --ratfunc --sigma -u,1 --n-max 2",
+        "oracle --p 5 --num -1,0,1 --n-max 3",
+        "oracle --p 5 --num 1,0,1 --den -1,1 --n-max 3",
+        "automata --kind christol --p 3 --poly y+t --prefix -1,1",
+    ])
+    def test_negative_list_value_without_equals(self, argv):
+        joined = re.sub(r"(--[a-z-]+) (-[0-9u])", r"\1=\2", argv)
+        assert joined != argv
+        assert run_cli(argv.split()) == run_cli(joined.split())
+
+    @pytest.mark.parametrize("argv", [["count", "--family", "power", "--p",
+                                       "3", "--d", "2", "--num"],
+                                      ["oracle", "--p", "5", "--num", "--n-max",
+                                       "2"]])
+    def test_list_flag_without_value(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_table_before_the_verb(self):
+        argv = ["count", "--family", "power", "--p", "3", "--d", "2"]
+        before = run_cli(["--table"] + argv)
+        assert before == run_cli(argv + ["--table"])
+        assert before[0] == 0 and "closed=3" in before[1]
+
+    def test_job_before_the_verb(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "jobs",
+                            "power_count.json")
+        before = run_cli(["--job", path, "count"])
+        assert before == run_cli(["count", "--job", path])
+        assert before == run_cli(["--job", path])
+        assert before[0] == 0
+
+    def test_show_flag(self):
+        argv = ["automata", "--kind", "vp-geometric", "--a", "2", "--p", "3",
+                "--ell", "5", "--depth", "2", "--terms", "2000"]
+        code, text = run_cli(argv + ["--show", "3"])
+        assert code == 0
+        header, sequence = map(json.loads, text.splitlines()[:2])
+        assert header["params"]["show"] == "3"
+        assert sequence["values"] == json.loads(
+            run_cli(argv)[1].splitlines()[1])["values"][:3]
+
+    def test_params_follow_the_flag_table(self):
+        # the header lists params in table order, whatever the flag order
+        flags = ("--ratfunc --sigma 1 --tau 1,2 --sigma-quad 1,1 --sigma-tn 1,2 "
+                 "--sigma-quat 2,0,0,0 --num 0,1 --den 1 --s 2 --variant norm "
+                 "--translation 0 --gamma-order 2 --gamma mu2 --unit-root 1 "
+                 "--k 1 --seed 1 --ext-degree 1 --max-order 2 --max-period 3 "
+                 "--n-max 2 --n-min 1 --terms 4 --d 2 --p 3 --family power")
+        spec = compile_spec(make_parser().parse_args(["zeta"] + flags.split()))
+        assert list(spec.params) == [
+            "family", "p", "k", "seed", "d", "s", "variant", "translation",
+            "gamma_order", "unit_root", "gamma", "ratfunc", "sigma", "tau",
+            "sigma_tn", "sigma_quat", "num", "den", "n_min", "n_max", "terms",
+            "max_order", "ext_degree", "max_period"]
+        assert spec.params["sigma"] == [1, 1]
+        spec = compile_spec(make_parser().parse_args(
+            "zeta --tau 1,2 --sigma-quad 1,1 --p 3".split()))
+        assert list(spec.params) == ["p", "tau", "sigma"]
 
 
 class TestRegressions:

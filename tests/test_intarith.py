@@ -1,9 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynzeta.errors import SpecError
-from dynzeta.intarith import isqrt_exact, v_p, v_p_progression
+from dynzeta.intarith import isqrt_exact, power, v_p, v_p_progression
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 2**70), st.integers(2, 10**9))
+def test_power_matches_builtin_pow_with_no_wasted_squaring(a, e, n):
+    products = []
+
+    def mul(x, y):
+        products.append(None)
+        return x * y % n
+
+    assert power(mul, 1 % n, a % n, e) == pow(a, e, n)
+    assert len(products) == (e.bit_length() - 1 + bin(e).count("1") if e
+                             else 0)
 
 
 def _expected(alpha, beta, p, n):
