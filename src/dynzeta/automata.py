@@ -124,8 +124,9 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
     Classification is "closed" when the class count was flat across the
     last two depth increments, "growing" otherwise.
     """
-    if base < 2:
-        raise SpecError("kernel base must be at least 2")
+    if base < 2 or depth < 0 or prefix_len < 1:
+        raise SpecError("kernel exploration needs base >= 2, depth >= 0 "
+                        "and prefix_len >= 1")
     check_kernel_budget(base, depth, prefix_len, budget)
     horizon = base ** depth * prefix_len
     if isinstance(seq, np.ndarray):
@@ -234,27 +235,21 @@ def christol_series(poly_y, p: int, prefix, length: int):
     if len(poly_y) < 2:
         raise SpecError("equation must involve y")
     work = length + 8
+    d_poly_y = [[c * j for c in coeff] for j, coeff in enumerate(poly_y)][1:]
 
-    def eval_P(y, n):
+    def horner(coeffs, y, n):
         acc = []
-        for coeff in reversed(poly_y):
+        for coeff in reversed(coeffs):
             acc = modpoly.add(_series_mul(acc, y, p, n), [c % p for c in coeff[:n]], p)
-        return acc[:n]
-
-    def eval_dP(y, n):
-        acc = []
-        for j in range(len(poly_y) - 1, 0, -1):
-            term = [c * j % p for c in poly_y[j][:n]]
-            acc = modpoly.add(_series_mul(acc, y, p, n), term, p)
         return acc[:n]
 
     y = [c % p for c in prefix]
     probe = max(work + 8, 2 * len(y) + 8)
-    value = eval_P(y, probe)
+    value = horner(poly_y, y, probe)
     s = _series_val(value)
     if s is not None and s < len(y):
         raise NotARoot("prefix does not annihilate the equation to its length")
-    deriv = eval_dP(y, work)
+    deriv = horner(d_poly_y, y, work)
     v = _series_val(deriv)
     if v is None or (s is not None and s <= 2 * v):
         # Classical Hensel gate: val(P(y0)) must exceed 2*val(P'(y0)).
@@ -262,11 +257,11 @@ def christol_series(poly_y, p: int, prefix, length: int):
 
     steps = 0
     while True:
-        value = eval_P(y, length + v + 1)
+        value = horner(poly_y, y, length + v + 1)
         val_v = _series_val(value)
         if val_v is None or val_v >= length + v:
             break
-        deriv = eval_dP(y, work)
+        deriv = horner(d_poly_y, y, work)
         if _series_val(deriv) != v:
             raise SingularRoot("derivative valuation drifted (internal)")
         unit = deriv[v:] + [0] * v
@@ -277,7 +272,7 @@ def christol_series(poly_y, p: int, prefix, length: int):
         if steps > length.bit_length() + 8:
             raise SingularRoot("Newton iteration failed to converge")
     out = (y + [0] * length)[:length]
-    check = eval_P(out, length)
+    check = horner(poly_y, out, length)
     if _series_val(check) is not None and _series_val(check) < length:
         raise NotARoot("resulting series fails re-substitution (internal)")
     return out

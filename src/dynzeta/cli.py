@@ -350,13 +350,12 @@ def run_job(spec: JobSpec):
 
 
 def _cmd_count(params):
+    periods = _periods(params, 8)
     fam, realized = _resolve_map(params)
     if fam is None:
         raise SpecError("count needs a family map; use oracle for raw maps")
-    n_max = params.get("n_max", 8)
-    n_min = params.get("n_min", 1)
     mismatches = 0
-    for n in range(n_min, n_max + 1):
+    for n in periods:
         closed = per_n_closed(fam, n)
         oracle_value = None
         match = None
@@ -370,20 +369,29 @@ def _cmd_count(params):
                 oracle_value = None
         yield {"record": "row", "n": n, "closed": closed,
                "oracle": oracle_value, "match": match}
-    yield {"record": "summary", "rows": n_max - n_min + 1,
+    yield {"record": "summary", "rows": len(periods),
            "mismatches": mismatches, "separability": classify_separability(fam)}
     if mismatches:
         raise Mismatch(f"{mismatches} closed-form/oracle disagreements")
 
 
+def _periods(params, n_max):
+    """range(n_min, n_max + 1) of a count or oracle job; empty is refused."""
+    n_min, n_max = params.get("n_min", 1), params.get("n_max", n_max)
+    if n_min > n_max:
+        raise SpecError(f"n_min {n_min} exceeds n_max {n_max}")
+    return range(n_min, n_max + 1)
+
+
 def _cmd_oracle(params):
+    periods = _periods(params, 4)
     _, realized = _resolve_map(params)
     if realized is None:
         raise SpecError("this map has no concrete realization to iterate")
     # every row is formed before the first is written, so a refusal at a
     # later n (an iterate that is the identity) leaves stdout empty
     rows = []
-    for n in range(params.get("n_min", 1), params.get("n_max", 4) + 1):
+    for n in periods:
         try:
             count = per_n_oracle(realized, n)
         except ScaleExceeded:
@@ -393,9 +401,9 @@ def _cmd_oracle(params):
 
 
 def _cmd_zeta(params):
-    fam, _ = _resolve_map(params)
-    if fam is None:
+    if "family" not in params:
         raise SpecError("zeta needs a family map")
+    fam = build_family(params)
     terms = params.get("terms", 30)
     counts = [per_n_closed(fam, n) for n in range(1, terms + 1)]
     series = zeta_from_counts(counts)
@@ -414,10 +422,9 @@ def _cmd_zeta(params):
 
 
 def _cmd_verdict(params):
-    fam, _ = _resolve_map(params)
-    if fam is None:
+    if "family" not in params:
         raise SpecError("verdict needs a family map")
-    result = verdict(fam)
+    result = verdict(build_family(params))
     record = {"record": "verdict", "outcome": result.outcome,
               "reason": result.reason}
     if result.closed_form is not None:
@@ -478,17 +485,18 @@ def _cmd_automata(params):
         else:
             seq = vp_tower_sequence(params["a"], params["p"], params["ell"],
                                     params.get("terms", 2000))
+        # every record is formed before the first is written, so a
+        # refused kernel leaves stdout empty
+        base = params.get("base", params["ell"])
+        report = kernel_explore(seq.values.__getitem__, base,
+                                params.get("depth", 3), params.get("prefix_len", 64))
+        scan = eventual_period_detect(seq.values)
         yield {"record": "sequence", "order": seq.order,
                "index_base": seq.index_base,
                "values": list(seq.values[:params.get("show", 64)])}
-        base = params.get("base", params["ell"])
-        depth = params.get("depth", 3)
-        report = kernel_explore(seq.values.__getitem__, base, depth,
-                                params.get("prefix_len", 64))
         yield {"record": "kernel", "base": base,
                "class_counts": list(report.class_counts),
                "classification": report.classification}
-        scan = eventual_period_detect(seq.values)
         yield {"record": "period", "found": scan is not None,
                "preperiod": scan[0] if scan else None,
                "period": scan[1] if scan else None}

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
                      SpecError, SubadditiveConditionViolated)
-from .field import Poly, embed, extend_field, field_make
+from .field import Poly, check_poly_scale, embed, extend_field, field_make
 from .dynmap import RatMap, poly_map, rat_map
 from .intarith import check_prime, v_p
 from .limits import enum_cap
@@ -390,14 +390,17 @@ def chebyshev_poly(ctx, d: int) -> Poly:
 
 
 def realize(m, curve=None) -> RatMap:
-    """Concrete rational map over the smallest sufficient field context."""
+    """Concrete rational map over the smallest sufficient field context;
+    ScaleExceeded when its degree passes the polynomial degree cap."""
     if isinstance(m, PowerMap):
+        check_poly_scale(abs(m.d))
         ctx = field_make(m.p)
         if m.d > 0:
             return poly_map(Poly.x_power(ctx, m.d))
         return rat_map(ctx, [1], [0] * (-m.d) + [1])
 
     if isinstance(m, ChebyshevMap):
+        check_poly_scale(m.d)
         return poly_map(chebyshev_poly(field_make(m.p), m.d))
 
     if isinstance(m, AdditiveMap):

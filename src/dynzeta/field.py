@@ -16,10 +16,10 @@ Representation conventions:
   inverses and powers are then table lookups.  Larger fields build no
   tables and compute on the digits.  ``extend_field(ctx, b)`` on F_(p^a)
   returns the field of ``field_make(p, a*b)``, so equal fields share one
-  set of tables.  The arithmetic of the eight most recently used
-  extensions, and the subfield roots of the eight most recently used
-  embeddings, live in ``functools.lru_cache``s, whose ``cache_info()``
-  counts hits and misses.
+  set of tables.  The eight most recently made fields, the arithmetic of
+  the eight most recently used extensions, and the subfield roots of the
+  eight most recently used embeddings live in ``functools.lru_cache``s,
+  whose ``cache_info()`` counts hits and misses.
 * A subfield F_(p^a) of F_(p^(ab)) is reached by ``embed``, which sends
   the adjoined root of the smaller field to a fixed root of its modulus
   in the larger one (Lidl-Niederreiter, *Finite Fields*, Thm 2.14).  That
@@ -904,7 +904,7 @@ def field_make(p, k=1, seed=None):
     """
     check_prime(p)
     _check_degree(k)
-    return _flat_field(p, k, seed)
+    return _flat_field(p, k, seed or 0)
 
 
 def extend_field(ctx, degree):
@@ -920,7 +920,7 @@ def extend_field(ctx, degree):
     if degree == 1:
         return ctx
     _check_degree(degree)
-    return _flat_field(ctx.p, ctx.k * degree)
+    return _flat_field(ctx.p, ctx.k * degree, 0)
 
 
 def _check_degree(k):
@@ -928,11 +928,13 @@ def _check_degree(k):
         raise SpecError(f"extension degree {k} outside [1, {EXTENSION_DEGREE_CAP}]")
 
 
-def _flat_field(p, k, seed=None):
+@functools.lru_cache(maxsize=8)
+def _flat_field(p, k, skip):
+    """The skip-th field of field_make(p, k); contexts are immutable, so
+    the eight most recently made are shared instead of searched again."""
     prime = FieldCtx(p, 1, "finite")
     if k == 1:
         return prime
-    skip = seed or 0
     for m in range(p ** k):
         coeffs = []
         mm = m

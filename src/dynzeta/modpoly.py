@@ -2,11 +2,14 @@
 
 Coefficient lists are ascending (index i holds the x^i coefficient) and
 trimmed: the last entry is nonzero, [] is the zero polynomial.  Values are
-Python ints in [0, p).  Multiplication and the division/gcd remainder
-chains run on int64 numpy arrays while every product of two coefficients
-fits ((p-1)^2 < 2^62), and on object arrays of Python ints above that;
-callers always get lists of Python ints back, so big-integer arithmetic
-downstream never sees numpy scalars.
+Python ints in [0, p).  Every product, whatever the lengths and p, is one
+Kronecker substitution (von zur Gathen-Gerhard, *Modern Computer Algebra*,
+section 8.4): both factors are packed into Python ints and CPython's
+big-int product does the work.  The division/gcd remainder chains run on
+int64 numpy arrays while every product of two coefficients fits
+((p-1)^2 < 2^62), and on object arrays of Python ints above that; callers
+always get lists of Python ints back, so big-integer arithmetic downstream
+never sees numpy scalars.
 """
 
 import numpy as np
@@ -49,37 +52,26 @@ def neg(a: list, p: int) -> list:
 
 
 def mul(a: list, b: list, p: int) -> list:
+    """One w-byte little-endian slot per coefficient; w holds the largest
+    coefficient of the integer product, min(len(a), len(b))*(p-1)^2."""
     if not a or not b:
         return []
-    la, lb = len(a), len(b)
-    if la * lb <= 1024:
-        out = [0] * (la + lb - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return trim([c % p for c in out])
-    if min(la, lb) * (p - 1) * (p - 1) < _NP_SAFE:
-        conv = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        return trim([int(c) for c in conv % p])
-    return _kronecker_mul(a, b, p)
+    n = len(a) + len(b) - 1
+    w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    data = (_pack(a, w) * _pack(b, w)).to_bytes(n * w, "little")
+    if w <= 8:
+        slots = np.zeros((n, 8), dtype=np.uint8)
+        slots[:, :w] = np.frombuffer(data, dtype=np.uint8).reshape(n, w)
+        return trim((slots.view("<u8").ravel() % p).tolist())
+    return trim([int.from_bytes(data[i:i + w], "little") % p
+                 for i in range(0, n * w, w)])
 
 
-def _kronecker_mul(a: list, b: list, p: int) -> list:
-    bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 1
-    av = 0
-    for c in reversed(a):
-        av = (av << bits) | c
-    bv = 0
-    for c in reversed(b):
-        bv = (bv << bits) | c
-    prod = av * bv
-    mask = (1 << bits) - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((prod & mask) % p)
-        prod >>= bits
-    return trim(out)
+def _pack(a: list, w: int) -> int:
+    if w <= 8:
+        data = np.array(a, dtype="<u8").view(np.uint8).reshape(-1, 8)[:, :w]
+        return int.from_bytes(data.tobytes(), "little")
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
 
 
 def _dtype(p: int):

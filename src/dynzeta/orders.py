@@ -22,6 +22,7 @@ Three kinds of ring are covered:
 
 from dataclasses import dataclass
 
+from . import modpoly
 from .errors import (HypothesisViolated, InvalidCombination, Mismatch,
                      PrecisionExhausted, SpecError, ZeroInput)
 from .field import field_make
@@ -574,12 +575,7 @@ def _norm_recurrence(T, N, ell):
     ascending order; the sequence satisfies
     a_n = rec[3] a_(n-1) + rec[2] a_(n-2) + rec[1] a_(n-3) + rec[0] a_(n-4).
     """
-    q1 = [N % ell, (-(1 + N)) % ell, 1]
-    q2 = [N % ell, (-T) % ell, 1]
-    char = [0] * 5
-    for i, ci in enumerate(q1):
-        for j, cj in enumerate(q2):
-            char[i + j] = (char[i + j] + ci * cj) % ell
+    char = modpoly.mul([N % ell, (-(1 + N)) % ell, 1], [N % ell, (-T) % ell, 1], ell)
     return char, [(-c) % ell for c in char[:4]]
 
 

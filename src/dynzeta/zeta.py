@@ -26,7 +26,7 @@ from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        LattesOrdinary, LattesSupersingular, PowerMap,
                        SubadditiveMap, VARIANT_NORM, classify_separability,
                        map_degree, per_n_closed, supersingular_norm)
-from .intarith import (first_prime_where, last_prime_where,
+from .intarith import (factorize, first_prime_where, last_prime_where,
                        multiplicative_order, v_p)
 from .limits import ELL_SEARCH_CAP
 from .orders import (_norm_recurrence, _state_cycle, norm_sequence,
@@ -139,24 +139,17 @@ def _solve_linear(rows, rhs):
 
 def _integer_roots(poly):
     """Distinct integer roots with deflation; None unless it splits fully."""
-    from math import lcm
-    denom = lcm(*[c.denominator for c in poly]) if poly else 1
+    denom = math.lcm(*[c.denominator for c in poly]) if poly else 1
     coeffs = [int(c * denom) for c in poly]
     roots = []
     while len(coeffs) > 1:
         while coeffs and coeffs[0] == 0:
             return None  # zero root: not a sum of nonzero geometric terms
-        const = abs(coeffs[0])
-        found = None
-        for cand in range(1, const + 1):
-            if const % cand:
-                continue
-            for root in (cand, -cand):
-                if sum(c * root ** i for i, c in enumerate(coeffs)) == 0:
-                    found = root
-                    break
-            if found is not None:
-                break
+        divisors = [1]
+        for q, e in factorize(abs(coeffs[0])).items():
+            divisors = [d * q ** i for d in divisors for i in range(e + 1)]
+        found = next((root for cand in sorted(divisors) for root in (cand, -cand)
+                      if sum(c * root ** i for i, c in enumerate(coeffs)) == 0), None)
         if found is None:
             return None
         # synthetic division by (x - found)

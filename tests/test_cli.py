@@ -211,11 +211,45 @@ class TestSpecValidation:
         # x -> (x^2+x)/(x^2+1) is an involution: n = 1 has a count, n = 2
         # is refused
         "oracle --p 2 --num 0,1,1 --den 1,0,1 --n-max 3",
+        # empty period ranges
+        "count --family power --p 3 --d 2 --n-min 5 --n-max 2",
+        "oracle --p 3 --num 0,0,1 --n-min 6",
+        # kernel parameters no exploration can use
+        "automata --kind vp-geometric --a 2 --p 3 --ell 5 --terms 9000 --base 1",
+        "automata --kind vp-geometric --a 2 --p 3 --ell 5 --terms 9000 --depth -1",
+        "automata --kind vp-geometric --a 2 --p 3 --ell 5 --terms 9000 "
+        "--prefix-len 0",
+        # x^d and T_d past the polynomial degree cap have no realization
+        "census --family power --p 5 --d 20001 --max-period 1",
+        "oracle --family chebyshev --p 5 --d 10001 --n-max 1",
     ])
     def test_refused_before_the_first_record(self, argv):
         # each passes validate_params; the handler refuses it before its
         # first record
         assert run_cli(argv.split()) == (2, "")
+
+    def test_verdict_and_zeta_build_no_realization(self, monkeypatch):
+        def refuse(fam, curve=None):
+            raise AssertionError("realize called")
+        monkeypatch.setattr("dynzeta.cli.realize", refuse)
+        for verb in ("verdict", "zeta"):
+            code, text = run_cli([verb, "--family", "chebyshev", "--p", "5",
+                                  "--d", "3"])
+            assert code == 0 and text
+
+    def test_zeta_of_a_power_map_at_a_large_prime(self):
+        # x^p at p = 10^8 + 7: x^p is not built, and the rationality
+        # search tries the divisors of p, not every integer up to p
+        code, text = run_cli("zeta --family power --p 100000007 --d 100000007 "
+                             "--terms 12".split())
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2c55abe17221c1c73fbec4846230c2bb79f9d8d109fe0dc89dabbaeae756a140")
+
+    def test_count_past_the_degree_cap_has_no_oracle(self):
+        code, text = run_cli("count --family power --p 5 --d 20001 "
+                             "--n-max 1".split())
+        assert code == 0 and '"oracle":null' in text
 
     def test_supersingular_trace_at_the_norm_bound(self):
         # T^2 = 4N is sigma = T/2, an integer

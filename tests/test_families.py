@@ -3,7 +3,7 @@ import pytest
 from dynzeta.dynmap import compose, per_n_oracle, rat_map
 from dynzeta.elliptic import EllipticCurve, lattes_oracle
 from dynzeta.errors import (NonIntegerOrbitCount, NotRealizable,
-                            SubadditiveConditionViolated)
+                            ScaleExceeded, SubadditiveConditionViolated)
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
                               SubadditiveMap, VARIANT_ABSOLUTE, VARIANT_NORM,
@@ -61,6 +61,12 @@ class TestClosedForms:
     def test_negative_odd_power(self):
         assert per_n_closed(PowerMap(5, -3), 1) == 4
         assert per_n_oracle(realize(PowerMap(5, -3)), 1) == 4
+
+    @pytest.mark.parametrize("fam", [PowerMap(5, 10_001), PowerMap(5, -10_001),
+                                     ChebyshevMap(5, 10_001)])
+    def test_realization_past_the_degree_cap_refused(self, fam):
+        with pytest.raises(ScaleExceeded):
+            realize(fam)
 
     def test_inseparable_fast_path(self):
         assert per_n_closed(PowerMap(3, 3), 2) == 10

@@ -1,7 +1,8 @@
-"""Verdict, oracle and enumerate stdout against the benchmark's digests.
+"""Verdict, oracle, enumerate and series stdout against the benchmark's digests.
 
-Every job of the benchmark's verdict, oracle and enumerate pools runs in
-process, a CLI job as `dynzeta --job FILE`, and its stdout sha256 must
+Every job of the benchmark's verdict, oracle and enumerate pools, and one
+series job per slot and per map or equation (at its fewest terms), runs
+in process, a CLI job as `dynzeta --job FILE`, and its stdout sha256 must
 equal the entry in perfbench/golden.json.  Certificates are part of
 verdict stdout, so this pins every certificate field the CLI prints.
 perfbench/jobs.py is loaded by path and only read.
@@ -45,12 +46,19 @@ def test_pool_is_pinned():
 @pytest.mark.parametrize("job", [job for _, job in VERDICT_JOBS],
                          ids=[name for name, _ in VERDICT_JOBS])
 def test_verdict_stdout_matches_golden(job, tmp_path):
+    assert _digest(_cli_stdout(job, tmp_path)) == GOLDEN[JOBS.job_id(job)]
+
+
+def _cli_stdout(job, tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(dict(job, schema=SCHEMA)), encoding="utf-8")
     out = io.StringIO()
     assert main(["--job", str(path)], out=out) == 0
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == GOLDEN[JOBS.job_id(job)]
+    return out.getvalue()
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 POOL_JOBS = [(f"{workload}-{slot}-{i}", job)
@@ -79,12 +87,34 @@ def test_oracle_and_enumerate_pools_are_pinned():
 @pytest.mark.parametrize("job", [job for _, job in POOL_JOBS],
                          ids=[name for name, _ in POOL_JOBS])
 def test_pool_stdout_matches_golden(job, tmp_path):
-    if "call" in job:
-        text = _torsion_stdout(job)
-    else:
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(dict(job, schema=SCHEMA)), encoding="utf-8")
-        out = io.StringIO()
-        assert main(["--job", str(path)], out=out) == 0
-        text = out.getvalue()
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[JOBS.job_id(job)]
+    text = _torsion_stdout(job) if "call" in job else _cli_stdout(job, tmp_path)
+    assert _digest(text) == GOLDEN[JOBS.job_id(job)]
+
+
+def _series_sample():
+    """(name, job) with the fewest terms for each slot and map or equation."""
+    sample = {}
+    for slot, pool in sorted(JOBS.slots("series").items()):
+        for job in pool:
+            params = {k: v for k, v in job["params"].items() if k != "terms"}
+            key = (slot, JOBS.job_id(params))
+            if key not in sample or (job["params"]["terms"]
+                                     < sample[key]["params"]["terms"]):
+                sample[key] = job
+    return [(f"series-{slot}-{i}", job)
+            for i, ((slot, _), job) in enumerate(sorted(sample.items()))]
+
+
+SERIES_JOBS = _series_sample()
+
+
+def test_series_sample_is_pinned():
+    # 13 Christol equations and 19 zeta maps
+    assert len(SERIES_JOBS) == 32
+    assert all(JOBS.job_id(job) in GOLDEN for _, job in SERIES_JOBS)
+
+
+@pytest.mark.parametrize("job", [job for _, job in SERIES_JOBS],
+                         ids=[name for name, _ in SERIES_JOBS])
+def test_series_stdout_matches_golden(job, tmp_path):
+    assert _digest(_cli_stdout(job, tmp_path)) == GOLDEN[JOBS.job_id(job)]

@@ -1,7 +1,8 @@
 """modpoly against pure-Python references, for primes up to 2^127.
 
 Primes past 2^31 make coefficient products overflow int64, which is where
-the numpy remainder loops must switch to exact Python ints.
+the numpy remainder loops must switch to exact Python ints, and where the
+slots of mul's packed product grow past the eight bytes of a numpy view.
 """
 
 import pytest
@@ -119,3 +120,31 @@ def test_divrem_identity_at_each_prime(p):
     q, r = modpoly.divrem(a, b, p)
     assert modpoly.add(_ref_mul(q, b, p), r, p) == _trim(a)
     assert all(isinstance(c, int) for c in q + r)
+
+
+@st.composite
+def _mul_case(draw):
+    # Random coefficients, or all p - 1, whose product needs the widest
+    # slot; lengths up to 70 and a few in the hundreds.
+    p = draw(st.sampled_from(PRIMES))
+    length = st.integers(0, 70) | st.sampled_from((128, 257, 400))
+    la, lb = draw(length), draw(length)
+    if draw(st.booleans()):
+        return p, [p - 1] * la, [p - 1] * lb
+    rnd = draw(st.randoms(use_true_random=False))
+    return p, [rnd.randrange(p) for _ in range(la)], [rnd.randrange(p) for _ in range(lb)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mul_case())
+def test_mul_matches_reference(case):
+    p, a, b = case
+    assert modpoly.mul(a, b, p) == _ref_mul(a, b, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_widest_slot_at_each_prime(p):
+    a, b = [p - 1] * 300, [p - 1] * 41
+    out = modpoly.mul(a, b, p)
+    assert out == _ref_mul(a, b, p)
+    assert all(type(c) is int for c in out)

@@ -107,6 +107,15 @@ class TestRationalityGuess:
     def test_short_prefix_gives_none(self):
         assert rationality_guess([1, 2]) is None
 
+    def test_root_found_among_the_divisors_only(self):
+        # 1 + D^n with D prime: the roots come from the divisors of the
+        # constant term D, not from a scan of every integer up to it
+        D = 10 ** 12 + 39
+        start = time.perf_counter()
+        guess = rationality_guess([1 + D ** n for n in range(1, 25)])
+        assert time.perf_counter() - start < 5.0
+        assert guess.numerator == (1,) and guess.denominator == (1, -(D + 1), D)
+
 
 class TestVerdicts:
     def test_inseparable_rational(self):
