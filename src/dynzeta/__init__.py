@@ -14,9 +14,9 @@ from .twisted import (TwistedPoly, constant_order, kernel_size_ga, lte_ga,
                       realize_additive, tw_add, tw_mul, tw_pow,
                       tw_sub_scalar, v_phi)
 from .orders import (B3_ORDER, HURWITZ, NormSequenceReport, PrimeContext,
-                     QuadElem, QuadRing, QuatElem, aut_group_table, lte_int,
-                     lte_quad, lte_quat, norm_sequence, prime_context,
-                     v_I, v_frak_p)
+                     QuadElem, QuadRing, QuatElem, lte_int, lte_quad,
+                     lte_quat, norm_sequence, prime_context, units, v_I,
+                     v_frak_p)
 from .elliptic import (CurvePoint, EllipticCurve, is_supersingular,
                        lattes_oracle, lattes_realize, point_count,
                        torsion_count)

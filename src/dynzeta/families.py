@@ -26,7 +26,7 @@ acceptance suite's torsion-enumeration oracle.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 
 from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
                      SpecError, SubadditiveConditionViolated)
@@ -34,7 +34,7 @@ from .field import Poly, check_poly_scale, embed, extend_field, field_make
 from .dynmap import RatMap, poly_map, rat_map
 from .intarith import check_prime, v_p
 from .limits import enum_cap
-from .orders import (PrimeContext, QuadElem, QuatElem, aut_group_table,
+from .orders import (PrimeContext, QuadElem, QuadRing, QuatElem, units,
                      v_frak_p)
 from .twisted import TwistedPoly, realize_additive, v_phi, v_phi_pow_minus
 
@@ -135,64 +135,77 @@ class LattesOrdinary:
             raise SpecError("multiplier outside the context ring")
         if self.sigma.norm() < 2:
             raise SpecError("affine morphisms have degree >= 2")
-        groups = dict(aut_group_table(self.prime_ctx.p, False, "quadratic",
-                                      ring=self.prime_ctx.ring))
-        if self.gamma_order not in groups:
+        k = self.gamma_order
+        one = self.sigma.ring.one()
+        gammas = tuple(u for u in units(self.sigma.ring) if u ** k == one)
+        if k not in (2, 3, 4, 6) or len(gammas) != k:
             raise InvalidCombination(
-                f"no cyclic automorphism group of order {self.gamma_order} in this ring")
-        if self.prime_ctx.p in (2, 3) and self.gamma_order != 2:
+                f"no cyclic automorphism group of order {k} in this ring")
+        if self.prime_ctx.p in (2, 3) and k != 2:
             raise InvalidCombination("only the order-2 group exists for p in {2, 3}")
-        object.__setattr__(self, "gammas",
-                           tuple(g for g, _ in groups[self.gamma_order]))
+        object.__setattr__(self, "gammas", gammas)
 
     @property
     def p(self):
         return self.prime_ctx.p
 
+    def valuation(self, x) -> int:
+        """The p-power exponent of #ker x: v at the oriented split prime."""
+        return v_frak_p(x, self.prime_ctx)
+
 
 @dataclass(frozen=True)
 class LattesSupersingular:
-    """Supersingular quotient; sigma abstract (trace, norm) for p >= 5,
-    explicit quaternion coordinates for p in {2, 3} with j = 0."""
+    """Supersingular quotient E/Gamma.  sigma is given by (trace, norm) for
+    p >= 5, and stored as tau in QuadRing(trace, norm); for p in {2, 3}
+    (j = 0) it is a quaternion of the explicit maximal order."""
 
     p: int
-    sigma_trace: int | None = None
-    sigma_norm: int | None = None
-    sigma_quat: QuatElem | None = None
+    sigma_trace: InitVar[int | None] = None
+    sigma_norm: InitVar[int | None] = None
+    sigma_quat: InitVar[QuatElem | None] = None
     gamma: str = "mu2"   # "mu2" or "units"
+    sigma: QuadElem | QuatElem = dc_field(init=False)
     gammas: tuple = dc_field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, sigma_trace, sigma_norm, sigma_quat):
         check_prime(self.p)
         if self.p in (2, 3):
-            if self.sigma_quat is None:
+            if sigma_quat is None:
                 raise SpecError("p in {2, 3} needs explicit quaternion coordinates")
-            if self.sigma_quat.order.p != self.p:
+            if sigma_quat.order.p != self.p:
                 raise SpecError("quaternion order belongs to a different prime")
-            if self.sigma_quat.reduced_norm() < 2:
-                raise SpecError("affine morphisms have degree >= 2")
-            table = aut_group_table(self.p, True, "quaternion")
-            if self.gamma == "units":
-                gammas = tuple(g for g, _, _ in table)
-            elif self.gamma == "mu2":
-                one = self.sigma_quat.order.one()
-                gammas = (one, -one)
-            else:
-                raise InvalidCombination(f"unknown gamma group {self.gamma!r}")
+            sigma = sigma_quat
+        elif sigma_trace is None or sigma_norm is None:
+            raise SpecError("p >= 5 supersingular multipliers are (trace, norm) pairs")
+        elif sigma_trace ** 2 > 4 * sigma_norm:
+            raise InvalidCombination(
+                "no endomorphism has trace^2 > 4 * norm (the degree form "
+                "is positive definite)")
         else:
-            if self.sigma_trace is None or self.sigma_norm is None:
-                raise SpecError("p >= 5 supersingular multipliers are (trace, norm) pairs")
-            if self.sigma_norm < 2:
-                raise SpecError("affine morphisms have degree >= 2")
-            if self.sigma_trace ** 2 > 4 * self.sigma_norm:
+            sigma = QuadRing(sigma_trace, sigma_norm).elem(0, 1)
+        if sigma.norm() < 2:
+            raise SpecError("affine morphisms have degree >= 2")
+        one = sigma ** 0
+        if self.gamma == "mu2":
+            gammas = (one, -one)
+        elif self.gamma == "units" and isinstance(sigma, QuatElem):
+            gammas = tuple(units(sigma.order))
+            # E/Gamma carries sigma only if sigma Gamma = Gamma sigma.
+            if {sigma * g for g in gammas} != {g * sigma for g in gammas}:
                 raise InvalidCombination(
-                    "no endomorphism has trace^2 > 4 * norm (the degree form "
-                    "is positive definite)")
-            if self.gamma != "mu2":
-                raise InvalidCombination(
-                    "abstract (trace, norm) multipliers only support the order-2 group")
-            gammas = (1, -1)
+                    "the multiplier does not normalise the unit group, so "
+                    "the quotient by it has no induced map")
+        else:
+            # (trace, norm) data fixes no unit group beyond -1
+            raise InvalidCombination(
+                f"gamma group {self.gamma!r} is not available for this multiplier")
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "gammas", gammas)
+
+    def valuation(self, x) -> int:
+        """The p-power exponent of #ker x: v_p of the reduced norm."""
+        return v_p(x.norm(), self.p)
 
 
 DynAffineMap = (PowerMap, ChebyshevMap, AdditiveMap, SubadditiveMap,
@@ -228,12 +241,8 @@ def map_degree(m) -> int:
         return m.sigma.map_degree()
     if isinstance(m, LattesGenericJ):
         return m.s * m.s
-    if isinstance(m, LattesOrdinary):
+    if isinstance(m, (LattesOrdinary, LattesSupersingular)):
         return m.sigma.norm()
-    if isinstance(m, LattesSupersingular):
-        if m.sigma_quat is not None:
-            return m.sigma_quat.reduced_norm()
-        return m.sigma_norm
     raise SpecError(f"not a dynamically affine map: {m!r}")
 
 
@@ -246,10 +255,8 @@ def classify_separability(m) -> str:
         insep = v_phi(m.sigma) != 0
     elif isinstance(m, LattesGenericJ):
         insep = m.s % m.p == 0
-    elif isinstance(m, LattesOrdinary):
-        insep = v_frak_p(m.sigma, m.prime_ctx) != 0
-    elif isinstance(m, LattesSupersingular):
-        insep = map_degree(m) % m.p == 0
+    elif isinstance(m, (LattesOrdinary, LattesSupersingular)):
+        insep = m.valuation(m.sigma) != 0
     else:
         raise SpecError(f"not a dynamically affine map: {m!r}")
     return "inseparable" if insep else "separable"
@@ -303,44 +310,14 @@ def per_n_closed(m, n: int) -> int:
 
         return per_n_template(0, (1, -1), kernel, n)
 
-    if isinstance(m, LattesOrdinary):
+    if isinstance(m, (LattesOrdinary, LattesSupersingular)):
         def kernel(g, k):
             x = m.sigma ** k - g
-            nv = x.norm()
-            return nv // m.p ** v_frak_p(x, m.prime_ctx)
-
-        return per_n_template(0, m.gammas, kernel, n)
-
-    if isinstance(m, LattesSupersingular):
-        def kernel(g, k):
-            nv = supersingular_norm(m, k, g)
-            return nv // m.p ** v_p(nv, m.p)
+            return x.norm() // m.p ** m.valuation(x)
 
         return per_n_template(0, m.gammas, kernel, n)
 
     raise SpecError(f"not a dynamically affine map: {m!r}")
-
-
-def supersingular_norm(m: LattesSupersingular, k: int, g) -> int:
-    """nrd(sigma^k - g), the degree of sigma^k - g on the curve.
-
-    From (trace, norm) data with an integer g this is N^k - g T_k + g^2,
-    T_k the trace of sigma^k; quaternion multipliers are powered exactly.
-    """
-    if m.sigma_quat is not None:
-        return (m.sigma_quat ** k - g).reduced_norm()
-    T, N = m.sigma_trace, m.sigma_norm
-    return N ** k - g * _trace_power(T, N, k) + g * g
-
-
-def _trace_power(T: int, N: int, k: int) -> int:
-    """trace(sigma^k) from trace/norm via the quadratic recurrence."""
-    if k == 0:
-        return 2
-    t0, t1 = 2, T
-    for _ in range(k - 1):
-        t0, t1 = t1, T * t1 - N * t0
-    return t1
 
 
 def _subadditive_roots(m: SubadditiveMap):
@@ -379,14 +356,20 @@ def _subadditive_roots(m: SubadditiveMap):
 
 
 def chebyshev_poly(ctx, d: int) -> Poly:
-    """T_d normalized by T_d(x + 1/x) = x^d + x^(-d)."""
-    t0 = Poly.from_ints(ctx, [2])
-    t1 = Poly.x_power(ctx, 1)
-    if d == 0:
-        return t0
-    for _ in range(d - 1):
-        t0, t1 = t1, Poly.x_power(ctx, 1) * t1 - t0
-    return t1
+    """T_d normalized by T_d(x + 1/x) = x^d + x^(-d).
+
+    Built by doubling along the bits of d, keeping (T_n, T_(n+1)):
+    T_2n = T_n^2 - 2 and T_(2n+1) = T_n T_(n+1) - x.
+    """
+    x = Poly.x_power(ctx, 1)
+    two = Poly.from_ints(ctx, [2])
+    low, high = two, x
+    for bit in bin(d)[2:]:
+        if bit == "1":
+            low, high = low * high - x, high * high - two
+        else:
+            low, high = low * low - two, low * high - x
+    return low
 
 
 def realize(m, curve=None) -> RatMap:

@@ -148,6 +148,14 @@ def factorize(n: int) -> dict:
     return out
 
 
+def divisors(n: int) -> list:
+    """The positive divisors of n >= 1 in ascending order."""
+    out = [1]
+    for q, e in factorize(n).items():
+        out = [d * q ** i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
 def multiplicative_order(a: int, modulus: int) -> int:
     """Order of a in (Z/modulus)^*; requires gcd(a, modulus) == 1."""
     a %= modulus

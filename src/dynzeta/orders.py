@@ -4,13 +4,17 @@ Three kinds of ring are covered:
 
 * rational integers with the p-adic valuation and its exponent-lifting
   identity v_p(x^n - y^n) = v_p(x - y) + v_p(n);
-* imaginary quadratic orders Z[tau] with tau^2 = T*tau - N.  The prime
-  above p attached to inseparable isogenies is represented implicitly by a
-  Hensel-lifted unit root u of x^2 - T x + N: evaluating a + b*tau at u
-  gives the conjugate prime's valuation, and v_frak(x) is recovered as
-  v_p(norm(x)) minus that.  Which unit root is "the" one is an orientation
-  choice the caller may pin; the default takes the (numerically least)
-  unit root.
+* quadratic orders Z[tau] with tau^2 = T*tau - N and T^2 <= 4N.  At
+  T^2 = 4N the ring is Z[eps] with eps = tau - T/2 and eps^2 = 0; its norm
+  (a + b*T/2)^2 is still multiplicative, which is all an integer
+  multiplier given by (trace, norm) needs.  In the imaginary case the
+  prime above p attached to inseparable isogenies is represented
+  implicitly by a Hensel-lifted unit root u of x^2 - T x + N: evaluating
+  a + b*tau at u gives the conjugate prime's valuation, and v_frak(x) is
+  recovered as v_p(norm(x)) minus that.  Which unit root is "the" one is
+  an orientation choice the caller may pin; the default takes the
+  (numerically least) unit root.  A double root (T^2 = 4N) has no
+  orientation and is refused.
 * the two explicit maximal quaternion orders that occur at p = 2 and
   p = 3: Hurwitz integers in (-1,-1 | Q), and the order with basis
   1, i, (1+j)/2, (i+k)/2 in (-1,-3 | Q).  Elements are stored by doubled
@@ -21,6 +25,7 @@ Three kinds of ring are covered:
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import modpoly
 from .errors import (HypothesisViolated, InvalidCombination, Mismatch,
@@ -58,13 +63,13 @@ def lte_int(x: int, y: int, p: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class QuadRing:
-    """Z[tau] with tau^2 = trace*tau - norm and negative discriminant."""
+    """Z[tau] with tau^2 = trace*tau - norm and discriminant <= 0."""
 
     trace: int
     norm: int
 
     def __post_init__(self):
-        if self.trace ** 2 - 4 * self.norm >= 0:
+        if self.disc > 0:
             raise SpecError("ring is not imaginary quadratic")
 
     @property
@@ -251,6 +256,14 @@ class QuatOrder:
     def zero(self):
         return self.elem(0, 0, 0, 0)
 
+    def contains(self, a, b, c, d):
+        """Whether doubled coordinates (a, b, c, d) lie in the order."""
+        if self.p == 2:
+            # Hurwitz lattice: all four halves share one parity.
+            return len({a % 2, b % 2, c % 2, d % 2}) == 1
+        # basis 1, i, (1+j)/2, (i+k)/2
+        return (a - c) % 2 == 0 and (b - d) % 2 == 0
+
 
 HURWITZ = QuatOrder(2, -1, -1)
 B3_ORDER = QuatOrder(3, -1, -3)
@@ -267,14 +280,8 @@ class QuatElem:
     d: int
 
     def __post_init__(self):
-        if self.order.p == 2:
-            # Hurwitz lattice: all four halves share one parity.
-            if len({self.a % 2, self.b % 2, self.c % 2, self.d % 2}) != 1:
-                raise SpecError("coordinates outside the Hurwitz lattice")
-        else:
-            # basis 1, i, (1+j)/2, (i+k)/2
-            if (self.a - self.c) % 2 or (self.b - self.d) % 2:
-                raise SpecError("coordinates outside the p=3 order lattice")
+        if not self.order.contains(self.a, self.b, self.c, self.d):
+            raise SpecError(f"coordinates outside the p={self.order.p} order lattice")
 
     def is_zero(self):
         return self.a == self.b == self.c == self.d == 0
@@ -314,7 +321,8 @@ class QuatElem:
     def conj(self):
         return QuatElem(self.order, self.a, -self.b, -self.c, -self.d)
 
-    def reduced_norm(self) -> int:
+    def norm(self) -> int:
+        """Reduced norm."""
         al, be = self.order.alpha, self.order.beta
         val = (self.a ** 2 - al * self.b ** 2 - be * self.c ** 2
                + al * be * self.d ** 2)
@@ -322,7 +330,8 @@ class QuatElem:
             raise SpecError("norm not integral (internal)")
         return val // 4
 
-    def reduced_trace(self) -> int:
+    def trace(self) -> int:
+        """Reduced trace."""
         return self.a
 
     def _coerce(self, other):
@@ -339,7 +348,7 @@ def v_I(x: QuatElem, p: int | None = None) -> int:
         raise ZeroInput("valuation of zero")
     if p is not None and p != x.order.p:
         raise SpecError(f"order belongs to p = {x.order.p}, not {p}")
-    return v_p_strict(x.reduced_norm(), x.order.p)
+    return v_p_strict(x.norm(), x.order.p)
 
 
 def lte_quat(x: QuatElem, y: QuatElem, n: int) -> int:
@@ -377,129 +386,28 @@ def lte_quat(x: QuatElem, y: QuatElem, n: int) -> int:
     return value
 
 
-# -- unit groups and the gamma tables ----------------------------------------------------
+# -- unit groups ----------------------------------------------------------------------------
 
 
-def hurwitz_units():
-    """All 24 units of the Hurwitz order."""
-    units = []
-    for axis in range(4):
-        for s in (1, -1):
-            co = [0, 0, 0, 0]
-            co[axis] = 2 * s
-            units.append(QuatElem(HURWITZ, *co))
-    for sa in (1, -1):
-        for sb in (1, -1):
-            for sc in (1, -1):
-                for sd in (1, -1):
-                    units.append(QuatElem(HURWITZ, sa, sb, sc, sd))
-    return units
+def units(order):
+    """The norm-1 elements of a definite order (QuadRing or QuatOrder).
 
-
-def b3_units():
-    """All 12 units of the p = 3 order."""
-    units = []
-    for s in (1, -1):
-        units.append(QuatElem(B3_ORDER, 2 * s, 0, 0, 0))
-        units.append(QuatElem(B3_ORDER, 0, 2 * s, 0, 0))
-    for sa in (1, -1):
-        for sc in (1, -1):
-            units.append(QuatElem(B3_ORDER, sa, 0, sc, 0))
-            units.append(QuatElem(B3_ORDER, 0, sa, 0, sc))
-    return units
-
-
-def quad_roots_of_unity(ring: QuadRing):
-    """Roots of unity in Z[tau], grouped as {order: [elements]}."""
-    found = {}
-    disc = -ring.disc  # 4N - T^2 > 0
-    for t in (-2, -1, 0, 1, 2):
-        num = 4 - t * t
-        sols = []
-        if num == 0:
-            sols = [(t // 2, 0)]
-        elif num % disc == 0:
-            from .intarith import isqrt_exact
-            b2 = num // disc
-            broot = isqrt_exact(b2)
-            if broot is not None:
-                for b in {broot, -broot}:
-                    if (t - b * ring.trace) % 2 == 0:
-                        sols.append(((t - b * ring.trace) // 2, b))
-        for a, b in sols:
-            g = QuadElem(ring, a, b)
-            if g.norm() != 1:
-                continue
-            order = _unit_order(g)
-            found.setdefault(order, [])
-            if g not in found[order]:
-                found[order].append(g)
-    return found
-
-
-def _unit_order(g):
-    acc = g
-    for k in range(1, 13):
-        if acc == g.ring.one():
-            return k
-        acc = acc * g
-    raise SpecError("not a root of unity of small order")
-
-
-def aut_group_table(p: int, j_zero: bool, flavor: str, ring: QuadRing | None = None):
-    """Automorphism-group data with the valuation of 1 - gamma per element.
-
-    flavor "quaternion": the full unit group of the hardcoded order for
-    p in {2, 3} (j invariant 0), each entry (gamma, v_I(1 - gamma),
-    p**v_I(1 - gamma)).  flavor "quadratic": the cyclic groups available in
-    the given ring, entries (order k, [(gamma, norm(1 - gamma))]).
+    The norm is a positive definite form in the doubled coordinates: 4
+    norm(a + b tau) = (2a + bT)^2 + b^2 (4N - T^2), and four times the
+    reduced norm of a quaternion is a sum of its doubled coordinates'
+    squares with positive weights.  So every unit has each of those
+    coordinates in [-2, 2].
     """
-    if flavor == "quaternion":
-        if p == 2 and j_zero:
-            units, order = hurwitz_units(), HURWITZ
-        elif p == 3 and j_zero:
-            units, order = b3_units(), B3_ORDER
-        else:
-            raise InvalidCombination("explicit quaternion units exist only for "
-                                     "p in {2, 3} with j invariant 0")
-        one = order.one()
-        table = []
-        for g in units:
-            if g == one:
-                table.append((g, 0, 1))
-                continue
-            v = v_I(one - g)
-            table.append((g, v, p ** v))
-        return table
-    if flavor == "quadratic":
-        if ring is None:
-            raise InvalidCombination("quadratic table needs ring parameters")
-        by_order = quad_roots_of_unity(ring)
-        groups = []
-        for k in (2, 3, 4, 6):
-            if k not in by_order:
-                continue
-            gammas = _cyclic_subgroup(ring, by_order, k)
-            if gammas is None:
-                continue
-            entries = [(g, (ring.one() - g).norm() if g != ring.one() else 0)
-                       for g in gammas]
-            groups.append((k, entries))
-        return groups
-    raise InvalidCombination(f"unknown flavor {flavor!r}")
-
-
-def _cyclic_subgroup(ring, by_order, k):
-    gens = by_order.get(k)
-    if not gens:
-        return None
-    g = gens[0]
-    out = []
-    acc = ring.one()
-    for _ in range(k):
-        out.append(acc)
-        acc = acc * g
-    return out
+    span = range(-2, 3)
+    if isinstance(order, QuatOrder):
+        found = (QuatElem(order, *co) for co in product(span, repeat=4)
+                 if order.contains(*co))
+    elif order.disc < 0:
+        found = (order.elem((t - b * order.trace) // 2, b)
+                 for t in span for b in span if (t - b * order.trace) % 2 == 0)
+    else:
+        raise SpecError("a degenerate quadratic ring has infinitely many units")
+    return [u for u in found if u.norm() == 1]
 
 
 # -- norm sequences and their recurrence ---------------------------------------------------
@@ -515,18 +423,6 @@ class NormSequenceReport:
     bound_exponent: int   # least A <= 4 with period | (ell-1)(ell^2-1)ell^A
 
 
-def _norm_of(x):
-    return x.reduced_norm() if isinstance(x, QuatElem) else x.norm()
-
-
-def _trace_of(x):
-    return x.reduced_trace() if isinstance(x, QuatElem) else x.trace()
-
-
-def _one_like(x):
-    return x.order.one() if isinstance(x, QuatElem) else x.ring.one()
-
-
 def norm_sequence(sigma, gamma, ell: int, length: int) -> NormSequenceReport:
     """norm(sigma^n - gamma) mod ell, computed two independent ways.
 
@@ -539,13 +435,12 @@ def norm_sequence(sigma, gamma, ell: int, length: int) -> NormSequenceReport:
     check_prime(ell)
     if length < 8:
         raise SpecError("need at least 8 terms")
-    char, rec = _norm_recurrence(_trace_of(sigma), _norm_of(sigma), ell)
+    char, rec = _norm_recurrence(sigma.trace(), sigma.norm(), ell)
 
-    one = _one_like(sigma)
     direct = []
-    power = one
-    for _ in range(max(length, 8)):
-        direct.append(_norm_of(power - gamma) % ell)
+    power = sigma ** 0
+    for _ in range(length):
+        direct.append((power - gamma).norm() % ell)
         power = power * sigma
     seq = list(direct[:4])
     for i in range(4, len(direct)):

@@ -8,7 +8,9 @@ search over exact rationals.  Transcendence is never claimed outright:
 the verdict engine emits either a verified rational closed form or a
 finite certificate (choice of step m and auxiliary prime ell, a residue
 sequence manipulated out of the periodic-point counts, kernel growth in
-base ell, kernel closure in base p, and a failed periodicity scan).
+base ell, kernel closure in base p, and a failed periodicity scan).  A
+certificate that fails its own consistency checks, or whose auxiliary
+prime is heuristic, gives the weaker outcome "inconclusive".
 """
 
 import math
@@ -21,16 +23,15 @@ from .automata import (KernelReport, check_kernel_budget,
                        eventual_period_detect, kernel_explore,
                        residue_sequence)
 from .errors import (Mismatch, NoAdmissibleEll, NonIntegerCoefficient,
-                     SpecError)
+                     ScaleExceeded, SpecError)
 from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        LattesOrdinary, LattesSupersingular, PowerMap,
                        SubadditiveMap, VARIANT_NORM, classify_separability,
-                       map_degree, per_n_closed, supersingular_norm)
-from .intarith import (factorize, first_prime_where, last_prime_where,
+                       map_degree, per_n_closed)
+from .intarith import (divisors, first_prime_where, last_prime_where,
                        multiplicative_order, v_p)
 from .limits import ELL_SEARCH_CAP
-from .orders import (_norm_recurrence, _state_cycle, norm_sequence,
-                     v_frak_p)
+from .orders import norm_sequence
 from .sentinels import TRANSCENDENTAL
 from .twisted import constant_order, tw_pow, tw_sub_scalar, v_phi
 
@@ -145,10 +146,8 @@ def _integer_roots(poly):
     while len(coeffs) > 1:
         while coeffs and coeffs[0] == 0:
             return None  # zero root: not a sum of nonzero geometric terms
-        divisors = [1]
-        for q, e in factorize(abs(coeffs[0])).items():
-            divisors = [d * q ** i for d in divisors for i in range(e + 1)]
-        found = next((root for cand in sorted(divisors) for root in (cand, -cand)
+        found = next((root for cand in divisors(abs(coeffs[0]))
+                      for root in (cand, -cand)
                       if sum(c * root ** i for i, c in enumerate(coeffs)) == 0), None)
         if found is None:
             return None
@@ -273,7 +272,7 @@ class VerdictOptions:
 
 @dataclass(frozen=True)
 class Verdict:
-    outcome: str              # "rational" | "transcendental-evidence"
+    outcome: str   # "rational" | "transcendental-evidence" | "inconclusive"
     reason: str
     closed_form: tuple | None  # (numerator, denominator) int coefficient lists
     certificate: Certificate | None
@@ -505,88 +504,78 @@ def _certificate_ga(mapping, opts) -> Certificate:
                             rederived, opts, heuristic=heuristic)
 
 
-def _lattes_stride(gammas, period):
-    """alpha(ell): lcm over gamma of period(gamma, ell), so that every gamma
-    term is constant mod ell along the progression."""
-    return lambda ell: math.lcm(*(period(g, ell) for g in gammas))
+def _certificate_lattes(mapping, opts) -> Certificate:
+    """Ordinary and supersingular Lattes quotients E/Gamma of x -> sigma x.
 
-
-def _certificate_lattes_ordinary(mapping: LattesOrdinary, opts) -> Certificate:
+    #ker(sigma^k - gamma) is norm(sigma^k - gamma) / p^v with v the
+    family's valuation; the two families differ only in v and in how the
+    step m is found.  Along k = m (alpha n + beta) the exponent lift
+    gives v(sigma^(m k) - 1) = v0 + v_p(k) (ordinary, ratio p) or
+    v0 + 2 v_p(k) (supersingular, ratio p^2), and every gamma != 1 adds a
+    term of constant valuation v(1 - gamma) < v0.  alpha(ell) is the lcm
+    over gamma of the least period of norm(sigma^(m k) - gamma) mod ell,
+    so every gamma term is constant mod ell along the progression.
+    """
     p = mapping.p
-    ctx = mapping.prime_ctx
-    one = ctx.ring.one()
-    # Step m: order of sigma in the residue ring mod the prime (squared
-    # for p = 2 so the exponent-lift guard holds).
-    modulus = p ** (2 if p == 2 else 1)
-    lift = ctx.with_precision(max(ctx.precision, 4))
-    coroot = (lift.ring.trace - lift.unit_root) % modulus
-    m = multiplicative_order((mapping.sigma.a + mapping.sigma.b * coroot) % modulus,
-                             modulus)
+    if isinstance(mapping, LattesOrdinary):
+        family, ratio = "lattes-ordinary", p
+        m = _ordinary_step(mapping)
+    else:
+        family, ratio = "lattes-supersingular", p * p
+        m = _supersingular_step(mapping, opts)
     sig_m = mapping.sigma ** m
-    v0 = v_frak_p(sig_m - lift.ring.one(), ctx)
+    one = sig_m ** 0
+    v0 = mapping.valuation(sig_m - one)
     beta = {2: 16, 3: 3}.get(p, 1)
     others = []
     for g in mapping.gammas:
         if g == one:
             continue
-        c = v_frak_p(one - g, ctx)
+        c = mapping.valuation(one - g)
         if c >= v0:
-            raise Mismatch("boundary valuation not dominated (internal)")
+            raise Mismatch("unit valuation not dominated (internal)")
         others.append(((sig_m ** beta - g).norm(), c))
-    stride = _lattes_stride(
-        mapping.gammas, lambda g, ell: norm_sequence(sig_m, g, ell, 16).least_period)
+
+    def stride(ell):
+        return math.lcm(*(norm_sequence(sig_m, g, ell, 16).least_period
+                          for g in mapping.gammas))
+
     return _geometric_certificate(
-        "lattes-ordinary", mapping, m, v0, beta, p, {2: 8, 3: 9}.get(p, p),
+        family, mapping, m, v0, beta, ratio, {2: 8, 3: 9}.get(p, p),
         len(mapping.gammas), 0, (sig_m ** beta - one).norm(), others, stride,
         24, opts)
 
 
-def _certificate_lattes_supersingular(mapping: LattesSupersingular, opts):
+def _ordinary_step(mapping: LattesOrdinary) -> int:
+    """Order of sigma in the residue ring mod the prime (squared for p = 2
+    so the exponent-lift guard holds)."""
+    p = mapping.p
+    modulus = p ** (2 if p == 2 else 1)
+    lift = mapping.prime_ctx.with_precision(max(mapping.prime_ctx.precision, 4))
+    coroot = (lift.ring.trace - lift.unit_root) % modulus
+    return multiplicative_order(
+        (mapping.sigma.a + mapping.sigma.b * coroot) % modulus, modulus)
+
+
+def _supersingular_step(mapping: LattesSupersingular, opts) -> int:
+    """Least k with v(sigma^k - 1) >= guard (3 at p = 2, 2 at p = 3, else 1).
+
+    The least such k is the order of sigma in (O/I^guard)^*, so it
+    divides that group's order B = (p^2 - 1) p^(2 (guard - 1)); the
+    divisors of B are tried in ascending order.  A step past the
+    crosscheck index cap is refused: no count along it could be
+    re-derived.
+    """
     p = mapping.p
     guard = {2: 3, 3: 2}.get(p, 1)
-    m = next((k for k in range(1, 2000)
-              if v_p(supersingular_norm(mapping, k, 1), p) >= guard), None)
-    if m is None:
-        raise Mismatch("no step with the required ideal valuation (internal)")
-    v0 = v_p(supersingular_norm(mapping, m, 1), p)
-    beta = {2: 16, 3: 3}.get(p, 1)
-    others = []
-    for g in mapping.gammas:
-        # nrd(1 - gamma), zero only for gamma = 1
-        unit_gap = supersingular_norm(mapping, 0, g)
-        if unit_gap == 0:
-            continue
-        c = v_p(unit_gap, p)
-        if c >= v0:
-            raise Mismatch("unit valuation not dominated (internal)")
-        others.append((supersingular_norm(mapping, m * beta, g), c))
-    if mapping.sigma_quat is None:
-        def period(g, ell):
-            return _tn_period(mapping, m, g, ell)
-    else:
-        sig_m = mapping.sigma_quat ** m
-
-        def period(g, ell):
-            return norm_sequence(sig_m, g, ell, 16).least_period
-    return _geometric_certificate(
-        "lattes-supersingular", mapping, m, v0, beta, p * p,
-        {2: 8, 3: 9}.get(p, p), len(mapping.gammas), 0,
-        supersingular_norm(mapping, m * beta, 1),
-        others, _lattes_stride(mapping.gammas, period), 24, opts)
-
-
-def _tn_period(mapping, m, gamma, ell):
-    """Least period of nrd(sigma^(m k) - gamma) mod ell from (T, N) data.
-
-    sigma^m has norm N_m = N^m and trace T_m = N_m + 1 - nrd(sigma^m - 1);
-    the stride-m norm sequence satisfies the order-4 recurrence with
-    characteristic polynomial (x-1)(x-N_m)(x^2 - T_m x + N_m).
-    """
-    Nm = mapping.sigma_norm ** m
-    Tm = Nm + 1 - supersingular_norm(mapping, m, 1)
-    rec = _norm_recurrence(Tm % ell, Nm % ell, ell)[1]
-    seed = [supersingular_norm(mapping, m * k, gamma) % ell for k in range(4)]
-    return _state_cycle(seed, rec, ell)[1]
+    for k in divisors((p * p - 1) * p ** (2 * (guard - 1))):
+        if k > opts.crosscheck_index_cap:
+            raise ScaleExceeded(
+                f"supersingular step exceeds the crosscheck index cap "
+                f"{opts.crosscheck_index_cap}")
+        if mapping.valuation(mapping.sigma ** k - 1) >= guard:
+            return k
+    raise Mismatch("no step with the required ideal valuation (internal)")
 
 
 def certificate_build(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Certificate:
@@ -602,10 +591,8 @@ def certificate_build(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Certif
                                mapping.variant == VARIANT_NORM, opts)
     if isinstance(mapping, (AdditiveMap, SubadditiveMap)):
         return _certificate_ga(mapping, opts)
-    if isinstance(mapping, LattesOrdinary):
-        return _certificate_lattes_ordinary(mapping, opts)
-    if isinstance(mapping, LattesSupersingular):
-        return _certificate_lattes_supersingular(mapping, opts)
+    if isinstance(mapping, (LattesOrdinary, LattesSupersingular)):
+        return _certificate_lattes(mapping, opts)
     raise SpecError(f"no certificate path for {type(mapping).__name__}")
 
 
@@ -622,17 +609,19 @@ def verdict(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Verdict:
     D = map_degree(mapping)
     if classify_separability(mapping) == "inseparable":
         return _rational_verdict(mapping, D, "inseparable", opts)
+    reason = "separable-multiplicative-or-lattes"
     if isinstance(mapping, (AdditiveMap, SubadditiveMap)):
-        order = constant_order(mapping.sigma)
-        if order is TRANSCENDENTAL:
+        if constant_order(mapping.sigma) is TRANSCENDENTAL:
             return _rational_verdict(mapping, D,
                                      "transcendental-linear-coefficient", opts)
-        cert = certificate_build(mapping, opts)
-        return Verdict("transcendental-evidence", "separable-additive-algebraic",
-                       None, cert, 0)
+        reason = "separable-additive-algebraic"
     cert = certificate_build(mapping, opts)
-    return Verdict("transcendental-evidence", "separable-multiplicative-or-lattes",
-                   None, cert, 0)
+    # Evidence that fails its own checks, or rests on a heuristic prime,
+    # supports no lean either way.
+    outcome = ("transcendental-evidence"
+               if cert.consistent() and not cert.heuristic_bound
+               else "inconclusive")
+    return Verdict(outcome, reason, None, cert, 0)
 
 
 def _rational_verdict(mapping, D, reason, opts):

@@ -222,11 +222,33 @@ class TestSpecValidation:
         # x^d and T_d past the polynomial degree cap have no realization
         "census --family power --p 5 --d 20001 --max-period 1",
         "oracle --family chebyshev --p 5 --d 10001 --n-max 1",
+        # sigma = (1+i+j+k)/2 does not normalise the 12 units at p = 3, so
+        # the default quotient by all of them carries no map
+        "count --family lattes-supersingular --p 3 --sigma-quat 1,1,1,1 "
+        "--n-max 3",
+        "verdict --family lattes-supersingular --p 3 --sigma-quat 1,1,1,1",
     ])
     def test_refused_before_the_first_record(self, argv):
         # each passes validate_params; the handler refuses it before its
         # first record
         assert run_cli(argv.split()) == (2, "")
+
+    def test_supersingular_step_past_two_thousand(self):
+        # sigma has order 3480 in F_(59^2)^*; the certificate is formed
+        # (or refused for scale), never an internal failure
+        code, text = run_cli("verdict --family lattes-supersingular --p 59 "
+                             "--sigma-tn 1,2".split())
+        assert code in (0, 3)
+        if code == 0:
+            cert = json.loads(text.splitlines()[2])
+            assert cert["m"] == "3480"
+
+    def test_inconsistent_evidence_is_inconclusive(self):
+        code, text = run_cli("verdict --family power --p 101 --d 2".split())
+        records = [json.loads(line) for line in text.splitlines()]
+        assert code == 0
+        assert records[1]["outcome"] == "inconclusive"
+        assert records[2]["consistent"] is False
 
     def test_verdict_and_zeta_build_no_realization(self, monkeypatch):
         def refuse(fam, curve=None):
@@ -412,6 +434,9 @@ JOB_FILE_DIGESTS = [
      "e73d1cc4d3b9735489d29028d851c0765ef018d6f6c356bf716cefc82f653c18"),
     ("christol_powers_of_two",
      "d52d8629cb1e1669086e2a6810a873f21cfb90140b74fbdd64c3ffa20cd0e57b"),
+    # the verdict pool's lattes-supersingular p = 11, (0, 3) job
+    ("lattes_supersingular_verdict",
+     "a0538e8d7f658327ae527812d8bffa0d60057ca1603b357b6ebad107321e1b2e"),
     ("power_count",
      "114d57af08eb77151093618182ee4748d4a580155ada41053e97cdc26a4ca806"),
 ]

@@ -2,14 +2,15 @@ import pytest
 
 from dynzeta.dynmap import compose, per_n_oracle, rat_map
 from dynzeta.elliptic import EllipticCurve, lattes_oracle
-from dynzeta.errors import (NonIntegerOrbitCount, NotRealizable,
+from dynzeta.errors import (DynzetaError, InvalidCombination,
+                            NonIntegerOrbitCount, NotRealizable,
                             ScaleExceeded, SubadditiveConditionViolated)
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
                               SubadditiveMap, VARIANT_ABSOLUTE, VARIANT_NORM,
                               chebyshev_poly, classify_separability,
                               map_degree, per_n_closed, per_n_template,
-                              realize, supersingular_norm)
+                              realize)
 from dynzeta.field import Poly, field_make
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
@@ -133,6 +134,15 @@ class TestChebyshevNormalization:
     def test_t2(self, F5):
         assert chebyshev_poly(F5, 2) == Poly.from_ints(F5, [-2, 0, 1])
 
+    def test_doubling_matches_the_three_term_recurrence(self):
+        for p in (2, 3, 5, 7):
+            ctx = field_make(p)
+            x = Poly.x_power(ctx, 1)
+            t0, t1 = Poly.from_ints(ctx, [2]), x
+            for d in range(60):
+                assert chebyshev_poly(ctx, d) == t0, (p, d)
+                t0, t1 = t1, x * t1 - t0
+
     def test_semiconjugacy(self, F5):
         # T_d((x^2+1)/x) == (x^(2d)+1)/x^d as rational maps, d <= 12
         for d in range(2, 13):
@@ -182,6 +192,35 @@ class TestLattesCounts:
         for n in (1, 2):
             assert per_n_closed(fam, n) == lattes_oracle(E, 2, n)
 
+    def test_ordinary_group_orders_follow_the_discriminant(self):
+        # order 4 exists exactly in rings of discriminant -4 (Z[i] and its
+        # shifts), orders 3 and 6 exactly at discriminant -3
+        for T in range(-6, 7):
+            for N in range(1, 20):
+                if T * T >= 4 * N:
+                    continue
+                ring = QuadRing(T, N)
+                ctx = None
+                for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+                    try:
+                        ctx = prime_context(ring, p)
+                        break
+                    except DynzetaError:
+                        continue
+                if ctx is None:
+                    continue
+                sigma = ring.elem(2, 0)
+                accepted = set()
+                for k in (1, 2, 3, 4, 5, 6, 8, 12):
+                    try:
+                        fam = LattesOrdinary(ctx, sigma, k)
+                    except InvalidCombination:
+                        continue
+                    assert len(fam.gammas) == k
+                    accepted.add(k)
+                expected = {-4: {2, 4}, -3: {2, 3, 6}}.get(ring.disc, {2})
+                assert accepted == expected, (T, N)
+
     def test_supersingular_tn_path(self):
         fam5 = LattesSupersingular(5, sigma_trace=4, sigma_norm=4)
         assert per_n_closed(fam5, 1) == 5
@@ -191,19 +230,22 @@ class TestLattesCounts:
 
     def test_supersingular_norm_agrees_across_encodings(self):
         # nrd(sigma^k - g) depends on sigma only through (trace, norm), so
-        # a quaternion and its (trace, norm) pair give the same norms
+        # a quaternion and tau of its (trace, norm) ring give the same
+        # norms; (4, 4) is the integer 2 in both encodings
         for order, coords in ((B3_ORDER, (2, 2, 0, 0)), (B3_ORDER, (1, 1, 3, 1)),
-                              (HURWITZ, (3, 1, 1, 1)), (HURWITZ, (4, 2, 0, 0))):
+                              (HURWITZ, (3, 1, 1, 1)), (HURWITZ, (4, 2, 0, 0)),
+                              (HURWITZ, (4, 0, 0, 0)), (B3_ORDER, (4, 0, 0, 0))):
             quat = QuatElem(order, *coords)
             fam_q = LattesSupersingular(order.p, sigma_quat=quat, gamma="mu2")
-            fam_tn = LattesSupersingular(5, sigma_trace=quat.reduced_trace(),
-                                         sigma_norm=quat.reduced_norm())
+            fam_tn = LattesSupersingular(5, sigma_trace=quat.trace(),
+                                         sigma_norm=quat.norm())
             for k in range(7):
                 for g in (-1, 0, 1, 2):
-                    assert (supersingular_norm(fam_q, k, g)
-                            == supersingular_norm(fam_tn, k, g)
-                            == (quat ** k - g).reduced_norm())
-            assert supersingular_norm(fam_tn, 1, 0) == map_degree(fam_tn)
+                    assert ((fam_q.sigma ** k - g).norm()
+                            == (fam_tn.sigma ** k - g).norm()
+                            == (quat ** k - g).norm())
+            assert map_degree(fam_q) == map_degree(fam_tn) == quat.norm()
+            assert fam_tn.sigma.trace() == quat.trace()
 
     def test_supersingular_quaternion_units(self):
         # Integer multipliers commute with every unit, so quotients by the
@@ -212,18 +254,34 @@ class TestLattesCounts:
                                   gamma="units")
         counts = [per_n_closed(fam, n) for n in range(1, 5)]
         assert all(c > 0 for c in counts)
-        fam3 = LattesSupersingular(3, sigma_quat=QuatElem(B3_ORDER, 2, 2, 0, 0),
+        fam3 = LattesSupersingular(3, sigma_quat=QuatElem(B3_ORDER, 4, 0, 0, 0),
                                    gamma="units")
         counts3 = [per_n_closed(fam3, n) for n in range(1, 5)]
         assert all(c > 0 for c in counts3)
 
+    @pytest.mark.parametrize("p,coords,normalises", [
+        (3, (4, 0, 0, 0), True), (3, (2, 2, 0, 0), False),
+        (3, (1, 1, 1, 1), False), (3, (1, 1, 3, 1), False),
+        (2, (6, 0, 0, 0), True), (2, (2, 2, 0, 0), True),
+        (2, (3, 1, 1, 1), False), (2, (4, 2, 0, 0), False)])
+    def test_units_quotient_needs_a_normaliser(self, p, coords, normalises):
+        order = HURWITZ if p == 2 else B3_ORDER
+        quat = QuatElem(order, *coords)
+        if normalises:
+            fam = LattesSupersingular(p, sigma_quat=quat, gamma="units")
+            assert all(per_n_closed(fam, n) > 0 for n in range(1, 4))
+        else:
+            with pytest.raises(InvalidCombination):
+                LattesSupersingular(p, sigma_quat=quat, gamma="units")
+        # the order-2 quotient needs no condition
+        LattesSupersingular(p, sigma_quat=quat, gamma="mu2")
+
     def test_incompatible_unit_quotient_is_flagged(self):
-        # (3+i+j+k)/2 does not normalize the full unit group; the orbit
-        # template must refuse rather than round.
-        fam = LattesSupersingular(2, sigma_quat=QuatElem(HURWITZ, 3, 1, 1, 1),
-                                  gamma="units")
-        with pytest.raises(NonIntegerOrbitCount):
-            per_n_closed(fam, 1)
+        # (3+i+j+k)/2 does not normalize the full unit group, so the
+        # quotient by it carries no map and construction refuses.
+        with pytest.raises(InvalidCombination):
+            LattesSupersingular(2, sigma_quat=QuatElem(HURWITZ, 3, 1, 1, 1),
+                                gamma="units")
         # the order-2 quotient of the same multiplier is fine
         fam2 = LattesSupersingular(2, sigma_quat=QuatElem(HURWITZ, 3, 1, 1, 1),
                                    gamma="mu2")

@@ -3,12 +3,10 @@ import random
 import pytest
 
 from dynzeta.errors import (HypothesisViolated, InvalidCombination,
-                            ZeroInput)
-from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
-                            aut_group_table, b3_units, hurwitz_units,
-                            lte_int, lte_quad, lte_quat, norm_sequence,
-                            prime_context, quad_roots_of_unity, v_I,
-                            v_frak_p)
+                            SpecError, ZeroInput)
+from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem, lte_int,
+                            lte_quad, lte_quat, norm_sequence, prime_context,
+                            units, v_I, v_frak_p)
 from dynzeta.intarith import v_p_strict
 
 ZI = QuadRing(0, 1)       # Z[i]
@@ -165,16 +163,30 @@ class TestQuadLift:
 
 class TestQuaternionOrders:
     def test_basic_norms(self):
-        assert HURWITZ.elem(0, 1, 0, 0).reduced_norm() == 1
-        assert HURWITZ.elem(1, 1, 0, 0).reduced_norm() == 2
-        assert QuatElem(HURWITZ, 1, 1, 1, 1).reduced_norm() == 1
-        assert QuatElem(B3_ORDER, 1, 0, 1, 0).reduced_norm() == 1
+        assert HURWITZ.elem(0, 1, 0, 0).norm() == 1
+        assert HURWITZ.elem(1, 1, 0, 0).norm() == 2
+        assert QuatElem(HURWITZ, 1, 1, 1, 1).norm() == 1
+        assert QuatElem(B3_ORDER, 1, 0, 1, 0).norm() == 1
 
     def test_unit_groups(self):
-        hw = hurwitz_units()
-        assert len(hw) == 24 and all(u.reduced_norm() == 1 for u in hw)
-        b3 = b3_units()
-        assert len(b3) == 12 and all(u.reduced_norm() == 1 for u in b3)
+        hw = units(HURWITZ)
+        assert len(hw) == 24 and all(u.norm() == 1 for u in hw)
+        # +-1, +-i, +-j, +-k and the 16 elements (+-1 +-i +-j +-k)/2
+        assert set(hw) == ({HURWITZ.elem(*co) for s in (1, -1)
+                            for co in ((s, 0, 0, 0), (0, s, 0, 0),
+                                       (0, 0, s, 0), (0, 0, 0, s))}
+                           | {QuatElem(HURWITZ, a, b, c, d) for a in (1, -1)
+                              for b in (1, -1) for c in (1, -1)
+                              for d in (1, -1)})
+        b3 = units(B3_ORDER)
+        assert len(b3) == 12 and all(u.norm() == 1 for u in b3)
+        # +-1, +-i, (+-1 +-j)/2 and (+-i +-k)/2
+        assert set(b3) == ({B3_ORDER.elem(s, 0, 0, 0) for s in (1, -1)}
+                           | {B3_ORDER.elem(0, s, 0, 0) for s in (1, -1)}
+                           | {QuatElem(B3_ORDER, a, 0, c, 0) for a in (1, -1)
+                              for c in (1, -1)}
+                           | {QuatElem(B3_ORDER, 0, b, 0, d) for b in (1, -1)
+                              for d in (1, -1)})
 
     def test_norm_multiplicative(self):
         rng = random.Random(31)
@@ -182,7 +194,7 @@ class TestQuaternionOrders:
             for _ in range(30):
                 x = _random_quat(order, rng)
                 y = _random_quat(order, rng)
-                assert (x * y).reduced_norm() == x.reduced_norm() * y.reduced_norm()
+                assert (x * y).norm() == x.norm() * y.norm()
 
     def test_cayley_hamilton(self):
         rng = random.Random(37)
@@ -190,7 +202,7 @@ class TestQuaternionOrders:
             one = order.one()
             for _ in range(30):
                 x = _random_quat(order, rng)
-                t, n = x.reduced_trace(), x.reduced_norm()
+                t, n = x.trace(), x.norm()
                 acc = x * x - QuatElem(order, 2 * t, 0, 0, 0) * x
                 acc = acc + QuatElem(order, 2 * n, 0, 0, 0)
                 assert acc.is_zero()
@@ -237,7 +249,7 @@ class TestQuatLift:
                 y = scalar + mult * x
                 if (x - y).is_zero() or y.is_zero():
                     continue
-                if x.reduced_norm() % p == 0 or y.reduced_norm() % p == 0:
+                if x.norm() % p == 0 or y.norm() % p == 0:
                     continue
                 if v_I(x - y) < guard:
                     continue
@@ -270,42 +282,101 @@ class TestQuatLift:
 
 
 class TestAutGroupTable:
+    """The automorphism groups Gamma, derived by units() from the orders."""
+
     def test_hurwitz_valuations(self):
-        table = aut_group_table(2, True, "quaternion")
-        assert len(table) == 24
+        one = HURWITZ.one()
         dist = {}
-        for _, v, c in table:
+        for g in units(HURWITZ):
+            v = 0 if g == one else v_I(one - g)
             dist[v] = dist.get(v, 0) + 1
-            assert c == 2 ** v
         assert dist == {0: 17, 1: 6, 2: 1}
 
     def test_b3_valuations(self):
-        table = aut_group_table(3, True, "quaternion")
-        assert len(table) == 12
+        one = B3_ORDER.one()
         dist = {}
-        for _, v, _ in table:
+        for g in units(B3_ORDER):
+            v = 0 if g == one else v_I(one - g)
             dist[v] = dist.get(v, 0) + 1
         assert dist == {0: 10, 1: 2}
 
-    def test_quadratic_groups(self):
-        groups = dict(aut_group_table(5, False, "quadratic", ring=ZI))
-        assert set(groups) == {2, 4}
-        norms = sorted(n for _, n in groups[4] if n)
-        assert norms == [2, 2, 4]   # 1-i, 1+i and 2
-        groups_w = dict(aut_group_table(5, False, "quadratic", ring=ZW))
-        assert set(groups_w) == {2, 3, 6}
-        # order-6 group: two primitive sixth roots (norm 1), two cube
-        # roots (norm 3), and -1 (norm 4)
-        assert sorted(n for _, n in groups_w[6] if n) == [1, 1, 3, 3, 4]
+    @staticmethod
+    def _orders(ring):
+        """{k: elements of multiplicative order k} over the ring's units."""
+        found = {}
+        for u in units(ring):
+            k = next(k for k in range(1, 13) if u ** k == ring.one())
+            found.setdefault(k, []).append(u)
+        return found
 
     def test_roots_of_unity_detected(self):
-        assert set(quad_roots_of_unity(ZI)) == {1, 2, 4}
-        assert set(quad_roots_of_unity(ZW)) == {1, 2, 3, 6}
-        assert set(quad_roots_of_unity(QuadRing(-3, 5))) == {1, 2}
+        assert set(self._orders(ZI)) == {1, 2, 4}
+        assert set(self._orders(ZW)) == {1, 2, 3, 6}
+        assert set(self._orders(QuadRing(-3, 5))) == {1, 2}
+
+    def test_quadratic_groups(self):
+        # the norms of 1 - gamma over the order-4 and order-6 groups
+        assert sorted((ZI.one() - g).norm() for g in units(ZI)) == [0, 2, 2, 4]
+        # order-6 group: two primitive sixth roots (norm 1), two cube
+        # roots (norm 3), and -1 (norm 4)
+        assert sorted((ZW.one() - g).norm()
+                      for g in units(ZW)) == [0, 1, 1, 3, 3, 4]
+        # the cyclic groups Gamma: the k with exactly k k-th roots of unity
+        for ring, groups in ((ZI, {2, 4}), (ZW, {2, 3, 6})):
+            assert {k for k in (2, 3, 4, 6)
+                    if sum(u ** k == ring.one() for u in units(ring)) == k
+                    } == groups
+
+    def test_shifted_rings(self):
+        # tau = 3 + i and tau = w + 2: units with |a| > 2 in the basis 1, tau
+        assert len(units(QuadRing(6, 10))) == 4
+        assert len(units(QuadRing(3, 3))) == 6
+        assert QuadRing(6, 10).elem(-3, 1) in units(QuadRing(6, 10))
+
+    def test_units_agree_with_a_full_search(self):
+        # every norm-1 element with coordinates in a wide box, for
+        # -6 <= T <= 6 and 1 <= N < 20
+        for T in range(-6, 7):
+            for N in range(1, 20):
+                if T * T >= 4 * N:
+                    continue
+                ring = QuadRing(T, N)
+                wide = {ring.elem(a, b) for a in range(-10, 11)
+                        for b in range(-10, 11)
+                        if ring.elem(a, b).norm() == 1}
+                assert set(units(ring)) == wide
 
     def test_invalid_combo(self):
+        # a degenerate ring has no finite unit group, and (trace, norm)
+        # multipliers have no explicit unit group to quotient by
+        with pytest.raises(SpecError):
+            units(QuadRing(4, 4))
+        from dynzeta.families import LattesSupersingular
         with pytest.raises(InvalidCombination):
-            aut_group_table(5, False, "quaternion")
+            LattesSupersingular(5, sigma_trace=0, sigma_norm=3, gamma="units")
+
+
+class TestDegenerateRing:
+    # T^2 = 4N: tau = T/2 + eps with eps^2 = 0, norm (a + b T/2)^2
+    def test_norm_is_multiplicative(self):
+        rng = random.Random(47)
+        for T, N in ((4, 4), (-2, 1), (6, 9), (0, 0)):
+            ring = QuadRing(T, N)
+            for _ in range(30):
+                x = ring.elem(rng.randint(-9, 9), rng.randint(-9, 9))
+                y = ring.elem(rng.randint(-9, 9), rng.randint(-9, 9))
+                assert (x * y).norm() == x.norm() * y.norm()
+                assert x.norm() == (2 * x.a + x.b * T) ** 2 // 4
+
+    def test_indefinite_ring_refused(self):
+        with pytest.raises(SpecError):
+            QuadRing(5, 6)
+
+    def test_no_split_prime_context(self):
+        # x^2 - 4x + 4 has the double root 2 mod every p
+        for p in (5, 7, 11):
+            with pytest.raises(InvalidCombination):
+                prime_context(QuadRing(4, 4), p)
 
 
 class TestNormSequence:

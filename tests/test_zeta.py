@@ -11,9 +11,11 @@ from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               SubadditiveMap, per_n_closed)
 from dynzeta.field import field_make, ratfunc_field
 from dynzeta.intarith import multiplicative_order, v_p
-from dynzeta.orders import B3_ORDER, QuadRing, QuatElem, prime_context
+from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
+                            prime_context)
 from dynzeta.twisted import TwistedPoly
-from dynzeta.zeta import (certificate_build, rationality_guess,
+from dynzeta.zeta import (VerdictOptions, _supersingular_step,
+                          certificate_build, rationality_guess,
                           series_of_rational, verdict, zeta_from_counts,
                           zeta_from_cycles)
 
@@ -144,6 +146,27 @@ class TestVerdicts:
         assert v.reason == "separable-additive-algebraic"
         assert v.certificate.consistent()
 
+    @pytest.mark.parametrize("fam", [
+        PowerMap(101, 2), LattesSupersingular(47, sigma_trace=0, sigma_norm=3)])
+    def test_inconsistent_certificate_is_inconclusive(self, fam):
+        # the base-p kernel does not close within budget at these primes
+        v = verdict(fam)
+        assert not v.certificate.consistent()
+        assert v.outcome == "inconclusive"
+        assert v.reason == "separable-multiplicative-or-lattes"
+
+    def test_heuristic_prime_is_inconclusive(self, monkeypatch, F3):
+        from dataclasses import replace
+
+        from dynzeta import zeta
+        build = zeta.certificate_build
+        monkeypatch.setattr(zeta, "certificate_build", lambda m, opts:
+                            replace(build(m, opts), heuristic_bound=True))
+        v = verdict(AdditiveMap(TwistedPoly.from_ints(F3, [-1, 1])))
+        assert v.certificate.consistent() and v.certificate.heuristic_bound
+        assert v.outcome == "inconclusive"
+        assert v.reason == "separable-additive-algebraic"
+
 
 class TestCertificates:
     def test_power_map_selections(self):
@@ -178,7 +201,7 @@ class TestCertificates:
             ChebyshevMap(5, 4), LattesGenericJ(3, 2), LattesGenericJ(5, -3),
             LattesOrdinary(prime_context(ring, 5), ring.elem(2, 0), 2),
             LattesSupersingular(7, sigma_trace=4, sigma_norm=4),
-            LattesSupersingular(3, sigma_quat=QuatElem(B3_ORDER, 2, 2, 0, 0),
+            LattesSupersingular(3, sigma_quat=QuatElem(B3_ORDER, 4, 0, 0, 0),
                                 gamma="units")]
         for fam in geometric:
             cert = certificate_build(fam)
@@ -255,6 +278,37 @@ class TestCertificates:
                                                      sigma_norm=4))
         assert cert.ratio == 49 % cert.ell and cert.consistent()
         cert3 = certificate_build(
-            LattesSupersingular(3, sigma_quat=QuatElem(B3_ORDER, 2, 2, 0, 0),
+            LattesSupersingular(3, sigma_quat=QuatElem(B3_ORDER, 4, 0, 0, 0),
                                 gamma="units"))
         assert cert3.beta == 3 and cert3.consistent()
+
+
+class TestSupersingularStep:
+    def test_least_step_by_scan(self):
+        # the divisor search returns the least k >= 1 of all
+        opts = VerdictOptions()
+        for p in (5, 7, 11, 13):
+            for T, N in ((0, 2), (1, 2), (0, 3), (2, 3), (1, 3), (4, 4), (3, 5)):
+                fam = LattesSupersingular(p, sigma_trace=T, sigma_norm=N)
+                m = _supersingular_step(fam, opts)
+                assert (p * p - 1) % m == 0
+                assert m == next(k for k in range(1, p * p)
+                                 if v_p((fam.sigma ** k - 1).norm(), p) >= 1)
+
+    def test_quaternion_guard(self):
+        fam = LattesSupersingular(2, sigma_quat=QuatElem(HURWITZ, 3, 1, 1, 1))
+        m = _supersingular_step(fam, VerdictOptions())
+        assert 3 * 16 % m == 0 and v_p((fam.sigma ** m - 1).norm(), 2) >= 3
+        assert all(v_p((fam.sigma ** k - 1).norm(), 2) < 3 for k in range(1, m))
+
+    def test_steps_past_two_thousand(self):
+        # these orders of sigma in F_(p^2)^* exceed the old scan bound 2000
+        for p, T, N, m in ((59, 1, 2, 3480), (61, 1, 2, 3720),
+                           (101, 1, 3, 10200), (101, 1, 2, 3400)):
+            fam = LattesSupersingular(p, sigma_trace=T, sigma_norm=N)
+            assert _supersingular_step(fam, VerdictOptions()) == m
+
+    def test_step_past_the_index_cap_refused(self):
+        fam = LattesSupersingular(59, sigma_trace=1, sigma_norm=2)
+        with pytest.raises(ScaleExceeded):
+            certificate_build(fam, VerdictOptions(crosscheck_index_cap=3000))
