@@ -160,30 +160,29 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
                         classification, witnesses)
 
 
-def eventual_period_detect(prefix, min_repeats: int = 3,
-                           max_preperiod: int | None = None):
+PERIOD_MIN_REPEATS = 3
+
+
+def eventual_period_detect(prefix):
     """Least (preperiod, period) consistent with the whole prefix.
 
-    Requires at least min_repeats full periods of evidence, and the
-    preperiod may not exceed max_preperiod (default: half the prefix) so
-    that accidental regularity in a short tail is not reported as
-    periodicity.  Periods are minimized first, then preperiods.  None
-    when nothing fits.
+    Requires PERIOD_MIN_REPEATS full periods of evidence, and the
+    preperiod may not exceed half the prefix, so that accidental
+    regularity in a short tail is not reported as periodicity.  Periods
+    are minimized first, then preperiods.  None when nothing fits.
     """
     seq = list(prefix)
     if len(seq) < 16:
         raise SpecError("need at least 16 terms to call periodicity")
-    if max_preperiod is None:
-        max_preperiod = len(seq) // 2
-    limit = len(seq) // min_repeats
-    for period in range(1, limit + 1):
+    for period in range(1, len(seq) // PERIOD_MIN_REPEATS + 1):
         mismatch = -1
         for i in range(len(seq) - period - 1, -1, -1):
             if seq[i] != seq[i + period]:
                 mismatch = i
                 break
         preperiod = mismatch + 1
-        if preperiod <= max_preperiod and len(seq) - preperiod >= min_repeats * period:
+        if (preperiod <= len(seq) // 2
+                and len(seq) - preperiod >= PERIOD_MIN_REPEATS * period):
             return preperiod, period
     return None
 

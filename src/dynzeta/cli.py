@@ -293,9 +293,10 @@ def _has_type(value, row):
 def validate_params(command, params):
     """Raise SpecError for a missing or mistyped parameter.
 
-    Checks presence and JSON types, and the census ranges; the map
-    constructors still check values (primality, degrees).  Unknown keys
-    are ignored.
+    Checks presence and JSON types, that terms, show and max_order are
+    not negative (zero asks for an empty prefix), and the census ranges;
+    the map constructors still check values (primality, degrees).
+    Unknown keys are ignored.
     """
     family = params.get("family")
     for key, value in params.items():
@@ -318,6 +319,9 @@ def validate_params(command, params):
     missing = [key for key in required if key not in params]
     if missing:
         raise SpecError(f"missing parameter(s) {', '.join(missing)}")
+    for key in ("terms", "show", "max_order"):
+        if params.get(key, 0) < 0:
+            raise SpecError(f"{key} must not be negative")
     if command == "census":
         ext_degree = params.get("ext_degree", 1)
         if not 1 <= ext_degree <= EXTENSION_DEGREE_CAP:
@@ -410,15 +414,11 @@ def _cmd_zeta(params):
     yield {"record": "zeta", "provenance": series.provenance,
            "coefficients": list(series.coeffs)}
     guess = rationality_guess(counts, params.get("max_order", 8))
-    if guess is None or guess.numerator is None:
-        yield {"record": "rationality",
-               "found": bool(guess),
-               "order": guess.order if guess else None,
-               "numerator": None, "denominator": None}
-    else:
-        yield {"record": "rationality", "found": True, "order": guess.order,
-               "numerator": list(guess.numerator),
-               "denominator": list(guess.denominator)}
+    closed = guess is not None and guess.numerator is not None
+    yield {"record": "rationality", "found": guess is not None,
+           "order": guess.order if guess else None,
+           "numerator": list(guess.numerator) if closed else None,
+           "denominator": list(guess.denominator) if closed else None}
 
 
 def _cmd_verdict(params):
@@ -443,16 +443,22 @@ def _cmd_verdict(params):
                "crosscheck_terms": cert.crosscheck_terms,
                "consistent": cert.consistent(),
                "values_prefix": list(cert.values[:32])}
-        yield {"record": "kernel", "base": cert.ell_kernel.base,
-               "class_counts": list(cert.ell_kernel.class_counts),
-               "classification": cert.ell_kernel.classification}
-        yield {"record": "kernel", "base": cert.p_kernel.base,
-               "class_counts": list(cert.p_kernel.class_counts),
-               "classification": cert.p_kernel.classification}
-        found = cert.period_scan is not None
-        yield {"record": "period", "found": found,
-               "preperiod": cert.period_scan[0] if found else None,
-               "period": cert.period_scan[1] if found else None}
+        yield _kernel_record(cert.ell_kernel)
+        yield _kernel_record(cert.p_kernel)
+        yield _period_record(cert.period_scan)
+
+
+def _kernel_record(report):
+    return {"record": "kernel", "base": report.base,
+            "class_counts": list(report.class_counts),
+            "classification": report.classification}
+
+
+def _period_record(scan):
+    """The period record of an eventual_period_detect result."""
+    return {"record": "period", "found": scan is not None,
+            "preperiod": scan[0] if scan else None,
+            "period": scan[1] if scan else None}
 
 
 def _cmd_census(params):
@@ -494,12 +500,8 @@ def _cmd_automata(params):
         yield {"record": "sequence", "order": seq.order,
                "index_base": seq.index_base,
                "values": list(seq.values[:params.get("show", 64)])}
-        yield {"record": "kernel", "base": base,
-               "class_counts": list(report.class_counts),
-               "classification": report.classification}
-        yield {"record": "period", "found": scan is not None,
-               "preperiod": scan[0] if scan else None,
-               "period": scan[1] if scan else None}
+        yield _kernel_record(report)
+        yield _period_record(scan)
         return
     raise SpecError(f"unknown automata kind {kind!r}")
 

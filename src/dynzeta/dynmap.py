@@ -41,8 +41,12 @@ class RatMap:
 
 def rat_map(ctx, num_coeffs, den_coeffs=(1,)) -> RatMap:
     """Build a reduced RatMap from coefficient lists (ints or elements)."""
-    num = Poly.from_elems(ctx, num_coeffs)
-    den = Poly.from_elems(ctx, den_coeffs)
+    return reduced_map(Poly.from_elems(ctx, num_coeffs),
+                       Poly.from_elems(ctx, den_coeffs))
+
+
+def reduced_map(num: Poly, den: Poly) -> RatMap:
+    """The RatMap num/den with their gcd cancelled and den made monic."""
     if den.is_zero():
         raise SpecError("zero denominator")
     g = num.gcd(den)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import IncompleteEnumeration, ScaleExceeded, SpecError
 from .field import Poly, embed, extend_field
-from .dynmap import RatMap
+from .dynmap import RatMap, reduced_map
 from .intarith import power, v_p
 from .limits import enum_cap
 
@@ -314,11 +314,7 @@ def lattes_realize(E: EllipticCurve, m: int) -> RatMap:
     else:
         num = xpoly * F * t[m] * t[m] - t[m + 1] * t[m - 1]
         den = F * t[m] * t[m]
-    g = num.gcd(den)
-    if g.degree > 0:
-        num, den = num // g, den // g
-    inv = den.leading.inverse()
-    f = RatMap(num.scale(inv), den.scale(inv))
+    f = reduced_map(num, den)
     if f.degree != m * m:
         raise SpecError("internal error: realized map has wrong degree")
     _verify_realization(E, m, f)

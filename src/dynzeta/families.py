@@ -272,9 +272,7 @@ def per_n_closed(m, n: int) -> int:
         return map_degree(m) ** n + 1
 
     if isinstance(m, PowerMap):
-        if m.d > 0:
-            return per_n_template(2, (1,), lambda _g, k: _gm_kernel(m.d ** k - 1, m.p), n)
-        boundary = 2 if n % 2 == 0 else 0
+        boundary = 2 if m.d > 0 or n % 2 == 0 else 0
         return per_n_template(boundary, (1,),
                               lambda _g, k: _gm_kernel(m.d ** k - 1, m.p), n)
 
@@ -282,18 +280,9 @@ def per_n_closed(m, n: int) -> int:
         return per_n_template(
             1, (1, -1), lambda g, k: _gm_kernel(m.d ** k - g, m.p), n)
 
-    if isinstance(m, AdditiveMap):
-        sigma = m.sigma
-        one = sigma.ctx.one()
-
-        def kernel(_g, k):
-            v = v_phi_pow_minus(sigma, k, one)
-            return sigma.ctx.p ** (sigma.top_index * k - v)
-
-        return per_n_template(1, (1,), kernel, n)
-
-    if isinstance(m, SubadditiveMap):
-        sigma, roots = _subadditive_roots(m)
+    if isinstance(m, (AdditiveMap, SubadditiveMap)):
+        sigma, roots = (_subadditive_roots(m) if isinstance(m, SubadditiveMap)
+                        else (m.sigma, (m.sigma.ctx.one(),)))
 
         def kernel(w, k):
             v = v_phi_pow_minus(sigma, k, w)

@@ -860,14 +860,6 @@ class Poly:
             acc = add(mul(acc, x), c)
         return FieldElem(ctx, acc)
 
-    def compose(self, other):
-        """Substitution self(other(x))."""
-        self._check(other)
-        acc = Poly.zero(self.ctx)
-        for c in reversed(self.reps):
-            acc = acc * other + Poly.from_reps(self.ctx, [c])
-        return acc
-
     def shift(self, n):
         """Multiply by x^n."""
         if not self.reps:

@@ -156,22 +156,26 @@ def divisors(n: int) -> list:
     return sorted(out)
 
 
+def order_descent(is_one, exponent: int) -> int:
+    """Order of an element whose order divides exponent, given
+    is_one(k) = (the element's k-th power is the identity): each prime
+    factor of exponent is divided out while the power stays the identity."""
+    order = exponent
+    for q, e in factorize(exponent).items():
+        for _ in range(e):
+            if not is_one(order // q):
+                break
+            order //= q
+    return order
+
+
 def multiplicative_order(a: int, modulus: int) -> int:
     """Order of a in (Z/modulus)^*; requires gcd(a, modulus) == 1."""
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise ZeroInput(f"{a} is not a unit mod {modulus}")
-    if modulus == 1:
-        return 1
-    group = _group_exponent(modulus)
-    order = group
-    for q, e in factorize(group).items():
-        for _ in range(e):
-            if pow(a, order // q, modulus) == 1:
-                order //= q
-            else:
-                break
-    return order
+    return order_descent(lambda k: pow(a, k, modulus) == 1,
+                         _group_exponent(modulus))
 
 
 def _group_exponent(modulus: int) -> int:

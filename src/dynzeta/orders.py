@@ -36,6 +36,29 @@ from .limits import PADIC_PRECISION_CAP
 
 _DIRECT_CHECK_N_CAP = 32
 
+
+def _exponent_lift(x, y, n, p, valuation, e, ring):
+    """v(x^n - y^n) = v(x - y) + e * v_p(n), where e = v(p).
+
+    Needs x, y units at the prime, x != y and v(x - y) > e / (p - 1);
+    cross-checked against the direct valuation for n <= 32.
+    """
+    if valuation(x) != 0 or valuation(y) != 0:
+        raise HypothesisViolated("x, y must be units at the prime")
+    if x == y:
+        raise HypothesisViolated("x == y makes the identity vacuous")
+    base = valuation(x - y)
+    guard = e // (p - 1) + 1
+    if base < guard:
+        raise HypothesisViolated(f"p = {p} requires valuation >= {guard} of x - y")
+    value = base + e * v_p(n, p)
+    if n <= _DIRECT_CHECK_N_CAP:
+        direct = valuation(x ** n - y ** n)
+        if direct != value:
+            raise Mismatch(f"{ring} exponent lift: {value} != direct {direct}")
+    return value
+
+
 # -- rational integers -----------------------------------------------------------
 
 
@@ -43,19 +66,7 @@ def lte_int(x: int, y: int, p: int, n: int) -> int:
     """v_p(x^n - y^n) = v_p(x - y) + v_p(n) under the classical hypotheses."""
     if x % p == 0 or y % p == 0:
         raise HypothesisViolated("x and y must be units mod p")
-    if (x - y) % p != 0:
-        raise HypothesisViolated("x - y must be divisible by p")
-    base = v_p_strict(x - y, p) if x != y else None
-    if base is None:
-        raise HypothesisViolated("x == y makes the identity vacuous")
-    if p == 2 and base < 2:
-        raise HypothesisViolated("p = 2 requires v_2(x - y) >= 2")
-    value = base + v_p(n, p)
-    if n <= _DIRECT_CHECK_N_CAP:
-        direct = v_p_strict(x ** n - y ** n, p)
-        if direct != value:
-            raise Mismatch(f"integer exponent lift: {value} != direct {direct}")
-    return value
+    return _exponent_lift(x, y, n, p, lambda z: v_p_strict(z, p), 1, "integer")
 
 
 # -- imaginary quadratic orders -----------------------------------------------------
@@ -217,22 +228,8 @@ def v_frak_p(x: QuadElem, ctx: PrimeContext) -> int:
 
 def lte_quad(x: QuadElem, y: QuadElem, ctx: PrimeContext, n: int) -> int:
     """Exponent lift at a split prime: v(x^n - y^n) = v(x - y) + v_p(n)."""
-    if v_frak_p(x, ctx) != 0 or v_frak_p(y, ctx) != 0:
-        raise HypothesisViolated("x, y must be units at the prime")
-    diff = x - y
-    if diff.is_zero():
-        raise HypothesisViolated("x == y makes the identity vacuous")
-    base = v_frak_p(diff, ctx)
-    if base < 1:
-        raise HypothesisViolated("x - y must lie in the prime")
-    if ctx.p == 2 and base < 2:
-        raise HypothesisViolated("p = 2 requires valuation >= 2 of x - y")
-    value = base + v_p(n, ctx.p)
-    if n <= _DIRECT_CHECK_N_CAP:
-        direct = v_frak_p(x ** n - y ** n, ctx)
-        if direct != value:
-            raise Mismatch(f"quadratic exponent lift: {value} != direct {direct}")
-    return value
+    return _exponent_lift(x, y, n, ctx.p, lambda z: v_frak_p(z, ctx), 1,
+                          "quadratic")
 
 
 # -- quaternion orders ----------------------------------------------------------------
@@ -363,27 +360,9 @@ def lte_quat(x: QuatElem, y: QuatElem, n: int) -> int:
     """
     if x.order != y.order:
         raise SpecError("mixed quaternion orders")
-    p = x.order.p
     if not (x * y - y * x).is_zero():
         raise HypothesisViolated("x and y must commute")
-    if v_I(x) != 0 or v_I(y) != 0:
-        raise HypothesisViolated("x, y must be units at the ideal")
-    diff = x - y
-    if diff.is_zero():
-        raise HypothesisViolated("x == y makes the identity vacuous")
-    base = v_I(diff)
-    if base < 1:
-        raise HypothesisViolated("x - y must lie in the ideal")
-    if p == 3 and base < 2:
-        raise HypothesisViolated("p = 3 requires valuation >= 2 of x - y")
-    if p == 2 and base < 3:
-        raise HypothesisViolated("p = 2 requires valuation >= 3 of x - y")
-    value = base + 2 * v_p(n, p)
-    if n <= _DIRECT_CHECK_N_CAP:
-        direct = v_I(x ** n - y ** n)
-        if direct != value:
-            raise Mismatch(f"quaternion exponent lift: {value} != direct {direct}")
-    return value
+    return _exponent_lift(x, y, n, x.order.p, v_I, 2, "quaternion")
 
 
 # -- unit groups ----------------------------------------------------------------------------

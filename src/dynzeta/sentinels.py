@@ -1,63 +1,15 @@
-"""Order-aware sentinels used for valuations and algebraicity markers."""
+"""Sentinels used for valuations and algebraicity markers.
 
+INFINITY is ``math.inf``, the valuation of zero: it exceeds every
+integer, and adding an integer to it gives infinity again.  Code that
+returns the valuation of zero hands back this very object, so ``v is
+INFINITY`` identifies it.  ``0 * INFINITY`` is NaN rather than an error;
+no code path multiplies the valuation of zero, because the exponent lift
+(``twisted.lte_ga``) returns INFINITY before scaling its base.
+"""
 
-class _Infinity:
-    """Value larger than every integer; the valuation of zero."""
+import math
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("dynzeta.INFINITY")
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if other == 0:
-            raise ArithmeticError("0 * INFINITY is undefined")
-        return self
-
-    __rmul__ = __mul__
-
-
-class _Transcendental:
-    """Marker for a quantity with no finite multiplicative order."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "TRANSCENDENTAL"
-
-
-INFINITY = _Infinity()
-TRANSCENDENTAL = _Transcendental()
+INFINITY = math.inf
+# Marker for a quantity with no finite multiplicative order.
+TRANSCENDENTAL = "TRANSCENDENTAL"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import (HypothesisViolated, InseparableSigma, Mismatch,
                      ScaleExceeded, SpecError, ZeroElement)
 from .field import Poly, check_poly_scale
-from .intarith import multiplicative_order, power, v_p
+from .intarith import multiplicative_order, order_descent, power, v_p
 from .sentinels import INFINITY, TRANSCENDENTAL
 
 _DIRECT_CHECK_COEFF_CAP = 4096
@@ -157,7 +157,8 @@ def lte_ga(x: TwistedPoly, n: int):
 
     Returns v_phi(x - 1) * p^(v_p(n)); cross-checked against the direct
     expansion whenever the coefficient count stays small.  The degenerate
-    x = 1 returns INFINITY.
+    x = 1 returns INFINITY itself, before the base is scaled, so the
+    valuation of zero is never multiplied.
     """
     ctx = x.ctx
     one = TwistedPoly.one(ctx)
@@ -186,14 +187,7 @@ def constant_order(sigma: TwistedPoly):
         return multiplicative_order(c0.constant_value(), ctx.p)
     if ctx.is_prime_field:
         return multiplicative_order(c0.rep, ctx.p)
-    order = ctx.order - 1
-    # order of c0 in the cyclic group F_q^*
-    from .intarith import factorize
-    result = order
-    for q in factorize(order):
-        while result % q == 0 and (c0 ** (result // q)).is_one():
-            result //= q
-    return result
+    return order_descent(lambda k: (c0 ** k).is_one(), ctx.order - 1)
 
 
 def realize_additive(sigma: TwistedPoly) -> Poly:

@@ -599,11 +599,6 @@ def certificate_build(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Certif
 # -- the verdict engine ---------------------------------------------------------------------
 
 
-def _rational_form(D):
-    """1 / ((1 - t)(1 - D t)) as integer numerator/denominator lists."""
-    return (1,), (1, -(D + 1), D)
-
-
 def verdict(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Verdict:
     """Rational closed form or finite transcendence evidence for a map."""
     D = map_degree(mapping)
@@ -625,7 +620,8 @@ def verdict(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Verdict:
 
 
 def _rational_verdict(mapping, D, reason, opts):
-    num, den = _rational_form(D)
+    # 1 / ((1 - t)(1 - D t))
+    num, den = (1,), (1, -(D + 1), D)
     counts = [per_n_closed(mapping, n) for n in range(1, opts.series_terms + 1)]
     series = zeta_from_counts(counts)
     expansion = series_of_rational(num, den, opts.series_terms + 1)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -120,6 +121,22 @@ class TestCommands:
                               "--d", "2", "--n-max", "2", "--table"])
         assert code == 0 and "closed=3" in text
 
+    def test_zero_terms_is_the_empty_prefix(self):
+        code, text = run_cli("zeta --family power --p 3 --d 2 --terms 0".split())
+        assert code == 0
+        assert json.loads(text.splitlines()[1])["coefficients"] == ["1"]
+
+    def test_readme_cli_examples_run(self):
+        # every `dynzeta ...` line of the README's CLI block exits 0
+        path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(path, encoding="utf-8") as handle:
+            block = handle.read().split("## CLI", 1)[1].split("```sh", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines()
+                 if line.startswith("dynzeta ")]
+        assert len(lines) == 6
+        for line in lines:
+            assert run_cli(shlex.split(line)[1:])[0] == 0, line
+
 
 class TestExitCodes:
     def test_invalid_spec(self):
@@ -227,10 +244,16 @@ class TestSpecValidation:
         "count --family lattes-supersingular --p 3 --sigma-quat 1,1,1,1 "
         "--n-max 3",
         "verdict --family lattes-supersingular --p 3 --sigma-quat 1,1,1,1",
+        # negative lengths and orders (validate_params refuses them)
+        "zeta --family power --p 3 --d 2 --terms -3",
+        "automata --kind christol --poly y^2+y+t --p 2 --terms -4",
+        "automata --kind vp-geometric --a 2 --p 3 --ell 5 --terms 8000 "
+        "--show -3",
+        "zeta --family power --p 3 --d 2 --max-order -1",
     ])
     def test_refused_before_the_first_record(self, argv):
-        # each passes validate_params; the handler refuses it before its
-        # first record
+        # each is refused, by validate_params or by its handler, before
+        # its first record
         assert run_cli(argv.split()) == (2, "")
 
     def test_supersingular_step_past_two_thousand(self):

@@ -168,7 +168,7 @@ class TestSubadditiveConstruction:
             lhs = Poly.one(F)
             for _ in range(p - 1):
                 lhs = lhs * psi
-            rhs = f.compose(Poly.x_power(F, p - 1))
+            rhs = compose(rat_map(F, f.coeffs), rat_map(F, [0] * (p - 1) + [1])).num
             assert lhs == rhs
 
     def test_monomial_case(self, F3):

@@ -1,11 +1,13 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynzeta.errors import SpecError
-from dynzeta.intarith import isqrt_exact, power, v_p, v_p_progression
+from dynzeta.intarith import (isqrt_exact, multiplicative_order, power, v_p,
+                              v_p_progression)
 
 
 @settings(max_examples=300, deadline=None)
@@ -20,6 +22,17 @@ def test_power_matches_builtin_pow_with_no_wasted_squaring(a, e, n):
     assert power(mul, 1 % n, a % n, e) == pow(a, e, n)
     assert len(products) == (e.bit_length() - 1 + bin(e).count("1") if e
                              else 0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 1999), st.integers(0, 10**6))
+def test_multiplicative_order_matches_brute_force(modulus, a):
+    a %= modulus
+    assume(math.gcd(a, modulus) == 1)
+    order, x = 1, a
+    while x != 1 % modulus:
+        order, x = order + 1, x * a % modulus
+    assert multiplicative_order(a, modulus) == order
 
 
 def _expected(alpha, beta, p, n):

@@ -157,6 +157,17 @@ class TestConstantOrder:
         for smaller in range(1, order):
             assert not (gen ** smaller).is_one()
 
+    @pytest.mark.parametrize("p, k", [(3, 4), (2, 6)])
+    def test_every_unit_against_brute_force(self, p, k):
+        F = field_make(p, k)
+        for c in F.elements():
+            if c.is_zero():
+                continue
+            order, power = 1, c
+            while not power.is_one():
+                order, power = order + 1, power * c
+            assert constant_order(TwistedPoly.from_elems(F, [c, F.one()])) == order
+
 
 class TestConstantTermShortcut:
     def test_transcendental_powers_never_vanish(self, F3u):
