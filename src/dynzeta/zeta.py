@@ -3,8 +3,10 @@
 The generating function exp(sum #Per_n t^n / n) of a count sequence is
 expanded by the exact recurrence j*c_j = sum counts_i * c_{j-i}; every
 coefficient must come out an integer, and that integrality is asserted,
-never assumed.  Rationality at desk scale is a minimal-linear-recurrence
-search over exact rationals.  Transcendence is never claimed outright:
+never assumed.  Rationality at desk scale is tested by one
+Berlekamp-Massey pass over exact rationals for the shortest recurrence,
+integer Newton steps for its characteristic roots, and partial-fraction
+residues for their multiplicities.  Transcendence is never claimed outright:
 the verdict engine emits either a verified rational closed form or a
 finite certificate (choice of step m and auxiliary prime ell, a residue
 sequence manipulated out of the periodic-point counts, kernel growth in
@@ -97,118 +99,115 @@ def series_of_rational(num, den, length: int):
     return result
 
 
-# -- rationality search --------------------------------------------------------------
+# -- rationality test --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RationalGuess:
     order: int
-    recurrence: tuple   # Fractions q with c_{j+r} = sum q_i c_{j+r-i}
     numerator: tuple | None
     denominator: tuple | None
 
 
-def _solve_linear(rows, rhs):
-    """Exact Gaussian elimination; any solution of rows*x = rhs or None."""
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = m[i][ncols]
-    return x
-
-
 def _integer_roots(poly):
-    """Distinct integer roots with deflation; None unless it splits fully."""
-    denom = math.lcm(*[c.denominator for c in poly]) if poly else 1
+    """Roots of a polynomial with nonzero leading coefficient, or None
+    unless they are distinct nonzero integers.  Integer Newton steps
+    x <- x - ceil(f(x)/f'(x)) from above the Cauchy bound (then from the
+    last root) descend onto the largest root, which is deflated: above the
+    largest root of a real-rooted f, f and f' are positive and each step
+    keeps x at or above it while cutting the distance by 1 - 1/degree.  So
+    f < 0, f' <= 0 (as at a repeated root) or a longer descent: no split.
+    """
+    denom = math.lcm(*[c.denominator for c in poly])
+    if poly[-1] < 0:
+        denom = -denom  # a positive leading coefficient
     coeffs = [int(c * denom) for c in poly]
+    if coeffs[0] == 0:
+        return None  # a zero root: not a sum of nonzero geometric terms
+    x = 2 + max(map(abs, coeffs)) // coeffs[-1]
+    steps = len(coeffs) * (2 * x).bit_length() + 2
     roots = []
     while len(coeffs) > 1:
-        while coeffs and coeffs[0] == 0:
-            return None  # zero root: not a sum of nonzero geometric terms
-        found = next((root for cand in divisors(abs(coeffs[0]))
-                      for root in (cand, -cand)
-                      if sum(c * root ** i for i, c in enumerate(coeffs)) == 0), None)
-        if found is None:
+        for _ in range(steps):
+            value = deriv = 0
+            for c in reversed(coeffs):
+                value, deriv = value * x + c, deriv * x + value
+            if value < 0 or deriv <= 0:
+                return None  # past the largest root, or at a repeated one
+            if value == 0:
+                break
+            x -= -(-value // deriv)
+        else:
             return None
-        # synthetic division by (x - found)
-        out = [0] * (len(coeffs) - 1)
-        acc = 0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = coeffs[i] + acc * found
-            out[i - 1] = acc
-        coeffs = out
-        roots.append(found)
-    if len(set(roots)) != len(roots):
-        return None
+        roots.append(x)
+        quotient = [coeffs[-1]]  # synthetic division by (X - x)
+        for c in coeffs[-2:0:-1]:
+            quotient.append(c + x * quotient[-1])
+        coeffs = quotient[::-1]
     return roots
 
 
 def rationality_guess(counts, max_order: int = 8):
-    """Minimal linear recurrence (order <= max_order) over exact rationals.
+    """Shortest linear recurrence (order <= max_order) over exact rationals.
 
-    Needs prefix length >= 2*order + 4 so the fit is validated on at
-    least order + 4 extra terms.  When the characteristic roots are
-    distinct nonzero integers with integer signed multiplicities the zeta
-    function is reassembled as prod (1 - a_i t)^(-e_i) and re-verified
-    against the exponential formula.  None is a valid outcome.
+    One Berlekamp-Massey pass (Massey 1969) gives the linear complexity L
+    and connection polynomial C of the prefix; the shortest recurrence is
+    unique as the prefix has length >= 2*order + 4, which also validates
+    the fit on order + 4 extra terms.  For distinct nonzero integer roots
+    a_i, the multiplicities are the partial-fraction residues e_i =
+    P(1/a_i) / prod_{j != i} (1 - a_j/a_i), P = C * sum c_n t^n cut at
+    degree L; integer e_i reproducing every count give the zeta function
+    prod (1 - a_i t)^(-e_i), re-verified by the exponential formula.
     """
     counts = list(counts)
-    for r in range(1, max_order + 1):
-        if len(counts) < 2 * r + 4:
-            break
-        rows = [counts[j:j + r][::-1] for j in range(len(counts) - r)]
-        rhs = [counts[j + r] for j in range(len(counts) - r)]
-        q = _solve_linear(rows, rhs)
-        if q is None:
+    bound = min(max_order, (len(counts) - 4) // 2)
+    if bound < 1:
+        return None
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    order, shift, prev_gap = 0, 1, Fraction(1)
+    for n in range(len(counts)):
+        gap = sum(c * counts[n - i] for i, c in enumerate(conn))
+        if gap == 0:
+            shift += 1
             continue
-        char = [-qi for qi in reversed(q)] + [Fraction(1)]
-        roots = _integer_roots(char)
-        closed = None
-        if roots is not None:
-            vand = [[Fraction(a ** n) for a in roots] for n in range(1, r + 1)]
-            mult = _solve_linear(vand, counts[:r])
-            if mult is not None and all(e.denominator == 1 for e in mult):
-                es = [int(e) for e in mult]
-                if all(sum(e * a ** n for e, a in zip(es, roots)) == counts[n - 1]
-                       for n in range(1, len(counts) + 1)):
-                    num, den = [1], [1]
-                    for a, e in zip(roots, es):
-                        for _ in range(abs(e)):
-                            target = den if e > 0 else num
-                            updated = [0] * (len(target) + 1)
-                            for i, c in enumerate(target):
-                                updated[i] += c
-                                updated[i + 1] -= c * a
-                            if e > 0:
-                                den = updated
-                            else:
-                                num = updated
-                    expansion = series_of_rational(num, den, len(counts) + 1)
-                    if expansion == list(zeta_from_counts(counts).coeffs):
-                        closed = (tuple(num), tuple(den))
-        return RationalGuess(r, tuple(q), *(closed or (None, None)))
-    return None
+        updated = conn + [0] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev):
+            updated[i + shift] -= gap / prev_gap * c
+        if 2 * order > n:
+            shift += 1
+        else:
+            order, prev, prev_gap, shift = n + 1 - order, conn, gap, 1
+            if order > bound:
+                return None
+        conn = updated
+    # an all-zero prefix (L = 0) is reported as order 1 with root 0
+    order = max(order, 1)
+    conn = conn + [0] * (order + 1 - len(conn))
+    roots = _integer_roots(conn[::-1])
+    closed = roots and _closed_form(counts, conn, roots)
+    return RationalGuess(order, *(closed or (None, None)))
+
+
+def _closed_form(counts, conn, roots):
+    """(numerator, denominator) of prod (1 - a t)^(-e) over the roots a,
+    with residues e, when they are integers that reproduce the counts."""
+    p_coeffs = [sum(conn[i] * counts[k - i - 1] for i in range(k))
+                for k in range(1, len(roots) + 1)]
+    es = [sum(Fraction(c, a ** k) for k, c in enumerate(p_coeffs, 1))
+          / math.prod(1 - Fraction(b, a) for b in roots if b != a)
+          for a in roots]
+    if (any(e.denominator != 1 for e in es)
+            or any(sum(e * a ** n for e, a in zip(es, roots)) != c
+                   for n, c in enumerate(counts, 1))):
+        return None
+    num, den = [1], [1]
+    for a, e in zip(roots, es):
+        side = den if e > 0 else num
+        for _ in range(abs(int(e))):
+            side[:] = [c - a * d for c, d in zip(side + [0], [0] + side)]
+    if series_of_rational(num, den, len(counts) + 1) == list(
+            zeta_from_counts(counts).coeffs):
+        return tuple(num), tuple(den)
 
 
 # -- certificates -----------------------------------------------------------------------
@@ -406,7 +405,8 @@ def _geometric_certificate(family, mapping, m, v0, beta, ratio, ell_modulus,
     scale = pow(p, v0, ell) * pow(main, -1, ell) % ell
 
     def term(_k, count):
-        return pow((group * (count - boundary) - other) * scale, -1, ell)
+        residue = (group * (count - boundary) - other) * scale % ell
+        return pow(residue, -1, ell) if residue else 0  # 0 is no unit: no term
 
     rederived = _rederived(mapping, m, alpha, beta, 0, terms,
                            opts.crosscheck_index_cap, term)

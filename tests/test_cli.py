@@ -283,8 +283,8 @@ class TestSpecValidation:
             assert code == 0 and text
 
     def test_zeta_of_a_power_map_at_a_large_prime(self):
-        # x^p at p = 10^8 + 7: x^p is not built, and the rationality
-        # search tries the divisors of p, not every integer up to p
+        # x^p at p = 10^8 + 7: x^p is not built, and the root p of the
+        # characteristic polynomial is found by Newton steps
         code, text = run_cli("zeta --family power --p 100000007 --d 100000007 "
                              "--terms 12".split())
         assert code == 0
@@ -432,6 +432,46 @@ class TestRegressions:
         assert len(row["closed"]) > 4300 and row["closed"].isdigit()
         code, table = run_cli(argv + ["--table"])
         assert code == 0 and f"closed={row['closed']}" in table
+
+    def test_zeta_rationality_order_forty_within_budget(self):
+        # 250 separable counts: no recurrence of order <= 40 fits, found by
+        # one Berlekamp-Massey pass instead of forty exact solves
+        start = time.perf_counter()
+        code, text = run_cli("zeta --family power --p 3 --d 2 --terms 250 "
+                             "--max-order 40".split())
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        rationality = json.loads(text.splitlines()[-1])
+        assert rationality["record"] == "rationality"
+        assert rationality["found"] is False
+        assert elapsed < 5.0
+
+    def test_zeta_root_of_a_hard_semiprime_within_budget(self):
+        # d = 3 * 10000000000000061 * 30000000000000029: the root d of the
+        # characteristic polynomial is found without factoring d
+        d = 900000000000006360000000000005307
+        start = time.perf_counter()
+        code, text = run_cli(["zeta", "--family", "power", "--p", "3",
+                              "--d", str(d), "--terms", "12"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        rationality = json.loads(text.splitlines()[-1])
+        assert rationality["found"] is True
+        assert rationality["numerator"] == ["1"]
+        assert rationality["denominator"] == ["1", str(-(d + 1)), str(d)]
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("p,tn", [(5, "2,12"), (5, "5,19"), (5, "6,23"),
+                                      (5, "1,13"), (5, "6,13"), (11, "1,21"),
+                                      (11, "5,28")])
+    def test_split_supersingular_count_zero_mod_ell(self, p, tn, capsys):
+        # a re-derived count is 0 mod ell, which no unit-valued term of the
+        # residue sequence can be: the re-derivation mismatch, not a
+        # ValueError from inverting it
+        code, text = run_cli(["verdict", "--family", "lattes-supersingular",
+                              "--p", str(p), "--sigma-tn", tn])
+        assert (code, text) == (4, "")
+        assert "fails count re-derivation" in capsys.readouterr().err
 
 
 # stdout sha256 of specs over extension fields of extension fields, as

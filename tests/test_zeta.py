@@ -1,8 +1,11 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynzeta.dynmap import cycle_census, per_n_oracle, rat_map
 from dynzeta.errors import NonIntegerCoefficient, ScaleExceeded
@@ -10,11 +13,11 @@ from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
                               SubadditiveMap, per_n_closed)
 from dynzeta.field import field_make, ratfunc_field
-from dynzeta.intarith import multiplicative_order, v_p
+from dynzeta.intarith import divisors, multiplicative_order, v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
 from dynzeta.twisted import TwistedPoly
-from dynzeta.zeta import (VerdictOptions, _supersingular_step,
+from dynzeta.zeta import (VerdictOptions, _integer_roots, _supersingular_step,
                           certificate_build, rationality_guess,
                           series_of_rational, verdict, zeta_from_counts,
                           zeta_from_cycles)
@@ -87,6 +90,150 @@ class TestSeries:
             assert all(isinstance(c, int) for c in series.coeffs)
 
 
+# References for rationality_guess and _integer_roots: a fresh exact
+# linear solve for every order 1..max_order, a Vandermonde solve for the
+# multiplicities and a search of the constant term's divisors for the roots.
+MAX_ORDERS = [0, 1, 3, 8, 12]
+
+
+def _reference_solve_linear(rows, rhs):
+    """Exact Gaussian elimination; any solution of rows*x = rhs or None."""
+    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][col]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    for i in range(r, len(m)):
+        if m[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = m[i][ncols]
+    return x
+
+
+def _reference_integer_roots(poly):
+    denom = math.lcm(*[c.denominator for c in poly]) if poly else 1
+    coeffs = [int(c * denom) for c in poly]
+    roots = []
+    while len(coeffs) > 1:
+        if coeffs[0] == 0:
+            return None
+        found = next((root for cand in divisors(abs(coeffs[0]))
+                      for root in (cand, -cand)
+                      if sum(c * root ** i for i, c in enumerate(coeffs)) == 0),
+                     None)
+        if found is None:
+            return None
+        out = [0] * (len(coeffs) - 1)
+        acc = 0
+        for i in range(len(coeffs) - 1, 0, -1):
+            acc = coeffs[i] + acc * found
+            out[i - 1] = acc
+        coeffs = out
+        roots.append(found)
+    if len(set(roots)) != len(roots):
+        return None
+    return roots
+
+
+def _reference_guess(counts, max_order):
+    """(order, numerator, denominator) of the least fitting order, or None."""
+    counts = list(counts)
+    for r in range(1, max_order + 1):
+        if len(counts) < 2 * r + 4:
+            break
+        rows = [counts[j:j + r][::-1] for j in range(len(counts) - r)]
+        rhs = [counts[j + r] for j in range(len(counts) - r)]
+        q = _reference_solve_linear(rows, rhs)
+        if q is None:
+            continue
+        char = [-qi for qi in reversed(q)] + [Fraction(1)]
+        roots = _reference_integer_roots(char)
+        if roots is None:
+            return r, None, None
+        vand = [[Fraction(a ** n) for a in roots] for n in range(1, r + 1)]
+        mult = _reference_solve_linear(vand, counts[:r])
+        if mult is None or any(e.denominator != 1 for e in mult):
+            return r, None, None
+        es = [int(e) for e in mult]
+        if any(sum(e * a ** n for e, a in zip(es, roots)) != counts[n - 1]
+               for n in range(1, len(counts) + 1)):
+            return r, None, None
+        num, den = [1], [1]
+        for a, e in zip(roots, es):
+            for _ in range(abs(e)):
+                target = den if e > 0 else num
+                updated = [0] * (len(target) + 1)
+                for i, c in enumerate(target):
+                    updated[i] += c
+                    updated[i + 1] -= c * a
+                if e > 0:
+                    den = updated
+                else:
+                    num = updated
+        expansion = series_of_rational(num, den, len(counts) + 1)
+        if expansion != list(zeta_from_counts(counts).coeffs):
+            return r, None, None
+        return r, tuple(num), tuple(den)
+    return None
+
+
+def _outcome(guess, counts, max_order):
+    """The guess as (order, numerator, denominator), or the exception type."""
+    try:
+        result = guess(counts, max_order)
+    except Exception as exc:
+        return type(exc)
+    if result is None or isinstance(result, tuple):
+        return result
+    return result.order, result.numerator, result.denominator
+
+
+def _root_set(roots):
+    return None if roots is None else set(roots)
+
+
+@st.composite
+def _geometric_prefixes(draw):
+    """sum e_i a_i^n over distinct a_i in [-9, 9] - {0} and e_i in
+    +-{1, 2, 3}, for n = 1..length, sometimes with one term perturbed."""
+    roots = draw(st.lists(st.integers(-9, 9).filter(bool), max_size=9,
+                          unique=True))
+    mults = [draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for _ in roots]
+    length = draw(st.integers(0, 40) | st.integers(24, 40))
+    counts = [sum(e * a ** n for e, a in zip(mults, roots))
+              for n in range(1, length + 1)]
+    if length and draw(st.booleans()):
+        counts[draw(st.integers(0, length - 1))] += draw(
+            st.sampled_from([-2, -1, 1, 2]))
+    return counts
+
+
+@st.composite
+def _split_polys(draw):
+    """lead/scale * prod (x - r) with repeated and zero roots allowed."""
+    poly = [Fraction(draw(st.sampled_from([-6, -2, -1, 1, 3, 5])),
+                     draw(st.integers(1, 12)))]
+    for r in draw(st.lists(st.integers(-30, 30), min_size=1, max_size=8)):
+        poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
 class TestRationalityGuess:
     def test_two_geometric_terms(self):
         guess = rationality_guess([1 + 3 ** n for n in range(1, 25)])
@@ -109,14 +256,48 @@ class TestRationalityGuess:
     def test_short_prefix_gives_none(self):
         assert rationality_guess([1, 2]) is None
 
-    def test_root_found_among_the_divisors_only(self):
-        # 1 + D^n with D prime: the roots come from the divisors of the
-        # constant term D, not from a scan of every integer up to it
+    def test_large_prime_root_found_fast(self):
+        # 1 + D^n with D prime: the root D is reached by Newton steps, not
+        # by a scan of every integer up to it
         D = 10 ** 12 + 39
         start = time.perf_counter()
         guess = rationality_guess([1 + D ** n for n in range(1, 25)])
         assert time.perf_counter() - start < 5.0
         assert guess.numerator == (1,) and guess.denominator == (1, -(D + 1), D)
+
+    @pytest.mark.parametrize("max_order", MAX_ORDERS)
+    def test_all_zero_prefixes_match_the_per_order_search(self, max_order):
+        for length in range(41):
+            counts = [0] * length
+            assert (_outcome(rationality_guess, counts, max_order)
+                    == _outcome(_reference_guess, counts, max_order))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_geometric_prefixes(), st.sampled_from(MAX_ORDERS))
+    def test_matches_the_per_order_search(self, counts, max_order):
+        assert (_outcome(rationality_guess, counts, max_order)
+                == _outcome(_reference_guess, counts, max_order))
+
+    def test_repeated_and_zero_roots_do_not_split(self):
+        # (x - 2)^2 (x + 3) and x (x - 3); then (x - 2)(x + 3)
+        assert _integer_roots([Fraction(c) for c in (12, -8, -1, 1)]) is None
+        assert _integer_roots([Fraction(c) for c in (0, -3, 1)]) is None
+        roots = _integer_roots([Fraction(c) for c in (-6, 1, 1)])
+        assert sorted(roots) == [-3, 2]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_split_polys())
+    def test_split_roots_match_the_divisor_search(self, poly):
+        assert _root_set(_integer_roots(poly)) == _root_set(
+            _reference_integer_roots(poly))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.builds(Fraction, st.integers(-60, 60),
+                              st.integers(1, 8)), min_size=1, max_size=9)
+           .filter(lambda poly: poly[-1] != 0))
+    def test_rational_roots_match_the_divisor_search(self, poly):
+        assert _root_set(_integer_roots(poly)) == _root_set(
+            _reference_integer_roots(poly))
 
 
 class TestVerdicts:
