@@ -16,7 +16,7 @@ import numpy as np
 from . import modpoly
 from .errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                      SingularRoot, SpecError)
-from .intarith import (check_prime, multiplicative_order, v_p,
+from .intarith import (check_prime, multiplicative_order, tower_bound, v_p,
                        v_p_progression)
 
 # -- automata ------------------------------------------------------------------
@@ -357,7 +357,7 @@ def vp_tower_sequence(a: int, p: int, ell: int, length: int) -> ValuationSequenc
     check_prime(ell)
     if a < 1:
         raise HypothesisViolated("exponent multiplier must be positive")
-    if ell <= p ** (a * p ** a):
+    if tower_bound(p, a, ell) is None:
         raise HypothesisViolated("ell must exceed p^(a p^a)")
     if p % 2:
         if math.gcd(p, ell - 1) != 1:

@@ -439,7 +439,7 @@ def _cmd_verdict(params):
                "ratio": cert.ratio, "alpha": cert.alpha, "beta": cert.beta,
                "tower_multiplier": cert.tower_multiplier, "v0": cert.v0,
                "control": cert.control,
-               "heuristic_bound": cert.heuristic_bound,
+               "heuristic_bound": False,  # no heuristic ell exists; the key stays
                "crosscheck_terms": cert.crosscheck_terms,
                "consistent": cert.consistent(),
                "values_prefix": list(cert.values[:32])}

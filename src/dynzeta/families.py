@@ -1,22 +1,24 @@
 """Dynamically affine map families and their closed-form periodic counts.
 
-Every family is counted through the same template
+Each family is a finite quotient of x -> sigma x on the multiplicative
+group, the additive group or an elliptic curve by a finite group Gamma, and
+its class states the quotient data once: ``name`` (the CLI tag), ``sigma``,
+``gammas`` (the elements of Gamma), ``boundary(n)``, ``degree``, and
+``size(x)`` and ``valuation(x)``, the degree of an endomorphism x and the
+p-power exponent of its inseparable part.  Every family is counted by
 
-    #Per_n = boundary + (1/|Gamma|) * sum over gamma of #ker(sigma^n - gamma)
+    #Per_n = boundary(n) + (1/|Gamma|) * sum over gamma of #ker(sigma^n - gamma)
 
-with a family-specific kernel-size rule:
+with #ker x = size(x) / p^valuation(x): |x| and v_p(x) for integer
+multipliers, deg x and v_phi(x) (read off truncated powers by
+``v_phi_pow_minus``) for additive maps, and for ring multipliers of
+elliptic curves the norm with the valuation at the split prime (ordinary)
+or v_p of the reduced norm (supersingular).
 
-* multiplicative families: #ker(x^M) = |M| / p^(v_p(|M|));
-* additive families: #ker(sigma^n - w) = (deg sigma)^n / p^(v_phi(sigma^n - w));
-* quotients of elliptic curves: norm(sigma^n - gamma) divided by p to the
-  relevant inseparability valuation (p-adic for integer multipliers, the
-  split-prime valuation in the ordinary case, v_p(norm) in the
-  supersingular case).
-
-Boundary constants: a positive power map fixes 0 and infinity (boundary 2),
-a negative one swaps them (2 for even iterates, 0 for odd), the degree-d
-quotient families fix only infinity (boundary 1), and elliptic quotients
-cover the whole projective line (boundary 0).
+boundary(n) counts the period-n points outside the group: a positive power
+map fixes 0 and infinity (2), a negative one swaps them (2 for even n, 0
+for odd n), the other quotients of G_m and G_a fix only infinity (1), and
+elliptic quotients cover the whole projective line (0).
 
 For multipliers of an elliptic curve with End = Z there are two candidate
 numerator conventions for the kernel size: the norm (squared) form
@@ -27,6 +29,8 @@ acceptance suite's torsion-enumeration oracle.
 
 import math
 from dataclasses import InitVar, dataclass, field as dc_field
+from functools import cached_property
+from itertools import islice
 
 from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
                      SpecError, SubadditiveConditionViolated)
@@ -46,32 +50,93 @@ VARIANT_ABSOLUTE = "absolute"
 DEFAULT_LATTES_VARIANT = VARIANT_NORM
 
 
+class _Quotient:
+    """Kernel sizes #ker x = size(x) / p^valuation(x) of x = sigma^n - gamma;
+    by default for an integer sigma: |x|, v_p(x) and degree |sigma|."""
+
+    def kernel(self, gamma, n: int) -> int:
+        x = self.sigma ** n - gamma
+        return self.size(x) // self.p ** self.valuation(x)
+
+    def size(self, x) -> int:
+        return abs(x)
+
+    def valuation(self, x) -> int:
+        return v_p(x, self.p)
+
+    @property
+    def degree(self) -> int:
+        return abs(self.sigma)
+
+
 @dataclass(frozen=True)
-class PowerMap:
+class PowerMap(_Quotient):
     p: int
     d: int
+    name = "power"
+    gammas = (1,)
+    sigma = property(lambda self: self.d)
 
     def __post_init__(self):
         check_prime(self.p)
         if abs(self.d) < 2:
             raise SpecError("power maps need |d| >= 2")
 
+    def boundary(self, n: int) -> int:
+        return 2 if self.d > 0 or n % 2 == 0 else 0
+
 
 @dataclass(frozen=True)
-class ChebyshevMap:
+class ChebyshevMap(_Quotient):
     p: int
     d: int
+    name = "chebyshev"
+    gammas = (1, -1)
+    sigma = property(lambda self: self.d)
 
     def __post_init__(self):
         check_prime(self.p)
         if self.d < 2:
             raise SpecError("Chebyshev maps need d >= 2")
 
+    def boundary(self, n: int) -> int:
+        return 1
+
+
+class _AdditiveQuotient:
+    """x -> sigma x on G_a: kernels from v_phi(sigma^n - w), formed by
+    truncated powers of sigma over a field holding the group Gamma."""
+
+    def boundary(self, n: int) -> int:
+        return 1
+
+    @property
+    def degree(self) -> int:
+        return self.sigma.map_degree()
+
+    def valuation(self, x):
+        return v_phi(x)
+
+    @property
+    def p(self):
+        return self.sigma.ctx.p
+
+    @property
+    def gammas(self):
+        return self._lift[1]
+
+    def kernel(self, w, n: int) -> int:
+        sigma = self._lift[0]
+        v = v_phi_pow_minus(sigma, n, w)
+        return sigma.ctx.p ** (sigma.top_index * n - v)
+
 
 @dataclass(frozen=True)
-class AdditiveMap:
+class AdditiveMap(_AdditiveQuotient):
     sigma: TwistedPoly
     translation: object = None
+    name = "additive"
+    _lift = property(lambda self: (self.sigma, (self.sigma.ctx.one(),)))
 
     def __post_init__(self):
         if self.sigma.is_zero() or self.sigma.top_index < 1:
@@ -79,15 +144,12 @@ class AdditiveMap:
         if self.translation is None:
             object.__setattr__(self, "translation", self.sigma.ctx.zero())
 
-    @property
-    def p(self):
-        return self.sigma.ctx.p
-
 
 @dataclass(frozen=True)
-class SubadditiveMap:
+class SubadditiveMap(_AdditiveQuotient):
     sigma: TwistedPoly
     d: int
+    name = "subadditive"
 
     def __post_init__(self):
         if self.d < 2:
@@ -102,18 +164,41 @@ class SubadditiveMap:
                 raise SubadditiveConditionViolated(
                     "every monomial degree of the additive map must be 1 mod d")
 
-    @property
-    def p(self):
-        return self.sigma.ctx.p
+    @cached_property
+    def _lift(self):
+        """sigma lifted to a field containing mu_d, plus the d roots of
+        unity; found once per map."""
+        ctx = self.sigma.ctx
+        if ctx.flavor != "finite":
+            # Transcendental coefficients keep all the roots of unity in the
+            # constants; separability analysis never needs them explicitly.
+            raise SpecError("explicit roots of unity need finite coefficients")
+        q = ctx.order
+        e = next((e for e in range(1, 25) if (q ** e - 1) % self.d == 0), None)
+        if e is None:
+            raise SpecError("root-of-unity field out of reach")
+        if e > 1 and q ** e > enum_cap():
+            raise SpecError("root-of-unity field exceeds the enumeration cap")
+        ext = extend_field(ctx, e)
+        sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in self.sigma.coeffs])
+        roots = tuple(islice((z for z in ext.elements()
+                              if not z.is_zero() and (z ** self.d).is_one()),
+                             self.d))
+        if len(roots) != self.d:
+            raise SpecError("failed to enumerate the roots of unity (internal)")
+        return sigma, roots
 
 
 @dataclass(frozen=True)
-class LattesGenericJ:
+class LattesGenericJ(_Quotient):
     """Integer multiplier on a curve with End = Z; quotient by negation."""
 
     p: int
     s: int
     variant: str = DEFAULT_LATTES_VARIANT
+    name = "lattes-generic"
+    gammas = (1, -1)
+    sigma = property(lambda self: self.s)
 
     def __post_init__(self):
         check_prime(self.p)
@@ -122,13 +207,39 @@ class LattesGenericJ:
         if self.variant not in (VARIANT_NORM, VARIANT_ABSOLUTE):
             raise SpecError(f"unknown count variant {self.variant!r}")
 
+    @property
+    def degree(self) -> int:
+        return self.s * self.s
+
+    def size(self, x) -> int:
+        return x * x if self.variant == VARIANT_NORM else abs(x)
+
+    def boundary(self, n: int) -> int:
+        return 0
+
+
+class _RingMultiplier(_Quotient):
+    """x -> sigma x for sigma in an imaginary quadratic or quaternion
+    order: the degree of an endomorphism is its (reduced) norm."""
+
+    def size(self, x) -> int:
+        return x.norm()
+
+    @property
+    def degree(self) -> int:
+        return self.sigma.norm()
+
+    def boundary(self, n: int) -> int:
+        return 0
+
 
 @dataclass(frozen=True)
-class LattesOrdinary:
+class LattesOrdinary(_RingMultiplier):
     prime_ctx: PrimeContext
     sigma: QuadElem
     gamma_order: int
     gammas: tuple = dc_field(init=False)
+    name = "lattes-ordinary"
 
     def __post_init__(self):
         if self.sigma.ring != self.prime_ctx.ring:
@@ -155,7 +266,7 @@ class LattesOrdinary:
 
 
 @dataclass(frozen=True)
-class LattesSupersingular:
+class LattesSupersingular(_RingMultiplier):
     """Supersingular quotient E/Gamma.  sigma is given by (trace, norm) for
     p >= 5, and stored as tau in QuadRing(trace, norm); for p in {2, 3}
     (j = 0) it is a quaternion of the explicit maximal order."""
@@ -167,6 +278,7 @@ class LattesSupersingular:
     gamma: str = "mu2"   # "mu2" or "units"
     sigma: QuadElem | QuatElem = dc_field(init=False)
     gammas: tuple = dc_field(init=False)
+    name = "lattes-supersingular"
 
     def __post_init__(self, sigma_trace, sigma_norm, sigma_quat):
         check_prime(self.p)
@@ -208,10 +320,6 @@ class LattesSupersingular:
         return v_p(x.norm(), self.p)
 
 
-DynAffineMap = (PowerMap, ChebyshevMap, AdditiveMap, SubadditiveMap,
-                LattesGenericJ, LattesOrdinary, LattesSupersingular)
-
-
 # -- the counting template -------------------------------------------------------------
 
 
@@ -226,40 +334,12 @@ def per_n_template(boundary: int, gammas, kernel_size, n: int) -> int:
     return boundary + total // len(gammas)
 
 
-def _gm_kernel(M: int, p: int) -> int:
-    """#ker(x^M) on the multiplicative group: |M| / p^(v_p(|M|))."""
-    M = abs(M)
-    return M // p ** v_p(M, p)
-
-
 def map_degree(m) -> int:
-    if isinstance(m, PowerMap):
-        return abs(m.d)
-    if isinstance(m, ChebyshevMap):
-        return m.d
-    if isinstance(m, (AdditiveMap, SubadditiveMap)):
-        return m.sigma.map_degree()
-    if isinstance(m, LattesGenericJ):
-        return m.s * m.s
-    if isinstance(m, (LattesOrdinary, LattesSupersingular)):
-        return m.sigma.norm()
-    raise SpecError(f"not a dynamically affine map: {m!r}")
+    return m.degree
 
 
 def classify_separability(m) -> str:
-    if isinstance(m, PowerMap):
-        insep = m.d % m.p == 0
-    elif isinstance(m, ChebyshevMap):
-        insep = m.d % m.p == 0
-    elif isinstance(m, (AdditiveMap, SubadditiveMap)):
-        insep = v_phi(m.sigma) != 0
-    elif isinstance(m, LattesGenericJ):
-        insep = m.s % m.p == 0
-    elif isinstance(m, (LattesOrdinary, LattesSupersingular)):
-        insep = m.valuation(m.sigma) != 0
-    else:
-        raise SpecError(f"not a dynamically affine map: {m!r}")
-    return "inseparable" if insep else "separable"
+    return "inseparable" if m.valuation(m.sigma) != 0 else "separable"
 
 
 def per_n_closed(m, n: int) -> int:
@@ -270,75 +350,7 @@ def per_n_closed(m, n: int) -> int:
         # Inseparable iterates have squarefree fixed-point divisors, so the
         # count is always degree^n + 1.
         return map_degree(m) ** n + 1
-
-    if isinstance(m, PowerMap):
-        boundary = 2 if m.d > 0 or n % 2 == 0 else 0
-        return per_n_template(boundary, (1,),
-                              lambda _g, k: _gm_kernel(m.d ** k - 1, m.p), n)
-
-    if isinstance(m, ChebyshevMap):
-        return per_n_template(
-            1, (1, -1), lambda g, k: _gm_kernel(m.d ** k - g, m.p), n)
-
-    if isinstance(m, (AdditiveMap, SubadditiveMap)):
-        sigma, roots = (_subadditive_roots(m) if isinstance(m, SubadditiveMap)
-                        else (m.sigma, (m.sigma.ctx.one(),)))
-
-        def kernel(w, k):
-            v = v_phi_pow_minus(sigma, k, w)
-            return sigma.ctx.p ** (sigma.top_index * k - v)
-
-        return per_n_template(1, roots, kernel, n)
-
-    if isinstance(m, LattesGenericJ):
-        def kernel(g, k):
-            M = m.s ** k - g
-            if m.variant == VARIANT_NORM:
-                return M * M // m.p ** v_p(abs(M), m.p)
-            return abs(M) // m.p ** v_p(abs(M), m.p)
-
-        return per_n_template(0, (1, -1), kernel, n)
-
-    if isinstance(m, (LattesOrdinary, LattesSupersingular)):
-        def kernel(g, k):
-            x = m.sigma ** k - g
-            return x.norm() // m.p ** m.valuation(x)
-
-        return per_n_template(0, m.gammas, kernel, n)
-
-    raise SpecError(f"not a dynamically affine map: {m!r}")
-
-
-def _subadditive_roots(m: SubadditiveMap):
-    """sigma lifted to a field containing mu_d, plus the d roots of unity."""
-    ctx = m.sigma.ctx
-    if ctx.flavor != "finite":
-        # Transcendental coefficients keep all the roots of unity in the
-        # constants; separability analysis never needs them explicitly.
-        raise SpecError("explicit roots of unity need finite coefficients")
-    q = ctx.order
-    e = 1
-    while (q ** e - 1) % m.d != 0:
-        e += 1
-        if e > 24:
-            raise SpecError("root-of-unity field out of reach")
-    if e == 1:
-        ext = ctx
-        sigma = m.sigma
-    else:
-        if q ** e > enum_cap():
-            raise SpecError("root-of-unity field exceeds the enumeration cap")
-        ext = extend_field(ctx, e)
-        sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in m.sigma.coeffs])
-    roots = []
-    for z in ext.elements():
-        if not z.is_zero() and (z ** m.d).is_one():
-            roots.append(z)
-            if len(roots) == m.d:
-                break
-    if len(roots) != m.d:
-        raise SpecError("failed to enumerate the roots of unity (internal)")
-    return sigma, tuple(roots)
+    return per_n_template(m.boundary(n), m.gammas, m.kernel, n)
 
 
 # -- realizations ------------------------------------------------------------------------

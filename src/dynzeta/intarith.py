@@ -201,14 +201,15 @@ def first_prime_where(predicate, start: int = 2, cap: int = 10_000_000,
     raise NoAdmissibleEll(f"no admissible prime below {cap}: {description}")
 
 
-def last_prime_where(predicate, cap: int, floor: int = 2) -> int | None:
-    """Largest prime <= cap satisfying predicate, or None."""
-    n = cap
-    while n >= floor:
-        if is_prime(n) and predicate(n):
-            return n
-        n -= 1
-    return None
+def tower_bound(p: int, a: int, cap: int) -> int | None:
+    """p^(a p^a) when it is below cap, else None.  The exponents are
+    compared first (p^x >= 2^x), so the power is never formed past the
+    size of cap."""
+    bits = cap.bit_length()
+    if a >= bits or a * p ** a >= bits:
+        return None
+    bound = p ** (a * p ** a)
+    return bound if bound < cap else None
 
 
 def isqrt_exact(n: int) -> int | None:

@@ -167,8 +167,8 @@ class PrimeContext:
 
 
 def _quadratic_roots_mod_p(T, N, p):
-    if p < 1000:
-        return [r for r in range(p) if (r * r - T * r + N) % p == 0]
+    if p == 2:
+        return [r for r in range(2) if (r * r - T * r + N) % 2 == 0]
     disc = field_make(p).from_int(T * T - 4 * N)
     if not disc.is_square():
         return []

@@ -11,8 +11,8 @@ the verdict engine emits either a verified rational closed form or a
 finite certificate (choice of step m and auxiliary prime ell, a residue
 sequence manipulated out of the periodic-point counts, kernel growth in
 base ell, kernel closure in base p, and a failed periodicity scan).  A
-certificate that fails its own consistency checks, or whose auxiliary
-prime is heuristic, gives the weaker outcome "inconclusive".
+certificate that fails its own consistency checks gives the weaker outcome
+"inconclusive".
 """
 
 import math
@@ -24,18 +24,15 @@ import numpy as np
 from .automata import (KernelReport, check_kernel_budget,
                        eventual_period_detect, kernel_explore,
                        residue_sequence)
-from .errors import (Mismatch, NoAdmissibleEll, NonIntegerCoefficient,
-                     ScaleExceeded, SpecError)
-from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
-                       LattesOrdinary, LattesSupersingular, PowerMap,
-                       SubadditiveMap, VARIANT_NORM, classify_separability,
-                       map_degree, per_n_closed)
-from .intarith import (divisors, first_prime_where, last_prime_where,
-                       multiplicative_order, v_p)
+from .errors import Mismatch, NonIntegerCoefficient, ScaleExceeded, SpecError
+from .families import classify_separability, map_degree, per_n_closed
+from .intarith import (divisors, first_prime_where, multiplicative_order,
+                       tower_bound, v_p)
 from .limits import ELL_SEARCH_CAP
 from .orders import norm_sequence
 from .sentinels import TRANSCENDENTAL
-from .twisted import constant_order, tw_pow, tw_sub_scalar, v_phi
+from .twisted import (TwistedPoly, constant_order, tw_pow, tw_sub_scalar,
+                      v_phi)
 
 # -- series ------------------------------------------------------------------------
 
@@ -78,7 +75,8 @@ def zeta_from_cycles(census, length: int) -> ZetaSeries:
 
 
 def series_of_rational(num, den, length: int):
-    """Power-series prefix of num/den (integer coefficient lists)."""
+    """Power-series prefix of num/den (integer coefficient lists); the
+    constant term 1 of den keeps every coefficient an integer."""
     num = list(num)
     den = list(den)
     if not den or den[0] == 0:
@@ -87,16 +85,11 @@ def series_of_rational(num, den, length: int):
         raise SpecError("denominator normalized with constant term 1")
     out = []
     for i in range(length):
-        acc = Fraction(num[i]) if i < len(num) else Fraction(0)
+        acc = num[i] if i < len(num) else 0
         for j in range(1, min(i, len(den) - 1) + 1):
             acc -= den[j] * out[i - j]
         out.append(acc)
-    result = []
-    for c in out:
-        if c.denominator != 1:
-            raise NonIntegerCoefficient("rational expansion left the integers")
-        result.append(int(c))
-    return result
+    return out
 
 
 # -- rationality test --------------------------------------------------------------
@@ -247,7 +240,6 @@ class Certificate:
     control: str          # "values" or "valuation-classes"
     period_scan: object
     crosscheck_terms: int
-    heuristic_bound: bool = False
 
     def consistent(self) -> bool:
         """Internal consistency: growth in base ell, closure in base p,
@@ -303,7 +295,7 @@ def _control_period(shape, ratio, a1, p, ell):
 
 
 def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
-                     rederived, opts, heuristic=False):
+                     rederived, opts):
     """Certificate for the sequence described by (shape, ratio, a1, alpha, beta).
 
     rederived yields (n, term) pairs computed from exact periodic-point
@@ -368,28 +360,64 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
         scan_len = max(2 * scan_len, pre + 8 * per)
     return Certificate(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
                        tuple(values[:opts.period_terms].tolist()),
-                       ell_kernel, p_kernel, control, period, checked,
-                       heuristic)
+                       ell_kernel, p_kernel, control, period, checked)
 
 
-def _geometric_certificate(family, mapping, m, v0, beta, ratio, ell_modulus,
-                           group, boundary, main, others, stride, terms, opts):
-    """Certificate for a separable multiplicative-type count.
+def _geometric_certificate(mapping, opts):
+    """Certificate for a separable quotient of x -> sigma x on G_m or on an
+    elliptic curve, read off the family's quotient data.
 
     Along k = alpha*n + beta the exact counts of the step-m iterate satisfy
 
-        group * (#Per_(m k) - boundary)
-            = main * p^(-v0 - v_p(k)) + sum over others of other * p^(-c),
+        |Gamma| * (#Per_(m k) - boundary)
+            = main * p^(-v0 - e v_p(k)) + sum over others of other * p^(-c),
 
-    where main and every (other, c) of others are given at k = beta and are
-    constant mod ell along the progression.  So each count gives back one
-    term of the residue sequence ratio^(v_p(alpha*n + beta)) mod ell.  The
-    auxiliary prime ell > p is the least with ell = 2 mod ell_modulus
-    (3 when p = 2) dividing none of the map degree, group, ratio - 1 and
-    main; stride(ell) gives alpha.  Re-derivation stops after terms terms,
+    with main = size(sigma^(m beta) - 1), v0 = valuation(sigma^m - 1),
+    e = valuation(p), and one (size(sigma^(m beta) - gamma),
+    valuation(1 - gamma)) in others for every gamma != 1; c < v0, and every
+    size is constant mod ell along the progression.  So each count gives
+    back one term of the residue sequence ratio^(v_p(alpha*n + beta)) mod
+    ell with ratio = p^e.  Integer and ring multipliers differ only in the
+    step m, beta, the modulus of ell, the stride alpha(ell) and the number
+    of terms re-derived.  The auxiliary prime ell > p is the least with
+    ell = 2 mod that modulus (3 when p = 2) dividing none of the map degree,
+    |Gamma|, ratio - 1 and main.  Re-derivation stops after the term count,
     or once m k passes the crosscheck index cap (never before n = 1).
     """
-    p = mapping.p
+    p, sigma = mapping.p, mapping.sigma
+    one = sigma ** 0
+    e = mapping.valuation(one * p)
+    if isinstance(sigma, int):
+        # the least even m with sigma^m = 1 mod p (m = 2 when p = 2)
+        m = 2 if p == 2 else math.lcm(2, multiplicative_order(sigma, p))
+        beta, ell_modulus = (2, 4) if p == 2 else (1, p)
+        terms = 48
+
+        def stride(ell):
+            return ell - 1  # Fermat: every size is constant mod ell
+    else:
+        # v(p) = 2 on a supersingular curve, 1 at an ordinary one's split prime
+        m = (_supersingular_step(mapping, opts) if e == 2
+             else _ordinary_step(mapping))
+        beta, ell_modulus = {2: (16, 8), 3: (3, 9)}.get(p, (1, p))
+        terms = 24
+
+        def stride(ell):
+            # the least common period of the norms mod ell
+            return math.lcm(*(norm_sequence(sig_m, g, ell, 16).least_period
+                              for g in mapping.gammas))
+    sig_m = sigma ** m
+    v0 = mapping.valuation(sig_m - one)
+    others = []
+    for g in mapping.gammas:
+        if g == one:
+            continue
+        c = mapping.valuation(one - g)
+        if c >= v0:
+            raise Mismatch("unit valuation not dominated (internal)")
+        others.append((mapping.size(sig_m ** beta - g), c))
+    group, ratio = len(mapping.gammas), p ** e
+    main = mapping.size(sig_m ** beta - one)
     degree = map_degree(mapping)
 
     def admissible(ell):
@@ -397,12 +425,13 @@ def _geometric_certificate(family, mapping, m, v0, beta, ratio, ell_modulus,
                 and all(x % ell for x in (degree, group, ratio - 1, main)))
 
     ell = first_prime_where(admissible, start=3, cap=opts.ell_cap,
-                            description=f"{family} auxiliary prime")
+                            description=f"{mapping.name} auxiliary prime")
     alpha = stride(ell)
     if v_p(alpha, p) > v_p(beta, p):
         raise Mismatch("stride valuation exceeds offset valuation (internal)")
     other = sum(o * pow(p, -c, ell) for o, c in others) % ell
     scale = pow(p, v0, ell) * pow(main, -1, ell) % ell
+    boundary = mapping.boundary(m)
 
     def term(_k, count):
         residue = (group * (count - boundary) - other) * scale % ell
@@ -410,8 +439,8 @@ def _geometric_certificate(family, mapping, m, v0, beta, ratio, ell_modulus,
 
     rederived = _rederived(mapping, m, alpha, beta, 0, terms,
                            opts.crosscheck_index_cap, term)
-    return _build_detectors(family, "geometric", m, ell, p, ratio % ell, alpha,
-                            beta, 0, v0, rederived, opts)
+    return _build_detectors(mapping.name, "geometric", m, ell, p, ratio % ell,
+                            alpha, beta, 0, v0, rederived, opts)
 
 
 def _rederived(mapping, m, alpha, beta, first, stop, index_cap, term):
@@ -427,126 +456,7 @@ def _rederived(mapping, m, alpha, beta, first, stop, index_cap, term):
         yield n, term(k, per_n_closed(mapping, m * k))
 
 
-def _gm_certificate(family, mapping, D, group, boundary, squared, opts):
-    """Multiplicative-group families: power, Chebyshev, integer Lattes.
-
-    The step m is the least even order of D mod p; Gamma is {1} (group 1)
-    or {1, -1} (group 2), and -1 adds the term (D^(m k) + 1) p^(-v_p(2)).
-    squared takes norms (squares) of both numerators.
-    """
-    p = mapping.p
-    m = _even_order(D, p)
-    beta = 2 if p == 2 else 1
-    power = D ** (m * beta)
-    main, plus = power - 1, power + 1
-    if squared:
-        main, plus = main * main, plus * plus
-    others = [(plus, v_p(2, p))] if group == 2 else []
-    return _geometric_certificate(family, mapping, m, v_p(D ** m - 1, p), beta,
-                                  p, 4 if p == 2 else p, group, boundary, main,
-                                  others, lambda ell: ell - 1, 48, opts)
-
-
-def _even_order(D, p):
-    """Even step m with D^m = 1 mod p (the least such, m = 2 when p = 2)."""
-    if p == 2:
-        return 2
-    m0 = multiplicative_order(D % p, p)
-    return m0 if m0 % 2 == 0 else 2 * m0
-
-
-def _certificate_ga(mapping, opts) -> Certificate:
-    """Tower-shaped certificate for additive and subadditive polynomials."""
-    sigma = mapping.sigma
-    p = sigma.ctx.p
-    d = mapping.d if isinstance(mapping, SubadditiveMap) else 1
-    m = constant_order(sigma)
-    if m is TRANSCENDENTAL:
-        raise SpecError("transcendental linear coefficient has a rational zeta")
-    sig_m = tw_pow(sigma, m)
-    v0 = v_phi(tw_sub_scalar(sig_m, 1))
-    a1 = v0 * (2 if p == 2 else 1)
-    bound = p ** (a1 * p ** a1)
-    family = "subadditive" if d > 1 else "additive"
-
-    def admissible(ell):
-        if ell <= max(p, d) or d % ell == 0:
-            return False
-        if p == 2:
-            return ell % 8 == 7
-        return ell % p == 2 % p and math.gcd(p, ell - 1) == 1
-
-    heuristic = False
-    if bound < opts.ell_cap:
-        ell = first_prime_where(lambda q: q > bound and admissible(q),
-                                start=bound + 1, cap=opts.ell_cap,
-                                description=f"{family} auxiliary prime")
-    else:
-        fallback = last_prime_where(admissible, cap=opts.ell_cap)
-        if fallback is None:
-            raise NoAdmissibleEll(f"no usable prime for the {family} certificate")
-        ell = fallback
-        heuristic = True
-
-    deg_m = pow(sigma.ctx.p, sigma.top_index * m, ell)
-
-    def term(k, count):
-        deg_k = pow(deg_m, k, ell)
-        return pow((d * (count - 1) - (d - 1) * deg_k) * pow(deg_k, -1, ell),
-                   -1, ell)
-
-    # n = 0 is skipped: its count index k = 0 carries no valuation.  The
-    # index cap keeps (m k top)^2 within 2.5M.
-    rederived = _rederived(mapping, m, ell - 1, 0, 1, 9,
-                           math.isqrt(2_500_000) // max(1, sigma.top_index),
-                           term)
-    return _build_detectors(family, "tower", m, ell, p, p, 0, 0, a1, v0,
-                            rederived, opts, heuristic=heuristic)
-
-
-def _certificate_lattes(mapping, opts) -> Certificate:
-    """Ordinary and supersingular Lattes quotients E/Gamma of x -> sigma x.
-
-    #ker(sigma^k - gamma) is norm(sigma^k - gamma) / p^v with v the
-    family's valuation; the two families differ only in v and in how the
-    step m is found.  Along k = m (alpha n + beta) the exponent lift
-    gives v(sigma^(m k) - 1) = v0 + v_p(k) (ordinary, ratio p) or
-    v0 + 2 v_p(k) (supersingular, ratio p^2), and every gamma != 1 adds a
-    term of constant valuation v(1 - gamma) < v0.  alpha(ell) is the lcm
-    over gamma of the least period of norm(sigma^(m k) - gamma) mod ell,
-    so every gamma term is constant mod ell along the progression.
-    """
-    p = mapping.p
-    if isinstance(mapping, LattesOrdinary):
-        family, ratio = "lattes-ordinary", p
-        m = _ordinary_step(mapping)
-    else:
-        family, ratio = "lattes-supersingular", p * p
-        m = _supersingular_step(mapping, opts)
-    sig_m = mapping.sigma ** m
-    one = sig_m ** 0
-    v0 = mapping.valuation(sig_m - one)
-    beta = {2: 16, 3: 3}.get(p, 1)
-    others = []
-    for g in mapping.gammas:
-        if g == one:
-            continue
-        c = mapping.valuation(one - g)
-        if c >= v0:
-            raise Mismatch("unit valuation not dominated (internal)")
-        others.append(((sig_m ** beta - g).norm(), c))
-
-    def stride(ell):
-        return math.lcm(*(norm_sequence(sig_m, g, ell, 16).least_period
-                          for g in mapping.gammas))
-
-    return _geometric_certificate(
-        family, mapping, m, v0, beta, ratio, {2: 8, 3: 9}.get(p, p),
-        len(mapping.gammas), 0, (sig_m ** beta - one).norm(), others, stride,
-        24, opts)
-
-
-def _ordinary_step(mapping: LattesOrdinary) -> int:
+def _ordinary_step(mapping) -> int:
     """Order of sigma in the residue ring mod the prime (squared for p = 2
     so the exponent-lift guard holds)."""
     p = mapping.p
@@ -557,7 +467,7 @@ def _ordinary_step(mapping: LattesOrdinary) -> int:
         (mapping.sigma.a + mapping.sigma.b * coroot) % modulus, modulus)
 
 
-def _supersingular_step(mapping: LattesSupersingular, opts) -> int:
+def _supersingular_step(mapping, opts) -> int:
     """Least k with v(sigma^k - 1) >= guard (3 at p = 2, 2 at p = 3, else 1).
 
     The least such k is the order of sigma in (O/I^guard)^*, so it
@@ -578,22 +488,60 @@ def _supersingular_step(mapping: LattesSupersingular, opts) -> int:
     raise Mismatch("no step with the required ideal valuation (internal)")
 
 
+def _certificate_ga(mapping, opts) -> Certificate:
+    """Tower-shaped certificate for additive and subadditive polynomials.
+
+    The auxiliary prime must exceed p^(a1 p^a1); a bound at or past the
+    prime search cap is refused before that power is formed.
+    """
+    sigma = mapping.sigma
+    p = sigma.ctx.p
+    d = getattr(mapping, "d", 1)  # |Gamma|: 1 for additive maps
+    m = constant_order(sigma)
+    if m is TRANSCENDENTAL:
+        raise SpecError("transcendental linear coefficient has a rational zeta")
+    sig_m = tw_pow(sigma, m)
+    v0 = v_phi(tw_sub_scalar(sig_m, 1))
+    a1 = v0 * (2 if p == 2 else 1)
+    bound = tower_bound(p, a1, opts.ell_cap)
+    if bound is None:
+        raise ScaleExceeded(
+            f"the {mapping.name} certificate needs an auxiliary prime above "
+            f"p^(a1 p^a1) with a1 = {a1}, past the prime search cap "
+            f"{opts.ell_cap}")
+
+    def admissible(ell):
+        if ell <= max(p, d) or d % ell == 0:
+            return False
+        if p == 2:
+            return ell % 8 == 7
+        return ell % p == 2 % p and math.gcd(p, ell - 1) == 1
+
+    ell = first_prime_where(lambda q: q > bound and admissible(q),
+                            start=bound + 1, cap=opts.ell_cap,
+                            description=f"{mapping.name} auxiliary prime")
+    deg_m = pow(p, sigma.top_index * m, ell)
+
+    def term(k, count):
+        deg_k = pow(deg_m, k, ell)
+        return pow((d * (count - 1) - (d - 1) * deg_k) * pow(deg_k, -1, ell),
+                   -1, ell)
+
+    # n = 0 is skipped: its count index k = 0 carries no valuation.  The
+    # index cap keeps (m k top)^2 within 2.5M.
+    rederived = _rederived(mapping, m, ell - 1, 0, 1, 9,
+                           math.isqrt(2_500_000) // max(1, sigma.top_index),
+                           term)
+    return _build_detectors(mapping.name, "tower", m, ell, p, p, 0, 0, a1, v0,
+                            rederived, opts)
+
+
 def certificate_build(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Certificate:
-    """Finite transcendence evidence for a separable map on that path."""
-    if isinstance(mapping, PowerMap):
-        return _gm_certificate("power", mapping, abs(mapping.d), 1, 2, False,
-                               opts)
-    if isinstance(mapping, ChebyshevMap):
-        return _gm_certificate("chebyshev", mapping, mapping.d, 2, 1, False,
-                               opts)
-    if isinstance(mapping, LattesGenericJ):
-        return _gm_certificate("lattes-generic", mapping, abs(mapping.s), 2, 0,
-                               mapping.variant == VARIANT_NORM, opts)
-    if isinstance(mapping, (AdditiveMap, SubadditiveMap)):
+    """Finite transcendence evidence for a separable map on that path: the
+    tower shape for additive polynomials, the geometric shape otherwise."""
+    if isinstance(mapping.sigma, TwistedPoly):
         return _certificate_ga(mapping, opts)
-    if isinstance(mapping, (LattesOrdinary, LattesSupersingular)):
-        return _certificate_lattes(mapping, opts)
-    raise SpecError(f"no certificate path for {type(mapping).__name__}")
+    return _geometric_certificate(mapping, opts)
 
 
 # -- the verdict engine ---------------------------------------------------------------------
@@ -605,16 +553,14 @@ def verdict(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Verdict:
     if classify_separability(mapping) == "inseparable":
         return _rational_verdict(mapping, D, "inseparable", opts)
     reason = "separable-multiplicative-or-lattes"
-    if isinstance(mapping, (AdditiveMap, SubadditiveMap)):
+    if isinstance(mapping.sigma, TwistedPoly):
         if constant_order(mapping.sigma) is TRANSCENDENTAL:
             return _rational_verdict(mapping, D,
                                      "transcendental-linear-coefficient", opts)
         reason = "separable-additive-algebraic"
     cert = certificate_build(mapping, opts)
-    # Evidence that fails its own checks, or rests on a heuristic prime,
-    # supports no lean either way.
-    outcome = ("transcendental-evidence"
-               if cert.consistent() and not cert.heuristic_bound
+    # Evidence that fails its own checks supports no lean either way.
+    outcome = ("transcendental-evidence" if cert.consistent()
                else "inconclusive")
     return Verdict(outcome, reason, None, cert, 0)
 

@@ -461,6 +461,29 @@ class TestRegressions:
         assert rationality["denominator"] == ["1", str(-(d + 1)), str(d)]
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize("p", [1000003, 9999991])
+    def test_tower_bound_past_the_prime_cap_refused_at_once(self, p, capsys):
+        # the auxiliary prime must exceed p^(a1 p^a1) = p^p, an integer of
+        # over 10^7 bits; its exponent alone shows it is past the cap
+        start = time.perf_counter()
+        code, text = run_cli(["verdict", "--family", "additive", "--p", str(p),
+                              "--sigma", "1,1"])
+        elapsed = time.perf_counter() - start
+        assert (code, text) == (3, "")
+        assert "past the prime search cap" in capsys.readouterr().err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("a,p", [(4, 31), (20, 3)])
+    def test_vp_tower_bound_refused_before_the_power(self, a, p):
+        # 31^(4 * 31^4) has some 1.8 * 10^7 bits, 3^(20 * 3^20) about
+        # 1.1 * 10^11: neither is formed to compare with ell
+        start = time.perf_counter()
+        code, text = run_cli(["automata", "--kind", "vp-tower", "--a", str(a),
+                              "--p", str(p), "--ell", "7"])
+        elapsed = time.perf_counter() - start
+        assert (code, text) == (2, "")
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("p,tn", [(5, "2,12"), (5, "5,19"), (5, "6,23"),
                                       (5, "1,13"), (5, "6,13"), (11, "1,21"),
                                       (11, "5,28")])
@@ -510,6 +533,89 @@ def test_job_file_stdout_pinned(name, digest):
     path = os.path.join(os.path.dirname(__file__), "..", "jobs", f"{name}.json")
     code, text = run_cli(["--job", path])
     assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# stdout sha256 and exit code of verdicts through every branch of the
+# geometric certificate (p in {2, 3}, negative multipliers, both generic
+# variants, every automorphism group) and of the tower certificate;
+# e3b0c442... is the empty stdout of a refusal
+VERDICT_DIGESTS = [
+    ("verdict --family power --p 2 --d=3", 0,
+     "2007a42bbcf1c45c89c76b7aca2d4e49f9b331f1302a732e05a5d842845e1570"),
+    ("verdict --family power --p 2 --d=-3", 0,
+     "3cb11767aad076d745ee901aa0ccf4d313d13fadb308ef5909531c74b4798038"),
+    ("verdict --family power --p 3 --d=2", 0,
+     "39601b2ca988f5a89215019b931beae98ac96d4723794611db5d5c8e6c593415"),
+    ("verdict --family power --p 3 --d=-2", 0,
+     "7531c39c7a358643438a20cd8dbc1fa5aa936dd8fdca781ead82b409acc41c7f"),
+    ("verdict --family power --p 13 --d=2", 0,
+     "6bfeb941662064661d4d24d45a9d8c86e39ec566b9de7b74531e95f9540c3971"),
+    ("verdict --family power --p 7 --d=-5", 0,
+     "0a78ab2f18abeb8043efe7bb082bb040fcfc8342b6dc425288c71ce1f7ac48b5"),
+    ("verdict --family chebyshev --p 2 --d 3", 0,
+     "05cdc28c4fab56d50e11a9aed920c4028c76fdb025e12ff8159dea8daebc697d"),
+    ("verdict --family chebyshev --p 3 --d 2", 0,
+     "d04eaa37464178455918a3908f3b866f2bd895d1917c0762cdc9958c56184590"),
+    ("verdict --family chebyshev --p 7 --d 4", 0,
+     "da925d7eaf175285de2b80eda5f65ace7d0102a92ce970cd0e9c8d42643e2f02"),
+    ("verdict --family lattes-generic --p 2 --s=3", 0,
+     "5aaecd9bfba2c79380dba5323914ee974abad69b99a6326492148237fa2cebd5"),
+    ("verdict --family lattes-generic --p 3 --s=2", 0,
+     "2ec25b6aec220ab2ca125daba890f0f74faff4da2a4fdb9aa72ad764312fb3b9"),
+    ("verdict --family lattes-generic --p 7 --s=-3", 0,
+     "1e841097b31cb215cde981082ceded6c51ce0f16c23d18848423b9f47c0d7d0a"),
+    ("verdict --family lattes-generic --p 5 --s=2 --variant absolute", 0,
+     "245b260593f5ab899dd29e52783b3c272488f40d6fdee173f92902afe99161fd"),
+    ("verdict --family lattes-generic --p 3 --s=-2 --variant absolute", 0,
+     "052eef8f3a33744be8563e09d135ba282e9b9a4274674f2080f653cbec85e339"),
+    ("verdict --family lattes-ordinary --p 5 --tau 0,1 "
+     "--sigma-quad 1,1 --gamma-order 2", 0,
+     "5f7882e954f7d958a984ecb47c60db1cde28ae75e9dea0ada7e8c6121b32c743"),
+    ("verdict --family lattes-ordinary --p 5 --tau 0,1 "
+     "--sigma-quad 1,1 --gamma-order 4", 0,
+     "3ea13ef661fe3eeea05396ba3100da2af5590d112f2fbee3f0c88a262b3f680b"),
+    ("verdict --family lattes-ordinary --p 7 --tau 1,1 "
+     "--sigma-quad 2,1 --gamma-order 3", 0,
+     "a205716e8c703e236e741230abef0bdfaaebc791bceb5ab2d88ac69e8875b183"),
+    ("verdict --family lattes-ordinary --p 7 --tau 1,1 "
+     "--sigma-quad 2,1 --gamma-order 6", 0,
+     "2ebeb17ea58cead9168f91ba0915112617e45c466909c68d0820d76be6590b07"),
+    ("verdict --family lattes-ordinary --p 2 --tau 1,2 --sigma-quad 1,1", 0,
+     "d169420c03b55138d20bb083d9728d6c172d0139eb909b6555f3d48f8ea5a26b"),
+    ("verdict --family lattes-ordinary --p 3 --tau 1,3 --sigma-quad 2,1", 0,
+     "e9a84a741e51767d7a95d26886672a1e4d56e07f8e159a470f9cfd76fd3c32b9"),
+    ("verdict --family lattes-supersingular --p 2 "
+     "--sigma-quat 3,1,1,1 --gamma mu2", 0,
+     "902b1b81b1033a080b5da77af76bf71c1fc15aa81c1e0866e3dc727035d94c8f"),
+    ("verdict --family lattes-supersingular --p 2 --sigma-quat 3,1,1,1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verdict --family lattes-supersingular --p 3 --sigma-quat 4,0,0,0", 0,
+     "2ad38b708d69da89bd118fd2bf883d87fb26823155fe9497aae60827d2b5adea"),
+    ("verdict --family lattes-supersingular --p 3 "
+     "--sigma-quat 4,0,0,0 --gamma mu2", 0,
+     "e25eb50d21e9aa1af7f79de30cce14ad979579ce441020ef56e73bbab5b1965e"),
+    ("verdict --family lattes-supersingular --p 7 --sigma-tn 4,4", 0,
+     "e90909098ec9e49e354cbdec00259dea4f7e98ef144032deef772e4115be40d3"),
+    ("verdict --family lattes-supersingular --p 7 --sigma-tn 1,2", 0,
+     "1f3f0f8ed29e91f47533d0e8f3adc2505bbc70267aa6c4f07d366803c2fb782d"),
+    ("verdict --family lattes-supersingular --p 5 --sigma-tn 0,2", 0,
+     "e4c986d1b36db91769db8685815ff311cf034d01616a774b3ac4afa461576482"),
+    ("verdict --family additive --p 3 --sigma 1,0,1", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verdict --family additive --p 2 --sigma 1,0,1", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verdict --family additive --p 2 --sigma 1,1", 0,
+     "9081d47709cbb3b7aca475dedef84ad15043601fd31fff955b56d78062c19d83"),
+    ("verdict --family subadditive --p 5 --sigma 1,1 --d 4", 0,
+     "c752d3a02726d8de9be476343d9e028ddf4879d64dbf4184e95af04febaf2344"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", VERDICT_DIGESTS)
+def test_verdict_stdout_pinned(argv, code, digest):
+    status, text = run_cli(argv.split())
+    assert status == code
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

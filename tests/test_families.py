@@ -11,10 +11,13 @@ from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               chebyshev_poly, classify_separability,
                               map_degree, per_n_closed, per_n_template,
                               realize)
-from dynzeta.field import Poly, field_make
+from dynzeta.field import (Poly, embed, extend_field, field_make,
+                           ratfunc_field)
+from dynzeta.intarith import v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
-from dynzeta.twisted import TwistedPoly
+from dynzeta.twisted import TwistedPoly, v_phi, v_phi_pow_minus
+from test_acceptance import _master_grid
 
 
 def tw(ctx, *ints):
@@ -331,3 +334,126 @@ def test_map_degrees(F3):
     assert map_degree(ChebyshevMap(3, 4)) == 4
     assert map_degree(AdditiveMap(tw(F3, -1, 0, 1))) == 9
     assert map_degree(LattesGenericJ(3, 2)) == 4
+
+
+# -- the family-by-family ladders that preceded the quotient data -------------------
+# References for map_degree, classify_separability and per_n_closed, one
+# isinstance branch per family, as they stood before each family class
+# stated its own quotient data.
+
+
+def _ref_gm_kernel(M, p):
+    M = abs(M)
+    return M // p ** v_p(M, p)
+
+
+def _ref_map_degree(m):
+    if isinstance(m, PowerMap):
+        return abs(m.d)
+    if isinstance(m, ChebyshevMap):
+        return m.d
+    if isinstance(m, (AdditiveMap, SubadditiveMap)):
+        return m.sigma.map_degree()
+    if isinstance(m, LattesGenericJ):
+        return m.s * m.s
+    return m.sigma.norm()
+
+
+def _ref_classify_separability(m):
+    if isinstance(m, (PowerMap, ChebyshevMap)):
+        insep = m.d % m.p == 0
+    elif isinstance(m, (AdditiveMap, SubadditiveMap)):
+        insep = v_phi(m.sigma) != 0
+    elif isinstance(m, LattesGenericJ):
+        insep = m.s % m.p == 0
+    else:
+        insep = m.valuation(m.sigma) != 0
+    return "inseparable" if insep else "separable"
+
+
+def _ref_subadditive_roots(m):
+    ctx = m.sigma.ctx
+    q = ctx.order
+    e = 1
+    while (q ** e - 1) % m.d != 0:
+        e += 1
+    ext = ctx if e == 1 else extend_field(ctx, e)
+    sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in m.sigma.coeffs])
+    roots = [z for z in ext.elements()
+             if not z.is_zero() and (z ** m.d).is_one()]
+    assert len(roots) == m.d
+    return sigma, tuple(roots)
+
+
+def _ref_per_n_closed(m, n):
+    if _ref_classify_separability(m) == "inseparable":
+        return _ref_map_degree(m) ** n + 1
+    if isinstance(m, PowerMap):
+        boundary = 2 if m.d > 0 or n % 2 == 0 else 0
+        return per_n_template(boundary, (1,),
+                              lambda _g, k: _ref_gm_kernel(m.d ** k - 1, m.p),
+                              n)
+    if isinstance(m, ChebyshevMap):
+        return per_n_template(
+            1, (1, -1), lambda g, k: _ref_gm_kernel(m.d ** k - g, m.p), n)
+    if isinstance(m, (AdditiveMap, SubadditiveMap)):
+        sigma, roots = (_ref_subadditive_roots(m)
+                        if isinstance(m, SubadditiveMap)
+                        else (m.sigma, (m.sigma.ctx.one(),)))
+
+        def kernel(w, k):
+            v = v_phi_pow_minus(sigma, k, w)
+            return sigma.ctx.p ** (sigma.top_index * k - v)
+
+        return per_n_template(1, roots, kernel, n)
+    if isinstance(m, LattesGenericJ):
+        def kernel(g, k):
+            M = m.s ** k - g
+            if m.variant == VARIANT_NORM:
+                return M * M // m.p ** v_p(abs(M), m.p)
+            return abs(M) // m.p ** v_p(abs(M), m.p)
+
+        return per_n_template(0, (1, -1), kernel, n)
+
+    def kernel(g, k):
+        x = m.sigma ** k - g
+        return x.norm() // m.p ** m.valuation(x)
+
+    return per_n_template(0, m.gammas, kernel, n)
+
+
+def _reference_grid():
+    yield from _master_grid()
+    for p, s in ((2, 3), (3, 2), (3, 3), (5, -2), (7, -3)):
+        for variant in (VARIANT_NORM, VARIANT_ABSOLUTE):
+            yield LattesGenericJ(p, s, variant)
+    ring = QuadRing(-3, 5)
+    yield LattesOrdinary(prime_context(ring, 5), ring.elem(2, 0), 2)
+    for p, (T, N), (a, b), orders in ((5, (0, 1), (1, 1), (2, 4)),
+                                       (7, (1, 1), (2, 1), (2, 3, 6))):
+        ring = QuadRing(T, N)
+        for k in orders:
+            yield LattesOrdinary(prime_context(ring, p), ring.elem(a, b), k)
+    for p, T, N in ((7, 4, 4), (7, 1, 2), (5, 0, 2), (7, 0, 7)):
+        yield LattesSupersingular(p, sigma_trace=T, sigma_norm=N)
+    yield LattesSupersingular(2, sigma_quat=QuatElem(HURWITZ, 3, 1, 1, 1))
+    for gamma in ("mu2", "units"):
+        yield LattesSupersingular(3, sigma_quat=QuatElem(B3_ORDER, 4, 0, 0, 0),
+                                  gamma=gamma)
+    F3, F5 = field_make(3), field_make(5)
+    # mu_4 lies in F_9, not in F_3; mu_3 in F_25, not in F_5
+    yield SubadditiveMap(tw(F3, 2, 0, 1), 4)
+    yield SubadditiveMap(tw(F5, 1, 0, 3), 3)
+    F3u = ratfunc_field(3)
+    u = F3u.u()
+    for coeffs in ([u, F3u.one()], [F3u.one(), u], [F3u.from_int(2), u]):
+        yield AdditiveMap(TwistedPoly.from_elems(F3u, coeffs))
+
+
+@pytest.mark.parametrize("fam", list(_reference_grid()),
+                         ids=lambda fam: fam.name)
+def test_quotient_data_matches_the_family_ladders(fam):
+    assert map_degree(fam) == _ref_map_degree(fam)
+    assert classify_separability(fam) == _ref_classify_separability(fam)
+    for n in range(1, 13):
+        assert per_n_closed(fam, n) == _ref_per_n_closed(fam, n), n

@@ -1,13 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from dynzeta.errors import (HypothesisViolated, InvalidCombination,
                             SpecError, ZeroInput)
-from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem, lte_int,
-                            lte_quad, lte_quat, norm_sequence, prime_context,
-                            units, v_I, v_frak_p)
-from dynzeta.intarith import v_p_strict
+from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
+                            _quadratic_roots_mod_p, lte_int, lte_quad,
+                            lte_quat, norm_sequence, prime_context, units,
+                            v_I, v_frak_p)
+from dynzeta.intarith import is_prime, v_p_strict
 
 ZI = QuadRing(0, 1)       # Z[i]
 ZW = QuadRing(-1, 1)      # Z[w], w^2 = -w - 1
@@ -129,6 +131,18 @@ class TestSplitPrimeValuation:
         hi = prime_context(ZI, 5, unit_root=3)
         x = ZI.elem(1, 2)
         assert v_frak_p(x, lo) != v_frak_p(x, hi)
+
+    def test_roots_mod_p_match_enumeration(self):
+        # one square-root path for every odd p, enumeration only at p = 2;
+        # the grid holds double roots (T^2 = 4N) and a reducible case
+        grid = [(T, N) for T in range(-3, 4) for N in range(-3, 4)]
+        grid += [(10 ** 6 + 3, 10 ** 9 + 7), (-999, 1001)]
+        for p in filter(is_prime, range(2, 1000)):
+            r = np.arange(p, dtype=np.int64)
+            for T, N in grid:
+                brute = np.flatnonzero((r * r - (T % p) * r + N % p) % p == 0)
+                assert _quadratic_roots_mod_p(T, N, p) == brute.tolist(), (
+                    p, T, N)
 
 
 class TestQuadLift:

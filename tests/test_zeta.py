@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -24,6 +25,19 @@ from dynzeta.zeta import (VerdictOptions, _integer_roots, _supersingular_step,
 
 
 class TestSeries:
+    def test_rational_expansion_matches_the_product(self):
+        # den * series agrees with num up to the prefix length
+        length = 12
+        for num in itertools.product(range(-2, 3), repeat=3):
+            for a, b in itertools.product(range(-3, 4), repeat=2):
+                den = [1, a, b]
+                out = series_of_rational(num, den, length)
+                assert all(type(c) is int for c in out)
+                product = [sum(den[j] * out[i - j]
+                               for j in range(min(i, 2) + 1))
+                           for i in range(length)]
+                assert product == list(num) + [0] * (length - 3)
+
     def test_inseparable_closed_form(self):
         for d in (2, 3, 5):
             counts = [d ** n + 1 for n in range(1, 31)]
@@ -336,18 +350,6 @@ class TestVerdicts:
         assert v.outcome == "inconclusive"
         assert v.reason == "separable-multiplicative-or-lattes"
 
-    def test_heuristic_prime_is_inconclusive(self, monkeypatch, F3):
-        from dataclasses import replace
-
-        from dynzeta import zeta
-        build = zeta.certificate_build
-        monkeypatch.setattr(zeta, "certificate_build", lambda m, opts:
-                            replace(build(m, opts), heuristic_bound=True))
-        v = verdict(AdditiveMap(TwistedPoly.from_ints(F3, [-1, 1])))
-        assert v.certificate.consistent() and v.certificate.heuristic_bound
-        assert v.outcome == "inconclusive"
-        assert v.reason == "separable-additive-algebraic"
-
 
 class TestCertificates:
     def test_power_map_selections(self):
@@ -367,7 +369,7 @@ class TestCertificates:
         cert = certificate_build(AdditiveMap(TwistedPoly.from_ints(F3, [-1, 1])))
         assert cert.shape == "tower"
         assert (cert.m, cert.ell) == (2, 29)
-        assert cert.tower_multiplier == 1 and not cert.heuristic_bound
+        assert cert.tower_multiplier == 1
         assert cert.consistent()
 
     def test_subadditive_prime(self, F3):
@@ -423,16 +425,15 @@ class TestCertificates:
         # saturated valuation classes.
         cert = certificate_build(AdditiveMap(TwistedPoly.from_ints(F2, [1, 1])))
         assert cert.ell == 263 and cert.tower_multiplier == 2
-        assert not cert.heuristic_bound
         assert cert.control == "valuation-classes"
         assert cert.consistent()
 
     def test_ell_past_the_kernel_budget_refused_before_counting(self, F3):
-        # ell > 3^18 falls back to a heuristic ell near the search cap, whose
-        # kernel is over budget; the first re-derived count, about
-        # 3^(2 m ell), must not be formed before that refusal
+        # ell > 3^18 is past the prime search cap, so the certificate is
+        # refused; the first re-derived count, about 3^(2 m ell), must not
+        # be formed before that refusal
         start = time.perf_counter()
-        with pytest.raises(ScaleExceeded, match="kernel exploration cost"):
+        with pytest.raises(ScaleExceeded, match="past the prime search cap"):
             certificate_build(AdditiveMap(TwistedPoly.from_ints(F3, [1, 0, 1])))
         assert time.perf_counter() - start < 5.0
 
