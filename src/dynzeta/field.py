@@ -953,11 +953,17 @@ def ratfunc_field(p):
 def separable_radical(f: Poly) -> Poly:
     """Monic squarefree polynomial with the same closure roots as f.
 
-    Squarefree part by gcd with the derivative (von zur Gathen-Gerhard,
-    *Modern Computer Algebra*, ch. 14).  The factors whose multiplicity p
-    divides are left in r = g(x^p); the coefficientwise p-th roots of g
-    give a polynomial with the same roots, since finite fields are
-    perfect, and the loop goes on with it.
+    The squarefree loop for finite fields (Geddes-Czapor-Labahn,
+    *Algorithms for Computer Algebra*, 1992, Alg. 8.3; von zur
+    Gathen-Gerhard, *Modern Computer Algebra*, ch. 14): c = gcd(f, f')
+    and w = f / c is the product of the irreducible factors whose
+    multiplicity p does not divide.  Dividing c by w = gcd(c, w) until w
+    or c is constant strips those factors from c and leaves c = g(x^p);
+    the coefficientwise p-th roots of g give a polynomial with the same
+    roots, since finite fields are perfect, and the loop goes on with it.
+    After the j-th gcd(c, w), w keeps only the factors of multiplicity
+    above j, so when few factors repeat, gcd(f, f') and the first
+    gcd(c, w) are the only ones as large as f.
     """
     if f.is_zero():
         raise ZeroPolynomial("radical of zero polynomial")
@@ -970,18 +976,13 @@ def separable_radical(f: Poly) -> Poly:
             root = ctx.order // ctx.p
             f = Poly(ctx, tuple(ctx.ops.pow(c, root) for c in f.reps[::ctx.p]))
             continue
-        d = f.gcd(fp)
-        if d.degree == 0:
-            parts.append(f)
-            break
-        w = f // d  # the irreducible factors whose multiplicity p does not divide
-        r = f
-        g = r.gcd(w)
-        while g.degree > 0:
-            r = r // g
-            g = r.gcd(w)
+        c = f.gcd(fp)
+        w = f // c
         parts.append(w)
-        f = r.monic()
+        while w.degree > 0 and c.degree > 0:
+            w = c.gcd(w)
+            c = c // w
+        f = c
     return functools.reduce(Poly.__mul__, parts) if parts else Poly.one(ctx)
 
 

@@ -5,11 +5,25 @@ trimmed: the last entry is nonzero, [] is the zero polynomial.  Values are
 Python ints in [0, p).  Every product, whatever the lengths and p, is one
 Kronecker substitution (von zur Gathen-Gerhard, *Modern Computer Algebra*,
 section 8.4): both factors are packed into Python ints and CPython's
-big-int product does the work.  The division/gcd remainder chains run on
-int64 numpy arrays while every product of two coefficients fits
-((p-1)^2 < 2^62), and on object arrays of Python ints above that; callers
-always get lists of Python ints back, so big-integer arithmetic downstream
-never sees numpy scalars.
+big-int product does the work.
+
+``divrem`` and ``gcd`` share one remainder kernel with lazy reduction.
+Its arrays hold integers congruent mod p to the coefficients but not
+reduced, and each array carries a Python-int bound on the absolute value
+of its entries.  The invariant: every bound, and so every entry and every
+intermediate c*y and x - c*y (0 <= c < p), stays below the kernel's
+limit, which is 2^62 on int64 arrays, so nothing overflows.  A quotient
+step x[i:i+ly] -= c*y adds (p-1)*bound(y) to the dividend's bound; the
+dividend's live prefix is reduced mod p only when that sum would reach the
+limit.  The divisor must satisfy (p-1)*bound(y) + p < limit, so that a
+reduced dividend can always take one step.  In a gcd chain each remainder
+becomes the next divisor unreduced; both operands are reduced together,
+once, before a division whose worst case would reach the limit, so a
+chain at small p pays one O(n) reduction per few dozen divisions instead
+of one per quotient step.  The arrays are int64 while (p-1)^2 + p is below 2^62,
+and object arrays of Python ints above that, with the limit p^2 * 2^32.
+Callers always get reduced lists of Python ints back, so big-integer
+arithmetic downstream never sees numpy scalars.
 """
 
 import numpy as np
@@ -75,8 +89,10 @@ def _pack(a: list, w: int) -> int:
 
 
 def _dtype(p: int):
-    """int64 while c*b - r in the remainder loop cannot overflow, else object."""
-    return np.int64 if (p - 1) * (p - 1) < _NP_SAFE else object
+    """The remainder kernel's array dtype and the limit its bounds stay under."""
+    if (p - 1) * (p - 1) + p < _NP_SAFE:
+        return np.int64, _NP_SAFE
+    return object, p * p << 32
 
 
 def divrem(a: list, b: list, p: int) -> tuple:
@@ -86,23 +102,37 @@ def divrem(a: list, b: list, p: int) -> tuple:
     a = trim(list(a))
     if len(a) < len(b):
         return [], a
-    dtype = _dtype(p)
-    q, r = _divrem_np(np.array(a, dtype=dtype), np.array(b, dtype=dtype), p)
-    return trim([int(c) for c in q]), trim([int(c) for c in r])
+    if len(b) == 1:
+        inv = pow(b[0], -1, p)
+        return [c * inv % p for c in a], []
+    dtype, limit = _dtype(p)
+    x = np.array(a, dtype=dtype) % p
+    q, _ = _divide(x, p - 1, np.array(b, dtype=dtype) % p, p - 1, p, limit)
+    return trim(q), trim((x[:len(b) - 1] % p).tolist())
 
 
-def _divrem_np(a, b, p):
-    lb = len(b)
-    inv = pow(int(b[-1]), p - 2, p)
-    r = a % p
-    q = np.zeros(len(a) - lb + 1, dtype=a.dtype)
-    for i in range(len(a) - lb, -1, -1):
-        c = int(r[i + lb - 1]) % p
+def _divide(x, bx, y, by, p, limit):
+    """Divide x in place by y, whose entries are bounded by bx and by, with
+    (p-1)*by + p < limit.
+
+    Returns the quotient as a reduced list and the new bound on x, whose
+    first len(y) - 1 entries then hold the remainder, unreduced.
+    """
+    ly = len(y)
+    step = (p - 1) * by
+    inv = pow(int(y[-1]) % p, -1, p)
+    q = [0] * (len(x) - ly + 1)
+    for i in range(len(x) - ly, -1, -1):
+        c = int(x[i + ly - 1]) % p
         if c:
+            if bx + step >= limit:
+                x[:i + ly] %= p
+                bx = p - 1
             c = c * inv % p
             q[i] = c
-            r[i:i + lb] = (r[i:i + lb] - c * b) % p
-    return q, r[:lb - 1]
+            x[i:i + ly] -= c * y
+            bx += step
+    return q, bx
 
 
 def rem(a: list, b: list, p: int) -> list:
@@ -121,26 +151,33 @@ def monic(a: list, p: int) -> list:
 
 
 def gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd via the Euclidean remainder chain (numpy inner loop)."""
+    """Monic gcd via the Euclidean remainder chain; a nonzero constant
+    anywhere in the chain ends it with [1]."""
     a = trim(list(a))
     b = trim(list(b))
-    if not a:
-        return monic(b, p)
-    if not b:
-        return monic(a, p)
-    dtype = _dtype(p)
-    x = np.array(a, dtype=dtype) % p
-    y = np.array(b, dtype=dtype) % p
-    while len(y):
-        if len(x) < len(y):
-            x, y = y, x
-            continue
-        _, r = _divrem_np(x, y, p)
-        n = len(r)
-        while n and r[n - 1] % p == 0:
+    if not a or not b:
+        return monic(a or b, p)
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    dtype, limit = _dtype(p)
+    x, y = np.array(a, dtype=dtype) % p, np.array(b, dtype=dtype) % p
+    if len(x) < len(y):
+        x, y = y, x
+    bx = by = p - 1
+    while True:
+        if by >= p and bx + (len(x) - len(y) + 1) * (p - 1) * by + p >= limit:
+            x %= p
+            y %= p
+            bx = by = p - 1
+        _, bx = _divide(x, bx, y, by, p, limit)
+        n = len(y) - 1
+        while n and int(x[n - 1]) % p == 0:
             n -= 1
-        x, y = y, r[:n]
-    return monic([int(c) for c in x], p)
+        if n == 0:
+            return monic((y % p).tolist(), p)
+        if n == 1:
+            return [1]
+        x, bx, y, by = y, by, x[:n], bx
 
 
 def pow_mod(base: list, e: int, modulus: list, p: int) -> list:

@@ -5,6 +5,9 @@ the numpy remainder loops must switch to exact Python ints, and where the
 slots of mul's packed product grow past the eight bytes of a numpy view.
 """
 
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +19,14 @@ from dynzeta.intarith import is_prime
 PRIMES = (2, 3, 7, 2_147_483_647, 2_147_483_659, 4_294_967_311,
           2 ** 61 - 1, 18_446_744_073_709_551_629, 2 ** 89 - 1, 2 ** 127 - 1)
 
+# Primes for the long remainder chains: the lazy kernel's bounds reach the
+# int64 limit within a few dozen divisions below 2^31, and 2_147_483_659
+# and 2^61 - 1 run the object-array path.
+LONG_PRIMES = (2, 3, 7, 65537, 1_000_003, 2_147_483_647, 2_147_483_659, 2 ** 61 - 1)
+
 
 def test_primes_are_prime():
-    assert all(is_prime(p) for p in PRIMES)
+    assert all(is_prime(p) for p in PRIMES + LONG_PRIMES)
 
 
 def _trim(a):
@@ -90,6 +98,55 @@ def test_gcd_matches_reference(case, common):
     assert modpoly.gcd(a, b, p) == _ref_gcd(a, b, p)
 
 
+@st.composite
+def _long_chain(draw, p):
+    # a = u*common and b = v*common with len(a) in [100, 600]: the gcd is
+    # a chain of hundreds of divisions, so the kernel's operands pass
+    # through many lazy reductions.  All-(p-1) factors give the largest
+    # entries the bounds allow.
+    rnd = draw(st.randoms(use_true_random=False))
+    widest = draw(st.booleans())
+    n = draw(st.integers(100, 600))
+    lc = draw(st.integers(1, n - 1))
+    lb = draw(st.integers(max(1, n - lc - 40), n - lc + 1))
+
+    def poly(length):
+        if widest:
+            return [p - 1] * length
+        return [rnd.randrange(p) for _ in range(length - 1)] + [rnd.randrange(1, p)]
+
+    common = poly(lc)
+    return _ref_mul(poly(n - lc + 1), common, p), _ref_mul(poly(lb), common, p)
+
+
+@pytest.mark.parametrize("p", LONG_PRIMES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_gcd_long_chain_matches_reference(p, data):
+    a, b = data.draw(_long_chain(p))
+    assert modpoly.gcd(a, b, p) == _ref_gcd(a, b, p)
+    assert modpoly.gcd(b, a, p) == _ref_gcd(a, b, p)
+
+
+@pytest.mark.parametrize("p", LONG_PRIMES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_divrem_long_matches_reference(p, data):
+    a, b = data.draw(_long_chain(p))
+    q, r = modpoly.divrem(a, b, p)
+    assert (q, r) == _ref_divrem(a, b, p)
+    assert all(type(c) is int for c in q + r)
+
+
+@pytest.mark.parametrize("p", LONG_PRIMES)
+def test_constant_operands(p):
+    a = [(3 * i + 1) % p for i in range(50)] + [1]
+    assert modpoly.gcd(a, [p - 1], p) == [1]
+    assert modpoly.gcd([2 % p or 1], a, p) == [1]
+    assert modpoly.divrem(a, [p - 1], p) == _ref_divrem(a, [p - 1], p)
+    assert modpoly.divrem([5 % p], [p - 1], p) == _ref_divrem([5 % p], [p - 1], p)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_poly_pair(), st.integers(1, 3), st.integers(1, 3))
 def test_separable_radical_matches_reference(case, e1, e2):
@@ -148,3 +205,69 @@ def test_mul_widest_slot_at_each_prime(p):
     out = modpoly.mul(a, b, p)
     assert out == _ref_mul(a, b, p)
     assert all(type(c) is int for c in out)
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles(p, k):
+    """Monic irreducibles of degree 1 to 3 over F_(p^k), as Polys: a
+    polynomial of degree at most 3 is irreducible iff it has no root."""
+    ctx = field_make(p, k)
+    points = [ctx.elem_at(i) for i in range(ctx.order)]
+    out = []
+    for d in (1, 2, 3):
+        for index in range(ctx.order ** d):
+            reps = [(index // ctx.order ** j) % ctx.order for j in range(d)] + [1]
+            f = Poly.from_reps(ctx, reps)
+            if all(not f.eval(x).is_zero() for x in points):
+                out.append(f)
+    return out
+
+
+@st.composite
+def _factored(draw):
+    # f = c * prod g_i^e_i, each g_i a product of distinct irreducibles, so
+    # the g_i are squarefree and pairwise coprime.  Exponents up to 2p + 1
+    # take both p | e and p not dividing e.
+    p, k = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (3, 2)]))
+    irr = _irreducibles(p, k)
+    chosen = draw(st.lists(st.integers(0, len(irr) - 1), min_size=1, max_size=6, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, len(chosen) - 1), max_size=3))) if len(chosen) > 1 else []
+    groups = [chosen[i:j] for i, j in zip([0] + cuts, cuts + [len(chosen)])]
+    exps = [draw(st.integers(1, 2 * p + 1)) for _ in groups]
+    ctx = irr[0].ctx
+    f = Poly.one(ctx).scale(ctx.elem_at(draw(st.integers(1, ctx.order - 1))))
+    for group, e in zip(groups, exps):
+        f = f * functools.reduce(Poly.__mul__, (irr[i] for i in group)) ** e
+    return f, functools.reduce(Poly.__mul__, (irr[i] for i in chosen))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factored())
+def test_separable_radical_is_product_of_distinct_factors(case):
+    f, expected = case
+    assert separable_radical(f) == expected
+
+
+@pytest.mark.parametrize("k", (2, 4, 5, 7))
+def test_separable_radical_two_large_gcds(monkeypatch, k):
+    # f = (x+1)^k * s at p = 3 with s squarefree of degree 400: c and w
+    # shrink to (x+1)^(k-1) and x+1 after the first gcd(c, w), so only
+    # gcd(f, f') and that one see an operand of degree above 100.
+    F3 = field_make(3)
+    rnd = random.Random(400)
+    while True:
+        s = Poly.from_ints(F3, [rnd.randrange(3) for _ in range(400)] + [1])
+        if s.gcd(s.derivative()).degree == 0 and not s.eval(F3.from_int(2)).is_zero():
+            break
+    large = []
+    gcd = modpoly.gcd
+
+    def spy(a, b, p):
+        if max(len(a), len(b)) > 101:
+            large.append((len(a) - 1, len(b) - 1))
+        return gcd(a, b, p)
+
+    monkeypatch.setattr(modpoly, "gcd", spy)
+    x_plus_1 = Poly.from_ints(F3, [1, 1])
+    assert separable_radical(x_plus_1 ** k * s) == x_plus_1 * s
+    assert len(large) <= 2, large
