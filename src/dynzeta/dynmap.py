@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
 from .field import Poly, distinct_root_count, embed, extend_field
-from .limits import enum_cap, poly_degree_cap
+from .limits import ENUM_CAP, POLY_DEGREE_CAP
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def compose(f: RatMap, g: RatMap) -> RatMap:
     if f.ctx != g.ctx:
         raise SpecError("composition across different fields")
     out_deg = f.degree * g.degree
-    if out_deg > poly_degree_cap():
+    if out_deg > POLY_DEGREE_CAP:
         raise ScaleExceeded(f"composition degree {out_deg} exceeds cap")
     m = f.degree
     qpow = [Poly.one(f.ctx)]
@@ -95,7 +95,7 @@ def iterate(f: RatMap, n: int) -> RatMap:
     """n-fold composition of f with itself (n >= 1)."""
     if n < 1:
         raise SpecError("iterate needs n >= 1")
-    if f.degree ** n > poly_degree_cap():
+    if f.degree ** n > POLY_DEGREE_CAP:
         raise ScaleExceeded(f"deg(f)^{n} exceeds the polynomial cap")
     out = f
     for _ in range(n - 1):
@@ -139,23 +139,19 @@ def cycle_census(f: RatMap, max_k: int, max_n: int):
     if ctx.flavor != "finite":
         raise SpecError("census needs a finite base field")
     size = ctx.order ** max_k
-    if size > enum_cap():
+    if size > ENUM_CAP:
         raise ScaleExceeded(f"census over {size} points exceeds cap")
-    if max_k == 1:
-        ext = ctx
-        num, den = f.num, f.den
-    else:
-        ext = extend_field(ctx, max_k)
-        num = Poly.from_elems(ext, [embed(c, ext) for c in f.num.coeffs])
-        den = Poly.from_elems(ext, [embed(c, ext) for c in f.den.coeffs])
+    ext = extend_field(ctx, max_k)
+    num = Poly.from_elems(ext, [embed(c, ext) for c in f.num.coeffs])
+    den = Poly.from_elems(ext, [embed(c, ext) for c in f.den.coeffs])
 
     infinity = size  # index sentinel for the point at infinity
     if f.num.degree > f.den.degree:
         inf_image = infinity
     elif f.num.degree == f.den.degree:
-        inf_image = ext.index_of(num.leading / den.leading)
+        inf_image = (num.leading / den.leading).rep
     else:
-        inf_image = ext.index_of(ext.zero())
+        inf_image = ext.zero().rep
 
     successor = [0] * (size + 1)
     successor[infinity] = inf_image
@@ -165,7 +161,7 @@ def cycle_census(f: RatMap, max_k: int, max_n: int):
         if dv.is_zero():
             successor[i] = infinity
         else:
-            successor[i] = ext.index_of(num.eval(z) / dv)
+            successor[i] = (num.eval(z) / dv).rep
 
     # Locate cycles in the functional graph by path walking with colors.
     state = [0] * (size + 1)  # 0 unseen, 1 on current path, 2 done

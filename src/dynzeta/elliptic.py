@@ -20,7 +20,7 @@ from .errors import IncompleteEnumeration, ScaleExceeded, SpecError
 from .field import Poly, embed, extend_field
 from .dynmap import RatMap, reduced_map
 from .intarith import power, v_p
-from .limits import enum_cap
+from .limits import ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def mul_by_m(P: CurvePoint, m: int) -> CurvePoint:
 def point_count(E: EllipticCurve, k: int = 1) -> int:
     """#E(F_{q^k}) by x-enumeration with quadratic-character tests."""
     size = E.ctx.order ** k
-    if size > enum_cap():
+    if size > ENUM_CAP:
         raise ScaleExceeded(f"point count over {size} elements exceeds cap")
     curve = E if k == 1 else E.lift(extend_field(E.ctx, k))
     ctx = curve.ctx
@@ -157,7 +157,7 @@ def points_over(E: EllipticCurve, k: int):
     if cached is not None:
         return list(cached)
     size = E.ctx.order ** k
-    if size > enum_cap():
+    if size > ENUM_CAP:
         raise ScaleExceeded(f"enumeration over {size} elements exceeds cap")
     curve = E if k == 1 else E.lift(extend_field(E.ctx, k))
     ctx = curve.ctx
@@ -206,7 +206,7 @@ def torsion_count(E: EllipticCurve, N: int, k_max: int):
     group_orders = point_orders_by_trace(E, k_max)
     best = 0
     for k in range(1, k_max + 1):
-        if E.ctx.order ** k > enum_cap():
+        if E.ctx.order ** k > ENUM_CAP:
             break
         # A field whose group order the target does not divide, or that
         # lacks the u-th roots of unity, cannot hold the full subgroup;

@@ -89,5 +89,5 @@ class IncompleteEnumeration(DynzetaError):
     """Torsion enumeration did not certify completeness at this scale."""
 
 
-class NoAdmissibleEll(DynzetaError):
+class NoAdmissibleEll(ScaleExceeded):
     """Prime search exhausted its cap; carries the violated constraint."""

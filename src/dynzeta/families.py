@@ -30,14 +30,13 @@ acceptance suite's torsion-enumeration oracle.
 import math
 from dataclasses import InitVar, dataclass, field as dc_field
 from functools import cached_property
-from itertools import islice
 
 from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
                      SpecError, SubadditiveConditionViolated)
 from .field import Poly, check_poly_scale, embed, extend_field, field_make
 from .dynmap import RatMap, poly_map, rat_map
-from .intarith import check_prime, v_p
-from .limits import enum_cap
+from .intarith import check_prime, factorize, v_p
+from .limits import ENUM_CAP
 from .orders import (PrimeContext, QuadElem, QuadRing, QuatElem, units,
                      v_frak_p)
 from .twisted import TwistedPoly, realize_additive, v_phi, v_phi_pow_minus
@@ -166,8 +165,13 @@ class SubadditiveMap(_AdditiveQuotient):
 
     @cached_property
     def _lift(self):
-        """sigma lifted to a field containing mu_d, plus the d roots of
-        unity; found once per map."""
+        """sigma lifted to a field F_Q containing mu_d, plus the d roots of
+        unity sorted by rep; found once per map.
+
+        mu_d is cyclic (Lidl-Niederreiter, *Finite Fields*, Thm 2.8), so
+        it is the powers of zeta, the first a^((Q-1)/d), a = 1, 2, ...,
+        whose order is d: zeta^(d/r) != 1 for every prime r | d.
+        """
         ctx = self.sigma.ctx
         if ctx.flavor != "finite":
             # Transcendental coefficients keep all the roots of unity in the
@@ -177,16 +181,18 @@ class SubadditiveMap(_AdditiveQuotient):
         e = next((e for e in range(1, 25) if (q ** e - 1) % self.d == 0), None)
         if e is None:
             raise SpecError("root-of-unity field out of reach")
-        if e > 1 and q ** e > enum_cap():
+        if e > 1 and q ** e > ENUM_CAP:
             raise SpecError("root-of-unity field exceeds the enumeration cap")
         ext = extend_field(ctx, e)
         sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in self.sigma.coeffs])
-        roots = tuple(islice((z for z in ext.elements()
-                              if not z.is_zero() and (z ** self.d).is_one()),
-                             self.d))
-        if len(roots) != self.d:
-            raise SpecError("failed to enumerate the roots of unity (internal)")
-        return sigma, roots
+        cofactor, primes = (ext.order - 1) // self.d, factorize(self.d)
+        zeta = next(z for z in (ext.elem_at(a) ** cofactor
+                                for a in range(1, ext.order))
+                    if not any((z ** (self.d // r)).is_one() for r in primes))
+        roots = [ext.one()]
+        for _ in range(self.d - 1):
+            roots.append(roots[-1] * zeta)
+        return sigma, tuple(sorted(roots, key=lambda z: z.rep))
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,20 @@ Representation conventions:
 * Every extension F_(p^k) is built directly over F_p and also stores each
   element as one int: its ``elem_at`` index in [0, p^k), whose base-p
   digits are the element's coefficients in ascending powers of the
-  adjoined root.  So ``rep`` is the index, ``from_int(n)`` is the
-  constant n mod p, and ``index_of`` is the identity.  The modulus is a
-  monic irreducible polynomial over F_p, chosen deterministically so
-  every run of the library reproduces the same field.  A field with p^k
-  at most ``limits.DEFAULT_ENUM_CAP`` builds exp/log/Zech tables to a
+  adjoined root.  So ``rep`` is the index and ``from_int(n)`` is the
+  constant n mod p.  The modulus is a monic irreducible polynomial over
+  F_p, chosen deterministically so every run of the library reproduces
+  the same field.  A field with p^k
+  at most ``limits.ENUM_CAP`` builds exp/log/Zech tables to a
   primitive element when it is made (Huber, "Some comments on Zech's
   logarithms", IEEE Trans. IT, 1990); products, sums, negations,
   inverses and powers are then table lookups.  Larger fields build no
   tables and compute on the digits.  ``extend_field(ctx, b)`` on F_(p^a)
   returns the field of ``field_make(p, a*b)``, so equal fields share one
-  set of tables.  The eight most recently made fields, the arithmetic of
-  the eight most recently used extensions, and the subfield roots of the
-  eight most recently used embeddings live in ``functools.lru_cache``s,
-  whose ``cache_info()`` counts hits and misses.
+  set of tables.  The eight most recently made fields, each with its
+  arithmetic, and the subfield roots of the eight most recently used
+  embeddings live in ``functools.lru_cache``s, whose ``cache_info()``
+  counts hits and misses.
 * A subfield F_(p^a) of F_(p^(ab)) is reached by ``embed``, which sends
   the adjoined root of the smaller field to a fixed root of its modulus
   in the larger one (Lidl-Niederreiter, *Finite Fields*, Thm 2.14).  That
@@ -56,7 +56,7 @@ from . import modpoly
 from .errors import (DivisionByZeroPoly, NoIrreducibleFound, ScaleExceeded,
                      SpecError, ZeroPolynomial)
 from .intarith import check_prime, factorize, power
-from .limits import DEFAULT_ENUM_CAP, EXTENSION_DEGREE_CAP, poly_degree_cap
+from .limits import ENUM_CAP, EXTENSION_DEGREE_CAP, POLY_DEGREE_CAP
 
 _RF_GCD_DEGREE_CAP = 4096
 
@@ -64,7 +64,7 @@ _RF_GCD_DEGREE_CAP = 4096
 class FieldCtx:
     """Immutable description of a field; shared freely between values.
 
-    ``ops`` does the field's arithmetic on reps; equal extensions share it.
+    ``ops`` does the field's arithmetic on reps.
     """
 
     __slots__ = ("p", "k", "flavor", "base", "modulus", "is_prime_field",
@@ -88,7 +88,9 @@ class FieldCtx:
         else:
             self._sig = ("ext", base._sig, tuple(c.rep for c in modulus))
             self._order = base.order ** k
-            self.ops = _flat_ops(p, k, tuple(c.rep for c in modulus[:-1]))
+            low = tuple(c.rep for c in modulus[:-1])
+            self.ops = (_TableOps if self._order <= ENUM_CAP
+                        else _DigitOps)(p, k, low)
 
     # -- identity ---------------------------------------------------------
 
@@ -152,17 +154,13 @@ class FieldCtx:
     def elem_at(self, index):
         return FieldElem(self, index % self.order)
 
-    def index_of(self, elem):
-        return elem.rep
-
     # -- discrete logarithms (flat extensions with tables) -------------------
 
     def log(self, z):
         """Discrete logarithm of nonzero z to the base of this field's tables.
 
         None where the field keeps no tables: prime fields, F_p(u) and
-        extensions with more than ``limits.DEFAULT_ENUM_CAP``
-        elements.
+        extensions with more than ``limits.ENUM_CAP`` elements.
         """
         log = self.ops.log
         return None if log is None else log[z.rep]
@@ -591,16 +589,6 @@ class _TableOps(_FiniteOps):
         return self.exp[self.log[a] * e % self.qm1]
 
 
-@functools.lru_cache(maxsize=8)
-def _flat_ops(p, k, low):
-    """Arithmetic of F_(p^k) modulo the monic x^k + ..., whose lower
-    coefficients are low; shared by equal fields.
-
-    Contexts are rebuilt per call, so the tables must outlive them.
-    """
-    return (_TableOps if p ** k <= DEFAULT_ENUM_CAP else _DigitOps)(p, k, low)
-
-
 def _zech_tables(ops):
     """(exp, log, zech) of the least primitive index, as compact int arrays."""
     p, k, qm1 = ops.p, ops.k, ops.qm1
@@ -905,7 +893,7 @@ def extend_field(ctx, degree):
     Over F_(p^a) this is the field of ``field_make(p, a*degree)``, so
     equal contexts share their tables; elements of ctx reach it through
     ``embed``.  The degree cap bounds `degree`, not a*degree; callers that
-    enumerate the field bound its size through ``enum_cap()``.
+    enumerate the field bound its size by ``limits.ENUM_CAP``.
     """
     if ctx.flavor != "finite":
         raise SpecError("can only extend finite fields")
@@ -992,6 +980,6 @@ def distinct_root_count(f: Poly) -> int:
 
 
 def check_poly_scale(degree):
-    cap = poly_degree_cap()
-    if degree > cap:
-        raise ScaleExceeded(f"polynomial degree {degree} exceeds cap {cap}")
+    if degree > POLY_DEGREE_CAP:
+        raise ScaleExceeded(
+            f"polynomial degree {degree} exceeds cap {POLY_DEGREE_CAP}")

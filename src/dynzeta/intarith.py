@@ -190,14 +190,16 @@ def _group_exponent(modulus: int) -> int:
     return lam
 
 
-def first_prime_where(predicate, start: int = 2, cap: int = 10_000_000,
-                      description: str = "") -> int:
-    """Smallest prime >= start satisfying predicate; NoAdmissibleEll past cap."""
-    n = max(2, start)
+def first_prime_where(above: int, residue: int, modulus: int, cap: int,
+                      predicate=None, description: str = "") -> int:
+    """Smallest prime n > above with n = residue mod modulus that satisfies
+    predicate (when given).  Only that residue class is walked;
+    NoAdmissibleEll past cap."""
+    n = above + 1 + (residue - above - 1) % modulus
     while n <= cap:
-        if is_prime(n) and predicate(n):
+        if is_prime(n) and (predicate is None or predicate(n)):
             return n
-        n += 1
+        n += modulus
     raise NoAdmissibleEll(f"no admissible prime below {cap}: {description}")
 
 

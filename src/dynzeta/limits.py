@@ -1,40 +1,12 @@
 """Global exact-arithmetic scale caps.
 
 All hard limits live here so the CLI and the library agree on budgets.
-The environment variable DYNZETA_SCALE_BUDGET, when set to a positive
-integer B, lowers the polynomial-degree cap to B and the enumeration cap
-to 100*B.  It can only tighten the defaults, never raise them.
+ENUM_CAP bounds every enumeration of field elements or curve points, and
+a field of at most ENUM_CAP elements also keeps exp/log/Zech tables.
 """
 
-import os
-
-DEFAULT_POLY_DEGREE_CAP = 10_000
-DEFAULT_ENUM_CAP = 1_000_000
+POLY_DEGREE_CAP = 10_000
+ENUM_CAP = 1_000_000
 EXTENSION_DEGREE_CAP = 12
 PADIC_PRECISION_CAP = 1024
 ELL_SEARCH_CAP = 10_000_000
-
-
-def _budget():
-    raw = os.environ.get("DYNZETA_SCALE_BUDGET")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def poly_degree_cap():
-    b = _budget()
-    if b is None:
-        return DEFAULT_POLY_DEGREE_CAP
-    return min(DEFAULT_POLY_DEGREE_CAP, b)
-
-
-def enum_cap():
-    b = _budget()
-    if b is None:
-        return DEFAULT_ENUM_CAP
-    return min(DEFAULT_ENUM_CAP, 100 * b)

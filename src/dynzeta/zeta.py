@@ -420,12 +420,10 @@ def _geometric_certificate(mapping, opts):
     main = mapping.size(sig_m ** beta - one)
     degree = map_degree(mapping)
 
-    def admissible(ell):
-        return (ell > p and ell % ell_modulus == (3 if p == 2 else 2)
-                and all(x % ell for x in (degree, group, ratio - 1, main)))
-
-    ell = first_prime_where(admissible, start=3, cap=opts.ell_cap,
-                            description=f"{mapping.name} auxiliary prime")
+    ell = first_prime_where(
+        p, 3 if p == 2 else 2, ell_modulus, opts.ell_cap,
+        lambda ell: all(x % ell for x in (degree, group, ratio - 1, main)),
+        f"{mapping.name} auxiliary prime")
     alpha = stride(ell)
     if v_p(alpha, p) > v_p(beta, p):
         raise Mismatch("stride valuation exceeds offset valuation (internal)")
@@ -510,15 +508,10 @@ def _certificate_ga(mapping, opts) -> Certificate:
             f"p^(a1 p^a1) with a1 = {a1}, past the prime search cap "
             f"{opts.ell_cap}")
 
-    def admissible(ell):
-        if ell <= max(p, d) or d % ell == 0:
-            return False
-        if p == 2:
-            return ell % 8 == 7
-        return ell % p == 2 % p and math.gcd(p, ell - 1) == 1
-
-    ell = first_prime_where(lambda q: q > bound and admissible(q),
-                            start=bound + 1, cap=opts.ell_cap,
+    # ell > d keeps d a unit mod ell, and ell = 2 mod p keeps p prime to
+    # ell - 1 (7 mod 8 at p = 2).
+    residue, modulus = (7, 8) if p == 2 else (2, p)
+    ell = first_prime_where(max(bound, p, d), residue, modulus, opts.ell_cap,
                             description=f"{mapping.name} auxiliary prime")
     deg_m = pow(p, sigma.top_index * m, ell)
 

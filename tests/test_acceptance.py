@@ -18,7 +18,7 @@ from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               realize)
 from dynzeta.field import field_make, ratfunc_field
 from dynzeta.intarith import v_p, v_p_strict
-from dynzeta.limits import poly_degree_cap
+from dynzeta.limits import POLY_DEGREE_CAP
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             lte_int, lte_quad, lte_quat, norm_sequence,
                             prime_context, v_I, v_frak_p)
@@ -65,7 +65,7 @@ def test_02_master_oracle_equivalence():
     for fam in _master_grid():
         f = realize(fam)
         n = 1
-        while f.degree ** n <= poly_degree_cap():
+        while f.degree ** n <= POLY_DEGREE_CAP:
             assert per_n_closed(fam, n) == per_n_oracle(f, n), (fam, n)
             checks += 1
             n += 1

@@ -473,6 +473,34 @@ class TestRegressions:
         assert "past the prime search cap" in capsys.readouterr().err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("argv,reason", [
+        ("verdict --family power --p 1000003 --d 2", "no admissible prime"),
+        ("verdict --family lattes-generic --p 1000003 --s 3",
+         "no admissible prime"),
+        ("verdict --family chebyshev --p 999983 --d 2", "kernel"),
+        ("verdict --family power --p 99991 --d 2", "kernel"),
+    ])
+    def test_auxiliary_prime_searched_in_its_class_within_budget(
+            self, argv, reason, capsys):
+        # ell = 2 mod p above p: at p near 10^6 the class holds about ten
+        # candidates below the prime search cap, and an exhausted search
+        # is a scale refusal (exit 3)
+        start = time.perf_counter()
+        result = run_cli(argv.split())
+        elapsed = time.perf_counter() - start
+        assert result == (3, "")
+        assert reason in capsys.readouterr().err
+        assert elapsed < 1.0
+
+    def test_scale_caps_ignore_the_environment(self, monkeypatch):
+        # 3^6 = 729 points: within the enumeration cap whatever is set
+        argv = ("census --family power --p 3 --d 2 --ext-degree 6 "
+                "--max-period 4").split()
+        expected = run_cli(argv)
+        monkeypatch.setenv("DYNZETA_SCALE_BUDGET", "1")
+        assert run_cli(argv) == expected
+        assert expected[0] == 0
+
     @pytest.mark.parametrize("a,p", [(4, 31), (20, 3)])
     def test_vp_tower_bound_refused_before_the_power(self, a, p):
         # 31^(4 * 31^4) has some 1.8 * 10^7 bits, 3^(20 * 3^20) about
@@ -637,6 +665,20 @@ class TestTowerInputs:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "fa70ef537d1d2da442e925afd0e2d517d7f6aa7281dcc8a085b7f1ec8d63e513")
         assert elapsed < 10.0
+
+
+    def test_subadditive_roots_of_unity_at_a_large_prime_within_budget(self):
+        # mu_2 = {1, -1} in F_p, p = 100000007: one generator, no field walk
+        start = time.perf_counter()
+        code, text = run_cli(["count", "--family", "subadditive", "--p",
+                              "100000007", "--sigma", "1,1", "--d", "2",
+                              "--n-max", "1"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        row = next(r for r in map(json.loads, text.splitlines())
+                   if r["record"] == "row")
+        assert row["closed"] == str((100000007 + 3) // 2)
+        assert elapsed < 1.0
 
 
 class TestPolyParser:

@@ -13,7 +13,7 @@ from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               realize)
 from dynzeta.field import (Poly, embed, extend_field, field_make,
                            ratfunc_field)
-from dynzeta.intarith import v_p
+from dynzeta.intarith import divisors, multiplicative_order, v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
 from dynzeta.twisted import TwistedPoly, v_phi, v_phi_pow_minus
@@ -383,6 +383,21 @@ def _ref_subadditive_roots(m):
              if not z.is_zero() and (z ** m.d).is_one()]
     assert len(roots) == m.d
     return sigma, tuple(roots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("k", [1, 2])
+def test_mu_d_from_one_generator_matches_the_field_walk(p, k):
+    # every d >= 2 dividing q^e - 1 for some e <= 3 with q^e <= 10^4; the
+    # F_9, F_25 and F_49 lifts are among them
+    F, q = field_make(p, k), p ** k
+    ds = {d for e in (1, 2, 3) if q ** e <= 10 ** 4
+          for d in divisors(q ** e - 1) if d >= 2}
+    for d in sorted(ds):
+        # x + x^(p^j) descends to the degree-d quotient: p^j = 1 mod d
+        m = SubadditiveMap(tw(F, 1, *[0] * (multiplicative_order(p, d) - 1),
+                              1), d)
+        assert m.gammas == _ref_subadditive_roots(m)[1], d
 
 
 def _ref_per_n_closed(m, n):

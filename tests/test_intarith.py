@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dynzeta.errors import SpecError
-from dynzeta.intarith import (isqrt_exact, multiplicative_order, power, v_p,
+from dynzeta.errors import NoAdmissibleEll, ScaleExceeded, SpecError
+from dynzeta.intarith import (first_prime_where, is_prime, isqrt_exact,
+                              multiplicative_order, power, v_p,
                               v_p_progression)
 
 
@@ -93,3 +94,45 @@ class TestIsqrtExact:
         assert [isqrt_exact(n) for n in range(10)] == \
             [0, 1, None, None, 2, None, None, None, None, 3]
         assert isqrt_exact(-4) is None
+
+
+def _integer_walk(predicate, start=2, cap=10_000_000, description=""):
+    # reference search: every integer from start on is a candidate
+    n = max(2, start)
+    while n <= cap:
+        if is_prime(n) and predicate(n):
+            return n
+        n += 1
+    raise NoAdmissibleEll(f"no admissible prime below {cap}: {description}")
+
+
+def _outcome(search):
+    try:
+        return search()
+    except NoAdmissibleEll as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(-5, 3000), st.integers(-50, 50), st.integers(1, 60),
+       st.integers(0, 4000),
+       st.none() | st.lists(st.integers(-10**6, 10**6), max_size=4))
+def test_class_walk_matches_the_integer_walk(above, residue, modulus, cap,
+                                             divisible):
+    # divisible lists the integers the prime must not divide (None: no test)
+    def avoids(n):
+        return divisible is None or all(x % n for x in divisible)
+
+    expected = _outcome(lambda: _integer_walk(
+        lambda n: n > above and n % modulus == residue % modulus and avoids(n),
+        start=above + 1, cap=cap, description="probe"))
+    got = _outcome(lambda: first_prime_where(
+        above, residue, modulus, cap,
+        None if divisible is None else avoids, "probe"))
+    assert got == expected
+
+
+def test_an_exhausted_prime_search_is_a_scale_refusal():
+    # the class 0 mod 4 holds no prime at all
+    with pytest.raises(ScaleExceeded, match="no admissible prime below 1000"):
+        first_prime_where(2, 0, 4, 1000)
