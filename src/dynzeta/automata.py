@@ -202,77 +202,80 @@ def _series_inv(a, p, n):
     inv = [pow(a[0], p - 2, p)]
     prec = 1
     while prec < n:
-        prec = min(2 * prec, n)
-        t = _series_mul(a[:prec], inv, p, prec)
-        # inv <- inv * (2 - a*inv) mod t^prec
-        two_minus = [(-c) % p for c in t] + [0] * (prec - len(t))
-        two_minus[0] = (two_minus[0] + 2) % p
-        inv = _series_mul(inv, two_minus, p, prec)
-        inv += [0] * (prec - len(inv))
-    return inv[:n]
+        half, prec = prec, min(2 * prec, n)
+        # a*inv = 1 + t^half*e mod t^prec, so inv*(1 - t^half*e) is the
+        # inverse mod t^prec
+        e = _series_mul(a, inv, p, prec)[half:]
+        inv = modpoly.sub(inv, [0] * half + _series_mul(inv, e, p, prec - half), p)
+    return inv
 
 
-def _series_val(a):
-    for i, c in enumerate(a):
-        if c:
-            return i
-    return None
+def _series_val(a, default=None):
+    return next((i for i, c in enumerate(a) if c), default)
 
 
 def christol_series(poly_y, p: int, prefix, length: int):
     """Coefficients of the power-series root of P(t, y) = 0 extending prefix.
 
     poly_y lists the y-coefficients of P as int polynomials in t
-    (ascending).  The prefix must satisfy P(t, y0) = 0 mod t^len(prefix)
-    and the y-derivative at the prefix must have t-valuation v with
-    len(prefix) - 1 > 2v; Newton iteration then doubles the precision gain
-    each step.  The result is re-substituted into P and checked to vanish
+    (ascending).  The prefix must satisfy P(t, y0) = 0 mod t^len(prefix),
+    and the t-valuations s of P(y0) and v of the y-derivative P'(y0) must
+    pass the Hensel gate s > 2v.  The root r with val(r - y0) > v is then
+    unique, and Newton iteration converges to it.
+
+    Each step works only at the precision it gains.  At y with
+    val P(y) >= s it evaluates P(y) mod t^n, n = min(2s - 2v, length + v),
+    and P'(y) mod t^(n - s + v), and inverts the unit P'(y)/t^v mod
+    t^(n - s); the correction P(y)/P'(y) is then exact mod t^(n - v), and
+    the new y, kept to n - v terms, has val P(y) >= n.  The gain s - 2v
+    doubles every step, so the steps cost a geometric sum dominated by
+    the last: O(deg_y * M(length)), M(n) being the cost of one length-n
+    product.  The result is re-substituted into P and checked to vanish
     mod t^length before returning.
     """
     check_prime(p)
-    poly_y = [list(c) for c in poly_y]
+    poly_y = [[c % p for c in coeff] for coeff in poly_y]
     if len(poly_y) < 2:
         raise SpecError("equation must involve y")
     work = length + 8
-    d_poly_y = [[c * j for c in coeff] for j, coeff in enumerate(poly_y)][1:]
+    d_poly_y = [[c * j % p for c in coeff] for j, coeff in enumerate(poly_y)][1:]
 
     def horner(coeffs, y, n):
         acc = []
         for coeff in reversed(coeffs):
-            acc = modpoly.add(_series_mul(acc, y, p, n), [c % p for c in coeff[:n]], p)
+            acc = modpoly.add(_series_mul(acc, y, p, n), coeff[:n], p)
         return acc[:n]
 
     y = [c % p for c in prefix]
-    probe = max(work + 8, 2 * len(y) + 8)
-    value = horner(poly_y, y, probe)
-    s = _series_val(value)
-    if s is not None and s < len(y):
-        raise NotARoot("prefix does not annihilate the equation to its length")
     deriv = horner(d_poly_y, y, work)
     v = _series_val(deriv)
-    if v is None or (s is not None and s <= 2 * v):
+    # P(y0) vanishing to the whole probe reads as s = probe; the probe
+    # reads past 2v, so that s still decides the Hensel gate.
+    probe = max(work + 8, 2 * len(y) + 8, 2 * (v or 0) + 1)
+    s = _series_val(horner(poly_y, y, probe), probe)
+    if s < len(y):
+        raise NotARoot("prefix does not annihilate the equation to its length")
+    if v is None or s <= 2 * v:
         # Classical Hensel gate: val(P(y0)) must exceed 2*val(P'(y0)).
         raise SingularRoot("prefix too shallow for the derivative's t-valuation")
 
     steps = 0
-    while True:
-        value = horner(poly_y, y, length + v + 1)
-        val_v = _series_val(value)
-        if val_v is None or val_v >= length + v:
-            break
-        deriv = horner(d_poly_y, y, work)
+    while s < length + v:
+        n = min(2 * s - 2 * v, length + v)
+        value = horner(poly_y, y, n)
+        if any(value[:s]):
+            raise SingularRoot("Newton iteration failed to converge")
+        deriv = horner(d_poly_y, y, n - s + v)
         if _series_val(deriv) != v:
             raise SingularRoot("derivative valuation drifted (internal)")
-        unit = deriv[v:] + [0] * v
-        correction = _series_mul(value[v:] + [0] * v, _series_inv(unit, p, work), p, work)
-        y = modpoly.sub(y, correction, p)
-        y = [c % p for c in y[:work]]
+        quotient = _series_mul(value[s:], _series_inv(deriv[v:], p, n - s), p, n - s)
+        y = modpoly.sub(y[:n - v], [0] * (s - v) + quotient, p)
+        s = n
         steps += 1
         if steps > length.bit_length() + 8:
             raise SingularRoot("Newton iteration failed to converge")
     out = (y + [0] * length)[:length]
-    check = horner(poly_y, out, length)
-    if _series_val(check) is not None and _series_val(check) < length:
+    if any(horner(poly_y, out, length)):
         raise NotARoot("resulting series fails re-substitution (internal)")
     return out
 

@@ -5,7 +5,9 @@ trimmed: the last entry is nonzero, [] is the zero polynomial.  Values are
 Python ints in [0, p).  Every product, whatever the lengths and p, is one
 Kronecker substitution (von zur Gathen-Gerhard, *Modern Computer Algebra*,
 section 8.4): both factors are packed into Python ints and CPython's
-big-int product does the work.
+big-int product does the work.  Products of zero-padded series end in
+long runs of zeros, so ``mul`` trims a product that ends in zero in
+numpy, before it becomes a list.
 
 ``divrem`` and ``gcd`` share one remainder kernel with lazy reduction.
 Its arrays hold integers congruent mod p to the coefficients but not
@@ -76,7 +78,12 @@ def mul(a: list, b: list, p: int) -> list:
     if w <= 8:
         slots = np.zeros((n, 8), dtype=np.uint8)
         slots[:, :w] = np.frombuffer(data, dtype=np.uint8).reshape(n, w)
-        return trim((slots.view("<u8").ravel() % p).tolist())
+        out = slots.view("<u8").ravel() % p
+        # p is prime, so only factors with zero tails leave a zero tail
+        if not out[-1]:
+            nonzero = np.flatnonzero(out)
+            out = out[:nonzero[-1] + 1] if nonzero.size else out[:0]
+        return out.tolist()
     return trim([int.from_bytes(data[i:i + w], "little") % p
                  for i in range(0, n * w, w)])
 

@@ -2,12 +2,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynzeta import modpoly
 from dynzeta.automata import (Dfao, KernelReport, christol_series,
                               eventual_period_detect, kernel_explore,
                               vp_geometric_sequence, vp_tower_sequence)
 from dynzeta.errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                             SingularRoot, SpecError)
+from dynzeta.intarith import check_prime
 
 PARITY = Dfao(2, ((0, 1), (1, 0)), (0, 1))
 
@@ -90,6 +94,183 @@ class TestChristol:
         coeffs = christol_series([[0, 1], [1], [1]], 2, [0, 1], 512)
         for n in range(512):
             assert PO2.eval(n) == coeffs[n]
+
+
+# -- full-precision reference for christol_series ---------------------------------
+#
+# Every Newton step below evaluates P and P' and inverts the unit at the
+# full working length.  The root with val(y - r) > v is unique, so the
+# precision-doubling loop in the library must return the same list, or
+# raise the same exception with the same message.  The one exception is
+# a P(y0) that vanishes past the reference's probe without passing the
+# Hensel gate, which the library refuses and the reference does not
+# (test_christol_gate_decided_past_the_probe).
+
+
+def _ref_series_mul(a, b, p, n):
+    return modpoly.mul(a[:n], b[:n], p)[:n]
+
+
+def _ref_series_inv(a, p, n):
+    if not a or a[0] == 0:
+        raise SpecError("series inversion needs a unit constant term")
+    inv = [pow(a[0], p - 2, p)]
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        t = _ref_series_mul(a[:prec], inv, p, prec)
+        two_minus = [(-c) % p for c in t] + [0] * (prec - len(t))
+        two_minus[0] = (two_minus[0] + 2) % p
+        inv = _ref_series_mul(inv, two_minus, p, prec)
+        inv += [0] * (prec - len(inv))
+    return inv[:n]
+
+
+def _ref_series_val(a):
+    for i, c in enumerate(a):
+        if c:
+            return i
+    return None
+
+
+def _ref_christol(poly_y, p, prefix, length):
+    check_prime(p)
+    poly_y = [list(c) for c in poly_y]
+    if len(poly_y) < 2:
+        raise SpecError("equation must involve y")
+    work = length + 8
+    d_poly_y = [[c * j for c in coeff] for j, coeff in enumerate(poly_y)][1:]
+
+    def horner(coeffs, y, n):
+        acc = []
+        for coeff in reversed(coeffs):
+            acc = modpoly.add(_ref_series_mul(acc, y, p, n),
+                              [c % p for c in coeff[:n]], p)
+        return acc[:n]
+
+    y = [c % p for c in prefix]
+    probe = max(work + 8, 2 * len(y) + 8)
+    value = horner(poly_y, y, probe)
+    s = _ref_series_val(value)
+    if s is not None and s < len(y):
+        raise NotARoot("prefix does not annihilate the equation to its length")
+    deriv = horner(d_poly_y, y, work)
+    v = _ref_series_val(deriv)
+    if v is None or (s is not None and s <= 2 * v):
+        raise SingularRoot("prefix too shallow for the derivative's t-valuation")
+
+    steps = 0
+    while True:
+        value = horner(poly_y, y, length + v + 1)
+        val_v = _ref_series_val(value)
+        if val_v is None or val_v >= length + v:
+            break
+        deriv = horner(d_poly_y, y, work)
+        if _ref_series_val(deriv) != v:
+            raise SingularRoot("derivative valuation drifted (internal)")
+        unit = deriv[v:] + [0] * v
+        correction = _ref_series_mul(value[v:] + [0] * v,
+                                     _ref_series_inv(unit, p, work), p, work)
+        y = modpoly.sub(y, correction, p)
+        y = [c % p for c in y[:work]]
+        steps += 1
+        if steps > length.bit_length() + 8:
+            raise SingularRoot("Newton iteration failed to converge")
+    out = (y + [0] * length)[:length]
+    check = horner(poly_y, out, length)
+    if _ref_series_val(check) is not None and _ref_series_val(check) < length:
+        raise NotARoot("resulting series fails re-substitution (internal)")
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:        # compared by class and message
+        return type(exc), str(exc)
+
+
+def _eval_mod(poly_y, y, p, n):
+    """P(t, y) mod t^n by schoolbook products, independent of modpoly."""
+    acc = [0] * n
+    for coeff in reversed(poly_y):
+        prod = [0] * n
+        for i, a in enumerate(acc):
+            if a:
+                for j, b in enumerate(y[:n - i]):
+                    prod[i + j] += a * b
+        for i, c in enumerate(coeff[:n]):
+            prod[i] += c
+        acc = [c % p for c in prod]
+    return acc
+
+
+@st.composite
+def _christol_case(draw):
+    """A random equation of y-degree 1-4 over F_p, p in {2, 3, 5, 7}, with
+    a 1-5 term prefix; half the draws shift P's constant term so that the
+    prefix is a root to its length, and half give P's y-coefficient a
+    t-power factor, so that the derivative can have positive valuation."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    rnd = draw(st.randoms(use_true_random=False))
+    poly_y = [[rnd.randrange(p) for _ in range(rnd.randint(0, 5))]
+              for _ in range(rnd.randint(1, 4) + 1)]
+    if draw(st.booleans()):
+        poly_y[1] = [0] * rnd.randint(1, 3) + poly_y[1]
+    prefix = [rnd.randrange(p) for _ in range(rnd.randint(1, 5))]
+    if draw(st.booleans()):
+        poly_y[0] = modpoly.sub(poly_y[0], _eval_mod(poly_y, prefix, p, len(prefix)), p)
+    return poly_y, p, prefix, draw(st.integers(0, 300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_christol_case())
+def test_christol_matches_full_precision_reference(case):
+    assert _outcome(christol_series, *case) == _outcome(_ref_christol, *case)
+
+
+HENSEL_CASES = [
+    # y^2 = t^2 (1 + t) over F_3 from y0 = t: v = 1, s = 3
+    ([[0, 0, -1, -1], [], [1]], 3, [0, 1]),
+    # y^2 = t^4 (1 + t) over F_5 from y0 = t^2: v = 2, s = 5
+    ([[0, 0, 0, 0, -1, -1], [], [1]], 5, [0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 17, 300])
+@pytest.mark.parametrize("poly_y, p, prefix", HENSEL_CASES)
+def test_christol_positive_derivative_valuation(poly_y, p, prefix, length):
+    out = christol_series(poly_y, p, prefix, length)
+    assert len(out) == length
+    assert not any(_eval_mod(poly_y, out, p, length))
+    assert out == _ref_christol(poly_y, p, prefix, length)
+
+
+def test_christol_gate_decided_past_the_probe():
+    # y^2 + t^17 y + t^29 over F_5 has no power-series root: its
+    # discriminant t^29 (t^5 - 4) has odd valuation.  From y0 = 0, v = 17
+    # and s = 29 <= 2v fail the Hensel gate, though P(0) vanishes to the
+    # 26 terms that length + 16 alone would read.
+    with pytest.raises(SingularRoot, match="prefix too shallow"):
+        christol_series([[0] * 29 + [1], [0] * 17 + [1], [1]], 5, [0], 10)
+
+
+@pytest.mark.parametrize("length", [0, 1, 5, 8])
+def test_christol_prefix_longer_than_terms(length):
+    eqn = [[0, 1], [1], [1]]
+    prefix = christol_series(eqn, 2, [0, 1], 20)
+    out = christol_series(eqn, 2, prefix, length)
+    assert out == prefix[:length] == _ref_christol(eqn, 2, prefix, length)
+
+
+@pytest.mark.parametrize("length", [0, 1])
+def test_christol_shortest_lengths(length):
+    for eqn, p, prefix in [([[0, 1], [1], [1]], 2, [0, 1]),
+                           ([[-1], [1, -1]], 5, [1]),
+                           ([[0, 1], [1, 0, 1], [1, 1, 1, 1]], 2, [0, 1])]:
+        out = christol_series(eqn, p, prefix, length)
+        assert out == _ref_christol(eqn, p, prefix, length)
+        assert len(out) == length and not any(_eval_mod(eqn, out, p, length))
 
 
 class TestKernelExplore:

@@ -207,6 +207,55 @@ def test_mul_widest_slot_at_each_prime(p):
     assert all(type(c) is int for c in out)
 
 
+def _slot_width(a, b, p):
+    return ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_trims_untrimmed_inputs(p):
+    # trailing zeros on either factor, and a zero product from factors of
+    # nonzero length
+    assert modpoly.mul([0, 0], [0, 1], p) == []
+    assert modpoly.mul([0], [0] * 50, p) == []
+    for a, b in [([1, p - 1, 0, 0, 0], [0, 2 % p, 0]),
+                 ([p - 1] + [0] * 40, [0, 0, 1] + [0] * 7),
+                 ([0, 0, 3 % p, 0], [p - 1, 0])]:
+        assert modpoly.mul(a, b, p) == _ref_mul(a, b, p)
+
+
+@st.composite
+def _sparse_case(draw):
+    # Long factors with a few nonzero coefficients and long zero tails,
+    # like the zero-padded series of a Newton step.
+    p = draw(st.sampled_from(PRIMES))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def sparse():
+        out = [0] * rnd.randint(1, 300)
+        for _ in range(rnd.randint(0, 4)):
+            out[rnd.randrange(len(out))] = rnd.randrange(p)
+        return out + [0] * rnd.randint(0, 200)
+    return p, sparse(), sparse()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_sparse_case())
+def test_mul_long_sparse_matches_reference(case):
+    p, a, b = case
+    assert modpoly.mul(a, b, p) == _ref_mul(a, b, p)
+
+
+@pytest.mark.parametrize("p, narrow", [(7, True), (65537, True),
+                                       (2 ** 61 - 1, False), (2 ** 127 - 1, False)])
+def test_mul_sparse_on_both_slot_paths(p, narrow):
+    a = [0, 1] + [0] * 150 + [p - 1] + [0] * 90
+    b = [0] * 60 + [2] + [0] * 200
+    assert (_slot_width(a, b, p) <= 8) == narrow
+    out = modpoly.mul(a, b, p)
+    assert out == _ref_mul(a, b, p)
+    assert all(type(c) is int for c in out)
+
+
 @functools.lru_cache(maxsize=None)
 def _irreducibles(p, k):
     """Monic irreducibles of degree 1 to 3 over F_(p^k), as Polys: a
