@@ -104,10 +104,16 @@ class KernelReport:
         return self.depth
 
 
+def kernel_cost(base: int, depth: int, prefix_len: int) -> int:
+    """Terms kernel_explore(seq, base, depth, prefix_len) compares: one
+    prefix_len row per residue r < base^e, for e <= depth."""
+    return sum(base ** e for e in range(depth + 1)) * prefix_len
+
+
 def check_kernel_budget(base: int, depth: int, prefix_len: int, budget: int):
     """ScaleExceeded unless kernel_explore(seq, base, depth, prefix_len)
     costs at most budget."""
-    cost = sum(base ** e for e in range(depth + 1)) * prefix_len
+    cost = kernel_cost(base, depth, prefix_len)
     if cost > budget:
         raise ScaleExceeded(f"kernel exploration cost {cost} over budget {budget}")
 
@@ -234,6 +240,8 @@ def christol_series(poly_y, p: int, prefix, length: int):
     mod t^length before returning.
     """
     check_prime(p)
+    if length < 0:
+        raise SpecError("series length must not be negative")
     poly_y = [[c % p for c in coeff] for coeff in poly_y]
     if len(poly_y) < 2:
         raise SpecError("equation must involve y")

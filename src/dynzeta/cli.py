@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dynmap import cycle_census, per_n_oracle, rat_map
-from .errors import (DynzetaError, InfinitePeriodicPoints, Mismatch,
-                     ScaleExceeded, SpecError)
+from .errors import DynzetaError, Mismatch, ScaleExceeded, SpecError
 from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        LattesOrdinary, LattesSupersingular, PowerMap,
                        SubadditiveMap, classify_separability, per_n_closed,
@@ -641,9 +640,6 @@ def main(argv=None, out=None):
         # stdout at devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (InfinitePeriodicPoints, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ScaleExceeded as exc:
         print(f"scale exceeded: {exc}", file=sys.stderr)
         return 3

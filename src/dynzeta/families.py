@@ -35,8 +35,7 @@ from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
                      SpecError, SubadditiveConditionViolated)
 from .field import Poly, check_poly_scale, embed, extend_field, field_make
 from .dynmap import RatMap, poly_map, rat_map
-from .intarith import check_prime, factorize, v_p
-from .limits import ENUM_CAP
+from .intarith import check_prime, factorize, multiplicative_order, v_p
 from .orders import (PrimeContext, QuadElem, QuadRing, QuatElem, units,
                      v_frak_p)
 from .twisted import TwistedPoly, realize_additive, v_phi, v_phi_pow_minus
@@ -177,13 +176,9 @@ class SubadditiveMap(_AdditiveQuotient):
             # Transcendental coefficients keep all the roots of unity in the
             # constants; separability analysis never needs them explicitly.
             raise SpecError("explicit roots of unity need finite coefficients")
-        q = ctx.order
-        e = next((e for e in range(1, 25) if (q ** e - 1) % self.d == 0), None)
-        if e is None:
-            raise SpecError("root-of-unity field out of reach")
-        if e > 1 and q ** e > ENUM_CAP:
-            raise SpecError("root-of-unity field exceeds the enumeration cap")
-        ext = extend_field(ctx, e)
+        # mu_d lies in F_(q^e), e the order of q mod d; extend_field refuses
+        # an e past its degree cap
+        ext = extend_field(ctx, multiplicative_order(ctx.order, self.d))
         sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in self.sigma.coeffs])
         cofactor, primes = (ext.order - 1) // self.d, factorize(self.d)
         zeta = next(z for z in (ext.elem_at(a) ** cofactor

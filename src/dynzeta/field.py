@@ -634,11 +634,10 @@ def embed(elem, target):
         raise SpecError("no embedding path to the requested field")
     if src.is_prime_field:
         return target.from_int(elem.rep)
-    root = FieldElem(target, _subfield_root(src, target))
-    acc, n = target.zero(), elem.rep
-    for i in range(src.k - 1, -1, -1):
-        acc = acc * root + n // src.p ** i % src.p
-    return acc
+    # elem is its base-p digit polynomial at src's root
+    digits = Poly.from_ints(target, [elem.rep // src.p ** i % src.p
+                                     for i in range(src.k)])
+    return digits.eval(FieldElem(target, _subfield_root(src, target)))
 
 
 @functools.lru_cache(maxsize=8)

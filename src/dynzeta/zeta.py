@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .automata import (KernelReport, check_kernel_budget,
-                       eventual_period_detect, kernel_explore,
+                       eventual_period_detect, kernel_cost, kernel_explore,
                        residue_sequence)
 from .errors import Mismatch, NonIntegerCoefficient, ScaleExceeded, SpecError
 from .families import classify_separability, map_degree, per_n_closed
@@ -274,11 +274,9 @@ DEFAULT_OPTIONS = VerdictOptions()
 
 
 def _fit_depth(base, prefix, budget, max_depth):
+    """Deepest kernel (at least 1, at most max_depth) whose cost fits budget."""
     depth = 1
-    while depth < max_depth:
-        cost = sum(base ** e for e in range(depth + 2)) * prefix
-        if cost > budget:
-            break
+    while depth < max_depth and kernel_cost(base, depth + 1, prefix) <= budget:
         depth += 1
     return depth
 
@@ -289,8 +287,6 @@ def _control_period(shape, ratio, a1, p, ell):
         return multiplicative_order(ratio % ell, ell)
     ordp = multiplicative_order(p % ell, ell)
     reduced = ordp // math.gcd(ordp, a1)
-    if reduced == 1:
-        return 1
     return multiplicative_order(p % reduced, reduced)
 
 
@@ -300,24 +296,28 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
 
     rederived yields (n, term) pairs computed from exact periodic-point
     counts; each must equal the sequence's term n.
+
+    The plan precedes every term: refuse an ell whose kernel costs more
+    than four budgets (before any count: the indices m k grow with ell),
+    choose the control (the values' own base-p kernel runs only at a depth
+    two past the value profile's period), then form one prefix for the
+    scan's first window and the kernels that run.  None reads past four
+    budgets: a base-p kernel of depth >= 2 fits one budget, the values run
+    only at depth >= 3, and at depth 1 p < ell, whose kernel has passed.
     """
     ell_prefix = opts.kernel_prefix if ell <= 50 else 64
     ell_depth = _fit_depth(ell, ell_prefix, opts.kernel_budget,
                            opts.max_ell_depth)
+    kernel_budget = 4 * opts.kernel_budget
+    check_kernel_budget(ell, ell_depth, ell_prefix, kernel_budget)
     p_depth_values = _fit_depth(p, opts.kernel_prefix, opts.kernel_budget, 10)
     depth_cap = _fit_depth(p, 64, opts.kernel_budget, 10)
-    # One sequence prefix serves every kernel below; a kernel whose
-    # horizon alone exceeds its budget refuses before reading any term.
-    kernel_budget = 4 * opts.kernel_budget
-    horizons = (ell ** ell_depth * ell_prefix,
-                p ** p_depth_values * opts.kernel_prefix, p ** depth_cap * 64)
-    horizon = max([opts.period_terms]
-                  + [h for h in horizons if h <= kernel_budget])
+    try_values = _control_period(shape, ratio, a1, p, ell) + 2 <= p_depth_values
+    class_terms = p ** depth_cap * 64
+    horizon = max(opts.period_terms, ell ** ell_depth * ell_prefix, class_terms,
+                  p ** p_depth_values * opts.kernel_prefix if try_values else 0)
     valuations, values = residue_sequence(shape, ratio, a1, alpha, beta,
                                           p, ell, horizon)
-    # An ell past the kernel budget is refused before any count is formed:
-    # the re-derived count indices m k grow with ell.
-    check_kernel_budget(ell, ell_depth, ell_prefix, kernel_budget)
     checked = 0
     for n, derived in rederived:
         if derived != values[n]:
@@ -328,22 +328,16 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
                                 budget=kernel_budget)
 
     # Positive control: the value sequence itself when its base-p kernel
-    # certifies closure in budget, else the saturated valuation classes
-    # the values factor through.
-    profile_period = _control_period(shape, ratio, a1, p, ell)
-    control = None
-    p_kernel = None
-    if profile_period + 2 <= p_depth_values:
-        candidate = kernel_explore(values, p, p_depth_values, opts.kernel_prefix,
-                                   budget=kernel_budget)
-        if candidate.closed:
-            control = "values"
-            p_kernel = candidate
-    if p_kernel is None:
+    # closes, else the saturated valuation classes the values factor through.
+    p_kernel = (kernel_explore(values, p, p_depth_values, opts.kernel_prefix,
+                               budget=kernel_budget) if try_values else None)
+    if p_kernel is not None and p_kernel.closed:
+        control = "values"
+    else:
         control = "valuation-classes"
         sat = max(2, min(6, depth_cap - 3))
-        p_kernel = kernel_explore(np.minimum(valuations, sat), p, depth_cap,
-                                  64, budget=kernel_budget)
+        p_kernel = kernel_explore(np.minimum(valuations[:class_terms], sat), p,
+                                  depth_cap, 64, budget=kernel_budget)
 
     # Periodicity scan with adaptive extension: a candidate period found
     # on a short prefix is retried on a window long enough to refute it
@@ -392,20 +386,12 @@ def _geometric_certificate(mapping, opts):
         m = 2 if p == 2 else math.lcm(2, multiplicative_order(sigma, p))
         beta, ell_modulus = (2, 4) if p == 2 else (1, p)
         terms = 48
-
-        def stride(ell):
-            return ell - 1  # Fermat: every size is constant mod ell
     else:
         # v(p) = 2 on a supersingular curve, 1 at an ordinary one's split prime
         m = (_supersingular_step(mapping, opts) if e == 2
              else _ordinary_step(mapping))
         beta, ell_modulus = {2: (16, 8), 3: (3, 9)}.get(p, (1, p))
         terms = 24
-
-        def stride(ell):
-            # the least common period of the norms mod ell
-            return math.lcm(*(norm_sequence(sig_m, g, ell, 16).least_period
-                              for g in mapping.gammas))
     sig_m = sigma ** m
     v0 = mapping.valuation(sig_m - one)
     others = []
@@ -424,7 +410,11 @@ def _geometric_certificate(mapping, opts):
         p, 3 if p == 2 else 2, ell_modulus, opts.ell_cap,
         lambda ell: all(x % ell for x in (degree, group, ratio - 1, main)),
         f"{mapping.name} auxiliary prime")
-    alpha = stride(ell)
+    # The stride keeps every size constant mod ell: ell - 1 by Fermat for
+    # an integer, the least common period of the norms mod ell for a ring.
+    alpha = (ell - 1 if isinstance(sigma, int) else
+             math.lcm(*(norm_sequence(sig_m, g, ell, 16).least_period
+                        for g in mapping.gammas)))
     if v_p(alpha, p) > v_p(beta, p):
         raise Mismatch("stride valuation exceeds offset valuation (internal)")
     other = sum(o * pow(p, -c, ell) for o, c in others) % ell

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynzeta import modpoly
-from dynzeta.automata import (Dfao, KernelReport, christol_series,
-                              eventual_period_detect, kernel_explore,
+from dynzeta.automata import (Dfao, KernelReport, check_kernel_budget,
+                              christol_series, eventual_period_detect,
+                              kernel_cost, kernel_explore,
                               vp_geometric_sequence, vp_tower_sequence)
 from dynzeta.errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                             SingularRoot, SpecError)
@@ -89,6 +90,11 @@ class TestChristol:
         # y^2 - t has derivative 2y = 0 identically over F_2
         with pytest.raises((SingularRoot, NotARoot)):
             christol_series([[0, -1], [], [1]], 2, [0], 16)
+
+    def test_negative_length_refused(self):
+        # a negative length once cut |length| terms off the prefix
+        with pytest.raises(SpecError, match="must not be negative"):
+            christol_series([[0, 1], [1], [1]], 2, [0, 1, 1, 0, 1, 0], -4)
 
     def test_dfao_against_christol(self):
         coeffs = christol_series([[0, 1], [1], [1]], 2, [0, 1], 512)
@@ -322,6 +328,17 @@ def _reference_kernel(seq, base, depth, prefix_len):
     return KernelReport(base, depth, prefix_len, tuple(counts),
                         "closed" if closed else "growing",
                         tuple(sorted(signatures.values()))[:64])
+
+
+@pytest.mark.parametrize("base,depth,prefix_len", [(2, 0, 5), (3, 4, 64),
+                                                    (13, 3, 256)])
+def test_kernel_cost_is_the_budget_line(base, depth, prefix_len):
+    # one prefix_len row per residue r < base^e, e <= depth
+    cost = kernel_cost(base, depth, prefix_len)
+    assert cost == prefix_len * (base ** (depth + 1) - 1) // (base - 1)
+    check_kernel_budget(base, depth, prefix_len, cost)
+    with pytest.raises(ScaleExceeded):
+        check_kernel_budget(base, depth, prefix_len, cost - 1)
 
 
 class TestKernelAgainstReference:

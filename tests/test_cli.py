@@ -11,6 +11,7 @@ import time
 import pytest
 
 import dynzeta
+import dynzeta.cli
 from dynzeta.cli import (JobSpec, compile_spec, main, make_parser,
                          parse_poly_string, run_job)
 
@@ -158,6 +159,22 @@ class TestExitCodes:
                            "--n-min", "20", "--n-max", "20"])
         # out-of-scale oracle rows are reported as nulls, not failures
         assert code == 0
+
+    def test_count_disagreement_exits_4(self, monkeypatch, capsys):
+        # every row is printed, then the summary, then the refusal
+        closed = dynzeta.cli.per_n_closed
+        monkeypatch.setattr(dynzeta.cli, "per_n_closed",
+                            lambda fam, n: closed(fam, n) + 1)
+        code, text = run_cli(["count", "--family", "power", "--p", "3",
+                              "--d", "2", "--n-max", "3"])
+        assert code == 4
+        records = [json.loads(line) for line in text.splitlines()]
+        rows = [r for r in records if r["record"] == "row"]
+        assert [r["match"] for r in rows] == [False] * 3
+        assert all(int(r["closed"]) == int(r["oracle"]) + 1 for r in rows)
+        assert records[-1]["record"] == "summary"
+        assert records[-1]["mismatches"] == "3"
+        assert "internal consistency failure" in capsys.readouterr().err
 
     def test_identity_iterate_rejected(self):
         code, _ = run_cli(["oracle", "--num", "1", "--den", "0,1", "--p", "3",
@@ -666,6 +683,26 @@ class TestTowerInputs:
             "fa70ef537d1d2da442e925afd0e2d517d7f6aa7281dcc8a085b7f1ec8d63e513")
         assert elapsed < 10.0
 
+    def test_subadditive_roots_of_unity_past_the_enumeration_cap(self):
+        # mu_5 lives in F_(2^20), past the 10^6-element cap: it is the
+        # powers of one generator, so no code walks that field
+        code, text = run_cli(["count", "--family", "subadditive", "--p", "2",
+                              "--k", "10", "--sigma", "1,0,0,0,1", "--d", "5",
+                              "--n-max", "3"])
+        assert code == 0
+        rows = [r for r in map(json.loads, text.splitlines())
+                if r["record"] == "row"]
+        assert [(r["closed"], r["oracle"]) for r in rows] == [
+            ("14", "14"), ("206", "206"), ("3329", "3329")]
+
+    def test_subadditive_mu_19_over_f5_accepted(self):
+        # mu_19 lives in F_(5^9); no oracle reaches these degrees, so the
+        # counts are not pinned
+        code, text = run_cli(["count", "--family", "subadditive", "--p", "5",
+                              "--sigma", "1,0,0,0,0,0,0,0,0,1", "--d", "19",
+                              "--n-max", "2"])
+        assert code == 0
+        assert json.loads(text.splitlines()[-1])["mismatches"] == "0"
 
     def test_subadditive_roots_of_unity_at_a_large_prime_within_budget(self):
         # mu_2 = {1, -1} in F_p, p = 100000007: one generator, no field walk

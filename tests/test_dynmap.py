@@ -5,6 +5,35 @@ from dynzeta.dynmap import (compose, cycle_census, is_separable, iterate,
 from dynzeta.errors import InfinitePeriodicPoints, ScaleExceeded
 from dynzeta.field import Poly, field_make
 
+INFINITY = None
+
+
+def _brute_census(ctx, num, den, max_n):
+    """Cycle histogram of num/den on P^1(ctx) from each point's least
+    period under a plain successor walk; num and den are coprime lists of
+    elements with nonzero last entries."""
+    def value(coeffs, z):
+        return sum((c * z ** i for i, c in enumerate(coeffs)), ctx.zero())
+
+    def f(z):
+        if z is INFINITY:
+            if len(num) > len(den):
+                return INFINITY
+            return num[-1] / den[-1] if len(num) == len(den) else ctx.zero()
+        d = value(den, z)
+        return INFINITY if d.is_zero() else value(num, z) / d
+
+    points = [ctx.elem_at(i) for i in range(ctx.order)] + [INFINITY]
+    lengths = {}
+    for z in points:
+        w = f(z)
+        for period in range(1, len(points) + 1):
+            if w == z:
+                lengths[period] = lengths.get(period, 0) + 1
+                break
+            w = f(w)
+    return sorted((n, c // n) for n, c in lengths.items() if n <= max_n)
+
 
 @pytest.fixture
 def sq3(F3):
@@ -122,6 +151,28 @@ class TestCycleCensus:
             for n in (1, 2):
                 in_field = sum(length * cnt for length, cnt in census if n % length == 0)
                 assert in_field <= per_n_oracle(f, n)
+
+    @pytest.mark.parametrize("q,num,den", [
+        (5, [1], [0, 1]),                 # 1/x: a pole, deg num < deg den
+        (5, [1, 0, 1], [0, 1]),           # x + 1/x
+        (5, [2, 1], [4, 0, 1]),           # (x + 2)/(x^2 - 1): poles at +-1
+        (7, [3, 1], [2, 1]),              # a Moebius map, deg num = deg den
+        (7, [0, 0, 1], [1, 0, 0, 1]),     # x^2/(x^3 + 1)
+        (7, [3, 0, 0, 1], [0, 0, 1]),     # (x^3 + 3)/x^2
+        # over F_9 = F_3(a), entry i is the element with base-3 digits i
+        (9, [1, 0, 1], [2, 1]),           # (x^2 + 1)/(x + 2)
+        (9, [5, 0, 1], [0, 1]),           # x + (2 + a)/x
+        (9, [0, 0, 7], [3, 0, 1]),        # (1 + 2a) x^2/(x^2 + a)
+    ])
+    def test_rational_maps_against_a_successor_walk(self, q, num, den):
+        ctx = field_make(3, 2) if q == 9 else field_make(q)
+        num, den = ([ctx.elem_at(c) for c in cs] for cs in (num, den))
+        f = rat_map(ctx, num, den)
+        assert cycle_census(f, 1, 20) == _brute_census(ctx, num, den, 20)
+
+    def test_inversion_over_f5(self, F5):
+        # 1/x fixes 1 and -1 and swaps 0 with infinity and 2 with 3
+        assert cycle_census(rat_map(F5, [1], [0, 1]), 1, 4) == [(1, 2), (2, 2)]
 
     def test_census_agreement_when_complete(self, sq3):
         # Points of period 3 of x -> x^2 are seventh roots of unity, which

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynzeta.errors import NoAdmissibleEll, ScaleExceeded, SpecError
-from dynzeta.intarith import (first_prime_where, is_prime, isqrt_exact,
-                              multiplicative_order, power, v_p,
+from dynzeta import intarith
+from dynzeta.intarith import (factorize, first_prime_where, is_prime,
+                              isqrt_exact, multiplicative_order, power, v_p,
                               v_p_progression)
 
 
@@ -136,3 +137,18 @@ def test_an_exhausted_prime_search_is_a_scale_refusal():
     # the class 0 mod 4 holds no prime at all
     with pytest.raises(ScaleExceeded, match="no admissible prime below 1000"):
         first_prime_where(2, 0, 4, 1000)
+
+
+@pytest.mark.parametrize("n", [100003 ** 2, 100003 ** 3, 100003 * 100019,
+                               1000003 ** 2 * 1000033, 999983 * 10000019])
+def test_factorize_past_trial_division(n, monkeypatch):
+    # every prime factor is above the trial-division bound 10^5, so only
+    # the Pollard-rho fallback can split n
+    calls = []
+    rho = intarith._pollard_rho
+    monkeypatch.setattr(intarith, "_pollard_rho",
+                        lambda m: calls.append(m) or rho(m))
+    factors = factorize(n)
+    assert calls
+    assert math.prod(q ** e for q, e in factors.items()) == n
+    assert all(q > 100_000 and is_prime(q) for q in factors)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynzeta import zeta
 from dynzeta.dynmap import cycle_census, per_n_oracle, rat_map
 from dynzeta.errors import NonIntegerCoefficient, ScaleExceeded
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
@@ -427,6 +428,29 @@ class TestCertificates:
         assert cert.ell == 263 and cert.tower_multiplier == 2
         assert cert.control == "valuation-classes"
         assert cert.consistent()
+
+    @pytest.mark.parametrize("fam", [
+        PowerMap(5, 2), PowerMap(11, 3), ChebyshevMap(5, 3), LattesGenericJ(5, 2),
+        LattesSupersingular(11, sigma_trace=0, sigma_norm=3)])
+    def test_one_prefix_as_long_as_its_longest_reader(self, fam, monkeypatch):
+        # the control is chosen before the prefix is formed, so the value
+        # kernel's horizon is not formed when that kernel does not run
+        lengths, reads = [], []
+        sequence, explore = zeta.residue_sequence, zeta.kernel_explore
+
+        def recorded_sequence(*args):
+            lengths.append(args[-1])
+            return sequence(*args)
+
+        def recorded_explore(seq, base, depth, prefix_len, budget):
+            reads.append(base ** depth * prefix_len)
+            return explore(seq, base, depth, prefix_len, budget=budget)
+
+        monkeypatch.setattr(zeta, "residue_sequence", recorded_sequence)
+        monkeypatch.setattr(zeta, "kernel_explore", recorded_explore)
+        cert = certificate_build(fam)
+        assert cert.control == "valuation-classes"
+        assert lengths == [max([VerdictOptions().period_terms] + reads)]
 
     def test_ell_past_the_kernel_budget_refused_before_counting(self, F3):
         # ell > 3^18 is past the prime search cap, so the certificate is
