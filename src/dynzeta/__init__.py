@@ -28,7 +28,7 @@ from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
 from .automata import (Dfao, KernelReport, christol_series,
                        eventual_period_detect, kernel_explore,
                        vp_geometric_sequence, vp_tower_sequence)
-from .zeta import (Certificate, Verdict, VerdictOptions, ZetaSeries,
-                   certificate_build, rationality_guess, series_of_rational,
-                   verdict, zeta_from_counts, zeta_from_cycles)
+from .zeta import (Certificate, Verdict, ZetaSeries, certificate_build,
+                   rationality_guess, series_of_rational, verdict,
+                   zeta_from_counts, zeta_from_cycles)
 from .sentinels import INFINITY, TRANSCENDENTAL

@@ -18,6 +18,7 @@ from .errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                      SingularRoot, SpecError)
 from .intarith import (check_prime, multiplicative_order, tower_bound, v_p,
                        v_p_progression)
+from .limits import AUTOMATA_KERNEL_BUDGET
 
 # -- automata ------------------------------------------------------------------
 
@@ -119,7 +120,7 @@ def check_kernel_budget(base: int, depth: int, prefix_len: int, budget: int):
 
 
 def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
-                   budget: int = 10_000_000) -> KernelReport:
+                   budget: int = AUTOMATA_KERNEL_BUDGET) -> KernelReport:
     """Group base-k kernel subsequences by prefix agreement.
 
     seq is a numpy array of at least base^depth * prefix_len terms, used

@@ -95,7 +95,8 @@ def iterate(f: RatMap, n: int) -> RatMap:
     """n-fold composition of f with itself (n >= 1)."""
     if n < 1:
         raise SpecError("iterate needs n >= 1")
-    if f.degree ** n > POLY_DEGREE_CAP:
+    # from n = POLY_DEGREE_CAP.bit_length() on, 2^n already passes the cap
+    if f.degree ** min(n, POLY_DEGREE_CAP.bit_length()) > POLY_DEGREE_CAP:
         raise ScaleExceeded(f"deg(f)^{n} exceeds the polynomial cap")
     out = f
     for _ in range(n - 1):

@@ -20,7 +20,7 @@ from .errors import IncompleteEnumeration, ScaleExceeded, SpecError
 from .field import Poly, embed, extend_field
 from .dynmap import RatMap, reduced_map
 from .intarith import power, v_p
-from .limits import ENUM_CAP
+from .limits import ENUM_CAP, TORSION_INDEX_CAP
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,8 @@ def torsion_count(E: EllipticCurve, N: int, k_max: int):
     value proves nothing - division fields can lie beyond the enumeration
     cap - and leaves the flag unset.
     """
-    if N < 1 or N > 50:
-        raise SpecError("torsion index outside [1, 50]")
+    if N < 1 or N > TORSION_INDEX_CAP:
+        raise SpecError(f"torsion index outside [1, {TORSION_INDEX_CAP}]")
     if N == 1:
         return 1, True
     p = E.ctx.p
@@ -234,9 +234,9 @@ def lattes_oracle(E: EllipticCurve, m: int, n: int, k_max: int = 5) -> int:
     """
     if m < 2:
         raise SpecError("multiplier must be at least 2")
-    big = m ** n + 1
-    if big > 50:
-        raise ScaleExceeded(f"torsion index {big} beyond the oracle range")
+    # m^n >= 2^n passes the cap from n = TORSION_INDEX_CAP.bit_length() on
+    if m ** min(n, TORSION_INDEX_CAP.bit_length()) + 1 > TORSION_INDEX_CAP:
+        raise ScaleExceeded(f"torsion index {m}^{n} + 1 beyond the oracle range")
     total = 0
     for M in (m ** n - 1, m ** n + 1):
         cnt, ok = torsion_count(E, max(M, 1), k_max)

@@ -405,12 +405,10 @@ def realize(m, curve=None) -> RatMap:
 
 
 def _subadditive_realize(m: SubadditiveMap) -> Poly:
-    """Solve f(x^d) = psi(x)^d for the quotient polynomial f."""
+    """f with f(x^d) = psi(x)^d: psi(x) = x h(x^d), every exponent of psi
+    being 1 mod d, so f(y) = y h(y)^d, with no product past deg psi."""
     psi = realize_additive(m.sigma)
-    power = Poly.one(psi.ctx)
-    for _ in range(m.d):
-        power = power * psi
-    if any(c for e, c in enumerate(power.reps) if e % m.d):
+    if any(c for e, c in enumerate(psi.reps) if (e - 1) % m.d):
         raise SubadditiveConditionViolated(
-            "psi^d is not a polynomial in x^d (internal)")
-    return Poly(psi.ctx, power.reps[::m.d])
+            "psi is not x times a polynomial in x^d (internal)")
+    return (Poly(psi.ctx, psi.reps[1::m.d]) ** m.d).shift(1)

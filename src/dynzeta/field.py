@@ -56,9 +56,8 @@ from . import modpoly
 from .errors import (DivisionByZeroPoly, NoIrreducibleFound, ScaleExceeded,
                      SpecError, ZeroPolynomial)
 from .intarith import check_prime, factorize, power
-from .limits import ENUM_CAP, EXTENSION_DEGREE_CAP, POLY_DEGREE_CAP
-
-_RF_GCD_DEGREE_CAP = 4096
+from .limits import (ENUM_CAP, EXTENSION_DEGREE_CAP, POLY_DEGREE_CAP,
+                     RF_GCD_DEGREE_CAP)
 
 
 class FieldCtx:
@@ -395,7 +394,7 @@ def _rf_normalize(num, den, p):
     num_mono = len(num) == 1
     den_mono = len(den) == 1
     if not num_mono and not den_mono:
-        if max(num[-1][0], den[-1][0]) > _RF_GCD_DEGREE_CAP:
+        if max(num[-1][0], den[-1][0]) > RF_GCD_DEGREE_CAP:
             raise ScaleExceeded("rational-function gcd beyond degree cap")
         g = modpoly.gcd(_sp_to_dense(num), _sp_to_dense(den), p)
         if modpoly.deg(g) > 0:

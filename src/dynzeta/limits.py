@@ -1,8 +1,20 @@
-"""Global exact-arithmetic scale caps.
+"""Global exact-arithmetic scale caps: constants that nothing overrides.
 
-All hard limits live here so the CLI and the library agree on budgets.
-ENUM_CAP bounds every enumeration of field elements or curve points, and
-a field of at most ENUM_CAP elements also keeps exp/log/Zech tables.
+Every threshold that refuses with ScaleExceeded (exit 3) is here, so the
+CLI and the library agree on budgets.  What each cap refuses:
+
+POLY_DEGREE_CAP          a polynomial, composition or iterate of higher degree
+ENUM_CAP                 a walk over more field elements or curve points
+EXTENSION_DEGREE_CAP     an extension of higher degree (invalid spec, exit 2)
+PADIC_PRECISION_CAP      a more precise p-adic unit-root lift (exit 2)
+ELL_SEARCH_CAP           an auxiliary prime ell, or its tower bound, past it
+KERNEL_BUDGET            an ell kernel over 4 budgets (kernel depths fit one)
+CROSSCHECK_INDEX_CAP     a supersingular step that no count re-derives
+AUTOMATA_KERNEL_BUDGET   an automata-verb kernel comparing more terms
+TWISTED_POWER_COEFF_CAP  a truncated twisted power with more coefficients
+RF_GCD_DEGREE_CAP        an F_p(u) fraction reduced by a gcd of higher degree
+TORSION_INDEX_CAP        a Lattes oracle index m^n + 1, or torsion index
+                         (exit 2), past it
 """
 
 POLY_DEGREE_CAP = 10_000
@@ -10,3 +22,9 @@ ENUM_CAP = 1_000_000
 EXTENSION_DEGREE_CAP = 12
 PADIC_PRECISION_CAP = 1024
 ELL_SEARCH_CAP = 10_000_000
+KERNEL_BUDGET = 5_000_000
+CROSSCHECK_INDEX_CAP = 20_000
+AUTOMATA_KERNEL_BUDGET = 10_000_000
+TWISTED_POWER_COEFF_CAP = 32_768
+RF_GCD_DEGREE_CAP = 4096
+TORSION_INDEX_CAP = 50

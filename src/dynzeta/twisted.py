@@ -29,6 +29,7 @@ from .errors import (HypothesisViolated, InseparableSigma, Mismatch,
                      ScaleExceeded, SpecError, ZeroElement)
 from .field import Poly, check_poly_scale
 from .intarith import multiplicative_order, order_descent, power, v_p
+from .limits import TWISTED_POWER_COEFF_CAP
 from .sentinels import INFINITY, TRANSCENDENTAL
 
 _DIRECT_CHECK_COEFF_CAP = 4096
@@ -208,22 +209,23 @@ def realize_additive(sigma: TwistedPoly) -> Poly:
 def v_phi_pow_minus(sigma: TwistedPoly, n: int, omega):
     """v_phi(sigma^n - omega) without forming sigma^n when avoidable.
 
-    The linear coefficient of sigma^n is c_0^n; when it differs from omega
-    the valuation is zero.  Equality can only happen for algebraic linear
-    coefficients.  Then sigma^n is formed modulo F^K for K = 2, 4, 8, ...
-    until a coefficient of index below K is nonzero, or K covers all
-    top * n + 1 coefficients of sigma^n.  A K past the coefficient cap is
-    refused rather than formed.
+    The linear coefficient of sigma^n is c_0^n; when it differs from the
+    root of unity omega the valuation is zero.  Equality needs an algebraic
+    c_0: a constant in F_p(u), where F_p is algebraically closed, so no
+    power of a non-constant c_0 is formed.  Then sigma^n is formed modulo
+    F^K for K = 2, 4, 8, ... until a coefficient of index below K is
+    nonzero, or K covers all top * n + 1 coefficients of sigma^n.  A K
+    past the coefficient cap is refused rather than formed.
     """
     omega = sigma.ctx.elem(omega)
-    c0n = sigma.constant_coeff() ** n
-    if c0n != omega:
+    c0 = sigma.constant_coeff()
+    if not c0.is_constant() or c0 ** n != omega:
         return 0
     full = sigma.top_index * n + 1
     trunc = 2
     while True:
         trunc = min(trunc, full)
-        if trunc > _DIRECT_CHECK_COEFF_CAP * 8:
+        if trunc > TWISTED_POWER_COEFF_CAP:
             raise ScaleExceeded("twisted power too large for direct valuation")
         v = v_phi(tw_sub_scalar(tw_pow(sigma, n, trunc), omega))
         if v is not INFINITY or trunc == full:

@@ -28,11 +28,19 @@ from .errors import Mismatch, NonIntegerCoefficient, ScaleExceeded, SpecError
 from .families import classify_separability, map_degree, per_n_closed
 from .intarith import (divisors, first_prime_where, multiplicative_order,
                        tower_bound, v_p)
-from .limits import ELL_SEARCH_CAP
+from .limits import CROSSCHECK_INDEX_CAP, ELL_SEARCH_CAP, KERNEL_BUDGET
 from .orders import norm_sequence
 from .sentinels import TRANSCENDENTAL
 from .twisted import (TwistedPoly, constant_order, tw_pow, tw_sub_scalar,
                       v_phi)
+
+# Evidence sizes (see _build_detectors and _rational_verdict)
+SERIES_TERMS = 30     # counts a rational closed form is checked on
+PERIOD_TERMS = 2000   # first period-scan window, and the values kept
+KERNEL_PREFIX = 256   # kernel prefix of the values, and of an ell <= 50
+MAX_ELL_DEPTH = 4
+CLASS_PREFIX = 64     # kernel prefix of the valuation classes
+MAX_P_DEPTH = 10
 
 # -- series ------------------------------------------------------------------------
 
@@ -251,26 +259,12 @@ class Certificate:
 
 
 @dataclass(frozen=True)
-class VerdictOptions:
-    series_terms: int = 30
-    period_terms: int = 2000
-    kernel_prefix: int = 256
-    kernel_budget: int = 5_000_000
-    max_ell_depth: int = 4
-    crosscheck_index_cap: int = 20_000
-    ell_cap: int = ELL_SEARCH_CAP
-
-
-@dataclass(frozen=True)
 class Verdict:
     outcome: str   # "rational" | "transcendental-evidence" | "inconclusive"
     reason: str
     closed_form: tuple | None  # (numerator, denominator) int coefficient lists
     certificate: Certificate | None
     series_terms_checked: int
-
-
-DEFAULT_OPTIONS = VerdictOptions()
 
 
 def _fit_depth(base, prefix, budget, max_depth):
@@ -291,7 +285,7 @@ def _control_period(shape, ratio, a1, p, ell):
 
 
 def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
-                     rederived, opts):
+                     rederived):
     """Certificate for the sequence described by (shape, ratio, a1, alpha, beta).
 
     rederived yields (n, term) pairs computed from exact periodic-point
@@ -305,17 +299,16 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     budgets: a base-p kernel of depth >= 2 fits one budget, the values run
     only at depth >= 3, and at depth 1 p < ell, whose kernel has passed.
     """
-    ell_prefix = opts.kernel_prefix if ell <= 50 else 64
-    ell_depth = _fit_depth(ell, ell_prefix, opts.kernel_budget,
-                           opts.max_ell_depth)
-    kernel_budget = 4 * opts.kernel_budget
+    ell_prefix = KERNEL_PREFIX if ell <= 50 else 64
+    ell_depth = _fit_depth(ell, ell_prefix, KERNEL_BUDGET, MAX_ELL_DEPTH)
+    kernel_budget = 4 * KERNEL_BUDGET
     check_kernel_budget(ell, ell_depth, ell_prefix, kernel_budget)
-    p_depth_values = _fit_depth(p, opts.kernel_prefix, opts.kernel_budget, 10)
-    depth_cap = _fit_depth(p, 64, opts.kernel_budget, 10)
+    p_depth_values = _fit_depth(p, KERNEL_PREFIX, KERNEL_BUDGET, MAX_P_DEPTH)
+    depth_cap = _fit_depth(p, CLASS_PREFIX, KERNEL_BUDGET, MAX_P_DEPTH)
     try_values = _control_period(shape, ratio, a1, p, ell) + 2 <= p_depth_values
-    class_terms = p ** depth_cap * 64
-    horizon = max(opts.period_terms, ell ** ell_depth * ell_prefix, class_terms,
-                  p ** p_depth_values * opts.kernel_prefix if try_values else 0)
+    class_terms = p ** depth_cap * CLASS_PREFIX
+    horizon = max(PERIOD_TERMS, ell ** ell_depth * ell_prefix, class_terms,
+                  p ** p_depth_values * KERNEL_PREFIX if try_values else 0)
     valuations, values = residue_sequence(shape, ratio, a1, alpha, beta,
                                           p, ell, horizon)
     checked = 0
@@ -329,7 +322,7 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
 
     # Positive control: the value sequence itself when its base-p kernel
     # closes, else the saturated valuation classes the values factor through.
-    p_kernel = (kernel_explore(values, p, p_depth_values, opts.kernel_prefix,
+    p_kernel = (kernel_explore(values, p, p_depth_values, KERNEL_PREFIX,
                                budget=kernel_budget) if try_values else None)
     if p_kernel is not None and p_kernel.closed:
         control = "values"
@@ -337,12 +330,12 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
         control = "valuation-classes"
         sat = max(2, min(6, depth_cap - 3))
         p_kernel = kernel_explore(np.minimum(valuations[:class_terms], sat), p,
-                                  depth_cap, 64, budget=kernel_budget)
+                                  depth_cap, CLASS_PREFIX, budget=kernel_budget)
 
     # Periodicity scan with adaptive extension: a candidate period found
     # on a short prefix is retried on a window long enough to refute it
     # (the valuation spikes that kill false periods are p^k-sparse).
-    scan_len = opts.period_terms
+    scan_len = PERIOD_TERMS
     while True:
         if scan_len > len(values):
             valuations, values = residue_sequence(
@@ -353,11 +346,11 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
         pre, per = period
         scan_len = max(2 * scan_len, pre + 8 * per)
     return Certificate(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
-                       tuple(values[:opts.period_terms].tolist()),
+                       tuple(values[:PERIOD_TERMS].tolist()),
                        ell_kernel, p_kernel, control, period, checked)
 
 
-def _geometric_certificate(mapping, opts):
+def _geometric_certificate(mapping):
     """Certificate for a separable quotient of x -> sigma x on G_m or on an
     elliptic curve, read off the family's quotient data.
 
@@ -388,7 +381,7 @@ def _geometric_certificate(mapping, opts):
         terms = 48
     else:
         # v(p) = 2 on a supersingular curve, 1 at an ordinary one's split prime
-        m = (_supersingular_step(mapping, opts) if e == 2
+        m = (_supersingular_step(mapping) if e == 2
              else _ordinary_step(mapping))
         beta, ell_modulus = {2: (16, 8), 3: (3, 9)}.get(p, (1, p))
         terms = 24
@@ -407,7 +400,7 @@ def _geometric_certificate(mapping, opts):
     degree = map_degree(mapping)
 
     ell = first_prime_where(
-        p, 3 if p == 2 else 2, ell_modulus, opts.ell_cap,
+        p, 3 if p == 2 else 2, ell_modulus, ELL_SEARCH_CAP,
         lambda ell: all(x % ell for x in (degree, group, ratio - 1, main)),
         f"{mapping.name} auxiliary prime")
     # The stride keeps every size constant mod ell: ell - 1 by Fermat for
@@ -426,9 +419,9 @@ def _geometric_certificate(mapping, opts):
         return pow(residue, -1, ell) if residue else 0  # 0 is no unit: no term
 
     rederived = _rederived(mapping, m, alpha, beta, 0, terms,
-                           opts.crosscheck_index_cap, term)
+                           CROSSCHECK_INDEX_CAP, term)
     return _build_detectors(mapping.name, "geometric", m, ell, p, ratio % ell,
-                            alpha, beta, 0, v0, rederived, opts)
+                            alpha, beta, 0, v0, rederived)
 
 
 def _rederived(mapping, m, alpha, beta, first, stop, index_cap, term):
@@ -455,7 +448,7 @@ def _ordinary_step(mapping) -> int:
         (mapping.sigma.a + mapping.sigma.b * coroot) % modulus, modulus)
 
 
-def _supersingular_step(mapping, opts) -> int:
+def _supersingular_step(mapping) -> int:
     """Least k with v(sigma^k - 1) >= guard (3 at p = 2, 2 at p = 3, else 1).
 
     The least such k is the order of sigma in (O/I^guard)^*, so it
@@ -467,16 +460,16 @@ def _supersingular_step(mapping, opts) -> int:
     p = mapping.p
     guard = {2: 3, 3: 2}.get(p, 1)
     for k in divisors((p * p - 1) * p ** (2 * (guard - 1))):
-        if k > opts.crosscheck_index_cap:
+        if k > CROSSCHECK_INDEX_CAP:
             raise ScaleExceeded(
                 f"supersingular step exceeds the crosscheck index cap "
-                f"{opts.crosscheck_index_cap}")
+                f"{CROSSCHECK_INDEX_CAP}")
         if mapping.valuation(mapping.sigma ** k - 1) >= guard:
             return k
     raise Mismatch("no step with the required ideal valuation (internal)")
 
 
-def _certificate_ga(mapping, opts) -> Certificate:
+def _certificate_ga(mapping) -> Certificate:
     """Tower-shaped certificate for additive and subadditive polynomials.
 
     The auxiliary prime must exceed p^(a1 p^a1); a bound at or past the
@@ -491,17 +484,17 @@ def _certificate_ga(mapping, opts) -> Certificate:
     sig_m = tw_pow(sigma, m)
     v0 = v_phi(tw_sub_scalar(sig_m, 1))
     a1 = v0 * (2 if p == 2 else 1)
-    bound = tower_bound(p, a1, opts.ell_cap)
+    bound = tower_bound(p, a1, ELL_SEARCH_CAP)
     if bound is None:
         raise ScaleExceeded(
             f"the {mapping.name} certificate needs an auxiliary prime above "
             f"p^(a1 p^a1) with a1 = {a1}, past the prime search cap "
-            f"{opts.ell_cap}")
+            f"{ELL_SEARCH_CAP}")
 
     # ell > d keeps d a unit mod ell, and ell = 2 mod p keeps p prime to
     # ell - 1 (7 mod 8 at p = 2).
     residue, modulus = (7, 8) if p == 2 else (2, p)
-    ell = first_prime_where(max(bound, p, d), residue, modulus, opts.ell_cap,
+    ell = first_prime_where(max(bound, p, d), residue, modulus, ELL_SEARCH_CAP,
                             description=f"{mapping.name} auxiliary prime")
     deg_m = pow(p, sigma.top_index * m, ell)
 
@@ -516,44 +509,44 @@ def _certificate_ga(mapping, opts) -> Certificate:
                            math.isqrt(2_500_000) // max(1, sigma.top_index),
                            term)
     return _build_detectors(mapping.name, "tower", m, ell, p, p, 0, 0, a1, v0,
-                            rederived, opts)
+                            rederived)
 
 
-def certificate_build(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Certificate:
+def certificate_build(mapping) -> Certificate:
     """Finite transcendence evidence for a separable map on that path: the
     tower shape for additive polynomials, the geometric shape otherwise."""
     if isinstance(mapping.sigma, TwistedPoly):
-        return _certificate_ga(mapping, opts)
-    return _geometric_certificate(mapping, opts)
+        return _certificate_ga(mapping)
+    return _geometric_certificate(mapping)
 
 
 # -- the verdict engine ---------------------------------------------------------------------
 
 
-def verdict(mapping, opts: VerdictOptions = DEFAULT_OPTIONS) -> Verdict:
+def verdict(mapping) -> Verdict:
     """Rational closed form or finite transcendence evidence for a map."""
     D = map_degree(mapping)
     if classify_separability(mapping) == "inseparable":
-        return _rational_verdict(mapping, D, "inseparable", opts)
+        return _rational_verdict(mapping, D, "inseparable")
     reason = "separable-multiplicative-or-lattes"
     if isinstance(mapping.sigma, TwistedPoly):
         if constant_order(mapping.sigma) is TRANSCENDENTAL:
             return _rational_verdict(mapping, D,
-                                     "transcendental-linear-coefficient", opts)
+                                     "transcendental-linear-coefficient")
         reason = "separable-additive-algebraic"
-    cert = certificate_build(mapping, opts)
+    cert = certificate_build(mapping)
     # Evidence that fails its own checks supports no lean either way.
     outcome = ("transcendental-evidence" if cert.consistent()
                else "inconclusive")
     return Verdict(outcome, reason, None, cert, 0)
 
 
-def _rational_verdict(mapping, D, reason, opts):
+def _rational_verdict(mapping, D, reason):
     # 1 / ((1 - t)(1 - D t))
     num, den = (1,), (1, -(D + 1), D)
-    counts = [per_n_closed(mapping, n) for n in range(1, opts.series_terms + 1)]
+    counts = [per_n_closed(mapping, n) for n in range(1, SERIES_TERMS + 1)]
     series = zeta_from_counts(counts)
-    expansion = series_of_rational(num, den, opts.series_terms + 1)
+    expansion = series_of_rational(num, den, SERIES_TERMS + 1)
     if list(series.coeffs) != expansion:
         raise Mismatch("closed form disagrees with the count series")
-    return Verdict("rational", reason, (num, den), None, opts.series_terms)
+    return Verdict("rational", reason, (num, den), None, SERIES_TERMS)

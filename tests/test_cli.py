@@ -704,6 +704,44 @@ class TestTowerInputs:
         assert code == 0
         assert json.loads(text.splitlines()[-1])["mismatches"] == "0"
 
+    def test_subadditive_large_d_within_budget(self):
+        # psi = x + x^4096, d = 4095: the quotient y (1 + y)^4095 is built
+        # with no product past degree 4096 (psi^d has degree about 1.7e7)
+        start = time.perf_counter()
+        code, text = run_cli(["count", "--family", "subadditive", "--p", "2",
+                              "--sigma", "1,0,0,0,0,0,0,0,0,0,0,0,1",
+                              "--d", "4095", "--n-max", "2"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        rows = [r for r in map(json.loads, text.splitlines())
+                if r["record"] == "row"]
+        assert (rows[0]["closed"], rows[0]["oracle"]) == ("4096", "4096")
+        assert elapsed < 5.0
+
+    def test_subadditive_mu_past_the_extension_cap_refused_at_once(self, capsys):
+        # mu_8191 lives in F_(2^13), past the extension degree cap 12
+        start = time.perf_counter()
+        result = run_cli(["count", "--family", "subadditive", "--p", "2",
+                          "--sigma", "1,0,0,0,0,0,0,0,0,0,0,0,0,1",
+                          "--d", "8191", "--n-max", "1"])
+        elapsed = time.perf_counter() - start
+        assert result == (2, "")
+        assert "extension degree 13" in capsys.readouterr().err
+        assert elapsed < 5.0
+
+    def test_transcendental_coefficient_count_pinned_within_budget(self):
+        # no power of the non-constant u + 1 is a root of unity, so
+        # (u + 1)^100000 is not formed; stdout as before that shortcut
+        start = time.perf_counter()
+        code, text = run_cli(["count", "--family", "additive", "--p", "3",
+                              "--ratfunc", "--sigma", "u+1,1", "--n-min",
+                              "100000", "--n-max", "100000"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6273de05e34dea7e3c5def81ebcb0dca4953a128bb7f9b74497f16612e70a637")
+        assert elapsed < 1.0
+
     def test_subadditive_roots_of_unity_at_a_large_prime_within_budget(self):
         # mu_2 = {1, -1} in F_p, p = 100000007: one generator, no field walk
         start = time.perf_counter()

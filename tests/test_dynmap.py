@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from dynzeta.dynmap import (compose, cycle_census, is_separable, iterate,
@@ -80,6 +82,13 @@ class TestIterate:
     def test_scale_cap(self, F3, sq3):
         with pytest.raises(ScaleExceeded):
             iterate(sq3, 30)
+
+    def test_huge_n_refused_without_the_power(self, F5):
+        # 3^(10^8) is never formed to be compared with the cap
+        start = time.perf_counter()
+        with pytest.raises(ScaleExceeded):
+            iterate(rat_map(F5, [0, 0, 0, 1]), 10 ** 8)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSeparability:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from dynzeta.dynmap import per_n_oracle
@@ -6,7 +8,7 @@ from dynzeta.elliptic import (CurvePoint, EllipticCurve, add, identity,
                               lattes_realize, mul_by_m, negate, point_count,
                               points_over, torsion_count,
                               trace_of_frobenius)
-from dynzeta.errors import SpecError
+from dynzeta.errors import ScaleExceeded, SpecError
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,13 @@ class TestLattesOracle:
     def test_p_divides_kernel_index(self, E51):
         # m^n - 1 = 3, m^n + 1 = 5 = p: the 5-part collapses to Z/5.
         assert lattes_oracle(E51, 2, 2) == (9 + 5) // 2
+
+    def test_huge_n_refused_without_the_power(self, E51):
+        # 2^(10^8) + 1 is never formed to be compared with the index cap
+        start = time.perf_counter()
+        with pytest.raises(ScaleExceeded, match="beyond the oracle range"):
+            lattes_oracle(E51, 2, 10 ** 8)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLattesRealize:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dynzeta.dynmap import compose, per_n_oracle, rat_map
@@ -178,6 +180,39 @@ class TestSubadditiveConstruction:
         fam = SubadditiveMap(tw(F3, 0, 1), 2)
         assert realize(fam).num == Poly.from_ints(F3, [0, 0, 0, 1]) or \
             realize(fam).num.degree * 2 == 6
+
+    def test_quotient_matches_the_power_of_psi(self):
+        # the quotient read off h(y) = psi(x)/x at y = x^d equals the one
+        # read off psi^d, formed by d products, on random maps over nine
+        # fields with top index <= 4, d <= 40 and deg psi^d <= 20000
+        rng = random.Random(20261018)
+        checked = 0
+        for p, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2),
+                     (7, 1), (11, 1)):
+            F = field_make(p, k)
+            for d in range(2, 41):
+                indices = [i for i in range(5) if (p ** i - 1) % d == 0]
+                for top in indices[1:]:
+                    if d * p ** top > 20_000:
+                        continue
+                    coeffs = [F.elem_at(rng.randrange(F.order))
+                              if i in indices else F.zero()
+                              for i in range(top)]
+                    coeffs.append(F.elem_at(rng.randrange(1, F.order)))
+                    fam = SubadditiveMap(TwistedPoly.from_elems(F, coeffs), d)
+                    assert realize(fam).num == _ref_subadditive_quotient(fam)
+                    checked += 1
+        assert checked > 100
+
+
+def _ref_subadditive_quotient(m):
+    """f with f(x^d) = psi(x)^d, from psi^d formed by d products."""
+    psi = realize(AdditiveMap(m.sigma)).num
+    power = Poly.one(psi.ctx)
+    for _ in range(m.d):
+        power = power * psi
+    assert not any(c for e, c in enumerate(power.reps) if e % m.d)
+    return Poly(psi.ctx, power.reps[::m.d])
 
 
 class TestLattesCounts:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,13 @@ class TestConstantTermShortcut:
         sigma = TwistedPoly.from_elems(F3u, [F3u.u(), F3u.one()])
         for n in (1, 2, 5, 20):
             assert v_phi_pow_minus(sigma, n, F3u.one()) == 0
+
+    def test_transcendental_power_not_formed(self, F3u):
+        # (u + 1)^(10^5) would be a degree-10^5 fraction in F_3(u)
+        sigma = TwistedPoly.from_elems(F3u, [F3u.u() + F3u.one(), F3u.one()])
+        start = time.perf_counter()
+        assert v_phi_pow_minus(sigma, 10 ** 5, F3u.one()) == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_algebraic_fallback_matches_direct(self, F3):
         sigma = tw(F3, -1, 1)

@@ -19,7 +19,7 @@ from dynzeta.intarith import divisors, multiplicative_order, v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
 from dynzeta.twisted import TwistedPoly
-from dynzeta.zeta import (VerdictOptions, _integer_roots, _supersingular_step,
+from dynzeta.zeta import (_integer_roots, _supersingular_step,
                           certificate_build, rationality_guess,
                           series_of_rational, verdict, zeta_from_counts,
                           zeta_from_cycles)
@@ -450,7 +450,7 @@ class TestCertificates:
         monkeypatch.setattr(zeta, "kernel_explore", recorded_explore)
         cert = certificate_build(fam)
         assert cert.control == "valuation-classes"
-        assert lengths == [max([VerdictOptions().period_terms] + reads)]
+        assert lengths == [max([zeta.PERIOD_TERMS] + reads)]
 
     def test_ell_past_the_kernel_budget_refused_before_counting(self, F3):
         # ell > 3^18 is past the prime search cap, so the certificate is
@@ -492,18 +492,17 @@ class TestCertificates:
 class TestSupersingularStep:
     def test_least_step_by_scan(self):
         # the divisor search returns the least k >= 1 of all
-        opts = VerdictOptions()
         for p in (5, 7, 11, 13):
             for T, N in ((0, 2), (1, 2), (0, 3), (2, 3), (1, 3), (4, 4), (3, 5)):
                 fam = LattesSupersingular(p, sigma_trace=T, sigma_norm=N)
-                m = _supersingular_step(fam, opts)
+                m = _supersingular_step(fam)
                 assert (p * p - 1) % m == 0
                 assert m == next(k for k in range(1, p * p)
                                  if v_p((fam.sigma ** k - 1).norm(), p) >= 1)
 
     def test_quaternion_guard(self):
         fam = LattesSupersingular(2, sigma_quat=QuatElem(HURWITZ, 3, 1, 1, 1))
-        m = _supersingular_step(fam, VerdictOptions())
+        m = _supersingular_step(fam)
         assert 3 * 16 % m == 0 and v_p((fam.sigma ** m - 1).norm(), 2) >= 3
         assert all(v_p((fam.sigma ** k - 1).norm(), 2) < 3 for k in range(1, m))
 
@@ -512,9 +511,11 @@ class TestSupersingularStep:
         for p, T, N, m in ((59, 1, 2, 3480), (61, 1, 2, 3720),
                            (101, 1, 3, 10200), (101, 1, 2, 3400)):
             fam = LattesSupersingular(p, sigma_trace=T, sigma_norm=N)
-            assert _supersingular_step(fam, VerdictOptions()) == m
+            assert _supersingular_step(fam) == m
 
     def test_step_past_the_index_cap_refused(self):
-        fam = LattesSupersingular(59, sigma_trace=1, sigma_norm=2)
-        with pytest.raises(ScaleExceeded):
-            certificate_build(fam, VerdictOptions(crosscheck_index_cap=3000))
+        # step 22200 (the order of sigma in F_(149^2)^*); T^2 - 4N = -11 is
+        # a non-square mod 149, so p is inert in Q(sigma)
+        fam = LattesSupersingular(149, sigma_trace=1, sigma_norm=3)
+        with pytest.raises(ScaleExceeded, match="crosscheck index cap"):
+            certificate_build(fam)
