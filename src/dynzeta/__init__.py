@@ -22,9 +22,8 @@ from .elliptic import (CurvePoint, EllipticCurve, is_supersingular,
                        torsion_count)
 from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        LattesOrdinary, LattesSupersingular, PowerMap,
-                       SubadditiveMap, VARIANT_ABSOLUTE, VARIANT_NORM,
-                       classify_separability, map_degree, per_n_closed,
-                       per_n_template, realize)
+                       SubadditiveMap, classify_separability, map_degree,
+                       per_n_closed, per_n_template, realize)
 from .automata import (Dfao, KernelReport, christol_series,
                        eventual_period_detect, kernel_explore,
                        vp_geometric_sequence, vp_tower_sequence)

@@ -147,7 +147,7 @@ def build_family(params):
         if params.get("ratfunc"):
             ctx = ratfunc_field(p)
         else:
-            ctx = field_make(p, params.get("k", 1), seed=params.get("seed"))
+            ctx = field_make(p, params.get("k", 1))
         coeffs = [_parse_u_coeff(c, ctx) for c in params["sigma"]]
         sigma = TwistedPoly.from_elems(ctx, coeffs)
         if family == "additive":
@@ -156,7 +156,7 @@ def build_family(params):
             return AdditiveMap(sigma, trans)
         return SubadditiveMap(sigma, params["d"])
     if family == "lattes-generic":
-        return LattesGenericJ(p, params["s"], params.get("variant", "norm"))
+        return LattesGenericJ(p, params["s"])
     if family == "lattes-ordinary":
         T, N = params["tau"]
         ring = QuadRing(T, N)
@@ -176,7 +176,7 @@ def build_family(params):
 
 
 def build_raw_map(params):
-    ctx = field_make(params["p"], params.get("k", 1), seed=params.get("seed"))
+    ctx = field_make(params["p"], params.get("k", 1))
     return rat_map(ctx, params["num"], params.get("den", [1]))
 
 
@@ -209,6 +209,10 @@ _FAMILY_KEYS = {
 _AUTOMATA_KEYS = {"christol": ("p", "poly"), "vp-geometric": ("a", "p", "ell"),
                   "vp-tower": ("a", "p", "ell")}
 _TWISTED = "twisted"   # integer or u-polynomial entries
+# keys that no longer select anything, refused so that a job written for
+# them is not answered as if they were absent
+_RETIRED = {"seed": "no count depends on the choice of modulus",
+            "variant": "the Lattes count is the norm form only"}
 _MAP = ("count", "oracle", "zeta", "verdict", "census")
 _AUTO = ("automata",)
 
@@ -241,8 +245,7 @@ _PARAMS = (
     _Param("p", int, _MAP + _AUTO),
     *(_Param(key, int, _AUTO) for key in ("a", "ell", "alpha", "beta", "base",
                                            "depth")),
-    *(_Param(key, int, _MAP) for key in ("k", "seed", "d", "s")),
-    _Param("variant", str, _MAP, {"choices": ["norm", "absolute"]}),
+    *(_Param(key, int, _MAP) for key in ("k", "d", "s")),
     *(_Param(key, int, _MAP) for key in ("translation", "gamma_order",
                                           "unit_root")),
     _Param("gamma", str, _MAP, {"choices": ["mu2", "units"]}),
@@ -295,8 +298,11 @@ def validate_params(command, params):
     Checks presence and JSON types, that terms, show and max_order are
     not negative (zero asks for an empty prefix), and the census ranges;
     the map constructors still check values (primality, degrees).
-    Unknown keys are ignored.
+    Unknown keys are ignored, except the retired ones.
     """
+    for key, reason in _RETIRED.items():
+        if key in params:
+            raise SpecError(f"parameter {key!r} is retired: {reason}")
     family = params.get("family")
     for key, value in params.items():
         row = _TYPED.get(key)

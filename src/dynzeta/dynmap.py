@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
 from .field import Poly, distinct_root_count, embed, extend_field
+from .intarith import power
 from .limits import ENUM_CAP, POLY_DEGREE_CAP
 
 
@@ -98,6 +99,10 @@ def iterate(f: RatMap, n: int) -> RatMap:
     # from n = POLY_DEGREE_CAP.bit_length() on, 2^n already passes the cap
     if f.degree ** min(n, POLY_DEGREE_CAP.bit_length()) > POLY_DEGREE_CAP:
         raise ScaleExceeded(f"deg(f)^{n} exceeds the polynomial cap")
+    if f.degree == 1:
+        # the cap bounds no n at degree 1; above it, squaring an iterate
+        # costs more than composing onto f
+        return power(compose, poly_map(Poly.x_power(f.ctx, 1)), f, n)
     out = f
     for _ in range(n - 1):
         out = compose(f, out)

@@ -20,11 +20,9 @@ map fixes 0 and infinity (2), a negative one swaps them (2 for even n, 0
 for odd n), the other quotients of G_m and G_a fix only infinity (1), and
 elliptic quotients cover the whole projective line (0).
 
-For multipliers of an elliptic curve with End = Z there are two candidate
-numerator conventions for the kernel size: the norm (squared) form
-(s^n - gamma)^2 / p^(v_p(s^n - gamma)) and an un-squared absolute-value
-form.  Both are implemented; VARIANT_NORM is the default, pinned by the
-acceptance suite's torsion-enumeration oracle.
+For an integer multiplier of an elliptic curve with End = Z the kernel
+size is the norm form (s^n - gamma)^2 / p^(v_p(s^n - gamma)), which the
+acceptance suite's torsion-enumeration oracle confirms.
 """
 
 import math
@@ -39,14 +37,6 @@ from .intarith import check_prime, factorize, multiplicative_order, v_p
 from .orders import (PrimeContext, QuadElem, QuadRing, QuatElem, units,
                      v_frak_p)
 from .twisted import TwistedPoly, realize_additive, v_phi, v_phi_pow_minus
-
-VARIANT_NORM = "norm"
-VARIANT_ABSOLUTE = "absolute"
-# Default numerator convention for integer elliptic multipliers.  The
-# acceptance suite compares both variants against torsion enumeration on
-# concrete ordinary curves and pins this value.
-DEFAULT_LATTES_VARIANT = VARIANT_NORM
-
 
 class _Quotient:
     """Kernel sizes #ker x = size(x) / p^valuation(x) of x = sigma^n - gamma;
@@ -196,7 +186,6 @@ class LattesGenericJ(_Quotient):
 
     p: int
     s: int
-    variant: str = DEFAULT_LATTES_VARIANT
     name = "lattes-generic"
     gammas = (1, -1)
     sigma = property(lambda self: self.s)
@@ -205,15 +194,13 @@ class LattesGenericJ(_Quotient):
         check_prime(self.p)
         if abs(self.s) < 2:
             raise SpecError("multiplier needs |s| >= 2")
-        if self.variant not in (VARIANT_NORM, VARIANT_ABSOLUTE):
-            raise SpecError(f"unknown count variant {self.variant!r}")
 
     @property
     def degree(self) -> int:
         return self.s * self.s
 
     def size(self, x) -> int:
-        return x * x if self.variant == VARIANT_NORM else abs(x)
+        return x * x
 
     def boundary(self, n: int) -> int:
         return 0

@@ -31,18 +31,19 @@ Representation conventions:
   monic and coprime to the numerator.  Sparseness matters because the
   Frobenius c(u) -> c(u)^p multiplies exponents by p.
 
-Each FieldCtx holds one ``ops`` object that adds, negates, multiplies,
-inverts, raises to powers and applies the Frobenius on reps; every
-FieldElem operator is one call to it.  Square roots exist in odd
-characteristic: halved discrete logs where there are tables, Euler's
-criterion and Tonelli-Shanks elsewhere.
+A field is one FieldCtx whose subclass is its representation
+(``_PrimeField``, ``_DigitField``, ``_TableField``, ``_RatFuncField``).
+It adds, negates, multiplies, inverts, raises to powers and applies the
+Frobenius on reps; every FieldElem operator is one call to it.  Square
+roots exist in odd characteristic: halved discrete logs where there are
+tables, Euler's criterion and Tonelli-Shanks elsewhere.
 
 A Poly over a finite field keeps its coefficients as a trimmed tuple of
 reps, lowest degree first, and boxes them only when ``coeffs`` is read.
 Over F_p, sums, products, division and gcds run in the int kernel
 ``modpoly``; every other operation, and every operation over F_(p^k),
-is one loop through ``ctx.ops``.  ``separable_radical`` serves every
-finite field.
+is one loop through the field's rep arithmetic.  ``separable_radical``
+serves every finite field.
 """
 
 import functools
@@ -61,35 +62,34 @@ from .limits import (ENUM_CAP, EXTENSION_DEGREE_CAP, POLY_DEGREE_CAP,
 
 
 class FieldCtx:
-    """Immutable description of a field; shared freely between values.
+    """A field with its arithmetic on reps; immutable, shared freely.
 
-    ``ops`` does the field's arithmetic on reps.
+    Rep-level zero, one and constant n are ``zero_rep``, ``one_rep`` and
+    ``int_rep(n)``; the defaults here are the finite fields' 0, 1, n mod p.
     """
 
-    __slots__ = ("p", "k", "flavor", "base", "modulus", "is_prime_field",
-                 "ops", "_sig", "_order")
+    __slots__ = ("p", "k", "base", "modulus", "qm1", "nonresidue", "_sig",
+                 "_order")
+    flavor = "finite"
+    is_prime_field = False
+    zero_rep, one_rep = 0, 1
+    log_table = exp_table = None  # exp/log tables where the field keeps them
 
-    def __init__(self, p, k, flavor, base=None, modulus=None):
+    def __init__(self, p, k, sig, order, base=None, modulus=None):
         self.p = p
         self.k = k
-        self.flavor = flavor
         self.base = base
         self.modulus = modulus
-        self.is_prime_field = flavor == "finite" and base is None
-        if flavor == "ratfunc":
-            self._sig = ("rf", p)
-            self._order = None
-            self.ops = _RatFuncOps(p)
-        elif base is None:
-            self._sig = ("fp", p)
-            self._order = p
-            self.ops = _PrimeOps(p)
-        else:
-            self._sig = ("ext", base._sig, tuple(c.rep for c in modulus))
-            self._order = base.order ** k
-            low = tuple(c.rep for c in modulus[:-1])
-            self.ops = (_TableOps if self._order <= ENUM_CAP
-                        else _DigitOps)(p, k, low)
+        self._sig = sig
+        self._order = order
+        self.qm1 = None if order is None else order - 1
+        self.nonresidue = None  # least non-square rep, found by the first square root
+
+    def int_rep(self, n):
+        return n % self.p
+
+    def frobenius(self, a, times):
+        return self.pow(a, self.p ** times)
 
     # -- identity ---------------------------------------------------------
 
@@ -100,10 +100,6 @@ class FieldCtx:
         return hash(self._sig)
 
     def __repr__(self):
-        if self.flavor == "ratfunc":
-            return f"F_{self.p}(u)"
-        if self.base is None:
-            return f"F_{self.p}"
         return f"F_{self.order}"
 
     # -- basic data -------------------------------------------------------
@@ -115,13 +111,13 @@ class FieldCtx:
         return self._order
 
     def zero(self):
-        return FieldElem(self, self.ops.zero)
+        return FieldElem(self, self.zero_rep)
 
     def one(self):
-        return FieldElem(self, self.ops.one)
+        return FieldElem(self, self.one_rep)
 
     def from_int(self, n):
-        return FieldElem(self, self.ops.from_int(n))
+        return FieldElem(self, self.int_rep(n))
 
     def elem(self, value):
         """Coerce an int, a base-element vector, or an element of this ctx."""
@@ -135,7 +131,7 @@ class FieldCtx:
             vec = [self.base.elem(v) for v in value]
             if len(vec) > self.k:
                 raise SpecError("vector longer than extension degree")
-            return FieldElem(self, sum(c.rep * self.p ** i for i, c in enumerate(vec)))
+            return FieldElem(self, self.index([c.rep for c in vec]))
         raise SpecError(f"cannot coerce {value!r} into {self!r}")
 
     def u(self):
@@ -161,12 +157,12 @@ class FieldCtx:
         None where the field keeps no tables: prime fields, F_p(u) and
         extensions with more than ``limits.ENUM_CAP`` elements.
         """
-        log = self.ops.log
+        log = self.log_table
         return None if log is None else log[z.rep]
 
     def exp(self, n):
         """The element whose ``log`` is n (fields with tables only)."""
-        return FieldElem(self, self.ops.exp[n % self.ops.qm1])
+        return FieldElem(self, self.exp_table[n % self.qm1])
 
 
 class FieldElem:
@@ -185,10 +181,10 @@ class FieldElem:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return self.rep == self.ctx.ops.zero
+        return self.rep == self.ctx.zero_rep
 
     def is_one(self):
-        return self.rep == self.ctx.ops.one
+        return self.rep == self.ctx.one_rep
 
     # -- equality -----------------------------------------------------------
 
@@ -216,12 +212,12 @@ class FieldElem:
         raise SpecError("mixed-field arithmetic")
 
     def __add__(self, other):
-        return FieldElem(self.ctx, self.ctx.ops.add(self.rep, self._coerce(other).rep))
+        return FieldElem(self.ctx, self.ctx.add(self.rep, self._coerce(other).rep))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.ops.neg(self.rep))
+        return FieldElem(self.ctx, self.ctx.neg(self.rep))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -230,14 +226,14 @@ class FieldElem:
         return (-self) + other
 
     def __mul__(self, other):
-        return FieldElem(self.ctx, self.ctx.ops.mul(self.rep, self._coerce(other).rep))
+        return FieldElem(self.ctx, self.ctx.mul(self.rep, self._coerce(other).rep))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        return FieldElem(self.ctx, self.ctx.ops.inverse(self.rep))
+        return FieldElem(self.ctx, self.ctx.inverse(self.rep))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -245,13 +241,13 @@ class FieldElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        return FieldElem(self.ctx, self.ctx.ops.pow(self.rep, e))
+        return FieldElem(self.ctx, self.ctx.pow(self.rep, e))
 
     # -- characteristic-p structure ------------------------------------------
 
     def frobenius(self, times=1):
         """Apply c -> c^p the given number of times."""
-        return FieldElem(self.ctx, self.ctx.ops.frobenius(self.rep, times))
+        return FieldElem(self.ctx, self.ctx.frobenius(self.rep, times))
 
     def pth_root(self):
         """Unique p-th root in a finite field (perfect field)."""
@@ -261,35 +257,35 @@ class FieldElem:
 
     def is_square(self):
         """Whether this element of a field of odd order is a square."""
-        ops = self._odd_ops()
+        ctx = self._odd_field()
         if not self.rep:
             return True
-        if ops.log is not None:
-            return ops.log[self.rep] % 2 == 0
-        return ops.pow(self.rep, ops.qm1 // 2) == 1  # Euler's criterion
+        if ctx.log_table is not None:
+            return ctx.log_table[self.rep] % 2 == 0
+        return ctx.pow(self.rep, ctx.qm1 // 2) == 1  # Euler's criterion
 
     def sqrt(self):
         """A square root; SpecError when there is none.
 
         Fields with tables halve the discrete log; others run Tonelli-Shanks.
         """
-        ops = self._odd_ops()
+        ctx = self._odd_field()
         z = self.rep
         if not z:
             return self
-        if ops.log is None:
-            root = _tonelli_shanks(ops, z)
+        if ctx.log_table is None:
+            root = _tonelli_shanks(ctx, z)
         else:
-            log = ops.log[z]
-            root = None if log % 2 else ops.exp[log // 2]
+            log = ctx.log_table[z]
+            root = None if log % 2 else ctx.exp_table[log // 2]
         if root is None:
             raise SpecError("square root of a non-square")
         return FieldElem(self.ctx, root)
 
-    def _odd_ops(self):
+    def _odd_field(self):
         if self.ctx.order % 2 == 0:
             raise SpecError("square roots need a field of odd characteristic")
-        return self.ctx.ops
+        return self.ctx
 
     # -- rational-function extras ---------------------------------------------
 
@@ -308,32 +304,32 @@ class FieldElem:
         return num[0][1] if num else 0
 
 
-def _tonelli_shanks(ops, z):
+def _tonelli_shanks(ctx, z):
     """A square root of the nonzero rep z, or None if z is not a square.
 
     Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 1.5.1;
     for q = 3 mod 4 the root is z^((q+1)/4).
     """
-    e, m = ops.qm1, 0
+    e, m = ctx.qm1, 0
     while e % 2 == 0:
         e //= 2
         m += 1
-    if ops.nonresidue is None:
-        half = ops.qm1 // 2
-        ops.nonresidue = next(g for g in itertools.count(2) if ops.pow(g, half) != 1)
-    c = ops.pow(ops.nonresidue, e)
-    t = ops.pow(z, e)
-    r = ops.pow(z, (e + 1) // 2)
+    if ctx.nonresidue is None:
+        half = ctx.qm1 // 2
+        ctx.nonresidue = next(g for g in itertools.count(2) if ctx.pow(g, half) != 1)
+    c = ctx.pow(ctx.nonresidue, e)
+    t = ctx.pow(z, e)
+    r = ctx.pow(z, (e + 1) // 2)
     while t != 1:
         t2, i = t, 0
         while t2 != 1:
-            t2 = ops.mul(t2, t2)
+            t2 = ctx.mul(t2, t2)
             i += 1
         if i == m:  # t has the full 2-power order: z is not a square
             return None
-        b = ops.pow(c, 1 << (m - i - 1))
-        c = ops.mul(b, b)
-        m, t, r = i, ops.mul(t, c), ops.mul(r, b)
+        b = ctx.pow(c, 1 << (m - i - 1))
+        c = ctx.mul(b, b)
+        m, t, r = i, ctx.mul(t, c), ctx.mul(r, b)
     return r
 
 
@@ -408,20 +404,24 @@ def _rf_normalize(num, den, p):
     return (num, den)
 
 
-# -- arithmetic on reps: one ops object per field ------------------------------------
+# -- the representations ------------------------------------------------------------
 
 
-class _RatFuncOps:
-    """Arithmetic of F_p(u) on reduced fractions of sparse polynomials."""
+class _RatFuncField(FieldCtx):
+    """F_p(u) on reduced fractions of sparse polynomials."""
 
-    zero = ((), ((0, 1),))
-    one = (((0, 1),), ((0, 1),))
-    log = None
+    __slots__ = ()
+    flavor = "ratfunc"
+    zero_rep = ((), ((0, 1),))
+    one_rep = (((0, 1),), ((0, 1),))
 
     def __init__(self, p):
-        self.p = p
+        super().__init__(p, 1, ("rf", p), None)
 
-    def from_int(self, n):
+    def __repr__(self):
+        return f"F_{self.p}(u)"
+
+    def int_rep(self, n):
         c = n % self.p
         return (((0, c),) if c else (), ((0, 1),))
 
@@ -441,33 +441,21 @@ class _RatFuncOps:
         return _rf_normalize(a[1], a[0], self.p)
 
     def pow(self, a, e):
-        return power(self.mul, self.one, a, e)
+        return power(self.mul, self.one_rep, a, e)
 
     def frobenius(self, a, times):
         scale = self.p ** times
         return tuple(tuple((e * scale, c) for e, c in part) for part in a)
 
 
-class _FiniteOps:
-    """What the ops of the finite fields share: int reps, 0 and 1 as reps
-    of zero and one, and the constant n at rep n mod p."""
+class _PrimeField(FieldCtx):
+    """F_p on ints in [0, p)."""
 
-    zero, one, log = 0, 1, None
-    nonresidue = None  # least non-square rep, found by the first square root
-
-    def from_int(self, n):
-        return n % self.p
-
-    def frobenius(self, a, times):
-        return self.pow(a, self.p ** times)
-
-
-class _PrimeOps(_FiniteOps):
-    """Arithmetic of F_p on ints in [0, p)."""
+    __slots__ = ()
+    is_prime_field = True
 
     def __init__(self, p):
-        self.p = p
-        self.qm1 = p - 1
+        super().__init__(p, 1, ("fp", p), p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -488,18 +476,21 @@ class _PrimeOps(_FiniteOps):
         return a
 
 
-class _DigitOps(_FiniteOps):
-    """Arithmetic of F_(p^k) on indices, through their base-p digits.
+class _DigitField(FieldCtx):
+    """F_(p^k) on indices, through their base-p digits.
 
     ``low`` holds the modulus coefficients below x^k.  Exact for every p
     and k; used as is above the table limit and to build the tables.
     """
 
-    def __init__(self, p, k, low):
-        self.p = p
-        self.k = k
-        self.low = low
-        self.qm1 = p ** k - 1
+    __slots__ = ("low",)
+
+    def __init__(self, prime, modulus):
+        reps = tuple(c.rep for c in modulus)
+        k = len(reps) - 1
+        super().__init__(prime.p, k, ("ext", prime._sig, reps), prime.p ** k,
+                         prime, modulus)
+        self.low = reps[:-1]
 
     def digits(self, n):
         p = self.p
@@ -546,64 +537,67 @@ class _DigitOps(_FiniteOps):
         return power(self.mul, 1, a, e % self.qm1)
 
 
-class _TableOps(_FiniteOps):
-    """Arithmetic of F_(p^k) on indices by exp/log/Zech table lookups.
+class _TableField(_DigitField):
+    """F_(p^k) on indices by exp/log/Zech table lookups.
 
     With g a primitive element: exp[i] = g^i (stored twice over, so a sum
     of two logs needs no reduction), log[g^i] = i, and
-    zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.
+    zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.  The tables are
+    built by the digit arithmetic of ``digit_field``, the same field.
     """
 
-    def __init__(self, p, k, low):
-        self.p = p
-        self.qm1 = p ** k - 1
-        self.exp, self.log, self.zech = _zech_tables(_DigitOps(p, k, low))
-        self.minus_one = self.qm1 // 2 if p != 2 else 0  # log of -1
+    __slots__ = ("exp_table", "log_table", "zech", "minus_one")
+
+    def __init__(self, digit_field):
+        super().__init__(digit_field.base, digit_field.modulus)
+        self.exp_table, self.log_table, self.zech = _zech_tables(digit_field)
+        self.minus_one = self.qm1 // 2 if self.p != 2 else 0  # log of -1
 
     def add(self, a, b):
         if not a:
             return b
         if not b:
             return a
-        log = self.log
+        log = self.log_table
         la = log[a]
         z = self.zech[(log[b] - la) % self.qm1]
-        return 0 if z < 0 else self.exp[la + z]
+        return 0 if z < 0 else self.exp_table[la + z]
 
     def neg(self, a):
-        return self.exp[self.log[a] + self.minus_one] if a else 0
+        return self.exp_table[self.log_table[a] + self.minus_one] if a else 0
 
     def mul(self, a, b):
         if not a or not b:
             return 0
-        log = self.log
-        return self.exp[log[a] + log[b]]
+        log = self.log_table
+        return self.exp_table[log[a] + log[b]]
 
     def inverse(self, a):
-        return self.exp[self.qm1 - self.log[a]]
+        return self.exp_table[self.qm1 - self.log_table[a]]
 
     def pow(self, a, e):
         if not a:
             return 0 if e else 1
-        return self.exp[self.log[a] * e % self.qm1]
+        return self.exp_table[self.log_table[a] * e % self.qm1]
 
 
-def _zech_tables(ops):
-    """(exp, log, zech) of the least primitive index, as compact int arrays."""
-    p, k, qm1 = ops.p, ops.k, ops.qm1
+def _zech_tables(field):
+    """(exp, log, zech) of the least primitive index, as compact int arrays,
+    computed by the digit arithmetic of the _DigitField ``field``."""
+    p, k, qm1 = field.p, field.k, field.qm1
     primes = list(factorize(qm1))
     g = next(a for a in range(2, qm1 + 1)
-             if all(ops.pow(a, qm1 // r) != 1 for r in primes))
+             if all(field.pow(a, qm1 // r) != 1 for r in primes))
     # g^0 .. g^(step-1) one product at a time; after that each block of
     # step powers is the previous one times g^step, a k x k matrix on
     # coefficient columns.
     step = math.isqrt(qm1) + 1
     block, a = [], 1
     for _ in range(step):
-        block.append(ops.digits(a))
-        a = ops.mul(a, g)
+        block.append(field.digits(a))
+        a = field.mul(a, g)
     cols = np.array(block, dtype=np.int64).T
-    jump = np.array([ops.digits(ops.mul(a, p ** j)) for j in range(k)],
+    jump = np.array([field.digits(field.mul(a, p ** j)) for j in range(k)],
                     dtype=np.int64).T
     weights = p ** np.arange(k, dtype=np.int64)
     exp = np.empty(-(-qm1 // step) * step, dtype=np.int64)
@@ -634,8 +628,7 @@ def embed(elem, target):
     if src.is_prime_field:
         return target.from_int(elem.rep)
     # elem is its base-p digit polynomial at src's root
-    digits = Poly.from_ints(target, [elem.rep // src.p ** i % src.p
-                                     for i in range(src.k)])
+    digits = Poly.from_ints(target, src.digits(elem.rep))
     return digits.eval(FieldElem(target, _subfield_root(src, target)))
 
 
@@ -680,7 +673,7 @@ class Poly:
 
     @classmethod
     def from_ints(cls, ctx, ints):
-        return cls.from_reps(ctx, [ctx.ops.from_int(c) for c in ints])
+        return cls.from_reps(ctx, [ctx.int_rep(c) for c in ints])
 
     @classmethod
     def zero(cls, ctx):
@@ -729,7 +722,7 @@ class Poly:
             return "Poly(" + " + ".join(terms) + f" over {self.ctx!r})"
         return f"Poly(deg {self.degree} over {self.ctx!r})"
 
-    # -- arithmetic: F_p through modpoly, extensions through ctx.ops -----------
+    # -- arithmetic: F_p through modpoly, extensions through the field --------
 
     def __add__(self, other):
         self._check(other)
@@ -739,14 +732,14 @@ class Poly:
         a, b = self.reps, other.reps
         if len(a) < len(b):
             a, b = b, a
-        add = ctx.ops.add
+        add = ctx.add
         return Poly.from_reps(ctx, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        neg = self.ctx.ops.neg
+        neg = self.ctx.neg
         return Poly(self.ctx, tuple(neg(c) for c in self.reps))
 
     def __mul__(self, other):
@@ -759,7 +752,7 @@ class Poly:
             return Poly(ctx, tuple(modpoly.mul(a, b, ctx.p)))
         if not a or not b:
             return Poly.zero(ctx)
-        add, mul = ctx.ops.add, ctx.ops.mul
+        add, mul = ctx.add, ctx.mul
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -772,7 +765,7 @@ class Poly:
         c = self.ctx.elem(elem).rep
         if not c:
             return Poly.zero(self.ctx)
-        mul = self.ctx.ops.mul
+        mul = self.ctx.mul
         return Poly(self.ctx, tuple(mul(x, c) for x in self.reps))
 
     def __pow__(self, e):
@@ -792,9 +785,8 @@ class Poly:
             return Poly(ctx, tuple(q)), Poly(ctx, tuple(r))
         if len(a) < len(b):
             return Poly.zero(ctx), self
-        ops = ctx.ops
-        add, mul = ops.add, ops.mul
-        inv = ops.inverse(b[-1])
+        add, mul, neg = ctx.add, ctx.mul, ctx.neg
+        inv = ctx.inverse(b[-1])
         rem = list(a)
         lb = len(b)
         q = [0] * (len(a) - lb + 1)
@@ -803,7 +795,7 @@ class Poly:
             if not c:
                 continue
             q[i] = c = mul(c, inv)
-            c = ops.neg(c)
+            c = neg(c)
             for j, y in enumerate(b):
                 rem[i + j] = add(rem[i + j], mul(c, y))
         return Poly.from_reps(ctx, q), Poly.from_reps(ctx, rem[:lb - 1])
@@ -832,7 +824,7 @@ class Poly:
 
     def derivative(self):
         # the constant i has rep i mod p in every finite field
-        p, mul = self.ctx.p, self.ctx.ops.mul
+        p, mul = self.ctx.p, self.ctx.mul
         return Poly.from_reps(self.ctx, [mul(i % p, c) for i, c in enumerate(self.reps)][1:])
 
     def eval(self, x):
@@ -840,7 +832,7 @@ class Poly:
         if not (isinstance(x, FieldElem) and x.ctx is ctx):
             x = ctx.elem(x)
         x = x.rep
-        add, mul = ctx.ops.add, ctx.ops.mul
+        add, mul = ctx.add, ctx.mul
         acc = 0
         for c in reversed(self.reps):
             acc = add(mul(acc, x), c)
@@ -910,7 +902,7 @@ def _check_degree(k):
 def _flat_field(p, k, skip):
     """The skip-th field of field_make(p, k); contexts are immutable, so
     the eight most recently made are shared instead of searched again."""
-    prime = FieldCtx(p, 1, "finite")
+    prime = _PrimeField(p)
     if k == 1:
         return prime
     for m in range(p ** k):
@@ -922,15 +914,15 @@ def _flat_field(p, k, skip):
         coeffs.append(1)
         if _irreducible_int(coeffs, p):
             if skip == 0:
-                modulus = tuple(prime.from_int(c) for c in coeffs)
-                return FieldCtx(p, k, "finite", base=prime, modulus=modulus)
+                field = _DigitField(prime, tuple(prime.from_int(c) for c in coeffs))
+                return field if field.order > ENUM_CAP else _TableField(field)
             skip -= 1
     raise NoIrreducibleFound(f"no irreducible of degree {k} over F_{p}")
 
 
 def ratfunc_field(p):
     check_prime(p)
-    return FieldCtx(p, 1, "ratfunc")
+    return _RatFuncField(p)
 
 
 # -- root structure -----------------------------------------------------------------
@@ -960,7 +952,7 @@ def separable_radical(f: Poly) -> Poly:
         fp = f.derivative()
         if fp.is_zero():
             root = ctx.order // ctx.p
-            f = Poly(ctx, tuple(ctx.ops.pow(c, root) for c in f.reps[::ctx.p]))
+            f = Poly(ctx, tuple(ctx.pow(c, root) for c in f.reps[::ctx.p]))
             continue
         c = f.gcd(fp)
         w = f // c

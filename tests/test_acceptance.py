@@ -13,9 +13,7 @@ from dynzeta.elliptic import (EllipticCurve, is_supersingular, lattes_oracle,
 from dynzeta.errors import IncompleteEnumeration, ScaleExceeded
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
-                              SubadditiveMap, DEFAULT_LATTES_VARIANT,
-                              VARIANT_ABSOLUTE, VARIANT_NORM, per_n_closed,
-                              realize)
+                              SubadditiveMap, per_n_closed, realize)
 from dynzeta.field import field_make, ratfunc_field
 from dynzeta.intarith import v_p, v_p_strict
 from dynzeta.limits import POLY_DEGREE_CAP
@@ -115,24 +113,16 @@ def test_03_lattes_oracle_and_variant_resolution():
     start = time.perf_counter()
     curves = _ordinary_test_curves()
     assert len(curves) >= 3
-    norm_matches = absolute_matches = 0
     for E, oracle in curves:
         p = E.ctx.p
         ring = QuadRing(trace_of_frobenius(E), p)
         fam = LattesOrdinary(prime_context(ring, p), ring.elem(2, 0), 2)
         for n in (1, 2):
             assert per_n_closed(fam, n) == oracle[n]
-            if per_n_closed(LattesGenericJ(p, 2, VARIANT_NORM), n) == oracle[n]:
-                norm_matches += 1
-            if per_n_closed(LattesGenericJ(p, 2, VARIANT_ABSOLUTE), n) == oracle[n]:
-                absolute_matches += 1
-    # This resolves the numerator-convention ambiguity: the elliptic
-    # oracle supports the norm (squared) form, which is the pinned default.
-    assert norm_matches == 2 * len(curves)
-    assert absolute_matches < norm_matches
-    assert DEFAULT_LATTES_VARIANT == VARIANT_NORM
-    _report(3, f"torsion oracle matches the norm variant on {len(curves)} "
-               "ordinary curves (default pinned)", time.perf_counter() - start, 30)
+            # the torsion oracle confirms the norm (squared) form
+            assert per_n_closed(LattesGenericJ(p, 2), n) == oracle[n]
+    _report(3, f"torsion oracle matches the norm form on {len(curves)} "
+               "ordinary curves", time.perf_counter() - start, 30)
 
 
 def _sample_n(rng, p):

@@ -197,6 +197,22 @@ class TestSpecValidation:
             "family": "power", "p": 3, "d": "2"}}))
         assert run_cli(["--job", str(path)]) == (2, "")
 
+    def test_retired_seed_and_variant_refused(self, tmp_path, capsys):
+        # a job asking for the absolute Lattes convention must not be
+        # answered with norm counts, as an unknown key would be
+        argv = ["count", "--family", "lattes-generic", "--p", "5", "--s", "2"]
+        for flag in (["--variant", "absolute"], ["--seed", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv + flag)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        path = tmp_path / "job.json"
+        for key, value in (("variant", "absolute"), ("seed", 0)):
+            path.write_text(json.dumps({"command": "count", "params": {
+                "family": "lattes-generic", "p": 5, "s": 2, key: value}}))
+            assert run_cli(["--job", str(path)]) == (2, "")
+            assert f"parameter {key!r} is retired" in capsys.readouterr().err
+
     def test_job_params_must_be_an_object(self, tmp_path):
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"command": "count", "params": [3, 2]}))
@@ -380,13 +396,13 @@ class TestFlagSpellings:
     def test_params_follow_the_flag_table(self):
         # the header lists params in table order, whatever the flag order
         flags = ("--ratfunc --sigma 1 --tau 1,2 --sigma-quad 1,1 --sigma-tn 1,2 "
-                 "--sigma-quat 2,0,0,0 --num 0,1 --den 1 --s 2 --variant norm "
+                 "--sigma-quat 2,0,0,0 --num 0,1 --den 1 --s 2 "
                  "--translation 0 --gamma-order 2 --gamma mu2 --unit-root 1 "
-                 "--k 1 --seed 1 --ext-degree 1 --max-order 2 --max-period 3 "
+                 "--k 1 --ext-degree 1 --max-order 2 --max-period 3 "
                  "--n-max 2 --n-min 1 --terms 4 --d 2 --p 3 --family power")
         spec = compile_spec(make_parser().parse_args(["zeta"] + flags.split()))
         assert list(spec.params) == [
-            "family", "p", "k", "seed", "d", "s", "variant", "translation",
+            "family", "p", "k", "d", "s", "translation",
             "gamma_order", "unit_root", "gamma", "ratfunc", "sigma", "tau",
             "sigma_tn", "sigma_quat", "num", "den", "n_min", "n_max", "terms",
             "max_order", "ext_degree", "max_period"]
@@ -518,6 +534,27 @@ class TestRegressions:
         assert run_cli(argv) == expected
         assert expected[0] == 0
 
+    def test_mobius_oracle_at_a_huge_n_within_budget(self):
+        # x + 1 has order 5 over F_5: f^(10^8 + 1) = x + 1 is formed by
+        # square-and-multiply, not by 10^8 compositions
+        start = time.perf_counter()
+        code, text = run_cli(["oracle", "--p", "5", "--num", "1,1", "--n-min",
+                              "100000001", "--n-max", "100000001"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(text.splitlines()[-1])["count"] == "1"
+        assert elapsed < 1.0
+
+    def test_mobius_identity_iterate_at_a_huge_n_refused_within_budget(
+            self, capsys):
+        start = time.perf_counter()
+        result = run_cli(["oracle", "--p", "5", "--num", "1,1", "--n-min",
+                          "100000000", "--n-max", "100000000"])
+        elapsed = time.perf_counter() - start
+        assert result == (2, "")
+        assert "f^100000000 is the identity map" in capsys.readouterr().err
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("a,p", [(4, 31), (20, 3)])
     def test_vp_tower_bound_refused_before_the_power(self, a, p):
         # 31^(4 * 31^4) has some 1.8 * 10^7 bits, 3^(20 * 3^20) about
@@ -582,8 +619,8 @@ def test_job_file_stdout_pinned(name, digest):
 
 
 # stdout sha256 and exit code of verdicts through every branch of the
-# geometric certificate (p in {2, 3}, negative multipliers, both generic
-# variants, every automorphism group) and of the tower certificate;
+# geometric certificate (p in {2, 3}, negative multipliers, every
+# automorphism group) and of the tower certificate;
 # e3b0c442... is the empty stdout of a refusal
 VERDICT_DIGESTS = [
     ("verdict --family power --p 2 --d=3", 0,
@@ -610,10 +647,6 @@ VERDICT_DIGESTS = [
      "2ec25b6aec220ab2ca125daba890f0f74faff4da2a4fdb9aa72ad764312fb3b9"),
     ("verdict --family lattes-generic --p 7 --s=-3", 0,
      "1e841097b31cb215cde981082ceded6c51ce0f16c23d18848423b9f47c0d7d0a"),
-    ("verdict --family lattes-generic --p 5 --s=2 --variant absolute", 0,
-     "245b260593f5ab899dd29e52783b3c272488f40d6fdee173f92902afe99161fd"),
-    ("verdict --family lattes-generic --p 3 --s=-2 --variant absolute", 0,
-     "052eef8f3a33744be8563e09d135ba282e9b9a4274674f2080f653cbec85e339"),
     ("verdict --family lattes-ordinary --p 5 --tau 0,1 "
      "--sigma-quad 1,1 --gamma-order 2", 0,
      "5f7882e954f7d958a984ecb47c60db1cde28ae75e9dea0ada7e8c6121b32c743"),

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -89,6 +90,21 @@ class TestIterate:
         with pytest.raises(ScaleExceeded):
             iterate(rat_map(F5, [0, 0, 0, 1]), 10 ** 8)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (2, 3)])
+    def test_degree_one_matches_repeated_composition(self, p, k):
+        # Moebius maps are iterated by square-and-multiply; the reference
+        # composes onto f n - 1 times
+        ctx, rng, maps = field_make(p, k), random.Random(p * k), []
+        while len(maps) < 10:
+            a, b, c, d = (ctx.elem_at(rng.randrange(ctx.order)) for _ in range(4))
+            if not (a * d - b * c).is_zero():
+                maps.append(rat_map(ctx, [b, a], [d, c]))
+        for f in maps:
+            out = f
+            for n in range(1, 40):
+                assert iterate(f, n) == out
+                out = compose(f, out)
 
 
 class TestSeparability:

@@ -9,10 +9,9 @@ from dynzeta.errors import (DynzetaError, InvalidCombination,
                             ScaleExceeded, SubadditiveConditionViolated)
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
-                              SubadditiveMap, VARIANT_ABSOLUTE, VARIANT_NORM,
-                              chebyshev_poly, classify_separability,
-                              map_degree, per_n_closed, per_n_template,
-                              realize)
+                              SubadditiveMap, chebyshev_poly,
+                              classify_separability, map_degree, per_n_closed,
+                              per_n_template, realize)
 from dynzeta.field import (Poly, embed, extend_field, field_make,
                            ratfunc_field)
 from dynzeta.intarith import divisors, multiplicative_order, v_p
@@ -216,12 +215,6 @@ def _ref_subadditive_quotient(m):
 
 
 class TestLattesCounts:
-    def test_generic_variants(self):
-        norm = LattesGenericJ(3, 2, VARIANT_NORM)
-        absolute = LattesGenericJ(3, 2, VARIANT_ABSOLUTE)
-        assert per_n_closed(norm, 1) == 2
-        assert per_n_closed(absolute, 1) == 1
-
     def test_ordinary_matches_torsion_oracle(self, F5):
         E = EllipticCurve(F5, F5.from_int(1), F5.from_int(1))
         ring = QuadRing(-3, 5)   # Frobenius of E: trace -3, norm 5
@@ -459,9 +452,7 @@ def _ref_per_n_closed(m, n):
     if isinstance(m, LattesGenericJ):
         def kernel(g, k):
             M = m.s ** k - g
-            if m.variant == VARIANT_NORM:
-                return M * M // m.p ** v_p(abs(M), m.p)
-            return abs(M) // m.p ** v_p(abs(M), m.p)
+            return M * M // m.p ** v_p(abs(M), m.p)
 
         return per_n_template(0, (1, -1), kernel, n)
 
@@ -474,9 +465,9 @@ def _ref_per_n_closed(m, n):
 
 def _reference_grid():
     yield from _master_grid()
-    for p, s in ((2, 3), (3, 2), (3, 3), (5, -2), (7, -3)):
-        for variant in (VARIANT_NORM, VARIANT_ABSOLUTE):
-            yield LattesGenericJ(p, s, variant)
+    for p, s in ((2, 3), (2, -3), (3, 2), (3, 3), (3, -4), (5, -2), (5, 2),
+                 (7, -3), (7, 4), (11, 2)):
+        yield LattesGenericJ(p, s)
     ring = QuadRing(-3, 5)
     yield LattesOrdinary(prime_context(ring, 5), ring.elem(2, 0), 2)
     for p, (T, N), (a, b), orders in ((5, (0, 1), (1, 1), (2, 4)),
