@@ -1,13 +1,18 @@
-"""Rational self-maps of the projective line and the periodic-point oracle.
+"""Rational self-maps of the projective line, the periodic-point oracle
+and the cycle census.
 
 A RatMap is a reduced fraction N/D of polynomials over a finite field
 context, with the denominator monic.  Composition and iteration are exact;
 the oracle counts n-periodic points over the algebraic closure by counting
 distinct roots of N(x) - x*D(x) and checking the point at infinity by
-degree comparison, never by projective coordinate arithmetic.
+degree comparison, never by projective coordinate arithmetic.  The census
+walks P^1 over one finite extension instead: it maps every point at once
+on arrays of field reps and reads the cycles off the successor array.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
 from .field import Poly, distinct_root_count, embed, extend_field
@@ -135,11 +140,12 @@ def per_n_oracle(f: RatMap, n: int) -> int:
 def cycle_census(f: RatMap, max_k: int, max_n: int):
     """Cycle-length histogram of f on P^1(F_{q^max_k}).
 
-    Enumerates the functional graph of f on the q^max_k + 1 points of the
-    projective line over the degree-max_k extension and returns a sorted
-    list of (cycle length, number of cycles) pairs for lengths <= max_n.
-    Only points on cycles are counted; tails are discarded, so every
-    counted point is genuinely periodic.
+    Returns a sorted list of (cycle length, number of cycles) pairs for
+    lengths <= max_n.  The q^max_k + 1 points of the projective line over
+    the degree-max_k extension are the reps 0 .. q^max_k - 1 and the index
+    q^max_k for infinity; num and den are evaluated at all of them at once
+    (``FieldCtx.arrays``), giving the successor array of f, whose cycles
+    ``_cycle_histogram`` counts.  Tails are never counted.
     """
     ctx = f.ctx
     if ctx.flavor != "finite":
@@ -151,42 +157,49 @@ def cycle_census(f: RatMap, max_k: int, max_n: int):
     num = Poly.from_elems(ext, [embed(c, ext) for c in f.num.coeffs])
     den = Poly.from_elems(ext, [embed(c, ext) for c in f.den.coeffs])
 
-    infinity = size  # index sentinel for the point at infinity
+    infinity = size  # index of the point at infinity
+    succ = np.empty(size + 1, dtype=np.int64)
     if f.num.degree > f.den.degree:
-        inf_image = infinity
+        succ[infinity] = infinity
     elif f.num.degree == f.den.degree:
-        inf_image = (num.leading / den.leading).rep
+        succ[infinity] = (num.leading / den.leading).rep
     else:
-        inf_image = ext.zero().rep
+        succ[infinity] = ext.zero_rep
+    arith = ext.arrays()
+    xs = np.arange(size)
+    dv = arith.eval(den, xs)
+    succ[:size] = np.where(dv == 0, infinity, arith.div(arith.eval(num, xs), dv))
+    cycles = _cycle_histogram(succ)[1:max_n + 1]
+    return [(length, int(c)) for length, c in enumerate(cycles, 1) if c]
 
-    successor = [0] * (size + 1)
-    successor[infinity] = inf_image
-    for i in range(size):
-        z = ext.elem_at(i)
-        dv = den.eval(z)
-        if dv.is_zero():
-            successor[i] = infinity
-        else:
-            successor[i] = (num.eval(z) / dv).rep
 
-    # Locate cycles in the functional graph by path walking with colors.
-    state = [0] * (size + 1)  # 0 unseen, 1 on current path, 2 done
-    cycle_lengths = {}
-    for start in range(size + 1):
-        if state[start]:
-            continue
-        path = []
-        node = start
-        while state[node] == 0:
-            state[node] = 1
-            path.append(node)
-            node = successor[node]
-        if state[node] == 1:
-            # Found a new cycle: everything from `node` onward in path.
-            idx = path.index(node)
-            length = len(path) - idx
-            cycle_lengths[length] = cycle_lengths.get(length, 0) + 1
-        for v in path:
-            state[v] = 2
-    return sorted((length, cnt) for length, cnt in cycle_lengths.items()
-                  if length <= max_n)
+def _cycle_histogram(succ):
+    """Number of cycles of each length (index) of the map v -> succ[v].
+
+    Both steps are pointer doubling that stops as soon as a round changes
+    nothing.  First the images f^(2^j)(points) shrink, each the image of
+    the last under f^(2^j); when one round keeps the size, f^(2^j)
+    permutes that image, which is then the set of periodic points.  Then,
+    with ``step`` = f^(2^j) on those points, ``low[v]`` is the least of v,
+    f(v), ..., f^(2^j - 1)(v); when a round changes no ``low``, ``low`` is
+    constant on the orbits of ``step``, whose windows cover each cycle,
+    so it names every cycle by its least point.
+    """
+    jump, live = succ.copy(), np.arange(len(succ))
+    while True:
+        image = np.zeros(len(succ), dtype=bool)
+        image[jump[live]] = True
+        shrunk = np.flatnonzero(image)
+        if len(shrunk) == len(live):
+            break
+        jump[shrunk] = jump[jump[shrunk]]
+        live = shrunk
+    local = np.empty(len(succ), dtype=np.int64)
+    local[live] = np.arange(len(live))
+    step, low = local[succ[live]], np.arange(len(live))
+    while True:
+        merged = np.minimum(low, low[step])
+        if np.array_equal(merged, low):
+            break
+        low, step = merged, step[step]
+    return np.bincount(np.bincount(low))

@@ -8,16 +8,21 @@ only decides when an enumeration is complete; a count is never taken
 from it, so counts stay independent of the closed-form counts they are
 used to check.
 
-Square tests and square roots are ``FieldElem.is_square`` and
-``FieldElem.sqrt``: read off the discrete logarithm on fields with
-tables, Euler's criterion and Tonelli-Shanks elsewhere.
+Enumerations run on arrays of field reps (``FieldCtx.arrays``): one walk
+over every x finds the affine points, with square tests and roots read
+off the discrete logarithm, and [N]P is formed for all of them at once
+by a masked chord-tangent law.  ``CurvePoint``, ``add`` and ``mul_by_m``
+are the boxed point API, for single points on a curve over any finite
+field; their square roots are ``FieldElem.sqrt``.
 """
 
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IncompleteEnumeration, ScaleExceeded, SpecError
-from .field import Poly, embed, extend_field
+from .field import FieldElem, Poly, embed, extend_field
 from .dynmap import RatMap, reduced_map
 from .intarith import power, v_p
 from .limits import ENUM_CAP, TORSION_INDEX_CAP
@@ -106,20 +111,8 @@ def mul_by_m(P: CurvePoint, m: int) -> CurvePoint:
 
 
 def point_count(E: EllipticCurve, k: int = 1) -> int:
-    """#E(F_{q^k}) by x-enumeration with quadratic-character tests."""
-    size = E.ctx.order ** k
-    if size > ENUM_CAP:
-        raise ScaleExceeded(f"point count over {size} elements exceeds cap")
-    curve = E if k == 1 else E.lift(extend_field(E.ctx, k))
-    ctx = curve.ctx
-    count = 1
-    for x in ctx.elements():
-        r = curve.rhs(x)
-        if r.is_zero():
-            count += 1
-        elif r.is_square():
-            count += 2
-    return count
+    """#E(F_{q^k}): the identity and the affine points of ``_affine_points``."""
+    return 1 + len(_affine_points(E, k)[2])
 
 
 @functools.lru_cache(maxsize=4096)
@@ -143,42 +136,89 @@ def is_supersingular(E: EllipticCurve) -> bool:
     return trace_of_frobenius(E) % E.ctx.p == 0
 
 
-_POINTS_CACHE = {}
+def _affine_points(E: EllipticCurve, k: int):
+    """(curve, arrays, xs, ys): the affine points of E(F_(q^k)) as rep arrays.
 
-
-def points_over(E: EllipticCurve, k: int):
-    """All points of E(F_{q^k}) (identity included), via square roots.
-
-    Enumerations are cached per (curve, degree): torsion sweeps revisit
-    the same extensions for every index N.
+    ``curve`` is E over F_(q^k) and ``arrays`` its field's ``RepArrays``.
+    All x are walked at once: x^3 + Ax + B is 0 (one point, y = 0), a
+    nonzero square (the points y and -y, y from the halved log) or
+    neither.  Points come by ascending x, each root before its negative,
+    and every root is checked to square back to its value.
     """
-    key = (E, k)
-    cached = _POINTS_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
     size = E.ctx.order ** k
     if size > ENUM_CAP:
         raise ScaleExceeded(f"enumeration over {size} elements exceeds cap")
     curve = E if k == 1 else E.lift(extend_field(E.ctx, k))
+    arith = curve.ctx.arrays()
+    xs = np.arange(size)
+    rhs = _rhs(curve, arith, xs)
+    roots = arith.sqrt(rhs)
+    square = arith.is_square(rhs)
+    if np.any(arith.mul(roots, roots)[square] != rhs[square]):
+        raise SpecError("square root failure (internal)")
+    per_x = np.where(rhs == 0, 1, np.where(square, 2, 0))
+    ends = np.cumsum(per_x)
+    ys = np.repeat(roots, per_x)
+    second = ends[per_x == 2] - 1
+    ys[second] = arith.neg(ys[second])
+    return curve, arith, np.repeat(xs, per_x), ys
+
+
+def _rhs(curve, arith, xs):
+    return arith.add(arith.mul(arith.add(arith.mul(xs, xs), curve.A.rep), xs),
+                     curve.B.rep)
+
+
+def points_over(E: EllipticCurve, k: int):
+    """All points of E(F_{q^k}): the identity, then ``_affine_points``."""
+    curve, _, xs, ys = _affine_points(E, k)
     ctx = curve.ctx
-    pts = [identity(curve)]
-    for x in ctx.elements():
-        r = curve.rhs(x)
-        if r.is_zero():
-            pts.append(CurvePoint(curve, x, ctx.zero()))
-        elif r.is_square():
-            y = r.sqrt()
-            if y * y != r:
-                raise SpecError("square root failure (internal)")
-            pts.append(CurvePoint(curve, x, y))
-            pts.append(CurvePoint(curve, x, -y))
-    if size <= 20_000 and len(_POINTS_CACHE) < 64:
-        _POINTS_CACHE[key] = tuple(pts)
-    return pts
+    return [identity(curve)] + [
+        CurvePoint(curve, FieldElem(ctx, x), FieldElem(ctx, y))
+        for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def _chord_tangent(curve, arith, P, Q):
+    """P + Q lane by lane for points (xs, ys, at_identity) of rep arrays.
+
+    The masked form of ``add``: identity lanes pass the other point
+    through, x1 = x2 with y1 = -y2 gives the identity, and the remaining
+    lanes take the tangent or chord slope.  Every new point is checked
+    to lie on the curve, as ``CurvePoint`` checks a boxed one.
+    """
+    (x1, y1, o1), (x2, y2, o2) = P, Q
+    same_x = x1 == x2
+    tangent = same_x & (y1 == y2) & (y1 != 0)
+    live = ~(o1 | o2 | (same_x & ~tangent))
+    num = np.where(tangent,
+                   arith.add(arith.mul(3, arith.mul(x1, x1)), curve.A.rep),
+                   arith.sub(y2, y1))
+    den = np.where(tangent, arith.mul(2, y1), arith.sub(x2, x1))
+    slope = arith.div(num, np.where(live, den, 1))
+    x3 = arith.sub(arith.sub(arith.mul(slope, slope), x1), x2)
+    y3 = arith.sub(arith.mul(slope, arith.sub(x1, x3)), y1)
+    if np.any((arith.mul(y3, y3) != _rhs(curve, arith, x3))[live]):
+        raise SpecError("point is not on the curve")
+    xs = np.where(o1, x2, np.where(o2, x1, x3))
+    ys = np.where(o1, y2, np.where(o2, y1, y3))
+    return xs, ys, np.where(o1, o2, np.where(o2, o1, ~live))
+
+
+def _multiples(curve, arith, xs, ys, m: int):
+    """(xs, ys, at_identity): [m]P for every point P = (xs, ys) of the
+    curve, by double-and-add (``intarith.power``) on ``_chord_tangent``."""
+    points = (xs, ys, np.zeros(len(xs), dtype=bool))
+    origin = (xs, ys, np.ones(len(xs), dtype=bool))
+    law = functools.partial(_chord_tangent, curve, arith)
+    return power(law, origin, points, m)
 
 
 def torsion_count(E: EllipticCurve, N: int, k_max: int):
     """(count, complete): N-torsion points found over extensions up to k_max.
+
+    Each extension that can hold the full N-torsion is walked once: [N]P
+    is formed for all its points together (``_multiples``) and the ones
+    at the identity are counted.
 
     Over the closure the N-torsion has u^2 * p^a points (N = p^a * u) when
     the p-part survives and u^2 points when it collapses, and nothing in
@@ -215,10 +255,8 @@ def torsion_count(E: EllipticCurve, N: int, k_max: int):
             continue
         if u > 1 and (E.ctx.order ** k - 1) % u != 0:
             continue
-        cnt = 0
-        for P in points_over(E, k):
-            if mul_by_m(P, N).is_identity:
-                cnt += 1
+        multiples = _multiples(*_affine_points(E, k), N)
+        cnt = 1 + int(np.count_nonzero(multiples[2]))
         best = max(best, cnt)
         if cnt == target:
             return cnt, True
@@ -322,14 +360,12 @@ def lattes_realize(E: EllipticCurve, m: int) -> RatMap:
 
 
 def _verify_realization(E, m, f):
-    for P in points_over(E, 1):
-        if P.is_identity:
-            continue
-        img = mul_by_m(P, m)
-        dv = f.den.eval(P.x)
-        if img.is_identity:
-            if not dv.is_zero():
-                raise SpecError("realization misses a pole")
-        else:
-            if dv.is_zero() or f.num.eval(P.x) / dv != img.x:
-                raise SpecError("realization disagrees with the group law")
+    curve, arith, xs, ys = _affine_points(E, 1)
+    image_xs, _, at_identity = _multiples(curve, arith, xs, ys, m)
+    dv = arith.eval(f.den, xs)
+    if np.any(at_identity & (dv != 0)):
+        raise SpecError("realization misses a pole")
+    hit = ~at_identity
+    values = arith.div(arith.eval(f.num, xs), dv)
+    if np.any(dv[hit] == 0) or np.any(values[hit] != image_xs[hit]):
+        raise SpecError("realization disagrees with the group law")

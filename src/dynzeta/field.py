@@ -9,17 +9,26 @@ Representation conventions:
   adjoined root.  So ``rep`` is the index and ``from_int(n)`` is the
   constant n mod p.  The modulus is a monic irreducible polynomial over
   F_p, chosen deterministically so every run of the library reproduces
-  the same field.  A field with p^k
-  at most ``limits.ENUM_CAP`` builds exp/log/Zech tables to a
-  primitive element when it is made (Huber, "Some comments on Zech's
-  logarithms", IEEE Trans. IT, 1990); products, sums, negations,
-  inverses and powers are then table lookups.  Larger fields build no
-  tables and compute on the digits.  ``extend_field(ctx, b)`` on F_(p^a)
-  returns the field of ``field_make(p, a*b)``, so equal fields share one
-  set of tables.  The eight most recently made fields, each with its
-  arithmetic, and the subfield roots of the eight most recently used
-  embeddings live in ``functools.lru_cache``s, whose ``cache_info()``
-  counts hits and misses.
+  the same field.  An extension with p^k at most ``limits.ENUM_CAP``
+  builds exp/log/Zech tables to a primitive element when it is made
+  (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT, 1990);
+  products, sums, negations, inverses and powers are then table
+  lookups.  Larger fields build no tables and compute on the digits.
+  ``extend_field(ctx, b)`` on F_(p^a) returns the field of
+  ``field_make(p, a*b)``, so equal fields share one set of tables.  The
+  eight most recently made extensions, each with its arithmetic, and the
+  subfield roots of the eight most recently used embeddings live in
+  ``functools.lru_cache``s, whose ``cache_info()`` counts hits and
+  misses.  Making a prime field builds nothing, so each ``field_make(p)``
+  makes a new one and none takes a cache slot.
+* Every field an enumeration may walk, one of at most ``limits.ENUM_CAP``
+  elements, also computes on numpy arrays of reps: ``ctx.arrays()`` is
+  its ``RepArrays``, which adds, negates, multiplies, divides, tests
+  squares, takes square roots and evaluates a Poly lane by lane, by
+  lookups in the same tables.  A prime field builds its tables the
+  first time it is walked and keeps them in its ``RepArrays`` only: its
+  FieldElem arithmetic stays on ints mod p, its square roots stay
+  Tonelli-Shanks, and its ``log`` and ``exp`` stay None.
 * A subfield F_(p^a) of F_(p^(ab)) is reached by ``embed``, which sends
   the adjoined root of the smaller field to a fixed root of its modulus
   in the larger one (Lidl-Niederreiter, *Finite Fields*, Thm 2.14).  That
@@ -69,7 +78,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "k", "base", "modulus", "qm1", "nonresidue", "_sig",
-                 "_order")
+                 "_order", "_arrays")
     flavor = "finite"
     is_prime_field = False
     zero_rep, one_rep = 0, 1
@@ -84,6 +93,7 @@ class FieldCtx:
         self._order = order
         self.qm1 = None if order is None else order - 1
         self.nonresidue = None  # least non-square rep, found by the first square root
+        self._arrays = None
 
     def int_rep(self, n):
         return n % self.p
@@ -161,8 +171,24 @@ class FieldCtx:
         return None if log is None else log[z.rep]
 
     def exp(self, n):
-        """The element whose ``log`` is n (fields with tables only)."""
-        return FieldElem(self, self.exp_table[n % self.qm1])
+        """The element whose ``log`` is n; None where ``log`` is None."""
+        exp = self.exp_table
+        return None if exp is None else FieldElem(self, exp[n % self.qm1])
+
+    # -- arithmetic on arrays of reps (fields an enumeration may walk) --------
+
+    def arrays(self):
+        """This field's ``RepArrays``, built on the first call.
+
+        Only finite fields of at most ``limits.ENUM_CAP`` elements have
+        them; any other field raises ScaleExceeded.
+        """
+        if self._arrays is None:
+            self._arrays = RepArrays(self.p, self.qm1, *self._tables())
+        return self._arrays
+
+    def _tables(self):
+        raise ScaleExceeded(f"{self!r} is too large to enumerate")
 
 
 class FieldElem:
@@ -475,6 +501,13 @@ class _PrimeField(FieldCtx):
     def frobenius(self, a, times):
         return a
 
+    def _tables(self):
+        # the array arithmetic's tables only: log_table stays None, so the
+        # boxed square roots keep Tonelli-Shanks and their roots
+        if self.p > ENUM_CAP:
+            return super()._tables()
+        return _zech_tables(_DigitField(self, (self.zero(), self.one())))
+
 
 class _DigitField(FieldCtx):
     """F_(p^k) on indices, through their base-p digits.
@@ -580,13 +613,18 @@ class _TableField(_DigitField):
             return 0 if e else 1
         return self.exp_table[self.log_table[a] * e % self.qm1]
 
+    def _tables(self):
+        return self.exp_table, self.log_table, self.zech
+
 
 def _zech_tables(field):
     """(exp, log, zech) of the least primitive index, as compact int arrays,
-    computed by the digit arithmetic of the _DigitField ``field``."""
+    computed by the digit arithmetic of the _DigitField ``field``.
+
+    Over F_2 that index is 1, the only nonzero element."""
     p, k, qm1 = field.p, field.k, field.qm1
     primes = list(factorize(qm1))
-    g = next(a for a in range(2, qm1 + 1)
+    g = next(a for a in range(1, qm1 + 1)
              if all(field.pow(a, qm1 // r) != 1 for r in primes))
     # g^0 .. g^(step-1) one product at a time; after that each block of
     # step powers is the previous one times g^step, a k x k matrix on
@@ -615,6 +653,66 @@ def _zech_tables(field):
 
 def _compact(values):
     return array("i", values.astype(np.intc).tobytes())
+
+
+class RepArrays:
+    """A finite field's arithmetic on numpy arrays of reps.
+
+    Every operation works elementwise on int arrays (or an array and a
+    scalar rep) by lookups in the exp/log/Zech tables of ``_TableField``;
+    a prime field builds the same tables the first time it is walked and
+    keeps them here only.  log[0] reads 0 in this copy, so the lanes that
+    a zero takes index the tables safely and are then overwritten.
+    """
+
+    __slots__ = ("qm1", "minus_one", "exp", "log", "zech")
+
+    def __init__(self, p, qm1, exp, log, zech):
+        self.qm1 = qm1
+        self.minus_one = qm1 // 2 if p != 2 else 0  # log of -1
+        self.exp = np.frombuffer(exp, dtype=np.intc)
+        self.log = np.frombuffer(log, dtype=np.intc).copy()
+        self.log[0] = 0
+        self.zech = np.frombuffer(zech, dtype=np.intc)
+
+    def add(self, a, b):
+        la, lb = self.log[a], self.log[b]
+        z = self.zech[(lb - la) % self.qm1]
+        total = np.where(z < 0, 0, self.exp[la + z])
+        return np.where(np.equal(a, 0), b, np.where(np.equal(b, 0), a, total))
+
+    def neg(self, a):
+        return np.where(np.equal(a, 0), 0, self.exp[self.log[a] + self.minus_one])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        zero = np.equal(a, 0) | np.equal(b, 0)
+        return np.where(zero, 0, self.exp[self.log[a] + self.log[b]])
+
+    def div(self, a, b):
+        """a / b; the lanes where b is 0 hold no meaningful value."""
+        return np.where(np.equal(a, 0), 0,
+                        self.exp[self.log[a] + self.qm1 - self.log[b]])
+
+    def is_square(self, a):
+        """Square test in odd characteristic: 0 and the even logs."""
+        return self.log[a] % 2 == 0
+
+    def sqrt(self, a):
+        """exp(log / 2): a root on the lanes that ``is_square`` accepts."""
+        return np.where(np.equal(a, 0), 0, self.exp[self.log[a] // 2])
+
+    def eval(self, poly, x):
+        """The values of the Poly ``poly`` at the array of reps x (Horner)."""
+        reps = poly.reps
+        acc = np.full(np.shape(x), reps[-1] if reps else 0, dtype=np.int64)
+        for c in reversed(reps[:-1]):
+            acc = self.mul(acc, x)
+            if c:
+                acc = self.add(acc, c)
+        return acc
 
 
 def embed(elem, target):
@@ -874,7 +972,7 @@ def field_make(p, k=1, seed=None):
     """
     check_prime(p)
     _check_degree(k)
-    return _flat_field(p, k, seed or 0)
+    return _PrimeField(p) if k == 1 else _flat_field(p, k, seed or 0)
 
 
 def extend_field(ctx, degree):
@@ -900,11 +998,11 @@ def _check_degree(k):
 
 @functools.lru_cache(maxsize=8)
 def _flat_field(p, k, skip):
-    """The skip-th field of field_make(p, k); contexts are immutable, so
-    the eight most recently made are shared instead of searched again."""
+    """The skip-th field of field_make(p, k), k >= 2; contexts are
+    immutable, so the eight most recently made are shared instead of
+    searched again.  A prime field costs nothing to make and is not kept
+    here, so it never evicts an extension's tables."""
     prime = _PrimeField(p)
-    if k == 1:
-        return prime
     for m in range(p ** k):
         coeffs = []
         mm = m

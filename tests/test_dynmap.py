@@ -2,11 +2,13 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynzeta.dynmap import (compose, cycle_census, is_separable, iterate,
                             per_n_oracle, rat_map)
-from dynzeta.errors import InfinitePeriodicPoints, ScaleExceeded
-from dynzeta.field import Poly, field_make
+from dynzeta.errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
+from dynzeta.field import Poly, embed, extend_field, field_make
 
 INFINITY = None
 
@@ -198,6 +200,33 @@ class TestCycleCensus:
     def test_inversion_over_f5(self, F5):
         # 1/x fixes 1 and -1 and swaps 0 with infinity and 2 with 3
         assert cycle_census(rat_map(F5, [1], [0, 1]), 1, 4) == [(1, 2), (2, 2)]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(),
+           field=st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
+                                  (2, 3), (3, 2), (5, 2), (3, 3)]),
+           max_k=st.sampled_from([1, 1, 2]),
+           degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           pole_at_zero=st.booleans())
+    def test_random_maps_against_a_successor_walk(self, data, field, max_k,
+                                                  degrees, pole_at_zero):
+        # deg num below, at and above deg den; a factor x in den puts a
+        # pole at 0 unless it cancels
+        ctx = field_make(*field)
+        assume(ctx.order ** max_k <= 125)
+        elem = st.integers(0, ctx.order - 1).map(ctx.elem_at)
+        lead = st.integers(1, ctx.order - 1).map(ctx.elem_at)
+        num, den = (data.draw(st.lists(elem, min_size=d, max_size=d))
+                    + [data.draw(lead)] for d in degrees)
+        if pole_at_zero:
+            den = [ctx.zero()] + den
+        try:
+            f = rat_map(ctx, num, den)
+        except SpecError:  # a constant map
+            assume(False)
+        ext = extend_field(ctx, max_k)
+        num, den = ([embed(c, ext) for c in part.coeffs] for part in (f.num, f.den))
+        assert cycle_census(f, max_k, 30) == _brute_census(ext, num, den, 30)
 
     def test_census_agreement_when_complete(self, sq3):
         # Points of period 3 of x -> x^2 are seventh roots of unity, which

@@ -1,14 +1,20 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynzeta.dynmap import per_n_oracle
-from dynzeta.elliptic import (CurvePoint, EllipticCurve, add, identity,
-                              is_supersingular, lattes_oracle,
-                              lattes_realize, mul_by_m, negate, point_count,
+from dynzeta.elliptic import (CurvePoint, EllipticCurve, _affine_points,
+                              _multiples, add, identity, is_supersingular,
+                              lattes_oracle, lattes_realize, mul_by_m,
+                              negate, point_count, point_orders_by_trace,
                               points_over, torsion_count,
                               trace_of_frobenius)
 from dynzeta.errors import ScaleExceeded, SpecError
+from dynzeta.field import extend_field, field_make
+from dynzeta.intarith import v_p
+from dynzeta.limits import ENUM_CAP
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +24,36 @@ def E51(F5):
 
 def curve(ctx, a, b):
     return EllipticCurve(ctx, ctx.from_int(a), ctx.from_int(b))
+
+
+@st.composite
+def curves(draw):
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    coeffs = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    a, b = draw(coeffs.filter(lambda c: (4 * c[0] ** 3 + 27 * c[1] ** 2) % p))
+    return curve(field_make(p), a, b)
+
+
+def _boxed_torsion_count(E, N, k_max):
+    """torsion_count's sweep, counting with the boxed group law."""
+    if N == 1:
+        return 1, True
+    p, q = E.ctx.p, E.ctx.order
+    a = v_p(N, p)
+    u = N // p ** a
+    target = u * u * (1 if is_supersingular(E) else p ** a)
+    orders = point_orders_by_trace(E, k_max)
+    best = 0
+    for k in range(1, k_max + 1):
+        if q ** k > ENUM_CAP:
+            break
+        if orders[k] % target or (q ** k - 1) % u:
+            continue
+        cnt = sum(mul_by_m(P, N).is_identity for P in points_over(E, k))
+        best = max(best, cnt)
+        if cnt == target:
+            return cnt, True
+    return best, False
 
 
 class TestGroupLaw:
@@ -109,6 +145,63 @@ class TestTorsion:
         c6, ok6 = torsion_count(E, 6, 4)
         if ok2 and ok3 and ok6:
             assert c6 == c2 * c3
+
+
+class TestArrayWalks:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(E=curves(), N=st.integers(1, 20), k_max=st.integers(1, 3))
+    def test_torsion_count_matches_the_boxed_group_law(self, E, N, k_max):
+        assert torsion_count(E, N, k_max) == _boxed_torsion_count(E, N, k_max)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(E=curves(), k=st.integers(1, 3), m=st.integers(1, 20))
+    def test_masked_law_gives_every_multiple(self, E, k, m):
+        # torsion_count skips most fields; this compares every one
+        points = points_over(E, k)[1:]
+        xs, ys, at_identity = _multiples(*_affine_points(E, k), m)
+        for P, x, y, o in zip(points, xs.tolist(), ys.tolist(),
+                              at_identity.tolist()):
+            image = mul_by_m(P, m)
+            assert o == image.is_identity
+            if not o:
+                assert (x, y) == (image.x.rep, image.y.rep)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(E=curves(), k=st.integers(1, 3))
+    def test_point_count_is_the_number_of_points(self, E, k):
+        points = points_over(E, k)
+        assert point_count(E, k) == len(points)
+        # against the boxed quadratic-character count
+        ext = extend_field(E.ctx, k)
+        lifted = E if k == 1 else E.lift(ext)
+        rhs = [lifted.rhs(x) for x in ext.elements()]
+        assert len(points) == 1 + sum(1 if r.is_zero() else 2 * r.is_square()
+                                      for r in rhs)
+
+    def test_walks_past_the_cap_are_refused(self, E51):
+        # 5^9 points exceed limits.ENUM_CAP; no field is made or walked
+        with pytest.raises(ScaleExceeded):
+            point_count(E51, 9)
+        with pytest.raises(ScaleExceeded):
+            points_over(E51, 9)
+
+    @pytest.mark.parametrize("p,a,b,k", [(5, 1, 1, 1), (7, 2, 3, 1),
+                                         (13, 1, 6, 1), (5, 1, 1, 2)])
+    def test_points_over_lists_each_x_with_its_roots(self, p, a, b, k):
+        E = curve(field_make(p), a, b)
+        points = points_over(E, k)
+        assert points[0].is_identity
+        xs = [P.x.rep for P in points[1:]]
+        assert xs == sorted(xs)
+        lifted = points[0].curve
+        expected = set()
+        for x in lifted.ctx.elements():
+            r = lifted.rhs(x)
+            if r.is_square():
+                y = r.sqrt()
+                expected |= {(x.rep, y.rep), (x.rep, (-y).rep)}
+        assert {(P.x.rep, P.y.rep) for P in points[1:]} == expected
+        assert len(points) == len(expected) + 1
 
 
 class TestLattesOracle:

@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from dynzeta import modpoly
-from dynzeta.errors import NotPrime, SpecError, ZeroPolynomial
-from dynzeta.field import (Poly, distinct_root_count, extend_field, embed,
-                           field_make, ratfunc_field, separable_radical)
+from dynzeta.dynmap import cycle_census, rat_map
+from dynzeta.errors import NotPrime, ScaleExceeded, SpecError, ZeroPolynomial
+from dynzeta.field import (Poly, _flat_field, distinct_root_count,
+                           extend_field, embed, field_make, ratfunc_field,
+                           separable_radical)
 from dynzeta.limits import ENUM_CAP
 
 
@@ -361,6 +365,84 @@ def test_large_flat_extension_is_exact_without_tables():
             assert x ** -5 == elem(power(a, -5))
             assert ctx.log(x) is None
     assert ctx.elem_at(ctx.order + 7) == ctx.elem_at(7)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 12), (101, 4)])
+def test_log_and_exp_are_none_without_tables(p, k):
+    ctx = field_make(p, k)
+    assert ctx.log(ctx.one()) is None
+    assert ctx.exp(0) is None and ctx.exp(1) is None
+
+
+def test_prime_fields_take_no_extension_cache_slot():
+    # the enumerate benchmark's mix: nine fields, eight cache slots
+    extensions = [(2, 10), (3, 6), (5, 4), (7, 2), (7, 3)]
+    for p, k in extensions:
+        field_make(p, k)
+    before = _flat_field.cache_info()
+    for _ in range(2):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            field_make(p)
+        for p, k in extensions:
+            field_make(p, k)
+    assert _flat_field.cache_info().misses == before.misses
+
+
+# -- arrays of reps ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3),
+                                 (3, 2), (5, 2), (3, 3)])
+def test_rep_arrays_match_the_boxed_arithmetic(p, k):
+    ctx = field_make(p, k)
+    arith = ctx.arrays()
+    q = ctx.order
+    a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
+    box = [ctx.elem_at(i) for i in range(q)]
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert arith.add(a, b).tolist() == [(box[x] + box[y]).rep for x, y in pairs]
+    assert arith.sub(a, b).tolist() == [(box[x] - box[y]).rep for x, y in pairs]
+    assert arith.mul(a, b).tolist() == [(box[x] * box[y]).rep for x, y in pairs]
+    assert arith.neg(a).tolist() == [(-box[x]).rep for x in a.tolist()]
+    nonzero = b != 0
+    assert arith.div(a, b)[nonzero].tolist() == [
+        (box[x] / box[y]).rep for x, y in pairs if y]
+    poly = Poly.from_ints(ctx, [1, p - 1, 0, 1, 1])
+    assert arith.eval(poly, np.arange(q)).tolist() == [
+        poly.eval(z).rep for z in box]
+    if p != 2:
+        xs = np.arange(q)
+        square = arith.is_square(xs)
+        assert square.tolist() == [z.is_square() for z in box]
+        roots = arith.sqrt(xs)
+        assert (arith.mul(roots, roots)[square] == xs[square]).all()
+
+
+def test_fields_without_tables_have_no_rep_arrays(F3u):
+    with pytest.raises(ScaleExceeded):
+        field_make(101, 4).arrays()
+    with pytest.raises(ScaleExceeded):
+        field_make(1_000_003).arrays()
+    with pytest.raises(ScaleExceeded):
+        F3u.arrays()
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_an_enumeration_leaves_the_prime_fields_answers(p):
+    # the walk builds F_p's tables for its arrays only: log and exp stay
+    # None and square roots stay Tonelli-Shanks roots
+    ctx = field_make(p)
+
+    def answers():
+        return ([ctx.log(z) for z in ctx.elements()],
+                [ctx.exp(n) for n in range(p)],
+                [z.sqrt().rep for z in ctx.elements() if z.is_square()])
+
+    before = answers()
+    assert ctx._arrays is None
+    assert cycle_census(rat_map(ctx, [1, 0, 1]), 1, 4)
+    assert ctx._arrays is not None and ctx.log_table is None
+    assert answers() == before
 
 
 # -- square roots -------------------------------------------------------------------
