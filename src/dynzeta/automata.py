@@ -119,6 +119,11 @@ def check_kernel_budget(base: int, depth: int, prefix_len: int, budget: int):
         raise ScaleExceeded(f"kernel exploration cost {cost} over budget {budget}")
 
 
+# Odd multiplier of the row hash sum_j word_j * M^(W - j) mod 2^64 over a
+# row's W 64-bit words.  A collision costs only a byte comparison.
+_ROW_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
 def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
                    budget: int = AUTOMATA_KERNEL_BUDGET) -> KernelReport:
     """Group base-k kernel subsequences by prefix agreement.
@@ -130,6 +135,16 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
     e <= depth are distinguished by their first prefix_len values.
     Classification is "closed" when the class count was flat across the
     last two depth increments, "growing" otherwise.
+
+    Row r at depth e, the prefix of n -> seq(k^e n + r), is keyed by its
+    bytes, zero-padded to whole 64-bit words.  Only candidate rows are
+    looked up: the rows of each depth are grouped by a hash of their
+    words, and a row is a candidate when it is the first of its group or
+    differs from that first row in some word (compared one word column
+    at a time).  Every other row has the bytes of an earlier row of its
+    depth, so it can neither open a class nor be a class's first row:
+    the counts and witnesses are those of a byte comparison of every row,
+    whatever the hash does.
     """
     if base < 2 or depth < 0 or prefix_len < 1:
         raise SpecError("kernel exploration needs base >= 2, depth >= 0 "
@@ -148,15 +163,29 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
         terms = np.fromiter((ids.setdefault(seq(i), len(ids))
                              for i in range(horizon)), np.int64, horizon)
 
-    # Row r of the (k^e, prefix_len) transpose is the prefix of
-    # n -> seq(k^e n + r); its bytes key its class.
+    row_bytes = prefix_len * terms.dtype.itemsize
+    width = -(-row_bytes // 8)
+    powers = np.array([pow(_ROW_HASH_MULTIPLIER, width - j, 1 << 64)
+                       for j in range(width)], np.uint64)
     signatures = {}
     counts = []
     for e in range(depth + 1):
         ke = base ** e
-        rows = np.ascontiguousarray(terms[:ke * prefix_len].reshape(prefix_len, ke).T)
-        for r in range(ke):
-            signatures.setdefault(rows[r].tobytes(), (e, r))
+        padded = np.zeros((ke, 8 * width), np.uint8)
+        rows = padded[:, :row_bytes].view(terms.dtype)
+        rows[...] = terms[:ke * prefix_len].reshape(prefix_len, ke).T
+        words = padded.view(np.uint64)
+        hashes = words @ powers
+        _, first, group = np.unique(hashes, return_index=True,
+                                    return_inverse=True)
+        leader = first[group]
+        candidate = np.zeros(ke, bool)
+        candidate[first] = True
+        for j in range(width):
+            column = words[:, j]
+            candidate |= column != column[leader]
+        for r in np.flatnonzero(candidate).tolist():
+            signatures.setdefault(padded[r].tobytes(), (e, r))
         counts.append(len(signatures))
     if depth >= 2 and counts[-1] == counts[-2] == counts[-3]:
         classification = "closed"
@@ -292,29 +321,46 @@ def christol_series(poly_y, p: int, prefix, length: int):
 # -- the two canonical non-automatic witness families ----------------------------------------
 
 
-def residue_sequence(shape, ratio, a1, alpha, beta, p, ell, n):
-    """(valuations, values) numpy arrays of the first n residue-sequence terms.
+def _driving_sieve(shape, alpha, beta, p, n, term, dtype):
+    """term(v) of the driving valuation v at each of the first n indices:
+    v_p(alpha*i + beta) in the geometric shape, v_p(i) in the tower shape,
+    with a zero term at v = 0.  A table of term(v) over every valuation
+    that occurs is written by the sieve of v_p_progression."""
+    if shape != "geometric":
+        alpha, beta = 1, 0
+    top = (abs(alpha) * n + abs(beta)).bit_length()
+    table = np.array([term(v) for v in range(top + 1)], dtype=dtype)
+    return v_p_progression(alpha, beta, p, n, table)
 
-    The driving valuation is v_p(alpha*i + beta) in the geometric shape
-    and v_p(i) in the tower shape, where a zero term takes the generic
-    v = 0.  A term depends on its valuation alone (ratio^v mod ell, or
-    p^(a1 * p^v) mod ell with the exponent reduced mod the order of p), so
-    the values are one table lookup per index.
+
+def residue_sequence(shape, ratio, a1, alpha, beta, p, ell, n):
+    """numpy array of the first n residue-sequence terms.
+
+    A term depends on its driving valuation v alone (ratio^v mod ell in
+    the geometric shape, p^(a1 * p^v) mod ell in the tower shape, with the
+    exponent reduced mod the order of p), so the terms are a table of one
+    entry per valuation written by a sieve over the valuation levels:
+    about n/(p - 1) writes after one fill, and no index of the whole
+    length is gathered.
     """
     if shape == "geometric":
-        valuations = v_p_progression(alpha, beta, p, n)
-
         def term(v):
             return pow(ratio, v, ell)
     else:
-        valuations = v_p_progression(1, 0, p, n)
         ordp = multiplicative_order(p % ell, ell)
 
         def term(v):
             return pow(p, a1 * pow(p, v, ordp) % ordp, ell)
-    table = [term(v) for v in range(int(valuations.max(initial=0)) + 1)]
-    table = np.array(table, dtype=np.min_scalar_type(ell - 1))
-    return valuations, table[valuations]
+    return _driving_sieve(shape, alpha, beta, p, n, term,
+                          np.min_scalar_type(ell - 1))
+
+
+def valuation_classes(shape, alpha, beta, p, sat, n):
+    """numpy array of min(v, sat) over the first n driving valuations v
+    of residue_sequence(shape, ..., alpha, beta, p, ...), by the same
+    sieve."""
+    return _driving_sieve(shape, alpha, beta, p, n, lambda v: min(v, sat),
+                          np.min_scalar_type(sat))
 
 
 @dataclass(frozen=True)
@@ -352,8 +398,8 @@ def vp_geometric_sequence(a: int, p: int, ell: int, alpha: int, beta: int,
         raise HypothesisViolated("alpha must be nonzero")
     if beta != 0 and v_p(alpha, p) > v_p(beta, p):
         raise HypothesisViolated("v_p(alpha) must not exceed v_p(beta)")
-    _, values = residue_sequence("geometric", a, 0, alpha, beta, p, ell,
-                                 max(length, 0))
+    values = residue_sequence("geometric", a, 0, alpha, beta, p, ell,
+                              max(length, 0))
     return ValuationSequence(tuple(values.tolist()), p, ell,
                              multiplicative_order(a % ell, ell), 0)
 
@@ -376,6 +422,6 @@ def vp_tower_sequence(a: int, p: int, ell: int, length: int) -> ValuationSequenc
             raise HypothesisViolated("p must not divide ell - 1")
     elif ell % 8 != 7:
         raise HypothesisViolated("p = 2 requires ell = 7 mod 8")
-    _, values = residue_sequence("tower", p, a, 0, 0, p, ell, max(length, 0) + 1)
+    values = residue_sequence("tower", p, a, 0, 0, p, ell, max(length, 0) + 1)
     return ValuationSequence(tuple(values[1:].tolist()), p, ell,
                              multiplicative_order(pow(p, a, ell), ell), 1)

@@ -68,32 +68,50 @@ def v_p(x: int, p: int):
     return v
 
 
-def v_p_progression(alpha: int, beta: int, p: int, n: int):
-    """numpy array of v_p(alpha*i + beta) for 0 <= i < n.
+def v_p_progression(alpha: int, beta: int, p: int, n: int, table=None):
+    """numpy array of v_p(alpha*i + beta) for 0 <= i < n, or of
+    table[v_p(alpha*i + beta)] when a table (a numpy array, the term of
+    each valuation) is given.
 
     With a = min(v_p(alpha), v_p(beta)) write alpha = p^a alpha' and
     beta = p^a beta'.  If p divides alpha' every term has valuation a;
     otherwise p^k divides alpha' i + beta' exactly when i = -beta'/alpha'
-    mod p^k, so the array is a plus one strided increment per p^k up to
-    the largest |alpha' i + beta'|.  No product alpha*i + beta is formed,
-    so arbitrarily large alpha, beta and p are exact.  A zero term (at
-    most one) gets 0, the value this package's valuation sequences give
-    an index without a valuation.
+    mod p^k.  So the array is filled with the entry for a, then level k
+    writes the entry for a + k with stride p^k from that residue; a
+    level's indices lie inside the previous level's, so each index ends
+    with the entry of its own valuation.  The levels stop once p^k passes
+    the largest |alpha' i + beta'| or a level's first index reaches n:
+    about n/(p - 1) writes after the fill, and the table is read once per
+    level, never gathered per index.  No product alpha*i + beta is
+    formed, so arbitrarily large alpha, beta and p are exact.  A zero term
+    (at most one) gets valuation 0, the value this package's valuation
+    sequences give an index without a valuation.  A table of
+    (|alpha| n + |beta|).bit_length() + 1 entries covers every valuation
+    that occurs.
     """
     if alpha == 0:
         raise SpecError("progression stride must be nonzero")
     a = v_p(alpha, p) if beta == 0 else min(v_p(alpha, p), v_p(beta, p))
     alpha1, beta1 = alpha // p ** a, beta // p ** a
     bound = max(abs(beta1), abs(alpha1 * (n - 1) + beta1))
-    out = np.full(n, a, dtype=np.min_scalar_type(a + bound.bit_length()))
+    if table is None:
+        table = np.arange(a + bound.bit_length() + 1,
+                          dtype=np.min_scalar_type(a + bound.bit_length()))
+    if n == 0:
+        return np.zeros(0, table.dtype)  # no valuation, no entry read
+    out = np.full(n, table[a], dtype=table.dtype)
     if alpha1 % p == 0:
         return out
-    pk = p
+    pk, v = p, a
     while pk <= bound:
-        out[-beta1 * pow(alpha1, -1, pk) % pk::pk] += 1
+        start = -beta1 * pow(alpha1, -1, pk) % pk
+        if start >= n:
+            break
+        v += 1
+        out[start::pk] = table[v]
         pk *= p
     if beta1 % alpha1 == 0 and 0 <= -beta1 // alpha1 < n:
-        out[-beta1 // alpha1] = 0
+        out[-beta1 // alpha1] = table[0]
     return out
 
 

@@ -19,11 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .automata import (KernelReport, check_kernel_budget,
                        eventual_period_detect, kernel_cost, kernel_explore,
-                       residue_sequence)
+                       residue_sequence, valuation_classes)
 from .errors import Mismatch, NonIntegerCoefficient, ScaleExceeded, SpecError
 from .families import classify_separability, map_degree, per_n_closed
 from .intarith import (divisors, first_prime_where, multiplicative_order,
@@ -309,8 +307,7 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     class_terms = p ** depth_cap * CLASS_PREFIX
     horizon = max(PERIOD_TERMS, ell ** ell_depth * ell_prefix, class_terms,
                   p ** p_depth_values * KERNEL_PREFIX if try_values else 0)
-    valuations, values = residue_sequence(shape, ratio, a1, alpha, beta,
-                                          p, ell, horizon)
+    values = residue_sequence(shape, ratio, a1, alpha, beta, p, ell, horizon)
     checked = 0
     for n, derived in rederived:
         if derived != values[n]:
@@ -329,8 +326,9 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     else:
         control = "valuation-classes"
         sat = max(2, min(6, depth_cap - 3))
-        p_kernel = kernel_explore(np.minimum(valuations[:class_terms], sat), p,
-                                  depth_cap, CLASS_PREFIX, budget=kernel_budget)
+        classes = valuation_classes(shape, alpha, beta, p, sat, class_terms)
+        p_kernel = kernel_explore(classes, p, depth_cap, CLASS_PREFIX,
+                                  budget=kernel_budget)
 
     # Periodicity scan with adaptive extension: a candidate period found
     # on a short prefix is retried on a window long enough to refute it
@@ -338,8 +336,8 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     scan_len = PERIOD_TERMS
     while True:
         if scan_len > len(values):
-            valuations, values = residue_sequence(
-                shape, ratio, a1, alpha, beta, p, ell, scan_len)
+            values = residue_sequence(shape, ratio, a1, alpha, beta, p, ell,
+                                      scan_len)
         period = eventual_period_detect(values[:scan_len].tolist())
         if period is None or scan_len >= 400_000:
             break
@@ -369,7 +367,9 @@ def _geometric_certificate(mapping):
     of terms re-derived.  The auxiliary prime ell > p is the least with
     ell = 2 mod that modulus (3 when p = 2) dividing none of the map degree,
     |Gamma|, ratio - 1 and main.  Re-derivation stops after the term count,
-    or once m k passes the crosscheck index cap (never before n = 1).
+    or once m k passes the crosscheck index cap (never before n = 1).  A
+    class with no prime below the prime search cap is refused before any
+    power of sigma is formed.
     """
     p, sigma = mapping.p, mapping.sigma
     one = sigma ** 0
@@ -385,6 +385,12 @@ def _geometric_certificate(mapping):
              else _ordinary_step(mapping))
         beta, ell_modulus = {2: (16, 8), 3: (3, 9)}.get(p, (1, p))
         terms = 24
+    # The class's least prime bounds ell from below; a class with none
+    # below the cap is refused here, before sigma^m (m up to p - 1).
+    ell_class = (3 if p == 2 else 2, ell_modulus)
+    ell_search = f"{mapping.name} auxiliary prime"
+    least = first_prime_where(p, *ell_class, ELL_SEARCH_CAP,
+                              description=ell_search)
     sig_m = sigma ** m
     v0 = mapping.valuation(sig_m - one)
     others = []
@@ -400,9 +406,9 @@ def _geometric_certificate(mapping):
     degree = map_degree(mapping)
 
     ell = first_prime_where(
-        p, 3 if p == 2 else 2, ell_modulus, ELL_SEARCH_CAP,
+        least - 1, *ell_class, ELL_SEARCH_CAP,
         lambda ell: all(x % ell for x in (degree, group, ratio - 1, main)),
-        f"{mapping.name} auxiliary prime")
+        ell_search)
     # The stride keeps every size constant mod ell: ell - 1 by Fermat for
     # an integer, the least common period of the norms mod ell for a ring.
     alpha = (ell - 1 if isinstance(sigma, int) else

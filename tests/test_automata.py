@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynzeta import modpoly
+from dynzeta import automata, modpoly
 from dynzeta.automata import (Dfao, KernelReport, check_kernel_budget,
                               christol_series, eventual_period_detect,
                               kernel_cost, kernel_explore,
@@ -399,6 +399,73 @@ class TestKernelAgainstReference:
     def test_budget_checked_before_length(self):
         with pytest.raises(ScaleExceeded):
             kernel_explore(np.zeros(5, dtype=np.int64), 10, 4, 256, budget=1000)
+
+
+def _row_loop_kernel(terms, base, depth, prefix_len):
+    """kernel_explore on an array by its former loop: one bytes key and
+    one dict lookup per transposed row."""
+    signatures = {}
+    counts = []
+    for e in range(depth + 1):
+        ke = base ** e
+        rows = np.ascontiguousarray(
+            terms[:ke * prefix_len].reshape(prefix_len, ke).T)
+        for r in range(ke):
+            signatures.setdefault(rows[r].tobytes(), (e, r))
+        counts.append(len(signatures))
+    closed = depth >= 2 and counts[-1] == counts[-2] == counts[-3]
+    return KernelReport(base, depth, prefix_len, tuple(counts),
+                        "closed" if closed else "growing",
+                        tuple(sorted(signatures.values()))[:64])
+
+
+@st.composite
+def _kernel_arrays(draw):
+    """(array, base, depth, prefix) with a small alphabet, so that rows
+    repeat, and a horizon of at most 30 000 terms."""
+    base = draw(st.integers(2, 13))
+    depth = draw(st.integers(0, 4).filter(lambda d: base ** d <= 30_000))
+    prefix = draw(st.integers(1, min(40, 30_000 // base ** depth)))
+    dtype = draw(st.sampled_from((np.uint8, np.int64)))
+    alphabet = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    extra = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        terms = rng.integers(0, alphabet, base ** depth * prefix + extra)
+    else:
+        # an automatic sequence: few kernel classes, many repeated rows
+        p = draw(st.sampled_from((2, 3, 5)))
+        terms = np.array([min(_vp(i + 1, p), alphabet)
+                          for i in range(base ** depth * prefix + extra)])
+    return terms.astype(dtype), base, depth, prefix
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_arrays())
+def test_kernel_candidates_match_the_row_loop(case):
+    terms, base, depth, prefix = case
+    expected = _row_loop_kernel(terms, base, depth, prefix)
+    assert kernel_explore(terms, base, depth, prefix) == expected
+    # the callable path keys each value by its first occurrence
+    values = terms.tolist()
+    assert kernel_explore(values.__getitem__, base, depth, prefix) == expected
+
+
+@pytest.mark.parametrize("prefix", [1, 3, 7, 8, 13, 64])
+def test_kernel_exact_when_every_row_hash_collides(prefix, monkeypatch):
+    # a zero multiplier hashes every row to 0: one group per depth, and
+    # every row unlike the first is compared by its bytes
+    rng = np.random.default_rng(prefix)
+    cases = [(rng.integers(0, 3, 3 ** 4 * prefix).astype(np.uint8), 3, 4),
+             (rng.integers(-2, 2, 7 ** 3 * prefix), 7, 3),
+             (np.array([_vp(i + 1, 2) for i in range(2 ** 6 * prefix)],
+                       dtype=np.uint16), 2, 6)]
+    reports = [kernel_explore(terms, base, depth, prefix)
+               for terms, base, depth in cases]
+    monkeypatch.setattr(automata, "_ROW_HASH_MULTIPLIER", 0)
+    for (terms, base, depth), report in zip(cases, reports):
+        assert kernel_explore(terms, base, depth, prefix) == report
+        assert report == _row_loop_kernel(terms, base, depth, prefix)
 
 
 def _vp(n, p):

@@ -525,6 +525,26 @@ class TestRegressions:
         assert reason in capsys.readouterr().err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        "verdict --family chebyshev --p 1000000007 --d 3",
+        "verdict --family lattes-generic --p 1000000007 --s 2",
+        "verdict --family lattes-ordinary --p 1000000007 --tau 1,1000000007 "
+        "--sigma 2,0",
+        "verdict --family chebyshev --p 10000019 --d 3",
+        # the class's only candidate below 10^7 is 9999993 = 3 * 3333331
+        "verdict --family lattes-generic --p 9999991 --s 2",
+    ])
+    def test_auxiliary_prime_class_past_the_cap_refused_before_any_power(
+            self, argv, capsys):
+        # the class ell = 2 mod p from p + 2 holds no prime below the
+        # prime search cap: refused before sigma^m (m up to p - 1) is formed
+        start = time.perf_counter()
+        result = run_cli(argv.split())
+        elapsed = time.perf_counter() - start
+        assert result == (3, "")
+        assert "no admissible prime below 10000000" in capsys.readouterr().err
+        assert elapsed < 1.0
+
     def test_scale_caps_ignore_the_environment(self, monkeypatch):
         # 3^6 = 729 points: within the enumeration cap whatever is set
         argv = ("census --family power --p 3 --d 2 --ext-degree 6 "

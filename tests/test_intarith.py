@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,46 @@ class TestValuationProgression:
     def test_zero_stride_rejected(self):
         with pytest.raises(SpecError):
             v_p_progression(0, 1, 3, 10)
+
+
+@st.composite
+def _progressions(draw):
+    """(alpha, beta, p, n): terms past 2^64, a zero term inside [0, n),
+    p dividing alpha' (v_p(alpha) > v_p(beta)), and the tower call."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = draw(st.integers(0, 600))
+    kind = draw(st.sampled_from(("any", "zero", "p-divides", "tower")))
+    if kind == "tower":
+        return 1, 0, p, n
+    unit = draw(st.integers(1, 2 ** 70).filter(lambda x: x % p))
+    sign = draw(st.sampled_from((1, -1)))
+    b = draw(st.integers(0, 4))
+    if kind == "zero":
+        # alpha i + beta vanishes at the drawn index
+        alpha = sign * unit * p ** draw(st.integers(0, 4))
+        return alpha, -alpha * draw(st.integers(0, max(n - 1, 0))), p, n
+    if kind == "p-divides":
+        return sign * unit * p ** (b + 1), p ** b * draw(
+            st.integers(1, 2 ** 70).filter(lambda x: x % p)), p, n
+    return (sign * unit * p ** draw(st.integers(0, 4)),
+            draw(st.integers(-2 ** 70, 2 ** 70)) * p ** b, p, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_progressions(), st.sampled_from((np.uint8, np.uint16, np.int64)),
+       st.integers(0, 2 ** 32 - 1))
+def test_progression_sieve_writes_the_table_entry_of_each_valuation(
+        case, dtype, seed):
+    alpha, beta, p, n = case
+    top = (abs(alpha) * n + abs(beta)).bit_length()
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, np.iinfo(dtype).max, top + 1, endpoint=True,
+                         dtype=dtype)
+    valuations = v_p_progression(alpha, beta, p, n)
+    sieved = v_p_progression(alpha, beta, p, n, table)
+    assert sieved.dtype == table.dtype
+    assert sieved.tolist() == table[valuations].tolist()
+    assert valuations.tolist() == _expected(alpha, beta, p, n)
 
 
 class TestIsqrtExact:
