@@ -227,27 +227,58 @@ def eventual_period_detect(prefix):
 
 
 def _series_mul(a, b, p, n):
-    out = modpoly.mul(a[:n], b[:n], p)[:n]
-    return out
+    """a*b mod t^n; an empty or one-term factor is a scalar pass."""
+    a, b = a[:n], b[:n]
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) > 1:
+        return modpoly.mul(a, b, p)[:n]
+    c = a[0] if a else 0
+    return [c * x % p for x in b] if c else []
 
 
 def _series_inv(a, p, n):
     """Inverse of a unit power series mod t^n by Newton doubling."""
     if not a or a[0] == 0:
         raise SpecError("series inversion needs a unit constant term")
+    a = modpoly.trim(a[:n])
     inv = [pow(a[0], p - 2, p)]
     prec = 1
-    while prec < n:
+    # once a*inv = 1 exactly (a constant a), inv is the inverse mod every t^n
+    while prec < n and len(a) > 1:
         half, prec = prec, min(2 * prec, n)
         # a*inv = 1 + t^half*e mod t^prec, so inv*(1 - t^half*e) is the
-        # inverse mod t^prec
+        # inverse mod t^prec; inv has at most half terms
         e = _series_mul(a, inv, p, prec)[half:]
-        inv = modpoly.sub(inv, [0] * half + _series_mul(inv, e, p, prec - half), p)
+        inv = (inv + [0] * (half - len(inv))
+               + modpoly.neg(_series_mul(inv, e, p, prec - half), p))
     return inv
 
 
 def _series_val(a, default=None):
     return next((i for i, c in enumerate(a) if c), default)
+
+
+def frobenius_horner(coeffs, y, p, n):
+    """P(t, y) mod t^n over F_p, coeffs listing P's y-coefficients
+    (ascending, each an ascending list of residues in t).
+
+    Over F_p, y(t)^p = y(t^p), so P = sum_q B_q(y) * Y^q with Y = y(t^p),
+    one strided copy of y, and B_q = sum_{r < p} coeffs[q*p + r] * y^r.
+    Horner runs over each B_q in y and over the B_q in Y, so an equation
+    of y-degree below 2p multiplies y and Y only by its coefficients.
+    """
+    y = y[:n]
+    m = min(len(y), -(-n // p))
+    frob = [0] * (p * m - p + 1) if m else []
+    frob[::p] = y[:m]
+    acc = []
+    for q in range((len(coeffs) - 1) // p * p, -1, -p):
+        inner = []
+        for coeff in reversed(coeffs[q:q + p]):
+            inner = modpoly.add(_series_mul(inner, y, p, n), coeff[:n], p)
+        acc = modpoly.add(_series_mul(acc, frob, p, n), inner, p)
+    return acc
 
 
 def christol_series(poly_y, p: int, prefix, length: int):
@@ -265,9 +296,16 @@ def christol_series(poly_y, p: int, prefix, length: int):
     t^(n - s); the correction P(y)/P'(y) is then exact mod t^(n - v), and
     the new y, kept to n - v terms, has val P(y) >= n.  The gain s - 2v
     doubles every step, so the steps cost a geometric sum dominated by
-    the last: O(deg_y * M(length)), M(n) being the cost of one length-n
-    product.  The result is re-substituted into P and checked to vanish
-    mod t^length before returning.
+    the last.  Each step evaluates P and P' by frobenius_horner, which
+    reaches y^p as y(t^p) through a strided copy; for y-degree below 2p
+    (y^p - y - t^c, a quadratic over F_2) that leaves only products of y
+    or y(t^p) by coefficient polynomials, scalar passes when these are
+    constants.  The unit is inverted by Newton doubling, skipped when
+    P'(y) is a constant, and one product gives the correction.  So the
+    steps cost O(deg_y * M(length)) in general, M(n) being the cost of
+    one length-n product, and O(length) scalar passes for y^p - y - t^c.
+    The result is re-substituted into P and checked to vanish mod
+    t^length before returning.
     """
     check_prime(p)
     if length < 0:
@@ -276,21 +314,16 @@ def christol_series(poly_y, p: int, prefix, length: int):
     if len(poly_y) < 2:
         raise SpecError("equation must involve y")
     work = length + 8
-    d_poly_y = [[c * j % p for c in coeff] for j, coeff in enumerate(poly_y)][1:]
-
-    def horner(coeffs, y, n):
-        acc = []
-        for coeff in reversed(coeffs):
-            acc = modpoly.add(_series_mul(acc, y, p, n), coeff[:n], p)
-        return acc[:n]
+    d_poly_y = [modpoly.trim([c * j % p for c in coeff])
+                for j, coeff in enumerate(poly_y)][1:]
 
     y = [c % p for c in prefix]
-    deriv = horner(d_poly_y, y, work)
+    deriv = frobenius_horner(d_poly_y, y, p, work)
     v = _series_val(deriv)
     # P(y0) vanishing to the whole probe reads as s = probe; the probe
     # reads past 2v, so that s still decides the Hensel gate.
     probe = max(work + 8, 2 * len(y) + 8, 2 * (v or 0) + 1)
-    s = _series_val(horner(poly_y, y, probe), probe)
+    s = _series_val(frobenius_horner(poly_y, y, p, probe), probe)
     if s < len(y):
         raise NotARoot("prefix does not annihilate the equation to its length")
     if v is None or s <= 2 * v:
@@ -300,20 +333,24 @@ def christol_series(poly_y, p: int, prefix, length: int):
     steps = 0
     while s < length + v:
         n = min(2 * s - 2 * v, length + v)
-        value = horner(poly_y, y, n)
+        value = frobenius_horner(poly_y, y, p, n)
         if any(value[:s]):
             raise SingularRoot("Newton iteration failed to converge")
-        deriv = horner(d_poly_y, y, n - s + v)
+        deriv = frobenius_horner(d_poly_y, y, p, n - s + v)
         if _series_val(deriv) != v:
             raise SingularRoot("derivative valuation drifted (internal)")
-        quotient = _series_mul(value[s:], _series_inv(deriv[v:], p, n - s), p, n - s)
-        y = modpoly.sub(y[:n - v], [0] * (s - v) + quotient, p)
+        inv = _series_inv(deriv[v:], p, n - s)
+        # y - t^(s - v) * P(y)/P'(y), kept to n - v terms: the correction
+        # starts past y's end except when a long prefix overlaps it
+        step = _series_mul(value[s:], modpoly.neg(inv, p), p, n - s)
+        cut = s - v
+        y = y[:cut] + [0] * (cut - len(y)) + modpoly.add(y[cut:n - v], step, p)
         s = n
         steps += 1
         if steps > length.bit_length() + 8:
             raise SingularRoot("Newton iteration failed to converge")
     out = (y + [0] * length)[:length]
-    if any(horner(poly_y, out, length)):
+    if any(frobenius_horner(poly_y, out, p, length)):
         raise NotARoot("resulting series fails re-substitution (internal)")
     return out
 

@@ -418,7 +418,7 @@ def _cmd_zeta(params):
     series = zeta_from_counts(counts)
     yield {"record": "zeta", "provenance": series.provenance,
            "coefficients": list(series.coeffs)}
-    guess = rationality_guess(counts, params.get("max_order", 8))
+    guess = rationality_guess(counts, params.get("max_order", 8), series)
     closed = guess is not None and guess.numerator is not None
     yield {"record": "rationality", "found": guess is not None,
            "order": guess.order if guess else None,
@@ -531,7 +531,8 @@ def _stringify(value):
     if isinstance(value, int):
         return str(value)
     if isinstance(value, (list, tuple)):
-        return [_stringify(v) for v in value]
+        # type(v) is int: a bool element stays a JSON boolean
+        return [str(v) if type(v) is int else _stringify(v) for v in value]
     if isinstance(value, dict):
         return {k: _stringify(v) for k, v in value.items()}
     return value

@@ -1033,13 +1033,16 @@ def separable_radical(f: Poly) -> Poly:
     *Algorithms for Computer Algebra*, 1992, Alg. 8.3; von zur
     Gathen-Gerhard, *Modern Computer Algebra*, ch. 14): c = gcd(f, f')
     and w = f / c is the product of the irreducible factors whose
-    multiplicity p does not divide.  Dividing c by w = gcd(c, w) until w
-    or c is constant strips those factors from c and leaves c = g(x^p);
-    the coefficientwise p-th roots of g give a polynomial with the same
-    roots, since finite fields are perfect, and the loop goes on with it.
-    After the j-th gcd(c, w), w keeps only the factors of multiplicity
-    above j, so when few factors repeat, gcd(f, f') and the first
-    gcd(c, w) are the only ones as large as f.
+    multiplicity p does not divide.  Replacing w by gcd(c, w) and dividing
+    c by it until w or c is constant strips those factors from c and
+    leaves c = g(x^p); the coefficientwise p-th roots of g give a
+    polynomial with the same roots, since finite fields are perfect, and
+    the loop goes on with it.  Each level costs one division of c by w;
+    gcd(c, w) = gcd(w, c mod w) is run only when that remainder is
+    nonzero, since otherwise it is w itself.  After j levels, w keeps only
+    the factors of multiplicity above j, so when few factors repeat,
+    gcd(f, f') and the first division are the only steps as large as f,
+    and a level where every factor of w still divides c runs no gcd.
     """
     if f.is_zero():
         raise ZeroPolynomial("radical of zero polynomial")
@@ -1056,8 +1059,13 @@ def separable_radical(f: Poly) -> Poly:
         w = f // c
         parts.append(w)
         while w.degree > 0 and c.degree > 0:
-            w = c.gcd(w)
-            c = c // w
+            # gcd(c, w) = gcd(w, c mod w), and it is w itself when w | c
+            q, r = c.divrem(w)
+            if r.is_zero():
+                c = q
+            else:
+                w = w.gcd(r)
+                c = c // w
         f = c
     return functools.reduce(Poly.__mul__, parts) if parts else Poly.one(ctx)
 

@@ -37,9 +37,17 @@ _NP_SAFE = 2**62
 
 
 def trim(a: list) -> list:
+    """a without its trailing zeros.  A zero tail is skipped in slices
+    that double while they hold only zeros, so a long one costs a few
+    C-level scans instead of one Python step per zero."""
     n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
+    step = 1
+    while n and not a[n - 1]:
+        lo = max(n - step, 0)
+        if any(a[lo:n]):
+            step = 1
+        else:
+            n, step = lo, 2 * step
     return a[:n]
 
 
@@ -50,16 +58,14 @@ def deg(a: list) -> int:
 def add(a: list, b: list, p: int) -> list:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
+    out = [(x + y) % p for x, y in zip(a, b)]
+    out += a[len(b):]
     return trim(out)
 
 
 def sub(a: list, b: list, p: int) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
+    out = [(x - y) % p for x, y in zip(a, b)]
+    out += a[len(b):] if len(a) > len(b) else neg(b[len(a):], p)
     return trim(out)
 
 

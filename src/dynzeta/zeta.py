@@ -146,7 +146,7 @@ def _integer_roots(poly):
     return roots
 
 
-def rationality_guess(counts, max_order: int = 8):
+def rationality_guess(counts, max_order: int = 8, series=None):
     """Shortest linear recurrence (order <= max_order) over exact rationals.
 
     One Berlekamp-Massey pass (Massey 1969) gives the linear complexity L
@@ -156,7 +156,10 @@ def rationality_guess(counts, max_order: int = 8):
     a_i, the multiplicities are the partial-fraction residues e_i =
     P(1/a_i) / prod_{j != i} (1 - a_j/a_i), P = C * sum c_n t^n cut at
     degree L; integer e_i reproducing every count give the zeta function
-    prod (1 - a_i t)^(-e_i), re-verified by the exponential formula.
+    prod (1 - a_i t)^(-e_i).  Its expansion is checked against series,
+    the ZetaSeries of the counts, which a caller that already holds it
+    passes in; without it the exponential formula runs here.  A series
+    that disagrees yields no closed form.
     """
     counts = list(counts)
     bound = min(max_order, (len(counts) - 4) // 2)
@@ -183,29 +186,34 @@ def rationality_guess(counts, max_order: int = 8):
     order = max(order, 1)
     conn = conn + [0] * (order + 1 - len(conn))
     roots = _integer_roots(conn[::-1])
-    closed = roots and _closed_form(counts, conn, roots)
+    closed = roots and _closed_form(counts, conn, roots, series)
     return RationalGuess(order, *(closed or (None, None)))
 
 
-def _closed_form(counts, conn, roots):
+def _closed_form(counts, conn, roots, series):
     """(numerator, denominator) of prod (1 - a t)^(-e) over the roots a,
-    with residues e, when they are integers that reproduce the counts."""
+    with residues e, when they are integers that reproduce the counts and
+    the expansion matches series (zeta_from_counts(counts) when None)."""
     p_coeffs = [sum(conn[i] * counts[k - i - 1] for i in range(k))
                 for k in range(1, len(roots) + 1)]
     es = [sum(Fraction(c, a ** k) for k, c in enumerate(p_coeffs, 1))
           / math.prod(1 - Fraction(b, a) for b in roots if b != a)
           for a in roots]
-    if (any(e.denominator != 1 for e in es)
-            or any(sum(e * a ** n for e, a in zip(es, roots)) != c
-                   for n, c in enumerate(counts, 1))):
+    if any(e.denominator != 1 for e in es):
+        return None
+    es = [int(e) for e in es]
+    if any(sum(e * a ** n for e, a in zip(es, roots)) != c
+           for n, c in enumerate(counts, 1)):
         return None
     num, den = [1], [1]
     for a, e in zip(roots, es):
         side = den if e > 0 else num
-        for _ in range(abs(int(e))):
+        for _ in range(abs(e)):
             side[:] = [c - a * d for c, d in zip(side + [0], [0] + side)]
-    if series_of_rational(num, den, len(counts) + 1) == list(
-            zeta_from_counts(counts).coeffs):
+    if series is None:
+        series = zeta_from_counts(counts)
+    length = len(counts) + 1
+    if series_of_rational(num, den, length) == list(series.coeffs[:length]):
         return tuple(num), tuple(den)
 
 
@@ -273,6 +281,17 @@ def _fit_depth(base, prefix, budget, max_depth):
     return depth
 
 
+def _ell_kernel_plan(ell):
+    """(prefix, depth) of the base-ell kernel of a certificate; ScaleExceeded
+    when even that costs more than four budgets.  Past ell = 50 the prefix
+    is fixed and the depth can only fall, so an ell that passes has every
+    smaller one pass too."""
+    prefix = KERNEL_PREFIX if ell <= 50 else 64
+    depth = _fit_depth(ell, prefix, KERNEL_BUDGET, MAX_ELL_DEPTH)
+    check_kernel_budget(ell, depth, prefix, 4 * KERNEL_BUDGET)
+    return prefix, depth
+
+
 def _control_period(shape, ratio, a1, p, ell):
     """Period of the value profile as a function of the driving valuation."""
     if shape == "geometric":
@@ -297,10 +316,8 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     budgets: a base-p kernel of depth >= 2 fits one budget, the values run
     only at depth >= 3, and at depth 1 p < ell, whose kernel has passed.
     """
-    ell_prefix = KERNEL_PREFIX if ell <= 50 else 64
-    ell_depth = _fit_depth(ell, ell_prefix, KERNEL_BUDGET, MAX_ELL_DEPTH)
+    ell_prefix, ell_depth = _ell_kernel_plan(ell)
     kernel_budget = 4 * KERNEL_BUDGET
-    check_kernel_budget(ell, ell_depth, ell_prefix, kernel_budget)
     p_depth_values = _fit_depth(p, KERNEL_PREFIX, KERNEL_BUDGET, MAX_P_DEPTH)
     depth_cap = _fit_depth(p, CLASS_PREFIX, KERNEL_BUDGET, MAX_P_DEPTH)
     try_values = _control_period(shape, ratio, a1, p, ell) + 2 <= p_depth_values
@@ -368,8 +385,9 @@ def _geometric_certificate(mapping):
     ell = 2 mod that modulus (3 when p = 2) dividing none of the map degree,
     |Gamma|, ratio - 1 and main.  Re-derivation stops after the term count,
     or once m k passes the crosscheck index cap (never before n = 1).  A
-    class with no prime below the prime search cap is refused before any
-    power of sigma is formed.
+    class with no prime below the prime search cap, or whose least prime
+    already has a base-ell kernel over budget, is refused before any power
+    of sigma is formed.
     """
     p, sigma = mapping.p, mapping.sigma
     one = sigma ** 0
@@ -386,11 +404,13 @@ def _geometric_certificate(mapping):
         beta, ell_modulus = {2: (16, 8), 3: (3, 9)}.get(p, (1, p))
         terms = 24
     # The class's least prime bounds ell from below; a class with none
-    # below the cap is refused here, before sigma^m (m up to p - 1).
+    # below the cap, or whose least prime's kernel is over budget, is
+    # refused here, before sigma^m (m up to p - 1).
     ell_class = (3 if p == 2 else 2, ell_modulus)
     ell_search = f"{mapping.name} auxiliary prime"
     least = first_prime_where(p, *ell_class, ELL_SEARCH_CAP,
                               description=ell_search)
+    _ell_kernel_plan(least)
     sig_m = sigma ** m
     v0 = mapping.valuation(sig_m - one)
     others = []

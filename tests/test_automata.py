@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dynzeta import automata, modpoly
 from dynzeta.automata import (Dfao, KernelReport, check_kernel_budget,
                               christol_series, eventual_period_detect,
-                              kernel_cost, kernel_explore,
+                              frobenius_horner, kernel_cost, kernel_explore,
                               vp_geometric_sequence, vp_tower_sequence)
 from dynzeta.errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                             SingularRoot, SpecError)
@@ -277,6 +277,47 @@ def test_christol_shortest_lengths(length):
         out = christol_series(eqn, p, prefix, length)
         assert out == _ref_christol(eqn, p, prefix, length)
         assert len(out) == length and not any(_eval_mod(eqn, out, p, length))
+
+
+@st.composite
+def _frobenius_case(draw):
+    """P of y-degree up to 2p + 1 over F_p whose t-coefficient lists may be
+    empty, and a y that may hold fewer than ceil(n/p) terms."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    rnd = draw(st.randoms(use_true_random=False))
+    coeffs = [[rnd.randrange(p) for _ in range(rnd.choice((0, 0, 1, 3, 9)))]
+              for _ in range(rnd.randint(0, 2 * p + 2))]
+    n = draw(st.integers(0, 80))
+    y = [rnd.randrange(p) for _ in range(rnd.randint(0, n + 3))]
+    return coeffs, y, p, n
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_frobenius_case())
+def test_frobenius_horner_matches_plain_horner(case):
+    coeffs, y, p, n = case
+    out = frobenius_horner(coeffs, y, p, n)
+    assert len(out) <= n
+    assert out + [0] * (n - len(out)) == _eval_mod(coeffs, y, p, n)
+
+
+@pytest.mark.parametrize("length", [0, 5, 40, 300])
+@pytest.mark.parametrize("poly_y, p, prefix", HENSEL_CASES)
+def test_christol_prefix_overlapping_the_first_correction(poly_y, p, prefix,
+                                                          length):
+    # A prefix that agrees with the root r below index j and not at j has
+    # s = j + v; with len(prefix) - v <= j < len(prefix), the first step's
+    # correction starts at s - v = j, inside the prefix.  The root with
+    # val(r - y0) > v is still r.
+    v = len(prefix) - 1
+    root = christol_series(poly_y, p, prefix, 320)
+    for size in range(v + 2, 12):
+        for j in range(max(size - v, v + 1), size):
+            start = list(root[:size])
+            start[j] = (start[j] + 1) % p
+            out = christol_series(poly_y, p, start, length)
+            assert out == root[:length]
+            assert out == _ref_christol(poly_y, p, start, length)
 
 
 class TestKernelExplore:

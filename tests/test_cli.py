@@ -545,6 +545,23 @@ class TestRegressions:
         assert "no admissible prime below 10000000" in capsys.readouterr().err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        "verdict --family lattes-ordinary --p 2000003 --tau 1,2000003 "
+        "--sigma 2,0",
+        "verdict --family lattes-generic --p 4000037 --s 2",
+    ])
+    def test_least_auxiliary_prime_over_the_kernel_budget_refused_at_once(
+            self, argv, capsys):
+        # every prime of the class exceeds 312,499, whose base-ell kernel
+        # of depth 1 already costs over four budgets: refused before
+        # sigma^m, the ell search and the strides
+        start = time.perf_counter()
+        result = run_cli(argv.split())
+        elapsed = time.perf_counter() - start
+        assert result == (3, "")
+        assert "over budget 20000000" in capsys.readouterr().err
+        assert elapsed < 1.0
+
     def test_scale_caps_ignore_the_environment(self, monkeypatch):
         # 3^6 = 729 points: within the enumeration cap whatever is set
         argv = ("census --family power --p 3 --d 2 --ext-degree 6 "

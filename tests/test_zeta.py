@@ -19,7 +19,7 @@ from dynzeta.intarith import divisors, multiplicative_order, v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
 from dynzeta.twisted import TwistedPoly
-from dynzeta.zeta import (_integer_roots, _supersingular_step,
+from dynzeta.zeta import (ZetaSeries, _integer_roots, _supersingular_step,
                           certificate_build, rationality_guess,
                           series_of_rational, verdict, zeta_from_counts,
                           zeta_from_cycles)
@@ -249,6 +249,19 @@ def _split_polys(draw):
     return poly
 
 
+@st.composite
+def _zeta_prefixes(draw):
+    """Nonnegative counts 3*100^n + sum e_i a_i^n over distinct a_i in
+    [-9, 9] - {0} and e_i in +-{1, 2, 3}: the zeta function is
+    prod (1 - a t)^(-e), so its series has integer coefficients."""
+    roots = draw(st.lists(st.integers(-9, 9).filter(bool), max_size=6,
+                          unique=True))
+    mults = [draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for _ in roots]
+    length = draw(st.integers(0, 40))
+    return [3 * 100 ** n + sum(e * a ** n for e, a in zip(mults, roots))
+            for n in range(1, length + 1)]
+
+
 class TestRationalityGuess:
     def test_two_geometric_terms(self):
         guess = rationality_guess([1 + 3 ** n for n in range(1, 25)])
@@ -292,6 +305,34 @@ class TestRationalityGuess:
     def test_matches_the_per_order_search(self, counts, max_order):
         assert (_outcome(rationality_guess, counts, max_order)
                 == _outcome(_reference_guess, counts, max_order))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_zeta_prefixes(), st.sampled_from(MAX_ORDERS))
+    def test_a_passed_series_gives_the_same_guess(self, counts, max_order):
+        series = zeta_from_counts(counts)
+        assert (rationality_guess(counts, max_order, series)
+                == rationality_guess(counts, max_order))
+
+    @pytest.mark.parametrize("fam", [PowerMap(3, 3), PowerMap(5, 2),
+                                     ChebyshevMap(5, 5), ChebyshevMap(3, 2)])
+    def test_a_passed_series_gives_the_same_guess_on_families(self, fam):
+        counts = [per_n_closed(fam, n) for n in range(1, 61)]
+        series = zeta_from_counts(counts)
+        assert (rationality_guess(counts, 8, series)
+                == rationality_guess(counts, 8))
+
+    @pytest.mark.parametrize("index", [0, 1, 7, 24])
+    def test_a_disagreeing_series_yields_no_closed_form(self, index):
+        # the cross-check against the series stays live: one coefficient
+        # off, and the recurrence is reported without a closed form
+        counts = [1 + 3 ** n for n in range(1, 25)]
+        coeffs = list(zeta_from_counts(counts).coeffs)
+        assert rationality_guess(counts).numerator == (1,)
+        coeffs[index] += 1
+        guess = rationality_guess(counts, 8,
+                                  ZetaSeries(tuple(coeffs), "exp-formula"))
+        assert guess.order == 2
+        assert guess.numerator is None and guess.denominator is None
 
     def test_repeated_and_zero_roots_do_not_split(self):
         # (x - 2)^2 (x + 3) and x (x - 3); then (x - 2)(x + 3)
