@@ -119,8 +119,9 @@ def check_kernel_budget(base: int, depth: int, prefix_len: int, budget: int):
         raise ScaleExceeded(f"kernel exploration cost {cost} over budget {budget}")
 
 
-# Odd multiplier of the row hash sum_j word_j * M^(W - j) mod 2^64 over a
-# row's W 64-bit words.  A collision costs only a byte comparison.
+# Odd multiplier M of the row hash sum_j word_j * M^(W - j) mod 2^64 over a
+# row's W 64-bit words, and of eventual_period_detect's tail hashes.  A
+# collision costs only an exact comparison.
 _ROW_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 
 
@@ -206,19 +207,46 @@ def eventual_period_detect(prefix):
     preperiod may not exceed half the prefix, so that accidental
     regularity in a short tail is not reported as periodicity.  Periods
     are minimized first, then preperiods.  None when nothing fits.
+
+    A numeric numpy array is read as given; any other sequence (tuples,
+    ints past 2^63) is first read into dense ids, one per distinct value.
+    With n terms, a period P has its preperiod at most n // 2 exactly
+    when the tail u = prefix[n // 2:] has period P.  Every P <= n // 3
+    is screened at once by Karp-Rabin prefix hashes of u mod 2^64: the
+    hash of u[P:] must equal M^P times that of u[:len(u) - P].  A tail
+    of period P always passes, so a discarded P cannot meet the preperiod
+    bound; each kept P, in ascending order, gets its preperiod from one
+    exact comparison of the whole prefix with its shift by P.  So the
+    result is that of a term-by-term scan of every period, whatever the
+    hash does.
     """
-    seq = list(prefix)
-    if len(seq) < 16:
+    if (isinstance(prefix, np.ndarray) and prefix.ndim == 1
+            and prefix.dtype.kind in "biu"):
+        seq = prefix.astype(np.uint64)
+    else:
+        ids = {}
+        seq = np.fromiter((ids.setdefault(x, len(ids)) for x in prefix),
+                          np.uint64)
+    n = len(seq)
+    if n < 16:
         raise SpecError("need at least 16 terms to call periodicity")
-    for period in range(1, len(seq) // PERIOD_MIN_REPEATS + 1):
-        mismatch = -1
-        for i in range(len(seq) - period - 1, -1, -1):
-            if seq[i] != seq[i + period]:
-                mismatch = i
-                break
-        preperiod = mismatch + 1
-        if (preperiod <= len(seq) // 2
-                and len(seq) - preperiod >= PERIOD_MIN_REPEATS * period):
+    half = n // 2
+    tail = seq[half:]
+    # powers[k] = M^k and hashes[k] = sum_{i < k} tail_i M^(i + 1), mod 2^64
+    powers = np.empty(len(tail) + 1, np.uint64)
+    powers[0] = 1
+    np.cumprod(np.full(len(tail), _ROW_HASH_MULTIPLIER, np.uint64),
+               out=powers[1:])
+    hashes = np.zeros(len(tail) + 1, np.uint64)
+    np.cumsum(tail * powers[1:], out=hashes[1:])
+    periods = np.arange(1, n // PERIOD_MIN_REPEATS + 1)
+    kept = (hashes[-1] - hashes[periods]
+            == powers[periods] * hashes[len(tail) - periods])
+    for period in periods[kept].tolist():
+        mismatches = np.flatnonzero(seq[:n - period] != seq[period:])
+        preperiod = int(mismatches[-1]) + 1 if len(mismatches) else 0
+        if (preperiod <= half
+                and n - preperiod >= PERIOD_MIN_REPEATS * period):
             return preperiod, period
     return None
 
@@ -237,13 +265,19 @@ def _series_mul(a, b, p, n):
     return [c * x % p for x in b] if c else []
 
 
-def _series_inv(a, p, n):
-    """Inverse of a unit power series mod t^n by Newton doubling."""
+def _series_inv(a, p, n, start=None, valid=0):
+    """Inverse of a unit power series mod t^n by Newton doubling.
+
+    start, when given, is an inverse of a mod t^valid (valid >= 1), and
+    the doubling resumes from it."""
     if not a or a[0] == 0:
         raise SpecError("series inversion needs a unit constant term")
     a = modpoly.trim(a[:n])
-    inv = [pow(a[0], p - 2, p)]
-    prec = 1
+    if start is None:
+        inv, prec = [pow(a[0], p - 2, p)], 1
+    else:
+        prec = min(valid, n)
+        inv = start[:prec]
     # once a*inv = 1 exactly (a constant a), inv is the inverse mod every t^n
     while prec < n and len(a) > 1:
         half, prec = prec, min(2 * prec, n)
@@ -301,9 +335,11 @@ def christol_series(poly_y, p: int, prefix, length: int):
     (y^p - y - t^c, a quadratic over F_2) that leaves only products of y
     or y(t^p) by coefficient polynomials, scalar passes when these are
     constants.  The unit is inverted by Newton doubling, skipped when
-    P'(y) is a constant, and one product gives the correction.  So the
-    steps cost O(deg_y * M(length)) in general, M(n) being the cost of
-    one length-n product, and O(length) scalar passes for y^p - y - t^c.
+    P'(y) is a constant and resumed from the last step's inverse, which
+    y's last correction leaves right to half the precision needed; one
+    product gives the correction.  So the steps cost O(deg_y * M(length))
+    in general, M(n) being the cost of one length-n product, and
+    O(length) scalar passes for y^p - y - t^c.
     The result is re-substituted into P and checked to vanish mod
     t^length before returning.
     """
@@ -331,6 +367,7 @@ def christol_series(poly_y, p: int, prefix, length: int):
         raise SingularRoot("prefix too shallow for the derivative's t-valuation")
 
     steps = 0
+    inv, inv_valid = None, 0
     while s < length + v:
         n = min(2 * s - 2 * v, length + v)
         value = frobenius_horner(poly_y, y, p, n)
@@ -339,7 +376,10 @@ def christol_series(poly_y, p: int, prefix, length: int):
         deriv = frobenius_horner(d_poly_y, y, p, n - s + v)
         if _series_val(deriv) != v:
             raise SingularRoot("derivative valuation drifted (internal)")
-        inv = _series_inv(deriv[v:], p, n - s)
+        # y moved by O(t^(s - v)) since the last inverse, valid mod
+        # t^(n_prev - s_prev) <= t^(s - 2v), so one doubling restores it
+        inv = _series_inv(deriv[v:], p, n - s, inv, inv_valid)
+        inv_valid = n - s
         # y - t^(s - v) * P(y)/P'(y), kept to n - v terms: the correction
         # starts past y's end except when a long prefix overlaps it
         step = _series_mul(value[s:], modpoly.neg(inv, p), p, n - s)

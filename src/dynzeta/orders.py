@@ -212,9 +212,10 @@ def v_frak_p(x: QuadElem, ctx: PrimeContext) -> int:
     conjugate valuation read off from the unit root."""
     if x.is_zero():
         raise ZeroInput("valuation of zero")
-    nv = v_p_strict(x.norm(), ctx.p) if x.norm() != 0 else None
-    if nv is None:
+    norm = x.norm()
+    if norm == 0:
         raise ZeroInput("norm vanishes only at zero in an imaginary ring")
+    nv = v_p_strict(norm, ctx.p)
     work = ctx
     while work.precision <= nv:
         work = work.with_precision(work.precision * 2)

@@ -3,8 +3,8 @@
 The generating function exp(sum #Per_n t^n / n) of a count sequence is
 expanded by the exact recurrence j*c_j = sum counts_i * c_{j-i}; every
 coefficient must come out an integer, and that integrality is asserted,
-never assumed.  Rationality at desk scale is tested by one
-Berlekamp-Massey pass over exact rationals for the shortest recurrence,
+never assumed.  Rationality at desk scale is tested by one fraction-free
+Berlekamp-Massey pass over the integers for the shortest recurrence,
 integer Newton steps for its characteristic roots, and partial-fraction
 residues for their multiplicities.  Transcendence is never claimed outright:
 the verdict engine emits either a verified rational closed form or a
@@ -16,6 +16,7 @@ certificate that fails its own consistency checks gives the weaker outcome
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,7 +61,7 @@ def zeta_from_counts(counts) -> ZetaSeries:
             raise SpecError("periodic-point counts cannot be negative")
     coeffs = [1]
     for j in range(1, len(counts) + 1):
-        acc = sum(counts[i - 1] * coeffs[j - i] for i in range(1, j + 1))
+        acc = sum(map(operator.mul, counts[:j], reversed(coeffs)))
         if acc % j:
             raise NonIntegerCoefficient(
                 f"coefficient {Fraction(acc, j)} is not an integer")
@@ -146,10 +147,46 @@ def _integer_roots(poly):
     return roots
 
 
-def rationality_guess(counts, max_order: int = 8, series=None):
-    """Shortest linear recurrence (order <= max_order) over exact rationals.
+def _berlekamp_massey(counts, bound):
+    """(L, C) of the shortest linear recurrence of counts, C normalized to
+    C[0] = 1 as Fractions; None once L passes bound.
 
-    One Berlekamp-Massey pass (Massey 1969) gives the linear complexity L
+    Massey's pass (1969) with the connection polynomial C kept in ints:
+    each update C <- b C - d x^m B, with d / b the discrepancy of C over
+    that of the last replaced polynomial B in lowest terms, is divided
+    by its content.  That scales each polynomial by a nonzero integer
+    and leaves every discrepancy's zero pattern and every list length as
+    in the pass over Fractions, so the normalized C is the same.
+    """
+    conn, prev = [1], [1]
+    order, shift, prev_gap = 0, 1, 1
+    for n in range(len(counts)):
+        gap = sum(map(operator.mul, conn, counts[n::-1]))
+        if gap == 0:
+            shift += 1
+            continue
+        g = math.gcd(prev_gap, gap)
+        b, d = prev_gap // g, gap // g
+        updated = [b * c for c in conn] + [0] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev, shift):
+            updated[i] -= d * c
+        content = math.gcd(*updated)
+        if content != 1:
+            updated = [c // content for c in updated]
+        if 2 * order > n:
+            shift += 1
+        else:
+            order, prev, prev_gap, shift = n + 1 - order, conn, gap, 1
+            if order > bound:
+                return None
+        conn = updated
+    return order, [Fraction(c, conn[0]) for c in conn]
+
+
+def rationality_guess(counts, max_order: int = 8, series=None):
+    """Shortest linear recurrence (order <= max_order) of the counts.
+
+    One fraction-free Berlekamp-Massey pass gives the linear complexity L
     and connection polynomial C of the prefix; the shortest recurrence is
     unique as the prefix has length >= 2*order + 4, which also validates
     the fit on order + 4 extra terms.  For distinct nonzero integer roots
@@ -165,23 +202,10 @@ def rationality_guess(counts, max_order: int = 8, series=None):
     bound = min(max_order, (len(counts) - 4) // 2)
     if bound < 1:
         return None
-    conn, prev = [Fraction(1)], [Fraction(1)]
-    order, shift, prev_gap = 0, 1, Fraction(1)
-    for n in range(len(counts)):
-        gap = sum(c * counts[n - i] for i, c in enumerate(conn))
-        if gap == 0:
-            shift += 1
-            continue
-        updated = conn + [0] * (len(prev) + shift - len(conn))
-        for i, c in enumerate(prev):
-            updated[i + shift] -= gap / prev_gap * c
-        if 2 * order > n:
-            shift += 1
-        else:
-            order, prev, prev_gap, shift = n + 1 - order, conn, gap, 1
-            if order > bound:
-                return None
-        conn = updated
+    found = _berlekamp_massey(counts, bound)
+    if found is None:
+        return None
+    order, conn = found
     # an all-zero prefix (L = 0) is reported as order 1 with root 0
     order = max(order, 1)
     conn = conn + [0] * (order + 1 - len(conn))
@@ -355,7 +379,7 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
         if scan_len > len(values):
             values = residue_sequence(shape, ratio, a1, alpha, beta, p, ell,
                                       scan_len)
-        period = eventual_period_detect(values[:scan_len].tolist())
+        period = eventual_period_detect(values[:scan_len])
         if period is None or scan_len >= 400_000:
             break
         pre, per = period

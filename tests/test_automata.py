@@ -132,6 +132,23 @@ def _ref_series_inv(a, p, n):
     return inv[:n]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from((2, 3, 7, 13)), st.integers(1, 300),
+       st.integers(1, 300), st.data())
+def test_warm_series_inverse_equals_a_cold_one(p, n, valid, data):
+    # a start valid mod t^valid for a unit b = a mod t^valid, as the
+    # inverse of P'(y)/t^v at the last Newton step is for the next one
+    a = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=n)
+                  .filter(lambda a: a[0]))
+    b = data.draw(st.lists(st.integers(0, p - 1), max_size=n))
+    b = a[:valid] + [0] * (valid - len(a)) + b
+    start = automata._series_inv(b, p, valid)
+    warm = automata._series_inv(a, p, n, start, valid)
+    cold = automata._series_inv(a, p, n)
+    assert modpoly.trim(warm) == modpoly.trim(cold)
+    assert modpoly.trim(cold) == modpoly.trim(_ref_series_inv(a, p, n))
+
+
 def _ref_series_val(a):
     for i, c in enumerate(a):
         if c:
@@ -534,6 +551,81 @@ class TestPeriodDetect:
     def test_minimum_length_enforced(self):
         with pytest.raises(SpecError):
             eventual_period_detect([1, 2, 1])
+
+
+def _loop_period_detect(prefix):
+    """eventual_period_detect by its former loop: each period in turn,
+    walked back from the end to its last mismatch."""
+    seq = list(prefix)
+    for period in range(1, len(seq) // automata.PERIOD_MIN_REPEATS + 1):
+        mismatch = -1
+        for i in range(len(seq) - period - 1, -1, -1):
+            if seq[i] != seq[i + period]:
+                mismatch = i
+                break
+        preperiod = mismatch + 1
+        if (preperiod <= len(seq) // 2 and len(seq) - preperiod
+                >= automata.PERIOD_MIN_REPEATS * period):
+            return preperiod, period
+    return None
+
+
+@st.composite
+def _period_prefixes(draw):
+    """Prefixes of 16-1000 terms: a periodic tail after a preperiod,
+    random bits, sparse spikes on zeros, or a short period with one
+    corrupted term."""
+    n = draw(st.integers(16, 1000))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("periodic", "binary", "spikes",
+                                 "corrupted")))
+    if kind == "periodic":
+        period = draw(st.integers(1, n))
+        body = [rng.randrange(3) for _ in range(period)]
+        pre = [rng.randrange(3) for _ in range(draw(st.integers(0, n)))]
+        seq = (pre + [body[i % period] for i in range(n)])[:n]
+    elif kind == "binary":
+        seq = [rng.randrange(2) for _ in range(n)]
+    elif kind == "spikes":
+        seq = [0] * n
+        for _ in range(draw(st.integers(0, 4))):
+            seq[rng.randrange(n)] = rng.randrange(1, 4)
+    else:
+        period = draw(st.integers(1, 40))
+        seq = [i % period for i in range(n)]
+        seq[rng.randrange(n)] = period
+    return seq
+
+
+def _period_inputs(seq):
+    """The same prefix as a list, numpy arrays, tuple values and ints
+    past 2^63."""
+    return (seq, tuple(seq), np.array(seq, np.uint8), np.array(seq) - 2,
+            [(x, -x) for x in seq], [x + 2 ** 70 for x in seq])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_period_prefixes())
+def test_period_scan_matches_the_loop(seq):
+    expected = _loop_period_detect(seq)
+    for prefix in _period_inputs(seq):
+        found = eventual_period_detect(prefix)
+        assert found == expected
+        assert found is None or all(type(x) is int for x in found)
+
+
+def test_period_scan_exact_when_every_hash_collides(monkeypatch):
+    # a zero multiplier hashes every tail to 0: every period is a
+    # candidate, and each is decided by its exact comparison
+    rng = random.Random(7)
+    prefixes = [[rng.randrange(2) for _ in range(n)] for n in (16, 17, 300)]
+    prefixes += [[5] * 7 + [1, 2, 3] * 40, [0] * 200 + [1] + [0] * 99,
+                 list(vp_geometric_sequence(2, 3, 5, 1, 0, 500).values)]
+    expected = [_loop_period_detect(seq) for seq in prefixes]
+    monkeypatch.setattr(automata, "_ROW_HASH_MULTIPLIER", 0)
+    for seq, result in zip(prefixes, expected):
+        for prefix in _period_inputs(seq):
+            assert eventual_period_detect(prefix) == result
 
 
 class TestValuationSequences:

@@ -356,6 +356,66 @@ class TestRationalityGuess:
             _reference_integer_roots(poly))
 
 
+def _fraction_berlekamp_massey(counts, bound):
+    """The Berlekamp-Massey pass over Fractions that the fraction-free
+    one replaced: (L, C) with C[0] = 1, or None once L passes bound."""
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    order, shift, prev_gap = 0, 1, Fraction(1)
+    for n in range(len(counts)):
+        gap = sum(c * counts[n - i] for i, c in enumerate(conn))
+        if gap == 0:
+            shift += 1
+            continue
+        updated = conn + [0] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev):
+            updated[i + shift] -= gap / prev_gap * c
+        if 2 * order > n:
+            shift += 1
+        else:
+            order, prev, prev_gap, shift = n + 1 - order, conn, gap, 1
+            if order > bound:
+                return None
+        conn = updated
+    return order, conn
+
+
+@st.composite
+def _recurrence_prefixes(draw):
+    """Random integer prefixes (few distinct values, so that long runs
+    of zero discrepancies occur) or terms of a random integer
+    recurrence, sometimes with one term perturbed."""
+    length = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-3, 3), min_size=length,
+                             max_size=length))
+    taps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    counts = draw(st.lists(st.integers(-5, 5), min_size=len(taps),
+                           max_size=len(taps)))
+    while len(counts) < length:
+        counts.append(sum(t * c for t, c in zip(taps, counts[::-1])))
+    counts = counts[:length]
+    if length and draw(st.booleans()):
+        counts[draw(st.integers(0, length - 1))] += 1
+    return counts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_recurrence_prefixes() | _geometric_prefixes() | _zeta_prefixes(),
+       st.sampled_from([0, 1, 3, 8, 30]))
+def test_fraction_free_pass_matches_the_fraction_pass(counts, bound):
+    # the same order and connection polynomial, list length included
+    assert (zeta._berlekamp_massey(counts, bound)
+            == _fraction_berlekamp_massey(counts, bound))
+
+
+@pytest.mark.parametrize("fam", [PowerMap(3, 2), PowerMap(5, 3),
+                                 ChebyshevMap(5, 5), ChebyshevMap(3, 2)])
+def test_fraction_free_pass_matches_on_family_counts(fam):
+    counts = [per_n_closed(fam, n) for n in range(1, 61)]
+    assert (zeta._berlekamp_massey(counts, 28)
+            == _fraction_berlekamp_massey(counts, 28))
+
+
 class TestVerdicts:
     def test_inseparable_rational(self):
         v = verdict(PowerMap(3, 3))
