@@ -27,7 +27,7 @@ acceptance suite's torsion-enumeration oracle confirms.
 
 import math
 from dataclasses import InitVar, dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
                      SpecError, SubadditiveConditionViolated)
@@ -41,6 +41,11 @@ from .twisted import TwistedPoly, realize_additive, v_phi, v_phi_pow_minus
 class _Quotient:
     """Kernel sizes #ker x = size(x) / p^valuation(x) of x = sigma^n - gamma;
     by default for an integer sigma: |x|, v_p(x) and degree |sigma|."""
+
+    def kernel_sizes(self, n: int):
+        """The kernel-size function of per_n_template for the count n: an
+        integer power costs less formed again per gamma than shared."""
+        return self.kernel
 
     def kernel(self, gamma, n: int) -> int:
         x = self.sigma ** n - gamma
@@ -112,6 +117,10 @@ class _AdditiveQuotient:
     @property
     def gammas(self):
         return self._lift[1]
+
+    def kernel_sizes(self, n: int):
+        """The kernel-size function of per_n_template for the count n."""
+        return self.kernel
 
     def kernel(self, w, n: int) -> int:
         sigma = self._lift[0]
@@ -208,10 +217,24 @@ class LattesGenericJ(_Quotient):
 
 class _RingMultiplier(_Quotient):
     """x -> sigma x for sigma in an imaginary quadratic or quaternion
-    order: the degree of an endomorphism is its (reduced) norm."""
+    order: the degree of an endomorphism is its (reduced) norm, which
+    the valuation reads too (norm_valuation)."""
 
     def size(self, x) -> int:
         return x.norm()
+
+    def valuation(self, x) -> int:
+        return self.norm_valuation(x, x.norm())
+
+    def kernel_sizes(self, n: int):
+        """The kernel-size function of per_n_template for the count n, with
+        sigma^n (a chain of ring products) formed once for every gamma."""
+        return partial(self._power_kernel, self.sigma ** n)
+
+    def _power_kernel(self, power, gamma, _n) -> int:
+        x = power - gamma
+        norm = x.norm()
+        return norm // self.p ** self.norm_valuation(x, norm)
 
     @property
     def degree(self) -> int:
@@ -248,9 +271,9 @@ class LattesOrdinary(_RingMultiplier):
     def p(self):
         return self.prime_ctx.p
 
-    def valuation(self, x) -> int:
+    def norm_valuation(self, x, norm) -> int:
         """The p-power exponent of #ker x: v at the oriented split prime."""
-        return v_frak_p(x, self.prime_ctx)
+        return v_frak_p(x, self.prime_ctx, norm)
 
 
 @dataclass(frozen=True)
@@ -303,9 +326,9 @@ class LattesSupersingular(_RingMultiplier):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "gammas", gammas)
 
-    def valuation(self, x) -> int:
+    def norm_valuation(self, x, norm) -> int:
         """The p-power exponent of #ker x: v_p of the reduced norm."""
-        return v_p(x.norm(), self.p)
+        return v_p(norm, self.p)
 
 
 # -- the counting template -------------------------------------------------------------
@@ -338,7 +361,7 @@ def per_n_closed(m, n: int) -> int:
         # Inseparable iterates have squarefree fixed-point divisors, so the
         # count is always degree^n + 1.
         return map_degree(m) ** n + 1
-    return per_n_template(m.boundary(n), m.gammas, m.kernel, n)
+    return per_n_template(m.boundary(n), m.gammas, m.kernel_sizes(n), n)
 
 
 # -- realizations ------------------------------------------------------------------------

@@ -207,12 +207,14 @@ def prime_context(ring: QuadRing, p: int, precision: int = 32,
     return PrimeContext(ring, p, u, precision)
 
 
-def v_frak_p(x: QuadElem, ctx: PrimeContext) -> int:
+def v_frak_p(x: QuadElem, ctx: PrimeContext, norm=None) -> int:
     """Valuation at the oriented split prime: v_p(norm) minus the
-    conjugate valuation read off from the unit root."""
+    conjugate valuation read off from the unit root.  A caller that
+    already holds x.norm() passes it as norm."""
     if x.is_zero():
         raise ZeroInput("valuation of zero")
-    norm = x.norm()
+    if norm is None:
+        norm = x.norm()
     if norm == 0:
         raise ZeroInput("norm vanishes only at zero in an imaginary ring")
     nv = v_p_strict(norm, ctx.p)

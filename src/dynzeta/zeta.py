@@ -17,6 +17,7 @@ certificate that fails its own consistency checks gives the weaker outcome
 
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,11 @@ KERNEL_PREFIX = 256   # kernel prefix of the values, and of an ell <= 50
 MAX_ELL_DEPTH = 4
 CLASS_PREFIX = 64     # kernel prefix of the valuation classes
 MAX_P_DEPTH = 10
+EVIDENCE_CACHE_SIZE = 64  # residue sequences whose evidence is kept
+
+# (shape, ratio, a1, alpha, beta, p, ell) -> (values prefix, ell kernel,
+# p kernel, control, period scan), least recently used first
+_evidence_cache = OrderedDict()
 
 # -- series ------------------------------------------------------------------------
 
@@ -339,6 +345,17 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     scan's first window and the kernels that run.  None reads past four
     budgets: a base-p kernel of depth >= 2 fits one budget, the values run
     only at depth >= 3, and at depth 1 p < ell, whose kernel has passed.
+
+    The evidence (the first PERIOD_TERMS values, both kernel reports, the
+    control and the period scan) is kept per key (shape, ratio, a1,
+    alpha, beta, p, ell) in an LRU memo of EVIDENCE_CACHE_SIZE entries.
+    It is exact: the residue sequence and every plan size are functions
+    of those seven integers alone, so maps that share them share one
+    sequence, and the entry holds only immutable objects.  The plan and
+    the re-derivation are never cached: every certificate re-derives its
+    own counts, against the cached prefix on a hit (every re-derived n is
+    below 48), and on a miss before any kernel runs.  A one-shot CLI call
+    builds one certificate, so it sees no change.
     """
     ell_prefix, ell_depth = _ell_kernel_plan(ell)
     kernel_budget = 4 * KERNEL_BUDGET
@@ -348,12 +365,19 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     class_terms = p ** depth_cap * CLASS_PREFIX
     horizon = max(PERIOD_TERMS, ell ** ell_depth * ell_prefix, class_terms,
                   p ** p_depth_values * KERNEL_PREFIX if try_values else 0)
-    values = residue_sequence(shape, ratio, a1, alpha, beta, p, ell, horizon)
+    key = (shape, ratio, a1, alpha, beta, p, ell)
+    evidence = _evidence_cache.get(key)
+    values = (residue_sequence(*key, horizon) if evidence is None
+              else evidence[0])
     checked = 0
     for n, derived in rederived:
         if derived != values[n]:
             raise Mismatch(f"{family} certificate fails count re-derivation at n={n}")
         checked += 1
+    if evidence is not None:
+        _evidence_cache.move_to_end(key)
+        return Certificate(family, shape, m, ell, p, ratio, alpha, beta, a1,
+                           v0, *evidence, checked)
 
     ell_kernel = kernel_explore(values, ell, ell_depth, ell_prefix,
                                 budget=kernel_budget)
@@ -362,6 +386,23 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     # closes, else the saturated valuation classes the values factor through.
     p_kernel = (kernel_explore(values, p, p_depth_values, KERNEL_PREFIX,
                                budget=kernel_budget) if try_values else None)
+
+    # Periodicity scan with adaptive extension: a candidate period found
+    # on a short prefix is retried on a window long enough to refute it
+    # (the valuation spikes that kill false periods are p^k-sparse).
+    scan_len = PERIOD_TERMS
+    while True:
+        if scan_len > len(values):
+            values = residue_sequence(*key, scan_len)
+        period = eventual_period_detect(values[:scan_len])
+        if period is None or scan_len >= 400_000:
+            break
+        pre, per = period
+        scan_len = max(2 * scan_len, pre + 8 * per)
+    # Only the prefix is kept: the valuation classes are formed without
+    # the horizon-length values alive beside them.
+    values = tuple(values[:PERIOD_TERMS].tolist())
+
     if p_kernel is not None and p_kernel.closed:
         control = "values"
     else:
@@ -370,23 +411,12 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
         classes = valuation_classes(shape, alpha, beta, p, sat, class_terms)
         p_kernel = kernel_explore(classes, p, depth_cap, CLASS_PREFIX,
                                   budget=kernel_budget)
-
-    # Periodicity scan with adaptive extension: a candidate period found
-    # on a short prefix is retried on a window long enough to refute it
-    # (the valuation spikes that kill false periods are p^k-sparse).
-    scan_len = PERIOD_TERMS
-    while True:
-        if scan_len > len(values):
-            values = residue_sequence(shape, ratio, a1, alpha, beta, p, ell,
-                                      scan_len)
-        period = eventual_period_detect(values[:scan_len])
-        if period is None or scan_len >= 400_000:
-            break
-        pre, per = period
-        scan_len = max(2 * scan_len, pre + 8 * per)
+    evidence = (values, ell_kernel, p_kernel, control, period)
+    _evidence_cache[key] = evidence
+    if len(_evidence_cache) > EVIDENCE_CACHE_SIZE:
+        _evidence_cache.popitem(last=False)
     return Certificate(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
-                       tuple(values[:PERIOD_TERMS].tolist()),
-                       ell_kernel, p_kernel, control, period, checked)
+                       *evidence, checked)
 
 
 def _geometric_certificate(mapping):

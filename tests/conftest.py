@@ -1,6 +1,14 @@
 import pytest
 
+from dynzeta import zeta
 from dynzeta.field import field_make, ratfunc_field
+
+
+@pytest.fixture(autouse=True)
+def cold_evidence():
+    """Every test starts with no verdict evidence kept, so a test that
+    watches a certificate being built sees the cold path."""
+    zeta._evidence_cache.clear()
 
 
 @pytest.fixture(scope="session")
