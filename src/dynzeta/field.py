@@ -50,9 +50,10 @@ tables, Euler's criterion and Tonelli-Shanks elsewhere.
 A Poly over a finite field keeps its coefficients as a trimmed tuple of
 reps, lowest degree first, and boxes them only when ``coeffs`` is read.
 Over F_p, sums, products, division and gcds run in the int kernel
-``modpoly``; every other operation, and every operation over F_(p^k),
-is one loop through the field's rep arithmetic.  ``separable_radical``
-serves every finite field.
+``modpoly``, and scaling, negation, the derivative and the p-th root are
+int comprehensions with no field call per coefficient; every other
+operation, and every operation over F_(p^k), is one loop through the
+field's rep arithmetic.  Scaling by one returns the Poly itself.
 """
 
 import functools
@@ -837,8 +838,7 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        neg = self.ctx.neg
-        return Poly(self.ctx, tuple(neg(c) for c in self.reps))
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, FieldElem):
@@ -860,11 +860,15 @@ class Poly:
         return Poly.from_reps(ctx, out)
 
     def scale(self, elem):
-        c = self.ctx.elem(elem).rep
+        ctx, c = self.ctx, self.ctx.elem(elem).rep
+        if c == 1:
+            return self
         if not c:
-            return Poly.zero(self.ctx)
-        mul = self.ctx.mul
-        return Poly(self.ctx, tuple(mul(x, c) for x in self.reps))
+            return Poly.zero(ctx)
+        p, mul = ctx.p, ctx.mul
+        if ctx.is_prime_field:
+            return Poly(ctx, tuple(x * c % p for x in self.reps))
+        return Poly(ctx, tuple(mul(x, c) for x in self.reps))
 
     def __pow__(self, e):
         if e < 0:
@@ -905,9 +909,7 @@ class Poly:
         return self.divrem(other)[1]
 
     def monic(self):
-        if not self.reps or self.reps[-1] == 1:
-            return self
-        return self.scale(self.leading.inverse())
+        return self.scale(self.leading.inverse()) if self.reps else self
 
     def gcd(self, other):
         """Monic greatest common divisor."""
@@ -922,8 +924,10 @@ class Poly:
 
     def derivative(self):
         # the constant i has rep i mod p in every finite field
-        p, mul = self.ctx.p, self.ctx.mul
-        return Poly.from_reps(self.ctx, [mul(i % p, c) for i, c in enumerate(self.reps)][1:])
+        ctx, p, reps = self.ctx, self.ctx.p, self.reps
+        out = ([i * c % p for i, c in enumerate(reps)] if ctx.is_prime_field
+               else [ctx.mul(i % p, c) for i, c in enumerate(reps)])
+        return Poly.from_reps(ctx, out[1:])
 
     def eval(self, x):
         ctx = self.ctx
@@ -1029,45 +1033,41 @@ def ratfunc_field(p):
 def separable_radical(f: Poly) -> Poly:
     """Monic squarefree polynomial with the same closure roots as f.
 
-    The squarefree loop for finite fields (Geddes-Czapor-Labahn,
+    Squarefree levels over a finite field (Geddes-Czapor-Labahn,
     *Algorithms for Computer Algebra*, 1992, Alg. 8.3; von zur
-    Gathen-Gerhard, *Modern Computer Algebra*, ch. 14): c = gcd(f, f')
-    and w = f / c is the product of the irreducible factors whose
-    multiplicity p does not divide.  Replacing w by gcd(c, w) and dividing
-    c by it until w or c is constant strips those factors from c and
-    leaves c = g(x^p); the coefficientwise p-th roots of g give a
-    polynomial with the same roots, since finite fields are perfect, and
-    the loop goes on with it.  Each level costs one division of c by w;
-    gcd(c, w) = gcd(w, c mod w) is run only when that remainder is
-    nonzero, since otherwise it is w itself.  After j levels, w keeps only
-    the factors of multiplicity above j, so when few factors repeat,
-    gcd(f, f') and the first division are the only steps as large as f,
-    and a level where every factor of w still divides c runs no gcd.
+    Gathen-Gerhard, *Modern Computer Algebra*, ch. 14), one pass down and
+    one fold up.  Down: c_0 = f, c_(i+1) = gcd(c_i, c_i'), w_i = c_i /
+    c_(i+1); a level c_i = g(x^p) becomes the coefficientwise p-th root of
+    g, which has its roots since finite fields are perfect.  w_i holds
+    once each factor of c_i whose multiplicity p does not divide, and
+    c_(i+1) every other factor, so rad c_i = lcm(w_i, rad c_(i+1)).
+    Between p-th roots w_(i+1) divides w_i, so only the first level of f
+    and of each root keeps its w.  Up, from the deepest kept w:
+    rad <- rad * (w / gcd(w, rad)).  Both passes are loops: (x - 1)^1500
+    has 1500 levels, past Python's recursion limit, and perfbench's
+    tracer, which wraps this module attribute, would time a recursive
+    call once per level.
     """
     if f.is_zero():
         raise ZeroPolynomial("radical of zero polynomial")
     ctx = f.ctx
-    parts = []
-    f = f.monic()
-    while f.degree > 0:
-        fp = f.derivative()
-        if fp.is_zero():
-            root = ctx.order // ctx.p
-            f = Poly(ctx, tuple(ctx.pow(c, root) for c in f.reps[::ctx.p]))
+    kept, top, c = [], True, f.monic()
+    while c.degree > 0:
+        dc = c.derivative()
+        if dc.is_zero():
+            root, reps = ctx.order // ctx.p, c.reps[::ctx.p]  # root 1 over F_p
+            c = Poly(ctx, reps if root == 1 else tuple(ctx.pow(x, root) for x in reps))
+            top = True
             continue
-        c = f.gcd(fp)
-        w = f // c
-        parts.append(w)
-        while w.degree > 0 and c.degree > 0:
-            # gcd(c, w) = gcd(w, c mod w), and it is w itself when w | c
-            q, r = c.divrem(w)
-            if r.is_zero():
-                c = q
-            else:
-                w = w.gcd(r)
-                c = c // w
-        f = c
-    return functools.reduce(Poly.__mul__, parts) if parts else Poly.one(ctx)
+        g = c.gcd(dc)
+        if top:
+            kept.append(c // g if g.degree > 0 else c)
+        c, top = g, False
+    rad = kept.pop() if kept else Poly.one(ctx)
+    for w in reversed(kept):
+        g = w.gcd(rad)
+        rad = rad * (w // g if g.degree > 0 else w)
+    return rad
 
 
 def distinct_root_count(f: Poly) -> int:

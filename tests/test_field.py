@@ -72,6 +72,39 @@ class TestPolyArith:
             assert q * b + r == a and r.degree < b.degree
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2 ** 31 - 1, 1), (2 ** 61 - 1, 1), (3, 2)])
+def test_poly_steps_match_the_rep_loop(p, k):
+    # over F_p scale, negation and the derivative are int comprehensions;
+    # F_9 keeps the field's rep loop, which is the reference here
+    ctx = field_make(p, k)
+    rnd = random.Random(p)
+    f = Poly.from_reps(ctx, [rnd.randrange(ctx.order) for _ in range(40)]
+                       + [rnd.randrange(1, ctx.order)])
+    assert f.scale(ctx.zero()) == Poly.zero(ctx)
+    assert f.scale(ctx.one()) is f
+    unit = ctx.elem_at(rnd.randrange(1, ctx.order))
+    assert f.scale(unit).reps == tuple(ctx.mul(x, unit.rep) for x in f.reps)
+    assert (-f).reps == tuple(ctx.neg(x) for x in f.reps)
+    loop = [ctx.mul(i % p, c) for i, c in enumerate(f.reps)][1:]
+    assert f.derivative() == Poly.from_reps(ctx, loop)
+    assert all(type(c) is int for g in (f.scale(unit), -f, f.derivative()) for c in g.reps)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_prime_field_pth_root_is_every_pth_coefficient(p):
+    # c^(q/p) = c when q = p, so the root of h^p = h(x^p) is its reps[::p].
+    # A polynomial with zero derivative has degree at least p, past the
+    # degree cap at the large primes, which never reach this step.
+    ctx = field_make(p)
+    rnd = random.Random(p)
+    h = Poly.from_ints(ctx, [rnd.randrange(p) for _ in range(30)] + [1])
+    f = h ** p
+    assert f.derivative().is_zero()
+    loop = tuple(ctx.pow(c, ctx.order // p) for c in f.reps[::p])
+    assert loop == f.reps[::p] == h.reps
+    assert separable_radical(f) == separable_radical(h)
+
+
 class TestSeparableRadical:
     def test_cube_collapses(self, F3):
         f = Poly.from_ints(F3, [-1, 1])

@@ -272,17 +272,25 @@ def _irreducibles(p, k):
     return out
 
 
+def _exponents(p):
+    # up to 2p + 1 takes both p | e and p not dividing e; j*p + 1 (1 mod p)
+    # reaches a p-th root after one level, up to p^2 + p + 1, and p^2 + p
+    # and 2p^2 lie above p^2
+    return (st.integers(1, 2 * p + 1)
+            | st.sampled_from([j * p + 1 for j in range(1, p + 2)] + [p * p + p, 2 * p * p]))
+
+
 @st.composite
 def _factored(draw):
     # f = c * prod g_i^e_i, each g_i a product of distinct irreducibles, so
-    # the g_i are squarefree and pairwise coprime.  Exponents up to 2p + 1
-    # take both p | e and p not dividing e.
+    # the g_i are squarefree and pairwise coprime; F_9 is the one field
+    # where the p-th root is not the identity on coefficients.
     p, k = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (3, 2)]))
     irr = _irreducibles(p, k)
     chosen = draw(st.lists(st.integers(0, len(irr) - 1), min_size=1, max_size=6, unique=True))
     cuts = sorted(draw(st.sets(st.integers(1, len(chosen) - 1), max_size=3))) if len(chosen) > 1 else []
     groups = [chosen[i:j] for i, j in zip([0] + cuts, cuts + [len(chosen)])]
-    exps = [draw(st.integers(1, 2 * p + 1)) for _ in groups]
+    exps = [draw(_exponents(p)) for _ in groups]
     ctx = irr[0].ctx
     f = Poly.one(ctx).scale(ctx.elem_at(draw(st.integers(1, ctx.order - 1))))
     for group, e in zip(groups, exps):
@@ -320,3 +328,50 @@ def test_separable_radical_two_large_gcds(monkeypatch, k):
     x_plus_1 = Poly.from_ints(F3, [1, 1])
     assert separable_radical(x_plus_1 ** k * s) == x_plus_1 * s
     assert len(large) <= 2, large
+
+
+def _count_remainder_calls(monkeypatch, longer_than=0):
+    """Counts, by name, the modpoly.divrem and modpoly.gcd calls that have an
+    operand of more than `longer_than` coefficients."""
+    calls = {"divrem": 0, "gcd": 0}
+    for name in calls:
+        def counted(a, b, p, name=name, real=getattr(modpoly, name)):
+            if max(len(a), len(b)) > longer_than:
+                calls[name] += 1
+            return real(a, b, p)
+        monkeypatch.setattr(modpoly, name, counted)
+    return calls
+
+
+def test_separable_radical_large_steps_do_not_grow_with_multiplicity(monkeypatch):
+    # f = (x+1)^k * s^3 at p = 3 with s squarefree of degree 150: the levels
+    # below the first p-th root are (x+1)^j times at most s, so the steps
+    # with an operand above degree 100 are the same few for every k, where
+    # a loop that strips x+1 once per multiplicity makes k + 3 divisions.
+    F3 = field_make(3)
+    rnd = random.Random(150)
+    while True:
+        s = Poly.from_ints(F3, [rnd.randrange(3) for _ in range(150)] + [1])
+        if s.gcd(s.derivative()).degree == 0 and not s.eval(F3.from_int(2)).is_zero():
+            break
+    large = _count_remainder_calls(monkeypatch, longer_than=101)
+    x_plus_1 = Poly.from_ints(F3, [1, 1])
+    counts = []
+    for k in (4, 10, 28, 82):
+        large.update(divrem=0, gcd=0)
+        assert separable_radical(x_plus_1 ** k * s ** 3) == x_plus_1 * s
+        counts.append((large["divrem"], large["gcd"]))
+    assert all(d <= 3 and g <= 4 for d, g in counts), counts
+    assert counts[-1] == counts[1], counts
+
+
+def test_separable_radical_of_a_deep_power_needs_no_recursion(monkeypatch):
+    # (x - 1)^1500 over F_10007 has 1500 squarefree levels and no p-th
+    # root: one gcd per level on the way down, and only the first level's
+    # w = c_0 / c_1 is kept, so one division and no gcd on the way up
+    F = field_make(10007)
+    x_minus_1 = Poly.from_ints(F, [-1, 1])
+    f = x_minus_1 ** 1500
+    calls = _count_remainder_calls(monkeypatch)
+    assert separable_radical(f) == x_minus_1
+    assert calls == {"divrem": 1, "gcd": 1500}
