@@ -18,7 +18,7 @@ from .errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                      SingularRoot, SpecError)
 from .intarith import (check_prime, multiplicative_order, tower_bound, v_p,
                        v_p_progression)
-from .limits import AUTOMATA_KERNEL_BUDGET
+from .limits import AUTOMATA_KERNEL_BUDGET, CHRISTOL_TERMS_CAP
 
 # -- automata ------------------------------------------------------------------
 
@@ -260,9 +260,22 @@ def _series_mul(a, b, p, n):
     if len(a) > len(b):
         a, b = b, a
     if len(a) > 1:
-        return modpoly.mul(a, b, p)[:n]
-    c = a[0] if a else 0
-    return [c * x % p for x in b] if c else []
+        return modpoly.mul_array(a, b, p)[:n]
+    if not len(a) or not a[0]:
+        return b[:0]
+    return b if a[0] == 1 else a[0] * b % p
+
+
+def _series_add(a, b, p):
+    """a + b, trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not len(b):
+        return modpoly.trim_array(a)
+    out = a.copy()
+    out[:len(b)] += b
+    out[:len(b)] %= p
+    return modpoly.trim_array(out)
 
 
 def _series_inv(a, p, n, start=None, valid=0):
@@ -270,11 +283,11 @@ def _series_inv(a, p, n, start=None, valid=0):
 
     start, when given, is an inverse of a mod t^valid (valid >= 1), and
     the doubling resumes from it."""
-    if not a or a[0] == 0:
+    if not len(a) or not a[0]:
         raise SpecError("series inversion needs a unit constant term")
-    a = modpoly.trim(a[:n])
+    a = modpoly.trim_array(a[:n])
     if start is None:
-        inv, prec = [pow(a[0], p - 2, p)], 1
+        inv, prec = np.array([pow(int(a[0]), p - 2, p)], a.dtype), 1
     else:
         prec = min(valid, n)
         inv = start[:prec]
@@ -284,34 +297,50 @@ def _series_inv(a, p, n, start=None, valid=0):
         # a*inv = 1 + t^half*e mod t^prec, so inv*(1 - t^half*e) is the
         # inverse mod t^prec; inv has at most half terms
         e = _series_mul(a, inv, p, prec)[half:]
-        inv = (inv + [0] * (half - len(inv))
-               + modpoly.neg(_series_mul(inv, e, p, prec - half), p))
+        inv = np.concatenate((inv, np.zeros(half - len(inv), a.dtype),
+                              -_series_mul(inv, e, p, prec - half) % p))
     return inv
 
 
 def _series_val(a, default=None):
-    return next((i for i, c in enumerate(a) if c), default)
+    nonzero = np.flatnonzero(a)
+    return int(nonzero[0]) if len(nonzero) else default
 
 
 def frobenius_horner(coeffs, y, p, n):
     """P(t, y) mod t^n over F_p, coeffs listing P's y-coefficients
-    (ascending, each an ascending list of residues in t).
+    (ascending, each an array of residues in t, ascending), y an array of
+    residues of the same dtype.  Returns a trimmed array of that dtype.
+
+    Every series is a numpy array of the dtype of modpoly.residues(., p):
+    int64 while (p-1)^2 + p < 2^62 and object arrays of Python ints above
+    that, so each sum, scalar pass and strided copy is one array
+    operation, and each product one modpoly.mul_array.
 
     Over F_p, y(t)^p = y(t^p), so P = sum_q B_q(y) * Y^q with Y = y(t^p),
     one strided copy of y, and B_q = sum_{r < p} coeffs[q*p + r] * y^r.
     Horner runs over each B_q in y and over the B_q in Y, so an equation
     of y-degree below 2p multiplies y and Y only by its coefficients.
+    Empty coefficients and empty partial sums take no array operation.
     """
     y = y[:n]
     m = min(len(y), -(-n // p))
-    frob = [0] * (p * m - p + 1) if m else []
-    frob[::p] = y[:m]
-    acc = []
+    if m > 1:
+        frob = np.zeros(p * m - p + 1, y.dtype)
+        frob[::p] = y[:m]
+    else:
+        frob = y[:m]
+    acc = y[:0]
     for q in range((len(coeffs) - 1) // p * p, -1, -p):
-        inner = []
+        inner = y[:0]
         for coeff in reversed(coeffs[q:q + p]):
-            inner = modpoly.add(_series_mul(inner, y, p, n), coeff[:n], p)
-        acc = modpoly.add(_series_mul(acc, frob, p, n), inner, p)
+            if len(inner):
+                inner = _series_mul(inner, y, p, n)
+            if len(coeff):
+                inner = _series_add(inner, coeff[:n], p)
+        if len(acc):
+            acc = _series_mul(acc, frob, p, n)
+        acc = _series_add(acc, inner, p)
     return acc
 
 
@@ -322,7 +351,9 @@ def christol_series(poly_y, p: int, prefix, length: int):
     (ascending).  The prefix must satisfy P(t, y0) = 0 mod t^len(prefix),
     and the t-valuations s of P(y0) and v of the y-derivative P'(y0) must
     pass the Hensel gate s > 2v.  The root r with val(r - y0) > v is then
-    unique, and Newton iteration converges to it.
+    unique, and Newton iteration converges to it.  A length past
+    CHRISTOL_TERMS_CAP is refused (ScaleExceeded) before any series is
+    formed.  The result is a list of Python ints.
 
     Each step works only at the precision it gains.  At y with
     val P(y) >= s it evaluates P(y) mod t^n, n = min(2s - 2v, length + v),
@@ -339,21 +370,32 @@ def christol_series(poly_y, p: int, prefix, length: int):
     y's last correction leaves right to half the precision needed; one
     product gives the correction.  So the steps cost O(deg_y * M(length))
     in general, M(n) being the cost of one length-n product, and
-    O(length) scalar passes for y^p - y - t^c.
+    O(length) scalar passes for y^p - y - t^c.  Every series, from the
+    coefficients of P to the Newton update, is a numpy array of residues
+    of modpoly.residues' dtype (int64 while (p-1)^2 + p < 2^62, object
+    arrays of Python ints above that), so no step loops over
+    coefficients in Python.
     The result is re-substituted into P and checked to vanish mod
     t^length before returning.
     """
     check_prime(p)
     if length < 0:
         raise SpecError("series length must not be negative")
-    poly_y = [[c % p for c in coeff] for coeff in poly_y]
+    if length > CHRISTOL_TERMS_CAP:
+        raise ScaleExceeded(f"series length {length} over the cap "
+                            f"{CHRISTOL_TERMS_CAP}")
+    poly_y = [modpoly.trim_array(modpoly.residues(coeff, p))
+              for coeff in poly_y]
     if len(poly_y) < 2:
         raise SpecError("equation must involve y")
     work = length + 8
-    d_poly_y = [modpoly.trim([c * j % p for c in coeff])
+    d_poly_y = [modpoly.trim_array(coeff * (j % p) % p)
                 for j, coeff in enumerate(poly_y)][1:]
+    # P' drops the y^j terms with p | j: y^p - y - t^c has P' = -1
+    while d_poly_y and not len(d_poly_y[-1]):
+        d_poly_y.pop()
 
-    y = [c % p for c in prefix]
+    y = modpoly.residues(prefix, p)
     deriv = frobenius_horner(d_poly_y, y, p, work)
     v = _series_val(deriv)
     # P(y0) vanishing to the whole probe reads as s = probe; the probe
@@ -371,7 +413,7 @@ def christol_series(poly_y, p: int, prefix, length: int):
     while s < length + v:
         n = min(2 * s - 2 * v, length + v)
         value = frobenius_horner(poly_y, y, p, n)
-        if any(value[:s]):
+        if _series_val(value[:s]) is not None:
             raise SingularRoot("Newton iteration failed to converge")
         deriv = frobenius_horner(d_poly_y, y, p, n - s + v)
         if _series_val(deriv) != v:
@@ -382,17 +424,19 @@ def christol_series(poly_y, p: int, prefix, length: int):
         inv_valid = n - s
         # y - t^(s - v) * P(y)/P'(y), kept to n - v terms: the correction
         # starts past y's end except when a long prefix overlaps it
-        step = _series_mul(value[s:], modpoly.neg(inv, p), p, n - s)
+        step = _series_mul(value[s:], -inv % p, p, n - s)
         cut = s - v
-        y = y[:cut] + [0] * (cut - len(y)) + modpoly.add(y[cut:n - v], step, p)
+        y = np.concatenate((y[:cut], np.zeros(cut - len(y[:cut]), y.dtype),
+                            _series_add(y[cut:n - v], step, p)))
         s = n
         steps += 1
         if steps > length.bit_length() + 8:
             raise SingularRoot("Newton iteration failed to converge")
-    out = (y + [0] * length)[:length]
-    if any(frobenius_horner(poly_y, out, p, length)):
+    out = np.zeros(length, y.dtype)
+    out[:len(y[:length])] = y[:length]
+    if _series_val(frobenius_horner(poly_y, out, p, length)) is not None:
         raise NotARoot("resulting series fails re-substitution (internal)")
-    return out
+    return out.tolist()
 
 
 # -- the two canonical non-automatic witness families ----------------------------------------

@@ -485,7 +485,10 @@ def _cmd_automata(params):
         poly_y = _poly_to_y_coeffs(table, p)
         prefix = params.get("prefix", [0, 1])
         coeffs = christol_series(poly_y, p, prefix, params.get("terms", 64))
-        yield {"record": "coefficients", "values": coeffs}
+        # a root repeats a few residues: each distinct one is formatted once
+        decimal = {c: str(c) for c in set(coeffs)}
+        yield {"record": "coefficients",
+               "values": _Decimals(map(decimal.__getitem__, coeffs))}
         return
     if kind in ("vp-geometric", "vp-tower"):
         if kind == "vp-geometric":
@@ -524,8 +527,14 @@ _COMMANDS = {
 # -- output encoding ------------------------------------------------------------------
 
 
+class _Decimals(list):
+    """A list of numbers already written as exact decimal strings."""
+
+
 def _stringify(value):
     """Numbers become exact decimal strings; containers recurse."""
+    if isinstance(value, _Decimals):
+        return value
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):

@@ -15,6 +15,7 @@ TWISTED_POWER_COEFF_CAP  a truncated twisted power with more coefficients
 RF_GCD_DEGREE_CAP        an F_p(u) fraction reduced by a gcd of higher degree
 TORSION_INDEX_CAP        a Lattes oracle index m^n + 1, or torsion index
                          (exit 2), past it
+CHRISTOL_TERMS_CAP       a Christol root with more terms
 """
 
 POLY_DEGREE_CAP = 10_000
@@ -28,3 +29,4 @@ AUTOMATA_KERNEL_BUDGET = 10_000_000
 TWISTED_POWER_COEFF_CAP = 32_768
 RF_GCD_DEGREE_CAP = 4096
 TORSION_INDEX_CAP = 50
+CHRISTOL_TERMS_CAP = 524_288

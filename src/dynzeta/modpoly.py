@@ -1,13 +1,16 @@
-"""Dense univariate polynomial arithmetic over Z/p on plain int lists.
+"""Dense univariate polynomial arithmetic over Z/p on plain int lists, and
+its one product on numpy arrays of residues.
 
 Coefficient lists are ascending (index i holds the x^i coefficient) and
 trimmed: the last entry is nonzero, [] is the zero polynomial.  Values are
 Python ints in [0, p).  Every product, whatever the lengths and p, is one
 Kronecker substitution (von zur Gathen-Gerhard, *Modern Computer Algebra*,
 section 8.4): both factors are packed into Python ints and CPython's
-big-int product does the work.  Products of zero-padded series end in
-long runs of zeros, so ``mul`` trims a product that ends in zero in
-numpy, before it becomes a list.
+big-int product does the work.  ``mul_array`` is that product on numpy
+arrays of residues, arrays in and arrays out, for callers that keep
+their series as arrays; ``mul`` wraps it for lists.  Products of
+zero-padded series end in long runs of zeros, so the product is trimmed
+in numpy, before it becomes a list.
 
 ``divrem`` and ``gcd`` share one remainder kernel with lazy reduction.
 Its arrays hold integers congruent mod p to the coefficients but not
@@ -24,8 +27,8 @@ once, before a division whose worst case would reach the limit, so a
 chain at small p pays one O(n) reduction per few dozen divisions instead
 of one per quotient step.  The arrays are int64 while (p-1)^2 + p is below 2^62,
 and object arrays of Python ints above that, with the limit p^2 * 2^32.
-Callers always get reduced lists of Python ints back, so big-integer
-arithmetic downstream never sees numpy scalars.
+The list functions always return reduced lists of Python ints, so
+big-integer arithmetic downstream never sees numpy scalars.
 """
 
 import numpy as np
@@ -74,31 +77,56 @@ def neg(a: list, p: int) -> list:
 
 
 def mul(a: list, b: list, p: int) -> list:
-    """One w-byte little-endian slot per coefficient; w holds the largest
-    coefficient of the integer product, min(len(a), len(b))*(p-1)^2."""
     if not a or not b:
         return []
+    # uint64, the dtype of a Kronecker slot, holds every residue below 2^64
+    dtype = "<u8" if p <= 1 << 64 else object
+    return mul_array(np.array(a, dtype), np.array(b, dtype), p).tolist()
+
+
+def mul_array(a, b, p: int):
+    """The product of two arrays of residues of one dtype (int64, uint64
+    or object), as a trimmed array of that dtype.  One w-byte
+    little-endian slot per coefficient; w holds the largest coefficient
+    of the integer product, min(len(a), len(b))*(p-1)^2."""
+    if not len(a) or not len(b):
+        return a[:0]
     n = len(a) + len(b) - 1
     w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
     data = (_pack(a, w) * _pack(b, w)).to_bytes(n * w, "little")
     if w <= 8:
         slots = np.zeros((n, 8), dtype=np.uint8)
         slots[:, :w] = np.frombuffer(data, dtype=np.uint8).reshape(n, w)
-        out = slots.view("<u8").ravel() % p
-        # p is prime, so only factors with zero tails leave a zero tail
-        if not out[-1]:
-            nonzero = np.flatnonzero(out)
-            out = out[:nonzero[-1] + 1] if nonzero.size else out[:0]
-        return out.tolist()
-    return trim([int.from_bytes(data[i:i + w], "little") % p
-                 for i in range(0, n * w, w)])
+        out = (slots.view("<u8").ravel() % p).astype(a.dtype, copy=False)
+    else:
+        out = np.array([int.from_bytes(data[i:i + w], "little") % p
+                        for i in range(0, n * w, w)], a.dtype)
+    # p is prime, so only factors with zero tails leave a zero tail
+    return trim_array(out)
 
 
-def _pack(a: list, w: int) -> int:
+def trim_array(a):
+    """Array a without its trailing zeros."""
+    if not len(a) or a[-1]:
+        return a
+    nonzero = np.flatnonzero(a)
+    return a[:nonzero[-1] + 1] if len(nonzero) else a[:0]
+
+
+def residues(a, p: int):
+    """The ints of a reduced mod p, as an array of the dtype of
+    ``_dtype(p)``: int64 while (p-1)^2 + p < 2^62, so that a product of
+    two residues plus a residue fits, else an object array of Python
+    ints."""
+    return np.array([c % p for c in a], _dtype(p)[0])
+
+
+def _pack(a, w: int) -> int:
     if w <= 8:
-        data = np.array(a, dtype="<u8").view(np.uint8).reshape(-1, 8)[:, :w]
+        data = a.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :w]
         return int.from_bytes(data.tobytes(), "little")
-    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a.tolist()),
+                          "little")
 
 
 def _dtype(p: int):

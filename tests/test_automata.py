@@ -142,9 +142,10 @@ def test_warm_series_inverse_equals_a_cold_one(p, n, valid, data):
                   .filter(lambda a: a[0]))
     b = data.draw(st.lists(st.integers(0, p - 1), max_size=n))
     b = a[:valid] + [0] * (valid - len(a)) + b
-    start = automata._series_inv(b, p, valid)
-    warm = automata._series_inv(a, p, n, start, valid)
-    cold = automata._series_inv(a, p, n)
+    start = automata._series_inv(modpoly.residues(b, p), p, valid)
+    warm = automata._series_inv(modpoly.residues(a, p), p, n, start,
+                                valid).tolist()
+    cold = automata._series_inv(modpoly.residues(a, p), p, n).tolist()
     assert modpoly.trim(warm) == modpoly.trim(cold)
     assert modpoly.trim(cold) == modpoly.trim(_ref_series_inv(a, p, n))
 
@@ -229,12 +230,12 @@ def _eval_mod(poly_y, y, p, n):
 
 
 @st.composite
-def _christol_case(draw):
-    """A random equation of y-degree 1-4 over F_p, p in {2, 3, 5, 7}, with
+def _christol_case(draw, primes=(2, 3, 5, 7)):
+    """A random equation of y-degree 1-4 over F_p, p in primes, with
     a 1-5 term prefix; half the draws shift P's constant term so that the
     prefix is a root to its length, and half give P's y-coefficient a
     t-power factor, so that the derivative can have positive valuation."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
+    p = draw(st.sampled_from(primes))
     rnd = draw(st.randoms(use_true_random=False))
     poly_y = [[rnd.randrange(p) for _ in range(rnd.randint(0, 5))]
               for _ in range(rnd.randint(1, 4) + 1)]
@@ -297,13 +298,14 @@ def test_christol_shortest_lengths(length):
 
 
 @st.composite
-def _frobenius_case(draw):
-    """P of y-degree up to 2p + 1 over F_p whose t-coefficient lists may be
-    empty, and a y that may hold fewer than ceil(n/p) terms."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
+def _frobenius_case(draw, primes=(2, 3, 5, 7)):
+    """P of y-degree up to min(2p, 15) + 1 over F_p, p in primes, whose
+    t-coefficient lists may be empty, and a y that may hold fewer than
+    ceil(n/p) terms."""
+    p = draw(st.sampled_from(primes))
     rnd = draw(st.randoms(use_true_random=False))
     coeffs = [[rnd.randrange(p) for _ in range(rnd.choice((0, 0, 1, 3, 9)))]
-              for _ in range(rnd.randint(0, 2 * p + 2))]
+              for _ in range(rnd.randint(0, min(2 * p + 2, 16)))]
     n = draw(st.integers(0, 80))
     y = [rnd.randrange(p) for _ in range(rnd.randint(0, n + 3))]
     return coeffs, y, p, n
@@ -313,9 +315,146 @@ def _frobenius_case(draw):
 @given(_frobenius_case())
 def test_frobenius_horner_matches_plain_horner(case):
     coeffs, y, p, n = case
-    out = frobenius_horner(coeffs, y, p, n)
+    out = frobenius_horner([modpoly.residues(c, p) for c in coeffs],
+                           modpoly.residues(y, p), p, n).tolist()
     assert len(out) <= n
     assert out + [0] * (n - len(out)) == _eval_mod(coeffs, y, p, n)
+
+
+# -- the array helpers against the list code they replaced ---------------------------
+#
+# christol_series keeps every series as a numpy array; these are the list
+# helpers it used before, kept as references.
+
+def _list_series_mul(a, b, p, n):
+    a, b = a[:n], b[:n]
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) > 1:
+        return modpoly.mul(a, b, p)[:n]
+    c = a[0] if a else 0
+    return [c * x % p for x in b] if c else []
+
+
+def _list_series_inv(a, p, n, start=None, valid=0):
+    if not a or a[0] == 0:
+        raise SpecError("series inversion needs a unit constant term")
+    a = modpoly.trim(a[:n])
+    if start is None:
+        inv, prec = [pow(a[0], p - 2, p)], 1
+    else:
+        prec = min(valid, n)
+        inv = start[:prec]
+    while prec < n and len(a) > 1:
+        half, prec = prec, min(2 * prec, n)
+        e = _list_series_mul(a, inv, p, prec)[half:]
+        inv = (inv + [0] * (half - len(inv))
+               + modpoly.neg(_list_series_mul(inv, e, p, prec - half), p))
+    return inv
+
+
+def _list_frobenius_horner(coeffs, y, p, n):
+    y = y[:n]
+    m = min(len(y), -(-n // p))
+    frob = [0] * (p * m - p + 1) if m else []
+    frob[::p] = y[:m]
+    acc = []
+    for q in range((len(coeffs) - 1) // p * p, -1, -p):
+        inner = []
+        for coeff in reversed(coeffs[q:q + p]):
+            inner = modpoly.add(_list_series_mul(inner, y, p, n), coeff[:n], p)
+        acc = modpoly.add(_list_series_mul(acc, frob, p, n), inner, p)
+    return acc
+
+
+LARGE_PRIMES = (2 ** 31 - 1,        # the last prime on int64 arrays
+                2 ** 31 + 11,       # the next prime: object arrays
+                2 ** 61 - 1)
+
+
+@st.composite
+def _helper_case(draw):
+    """Operands for the series helpers: random, all p - 1, with a tail of
+    zeros or empty; P of up to 16 such y-coefficients; a y that may hold
+    fewer than ceil(n/p) terms; and a start valid mod t^valid for a warm
+    inverse."""
+    p = draw(st.sampled_from((2, 3, 5, 7) + LARGE_PRIMES))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def operand(size):
+        kind = rnd.choice(("random", "top", "zero-tail", "empty"))
+        if kind == "empty":
+            return []
+        if kind == "top":
+            return [p - 1] * rnd.randint(1, size)
+        out = [rnd.randrange(p) for _ in range(rnd.randint(1, size))]
+        return out + [0] * rnd.randint(1, 9) if kind == "zero-tail" else out
+    n = draw(st.integers(0, 90))
+    a, b = operand(100), operand(100)
+    coeffs = [operand(12) for _ in range(rnd.randint(0, min(2 * p + 2, 16)))]
+    y = operand(rnd.choice((3, n // p + 1, n + 3)))
+    valid = draw(st.integers(1, 60))
+    return p, n, a, b, coeffs, y, valid
+
+
+def _same_series(array, listed):
+    out = array.tolist()
+    assert all(type(v) is int for v in out)
+    assert modpoly.trim(out) == modpoly.trim(listed)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_helper_case())
+def test_array_helpers_match_the_list_helpers(case):
+    p, n, a, b, coeffs, y, valid = case
+
+    def res(c):
+        return modpoly.residues(c, p)
+    _same_series(automata._series_mul(res(a), res(b), p, n),
+                 _list_series_mul(a, b, p, n))
+    _same_series(automata.frobenius_horner([res(c) for c in coeffs], res(y),
+                                           p, n),
+                 _list_frobenius_horner(coeffs, y, p, n))
+    unit = [1 + (a[0] if a else 0) % (p - 1)] + a[1:]
+    n = max(n, 1)       # christol_series inverts mod t^(n - s), n > s
+    _same_series(automata._series_inv(res(unit), p, n),
+                 _list_series_inv(unit, p, n))
+    # a warm start: an inverse mod t^valid of a series that agrees with
+    # unit mod t^valid
+    near = unit[:valid] + [0] * (valid - len(unit)) + b
+    start = automata._series_inv(res(near), p, valid)
+    list_start = _list_series_inv(near, p, valid)
+    _same_series(start, list_start)
+    _same_series(automata._series_inv(res(unit), p, n, start, valid),
+                 _list_series_inv(unit, p, n, list_start, valid))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_frobenius_case(LARGE_PRIMES))
+def test_frobenius_horner_at_large_primes(case):
+    coeffs, y, p, n = case
+    out = frobenius_horner([modpoly.residues(c, p) for c in coeffs],
+                           modpoly.residues(y, p), p, n).tolist()
+    assert all(type(v) is int for v in out)
+    assert out + [0] * (n - len(out)) == _eval_mod(coeffs, y, p, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_christol_case(LARGE_PRIMES))
+def test_christol_at_large_primes(case):
+    out = _outcome(christol_series, *case)
+    assert out == _outcome(_ref_christol, *case)
+    if isinstance(out, list):
+        assert all(type(v) is int for v in out)
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_christol_quadratic_at_large_primes(p):
+    # y^2 + y + t from y0 = 0: P'(0) = 1, and the root is dense
+    out = christol_series([[0, 1], [1], [1]], p, [0], 200)
+    assert all(type(v) is int for v in out)
+    assert out == _ref_christol([[0, 1], [1], [1]], p, [0], 200)
+    assert not any(_eval_mod([[0, 1], [1], [1]], out, p, 200))
 
 
 @pytest.mark.parametrize("length", [0, 5, 40, 300])

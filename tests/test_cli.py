@@ -12,8 +12,10 @@ import pytest
 
 import dynzeta
 import dynzeta.cli
+from dynzeta.automata import christol_series
 from dynzeta.cli import (JobSpec, compile_spec, main, make_parser,
                          parse_poly_string, run_job)
+from dynzeta.limits import CHRISTOL_TERMS_CAP
 
 
 def run_cli(argv):
@@ -105,6 +107,44 @@ class TestCommands:
         record = [json.loads(l) for l in text.splitlines()][-1]
         assert record["values"][:5] == ["0", "1", "1", "0", "1"]
 
+    @pytest.mark.parametrize("argv", [
+        "--p 2 --poly y^2+y+t --prefix 0 --terms 300",
+        "--p 7 --poly y^7+6*y+6*t --prefix 0 --terms 300",
+        "--p 2 --poly t+y+t^2*y+y^2+t*y^2+t^2*y^2+t^3*y^2 --prefix 0,1 "
+        "--terms 300",
+        # object arrays of Python ints
+        "--p 2305843009213693951 --poly y^2+y+t --prefix 0 --terms 300",
+        "--p 5 --poly y^2+y+t --prefix 0 --terms 0",
+    ])
+    def test_christol_record_writes_every_coefficient(self, argv):
+        # the record renders each distinct residue once; the line is the
+        # one a str() per coefficient gives, in JSON and in table mode
+        argv = ["automata", "--kind", "christol"] + argv.split()
+        params = compile_spec(make_parser().parse_args(argv)).params
+        poly_y = dynzeta.cli._poly_to_y_coeffs(
+            parse_poly_string(params["poly"], ["t", "y"]), params["p"])
+        coeffs = christol_series(poly_y, params["p"], params["prefix"],
+                                 params["terms"])
+        code, text = run_cli(argv)
+        assert code == 0
+        assert text.splitlines()[-1] == json.dumps(
+            {"record": "coefficients", "values": [str(c) for c in coeffs]},
+            separators=(",", ":"))
+        code, table = run_cli(argv + ["--table"])
+        assert code == 0
+        assert table.splitlines()[-1] == (
+            f"{'coefficients':12s} values=[" + ",".join(map(str, coeffs)) + "]")
+
+    def test_christol_at_a_large_prime_pinned(self):
+        # the object-array path; the digest is the stdout of the series
+        # evaluated on lists of Python ints
+        code, text = run_cli(["automata", "--kind", "christol", "--p",
+                              "2305843009213693951", "--poly", "y^2+y+t",
+                              "--prefix", "0", "--terms", "4096"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2685079173e88d0f51e325b2e3c7f7666912aea6fd6e59715b5c8fb421eda6d0")
+
     def test_vp_kernel_command(self):
         code, text = run_cli(["automata", "--kind", "vp-geometric", "--a", "2",
                               "--p", "3", "--ell", "5", "--alpha", "1",
@@ -175,6 +215,21 @@ class TestExitCodes:
         assert records[-1]["record"] == "summary"
         assert records[-1]["mismatches"] == "3"
         assert "internal consistency failure" in capsys.readouterr().err
+
+    def test_christol_length_cap(self, capsys):
+        # a root of CHRISTOL_TERMS_CAP terms is written; a longer one is
+        # refused before any series is formed
+        argv = ["automata", "--kind", "christol", "--poly", "y^2+y+t",
+                "--p", "2", "--prefix", "0", "--terms"]
+        code, text = run_cli(argv + [str(CHRISTOL_TERMS_CAP)])
+        assert code == 0
+        values = json.loads(text.splitlines()[-1])["values"]
+        assert len(values) == CHRISTOL_TERMS_CAP
+        for terms in (CHRISTOL_TERMS_CAP + 1, 10 ** 9):
+            start = time.perf_counter()
+            assert run_cli(argv + [str(terms)]) == (3, "")
+            assert time.perf_counter() - start < 1.0
+            assert "over the cap" in capsys.readouterr().err
 
     def test_identity_iterate_rejected(self):
         code, _ = run_cli(["oracle", "--num", "1", "--den", "0,1", "--p", "3",
