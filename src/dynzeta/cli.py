@@ -34,7 +34,8 @@ from .automata import (christol_series, eventual_period_detect,
                        vp_tower_sequence)
 from .orders import B3_ORDER, HURWITZ, QuadRing, QuatElem, prime_context
 from .twisted import TwistedPoly
-from .zeta import rationality_guess, verdict, zeta_from_counts
+from .zeta import (rationality_guess, series_of_rational, verdict,
+                   zeta_from_counts)
 
 SCHEMA = "dynzeta/1"
 
@@ -415,11 +416,16 @@ def _cmd_zeta(params):
     fam = build_family(params)
     terms = params.get("terms", 30)
     counts = [per_n_closed(fam, n) for n in range(1, terms + 1)]
-    series = zeta_from_counts(counts)
-    yield {"record": "zeta", "provenance": series.provenance,
-           "coefficients": list(series.coeffs)}
-    guess = rationality_guess(counts, params.get("max_order", 8), series)
+    guess = rationality_guess(counts, params.get("max_order", 8))
     closed = guess is not None and guess.numerator is not None
+    # A certified closed form equals exp(sum counts_n t^n / n) through
+    # t^terms, so its expansion is the prefix; only counts with none
+    # pay for the quadratic exponential formula.
+    coeffs = (series_of_rational(guess.numerator, guess.denominator,
+                                 terms + 1) if closed
+              else list(zeta_from_counts(counts).coeffs))
+    yield {"record": "zeta", "provenance": "exp-formula",
+           "coefficients": coeffs}
     yield {"record": "rationality", "found": guess is not None,
            "order": guess.order if guess else None,
            "numerator": list(guess.numerator) if closed else None,

@@ -1,12 +1,17 @@
 """Zeta-series coefficients, rationality detection, and the verdict engine.
 
-The generating function exp(sum #Per_n t^n / n) of a count sequence is
-expanded by the exact recurrence j*c_j = sum counts_i * c_{j-i}; every
-coefficient must come out an integer, and that integrality is asserted,
-never assumed.  Rationality at desk scale is tested by one fraction-free
+A prefix of the generating function exp(sum #Per_n t^n / n) of a count
+sequence has two routes.  When the counts have a closed form num/den, it
+is the expansion of num/den, at O(T (deg num + deg den)) cost; otherwise
+it is expanded by the exact recurrence j*c_j = sum counts_i * c_{j-i},
+whose every coefficient must come out an integer (asserted, never
+assumed).  Rationality at desk scale is tested by one fraction-free
 Berlekamp-Massey pass over the integers for the shortest recurrence,
 integer Newton steps for its characteristic roots, and partial-fraction
-residues for their multiplicities.  Transcendence is never claimed outright:
+residues for their multiplicities.  A closed form is accepted only with
+a certificate that does not use how it was found: the logarithmic
+derivative num'/num - den'/den equals sum #Per_n t^(n-1) up to the
+prefix.  Transcendence is never claimed outright:
 the verdict engine emits either a verified rational closed form or a
 finite certificate (choice of step m and auxiliary prime ell, a residue
 sequence manipulated out of the periodic-point counts, kernel growth in
@@ -189,7 +194,7 @@ def _berlekamp_massey(counts, bound):
     return order, [Fraction(c, conn[0]) for c in conn]
 
 
-def rationality_guess(counts, max_order: int = 8, series=None):
+def rationality_guess(counts, max_order: int = 8):
     """Shortest linear recurrence (order <= max_order) of the counts.
 
     One fraction-free Berlekamp-Massey pass gives the linear complexity L
@@ -199,10 +204,10 @@ def rationality_guess(counts, max_order: int = 8, series=None):
     a_i, the multiplicities are the partial-fraction residues e_i =
     P(1/a_i) / prod_{j != i} (1 - a_j/a_i), P = C * sum c_n t^n cut at
     degree L; integer e_i reproducing every count give the zeta function
-    prod (1 - a_i t)^(-e_i).  Its expansion is checked against series,
-    the ZetaSeries of the counts, which a caller that already holds it
-    passes in; without it the exponential formula runs here.  A series
-    that disagrees yields no closed form.
+    prod (1 - a_i t)^(-e_i), reported only once _closed_form_holds
+    certifies it on every count.  The exponential formula never runs here:
+    a caller that needs the zeta prefix expands a certified closed form
+    by series_of_rational, and only counts with none by zeta_from_counts.
     """
     counts = list(counts)
     bound = min(max_order, (len(counts) - 4) // 2)
@@ -216,14 +221,15 @@ def rationality_guess(counts, max_order: int = 8, series=None):
     order = max(order, 1)
     conn = conn + [0] * (order + 1 - len(conn))
     roots = _integer_roots(conn[::-1])
-    closed = roots and _closed_form(counts, conn, roots, series)
+    closed = roots and _closed_form(counts, conn, roots)
     return RationalGuess(order, *(closed or (None, None)))
 
 
-def _closed_form(counts, conn, roots, series):
+def _closed_form(counts, conn, roots):
     """(numerator, denominator) of prod (1 - a t)^(-e) over the roots a,
     with residues e, when they are integers that reproduce the counts and
-    the expansion matches series (zeta_from_counts(counts) when None)."""
+    the product passes _closed_form_holds on the counts; None otherwise.
+    Counts that fit but go negative raise SpecError there."""
     p_coeffs = [sum(conn[i] * counts[k - i - 1] for i in range(k))
                 for k in range(1, len(roots) + 1)]
     es = [sum(Fraction(c, a ** k) for k, c in enumerate(p_coeffs, 1))
@@ -240,11 +246,41 @@ def _closed_form(counts, conn, roots, series):
         side = den if e > 0 else num
         for _ in range(abs(e)):
             side[:] = [c - a * d for c, d in zip(side + [0], [0] + side)]
-    if series is None:
-        series = zeta_from_counts(counts)
-    length = len(counts) + 1
-    if series_of_rational(num, den, length) == list(series.coeffs[:length]):
+    if _closed_form_holds(counts, num, den):
         return tuple(num), tuple(den)
+
+
+def _closed_form_holds(counts, num, den):
+    """Whether num/den = exp(sum counts_n t^n / n) mod t^(T + 1), T =
+    len(counts), for integer coefficient lists with num(0) = den(0) = 1.
+
+    Both sides have constant term 1, so they agree exactly when their
+    logarithmic derivatives do mod t^T:
+
+        num' den - num den' = (sum counts_n t^(n-1)) num den  (mod t^T),
+
+    where the left side is sum (i - j) num_i den_j t^(i+j-1).  That is
+    O(T (deg num + deg den)) products and does not depend on how num and
+    den were found.  Negative counts raise SpecError, as in
+    zeta_from_counts.
+    """
+    if any(c < 0 for c in counts):
+        raise SpecError("periodic-point counts cannot be negative")
+    if num[0] != 1 or den[0] != 1:
+        return False
+    width = len(num) + len(den) - 1
+    both = [0] * width
+    wronskian = [0] * max(width, len(counts))
+    for i, a in enumerate(num):
+        for j, b in enumerate(den):
+            both[i + j] += a * b
+            if i != j:
+                wronskian[i + j - 1] += (i - j) * a * b
+    # t^k of the right side: both[width-1-m] * counts[k-(width-1)+m]
+    padded = [0] * (width - 1) + list(counts)
+    both.reverse()
+    return all(sum(map(operator.mul, both, padded[k:k + width])) == w
+               for k, w in enumerate(wronskian[:len(counts)]))
 
 
 # -- certificates -----------------------------------------------------------------------
@@ -625,8 +661,6 @@ def _rational_verdict(mapping, D, reason):
     # 1 / ((1 - t)(1 - D t))
     num, den = (1,), (1, -(D + 1), D)
     counts = [per_n_closed(mapping, n) for n in range(1, SERIES_TERMS + 1)]
-    series = zeta_from_counts(counts)
-    expansion = series_of_rational(num, den, SERIES_TERMS + 1)
-    if list(series.coeffs) != expansion:
+    if not _closed_form_holds(counts, num, den):
         raise Mismatch("closed form disagrees with the count series")
     return Verdict("rational", reason, (num, den), None, SERIES_TERMS)

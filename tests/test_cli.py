@@ -534,6 +534,20 @@ class TestRegressions:
         assert rationality["found"] is False
         assert elapsed < 5.0
 
+    def test_zeta_rational_prefix_of_4000_terms_within_budget(self):
+        # the certified closed form 1 / ((1 - t)(1 - 3t)) is expanded in
+        # linear time; the quadratic exponential formula takes about 30 s
+        # on 4000 counts of up to 1900 digits.  The digest is the stdout
+        # of the exponential formula.
+        start = time.perf_counter()
+        code, text = run_cli("zeta --family power --p 3 --d 3 --terms 4000"
+                             .split())
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2878849a0bcdeefa1c243f2ad11e43d31d619a2972ebe01295bc8fa1a1122b4c")
+        assert elapsed < 5.0
+
     def test_zeta_root_of_a_hard_semiprime_within_budget(self):
         # d = 3 * 10000000000000061 * 30000000000000029: the root d of the
         # characteristic polynomial is found without factoring d

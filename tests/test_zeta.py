@@ -1,16 +1,21 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynzeta import zeta
+from dynzeta import cli, zeta
 from dynzeta.dynmap import cycle_census, per_n_oracle, rat_map
-from dynzeta.errors import NonIntegerCoefficient, ScaleExceeded
+from dynzeta.errors import (Mismatch, NonIntegerCoefficient, ScaleExceeded,
+                            SpecError)
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
                               SubadditiveMap, per_n_closed)
@@ -19,7 +24,7 @@ from dynzeta.intarith import divisors, multiplicative_order, v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
 from dynzeta.twisted import TwistedPoly
-from dynzeta.zeta import (ZetaSeries, _integer_roots, _supersingular_step,
+from dynzeta.zeta import (_integer_roots, _supersingular_step,
                           certificate_build, rationality_guess,
                           series_of_rational, verdict, zeta_from_counts,
                           zeta_from_cycles)
@@ -308,31 +313,50 @@ class TestRationalityGuess:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_zeta_prefixes(), st.sampled_from(MAX_ORDERS))
-    def test_a_passed_series_gives_the_same_guess(self, counts, max_order):
-        series = zeta_from_counts(counts)
-        assert (rationality_guess(counts, max_order, series)
-                == rationality_guess(counts, max_order))
+    def test_zeta_prefixes_match_the_per_order_search(self, counts, max_order):
+        assert (_outcome(rationality_guess, counts, max_order)
+                == _outcome(_reference_guess, counts, max_order))
 
-    @pytest.mark.parametrize("fam", [PowerMap(3, 3), PowerMap(5, 2),
-                                     ChebyshevMap(5, 5), ChebyshevMap(3, 2)])
-    def test_a_passed_series_gives_the_same_guess_on_families(self, fam):
-        counts = [per_n_closed(fam, n) for n in range(1, 61)]
-        series = zeta_from_counts(counts)
-        assert (rationality_guess(counts, 8, series)
-                == rationality_guess(counts, 8))
-
-    @pytest.mark.parametrize("index", [0, 1, 7, 24])
-    def test_a_disagreeing_series_yields_no_closed_form(self, index):
-        # the cross-check against the series stays live: one coefficient
+    @pytest.mark.parametrize("index", [0, 1, 2, 3, 4])
+    def test_a_disagreeing_closed_form_yields_no_closed_form(
+            self, index, monkeypatch):
+        # the certificate stays live: one coefficient of the closed form
         # off, and the recurrence is reported without a closed form
         counts = [1 + 3 ** n for n in range(1, 25)]
-        coeffs = list(zeta_from_counts(counts).coeffs)
         assert rationality_guess(counts).numerator == (1,)
-        coeffs[index] += 1
-        guess = rationality_guess(counts, 8,
-                                  ZetaSeries(tuple(coeffs), "exp-formula"))
+        holds = zeta._closed_form_holds
+
+        def off_by_one(counts, num, den):
+            # index 0 is the numerator's one coefficient, 1-3 the
+            # denominator's, 4 a new numerator term
+            num, den = list(num), list(den)
+            if index == 0:
+                num[0] += 1
+            elif index < 4:
+                den[index - 1] += 1
+            else:
+                num.append(1)
+            return holds(counts, num, den)
+
+        monkeypatch.setattr(zeta, "_closed_form_holds", off_by_one)
+        guess = rationality_guess(counts)
         assert guess.order == 2
         assert guess.numerator is None and guess.denominator is None
+
+    @pytest.mark.parametrize("max_order", [1, 3, 8])
+    def test_negative_counts_that_fit_are_refused(self, max_order):
+        # [-3] * 6 fits (1 - t)^3; like the exponential formula,
+        # the closed form's certificate refuses the negative counts
+        with pytest.raises(SpecError):
+            rationality_guess([-3] * 6, max_order)
+        assert (_outcome(rationality_guess, [-3] * 6, max_order)
+                == _outcome(_reference_guess, [-3] * 6, max_order)
+                == SpecError)
+        if max_order >= 2:
+            # (1 - 3t) / (1 - 2t) fits at order 2
+            counts = [2 ** n - 3 ** n for n in range(1, 25)]
+            with pytest.raises(SpecError):
+                rationality_guess(counts, max_order)
 
     def test_repeated_and_zero_roots_do_not_split(self):
         # (x - 2)^2 (x + 3) and x (x - 3); then (x - 2)(x + 3)
@@ -354,6 +378,100 @@ class TestRationalityGuess:
     def test_rational_roots_match_the_divisor_search(self, poly):
         assert _root_set(_integer_roots(poly)) == _root_set(
             _reference_integer_roots(poly))
+
+
+def _zeta_command(counts, max_order):
+    """(exit code, printed zeta coefficients or None) of the zeta command
+    on a map whose periodic-point counts are counts."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["zeta", "--family", "power", "--p", "3", "--d", "2",
+            "--terms", str(len(counts)), "--max-order", str(max_order)]
+    with mock.patch.object(cli, "per_n_closed",
+                           lambda fam, n: counts[n - 1]), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv, out=out)
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    if not records:
+        return code, None
+    record = next(r for r in records if r["record"] == "zeta")
+    assert record["provenance"] == "exp-formula"
+    return code, [int(c) for c in record["coefficients"]]
+
+
+def _exp_formula(counts):
+    """The zeta command's expected (exit code, coefficients), from the
+    exponential formula alone."""
+    try:
+        return 0, list(zeta_from_counts(counts).coeffs)
+    except SpecError:
+        return 2, None
+    except NonIntegerCoefficient:
+        return 4, None
+
+
+class TestZetaRoutes:
+    """The zeta command prints a certified closed form's expansion, and the
+    exponential formula only where there is none: the same coefficients."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_geometric_prefixes(), st.sampled_from(MAX_ORDERS))
+    def test_geometric_prefixes_print_the_exponential_formula(
+            self, counts, max_order):
+        assert _zeta_command(counts, max_order) == _exp_formula(counts)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_zeta_prefixes(), st.sampled_from(MAX_ORDERS))
+    def test_zeta_prefixes_print_the_exponential_formula(
+            self, counts, max_order):
+        assert _zeta_command(counts, max_order) == _exp_formula(counts)
+
+    def test_a_rational_zeta_skips_the_exponential_formula(self,
+                                                          monkeypatch):
+        def refuse(counts):
+            raise AssertionError("exponential formula on a rational zeta")
+
+        monkeypatch.setattr(cli, "zeta_from_counts", refuse)
+        out = io.StringIO()
+        assert cli.main(["zeta", "--family", "power", "--p", "3", "--d", "3",
+                         "--terms", "40"], out=out) == 0
+        *_, zeta_record, rationality = map(json.loads,
+                                           out.getvalue().splitlines())
+        counts = [per_n_closed(PowerMap(3, 3), n) for n in range(1, 41)]
+        assert ([int(c) for c in zeta_record["coefficients"]]
+                == list(zeta_from_counts(counts).coeffs))
+        assert rationality["denominator"] == ["1", "-4", "3"]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_zeta_prefixes().filter(lambda counts: len(counts) >= 30),
+           st.data())
+    def test_the_certificate_rejects_one_coefficient_off(self, counts, data):
+        guess = rationality_guess(counts, 12)
+        num, den = list(guess.numerator), list(guess.denominator)
+        assert zeta._closed_form_holds(counts, num, den)
+        side = data.draw(st.sampled_from([num, den]))
+        side[data.draw(st.integers(0, len(side) - 1))] += data.draw(
+            st.sampled_from([-1, 1]))
+        assert not zeta._closed_form_holds(counts, num, den)
+
+    @pytest.mark.parametrize("fam", [PowerMap(3, 3), PowerMap(5, 2),
+                                     ChebyshevMap(5, 5), ChebyshevMap(3, 2)])
+    def test_family_guesses_match_the_per_order_search(self, fam):
+        counts = [per_n_closed(fam, n) for n in range(1, 41)]
+        assert (_outcome(rationality_guess, counts, 8)
+                == _outcome(_reference_guess, counts, 8))
+
+    @pytest.mark.parametrize("count", [lambda n: -3, lambda n: 2 ** n - 3 ** n,
+                                       lambda n: -n * n])
+    def test_negative_counts_exit_2_with_empty_stdout(self, count,
+                                                      monkeypatch, capsys):
+        # the first two fit a closed form; the last fits a recurrence with
+        # a repeated root, so no closed form, and reaches the exponential
+        monkeypatch.setattr(cli, "per_n_closed", lambda fam, n: count(n))
+        out = io.StringIO()
+        code = cli.main(["zeta", "--family", "power", "--p", "3", "--d", "2",
+                         "--terms", "30"], out=out)
+        assert (code, out.getvalue()) == (2, "")
+        assert "counts cannot be negative" in capsys.readouterr().err
 
 
 def _fraction_berlekamp_massey(counts, bound):
@@ -430,6 +548,20 @@ class TestVerdicts:
         assert v.outcome == "rational"
         assert v.reason == "transcendental-linear-coefficient"
         assert v.closed_form == ((1,), (1, -4, 3))
+
+    def test_a_disagreeing_count_fails_the_rational_verdict(self,
+                                                            monkeypatch):
+        # the closed form is checked by its certificate on SERIES_TERMS
+        # counts; one count off is a Mismatch, a negative one a SpecError
+        closed = zeta.per_n_closed
+        monkeypatch.setattr(zeta, "per_n_closed", lambda fam, n: closed(
+            fam, n) + (n == zeta.SERIES_TERMS))
+        with pytest.raises(Mismatch,
+                           match="closed form disagrees with the count series"):
+            verdict(PowerMap(3, 3))
+        monkeypatch.setattr(zeta, "per_n_closed", lambda fam, n: -1)
+        with pytest.raises(SpecError):
+            verdict(PowerMap(3, 3))
 
     def test_separable_power_evidence(self):
         v = verdict(PowerMap(3, 2))
