@@ -260,7 +260,7 @@ def _series_mul(a, b, p, n):
     if len(a) > len(b):
         a, b = b, a
     if len(a) > 1:
-        return modpoly.mul_array(a, b, p)[:n]
+        return modpoly.mul(a, b, p)[:n]
     if not len(a) or not a[0]:
         return b[:0]
     return b if a[0] == 1 else a[0] * b % p
@@ -315,7 +315,7 @@ def frobenius_horner(coeffs, y, p, n):
     Every series is a numpy array of the dtype of modpoly.residues(., p):
     int64 while (p-1)^2 + p < 2^62 and object arrays of Python ints above
     that, so each sum, scalar pass and strided copy is one array
-    operation, and each product one modpoly.mul_array.
+    operation, and each product one modpoly.mul.
 
     Over F_p, y(t)^p = y(t^p), so P = sum_q B_q(y) * Y^q with Y = y(t^p),
     one strided copy of y, and B_q = sum_{r < p} coeffs[q*p + r] * y^r.

@@ -29,6 +29,8 @@ import math
 from dataclasses import InitVar, dataclass, field as dc_field
 from functools import cached_property, partial
 
+import numpy as np
+
 from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
                      SpecError, SubadditiveConditionViolated)
 from .field import Poly, check_poly_scale, embed, extend_field, field_make
@@ -418,7 +420,7 @@ def _subadditive_realize(m: SubadditiveMap) -> Poly:
     """f with f(x^d) = psi(x)^d: psi(x) = x h(x^d), every exponent of psi
     being 1 mod d, so f(y) = y h(y)^d, with no product past deg psi."""
     psi = realize_additive(m.sigma)
-    if any(c for e, c in enumerate(psi.reps) if (e - 1) % m.d):
+    if np.count_nonzero(psi.reps) != np.count_nonzero(psi.reps[1::m.d]):
         raise SubadditiveConditionViolated(
             "psi is not x times a polynomial in x^d (internal)")
     return (Poly(psi.ctx, psi.reps[1::m.d]) ** m.d).shift(1)

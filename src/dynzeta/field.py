@@ -47,13 +47,15 @@ Frobenius on reps; every FieldElem operator is one call to it.  Square
 roots exist in odd characteristic: halved discrete logs where there are
 tables, Euler's criterion and Tonelli-Shanks elsewhere.
 
-A Poly over a finite field keeps its coefficients as a trimmed tuple of
-reps, lowest degree first, and boxes them only when ``coeffs`` is read.
-Over F_p, sums, products, division and gcds run in the int kernel
-``modpoly``, and scaling, negation, the derivative and the p-th root are
-int comprehensions with no field call per coefficient; every other
-operation, and every operation over F_(p^k), is one loop through the
-field's rep arithmetic.  Scaling by one returns the Poly itself.
+A Poly over a finite field keeps its coefficients as one trimmed numpy
+array of reps, lowest degree first, of the field's ``dtype`` (modpoly's:
+int64 while (q-1)^2 + q < 2^62 for the field's order q, object arrays of
+Python ints above), and boxes them only when ``coeffs`` is read.  Over
+F_p, products, division and gcds run in the array kernel ``modpoly``,
+and sums, scaling, negation, the derivative and the p-th root are each
+one array operation, so an F_p Poly never leaves its array.  Over
+F_(p^k) every operation reads the reps once as a list and loops through
+the field's rep arithmetic.  Scaling by one returns the Poly itself.
 """
 
 import functools
@@ -78,8 +80,8 @@ class FieldCtx:
     ``int_rep(n)``; the defaults here are the finite fields' 0, 1, n mod p.
     """
 
-    __slots__ = ("p", "k", "base", "modulus", "qm1", "nonresidue", "_sig",
-                 "_order", "_arrays")
+    __slots__ = ("p", "k", "base", "modulus", "qm1", "nonresidue", "dtype",
+                 "_sig", "_order", "_arrays")
     flavor = "finite"
     is_prime_field = False
     zero_rep, one_rep = 0, 1
@@ -93,6 +95,8 @@ class FieldCtx:
         self._sig = sig
         self._order = order
         self.qm1 = None if order is None else order - 1
+        # a Poly's reps: modpoly's dtype, so Polys over F_p go to it as they are
+        self.dtype = None if order is None else modpoly.residue_dtype(order)
         self.nonresidue = None  # least non-square rep, found by the first square root
         self._arrays = None
 
@@ -391,17 +395,17 @@ def _sp_mul(a, b, p):
     return tuple(sorted(out.items()))
 
 
-def _sp_to_dense(a):
-    if not a:
-        return []
-    out = [0] * (a[-1][0] + 1)
-    for e, c in a:
-        out[e] = c
+def _sp_to_dense(a, p):
+    """The residue array of a nonzero sparse polynomial."""
+    exps, coeffs = zip(*a)
+    out = np.zeros(exps[-1] + 1, modpoly.residue_dtype(p))
+    out[list(exps)] = coeffs
     return out
 
 
 def _dense_to_sp(a):
-    return tuple((e, c) for e, c in enumerate(a) if c)
+    exps = np.flatnonzero(a)
+    return tuple(zip(exps.tolist(), a[exps].tolist()))
 
 
 def _rf_normalize(num, den, p):
@@ -419,10 +423,11 @@ def _rf_normalize(num, den, p):
     if not num_mono and not den_mono:
         if max(num[-1][0], den[-1][0]) > RF_GCD_DEGREE_CAP:
             raise ScaleExceeded("rational-function gcd beyond degree cap")
-        g = modpoly.gcd(_sp_to_dense(num), _sp_to_dense(den), p)
-        if modpoly.deg(g) > 0:
-            num = _dense_to_sp(modpoly.divrem(_sp_to_dense(num), g, p)[0])
-            den = _dense_to_sp(modpoly.divrem(_sp_to_dense(den), g, p)[0])
+        dense_num, dense_den = _sp_to_dense(num, p), _sp_to_dense(den, p)
+        g = modpoly.gcd(dense_num, dense_den, p)
+        if len(g) > 1:
+            num = _dense_to_sp(modpoly.divrem(dense_num, g, p)[0])
+            den = _dense_to_sp(modpoly.divrem(dense_den, g, p)[0])
     lead = den[-1][1]
     if lead != 1:
         inv = pow(lead, p - 2, p)
@@ -707,7 +712,7 @@ class RepArrays:
 
     def eval(self, poly, x):
         """The values of the Poly ``poly`` at the array of reps x (Horner)."""
-        reps = poly.reps
+        reps = poly.reps.tolist()
         acc = np.full(np.shape(x), reps[-1] if reps else 0, dtype=np.int64)
         for c in reversed(reps[:-1]):
             acc = self.mul(acc, x)
@@ -747,24 +752,23 @@ def _subfield_root(src, target):
 class Poly:
     """Dense univariate polynomial over a finite FieldCtx.
 
-    ``reps`` is the trimmed tuple of coefficient reps, lowest degree
-    first; ``coeffs`` boxes them as FieldElems.
+    ``reps`` is the trimmed numpy array of coefficient reps, lowest degree
+    first, of the field's ``dtype``.  No method writes to it, so Polys
+    share arrays and slices of them.  What leaves a Poly is Python ints:
+    ``coeffs`` and ``leading`` box reps as FieldElems, and ``eval``,
+    hashing and the repr read ``reps.tolist()``.
     """
 
     __slots__ = ("ctx", "reps")
 
     def __init__(self, ctx, reps):
-        if ctx.flavor != "finite":
-            raise SpecError("polynomials need a finite coefficient field")
-        self.ctx = ctx
+        self.ctx = _finite(ctx)
         self.reps = reps
 
     @classmethod
     def from_reps(cls, ctx, reps):
-        n = len(reps)
-        while n and not reps[n - 1]:
-            n -= 1
-        return cls(ctx, tuple(reps[:n]))
+        """The Poly of a sequence of reps, trailing zeros dropped."""
+        return cls(ctx, modpoly.trim_array(np.array(reps, _finite(ctx).dtype)))
 
     @classmethod
     def from_elems(cls, ctx, elems):
@@ -776,11 +780,11 @@ class Poly:
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, ())
+        return cls(ctx, np.zeros(0, ctx.dtype))
 
     @classmethod
     def one(cls, ctx):
-        return cls(ctx, (1,))
+        return cls(ctx, np.ones(1, ctx.dtype))
 
     @classmethod
     def x_power(cls, ctx, n, scale=1):
@@ -790,7 +794,7 @@ class Poly:
 
     @property
     def coeffs(self):
-        return tuple(FieldElem(self.ctx, c) for c in self.reps)
+        return tuple(FieldElem(self.ctx, c) for c in self.reps.tolist())
 
     @property
     def degree(self):
@@ -798,41 +802,44 @@ class Poly:
         return len(self.reps) - 1
 
     def is_zero(self):
-        return not self.reps
+        return not len(self.reps)
 
     @property
     def leading(self):
-        if not self.reps:
+        if not len(self.reps):
             raise ZeroPolynomial("leading coefficient of zero")
-        return FieldElem(self.ctx, self.reps[-1])
+        return FieldElem(self.ctx, int(self.reps[-1]))
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.ctx == self.ctx
-                and other.reps == self.reps)
+                and np.array_equal(other.reps, self.reps))
 
     def __hash__(self):
-        return hash((self.ctx._sig, self.reps))
+        return hash((self.ctx._sig, tuple(self.reps.tolist())))
 
     def __repr__(self):
-        if not self.reps:
+        if not len(self.reps):
             return "Poly(0)"
         if self.ctx.is_prime_field:
-            terms = [f"{c}*x^{i}" for i, c in enumerate(self.reps) if c]
+            terms = [f"{c}*x^{i}" for i, c in enumerate(self.reps.tolist()) if c]
             return "Poly(" + " + ".join(terms) + f" over {self.ctx!r})"
         return f"Poly(deg {self.degree} over {self.ctx!r})"
 
-    # -- arithmetic: F_p through modpoly, extensions through the field --------
+    # -- arithmetic: F_p on arrays and modpoly, extensions through the field --
 
     def __add__(self, other):
         self._check(other)
         ctx = self.ctx
-        if ctx.is_prime_field:
-            return Poly(ctx, tuple(modpoly.add(self.reps, other.reps, ctx.p)))
         a, b = self.reps, other.reps
         if len(a) < len(b):
             a, b = b, a
-        add = ctx.add
-        return Poly.from_reps(ctx, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
+        if ctx.is_prime_field:
+            out = a.copy()
+            out[:len(b)] += b
+            out[:len(b)] %= ctx.p
+            return Poly(ctx, modpoly.trim_array(out))
+        a, b, add = a.tolist(), b.tolist(), ctx.add
+        return Poly.from_reps(ctx, [add(x, y) for x, y in zip(a, b)] + a[len(b):])
 
     def __sub__(self, other):
         return self + (-other)
@@ -845,9 +852,9 @@ class Poly:
             return self.scale(other)
         self._check(other)
         ctx = self.ctx
-        a, b = self.reps, other.reps
         if ctx.is_prime_field:
-            return Poly(ctx, tuple(modpoly.mul(a, b, ctx.p)))
+            return Poly(ctx, modpoly.mul(self.reps, other.reps, ctx.p))
+        a, b = self.reps.tolist(), other.reps.tolist()
         if not a or not b:
             return Poly.zero(ctx)
         add, mul = ctx.add, ctx.mul
@@ -865,10 +872,10 @@ class Poly:
             return self
         if not c:
             return Poly.zero(ctx)
-        p, mul = ctx.p, ctx.mul
         if ctx.is_prime_field:
-            return Poly(ctx, tuple(x * c % p for x in self.reps))
-        return Poly(ctx, tuple(mul(x, c) for x in self.reps))
+            return Poly(ctx, self.reps * c % ctx.p)
+        mul = ctx.mul
+        return Poly(ctx, np.array([mul(x, c) for x in self.reps.tolist()], ctx.dtype))
 
     def __pow__(self, e):
         if e < 0:
@@ -881,15 +888,15 @@ class Poly:
         if other.is_zero():
             raise DivisionByZeroPoly("polynomial division by zero")
         ctx = self.ctx
-        a, b = self.reps, other.reps
         if ctx.is_prime_field:
-            q, r = modpoly.divrem(a, b, ctx.p)
-            return Poly(ctx, tuple(q)), Poly(ctx, tuple(r))
+            q, r = modpoly.divrem(self.reps, other.reps, ctx.p)
+            return Poly(ctx, q), Poly(ctx, r)
+        a, b = self.reps.tolist(), other.reps.tolist()
         if len(a) < len(b):
             return Poly.zero(ctx), self
         add, mul, neg = ctx.add, ctx.mul, ctx.neg
         inv = ctx.inverse(b[-1])
-        rem = list(a)
+        rem = a
         lb = len(b)
         q = [0] * (len(a) - lb + 1)
         for i in range(len(a) - lb, -1, -1):
@@ -909,25 +916,28 @@ class Poly:
         return self.divrem(other)[1]
 
     def monic(self):
-        return self.scale(self.leading.inverse()) if self.reps else self
+        return self.scale(self.leading.inverse()) if len(self.reps) else self
 
     def gcd(self, other):
         """Monic greatest common divisor."""
         self._check(other)
         ctx = self.ctx
         if ctx.is_prime_field:
-            return Poly(ctx, tuple(modpoly.gcd(self.reps, other.reps, ctx.p)))
+            return Poly(ctx, modpoly.gcd(self.reps, other.reps, ctx.p))
         a, b = self, other
-        while b.reps:
+        while len(b.reps):
             a, b = b, a % b
         return a.monic()
 
     def derivative(self):
-        # the constant i has rep i mod p in every finite field
+        # the constant i has rep i mod p in every finite field; over F_p,
+        # (i mod p) * c stays below p^2
         ctx, p, reps = self.ctx, self.ctx.p, self.reps
-        out = ([i * c % p for i, c in enumerate(reps)] if ctx.is_prime_field
-               else [ctx.mul(i % p, c) for i, c in enumerate(reps)])
-        return Poly.from_reps(ctx, out[1:])
+        if ctx.is_prime_field:
+            i = np.arange(1, len(reps), dtype=reps.dtype) % p
+            return Poly(ctx, modpoly.trim_array(i * reps[1:] % p))
+        mul = ctx.mul
+        return Poly.from_reps(ctx, [mul(i % p, c) for i, c in enumerate(reps.tolist())][1:])
 
     def eval(self, x):
         ctx = self.ctx
@@ -936,35 +946,40 @@ class Poly:
         x = x.rep
         add, mul = ctx.add, ctx.mul
         acc = 0
-        for c in reversed(self.reps):
+        for c in reversed(self.reps.tolist()):
             acc = add(mul(acc, x), c)
         return FieldElem(ctx, acc)
 
     def shift(self, n):
         """Multiply by x^n."""
-        if not self.reps:
+        if not len(self.reps):
             return self
-        return Poly(self.ctx, (0,) * n + self.reps)
+        return Poly(self.ctx, np.concatenate((np.zeros(n, self.reps.dtype), self.reps)))
 
     def _check(self, other):
         if not isinstance(other, Poly) or other.ctx != self.ctx:
             raise SpecError("mixed-context polynomial arithmetic")
 
 
+def _finite(ctx):
+    if ctx.flavor != "finite":
+        raise SpecError("polynomials need a finite coefficient field")
+    return ctx
+
+
 # -- field construction -----------------------------------------------------------
 
 
-def _irreducible_int(coeffs, p):
-    """Rabin irreducibility test for a monic int-list polynomial over F_p."""
-    k = modpoly.deg(coeffs)
-    x = [0, 1]
-    if modpoly.pow_mod(x, p ** k, coeffs, p) != x:
-        return False
-    for r in factorize(k):
-        probe = modpoly.sub(modpoly.pow_mod(x, p ** (k // r), coeffs, p), x, p)
-        if modpoly.deg(modpoly.gcd(probe, coeffs, p)) != 0:
-            return False
-    return True
+def _irreducible(modulus):
+    """Rabin irreducibility test for a monic Poly of degree k >= 2 over F_p."""
+    ctx, k = modulus.ctx, modulus.degree
+    x = Poly.x_power(ctx, 1)
+
+    def x_to_p_to_the(j):
+        return Poly(ctx, modpoly.pow_mod(x.reps, ctx.p ** j, modulus.reps, ctx.p))
+
+    return x_to_p_to_the(k) == x and all(
+        (x_to_p_to_the(k // r) - x).gcd(modulus).degree == 0 for r in factorize(k))
 
 
 def field_make(p, k=1, seed=None):
@@ -1014,7 +1029,7 @@ def _flat_field(p, k, skip):
             coeffs.append(mm % p)
             mm //= p
         coeffs.append(1)
-        if _irreducible_int(coeffs, p):
+        if _irreducible(Poly.from_ints(prime, coeffs)):
             if skip == 0:
                 field = _DigitField(prime, tuple(prime.from_int(c) for c in coeffs))
                 return field if field.order > ENUM_CAP else _TableField(field)
@@ -1056,7 +1071,9 @@ def separable_radical(f: Poly) -> Poly:
         dc = c.derivative()
         if dc.is_zero():
             root, reps = ctx.order // ctx.p, c.reps[::ctx.p]  # root 1 over F_p
-            c = Poly(ctx, reps if root == 1 else tuple(ctx.pow(x, root) for x in reps))
+            if root != 1:
+                reps = np.array([ctx.pow(x, root) for x in reps.tolist()], ctx.dtype)
+            c = Poly(ctx, reps)
             top = True
             continue
         g = c.gcd(dc)

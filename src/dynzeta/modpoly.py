@@ -1,16 +1,18 @@
-"""Dense univariate polynomial arithmetic over Z/p on plain int lists, and
-its one product on numpy arrays of residues.
+"""Dense univariate polynomial arithmetic over Z/p on numpy arrays of
+residues.
 
-Coefficient lists are ascending (index i holds the x^i coefficient) and
-trimmed: the last entry is nonzero, [] is the zero polynomial.  Values are
-Python ints in [0, p).  Every product, whatever the lengths and p, is one
-Kronecker substitution (von zur Gathen-Gerhard, *Modern Computer Algebra*,
-section 8.4): both factors are packed into Python ints and CPython's
-big-int product does the work.  ``mul_array`` is that product on numpy
-arrays of residues, arrays in and arrays out, for callers that keep
-their series as arrays; ``mul`` wraps it for lists.  Products of
-zero-padded series end in long runs of zeros, so the product is trimmed
-in numpy, before it becomes a list.
+A polynomial is a one-dimensional array of residues in [0, p), ascending
+(index i holds the x^i coefficient) and trimmed: the last entry is
+nonzero, an empty array is the zero polynomial.  Its dtype is
+``residue_dtype(p)``: int64 while (p-1)^2 + p < 2^62, so that a product
+of two residues plus a residue fits, and object arrays of Python ints
+above that.  ``mul``, ``divrem``, ``gcd`` and ``pow_mod`` take such arrays
+(a sequence of ints is read as one) and return new ones; none writes to
+its operands.  Every product, whatever the lengths and p, is one
+Kronecker substitution (von zur Gathen-Gerhard, *Modern Computer
+Algebra*, section 8.4): both factors are packed into Python ints and
+CPython's big-int product does the work.  Products of zero-padded series
+end in long runs of zeros, so ``mul`` trims its product.
 
 ``divrem`` and ``gcd`` share one remainder kernel with lazy reduction.
 Its arrays hold integers congruent mod p to the coefficients but not
@@ -25,10 +27,13 @@ reduced dividend can always take one step.  In a gcd chain each remainder
 becomes the next divisor unreduced; both operands are reduced together,
 once, before a division whose worst case would reach the limit, so a
 chain at small p pays one O(n) reduction per few dozen divisions instead
-of one per quotient step.  The arrays are int64 while (p-1)^2 + p is below 2^62,
-and object arrays of Python ints above that, with the limit p^2 * 2^32.
-The list functions always return reduced lists of Python ints, so
-big-integer arithmetic downstream never sees numpy scalars.
+of one per quotient step.  On object arrays the limit is p^2 * 2^32.
+Every result is reduced and trimmed.
+
+``trim``, ``deg``, ``add``, ``sub`` and ``neg`` work on plain lists of
+ints; ``add`` also takes a product from ``mul`` for either operand, and
+``deg`` any sequence.  The library itself does not call them; the
+benchmark's independent checks (perfbench/checks.py) do.
 """
 
 import numpy as np
@@ -54,7 +59,7 @@ def trim(a: list) -> list:
     return a[:n]
 
 
-def deg(a: list) -> int:
+def deg(a) -> int:
     return len(a) - 1
 
 
@@ -62,7 +67,7 @@ def add(a: list, b: list, p: int) -> list:
     if len(a) < len(b):
         a, b = b, a
     out = [(x + y) % p for x, y in zip(a, b)]
-    out += a[len(b):]
+    out.extend(a[len(b):])  # a may be mul's array, which += would add to
     return trim(out)
 
 
@@ -76,19 +81,12 @@ def neg(a: list, p: int) -> list:
     return [(-c) % p for c in a]
 
 
-def mul(a: list, b: list, p: int) -> list:
-    if not a or not b:
-        return []
-    # uint64, the dtype of a Kronecker slot, holds every residue below 2^64
-    dtype = "<u8" if p <= 1 << 64 else object
-    return mul_array(np.array(a, dtype), np.array(b, dtype), p).tolist()
-
-
-def mul_array(a, b, p: int):
-    """The product of two arrays of residues of one dtype (int64, uint64
-    or object), as a trimmed array of that dtype.  One w-byte
+def mul(a, b, p: int):
+    """The product of a and b, as a trimmed array.  One w-byte
     little-endian slot per coefficient; w holds the largest coefficient
     of the integer product, min(len(a), len(b))*(p-1)^2."""
+    dtype = residue_dtype(p)
+    a, b = np.asarray(a, dtype), np.asarray(b, dtype)
     if not len(a) or not len(b):
         return a[:0]
     n = len(a) + len(b) - 1
@@ -114,11 +112,13 @@ def trim_array(a):
 
 
 def residues(a, p: int):
-    """The ints of a reduced mod p, as an array of the dtype of
-    ``_dtype(p)``: int64 while (p-1)^2 + p < 2^62, so that a product of
-    two residues plus a residue fits, else an object array of Python
-    ints."""
-    return np.array([c % p for c in a], _dtype(p)[0])
+    """The ints of a reduced mod p, as an array of ``residue_dtype(p)``."""
+    return np.array([c % p for c in a], residue_dtype(p))
+
+
+def residue_dtype(p: int):
+    """int64 while (p-1)^2 + p < 2^62, else object (Python ints)."""
+    return _dtype(p)[0]
 
 
 def _pack(a, w: int) -> int:
@@ -136,20 +136,19 @@ def _dtype(p: int):
     return object, p * p << 32
 
 
-def divrem(a: list, b: list, p: int) -> tuple:
-    b = trim(list(b))
-    if not b:
-        raise DivisionByZeroPoly("polynomial division by zero")
-    a = trim(list(a))
-    if len(a) < len(b):
-        return [], a
-    if len(b) == 1:
-        inv = pow(b[0], -1, p)
-        return [c * inv % p for c in a], []
+def divrem(a, b, p: int) -> tuple:
+    """Quotient and remainder of a by b, with deg r < deg b."""
     dtype, limit = _dtype(p)
-    x = np.array(a, dtype=dtype) % p
-    q, _ = _divide(x, p - 1, np.array(b, dtype=dtype) % p, p - 1, p, limit)
-    return trim(q), trim((x[:len(b) - 1] % p).tolist())
+    b = trim_array(np.asarray(b, dtype))
+    if not len(b):
+        raise DivisionByZeroPoly("polynomial division by zero")
+    x = trim_array(np.array(a, dtype))  # a copy: the quotient steps write to it
+    if len(x) < len(b):
+        return x[:0], x
+    if len(b) == 1:
+        return x * pow(int(b[0]), -1, p) % p, x[:0]
+    q, _ = _divide(x, p - 1, b, p - 1, p, limit)
+    return np.array(q, dtype), trim_array(x[:len(b) - 1] % p)
 
 
 def _divide(x, bx, y, by, p, limit):
@@ -176,32 +175,22 @@ def _divide(x, bx, y, by, p, limit):
     return q, bx
 
 
-def rem(a: list, b: list, p: int) -> list:
-    return divrem(a, b, p)[1]
-
-
-def monic(a: list, p: int) -> list:
-    a = trim(list(a))
-    if not a:
+def _monic(a, p: int):
+    if not len(a) or a[-1] == 1:
         return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    inv = pow(lead, p - 2, p)
-    return [x * inv % p for x in a]
+    return a * pow(int(a[-1]), -1, p) % p
 
 
-def gcd(a: list, b: list, p: int) -> list:
+def gcd(a, b, p: int):
     """Monic gcd via the Euclidean remainder chain; a nonzero constant
     anywhere in the chain ends it with [1]."""
-    a = trim(list(a))
-    b = trim(list(b))
-    if not a or not b:
-        return monic(a or b, p)
-    if len(a) == 1 or len(b) == 1:
-        return [1]
     dtype, limit = _dtype(p)
-    x, y = np.array(a, dtype=dtype) % p, np.array(b, dtype=dtype) % p
+    # copies: each remainder is computed in place
+    x, y = trim_array(np.array(a, dtype)), trim_array(np.array(b, dtype))
+    if not len(x) or not len(y):
+        return _monic(x if len(x) else y, p)
+    if len(x) == 1 or len(y) == 1:
+        return np.ones(1, dtype)
     if len(x) < len(y):
         x, y = y, x
     bx = by = p - 1
@@ -215,13 +204,13 @@ def gcd(a: list, b: list, p: int) -> list:
         while n and int(x[n - 1]) % p == 0:
             n -= 1
         if n == 0:
-            return monic((y % p).tolist(), p)
+            return _monic(y % p, p)
         if n == 1:
-            return [1]
+            return np.ones(1, dtype)
         x, bx, y, by = y, by, x[:n], bx
 
 
-def pow_mod(base: list, e: int, modulus: list, p: int) -> list:
+def pow_mod(base, e: int, modulus, p: int):
     """base^e reduced mod modulus (e >= 0, big ints welcome)."""
-    return power(lambda a, b: rem(mul(a, b, p), modulus, p), [1],
-                 rem(base, modulus, p), e)
+    return power(lambda a, b: divrem(mul(a, b, p), modulus, p)[1],
+                 np.ones(1, residue_dtype(p)), divrem(base, modulus, p)[1], e)

@@ -452,7 +452,8 @@ def _norm_recurrence(T, N, ell):
     ascending order; the sequence satisfies
     a_n = rec[3] a_(n-1) + rec[2] a_(n-2) + rec[1] a_(n-3) + rec[0] a_(n-4).
     """
-    char = modpoly.mul([N % ell, (-(1 + N)) % ell, 1], [N % ell, (-T) % ell, 1], ell)
+    char = modpoly.mul(modpoly.residues([N, -(1 + N), 1], ell),
+                       modpoly.residues([N, -T, 1], ell), ell).tolist()
     return char, [(-c) % ell for c in char[:4]]
 
 

@@ -1,14 +1,19 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynzeta import modpoly
 from dynzeta.dynmap import (compose, cycle_census, is_separable, iterate,
                             per_n_oracle, rat_map)
 from dynzeta.errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
+from dynzeta.families import (AdditiveMap, ChebyshevMap, PowerMap,
+                               SubadditiveMap, per_n_closed, realize)
 from dynzeta.field import Poly, embed, extend_field, field_make
+from dynzeta.twisted import TwistedPoly
 
 INFINITY = None
 
@@ -149,6 +154,37 @@ class TestPerNOracle:
             if f.degree ** n > 10_000:
                 continue
             assert per_n_oracle(f, m) <= per_n_oracle(f, n)
+
+
+ORACLE_FAMILIES = [
+    (PowerMap(5, 3), 4),
+    (PowerMap(7, -2), 4),
+    (PowerMap(2 ** 61 - 1, 3), 3),            # object arrays
+    (ChebyshevMap(3, 2), 6),
+    (ChebyshevMap(4294967311, 2), 4),        # the first object-array prime
+    (AdditiveMap(TwistedPoly.from_ints(field_make(3), [2, 1])), 4),
+    (AdditiveMap(TwistedPoly.from_ints(field_make(5), [3, 0, 1]),
+                 field_make(5).one()), 2),
+    (SubadditiveMap(TwistedPoly.from_ints(field_make(7), [6, 2]), 3), 3),
+]
+
+
+@pytest.mark.parametrize("fam, n_max", ORACLE_FAMILIES)
+def test_oracle_polynomials_stay_arrays(monkeypatch, fam, n_max):
+    # every operand that reaches modpoly from the oracle is an array: no
+    # list or tuple round trip between iterate, Euclid and the radical
+    calls = {"mul": 0, "divrem": 0, "gcd": 0}
+    for name in calls:
+        def guarded(a, b, p, name=name, real=getattr(modpoly, name)):
+            assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray), name
+            calls[name] += 1
+            return real(a, b, p)
+        monkeypatch.setattr(modpoly, name, guarded)
+    f = realize(fam)
+    for n in range(1, n_max + 1):
+        assert per_n_oracle(f, n) == per_n_closed(fam, n)
+    assert calls["gcd"] > 0
+    assert calls["mul"] > 0 or fam.degree < 0
 
 
 class TestCycleCensus:

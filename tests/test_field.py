@@ -13,6 +13,7 @@ from dynzeta.field import (Poly, _flat_field, distinct_root_count,
                            extend_field, embed, field_make, ratfunc_field,
                            separable_radical)
 from dynzeta.limits import ENUM_CAP
+from dynzeta.orders import _norm_recurrence
 
 
 class TestFieldMake:
@@ -74,7 +75,7 @@ class TestPolyArith:
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2 ** 31 - 1, 1), (2 ** 61 - 1, 1), (3, 2)])
 def test_poly_steps_match_the_rep_loop(p, k):
-    # over F_p scale, negation and the derivative are int comprehensions;
+    # over F_p scale, negation and the derivative are array operations;
     # F_9 keeps the field's rep loop, which is the reference here
     ctx = field_make(p, k)
     rnd = random.Random(p)
@@ -83,11 +84,45 @@ def test_poly_steps_match_the_rep_loop(p, k):
     assert f.scale(ctx.zero()) == Poly.zero(ctx)
     assert f.scale(ctx.one()) is f
     unit = ctx.elem_at(rnd.randrange(1, ctx.order))
-    assert f.scale(unit).reps == tuple(ctx.mul(x, unit.rep) for x in f.reps)
-    assert (-f).reps == tuple(ctx.neg(x) for x in f.reps)
-    loop = [ctx.mul(i % p, c) for i, c in enumerate(f.reps)][1:]
+    reps = f.reps.tolist()
+    assert f.scale(unit).reps.tolist() == [ctx.mul(x, unit.rep) for x in reps]
+    assert (-f).reps.tolist() == [ctx.neg(x) for x in reps]
+    loop = [ctx.mul(i % p, c) for i, c in enumerate(reps)][1:]
     assert f.derivative() == Poly.from_reps(ctx, loop)
-    assert all(type(c) is int for g in (f.scale(unit), -f, f.derivative()) for c in g.reps)
+    assert all(g.reps.dtype == ctx.dtype for g in (f.scale(unit), -f, f.derivative()))
+
+
+@pytest.mark.parametrize("p", (3, 2 ** 31 - 1, 4294967311, 2 ** 61 - 1))
+def test_scalars_leaving_the_arrays_are_python_ints(p):
+    # the last int64 prime, the first object-array prime and a large one:
+    # coefficients, leading terms, values, hashes and reprs of Polys, the
+    # sparse terms of F_p(u) and the norm recurrence's char list are Python
+    # ints, so big-int arithmetic downstream never sees a numpy scalar
+    ctx = field_make(p)
+    rnd = random.Random(p)
+    f = Poly.from_ints(ctx, [rnd.randrange(p) for _ in range(12)] + [1])
+    g = Poly.from_ints(ctx, [rnd.randrange(p) for _ in range(7)] + [p - 1])
+    q, r = (f * g + f.derivative()).divrem(g)
+    for h in (f, f + g, f * g, q, r, f.gcd(g * f), -f, f.scale(ctx.from_int(3)),
+              g.monic(), f.derivative(), f.shift(2), separable_radical(f * f * g)):
+        assert h.reps.dtype == ctx.dtype
+        ints = h.reps.tolist()
+        assert all(type(c.rep) is int for c in h.coeffs)
+        assert all(type(c) is int for c in ints)
+        assert type(h.eval(ctx.from_int(rnd.randrange(p))).rep) is int
+        assert hash(h) == hash((ctx._sig, tuple(ints)))
+        if not h.is_zero():
+            assert type(h.leading.rep) is int
+            assert repr(h) == ("Poly(" + " + ".join(f"{c}*x^{i}" for i, c in enumerate(ints) if c)
+                               + f" over {ctx!r})")
+    F = ratfunc_field(p)
+    u = F.u()
+    x = (u + 1) * (u * u + 2) / ((u + 1) * (u * u * u + u + 5))
+    assert x * (u * u * u + u + 5) == u * u + 2
+    assert all(type(e) is int and type(c) is int for part in x.rep for e, c in part)
+    char, rec = _norm_recurrence(3, 5, p)
+    assert all(type(c) is int for c in char + rec)
+    assert char == [c % p for c in (25, -45, 28, -9, 1)]
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -100,8 +135,8 @@ def test_prime_field_pth_root_is_every_pth_coefficient(p):
     h = Poly.from_ints(ctx, [rnd.randrange(p) for _ in range(30)] + [1])
     f = h ** p
     assert f.derivative().is_zero()
-    loop = tuple(ctx.pow(c, ctx.order // p) for c in f.reps[::p])
-    assert loop == f.reps[::p] == h.reps
+    loop = [ctx.pow(c, ctx.order // p) for c in f.reps[::p].tolist()]
+    assert loop == f.reps[::p].tolist() == h.reps.tolist()
     assert separable_radical(f) == separable_radical(h)
 
 
@@ -296,12 +331,12 @@ def _reference(ctx):
     mod = [c.rep for c in ctx.modulus]
 
     def reduce(a):
-        return modpoly.divrem(a, mod, p)[1]
+        return modpoly.divrem(a, mod, p)[1].tolist()
 
     def power(a, e):
         if e < 0:
             a, e = power(a, ctx.order - 2), -e
-        return modpoly.pow_mod(a, e, mod, p)
+        return modpoly.pow_mod(a, e, mod, p).tolist()
 
     def elem(a):
         a = modpoly.trim([c % p for c in a])
@@ -558,7 +593,7 @@ def _ext_poly_pair(draw):
     coeffs = st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=6)
     a, b = (Poly.from_elems(ctx, [ctx.elem_at(i) for i in draw(coeffs)])
             for _ in range(2))
-    return ctx, a, b if b.reps else Poly.one(ctx)
+    return ctx, a, b if len(b.reps) else Poly.one(ctx)
 
 
 @settings(max_examples=100, deadline=None)
@@ -576,7 +611,7 @@ def test_ext_gcd_matches_reference(case, common):
     # a shared factor makes the remainder chain longer than one step
     ctx, a, b = case
     common = Poly.from_elems(ctx, [ctx.elem_at(i % ctx.order) for i in common])
-    common = common if common.reps else Poly.one(ctx)
+    common = common if len(common.reps) else Poly.one(ctx)
     a, b = a * common, b * common
     assert list(a.gcd(b).coeffs) == _ref_gcd(a.coeffs, b.coeffs)
 

@@ -67,8 +67,19 @@ def _ref_mul(a, b, p):
     return _trim(out)
 
 
+def _ref_add(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([(x + y) % p for x, y in zip(a, b)] + a[len(b):])
+
+
 def _ref_derivative(a, p):
     return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _divrem(a, b, p):
+    q, r = modpoly.divrem(a, b, p)
+    return q.tolist(), r.tolist()
 
 
 @st.composite
@@ -85,7 +96,7 @@ def _poly_pair(draw):
 @given(_poly_pair())
 def test_divrem_matches_reference(case):
     p, a, b = case
-    assert modpoly.divrem(a, b, p) == _ref_divrem(a, b, p)
+    assert _divrem(a, b, p) == _ref_divrem(a, b, p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,7 +106,7 @@ def test_gcd_matches_reference(case, common):
     p, a, b = case
     common = _trim([c % p for c in common]) or [1]
     a, b = _ref_mul(a, common, p), _ref_mul(b, common, p)
-    assert modpoly.gcd(a, b, p) == _ref_gcd(a, b, p)
+    assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
 
 
 @st.composite
@@ -124,8 +135,8 @@ def _long_chain(draw, p):
 @given(data=st.data())
 def test_gcd_long_chain_matches_reference(p, data):
     a, b = data.draw(_long_chain(p))
-    assert modpoly.gcd(a, b, p) == _ref_gcd(a, b, p)
-    assert modpoly.gcd(b, a, p) == _ref_gcd(a, b, p)
+    assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
+    assert modpoly.gcd(b, a, p).tolist() == _ref_gcd(a, b, p)
 
 
 @pytest.mark.parametrize("p", LONG_PRIMES)
@@ -133,7 +144,7 @@ def test_gcd_long_chain_matches_reference(p, data):
 @given(data=st.data())
 def test_divrem_long_matches_reference(p, data):
     a, b = data.draw(_long_chain(p))
-    q, r = modpoly.divrem(a, b, p)
+    q, r = _divrem(a, b, p)
     assert (q, r) == _ref_divrem(a, b, p)
     assert all(type(c) is int for c in q + r)
 
@@ -141,10 +152,10 @@ def test_divrem_long_matches_reference(p, data):
 @pytest.mark.parametrize("p", LONG_PRIMES)
 def test_constant_operands(p):
     a = [(3 * i + 1) % p for i in range(50)] + [1]
-    assert modpoly.gcd(a, [p - 1], p) == [1]
-    assert modpoly.gcd([2 % p or 1], a, p) == [1]
-    assert modpoly.divrem(a, [p - 1], p) == _ref_divrem(a, [p - 1], p)
-    assert modpoly.divrem([5 % p], [p - 1], p) == _ref_divrem([5 % p], [p - 1], p)
+    assert modpoly.gcd(a, [p - 1], p).tolist() == [1]
+    assert modpoly.gcd([2 % p or 1], a, p).tolist() == [1]
+    assert _divrem(a, [p - 1], p) == _ref_divrem(a, [p - 1], p)
+    assert _divrem([5 % p], [p - 1], p) == _ref_divrem([5 % p], [p - 1], p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,7 +171,7 @@ def test_separable_radical_matches_reference(case, e1, e2):
     for factor, e in ((g, e1), (h, e2)):
         for _ in range(e):
             f = _ref_mul(f, factor, p)
-    rad = list(separable_radical(Poly.from_ints(field_make(p), f)).reps)
+    rad = separable_radical(Poly.from_ints(field_make(p), f)).reps.tolist()
     assert rad[-1] == 1 and len(rad) >= 2
     assert _ref_divrem(f, rad, p)[1] == []
     assert _ref_gcd(rad, _ref_derivative(rad, p), p) == [1]
@@ -174,8 +185,8 @@ def test_separable_radical_matches_reference(case, e1, e2):
 def test_divrem_identity_at_each_prime(p):
     a = [(p - 1 - i) % p for i in range(9)]
     b = [p - 2, 1, p - 1] if p > 2 else [1, 1, 1]
-    q, r = modpoly.divrem(a, b, p)
-    assert modpoly.add(_ref_mul(q, b, p), r, p) == _trim(a)
+    q, r = _divrem(a, b, p)
+    assert _ref_add(_ref_mul(q, b, p), r, p) == _trim(a)
     assert all(isinstance(c, int) for c in q + r)
 
 
@@ -196,13 +207,13 @@ def _mul_case(draw):
 @given(_mul_case())
 def test_mul_matches_reference(case):
     p, a, b = case
-    assert modpoly.mul(a, b, p) == _ref_mul(a, b, p)
+    assert modpoly.mul(a, b, p).tolist() == _ref_mul(a, b, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_mul_widest_slot_at_each_prime(p):
     a, b = [p - 1] * 300, [p - 1] * 41
-    out = modpoly.mul(a, b, p)
+    out = modpoly.mul(a, b, p).tolist()
     assert out == _ref_mul(a, b, p)
     assert all(type(c) is int for c in out)
 
@@ -215,12 +226,12 @@ def _slot_width(a, b, p):
 def test_mul_trims_untrimmed_inputs(p):
     # trailing zeros on either factor, and a zero product from factors of
     # nonzero length
-    assert modpoly.mul([0, 0], [0, 1], p) == []
-    assert modpoly.mul([0], [0] * 50, p) == []
+    assert modpoly.mul([0, 0], [0, 1], p).tolist() == []
+    assert modpoly.mul([0], [0] * 50, p).tolist() == []
     for a, b in [([1, p - 1, 0, 0, 0], [0, 2 % p, 0]),
                  ([p - 1] + [0] * 40, [0, 0, 1] + [0] * 7),
                  ([0, 0, 3 % p, 0], [p - 1, 0])]:
-        assert modpoly.mul(a, b, p) == _ref_mul(a, b, p)
+        assert modpoly.mul(a, b, p).tolist() == _ref_mul(a, b, p)
 
 
 @st.composite
@@ -242,7 +253,7 @@ def _sparse_case(draw):
 @given(_sparse_case())
 def test_mul_long_sparse_matches_reference(case):
     p, a, b = case
-    assert modpoly.mul(a, b, p) == _ref_mul(a, b, p)
+    assert modpoly.mul(a, b, p).tolist() == _ref_mul(a, b, p)
 
 
 @pytest.mark.parametrize("p, narrow", [(7, True), (65537, True),
@@ -251,7 +262,7 @@ def test_mul_sparse_on_both_slot_paths(p, narrow):
     a = [0, 1] + [0] * 150 + [p - 1] + [0] * 90
     b = [0] * 60 + [2] + [0] * 200
     assert (_slot_width(a, b, p) <= 8) == narrow
-    out = modpoly.mul(a, b, p)
+    out = modpoly.mul(a, b, p).tolist()
     assert out == _ref_mul(a, b, p)
     assert all(type(c) is int for c in out)
 
