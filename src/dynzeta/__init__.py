@@ -23,7 +23,7 @@ from .elliptic import (CurvePoint, EllipticCurve, is_supersingular,
 from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        LattesOrdinary, LattesSupersingular, PowerMap,
                        SubadditiveMap, classify_separability, map_degree,
-                       per_n_closed, per_n_template, realize)
+                       per_n_closed, per_n_counts, per_n_template, realize)
 from .automata import (Dfao, KernelReport, christol_series,
                        eventual_period_detect, kernel_explore,
                        vp_geometric_sequence, vp_tower_sequence)

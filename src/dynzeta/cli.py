@@ -19,13 +19,14 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .dynmap import cycle_census, per_n_oracle, rat_map
 from .errors import DynzetaError, Mismatch, ScaleExceeded, SpecError
 from .families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                        LattesOrdinary, LattesSupersingular, PowerMap,
-                       SubadditiveMap, classify_separability, per_n_closed,
+                       SubadditiveMap, classify_separability, per_n_counts,
                        realize)
 from .field import field_make, ratfunc_field
 from .limits import EXTENSION_DEGREE_CAP
@@ -365,8 +366,7 @@ def _cmd_count(params):
     if fam is None:
         raise SpecError("count needs a family map; use oracle for raw maps")
     mismatches = 0
-    for n in periods:
-        closed = per_n_closed(fam, n)
+    for n, closed in zip(periods, per_n_counts(fam, periods.start)):
         oracle_value = None
         match = None
         if realized is not None:
@@ -415,7 +415,7 @@ def _cmd_zeta(params):
         raise SpecError("zeta needs a family map")
     fam = build_family(params)
     terms = params.get("terms", 30)
-    counts = [per_n_closed(fam, n) for n in range(1, terms + 1)]
+    counts = list(islice(per_n_counts(fam, 1), terms))
     guess = rationality_guess(counts, params.get("max_order", 8))
     closed = guess is not None and guess.numerator is not None
     # A certified closed form equals exp(sum counts_n t^n / n) through

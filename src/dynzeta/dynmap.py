@@ -74,18 +74,19 @@ def compose(f: RatMap, g: RatMap) -> RatMap:
     if out_deg > POLY_DEGREE_CAP:
         raise ScaleExceeded(f"composition degree {out_deg} exceeds cap")
     m = f.degree
+    # Q^0, ..., Q^m for Q = g.den; a polynomial g (Q = 1) needs no product
     qpow = [Poly.one(f.ctx)]
     for _ in range(m):
-        qpow.append(qpow[-1] * g.den)
+        qpow.append(qpow[-1] * g.den if g.den.degree else qpow[-1])
 
     def substitute(coeffs):
-        # sum coeffs[i] * P^i * Q^(m-i), Horner in P
-        acc = Poly.zero(f.ctx)
-        for i in range(m, -1, -1):
-            c = coeffs[i] if i < len(coeffs) else f.ctx.zero()
-            term = qpow[m - i].scale(c)
-            acc = acc * g.num + term if i < m else term
-        return acc
+        # sum coeffs[i] * P^i * Q^(m-i), Horner in P from the top
+        # coefficient, so no product has a zero factor
+        acc = None
+        for i in range(len(coeffs) - 1, -1, -1):
+            term = qpow[m - i].scale(coeffs[i])
+            acc = term if acc is None else acc * g.num + term
+        return Poly.zero(f.ctx) if acc is None else acc
 
     num = substitute(f.num.coeffs)
     den = substitute(f.den.coeffs)

@@ -23,11 +23,19 @@ elliptic quotients cover the whole projective line (0).
 For an integer multiplier of an elliptic curve with End = Z the kernel
 size is the norm form (s^n - gamma)^2 / p^(v_p(s^n - gamma)), which the
 acceptance suite's torsion-enumeration oracle confirms.
+
+Counts come in runs along a progression n = first, first + step, ...
+(``per_n_counts``; ``per_n_closed`` is a run's first term): each term
+moves the power of sigma that the last one read forward by one product
+with sigma^step, so no term forms sigma^n from scratch.  A ring
+multiplier also moves N(sigma)^n forward, and reads each norm as
+N(sigma^n - gamma) = N(sigma)^n - Tr(sigma^n conj(gamma)) + N(gamma).
 """
 
 import math
 from dataclasses import InitVar, dataclass, field as dc_field
 from functools import cached_property, partial
+from itertools import count
 
 import numpy as np
 
@@ -38,19 +46,38 @@ from .dynmap import RatMap, poly_map, rat_map
 from .intarith import check_prime, factorize, multiplicative_order, v_p
 from .orders import (PrimeContext, QuadElem, QuadRing, QuatElem, units,
                      v_frak_p)
-from .twisted import TwistedPoly, realize_additive, v_phi, v_phi_pow_minus
+from .twisted import (TwistedPoly, realize_additive, truncated_valuation,
+                      tw_mul, tw_pow, v_phi)
 
 class _Quotient:
     """Kernel sizes #ker x = size(x) / p^valuation(x) of x = sigma^n - gamma;
-    by default for an integer sigma: |x|, v_p(x) and degree |sigma|."""
+    by default for an integer sigma: |x|, v_p(x) and degree |sigma|.
 
-    def kernel_sizes(self, n: int):
-        """The kernel-size function of per_n_template for the count n: an
-        integer power costs less formed again per gamma than shared."""
-        return self.kernel
+    A run of counts holds sigma^n as a ``_power`` and moves it forward by
+    ``_advance`` with the power of the step; ``_kernel`` reads
+    #ker(sigma^n - gamma) off it."""
 
-    def kernel(self, gamma, n: int) -> int:
-        x = self.sigma ** n - gamma
+    def counts(self, first: int, step: int, lead=None):
+        """#Per_n for n = first, first + step, ...: one product per term,
+        with sigma^step formed when the second term is read.  lead, when
+        given, is sigma^first."""
+        n, stride = first, None
+        power = self._power(self.sigma ** first if lead is None else lead, first)
+        while True:
+            yield per_n_template(self.boundary(n), self.gammas,
+                                 partial(self._kernel, power), n)
+            if stride is None:
+                stride = self._power(self.sigma ** step, step)
+            power, n = self._advance(power, stride), n + step
+
+    def _power(self, sigma_n, _n):
+        return sigma_n
+
+    def _advance(self, power, stride):
+        return power * stride
+
+    def _kernel(self, power, gamma, _n) -> int:
+        x = power - gamma
         return self.size(x) // self.p ** self.valuation(x)
 
     def size(self, x) -> int:
@@ -102,6 +129,27 @@ class _AdditiveQuotient:
     """x -> sigma x on G_a: kernels from v_phi(sigma^n - w), formed by
     truncated powers of sigma over a field holding the group Gamma."""
 
+    def counts(self, first: int, step: int, _lead=None):
+        """#Per_n for n = first, first + step, ...: sigma^n mod F^K moves
+        forward by one product with sigma^step mod F^K.  A term whose
+        valuation reaches K doubles K and is formed afresh, as in
+        v_phi_pow_minus; K is kept for the terms after it."""
+        sigma, roots = self._lift
+        p, top = sigma.ctx.p, sigma.top_index
+        trunc, power, stride = 2, None, None
+
+        def kernel(w, n):
+            nonlocal trunc, power
+            v, trunc, power = truncated_valuation(sigma, n, w, trunc, power)
+            return p ** (top * n - v)
+
+        for n in count(first, step):
+            yield per_n_template(self.boundary(n), roots, kernel, n)
+            if power is not None:
+                if stride is None or stride[0] != trunc:
+                    stride = trunc, tw_pow(sigma, step, trunc)
+                power = tw_mul(power, stride[1], trunc)
+
     def boundary(self, n: int) -> int:
         return 1
 
@@ -119,15 +167,6 @@ class _AdditiveQuotient:
     @property
     def gammas(self):
         return self._lift[1]
-
-    def kernel_sizes(self, n: int):
-        """The kernel-size function of per_n_template for the count n."""
-        return self.kernel
-
-    def kernel(self, w, n: int) -> int:
-        sigma = self._lift[0]
-        v = v_phi_pow_minus(sigma, n, w)
-        return sigma.ctx.p ** (sigma.top_index * n - v)
 
 
 @dataclass(frozen=True)
@@ -228,15 +267,18 @@ class _RingMultiplier(_Quotient):
     def valuation(self, x) -> int:
         return self.norm_valuation(x, x.norm())
 
-    def kernel_sizes(self, n: int):
-        """The kernel-size function of per_n_template for the count n, with
-        sigma^n (a chain of ring products) formed once for every gamma."""
-        return partial(self._power_kernel, self.sigma ** n)
+    def _power(self, sigma_n, n):
+        return sigma_n, self.degree ** n
 
-    def _power_kernel(self, power, gamma, _n) -> int:
-        x = power - gamma
-        norm = x.norm()
-        return norm // self.p ** self.norm_valuation(x, norm)
+    def _advance(self, power, stride):
+        return power[0] * stride[0], power[1] * stride[1]
+
+    def _kernel(self, power, gamma, _n) -> int:
+        # N(sigma^n - gamma) = N(sigma)^n - Tr(sigma^n conj(gamma)) + N(gamma):
+        # no coordinate of sigma^n is squared
+        sigma_n, norm_n = power
+        norm = norm_n - (sigma_n * gamma.conj()).trace() + gamma.norm()
+        return norm // self.p ** self.norm_valuation(sigma_n - gamma, norm)
 
     @property
     def degree(self) -> int:
@@ -355,15 +397,39 @@ def classify_separability(m) -> str:
     return "inseparable" if m.valuation(m.sigma) != 0 else "separable"
 
 
-def per_n_closed(m, n: int) -> int:
-    """Exact #Per_n from the family's closed form (big integers)."""
-    if n < 1:
+def per_n_counts(m, first: int, step: int = 1, lead=None):
+    """Iterator of the exact #Per_n for n = first, first + step, ...
+    (step >= 1), from the family's closed form (big integers).
+
+    Each term moves the last one's power forward by one product with the
+    power of the step, which is formed only when a second term is read:
+    D^n for an inseparable map, sigma^n for an integer multiplier, sigma^n
+    and N(sigma)^n for a ring multiplier, sigma^n mod F^K for an additive
+    one.  lead, when given, is sigma^first, which a caller that already
+    holds it need not have formed again; an additive map takes none.
+    """
+    if first < 1:
         raise SpecError("periods start at n = 1")
     if classify_separability(m) == "inseparable":
         # Inseparable iterates have squarefree fixed-point divisors, so the
         # count is always degree^n + 1.
-        return map_degree(m) ** n + 1
-    return per_n_template(m.boundary(n), m.gammas, m.kernel_sizes(n), n)
+        return _inseparable_counts(map_degree(m), first, step)
+    return m.counts(first, step, lead)
+
+
+def _inseparable_counts(degree: int, first: int, step: int):
+    power, stride = degree ** first, None
+    while True:
+        yield power + 1
+        if stride is None:
+            stride = degree ** step
+        power *= stride
+
+
+def per_n_closed(m, n: int) -> int:
+    """Exact #Per_n from the family's closed form: the first term of
+    per_n_counts."""
+    return next(per_n_counts(m, n))
 
 
 # -- realizations ------------------------------------------------------------------------

@@ -217,20 +217,32 @@ def v_phi_pow_minus(sigma: TwistedPoly, n: int, omega):
     nonzero, or K covers all top * n + 1 coefficients of sigma^n.  A K
     past the coefficient cap is refused rather than formed.
     """
+    return truncated_valuation(sigma, n, omega)[0]
+
+
+def truncated_valuation(sigma: TwistedPoly, n: int, omega, trunc=2,
+                        power=None):
+    """(v, K, sigma^n mod F^K) with v = v_phi(sigma^n - omega), by the
+    doubling of v_phi_pow_minus from K = trunc.
+
+    power, when given, is sigma^n mod F^trunc, and is read before any
+    power is formed; it comes back unchanged (None when none was given)
+    when c_0^n differs from omega, and formed afresh at every doubled K.
+    """
     omega = sigma.ctx.elem(omega)
     c0 = sigma.constant_coeff()
     if not c0.is_constant() or c0 ** n != omega:
-        return 0
+        return 0, trunc, power
     full = sigma.top_index * n + 1
-    trunc = 2
     while True:
-        trunc = min(trunc, full)
-        if trunc > TWISTED_POWER_COEFF_CAP:
-            raise ScaleExceeded("twisted power too large for direct valuation")
-        v = v_phi(tw_sub_scalar(tw_pow(sigma, n, trunc), omega))
-        if v is not INFINITY or trunc == full:
-            return v
-        trunc *= 2
+        if power is None:
+            if min(trunc, full) > TWISTED_POWER_COEFF_CAP:
+                raise ScaleExceeded("twisted power too large for direct valuation")
+            power = tw_pow(sigma, n, trunc)
+        v = v_phi(tw_sub_scalar(power, omega))
+        if v is not INFINITY or trunc >= full:
+            return v, trunc, power
+        trunc, power = 2 * trunc, None
 
 
 def _check(a, b):

@@ -25,12 +25,13 @@ import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .automata import (KernelReport, check_kernel_budget,
                        eventual_period_detect, kernel_cost, kernel_explore,
                        residue_sequence, valuation_classes)
 from .errors import Mismatch, NonIntegerCoefficient, ScaleExceeded, SpecError
-from .families import classify_separability, map_degree, per_n_closed
+from .families import classify_separability, map_degree, per_n_counts
 from .intarith import (divisors, first_prime_where, multiplicative_order,
                        tower_bound, v_p)
 from .limits import CROSSCHECK_INDEX_CAP, ELL_SEARCH_CAP, KERNEL_BUDGET
@@ -203,11 +204,15 @@ def rationality_guess(counts, max_order: int = 8):
     the fit on order + 4 extra terms.  For distinct nonzero integer roots
     a_i, the multiplicities are the partial-fraction residues e_i =
     P(1/a_i) / prod_{j != i} (1 - a_j/a_i), P = C * sum c_n t^n cut at
-    degree L; integer e_i reproducing every count give the zeta function
+    degree L; integer e_i give the candidate zeta function
     prod (1 - a_i t)^(-e_i), reported only once _closed_form_holds
-    certifies it on every count.  The exponential formula never runs here:
-    a caller that needs the zeta prefix expands a certified closed form
-    by series_of_rational, and only counts with none by zeta_from_counts.
+    certifies it on every count, which implies sum e_i a_i^n = #Per_n for
+    each n (the logarithmic derivatives agree term by term).  Counts with
+    a certified closed form that go negative are refused; negative counts
+    with none still give their guess.  The exponential formula never runs
+    here: a caller that needs the zeta prefix expands a certified closed
+    form by series_of_rational, and only counts with none by
+    zeta_from_counts.
     """
     counts = list(counts)
     bound = min(max_order, (len(counts) - 4) // 2)
@@ -227,9 +232,9 @@ def rationality_guess(counts, max_order: int = 8):
 
 def _closed_form(counts, conn, roots):
     """(numerator, denominator) of prod (1 - a t)^(-e) over the roots a,
-    with residues e, when they are integers that reproduce the counts and
-    the product passes _closed_form_holds on the counts; None otherwise.
-    Counts that fit but go negative raise SpecError there."""
+    with residues e, when they are integers and the product passes
+    _closed_form_holds on the counts; None otherwise.  Counts that fit but
+    go negative raise SpecError there."""
     p_coeffs = [sum(conn[i] * counts[k - i - 1] for i in range(k))
                 for k in range(1, len(roots) + 1)]
     es = [sum(Fraction(c, a ** k) for k, c in enumerate(p_coeffs, 1))
@@ -238,9 +243,6 @@ def _closed_form(counts, conn, roots):
     if any(e.denominator != 1 for e in es):
         return None
     es = [int(e) for e in es]
-    if any(sum(e * a ** n for e, a in zip(es, roots)) != c
-           for n, c in enumerate(counts, 1)):
-        return None
     num, den = [1], [1]
     for a, e in zip(roots, es):
         side = den if e > 0 else num
@@ -261,11 +263,9 @@ def _closed_form_holds(counts, num, den):
 
     where the left side is sum (i - j) num_i den_j t^(i+j-1).  That is
     O(T (deg num + deg den)) products and does not depend on how num and
-    den were found.  Negative counts raise SpecError, as in
-    zeta_from_counts.
+    den were found.  Negative counts that pass raise SpecError, as in
+    zeta_from_counts; counts that fail give False, negative or not.
     """
-    if any(c < 0 for c in counts):
-        raise SpecError("periodic-point counts cannot be negative")
     if num[0] != 1 or den[0] != 1:
         return False
     width = len(num) + len(den) - 1
@@ -279,8 +279,12 @@ def _closed_form_holds(counts, num, den):
     # t^k of the right side: both[width-1-m] * counts[k-(width-1)+m]
     padded = [0] * (width - 1) + list(counts)
     both.reverse()
-    return all(sum(map(operator.mul, both, padded[k:k + width])) == w
-               for k, w in enumerate(wronskian[:len(counts)]))
+    if not all(sum(map(operator.mul, both, padded[k:k + width])) == w
+               for k, w in enumerate(wronskian[:len(counts)])):
+        return False
+    if any(c < 0 for c in counts):
+        raise SpecError("periodic-point counts cannot be negative")
+    return True
 
 
 # -- certificates -----------------------------------------------------------------------
@@ -473,8 +477,12 @@ def _geometric_certificate(mapping):
     step m, beta, the modulus of ell, the stride alpha(ell) and the number
     of terms re-derived.  The auxiliary prime ell > p is the least with
     ell = 2 mod that modulus (3 when p = 2) dividing none of the map degree,
-    |Gamma|, ratio - 1 and main.  Re-derivation stops after the term count,
-    or once m k passes the crosscheck index cap (never before n = 1).  A
+    |Gamma|, ratio - 1 and main.  The re-derived counts are one run along
+    the progression: the first reads sigma^(m beta), formed once here for
+    main and the others, and each later one moves that power forward by
+    one product with sigma^(m alpha), formed only when a second count is
+    read.  Re-derivation stops after the term count, or once m k passes
+    the crosscheck index cap (never before n = 1).  A
     class with no prime below the prime search cap, or whose least prime
     already has a base-ell kernel over budget, is refused before any power
     of sigma is formed.
@@ -503,6 +511,7 @@ def _geometric_certificate(mapping):
     _ell_kernel_plan(least)
     sig_m = sigma ** m
     v0 = mapping.valuation(sig_m - one)
+    lead = sig_m ** beta
     others = []
     for g in mapping.gammas:
         if g == one:
@@ -510,9 +519,9 @@ def _geometric_certificate(mapping):
         c = mapping.valuation(one - g)
         if c >= v0:
             raise Mismatch("unit valuation not dominated (internal)")
-        others.append((mapping.size(sig_m ** beta - g), c))
+        others.append((mapping.size(lead - g), c))
     group, ratio = len(mapping.gammas), p ** e
-    main = mapping.size(sig_m ** beta - one)
+    main = mapping.size(lead - one)
     degree = map_degree(mapping)
 
     ell = first_prime_where(
@@ -535,22 +544,28 @@ def _geometric_certificate(mapping):
         return pow(residue, -1, ell) if residue else 0  # 0 is no unit: no term
 
     rederived = _rederived(mapping, m, alpha, beta, 0, terms,
-                           CROSSCHECK_INDEX_CAP, term)
+                           CROSSCHECK_INDEX_CAP, term, lead)
     return _build_detectors(mapping.name, "geometric", m, ell, p, ratio % ell,
                             alpha, beta, 0, v0, rederived)
 
 
-def _rederived(mapping, m, alpha, beta, first, stop, index_cap, term):
+def _rederived(mapping, m, alpha, beta, first, stop, index_cap, term,
+               lead=None):
     """Yield (n, term(k, #Per_(m k))) along k = alpha*n + beta.
 
     n runs over first <= n < stop and ends early at the first n > first
-    whose count index m k passes index_cap.
+    whose count index m k passes index_cap.  The counts are one run of
+    per_n_counts with step m alpha, so each moves the last one's power
+    forward by one product, and a run that the cap stops after one count
+    forms no power past the first; lead, when given, is the multiplier's
+    power at the first count index.
     """
+    counts = per_n_counts(mapping, m * (alpha * first + beta), m * alpha, lead)
     for n in range(first, stop):
         k = alpha * n + beta
         if n > first and m * k > index_cap:
             return
-        yield n, term(k, per_n_closed(mapping, m * k))
+        yield n, term(k, next(counts))
 
 
 def _ordinary_step(mapping) -> int:
@@ -660,7 +675,7 @@ def verdict(mapping) -> Verdict:
 def _rational_verdict(mapping, D, reason):
     # 1 / ((1 - t)(1 - D t))
     num, den = (1,), (1, -(D + 1), D)
-    counts = [per_n_closed(mapping, n) for n in range(1, SERIES_TERMS + 1)]
+    counts = list(islice(per_n_counts(mapping, 1), SERIES_TERMS))
     if not _closed_form_holds(counts, num, den):
         raise Mismatch("closed form disagrees with the count series")
     return Verdict("rational", reason, (num, den), None, SERIES_TERMS)

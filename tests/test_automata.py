@@ -687,6 +687,21 @@ def test_kernel_candidates_match_the_row_loop(case):
     assert kernel_explore(values.__getitem__, base, depth, prefix) == expected
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("prefix", [31, 33, 70, 100])
+def test_kernel_rows_copied_across_blocks(dtype, prefix):
+    # prefixes past one block of the row copy, ending inside a block and
+    # off a multiple of 8; random rows and the few classes of v_2
+    rng = np.random.default_rng(prefix)
+    for base, depth in ((2, 6), (5, 3), (11, 2)):
+        horizon = base ** depth * prefix + 5
+        for terms in (rng.integers(0, 3, horizon),
+                      np.array([_vp(i + 1, 2) for i in range(horizon)])):
+            terms = terms.astype(dtype)
+            assert (kernel_explore(terms, base, depth, prefix)
+                    == _row_loop_kernel(terms, base, depth, prefix))
+
+
 @pytest.mark.parametrize("prefix", [1, 3, 7, 8, 13, 64])
 def test_kernel_exact_when_every_row_hash_collides(prefix, monkeypatch):
     # a zero multiplier hashes every row to 0: one group per depth, and

@@ -202,9 +202,9 @@ class TestExitCodes:
 
     def test_count_disagreement_exits_4(self, monkeypatch, capsys):
         # every row is printed, then the summary, then the refusal
-        closed = dynzeta.cli.per_n_closed
-        monkeypatch.setattr(dynzeta.cli, "per_n_closed",
-                            lambda fam, n: closed(fam, n) + 1)
+        closed = dynzeta.cli.per_n_counts
+        monkeypatch.setattr(dynzeta.cli, "per_n_counts", lambda fam, first: (
+            count + 1 for count in closed(fam, first)))
         code, text = run_cli(["count", "--family", "power", "--p", "3",
                               "--d", "2", "--n-max", "3"])
         assert code == 4

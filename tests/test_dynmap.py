@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynzeta import modpoly
-from dynzeta.dynmap import (compose, cycle_census, is_separable, iterate,
-                            per_n_oracle, rat_map)
+from dynzeta.dynmap import (RatMap, compose, cycle_census, is_separable,
+                            iterate, per_n_oracle, rat_map)
 from dynzeta.errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
 from dynzeta.families import (AdditiveMap, ChebyshevMap, PowerMap,
                                SubadditiveMap, per_n_closed, realize)
@@ -68,6 +68,63 @@ class TestCompose:
         f = rat_map(F5, [1, 2, 1], [0, 0, 3])
         g = rat_map(F5, [0, 1, 1])
         assert compose(f, g).degree == f.degree * g.degree
+
+
+    @pytest.mark.parametrize("fam", [PowerMap(5, 3), ChebyshevMap(5, 3),
+                                     ChebyshevMap(7, 4)])
+    def test_polynomial_iterates_multiply_no_constants(self, fam,
+                                                       monkeypatch):
+        # Q = 1 for a polynomial inner map: no power of it is formed, and
+        # Horner starts at the top coefficient
+        products = []
+        mul = modpoly.mul
+
+        def recording(a, b, p):
+            products.append((len(a), len(b)))
+            return mul(a, b, p)
+
+        monkeypatch.setattr(modpoly, "mul", recording)
+        assert per_n_oracle(realize(fam), 3) == per_n_closed(fam, 3)
+        assert products
+        assert not [lens for lens in products if max(lens) <= 1]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(),
+           field=st.sampled_from([(2, 1), (5, 1), (7, 1), (2, 2), (3, 2)]),
+           degrees=st.tuples(*[st.integers(0, 3)] * 4))
+    def test_matches_the_substitution_from_degree_m(self, data, field,
+                                                    degrees):
+        ctx = field_make(*field)
+        elem = st.integers(0, ctx.order - 1).map(ctx.elem_at)
+        lead = st.integers(1, ctx.order - 1).map(ctx.elem_at)
+        parts = [data.draw(st.lists(elem, min_size=d, max_size=d))
+                 + [data.draw(lead)] for d in degrees]
+        try:
+            f, g = rat_map(ctx, *parts[:2]), rat_map(ctx, *parts[2:])
+        except SpecError:  # a constant map
+            assume(False)
+        assert compose(f, g) == _reference_compose(f, g)
+
+
+def _reference_compose(f, g):
+    """f(g(x)) by the substitution that runs Horner from i = deg f for
+    numerator and denominator alike, with every power of g.den formed."""
+    m = f.degree
+    qpow = [Poly.one(f.ctx)]
+    for _ in range(m):
+        qpow.append(qpow[-1] * g.den)
+
+    def substitute(coeffs):
+        acc = Poly.zero(f.ctx)
+        for i in range(m, -1, -1):
+            c = coeffs[i] if i < len(coeffs) else f.ctx.zero()
+            term = qpow[m - i].scale(c)
+            acc = acc * g.num + term if i < m else term
+        return acc
+
+    num, den = substitute(f.num.coeffs), substitute(f.den.coeffs)
+    inv = den.leading.inverse()
+    return RatMap(num.scale(inv), den.scale(inv))
 
 
 class TestIterate:

@@ -20,7 +20,7 @@ from dynzeta import zeta
 from dynzeta.cli import SCHEMA, main
 from dynzeta.errors import Mismatch
 from dynzeta.families import (ChebyshevMap, LattesGenericJ, PowerMap,
-                              per_n_closed)
+                              per_n_counts)
 from dynzeta.zeta import certificate_build, verdict
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -124,10 +124,11 @@ def test_cold_build_checks_counts_before_any_kernel(monkeypatch):
 def _wrong_first_count(monkeypatch):
     seen = []
 
-    def wrong(mapping, n):
-        seen.append(n)
-        return per_n_closed(mapping, n) + (len(seen) == 1)
-    monkeypatch.setattr(zeta, "per_n_closed", wrong)
+    def wrong(mapping, first, step=1, lead=None):
+        for count in per_n_counts(mapping, first, step, lead):
+            seen.append(count)
+            yield count + (len(seen) == 1)
+    monkeypatch.setattr(zeta, "per_n_counts", wrong)
 
 
 def test_hit_still_refuses_a_wrong_count(monkeypatch):

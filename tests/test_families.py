@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynzeta.dynmap import compose, per_n_oracle, rat_map
 from dynzeta.elliptic import EllipticCurve, lattes_oracle
 from dynzeta.errors import (DynzetaError, InvalidCombination,
                             NonIntegerOrbitCount, NotRealizable,
-                            ScaleExceeded, SubadditiveConditionViolated)
+                            ScaleExceeded, SpecError,
+                            SubadditiveConditionViolated)
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
                               SubadditiveMap, chebyshev_poly,
                               classify_separability, map_degree, per_n_closed,
-                              per_n_template, realize)
+                              per_n_counts, per_n_template, realize)
 from dynzeta.field import (Poly, embed, extend_field, field_make,
                            ratfunc_field)
 from dynzeta.intarith import divisors, multiplicative_order, v_p
@@ -498,3 +501,39 @@ def test_quotient_data_matches_the_family_ladders(fam):
     assert classify_separability(fam) == _ref_classify_separability(fam)
     for n in range(1, 13):
         assert per_n_closed(fam, n) == _ref_per_n_closed(fam, n), n
+
+
+_GRID = list(_reference_grid())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(_GRID), st.integers(1, 12), st.integers(1, 12),
+       st.booleans())
+def test_count_runs_match_the_reference_at_every_index(fam, first, step,
+                                                        lead):
+    # each term is one product past the last; a lead sigma^first, as a
+    # certificate passes it, changes no count (an additive map takes none)
+    lead = (fam.sigma ** first
+            if lead and not isinstance(fam.sigma, TwistedPoly) else None)
+    counts = per_n_counts(fam, first, step, lead)
+    for n in range(first, first + 4 * step, step):
+        assert next(counts) == _ref_per_n_closed(fam, n), n
+
+
+@pytest.mark.parametrize("p,coeffs,step", [(2, (1, 1, 1), 1),
+                                            (5, (1, 1, 1), 5),
+                                            (3, (1, 0, 1, 1), 3)])
+def test_additive_runs_through_doubled_truncations(p, coeffs, step):
+    # v_phi(sigma^n - 1) grows as p^(v_p(n)) for sigma = 1 + ..., so a run
+    # doubles K on the way and must move the power on with sigma^step
+    # mod F^K at each new K; the last run reads a wrong count at n = 27
+    # from a step power kept at an earlier K
+    fam = AdditiveMap(tw(field_make(p), *coeffs))
+    counts = per_n_counts(fam, step, step)
+    for n in range(step, 40, step):
+        assert next(counts) == _ref_per_n_closed(fam, n), n
+
+
+def test_count_runs_start_at_period_one():
+    with pytest.raises(SpecError, match="periods start at n = 1"):
+        per_n_counts(PowerMap(3, 2), 0)

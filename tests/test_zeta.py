@@ -21,13 +21,13 @@ from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               SubadditiveMap, per_n_closed)
 from dynzeta.field import field_make, ratfunc_field
 from dynzeta.intarith import divisors, multiplicative_order, v_p
-from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
+from dynzeta.orders import (B3_ORDER, HURWITZ, QuadElem, QuadRing, QuatElem,
                             prime_context)
 from dynzeta.twisted import TwistedPoly
-from dynzeta.zeta import (_integer_roots, _supersingular_step,
-                          certificate_build, rationality_guess,
-                          series_of_rational, verdict, zeta_from_counts,
-                          zeta_from_cycles)
+from dynzeta.zeta import (RationalGuess, _integer_roots,
+                          _supersingular_step, certificate_build,
+                          rationality_guess, series_of_rational, verdict,
+                          zeta_from_counts, zeta_from_cycles)
 
 
 class TestSeries:
@@ -386,8 +386,8 @@ def _zeta_command(counts, max_order):
     out, err = io.StringIO(), io.StringIO()
     argv = ["zeta", "--family", "power", "--p", "3", "--d", "2",
             "--terms", str(len(counts)), "--max-order", str(max_order)]
-    with mock.patch.object(cli, "per_n_closed",
-                           lambda fam, n: counts[n - 1]), \
+    with mock.patch.object(cli, "per_n_counts",
+                           lambda fam, first: iter(counts)), \
             contextlib.redirect_stderr(err):
         code = cli.main(argv, out=out)
     records = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -466,12 +466,23 @@ class TestZetaRoutes:
                                                       monkeypatch, capsys):
         # the first two fit a closed form; the last fits a recurrence with
         # a repeated root, so no closed form, and reaches the exponential
-        monkeypatch.setattr(cli, "per_n_closed", lambda fam, n: count(n))
+        monkeypatch.setattr(cli, "per_n_counts",
+                            lambda fam, first: map(count, itertools.count(first)))
         out = io.StringIO()
         code = cli.main(["zeta", "--family", "power", "--p", "3", "--d", "2",
                          "--terms", "30"], out=out)
         assert (code, out.getvalue()) == (2, "")
         assert "counts cannot be negative" in capsys.readouterr().err
+
+
+def test_negative_counts_are_refused_only_with_a_closed_form():
+    # 2^n - 3^n fits (1 - 3t)/(1 - 2t): refused once the certificate holds
+    with pytest.raises(SpecError, match="counts cannot be negative"):
+        rationality_guess([2 ** n - 3 ** n for n in range(1, 31)])
+    # (2^n - 4^n)/2 has the residues 1/2 and -1/2: no closed form, so the
+    # guess stands
+    guess = rationality_guess([(2 ** n - 4 ** n) // 2 for n in range(1, 31)])
+    assert guess == RationalGuess(2, None, None)
 
 
 def _fraction_berlekamp_massey(counts, bound):
@@ -552,15 +563,19 @@ class TestVerdicts:
     def test_a_disagreeing_count_fails_the_rational_verdict(self,
                                                             monkeypatch):
         # the closed form is checked by its certificate on SERIES_TERMS
-        # counts; one count off is a Mismatch, a negative one a SpecError
-        closed = zeta.per_n_closed
-        monkeypatch.setattr(zeta, "per_n_closed", lambda fam, n: closed(
-            fam, n) + (n == zeta.SERIES_TERMS))
+        # counts; one count off is a Mismatch, and so are negative counts,
+        # which are refused only once a closed form fits them
+        closed = zeta.per_n_counts
+        monkeypatch.setattr(zeta, "per_n_counts", lambda fam, first: (
+            count + (n == zeta.SERIES_TERMS)
+            for n, count in enumerate(closed(fam, first), first)))
         with pytest.raises(Mismatch,
                            match="closed form disagrees with the count series"):
             verdict(PowerMap(3, 3))
-        monkeypatch.setattr(zeta, "per_n_closed", lambda fam, n: -1)
-        with pytest.raises(SpecError):
+        monkeypatch.setattr(zeta, "per_n_counts",
+                            lambda fam, first: itertools.repeat(-1))
+        with pytest.raises(Mismatch,
+                           match="closed form disagrees with the count series"):
             verdict(PowerMap(3, 3))
 
     def test_separable_power_evidence(self):
@@ -583,6 +598,54 @@ class TestVerdicts:
         assert not v.certificate.consistent()
         assert v.outcome == "inconclusive"
         assert v.reason == "separable-multiplicative-or-lattes"
+
+
+class TestCountRuns:
+    def test_a_capped_run_forms_no_power_past_its_first_count(self,
+                                                             monkeypatch):
+        # m = 10200 at p = 101: the second count index passes the
+        # crosscheck cap, so no count forms sigma^(m alpha) or a product
+        # wider than sigma^m
+        fam = LattesSupersingular(101, sigma_trace=1, sigma_norm=3)
+        first = fam.sigma ** 10200
+        widest = max(abs(first.a), abs(first.b)).bit_length()
+        sizes, counting = [], []
+        mul, counts = QuadElem.__mul__, zeta.per_n_counts
+
+        def recording(x, y):
+            out = mul(x, y)
+            if counting:
+                sizes.append(max(abs(out.a), abs(out.b)).bit_length())
+            return out
+
+        def counted(*args):
+            run = counts(*args)
+            while True:
+                counting.append(True)
+                try:
+                    count = next(run)
+                except StopIteration:
+                    return
+                finally:
+                    counting.pop()
+                yield count
+
+        monkeypatch.setattr(QuadElem, "__mul__", recording)
+        monkeypatch.setattr(zeta, "per_n_counts", counted)
+        cert = certificate_build(fam)
+        assert (cert.m, cert.crosscheck_terms) == (10200, 1)
+        assert sizes and max(sizes) <= widest
+
+    def test_split_pair_fails_before_any_kernel(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(zeta, "kernel_explore",
+                            lambda *args, **kwargs: calls.append(args))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["verdict", "--family", "lattes-supersingular",
+                             "--p", "5", "--sigma-tn", "2,12"], out=out)
+        assert (code, out.getvalue(), calls) == (4, "", [])
+        assert "fails count re-derivation at n=0" in err.getvalue()
 
 
 class TestCertificates:
