@@ -152,10 +152,7 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
     the counts and witnesses are those of a byte comparison of every row,
     whatever the hash does.
     """
-    if base < 2 or depth < 0 or prefix_len < 1:
-        raise SpecError("kernel exploration needs base >= 2, depth >= 0 "
-                        "and prefix_len >= 1")
-    check_kernel_budget(base, depth, prefix_len, budget)
+    _check_kernel_plan(base, depth, prefix_len, budget)
     horizon = base ** depth * prefix_len
     if isinstance(seq, np.ndarray):
         if seq.dtype.hasobject:
@@ -197,6 +194,12 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
         for r in np.flatnonzero(candidate).tolist():
             signatures.setdefault(padded[r].tobytes(), (e, r))
         counts.append(len(signatures))
+    return _kernel_report(base, depth, prefix_len, counts, signatures)
+
+
+def _kernel_report(base, depth, prefix_len, counts, signatures):
+    """The KernelReport of cumulative class counts and of the first
+    (depth, residue) of each row signature."""
     if depth >= 2 and counts[-1] == counts[-2] == counts[-3]:
         classification = "closed"
     else:
@@ -204,6 +207,69 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
     witnesses = tuple(sorted(signatures.values()))[:64]
     return KernelReport(base, depth, prefix_len, tuple(counts),
                         classification, witnesses)
+
+
+def _check_kernel_plan(base, depth, prefix_len, budget):
+    if base < 2 or depth < 0 or prefix_len < 1:
+        raise SpecError("kernel exploration needs base >= 2, depth >= 0 "
+                        "and prefix_len >= 1")
+    check_kernel_budget(base, depth, prefix_len, budget)
+
+
+def progression_kernel(alpha: int, beta: int, p: int, term, dtype, depth: int,
+                       prefix_len: int = 256,
+                       budget: int = AUTOMATA_KERNEL_BUDGET) -> KernelReport:
+    """kernel_explore(seq, p, depth, prefix_len, budget) of the sieve
+    sequence seq(n) = term(v_p(alpha*n + beta)), its terms of the given
+    dtype (a zero term, at most one, has valuation 0, as in
+    v_p_progression), without forming seq.
+
+    Row (e, r) is the sieve of the progression (alpha p^e, c), c =
+    alpha r + beta, and is the constant term(v_p(c)) when v_p(c) is below
+    v_p(alpha p^e).  Write alpha = p^a u with u prime to p.  When p^a
+    does not divide beta, every c has valuation v_p(beta) < a, so every
+    row is that one constant.  Otherwise beta = p^a b and v_p(c) =
+    a + v_p(u r + b), which is at least a + j exactly for r = -b/u mod
+    p^j.  So at depth e each valuation a + j with j < e first occurs at
+    r = -b/u mod p^j, or at that plus p^j when it is also -b/u mod
+    p^(j+1), in a constant row; the one row with v_p(c) >= a + e, r =
+    -b/u mod p^e, is a v_p_progression of prefix_len terms.  Every other
+    row of the depth repeats one of these, so inserting them in (e, r)
+    order into one signature dict gives kernel_explore's class counts
+    and witnesses: depth e costs e + 1 rows and one sieve of prefix_len
+    terms, not p^e rows of the sequence.
+    """
+    _check_kernel_plan(p, depth, prefix_len, budget)
+    if alpha == 0:
+        raise SpecError("progression stride must be nonzero")
+    # every row's terms lie below |alpha| p^depth prefix_len + |beta|
+    top = (abs(alpha) * p ** depth * prefix_len + abs(beta)).bit_length()
+    table = np.array([term(v) for v in range(top + 1)], dtype=dtype)
+
+    def constant(v):
+        return np.full(prefix_len, table[v], dtype).tobytes()
+
+    a = v_p(alpha, p)
+    pa = p ** a
+    if beta % pa:
+        return _kernel_report(p, depth, prefix_len, [1] * (depth + 1),
+                              {constant(v_p(beta, p)): (0, 0)})
+    unit, b = alpha // pa, beta // pa
+    signatures = {}
+    counts = []
+    rows = []  # (least r with v_p(u r + b) = j, its constant row), j < e
+    rho = 0
+    for e in range(depth + 1):
+        pe = p ** e
+        last, rho = rho, -b * pow(unit, -1, pe) % pe
+        if e:
+            rows.append((last + pe // p * (last == rho), constant(a + e - 1)))
+        sieve = v_p_progression(alpha * pe, alpha * rho + beta, p, prefix_len,
+                                table)
+        for r, row in sorted(rows + [(rho, sieve.tobytes())]):
+            signatures.setdefault(row, (e, r))
+        counts.append(len(signatures))
+    return _kernel_report(p, depth, prefix_len, counts, signatures)
 
 
 PERIOD_MIN_REPEATS = 3
@@ -451,28 +517,27 @@ def christol_series(poly_y, p: int, prefix, length: int):
 # -- the two canonical non-automatic witness families ----------------------------------------
 
 
+def driving_progression(shape, alpha, beta):
+    """(alpha, beta) of the progression whose valuations drive a residue
+    sequence: alpha*n + beta in the geometric shape, n in the tower shape."""
+    return (alpha, beta) if shape == "geometric" else (1, 0)
+
+
 def _driving_sieve(shape, alpha, beta, p, n, term, dtype):
-    """term(v) of the driving valuation v at each of the first n indices:
-    v_p(alpha*i + beta) in the geometric shape, v_p(i) in the tower shape,
+    """term(v) of the driving valuation v at each of the first n indices,
     with a zero term at v = 0.  A table of term(v) over every valuation
     that occurs is written by the sieve of v_p_progression."""
-    if shape != "geometric":
-        alpha, beta = 1, 0
+    alpha, beta = driving_progression(shape, alpha, beta)
     top = (abs(alpha) * n + abs(beta)).bit_length()
     table = np.array([term(v) for v in range(top + 1)], dtype=dtype)
     return v_p_progression(alpha, beta, p, n, table)
 
 
-def residue_sequence(shape, ratio, a1, alpha, beta, p, ell, n):
-    """numpy array of the first n residue-sequence terms.
-
-    A term depends on its driving valuation v alone (ratio^v mod ell in
-    the geometric shape, p^(a1 * p^v) mod ell in the tower shape, with the
-    exponent reduced mod the order of p), so the terms are a table of one
-    entry per valuation written by a sieve over the valuation levels:
-    about n/(p - 1) writes after one fill, and no index of the whole
-    length is gathered.
-    """
+def residue_term(shape, ratio, a1, p, ell):
+    """(term, dtype): a residue-sequence term as a function of its driving
+    valuation v, ratio^v mod ell in the geometric shape and p^(a1 * p^v)
+    mod ell in the tower shape (the exponent reduced mod the order of p),
+    and the numpy dtype that holds every term."""
     if shape == "geometric":
         def term(v):
             return pow(ratio, v, ell)
@@ -481,16 +546,19 @@ def residue_sequence(shape, ratio, a1, alpha, beta, p, ell, n):
 
         def term(v):
             return pow(p, a1 * pow(p, v, ordp) % ordp, ell)
-    return _driving_sieve(shape, alpha, beta, p, n, term,
-                          np.min_scalar_type(ell - 1))
+    return term, np.min_scalar_type(ell - 1)
 
 
-def valuation_classes(shape, alpha, beta, p, sat, n):
-    """numpy array of min(v, sat) over the first n driving valuations v
-    of residue_sequence(shape, ..., alpha, beta, p, ...), by the same
-    sieve."""
-    return _driving_sieve(shape, alpha, beta, p, n, lambda v: min(v, sat),
-                          np.min_scalar_type(sat))
+def residue_sequence(shape, ratio, a1, alpha, beta, p, ell, n):
+    """numpy array of the first n residue-sequence terms.
+
+    A term depends on its driving valuation v alone (residue_term), so
+    the terms are a table of one entry per valuation written by a sieve
+    over the valuation levels: about n/(p - 1) writes after one fill, and
+    no index of the whole length is gathered.
+    """
+    return _driving_sieve(shape, alpha, beta, p, n,
+                          *residue_term(shape, ratio, a1, p, ell))
 
 
 @dataclass(frozen=True)

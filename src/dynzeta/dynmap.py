@@ -77,7 +77,7 @@ def compose(f: RatMap, g: RatMap) -> RatMap:
     # Q^0, ..., Q^m for Q = g.den; a polynomial g (Q = 1) needs no product
     qpow = [Poly.one(f.ctx)]
     for _ in range(m):
-        qpow.append(qpow[-1] * g.den if g.den.degree else qpow[-1])
+        qpow.append(_times(qpow[-1], g.den))
 
     def substitute(coeffs):
         # sum coeffs[i] * P^i * Q^(m-i), Horner in P from the top
@@ -85,7 +85,7 @@ def compose(f: RatMap, g: RatMap) -> RatMap:
         acc = None
         for i in range(len(coeffs) - 1, -1, -1):
             term = qpow[m - i].scale(coeffs[i])
-            acc = term if acc is None else acc * g.num + term
+            acc = term if acc is None else _times(acc, g.num) + term
         return Poly.zero(f.ctx) if acc is None else acc
 
     num = substitute(f.num.coeffs)
@@ -96,6 +96,15 @@ def compose(f: RatMap, g: RatMap) -> RatMap:
     if out.degree != out_deg:
         raise SpecError("internal error: composition degree law violated")
     return out
+
+
+def _times(a: Poly, b: Poly) -> Poly:
+    """a * b, by Poly.scale when a factor is a nonzero constant."""
+    if a.degree == 0:
+        return b.scale(a.leading)
+    if b.degree == 0:
+        return a.scale(b.leading)
+    return a * b
 
 
 def iterate(f: RatMap, n: int) -> RatMap:

@@ -29,7 +29,9 @@ Counts come in runs along a progression n = first, first + step, ...
 moves the power of sigma that the last one read forward by one product
 with sigma^step, so no term forms sigma^n from scratch.  A ring
 multiplier also moves N(sigma)^n forward, and reads each norm as
-N(sigma^n - gamma) = N(sigma)^n - Tr(sigma^n conj(gamma)) + N(gamma).
+N(sigma^n - gamma) = N(sigma)^n - Tr(sigma^n conj(gamma)) + N(gamma);
+an integer multiplier of an elliptic curve likewise moves s^(2n) forward
+and reads (s^n - gamma)^2 as s^(2n) - 2 gamma s^n + gamma^2.
 """
 
 import math
@@ -230,8 +232,20 @@ class SubadditiveMap(_AdditiveQuotient):
         return sigma, tuple(sorted(roots, key=lambda z: z.rep))
 
 
+class _DegreePowers(_Quotient):
+    """A run that moves deg(sigma)^n = size(sigma^n) forward beside
+    sigma^n, so that a kernel size reads size(sigma^n - gamma) off the
+    two without squaring sigma^n."""
+
+    def _power(self, sigma_n, n):
+        return sigma_n, self.degree ** n
+
+    def _advance(self, power, stride):
+        return power[0] * stride[0], power[1] * stride[1]
+
+
 @dataclass(frozen=True)
-class LattesGenericJ(_Quotient):
+class LattesGenericJ(_DegreePowers):
     """Integer multiplier on a curve with End = Z; quotient by negation."""
 
     p: int
@@ -252,11 +266,17 @@ class LattesGenericJ(_Quotient):
     def size(self, x) -> int:
         return x * x
 
+    def _kernel(self, power, gamma, _n) -> int:
+        # (s^n - gamma)^2 = s^(2n) - 2 gamma s^n + gamma^2: s^n is not squared
+        s_n, square_n = power
+        return ((square_n - 2 * gamma * s_n + gamma * gamma)
+                // self.p ** self.valuation(s_n - gamma))
+
     def boundary(self, n: int) -> int:
         return 0
 
 
-class _RingMultiplier(_Quotient):
+class _RingMultiplier(_DegreePowers):
     """x -> sigma x for sigma in an imaginary quadratic or quaternion
     order: the degree of an endomorphism is its (reduced) norm, which
     the valuation reads too (norm_valuation)."""
@@ -266,12 +286,6 @@ class _RingMultiplier(_Quotient):
 
     def valuation(self, x) -> int:
         return self.norm_valuation(x, x.norm())
-
-    def _power(self, sigma_n, n):
-        return sigma_n, self.degree ** n
-
-    def _advance(self, power, stride):
-        return power[0] * stride[0], power[1] * stride[1]
 
     def _kernel(self, power, gamma, _n) -> int:
         # N(sigma^n - gamma) = N(sigma)^n - Tr(sigma^n conj(gamma)) + N(gamma):
@@ -403,10 +417,11 @@ def per_n_counts(m, first: int, step: int = 1, lead=None):
 
     Each term moves the last one's power forward by one product with the
     power of the step, which is formed only when a second term is read:
-    D^n for an inseparable map, sigma^n for an integer multiplier, sigma^n
-    and N(sigma)^n for a ring multiplier, sigma^n mod F^K for an additive
-    one.  lead, when given, is sigma^first, which a caller that already
-    holds it need not have formed again; an additive map takes none.
+    D^n for an inseparable map, sigma^n for an integer multiplier (and
+    sigma^(2n) for one of an elliptic curve), sigma^n and N(sigma)^n for a
+    ring multiplier, sigma^n mod F^K for an additive one.  lead, when
+    given, is sigma^first, which a caller that already holds it need not
+    have formed again; an additive map takes none.
     """
     if first < 1:
         raise SpecError("periods start at n = 1")

@@ -408,11 +408,16 @@ class NormSequenceReport:
 def norm_sequence(sigma, gamma, ell: int, length: int) -> NormSequenceReport:
     """norm(sigma^n - gamma) mod ell, computed two independent ways.
 
-    The direct route powers sigma exactly; the second route runs the
-    order-4 linear recurrence with characteristic polynomial
-    (x-1)(x-N)(x^2-Tx+N) mod ell.  Any disagreement raises Mismatch, as
-    does a least period that fails to divide (ell-1)(ell^2-1)ell^A for
-    every A <= 4.
+    The direct route powers sigma modulo ell O, O the ring of sigma; the
+    second route runs the order-4 linear recurrence with characteristic
+    polynomial (x-1)(x-N)(x^2-Tx+N) mod ell.  Any disagreement raises
+    Mismatch, as does a least period that fails to divide
+    (ell-1)(ell^2-1)ell^A for every A <= 4.
+
+    The norm mod ell sees only x mod ell O, since N(x + ell y) =
+    N(x) + ell Tr(x conj(y)) + ell^2 N(y) with an integral trace.  So the
+    direct route keeps each power with coordinates reduced mod ell
+    (_mod_ell), and its products stay small however large sigma is.
     """
     check_prime(ell)
     if length < 8:
@@ -420,10 +425,11 @@ def norm_sequence(sigma, gamma, ell: int, length: int) -> NormSequenceReport:
     char, rec = _norm_recurrence(sigma.trace(), sigma.norm(), ell)
 
     direct = []
+    step = _mod_ell(sigma, ell)
     power = sigma ** 0
     for _ in range(length):
         direct.append((power - gamma).norm() % ell)
-        power = power * sigma
+        power = _mod_ell(power * step, ell)
     seq = list(direct[:4])
     for i in range(4, len(direct)):
         nxt = (rec[3] * seq[i - 1] + rec[2] * seq[i - 2]
@@ -443,6 +449,17 @@ def norm_sequence(sigma, gamma, ell: int, length: int) -> NormSequenceReport:
         raise Mismatch(f"least period {period} violates the recurrence bound")
     return NormSequenceReport(tuple(direct[:length]), ell, tuple(char),
                               period, preperiod, bound_a)
+
+
+def _mod_ell(x, ell):
+    """An element congruent to x mod ell O: a + b tau with a, b mod ell, or
+    a quaternion with its doubled coordinates mod 4 ell, which moves it by
+    2 ell times a quaternion with integer coordinates, inside ell O, and
+    keeps the parities that place it in its order."""
+    if isinstance(x, QuatElem):
+        m = 4 * ell
+        return QuatElem(x.order, x.a % m, x.b % m, x.c % m, x.d % m)
+    return QuadElem(x.ring, x.a % ell, x.b % ell)
 
 
 def _norm_recurrence(T, N, ell):

@@ -27,9 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .automata import (KernelReport, check_kernel_budget,
+import numpy as np
+
+from .automata import (KernelReport, check_kernel_budget, driving_progression,
                        eventual_period_detect, kernel_cost, kernel_explore,
-                       residue_sequence, valuation_classes)
+                       progression_kernel, residue_sequence, residue_term)
 from .errors import Mismatch, NonIntegerCoefficient, ScaleExceeded, SpecError
 from .families import classify_separability, map_degree, per_n_counts
 from .intarith import (divisors, first_prime_where, multiplicative_order,
@@ -381,10 +383,15 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     The plan precedes every term: refuse an ell whose kernel costs more
     than four budgets (before any count: the indices m k grow with ell),
     choose the control (the values' own base-p kernel runs only at a depth
-    two past the value profile's period), then form one prefix for the
-    scan's first window and the kernels that run.  None reads past four
-    budgets: a base-p kernel of depth >= 2 fits one budget, the values run
-    only at depth >= 3, and at depth 1 p < ell, whose kernel has passed.
+    two past the value profile's period), then form one prefix of
+    max(PERIOD_TERMS, ell^depth * prefix) values for the scan's first
+    window and the base-ell kernel.  No kernel reads past four budgets: a
+    base-p kernel of depth >= 2 fits one budget, the values run only at
+    depth >= 3, and at depth 1 p < ell, whose kernel has passed.  The
+    base-p control, of the values or of the saturated valuation classes,
+    is read from the driving progression by progression_kernel, one sieve
+    row per depth, so it reads no term of the prefix and forms no
+    p^depth-row array.
 
     The evidence (the first PERIOD_TERMS values, both kernel reports, the
     control and the period scan) is kept per key (shape, ratio, a1,
@@ -402,9 +409,7 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     p_depth_values = _fit_depth(p, KERNEL_PREFIX, KERNEL_BUDGET, MAX_P_DEPTH)
     depth_cap = _fit_depth(p, CLASS_PREFIX, KERNEL_BUDGET, MAX_P_DEPTH)
     try_values = _control_period(shape, ratio, a1, p, ell) + 2 <= p_depth_values
-    class_terms = p ** depth_cap * CLASS_PREFIX
-    horizon = max(PERIOD_TERMS, ell ** ell_depth * ell_prefix, class_terms,
-                  p ** p_depth_values * KERNEL_PREFIX if try_values else 0)
+    horizon = max(PERIOD_TERMS, ell ** ell_depth * ell_prefix)
     key = (shape, ratio, a1, alpha, beta, p, ell)
     evidence = _evidence_cache.get(key)
     values = (residue_sequence(*key, horizon) if evidence is None
@@ -424,8 +429,12 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
 
     # Positive control: the value sequence itself when its base-p kernel
     # closes, else the saturated valuation classes the values factor through.
-    p_kernel = (kernel_explore(values, p, p_depth_values, KERNEL_PREFIX,
-                               budget=kernel_budget) if try_values else None)
+    drive = driving_progression(shape, alpha, beta)
+    p_kernel = (progression_kernel(*drive, p,
+                                   *residue_term(shape, ratio, a1, p, ell),
+                                   p_depth_values, KERNEL_PREFIX,
+                                   budget=kernel_budget)
+                if try_values else None)
 
     # Periodicity scan with adaptive extension: a candidate period found
     # on a short prefix is retried on a window long enough to refute it
@@ -439,8 +448,6 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
             break
         pre, per = period
         scan_len = max(2 * scan_len, pre + 8 * per)
-    # Only the prefix is kept: the valuation classes are formed without
-    # the horizon-length values alive beside them.
     values = tuple(values[:PERIOD_TERMS].tolist())
 
     if p_kernel is not None and p_kernel.closed:
@@ -448,9 +455,9 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     else:
         control = "valuation-classes"
         sat = max(2, min(6, depth_cap - 3))
-        classes = valuation_classes(shape, alpha, beta, p, sat, class_terms)
-        p_kernel = kernel_explore(classes, p, depth_cap, CLASS_PREFIX,
-                                  budget=kernel_budget)
+        p_kernel = progression_kernel(*drive, p, lambda v: min(v, sat),
+                                      np.min_scalar_type(sat), depth_cap,
+                                      CLASS_PREFIX, budget=kernel_budget)
     evidence = (values, ell_kernel, p_kernel, control, period)
     _evidence_cache[key] = evidence
     if len(_evidence_cache) > EVIDENCE_CACHE_SIZE:

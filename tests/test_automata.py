@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynzeta import automata, modpoly
-from dynzeta.automata import (Dfao, KernelReport, check_kernel_budget,
-                              christol_series, eventual_period_detect,
-                              frobenius_horner, kernel_cost, kernel_explore,
+from dynzeta.automata import (Dfao, KernelReport, _driving_sieve,
+                              check_kernel_budget, christol_series,
+                              eventual_period_detect, frobenius_horner,
+                              kernel_cost, kernel_explore, progression_kernel,
                               vp_geometric_sequence, vp_tower_sequence)
 from dynzeta.errors import (HypothesisViolated, NotARoot, ScaleExceeded,
                             SingularRoot, SpecError)
@@ -717,6 +718,49 @@ def test_kernel_exact_when_every_row_hash_collides(prefix, monkeypatch):
     for (terms, base, depth), report in zip(cases, reports):
         assert kernel_explore(terms, base, depth, prefix) == report
         assert report == _row_loop_kernel(terms, base, depth, prefix)
+
+
+@st.composite
+def _progression_kernels(draw):
+    """(alpha, beta, p, term, dtype, depth, prefix, budget): a sieve
+    sequence term(v_p(alpha n + beta)) with a term periodic mod ell or
+    saturating, and a budget that sometimes refuses the plan."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    alpha = draw(st.integers(1, 60) | st.integers(1, 60 // p).map(
+        lambda k: k * p)) * draw(st.sampled_from((1, -1)))
+    beta = draw(st.integers(0, 60))
+    depth = draw(st.integers(0, 5 if p < 7 else 3))
+    prefix = draw(st.sampled_from((1, 2, 7, 64)))
+    if draw(st.booleans()):
+        ell = draw(st.sampled_from((3, 7, 11, 29, 263)))
+        ratio = draw(st.integers(2, ell - 1))
+
+        def term(v):
+            return pow(ratio, v, ell)
+        dtype = np.min_scalar_type(ell - 1)
+    else:
+        sat = draw(st.integers(1, 6))
+
+        def term(v):
+            return min(v, sat)
+        dtype = np.min_scalar_type(sat)
+    budget = draw(st.sampled_from((kernel_cost(p, depth, prefix),
+                                   kernel_cost(p, depth, prefix) - 1,
+                                   10 ** 9)))
+    return alpha, beta, p, term, dtype, depth, prefix, budget
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_progression_kernels())
+def test_progression_kernel_matches_the_materialised_sieve(case):
+    alpha, beta, p, term, dtype, depth, prefix, budget = case
+    seq = _driving_sieve("geometric", alpha, beta, p, p ** depth * prefix,
+                         term, dtype)
+    expected = _outcome(kernel_explore, seq, p, depth, prefix, budget)
+    assert _outcome(progression_kernel, alpha, beta, p, term, dtype, depth,
+                    prefix, budget) == expected
+    if budget < kernel_cost(p, depth, prefix):
+        assert expected[0] is ScaleExceeded
 
 
 def _vp(n, p):

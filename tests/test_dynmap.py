@@ -76,17 +76,20 @@ class TestCompose:
                                                        monkeypatch):
         # Q = 1 for a polynomial inner map: no power of it is formed, and
         # Horner starts at the top coefficient
-        products = []
-        mul = modpoly.mul
-
-        def recording(a, b, p):
-            products.append((len(a), len(b)))
-            return mul(a, b, p)
-
-        monkeypatch.setattr(modpoly, "mul", recording)
+        products = _recorded_products(monkeypatch)
         assert per_n_oracle(realize(fam), 3) == per_n_closed(fam, 3)
         assert products
         assert not [lens for lens in products if max(lens) <= 1]
+
+    def test_constant_factors_are_scaled_not_multiplied(self, monkeypatch):
+        # x -> 1/x^2 has a constant numerator and its square a constant
+        # denominator: Q^0 * Q and every Horner step on a constant P are
+        # scalar passes
+        products = _recorded_products(monkeypatch)
+        fam = PowerMap(7, -2)
+        assert per_n_oracle(realize(fam), 3) == per_n_closed(fam, 3)
+        assert products
+        assert not [lens for lens in products if min(lens) <= 1]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(),
@@ -104,6 +107,19 @@ class TestCompose:
         except SpecError:  # a constant map
             assume(False)
         assert compose(f, g) == _reference_compose(f, g)
+
+
+def _recorded_products(monkeypatch):
+    """(len(a), len(b)) of every modpoly.mul(a, b, p) from now on."""
+    products = []
+    mul = modpoly.mul
+
+    def recording(a, b, p):
+        products.append((len(a), len(b)))
+        return mul(a, b, p)
+
+    monkeypatch.setattr(modpoly, "mul", recording)
+    return products
 
 
 def _reference_compose(f, g):

@@ -44,7 +44,7 @@ SWEEP = [{"family": family, "p": p, name: d}
                                   ("lattes-generic", "s", (2, -3)))
          for d in ds]
 
-EVIDENCE = ("kernel_explore", "valuation_classes", "residue_sequence",
+EVIDENCE = ("kernel_explore", "progression_kernel", "residue_sequence",
             "eventual_period_detect")
 
 

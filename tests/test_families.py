@@ -21,6 +21,7 @@ from dynzeta.intarith import divisors, multiplicative_order, v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
 from dynzeta.twisted import TwistedPoly, v_phi, v_phi_pow_minus
+from dynzeta.zeta import certificate_build
 from test_acceptance import _master_grid
 
 
@@ -532,6 +533,24 @@ def test_additive_runs_through_doubled_truncations(p, coeffs, step):
     counts = per_n_counts(fam, step, step)
     for n in range(step, 40, step):
         assert next(counts) == _ref_per_n_closed(fam, n), n
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("s", [2, -2, 3, -3, 4, 5])
+def test_lattes_generic_runs_match_the_squared_form(p, s):
+    # a run reads (s^n - gamma)^2 as s^(2n) - 2 gamma s^n + 1 with s^(2n)
+    # moved forward; along a certificate's run (from n = 1 at p = s, which
+    # has none) each count is the squared form's
+    fam = LattesGenericJ(p, s)
+    first, step = 1, 1
+    if classify_separability(fam) == "separable":
+        cert = certificate_build(fam)
+        first, step = cert.m * cert.beta, cert.m * cert.alpha
+    counts = fam.counts(first, step)
+    for n in range(first, first + 48 * step, step):
+        squares = [(s ** n - g) ** 2 // p ** v_p(s ** n - g, p)
+                   for g in (1, -1)]
+        assert next(counts) == sum(squares) // 2, n
 
 
 def test_count_runs_start_at_period_one():

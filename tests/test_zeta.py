@@ -8,26 +8,30 @@ import time
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynzeta import cli, zeta
+from dynzeta.automata import _driving_sieve, kernel_explore, residue_sequence
 from dynzeta.dynmap import cycle_census, per_n_oracle, rat_map
 from dynzeta.errors import (Mismatch, NonIntegerCoefficient, ScaleExceeded,
                             SpecError)
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
-                              SubadditiveMap, per_n_closed)
+                              SubadditiveMap, classify_separability,
+                              per_n_closed)
 from dynzeta.field import field_make, ratfunc_field
 from dynzeta.intarith import divisors, multiplicative_order, v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadElem, QuadRing, QuatElem,
-                            prime_context)
+                            norm_sequence, prime_context)
 from dynzeta.twisted import TwistedPoly
 from dynzeta.zeta import (RationalGuess, _integer_roots,
                           _supersingular_step, certificate_build,
                           rationality_guess, series_of_rational, verdict,
                           zeta_from_counts, zeta_from_cycles)
+from test_evidence_memo import POOL
 
 
 class TestSeries:
@@ -783,6 +787,110 @@ class TestCertificates:
             LattesSupersingular(3, sigma_quat=QuatElem(B3_ORDER, 4, 0, 0, 0),
                                 gamma="units"))
         assert cert3.beta == 3 and cert3.consistent()
+
+
+# Verdicts outside the pool, one per base-p control branch no pooled job
+# takes: values with p | alpha, tower classes at p = 2, tower values.
+CONTROL_SPECS = [{"family": "power", "p": 2, "d": 3},
+                 {"family": "additive", "p": 2, "sigma": [1, 1]},
+                 {"family": "additive", "p": 3, "sigma": [2, 1]}]
+
+
+def _certified_maps():
+    """The separable maps of the verdict pool and CONTROL_SPECS."""
+    maps = [cli.build_family(params) for params in POOL + CONTROL_SPECS]
+    return [fam for fam in maps if classify_separability(fam) == "separable"
+            and verdict(fam).certificate is not None]
+
+
+def _array_control(cert):
+    """(control, report) of the base-p control by kernel_explore on the
+    materialised arrays: the value prefix when its kernel closes, else
+    the saturated valuation classes."""
+    p, ell, a1 = cert.p, cert.ell, cert.tower_multiplier
+    budget = 4 * zeta.KERNEL_BUDGET
+    depth = zeta._fit_depth(p, zeta.KERNEL_PREFIX, zeta.KERNEL_BUDGET,
+                            zeta.MAX_P_DEPTH)
+    if zeta._control_period(cert.shape, cert.ratio, a1, p, ell) + 2 <= depth:
+        values = residue_sequence(cert.shape, cert.ratio, a1, cert.alpha,
+                                  cert.beta, p, ell,
+                                  p ** depth * zeta.KERNEL_PREFIX)
+        report = kernel_explore(values, p, depth, zeta.KERNEL_PREFIX, budget)
+        if report.closed:
+            return "values", report
+    depth = zeta._fit_depth(p, zeta.CLASS_PREFIX, zeta.KERNEL_BUDGET,
+                            zeta.MAX_P_DEPTH)
+    sat = max(2, min(6, depth - 3))
+    classes = _driving_sieve(cert.shape, cert.alpha, cert.beta, p,
+                             p ** depth * zeta.CLASS_PREFIX,
+                             lambda v: min(v, sat), np.min_scalar_type(sat))
+    return "valuation-classes", kernel_explore(classes, p, depth,
+                                               zeta.CLASS_PREFIX, budget)
+
+
+class TestProgressionControl:
+    def test_controls_match_the_materialised_arrays(self):
+        controls = set()
+        for fam in _certified_maps():
+            zeta._evidence_cache.clear()
+            cert = certificate_build(fam)
+            assert (cert.control, cert.p_kernel) == _array_control(cert), fam
+            controls.add((cert.shape, cert.control))
+        assert len(controls) == 4
+
+    def test_cold_build_forms_only_the_ell_kernel_horizon(self, monkeypatch):
+        # the control reads no term, so the one prefix is as long as the
+        # period scan's first window or the base-ell kernel; a longer one
+        # is formed only for a scan window past it
+        events = []
+        sequence, detect = zeta.residue_sequence, zeta.eventual_period_detect
+
+        def recorded_sequence(*args):
+            events.append(("sequence", args[-1]))
+            return sequence(*args)
+
+        def recorded_detect(prefix):
+            events.append(("scan", len(prefix)))
+            return detect(prefix)
+
+        monkeypatch.setattr(zeta, "residue_sequence", recorded_sequence)
+        monkeypatch.setattr(zeta, "eventual_period_detect", recorded_detect)
+        for fam in _certified_maps():
+            zeta._evidence_cache.clear()
+            events.clear()
+            cert = certificate_build(fam)
+            kernel = cert.ell_kernel
+            horizon = max(zeta.PERIOD_TERMS,
+                          cert.ell ** kernel.depth * kernel.prefix_len)
+            assert events[0] == ("sequence", horizon), fam
+            for i, (kind, length) in enumerate(events[1:], 1):
+                if kind == "sequence":
+                    assert length > horizon, fam
+                    assert events[i + 1] == ("scan", length), fam
+
+    def test_norm_sequences_mod_ell_match_the_exact_powers(self):
+        # every ring multiplier of the pool, and a supersingular step
+        # m = 10200 whose exact powers run to hundreds of thousands of bits
+        specs = [params for params in POOL if params["family"] in
+                 ("lattes-ordinary", "lattes-supersingular")]
+        specs.append({"family": "lattes-supersingular", "p": 101,
+                      "sigma_tn": [1, 3]})
+        checked = 0
+        for params in specs:
+            fam = cli.build_family(params)
+            if classify_separability(fam) == "inseparable":
+                continue
+            cert = certificate_build(fam)
+            sig_m = fam.sigma ** cert.m
+            for g in fam.gammas:
+                exact, power = [], sig_m ** 0
+                for _ in range(16):
+                    exact.append((power - g).norm() % cert.ell)
+                    power = power * sig_m
+                assert norm_sequence(sig_m, g, cert.ell, 16).terms == tuple(
+                    exact), params
+                checked += 1
+        assert cert.m == 10200 and checked > 40
 
 
 class TestSupersingularStep:
