@@ -280,10 +280,6 @@ class FieldElem:
         """Apply c -> c^p the given number of times."""
         return FieldElem(self.ctx, self.ctx.frobenius(self.rep, times))
 
-    def pth_root(self):
-        """Unique p-th root in a finite field (perfect field)."""
-        return self ** (self.ctx.order // self.ctx.p)
-
     # -- square roots (finite fields of odd order) ------------------------------
 
     def is_square(self):

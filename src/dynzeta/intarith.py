@@ -230,11 +230,3 @@ def tower_bound(p: int, a: int, cap: int) -> int | None:
         return None
     bound = p ** (a * p ** a)
     return bound if bound < cap else None
-
-
-def isqrt_exact(n: int) -> int | None:
-    """Integer square root if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None

@@ -30,6 +30,17 @@ chain at small p pays one O(n) reduction per few dozen divisions instead
 of one per quotient step.  On object arrays the limit is p^2 * 2^32.
 Every result is reduced and trimmed.
 
+The kernel pays per nonzero quotient coefficient, not per degree.  A zero
+top writes nothing, so after ``_ZERO_RUN`` zero tops in a row a division
+finds the next nonzero top with numpy scans of chunks that double in
+length, and jumps there; the gcd trims a remainder's zero top the same
+way.  Sparse dividends and unbalanced first Euclid steps thus cost a few
+numpy calls per zero run.  Most steps of a gcd chain have the normal
+degree drop deg x = deg y + 1; when the bounds allow both of its quotient
+steps without a reduction, the gcd reads the two quotient coefficients
+as scalars and subtracts their multiples of y from x in place, through
+one scratch array, with no quotient list.
+
 ``trim``, ``deg``, ``add``, ``sub`` and ``neg`` work on plain lists of
 ints; ``add`` also takes a product from ``mul`` for either operand, and
 ``deg`` any sequence.  The library itself does not call them; the
@@ -42,6 +53,11 @@ from .errors import DivisionByZeroPoly
 from .intarith import power
 
 _NP_SAFE = 2**62
+
+# Zero tops a division steps over one at a time before it looks for the
+# next nonzero top with vector scans; scanning after every zero top costs
+# more on dense quotients than it saves.
+_ZERO_RUN = 16
 
 
 def trim(a: list) -> list:
@@ -162,17 +178,42 @@ def _divide(x, bx, y, by, p, limit):
     step = (p - 1) * by
     inv = pow(int(y[-1]) % p, -1, p)
     q = [0] * (len(x) - ly + 1)
-    for i in range(len(x) - ly, -1, -1):
+    i, zeros = len(x) - ly, 0
+    while i >= 0:
         c = int(x[i + ly - 1]) % p
-        if c:
-            if bx + step >= limit:
-                x[:i + ly] %= p
-                bx = p - 1
-            c = c * inv % p
-            q[i] = c
-            x[i:i + ly] -= c * y
-            bx += step
+        if not c:
+            zeros += 1
+            i -= 1
+            if zeros == _ZERO_RUN:
+                # a zero step writes nothing, so the next nonzero top is
+                # the last nonzero entry of x[ly-1 : i+ly]
+                i = _last_nonzero(x, ly - 1, i + ly, p) - ly + 1
+                zeros = 0
+            continue
+        if bx + step >= limit:
+            x[:i + ly] %= p
+            bx = p - 1
+        c = c * inv % p
+        q[i] = c
+        x[i:i + ly] -= c * y
+        bx += step
+        i, zeros = i - 1, 0
     return q, bx
+
+
+def _last_nonzero(x, lo, hi, p):
+    """The largest i in [lo, hi) with x[i] nonzero mod p, or lo - 1.
+
+    Scans down in chunks that start at _ZERO_RUN entries and double, so a
+    run of z zeros costs O(log z) numpy calls."""
+    size = _ZERO_RUN
+    while hi > lo:
+        start = max(hi - size, lo)
+        nonzero = np.flatnonzero(x[start:hi] % p)
+        if len(nonzero):
+            return start + int(nonzero[-1])
+        hi, size = start, 2 * size
+    return lo - 1
 
 
 def _monic(a, p: int):
@@ -194,15 +235,33 @@ def gcd(a, b, p: int):
     if len(x) < len(y):
         x, y = y, x
     bx = by = p - 1
+    scratch = np.empty(len(y), dtype)
     while True:
         if by >= p and bx + (len(x) - len(y) + 1) * (p - 1) * by + p >= limit:
             x %= p
             y %= p
             bx = by = p - 1
-        _, bx = _divide(x, bx, y, by, p, limit)
-        n = len(y) - 1
-        while n and int(x[n - 1]) % p == 0:
-            n -= 1
+        ly = len(y)
+        step = (p - 1) * by
+        if len(x) == ly + 1 and bx + 2 * step < limit:
+            # the normal step, quotient c1*t + c0, in place: x's top is
+            # nonzero mod p, so c1 is too
+            inv = pow(int(y[-1]) % p, -1, p)
+            cy, top = scratch[:ly], x[1:]
+            np.multiply(y, int(x[-1]) % p * inv % p, out=cy)
+            np.subtract(top, cy, out=top)
+            bx += step
+            c = int(x[ly - 1]) % p
+            if c:
+                low = x[:ly]
+                np.multiply(y, c * inv % p, out=cy)
+                np.subtract(low, cy, out=low)
+                bx += step
+        else:
+            _, bx = _divide(x, bx, y, by, p, limit)
+        n = ly - 1
+        if int(x[n - 1]) % p == 0:
+            n = _last_nonzero(x, 0, n - 1, p) + 1
         if n == 0:
             return _monic(y % p, p)
         if n == 1:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dynzeta.errors import NoAdmissibleEll, ScaleExceeded, SpecError
 from dynzeta import intarith
 from dynzeta.intarith import (factorize, first_prime_where, is_prime,
-                              isqrt_exact, multiplicative_order, power, v_p,
+                              multiplicative_order, power, v_p,
                               v_p_progression)
 
 
@@ -120,22 +120,6 @@ def test_progression_sieve_writes_the_table_entry_of_each_valuation(
     assert sieved.dtype == table.dtype
     assert sieved.tolist() == table[valuations].tolist()
     assert valuations.tolist() == _expected(alpha, beta, p, n)
-
-
-class TestIsqrtExact:
-    def test_large_squares(self):
-        for root in (3 ** 80, 10 ** 40 + 7, 2 ** 200 - 1, 12345678901234567):
-            assert isqrt_exact(root * root) == root
-
-    def test_large_non_squares(self):
-        for root in (3 ** 80, 10 ** 40 + 7, 2 ** 200 - 1, 12345678901234567):
-            assert isqrt_exact(root * root + 1) is None
-            assert isqrt_exact(root * root - 1) is None
-
-    def test_small_values(self):
-        assert [isqrt_exact(n) for n in range(10)] == \
-            [0, 1, None, None, 2, None, None, None, None, 3]
-        assert isqrt_exact(-4) is None
 
 
 def _integer_walk(predicate, start=2, cap=10_000_000, description=""):

@@ -386,3 +386,131 @@ def test_separable_radical_of_a_deep_power_needs_no_recursion(monkeypatch):
     calls = _count_remainder_calls(monkeypatch)
     assert separable_radical(f) == x_minus_1
     assert calls == {"divrem": 1, "gcd": 1500}
+
+
+# -- zero runs and the linear-quotient step ----------------------------------------
+#
+# A division steps over modpoly._ZERO_RUN zero tops one at a time and then
+# looks for the next nonzero top in chunks of R, 2R, 4R, ... entries
+# (R = _ZERO_RUN), so a quotient zero run of z crosses a chunk boundary at
+# z = 2R, 4R and 8R.  Random dense draws almost never hold a run of 16.
+
+_R = modpoly._ZERO_RUN
+_RUNS = (1, _R - 1, _R, _R + 1, 2 * _R - 1, 2 * _R, 2 * _R + 1,
+         4 * _R - 1, 4 * _R, 4 * _R + 1, 8 * _R - 1, 8 * _R, 8 * _R + 1)
+
+
+def _dense(rnd, p, length):
+    """A random polynomial of exactly `length` coefficients."""
+    return [rnd.randrange(p) for _ in range(length - 1)] + [rnd.randrange(1, p)]
+
+
+@st.composite
+def _zero_run_division(draw, p):
+    # a = q*b + r, where q's coefficients below its top are runs of zeros
+    # of the lengths above, each followed by one nonzero coefficient, and
+    # a run may reach the bottom of q
+    rnd = draw(st.randoms(use_true_random=False))
+    runs = draw(st.lists(st.sampled_from(_RUNS), min_size=1, max_size=4))
+    q = [rnd.randrange(1, p)]
+    for z in runs:
+        q = [rnd.randrange(1, p)] + [0] * z + q
+    if draw(st.booleans()):
+        q = q[1:]
+    b = _dense(rnd, p, draw(st.integers(2, 12)))
+    r = [rnd.randrange(p) for _ in range(draw(st.integers(0, len(b) - 1)))]
+    return q, b, _ref_add(_ref_mul(q, b, p), r, p)
+
+
+@pytest.mark.parametrize("p", LONG_PRIMES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_divrem_quotient_zero_runs_match_reference(p, data):
+    q, b, a = data.draw(_zero_run_division(p))
+    out = _divrem(a, b, p)
+    assert out == _ref_divrem(a, b, p)
+    assert out[0] == q
+    assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
+
+
+@st.composite
+def _sparse_dividend(draw, p):
+    # x^N + c*x^k + e over a sparse or a dense divisor: x^m + d has
+    # quotient runs of m - 1 zeros
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(20, 400))
+    a = [0] * (n + 1)
+    a[n] = 1
+    a[draw(st.integers(1, n - 1))] = rnd.randrange(p)
+    a[0] = rnd.randrange(p)
+    m = draw(st.integers(1, min(n, 9 * _R)))
+    if draw(st.booleans()):
+        b = [0] * (m + 1)
+        b[m] = rnd.randrange(1, p)
+        b[draw(st.integers(0, m - 1))] = rnd.randrange(1, p)
+    else:
+        b = _dense(rnd, p, min(m, 12) + 1)
+    return a, b
+
+
+@pytest.mark.parametrize("p", LONG_PRIMES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_sparse_dividend_matches_reference(p, data):
+    a, b = data.draw(_sparse_dividend(p))
+    assert _divrem(a, b, p) == _ref_divrem(a, b, p)
+    assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
+    assert modpoly.gcd(b, a, p).tolist() == _ref_gcd(a, b, p)
+
+
+@st.composite
+def _cancelling_top(draw, p):
+    # a = q*b + r with deg r far below deg b - 1: the division's top
+    # entries cancel, and the gcd trims the remainder down to r across
+    # the chunk boundaries of its scan
+    rnd = draw(st.randoms(use_true_random=False))
+    lb = draw(st.integers(2, 10 * _R))
+    gap = draw(st.sampled_from(_RUNS + (lb,)))
+    b = _dense(rnd, p, lb)
+    r = [rnd.randrange(p) for _ in range(max(lb - 1 - gap, 0))]
+    q = _dense(rnd, p, draw(st.integers(1, 3)))
+    return _ref_add(_ref_mul(q, b, p), r, p), b
+
+
+@pytest.mark.parametrize("p", LONG_PRIMES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cancelling_remainder_top_matches_reference(p, data):
+    a, b = data.draw(_cancelling_top(p))
+    assert _divrem(a, b, p) == _ref_divrem(a, b, p)
+    assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
+
+
+def _normal_chain(p, length, rnd):
+    """a and b whose remainder sequence drops by one degree at every step
+    down to a common factor g: r_i = (c_i t + e_i) r_(i+1) + r_(i+2), built
+    up from r = 1 and a linear r, then multiplied by g."""
+    g = _dense(rnd, p, 4)
+    older, newer = [rnd.randrange(1, p)], _dense(rnd, p, 2)
+    for _ in range(length):
+        older, newer = newer, _ref_add(_ref_mul(_dense(rnd, p, 2), newer, p), older, p)
+    return _ref_mul(newer, g, p), _ref_mul(older, g, p)
+
+
+@pytest.mark.parametrize("p, steps_in_place", [(3, True), (2_147_483_647, False),
+                                               (2 ** 61 - 1, True)])
+def test_normal_remainder_sequence_matches_reference(monkeypatch, p, steps_in_place):
+    # Two quotient steps without a reduction fit below the int64 limit at
+    # p = 3 and under the object arrays' limit at 2^61 - 1; at 2^31 - 1 they
+    # would pass 2^62, so every step goes through _divide.
+    calls = []
+    divide = modpoly._divide
+    monkeypatch.setattr(modpoly, "_divide",
+                        lambda *args: calls.append(1) or divide(*args))
+    rnd = random.Random(p)
+    for length in (1, 2, 40, 300):
+        a, b = _normal_chain(p, length, rnd)
+        assert len(a) == len(b) + 1
+        calls.clear()
+        assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
+        assert len(calls) == (0 if steps_in_place else length + 1)
