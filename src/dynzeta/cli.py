@@ -146,10 +146,7 @@ def build_family(params):
     if family == "chebyshev":
         return ChebyshevMap(p, params["d"])
     if family in ("additive", "subadditive"):
-        if params.get("ratfunc"):
-            ctx = ratfunc_field(p)
-        else:
-            ctx = field_make(p, params.get("k", 1))
+        ctx = ratfunc_field(p) if params.get("ratfunc") else field_make(p)
         coeffs = [_parse_u_coeff(c, ctx) for c in params["sigma"]]
         sigma = TwistedPoly.from_elems(ctx, coeffs)
         if family == "additive":
@@ -178,8 +175,7 @@ def build_family(params):
 
 
 def build_raw_map(params):
-    ctx = field_make(params["p"], params.get("k", 1))
-    return rat_map(ctx, params["num"], params.get("den", [1]))
+    return rat_map(field_make(params["p"]), params["num"], params.get("den", [1]))
 
 
 def _resolve_map(params):
@@ -214,7 +210,8 @@ _TWISTED = "twisted"   # integer or u-polynomial entries
 # keys that no longer select anything, refused so that a job written for
 # them is not answered as if they were absent
 _RETIRED = {"seed": "no count depends on the choice of modulus",
-            "variant": "the Lattes count is the norm form only"}
+            "variant": "the Lattes count is the norm form only",
+            "k": "integer coefficients define every map over F_p"}
 _MAP = ("count", "oracle", "zeta", "verdict", "census")
 _AUTO = ("automata",)
 
@@ -247,7 +244,7 @@ _PARAMS = (
     _Param("p", int, _MAP + _AUTO),
     *(_Param(key, int, _AUTO) for key in ("a", "ell", "alpha", "beta", "base",
                                            "depth")),
-    *(_Param(key, int, _MAP) for key in ("k", "d", "s")),
+    *(_Param(key, int, _MAP) for key in ("d", "s")),
     *(_Param(key, int, _MAP) for key in ("translation", "gamma_order",
                                           "unit_root")),
     _Param("gamma", str, _MAP, {"choices": ["mu2", "units"]}),

@@ -219,7 +219,7 @@ class SubadditiveMap(_AdditiveQuotient):
             # constants; separability analysis never needs them explicitly.
             raise SpecError("explicit roots of unity need finite coefficients")
         # mu_d lies in F_(q^e), e the order of q mod d; extend_field refuses
-        # an e past its degree cap
+        # a field F_(q^e) whose degree over F_p passes its cap
         ext = extend_field(ctx, multiplicative_order(ctx.order, self.d))
         sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in self.sigma.coeffs])
         cofactor, primes = (ext.order - 1) // self.d, factorize(self.d)

@@ -15,7 +15,8 @@ Representation conventions:
   products, sums, negations, inverses and powers are then table
   lookups.  Larger fields build no tables and compute on the digits.
   ``extend_field(ctx, b)`` on F_(p^a) returns the field of
-  ``field_make(p, a*b)``, so equal fields share one set of tables.  The
+  ``field_make(p, a*b)``, so equal fields share one set of tables, and
+  a*b, like k, is at most ``limits.EXTENSION_DEGREE_CAP``.  The
   eight most recently made extensions, each with its arithmetic, and the
   subfield roots of the eight most recently used embeddings live in
   ``functools.lru_cache``s, whose ``cache_info()`` counts hits and
@@ -56,6 +57,9 @@ and sums, scaling, negation, the derivative and the p-th root are each
 one array operation, so an F_p Poly never leaves its array.  Over
 F_(p^k) every operation reads the reps once as a list and loops through
 the field's rep arithmetic.  Scaling by one returns the Poly itself.
+The CLI builds every map over F_p, so only library maps over F_(p^k), as
+in ``tests/test_families.py::test_extension_coefficients``, reach these
+loops, the tower branch of ``embed`` and ``_subfield_root``.
 """
 
 import functools
@@ -995,15 +999,13 @@ def extend_field(ctx, degree):
 
     Over F_(p^a) this is the field of ``field_make(p, a*degree)``, so
     equal contexts share their tables; elements of ctx reach it through
-    ``embed``.  The degree cap bounds `degree`, not a*degree; callers that
-    enumerate the field bound its size by ``limits.ENUM_CAP``.
+    ``embed``.  The degree cap bounds a*degree, as it bounds field_make's
+    k; callers that enumerate the field bound its size by ``ENUM_CAP``.
     """
     if ctx.flavor != "finite":
         raise SpecError("can only extend finite fields")
-    if degree == 1:
-        return ctx
-    _check_degree(degree)
-    return _flat_field(ctx.p, ctx.k * degree, 0)
+    _check_degree(ctx.k * degree)
+    return ctx if degree == 1 else _flat_field(ctx.p, ctx.k * degree, 0)
 
 
 def _check_degree(k):

@@ -5,7 +5,7 @@ CLI and the library agree on budgets.  What each cap refuses:
 
 POLY_DEGREE_CAP          a polynomial, composition or iterate of higher degree
 ENUM_CAP                 a walk over more field elements or curve points
-EXTENSION_DEGREE_CAP     an extension of higher degree (invalid spec, exit 2)
+EXTENSION_DEGREE_CAP     a field of higher degree over F_p (invalid spec, exit 2)
 PADIC_PRECISION_CAP      a more precise p-adic unit-root lift (exit 2)
 ELL_SEARCH_CAP           an auxiliary prime ell, or its tower bound, past it
 KERNEL_BUDGET            an ell kernel over 4 budgets (kernel depths fit one)
@@ -20,7 +20,7 @@ CHRISTOL_TERMS_CAP       a Christol root with more terms
 
 POLY_DEGREE_CAP = 10_000
 ENUM_CAP = 1_000_000
-EXTENSION_DEGREE_CAP = 12
+EXTENSION_DEGREE_CAP = 24
 PADIC_PRECISION_CAP = 1024
 ELL_SEARCH_CAP = 10_000_000
 KERNEL_BUDGET = 5_000_000

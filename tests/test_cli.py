@@ -254,15 +254,17 @@ class TestSpecValidation:
 
     def test_retired_seed_and_variant_refused(self, tmp_path, capsys):
         # a job asking for the absolute Lattes convention must not be
-        # answered with norm counts, as an unknown key would be
+        # answered with norm counts, as an unknown key would be; nor a
+        # job asking for a ground field F_(p^k), even k = 1, since every
+        # CLI map is defined over F_p
         argv = ["count", "--family", "lattes-generic", "--p", "5", "--s", "2"]
-        for flag in (["--variant", "absolute"], ["--seed", "1"]):
+        for flag in (["--variant", "absolute"], ["--seed", "1"], ["--k", "2"]):
             with pytest.raises(SystemExit) as exc:
                 run_cli(argv + flag)
             assert exc.value.code == 2
             assert capsys.readouterr().out == ""
         path = tmp_path / "job.json"
-        for key, value in (("variant", "absolute"), ("seed", 0)):
+        for key, value in (("variant", "absolute"), ("seed", 0), ("k", 1)):
             path.write_text(json.dumps({"command": "count", "params": {
                 "family": "lattes-generic", "p": 5, "s": 2, key: value}}))
             assert run_cli(["--job", str(path)]) == (2, "")
@@ -279,7 +281,7 @@ class TestSpecValidation:
         assert run_cli(["--job", str(path)]) == (2, "")
 
     @pytest.mark.parametrize("extra", [["--ext-degree", "0"],
-                                       ["--ext-degree", "13"],
+                                       ["--ext-degree", "25"],
                                        ["--max-period", "0"],
                                        ["--max-period", "-1"]])
     def test_census_ranges(self, extra):
@@ -453,11 +455,11 @@ class TestFlagSpellings:
         flags = ("--ratfunc --sigma 1 --tau 1,2 --sigma-quad 1,1 --sigma-tn 1,2 "
                  "--sigma-quat 2,0,0,0 --num 0,1 --den 1 --s 2 "
                  "--translation 0 --gamma-order 2 --gamma mu2 --unit-root 1 "
-                 "--k 1 --ext-degree 1 --max-order 2 --max-period 3 "
+                 "--ext-degree 1 --max-order 2 --max-period 3 "
                  "--n-max 2 --n-min 1 --terms 4 --d 2 --p 3 --family power")
         spec = compile_spec(make_parser().parse_args(["zeta"] + flags.split()))
         assert list(spec.params) == [
-            "family", "p", "k", "d", "s", "translation",
+            "family", "p", "d", "s", "translation",
             "gamma_order", "unit_root", "gamma", "ratfunc", "sigma", "tau",
             "sigma_tn", "sigma_quat", "num", "den", "n_min", "n_max", "terms",
             "max_order", "ext_degree", "max_period"]
@@ -685,20 +687,37 @@ class TestRegressions:
         assert "fails count re-derivation" in capsys.readouterr().err
 
 
-# stdout sha256 of specs over extension fields of extension fields, as
-# printed before those were built flat over F_p
+# specs over F_(p^k) spelled with the retired --k, the spelling over F_p
+# that answers for each (census --k K --ext-degree E walked F_(p^(K E))),
+# and the sha256 of the records the --k spelling printed after its header
 TOWER_INPUT_DIGESTS = [
     ("census --p 3 --k 2 --num 0,0,1 --ext-degree 2 --max-period 4",
-     "c73a1c97f45aba164db4cde5e879dd987b4bb74354fc6600cd824400a0e257c5"),
+     "census --p 3 --num 0,0,1 --ext-degree 4 --max-period 4",
+     "715a83b1ced6fad4a9f69f0a1d7d47cc89085510871d52dbb4f4c5dd677f64da"),
     ("census --p 3 --k 2 --num 0,0,1 --ext-degree 4 --max-period 3",
-     "7084c53361af3e79dd0b008564683e437930fbddba0e8569648c63c1fbe79d08"),
+     "census --p 3 --num 0,0,1 --ext-degree 8 --max-period 3",
+     "d5a216d42a621111dfebf4dec8c53924d40a5b21fd273ebccdbd857d6da887d7"),
     ("census --p 3 --k 3 --num 0,1,1 --ext-degree 3 --max-period 3",
-     "ee77623293ecf35bf929552e5ee76674b691196af38e0713585e39f166c24aec"),
+     "census --p 3 --num 0,1,1 --ext-degree 9 --max-period 3",
+     "ee1683fdf0446b1b982bcbbd6cbbdcc325483e9c4a8047ec45b4854601e1ee9a"),
     ("census --p 2 --k 3 --num 0,0,1 --ext-degree 5 --max-period 3",
-     "5e6f89620cb09cf9c88ccc0b51cbc0c36f0c2d63f069ad3ae84790d0740d65a2"),
+     "census --p 2 --num 0,0,1 --ext-degree 15 --max-period 3",
+     "05b182a1dfa8ac41ea2266415170136fa6896621b4007fb228ae7fa57d5a37af"),
     ("count --family subadditive --p 2 --k 2 --sigma 1,0,0,1 --d 7 "
      "--n-min 1 --n-max 4",
-     "e697241f69e2e3c47a6306fa65dd14c08a811dcee84f97e657bb5acfc55d63d7"),
+     "count --family subadditive --p 2 --sigma 1,0,0,1 --d 7 "
+     "--n-min 1 --n-max 4",
+     "25f2719b42ffbf48274b26413c78048abda1812105b82eedefeab5c8eb65aec1"),
+    # mu_11 lives in F_(3^10) and mu_5 in F_(2^20)
+    ("count --family subadditive --p 3 --k 2 --sigma 1,0,0,0,0,1 --d 11 "
+     "--n-min 1 --n-max 3",
+     "count --family subadditive --p 3 --sigma 1,0,0,0,0,1 --d 11 "
+     "--n-min 1 --n-max 3",
+     "c121ef7adfb277527f6e0ae433c6371a833cb0bd05e731be2f6a1e6aac11b047"),
+    ("count --family subadditive --p 2 --k 10 --sigma 1,0,0,0,1 --d 5 "
+     "--n-max 3",
+     "count --family subadditive --p 2 --sigma 1,0,0,0,1 --d 5 --n-max 3",
+     "9b98133de9c53b5d60d350fb79da63b006346564b3bf4055aacb5fbfaeaf0a4a"),
 ]
 
 
@@ -804,35 +823,17 @@ def test_verdict_stdout_pinned(argv, code, digest):
 
 
 class TestTowerInputs:
-    @pytest.mark.parametrize("argv,digest", TOWER_INPUT_DIGESTS)
-    def test_stdout_pinned(self, argv, digest):
+    @pytest.mark.parametrize("retired,argv,digest", TOWER_INPUT_DIGESTS,
+                             ids=[row[0] for row in TOWER_INPUT_DIGESTS])
+    def test_stdout_pinned(self, retired, argv, digest, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(retired.split())
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
         code, text = run_cli(argv.split())
         assert code == 0
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-    def test_subadditive_over_f9_within_budget(self):
-        # mu_11 lives in F_(3^10), a degree-5 extension of F_9
-        start = time.perf_counter()
-        code, text = run_cli(["count", "--family", "subadditive", "--p", "3",
-                              "--k", "2", "--sigma", "1,0,0,0,0,1", "--d",
-                              "11", "--n-min", "1", "--n-max", "3"])
-        elapsed = time.perf_counter() - start
-        assert code == 0
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "fa70ef537d1d2da442e925afd0e2d517d7f6aa7281dcc8a085b7f1ec8d63e513")
-        assert elapsed < 10.0
-
-    def test_subadditive_roots_of_unity_past_the_enumeration_cap(self):
-        # mu_5 lives in F_(2^20), past the 10^6-element cap: it is the
-        # powers of one generator, so no code walks that field
-        code, text = run_cli(["count", "--family", "subadditive", "--p", "2",
-                              "--k", "10", "--sigma", "1,0,0,0,1", "--d", "5",
-                              "--n-max", "3"])
-        assert code == 0
-        rows = [r for r in map(json.loads, text.splitlines())
-                if r["record"] == "row"]
-        assert [(r["closed"], r["oracle"]) for r in rows] == [
-            ("14", "14"), ("206", "206"), ("3329", "3329")]
+        records = "".join(text.splitlines(True)[1:])
+        assert hashlib.sha256(records.encode()).hexdigest() == digest
 
     def test_subadditive_mu_19_over_f5_accepted(self):
         # mu_19 lives in F_(5^9); no oracle reaches these degrees, so the
@@ -858,14 +859,33 @@ class TestTowerInputs:
         assert elapsed < 5.0
 
     def test_subadditive_mu_past_the_extension_cap_refused_at_once(self, capsys):
-        # mu_8191 lives in F_(2^13), past the extension degree cap 12
+        # ord_601(2) = 25: mu_601 lives in F_(2^25), past the extension
+        # degree cap 24
         start = time.perf_counter()
         result = run_cli(["count", "--family", "subadditive", "--p", "2",
-                          "--sigma", "1,0,0,0,0,0,0,0,0,0,0,0,0,1",
-                          "--d", "8191", "--n-max", "1"])
+                          "--sigma", ",".join(["1"] + ["0"] * 24 + ["1"]),
+                          "--d", "601", "--n-max", "1"])
         elapsed = time.perf_counter() - start
         assert result == (2, "")
-        assert "extension degree 13" in capsys.readouterr().err
+        assert "extension degree 25 outside [1, 24]" in capsys.readouterr().err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("d,top,rows", [
+        # mu_8191 lives in F_(2^13), mu_241 in F_(2^24), past the
+        # enumeration cap: each is the powers of one generator
+        (8191, 13, [("8192", "8192")]),
+        (241, 24, [("16707602", None), ("280307030749202", None)])])
+    def test_subadditive_mu_within_the_extension_cap(self, d, top, rows):
+        sigma = ",".join(["1"] + ["0"] * (top - 1) + ["1"])
+        start = time.perf_counter()
+        code, text = run_cli(["count", "--family", "subadditive", "--p", "2",
+                              "--sigma", sigma, "--d", str(d),
+                              "--n-max", str(len(rows))])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        records = map(json.loads, text.splitlines())
+        assert [(r["closed"], r["oracle"]) for r in records
+                if r["record"] == "row"] == rows
         assert elapsed < 5.0
 
     def test_transcendental_coefficient_count_pinned_within_budget(self):

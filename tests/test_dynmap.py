@@ -344,3 +344,16 @@ class TestCycleCensus:
         for n in (1, 2, 3):
             total = sum(length * cnt for length, cnt in census if n % length == 0)
             assert total == per_n_oracle(sq3, n)
+
+    @pytest.mark.parametrize("p,k,num,ext_degree,max_period", [
+        (3, 2, [0, 0, 1], 2, 4), (3, 2, [0, 0, 1], 4, 3),
+        (3, 3, [0, 1, 1], 3, 3), (2, 3, [0, 0, 1], 5, 3)])
+    def test_census_over_f_p_k_is_the_census_over_f_p(self, p, k, num,
+                                                      ext_degree, max_period):
+        # a map with coefficients in F_p has the same cycles on
+        # P^1(F_(p^(k E))) written over F_(p^k) with extension degree E as
+        # written over F_p with extension degree k E
+        over_k = cycle_census(rat_map(field_make(p, k), num), ext_degree,
+                              max_period)
+        assert over_k == cycle_census(rat_map(field_make(p), num),
+                                      k * ext_degree, max_period)

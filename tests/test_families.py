@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +432,28 @@ def test_mu_d_from_one_generator_matches_the_field_walk(p, k):
         m = SubadditiveMap(tw(F, 1, *[0] * (multiplicative_order(p, d) - 1),
                               1), d)
         assert m.gammas == _ref_subadditive_roots(m)[1], d
+
+
+def test_subadditive_over_f9_within_budget():
+    # mu_11 lives in F_(3^10), a degree-5 extension of F_9; past n = 1 the
+    # oracle's iterate passes the degree cap
+    m = SubadditiveMap(tw(field_make(3, 2), 1, 0, 0, 0, 0, 1), 11)
+    start = time.perf_counter()
+    assert list(islice(per_n_counts(m, 1), 3)) == [222, 53704, 13044462]
+    f = realize(m)
+    assert per_n_oracle(f, 1) == 222
+    with pytest.raises(ScaleExceeded):
+        per_n_oracle(f, 2)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_subadditive_roots_of_unity_past_the_enumeration_cap():
+    # mu_5 lives in F_(2^20), past the 10^6-element cap: it is the powers
+    # of one generator, so no code walks that field
+    m = SubadditiveMap(tw(field_make(2, 10), 1, 0, 0, 0, 1), 5)
+    f = realize(m)
+    assert list(islice(per_n_counts(m, 1), 3)) == [14, 206, 3329]
+    assert [per_n_oracle(f, n) for n in (1, 2, 3)] == [14, 206, 3329]
 
 
 def _ref_per_n_closed(m, n):

@@ -282,6 +282,15 @@ def test_extension_of_an_extension_is_the_flat_field(p, a, b):
         assert extend_field(src, 1) is src
 
 
+def test_extension_degree_cap_bounds_the_degree_over_f_p():
+    # F_(2^36) is out of reach from F_(2^12) as from F_2
+    F = field_make(2, 12)
+    assert extend_field(F, 2) == field_make(2, 24)
+    for ctx, degree in ((F, 3), (field_make(2), 25), (F, 0)):
+        with pytest.raises(SpecError, match=r"outside \[1, 24\]"):
+            extend_field(ctx, degree)
+
+
 @pytest.mark.parametrize("p,a,b", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 3),
                                    (5, 2, 2)])
 def test_embed_is_an_injective_ring_homomorphism(p, a, b):

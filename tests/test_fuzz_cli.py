@@ -14,8 +14,7 @@ Left out, each an open defect with its own fix:
   in an IndexError traceback, which perfbench/selftest.py pins as its
   traceback job, so its refusal waits for a change to the benchmark.  The
   drawn terms stay at or above the horizon.
-Raw-map oracles draw n <= 50 over F_p, and n <= 6 over F_(p^2), whose
-polynomial remainders are Python loops over boxed field elements.
+Raw-map oracles draw n <= 50, family counts and oracles n <= 6.
 """
 
 import contextlib
@@ -55,8 +54,6 @@ def _additive(draw):
             ["u", "u+1", "2*u^2+1", "u^3-u", "1"]))
         params["sigma"] = draw(st.lists(entry, min_size=1, max_size=3))
     else:
-        if draw(st.booleans()):
-            params["k"] = draw(st.integers(1, 2))
         params["sigma"] = draw(st.lists(SMALL, min_size=1, max_size=4))
         if draw(st.booleans()):
             params["translation"] = draw(SMALL)
@@ -66,7 +63,6 @@ def _additive(draw):
 @st.composite
 def _subadditive(draw):
     p = draw(PRIMES)
-    k = draw(st.integers(1, 2))
     top = draw(st.integers(1, 3))
     # d mostly divides p^top - 1, so the map satisfies the descent condition
     divisors = [d for d in range(2, 41) if (p ** top - 1) % d == 0]
@@ -75,10 +71,7 @@ def _subadditive(draw):
     else:
         d = draw(st.integers(0, 12))
     sigma = [draw(SMALL) for _ in range(top)] + [draw(st.integers(1, 4))]
-    params = {"family": "subadditive", "p": p, "sigma": sigma, "d": d}
-    if k > 1:
-        params["k"] = k
-    return params
+    return {"family": "subadditive", "p": p, "sigma": sigma, "d": d}
 
 
 @st.composite
@@ -98,8 +91,6 @@ def _raw(draw):
     params = {"p": p, "num": draw(st.lists(SMALL, min_size=2, max_size=4))}
     if draw(st.booleans()):
         params["den"] = draw(st.lists(SMALL, min_size=1, max_size=3))
-    if draw(st.booleans()):
-        params["k"] = draw(st.integers(1, 2))
     return params
 
 
@@ -114,7 +105,7 @@ def specs(draw):
     raw = command in ("oracle", "census") and draw(st.booleans())
     params = draw(_raw() if raw else FAMILIES)
     if command in ("count", "oracle"):
-        n_min = draw(st.integers(1, 50 if raw and "k" not in params else 6))
+        n_min = draw(st.integers(1, 50 if raw else 6))
         params["n_min"] = n_min
         params["n_max"] = n_min + draw(st.integers(0, 3))
     elif command == "zeta":
