@@ -5,22 +5,21 @@ records every function entered, lists the functions of ``src/dynzeta``
 with ``ast``, and prints those never entered: how many, their lines, and
 per module.  Standard library only, besides dynzeta itself.
 
-Corpora (default: --jobs --pool):
+It always runs the job files in jobs/ and every pooled benchmark job of
+perfbench/jobs.py, each followed by its perfbench/checks.py check.
 
-    --jobs      the job files in jobs/
-    --pool      every pooled benchmark job of perfbench/jobs.py, each
-                followed by its perfbench/checks.py check
-    --ci        every ``dynzeta`` call of the CI workflow's console-script
-                step, recorded by running that step against a stub
-                ``dynzeta`` that only writes down its arguments
-    --spec S    one CLI spelling, such as "count --family power --p 3
-                --d 2" (repeatable)
+    --ci        adds every ``dynzeta`` call of the CI workflow's
+                console-script step, recorded by running that step against
+                a stub ``dynzeta`` that only writes down its arguments
+    --spec S    adds one CLI spelling, such as "count --family power --p 3
+                --d 2" (repeatable), so a run with and one without it show
+                what that spelling alone reaches
 
 --list names each unreached function.  --lines MODULE also traces lines
 in that module and names, for each reached function there, the statement
 lines no spec executed, so branches never taken show.
 
-    python tools/reach.py --jobs --pool --ci --list
+    python tools/reach.py --ci --list
 
 It imports dynzeta from this checkout's src/, whatever PYTHONPATH says.
 """
@@ -192,28 +191,24 @@ def _ranges(numbers):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    for flag in ("--jobs", "--pool", "--ci", "--list"):
+    for flag in ("--ci", "--list"):
         parser.add_argument(flag, action="store_true")
     parser.add_argument("--spec", action="append", default=[])
     parser.add_argument("--lines", metavar="MODULE")
     args = parser.parse_args(argv)
-    if not (args.jobs or args.pool or args.ci or args.spec):
-        args.jobs = args.pool = True
     line_file = args.lines and os.path.join(PACKAGE, args.lines + ".py")
     probe = Probe(line_file)
-    specs = [spec.split() for spec in args.spec]
-    specs += job_files() if args.jobs else []
+    specs = [spec.split() for spec in args.spec] + job_files()
     specs += ci_specs() if args.ci else []
     for spec in specs:
         with probe.active():
             run_cli(spec)
-    if args.pool:
-        run_pool(probe)
+    run_pool(probe)
 
     table = functions()
     missed = sorted(table.keys() - probe.called)
     modules = collections.Counter(table[key].module for key in missed)
-    print(f"specs run: {len(specs)}" + (" plus the pooled jobs" if args.pool else ""))
+    print(f"specs run: {len(specs)} plus the pooled jobs")
     print(f"unreached: {len(missed)} of {len(table)} functions, "
           f"{sum(table[key].lines for key in missed)} lines")
     print("by module: " + ", ".join(f"{m} {c}" for m, c in modules.most_common()))
