@@ -8,8 +8,8 @@ from .errors import DynzetaError
 from .field import (FieldCtx, FieldElem, Poly, distinct_root_count,
                     extend_field, field_make, ratfunc_field,
                     separable_radical)
-from .dynmap import (RatMap, compose, cycle_census, is_separable, iterate,
-                     per_n_oracle, poly_map, rat_map)
+from .dynmap import (RatMap, compose, cycle_census, iterate, per_n_oracle,
+                     poly_map, rat_map)
 from .twisted import (TwistedPoly, constant_order, kernel_size_ga, lte_ga,
                       realize_additive, tw_add, tw_mul, tw_pow,
                       tw_sub_scalar, v_phi)
@@ -29,5 +29,5 @@ from .automata import (Dfao, KernelReport, christol_series,
                        vp_geometric_sequence, vp_tower_sequence)
 from .zeta import (Certificate, Verdict, ZetaSeries, certificate_build,
                    rationality_guess, series_of_rational, verdict,
-                   zeta_from_counts, zeta_from_cycles)
+                   zeta_from_counts)
 from .sentinels import INFINITY, TRANSCENDENTAL

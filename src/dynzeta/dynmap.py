@@ -124,12 +124,6 @@ def iterate(f: RatMap, n: int) -> RatMap:
     return out
 
 
-def is_separable(f: RatMap) -> bool:
-    """False exactly when f is a rational function of x^p."""
-    wronskian = f.num.derivative() * f.den - f.num * f.den.derivative()
-    return not wronskian.is_zero()
-
-
 def per_n_oracle(f: RatMap, n: int) -> int:
     """Exact #Per_n(f) over the algebraic closure, by brute force.
 

@@ -211,7 +211,10 @@ class SubadditiveMap(_AdditiveQuotient):
 
         mu_d is cyclic (Lidl-Niederreiter, *Finite Fields*, Thm 2.8), so
         it is the powers of zeta, the first a^((Q-1)/d), a = 1, 2, ...,
-        whose order is d: zeta^(d/r) != 1 for every prime r | d.
+        whose order is d: zeta^(d/r) != 1 for every prime r | d.  When
+        mu_d is not in F_q, d does not divide p - 1, and a^((Q-1)/d) of a
+        constant a < p has an order dividing gcd(d, p - 1) < d, so the
+        walk starts at a = p.
         """
         ctx = self.sigma.ctx
         if ctx.flavor != "finite":
@@ -224,7 +227,7 @@ class SubadditiveMap(_AdditiveQuotient):
         sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in self.sigma.coeffs])
         cofactor, primes = (ext.order - 1) // self.d, factorize(self.d)
         zeta = next(z for z in (ext.elem_at(a) ** cofactor
-                                for a in range(1, ext.order))
+                                for a in range(1 if ext is ctx else ctx.p, ext.order))
                     if not any((z ** (self.d // r)).is_one() for r in primes))
         roots = [ext.one()]
         for _ in range(self.d - 1):

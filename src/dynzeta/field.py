@@ -29,7 +29,7 @@ Representation conventions:
   lookups in the same tables.  A prime field builds its tables the
   first time it is walked and keeps them in its ``RepArrays`` only: its
   FieldElem arithmetic stays on ints mod p, its square roots stay
-  Tonelli-Shanks, and its ``log`` and ``exp`` stay None.
+  Tonelli-Shanks, and its ``log_table`` and ``exp_table`` stay None.
 * A subfield F_(p^a) of F_(p^(ab)) is reached by ``embed``, which sends
   the adjoined root of the smaller field to a fixed root of its modulus
   in the larger one (Lidl-Niederreiter, *Finite Fields*, Thm 2.14).  That
@@ -167,22 +167,6 @@ class FieldCtx:
 
     def elem_at(self, index):
         return FieldElem(self, index % self.order)
-
-    # -- discrete logarithms (flat extensions with tables) -------------------
-
-    def log(self, z):
-        """Discrete logarithm of nonzero z to the base of this field's tables.
-
-        None where the field keeps no tables: prime fields, F_p(u) and
-        extensions with more than ``limits.ENUM_CAP`` elements.
-        """
-        log = self.log_table
-        return None if log is None else log[z.rep]
-
-    def exp(self, n):
-        """The element whose ``log`` is n; None where ``log`` is None."""
-        exp = self.exp_table
-        return None if exp is None else FieldElem(self, exp[n % self.qm1])
 
     # -- arithmetic on arrays of reps (fields an enumeration may walk) --------
 
@@ -982,16 +966,15 @@ def _irreducible(modulus):
         (x_to_p_to_the(k // r) - x).gcd(modulus).degree == 0 for r in factorize(k))
 
 
-def field_make(p, k=1, seed=None):
+def field_make(p, k=1):
     """Deterministic field constructor.
 
-    The modulus is the (seed)-th monic irreducible of degree k in the
-    ascending coefficient enumeration (seed None or 0 gives the least one),
-    so runs are reproducible.
+    The modulus is the least monic irreducible of degree k in the
+    ascending coefficient enumeration, so runs are reproducible.
     """
     check_prime(p)
     _check_degree(k)
-    return _PrimeField(p) if k == 1 else _flat_field(p, k, seed or 0)
+    return _PrimeField(p) if k == 1 else _flat_field(p, k)
 
 
 def extend_field(ctx, degree):
@@ -1005,7 +988,7 @@ def extend_field(ctx, degree):
     if ctx.flavor != "finite":
         raise SpecError("can only extend finite fields")
     _check_degree(ctx.k * degree)
-    return ctx if degree == 1 else _flat_field(ctx.p, ctx.k * degree, 0)
+    return ctx if degree == 1 else _flat_field(ctx.p, ctx.k * degree)
 
 
 def _check_degree(k):
@@ -1014,13 +997,25 @@ def _check_degree(k):
 
 
 @functools.lru_cache(maxsize=8)
-def _flat_field(p, k, skip):
-    """The skip-th field of field_make(p, k), k >= 2; contexts are
-    immutable, so the eight most recently made are shared instead of
-    searched again.  A prime field costs nothing to make and is not kept
-    here, so it never evicts an extension's tables."""
-    prime = _PrimeField(p)
+def _flat_field(p, k):
+    """The field of field_make(p, k), k >= 2; contexts are immutable, so
+    the eight most recently made are shared instead of searched again.  A
+    prime field costs nothing to make and is not kept here, so it never
+    evicts an extension's tables.
+
+    The first p candidates are the binomials x^k - a, a = -m.  One is
+    irreducible exactly when a != 0, every prime r | k divides p - 1 with
+    a^((p-1)/r) != 1, and p = 1 mod 4 if 4 | k (Lidl-Niederreiter,
+    *Finite Fields*, Thm 3.75), so the Rabin test runs on no other: when
+    gcd(k, p - 1) = 1 that skips a walk of p tests.
+    """
+    prime, primes = _PrimeField(p), list(factorize(k))
     for m in range(p ** k):
+        a = -m % p
+        if m < p and not (a and (k % 4 or p % 4 == 1)
+                          and all((p - 1) % r == 0 and pow(a, (p - 1) // r, p) != 1
+                                  for r in primes)):
+            continue
         coeffs = []
         mm = m
         for _ in range(k):
@@ -1028,10 +1023,8 @@ def _flat_field(p, k, skip):
             mm //= p
         coeffs.append(1)
         if _irreducible(Poly.from_ints(prime, coeffs)):
-            if skip == 0:
-                field = _DigitField(prime, tuple(prime.from_int(c) for c in coeffs))
-                return field if field.order > ENUM_CAP else _TableField(field)
-            skip -= 1
+            field = _DigitField(prime, tuple(prime.from_int(c) for c in coeffs))
+            return field if field.order > ENUM_CAP else _TableField(field)
     raise NoIrreducibleFound(f"no irreducible of degree {k} over F_{p}")
 
 

@@ -61,10 +61,6 @@ _evidence_cache = OrderedDict()
 @dataclass(frozen=True)
 class ZetaSeries:
     coeffs: tuple       # integer coefficients, constant term 1
-    provenance: str     # "exp-formula" or "product-formula"
-
-    def __len__(self):
-        return len(self.coeffs)
 
 
 def zeta_from_counts(counts) -> ZetaSeries:
@@ -80,19 +76,7 @@ def zeta_from_counts(counts) -> ZetaSeries:
             raise NonIntegerCoefficient(
                 f"coefficient {Fraction(acc, j)} is not an integer")
         coeffs.append(acc // j)
-    return ZetaSeries(tuple(coeffs), "exp-formula")
-
-
-def zeta_from_cycles(census, length: int) -> ZetaSeries:
-    """Series prefix of the cycle product: prod (1 - t^L)^(-count)."""
-    out = [0] * (length + 1)
-    out[0] = 1
-    for cycle_len, count in census:
-        for _ in range(count):
-            # multiply by 1/(1 - t^L): running prefix sums with stride L
-            for i in range(cycle_len, length + 1):
-                out[i] += out[i - cycle_len]
-    return ZetaSeries(tuple(out), "product-formula")
+    return ZetaSeries(tuple(coeffs))
 
 
 def series_of_rational(num, den, length: int):

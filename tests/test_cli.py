@@ -888,6 +888,21 @@ class TestTowerInputs:
                 if r["record"] == "row"] == rows
         assert elapsed < 5.0
 
+    def test_subadditive_mu_in_a_degree_13_extension_of_a_large_prime_field(self):
+        # 10139 = 16 mod 53 has order 13: mu_53 lives in F_(10139^13), and
+        # 13 does not divide 10138, so no binomial x^13 + c is irreducible
+        # and no constant is a generator's power; stdout as when both
+        # walks ran through every candidate (64 s)
+        start = time.perf_counter()
+        code, text = run_cli(["count", "--family", "subadditive", "--p", "10139",
+                              "--sigma", ",".join(["1"] + ["0"] * 12 + ["1"]),
+                              "--d", "53", "--n-max", "2"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a960097453cc7e374f3609a8d5fb544fa10ca90da9e523c6bd9e1ce7a07c2551")
+        assert elapsed < 2.0
+
     def test_transcendental_coefficient_count_pinned_within_budget(self):
         # no power of the non-constant u + 1 is a root of unity, so
         # (u + 1)^100000 is not formed; stdout as before that shortcut

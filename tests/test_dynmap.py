@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynzeta import modpoly
-from dynzeta.dynmap import (RatMap, compose, cycle_census, is_separable,
-                            iterate, per_n_oracle, rat_map)
+from dynzeta.dynmap import (RatMap, compose, cycle_census, iterate,
+                            per_n_oracle, rat_map)
 from dynzeta.errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
 from dynzeta.families import (AdditiveMap, ChebyshevMap, PowerMap,
                                SubadditiveMap, per_n_closed, realize)
@@ -185,17 +185,6 @@ class TestIterate:
             for n in range(1, 40):
                 assert iterate(f, n) == out
                 out = compose(f, out)
-
-
-class TestSeparability:
-    def test_frobenius_is_inseparable(self, F3):
-        assert not is_separable(rat_map(F3, [0, 0, 0, 1]))
-
-    def test_additive_with_linear_term(self, F3):
-        assert is_separable(rat_map(F3, [0, -1, 0, 1]))
-
-    def test_sixth_power_over_f3(self, F3):
-        assert not is_separable(rat_map(F3, [0, 0, 0, 0, 0, 0, 1]))
 
 
 class TestPerNOracle:

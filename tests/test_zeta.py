@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from dynzeta import cli, zeta
 from dynzeta.automata import _driving_sieve, kernel_explore, residue_sequence
-from dynzeta.dynmap import cycle_census, per_n_oracle, rat_map
 from dynzeta.errors import (Mismatch, NonIntegerCoefficient, ScaleExceeded,
                             SpecError)
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
@@ -30,7 +29,7 @@ from dynzeta.twisted import TwistedPoly
 from dynzeta.zeta import (RationalGuess, _integer_roots,
                           _supersingular_step, certificate_build,
                           rationality_guess, series_of_rational, verdict,
-                          zeta_from_counts, zeta_from_cycles)
+                          zeta_from_counts)
 from test_evidence_memo import POOL
 
 
@@ -94,15 +93,6 @@ class TestSeries:
             else:
                 assert zeta_from_counts(counts).coeffs == expected
         assert 50 < raised < 150
-
-    def test_product_formula_agreement(self, F3):
-        f = rat_map(F3, [0, 0, 1])
-        census = cycle_census(f, 6, 3)
-        counts = [per_n_oracle(f, n) for n in range(1, 4)]
-        exp_side = zeta_from_counts(counts)
-        prod_side = zeta_from_cycles(census, 3)
-        assert exp_side.coeffs[:4] == prod_side.coeffs[:4]
-        assert prod_side.provenance == "product-formula"
 
     def test_integer_coefficients_across_families(self, F3):
         fams = [PowerMap(3, 2), PowerMap(5, -3), ChebyshevMap(7, 4),

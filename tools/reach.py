@@ -5,7 +5,8 @@ records every function entered, lists the functions of ``src/dynzeta``
 with ``ast``, and prints those never entered: how many, their lines, and
 per module.  Standard library only, besides dynzeta itself.
 
-It always runs the job files in jobs/ and every pooled benchmark job of
+It always runs the job files in jobs/, the pinned CLI corpus of
+tests/cli_corpus.json, and every pooled benchmark job of
 perfbench/jobs.py, each followed by its perfbench/checks.py check.
 
     --ci        adds every ``dynzeta`` call of the CI workflow's
@@ -20,6 +21,9 @@ in that module and names, for each reached function there, the statement
 lines no spec executed, so branches never taken show.
 
     python tools/reach.py --ci --list
+
+tools/unreached.txt names every function that ``--ci --list`` leaves
+unreached, with what keeps it; CI checks that the two lists agree.
 
 It imports dynzeta from this checkout's src/, whatever PYTHONPATH says.
 """
@@ -39,6 +43,7 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "dynzeta")
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
+CORPUS = os.path.join(ROOT, "tests", "cli_corpus.json")
 sys.path.insert(0, os.path.join(ROOT, "src"))  # probe this checkout's package
 
 from dynzeta.cli import main as dynzeta_main  # noqa: E402
@@ -122,6 +127,11 @@ def job_files():
             for name in sorted(os.listdir(folder)) if name.endswith(".json")]
 
 
+def corpus_specs():
+    with open(CORPUS, encoding="utf-8") as handle:
+        return [spec.split() for spec in json.load(handle)]
+
+
 def run_pool(probe):
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import checks
@@ -198,7 +208,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     line_file = args.lines and os.path.join(PACKAGE, args.lines + ".py")
     probe = Probe(line_file)
-    specs = [spec.split() for spec in args.spec] + job_files()
+    specs = [spec.split() for spec in args.spec] + job_files() + corpus_specs()
     specs += ci_specs() if args.ci else []
     for spec in specs:
         with probe.active():
