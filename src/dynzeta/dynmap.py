@@ -173,6 +173,7 @@ def cycle_census(f: RatMap, max_k: int, max_n: int):
     xs = np.arange(size)
     dv = arith.eval(den, xs)
     succ[:size] = np.where(dv == 0, infinity, arith.div(arith.eval(num, xs), dv))
+    del xs, dv  # freed before the histogram's arrays, which set the peak memory
     cycles = _cycle_histogram(succ)[1:max_n + 1]
     return [(length, int(c)) for length, c in enumerate(cycles, 1) if c]
 

@@ -42,10 +42,11 @@ from itertools import count
 import numpy as np
 
 from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
-                     SpecError, SubadditiveConditionViolated)
+                     ScaleExceeded, SpecError, SubadditiveConditionViolated)
 from .field import Poly, check_poly_scale, embed, extend_field, field_make
 from .dynmap import RatMap, poly_map, rat_map
 from .intarith import check_prime, factorize, multiplicative_order, v_p
+from .limits import ENUM_CAP
 from .orders import (PrimeContext, QuadElem, QuadRing, QuatElem, units,
                      v_frak_p)
 from .twisted import (TwistedPoly, realize_additive, truncated_valuation,
@@ -214,8 +215,12 @@ class SubadditiveMap(_AdditiveQuotient):
         whose order is d: zeta^(d/r) != 1 for every prime r | d.  When
         mu_d is not in F_q, d does not divide p - 1, and a^((Q-1)/d) of a
         constant a < p has an order dividing gcd(d, p - 1) < d, so the
-        walk starts at a = p.
+        walk starts at a = p.  The list is a walk over d field elements,
+        so a d past ``limits.ENUM_CAP`` is refused before it starts.
         """
+        if self.d > ENUM_CAP:
+            raise ScaleExceeded(f"listing the {self.d} roots of unity in mu_d "
+                                f"exceeds the enumeration cap {ENUM_CAP}")
         ctx = self.sigma.ctx
         if ctx.flavor != "finite":
             # Transcendental coefficients keep all the roots of unity in the

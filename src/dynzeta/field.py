@@ -26,10 +26,13 @@ Representation conventions:
   elements, also computes on numpy arrays of reps: ``ctx.arrays()`` is
   its ``RepArrays``, which adds, negates, multiplies, divides, tests
   squares, takes square roots and evaluates a Poly lane by lane, by
-  lookups in the same tables.  A prime field builds its tables the
-  first time it is walked and keeps them in its ``RepArrays`` only: its
-  FieldElem arithmetic stays on ints mod p, its square roots stay
-  Tonelli-Shanks, and its ``log_table`` and ``exp_table`` stay None.
+  gathers in the same table buffers.  Zero's log is 2(q-1), which the
+  tables send back to zero, so a sum, negative, product or quotient is
+  the same gathers on every lane, zero or not.  A prime field builds
+  its tables the first time it is walked and keeps them in its
+  ``RepArrays`` only: its FieldElem arithmetic stays on ints mod p, its
+  square roots stay Tonelli-Shanks, and its ``log_table`` and
+  ``exp_table`` stay None.
 * A subfield F_(p^a) of F_(p^(ab)) is reached by ``embed``, which sends
   the adjoined root of the smaller field to a fixed root of its modulus
   in the larger one (Lidl-Niederreiter, *Finite Fields*, Thm 2.14).  That
@@ -65,7 +68,6 @@ loops, the tower branch of ``embed`` and ``_subfield_root``.
 import functools
 import itertools
 import math
-from array import array
 
 import numpy as np
 
@@ -563,35 +565,28 @@ class _DigitField(FieldCtx):
 class _TableField(_DigitField):
     """F_(p^k) on indices by exp/log/Zech table lookups.
 
-    With g a primitive element: exp[i] = g^i (stored twice over, so a sum
-    of two logs needs no reduction), log[g^i] = i, and
-    zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0.  The tables are
-    built by the digit arithmetic of ``digit_field``, the same field.
+    ``_zech_tables`` builds the tables from ``digit_field``, the same
+    field on its digits.  They are read here through memoryviews, and
+    the field's ``RepArrays`` reads the same buffers as numpy arrays.
+    Zero has a log, so sums, negatives and products take no zero branch.
     """
 
     __slots__ = ("exp_table", "log_table", "zech", "minus_one")
 
     def __init__(self, digit_field):
         super().__init__(digit_field.base, digit_field.modulus)
-        self.exp_table, self.log_table, self.zech = _zech_tables(digit_field)
+        self.exp_table, self.log_table, self.zech = map(
+            memoryview, _zech_tables(digit_field))
         self.minus_one = self.qm1 // 2 if self.p != 2 else 0  # log of -1
 
     def add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        log = self.log_table
-        la = log[a]
-        z = self.zech[(log[b] - la) % self.qm1]
-        return 0 if z < 0 else self.exp_table[la + z]
+        la = self.log_table[a]
+        return self.exp_table[la + self.zech[self.log_table[b] - la]]
 
     def neg(self, a):
-        return self.exp_table[self.log_table[a] + self.minus_one] if a else 0
+        return self.exp_table[self.log_table[a] + self.minus_one]
 
     def mul(self, a, b):
-        if not a or not b:
-            return 0
         log = self.log_table
         return self.exp_table[log[a] + log[b]]
 
@@ -608,10 +603,19 @@ class _TableField(_DigitField):
 
 
 def _zech_tables(field):
-    """(exp, log, zech) of the least primitive index, as compact int arrays,
+    """(exp, log, zech) intc arrays to the least primitive index g,
     computed by the digit arithmetic of the _DigitField ``field``.
 
-    Over F_2 that index is 1, the only nonzero element."""
+    With Q = q - 1, zero's log is S = 2Q: log[0] = S and log[g^i] = i.
+    exp has 4Q + 1 entries, g^(i mod Q) below S and 0 from S up, so the
+    sum of two logs, either of them S, indexes the product.  zech, also
+    4Q + 1 entries, is indexed by n = log b - log a in [-2Q, 2Q],
+    negative n counted from the end, so that a + b = exp[log a + zech[n]]:
+    log(1 + g^n) for |n| < Q (S where that is log 0), n itself for n < -Q
+    (a = 0, so exp[S + n] = b) and 0 for n > Q (b = 0).  np.zeros leaves
+    both zero regions unwritten, so they add no resident memory.
+
+    Over F_2 the index g is 1, the only nonzero element."""
     p, k, qm1 = field.p, field.k, field.qm1
     primes = list(factorize(qm1))
     g = next(a for a in range(1, qm1 + 1)
@@ -628,31 +632,31 @@ def _zech_tables(field):
     jump = np.array([field.digits(field.mul(a, p ** j)) for j in range(k)],
                     dtype=np.int64).T
     weights = p ** np.arange(k, dtype=np.int64)
-    exp = np.empty(-(-qm1 // step) * step, dtype=np.int64)
+    exp = np.zeros(4 * qm1 + 1, dtype=np.intc)
     for start in range(0, qm1, step):
         exp[start:start + step] = weights @ cols
         cols = jump @ cols % p
-    exp = exp[:qm1]
-    log = np.full(qm1 + 1, -1, dtype=np.int64)
-    log[exp] = np.arange(qm1)
-    digit = exp % p
-    zech = log[exp - digit + (digit + 1) % p]
-    return (_compact(np.concatenate([exp, exp])), _compact(log),
-            _compact(zech))
-
-
-def _compact(values):
-    return array("i", values.astype(np.intc).tobytes())
+    powers = exp[:qm1]
+    exp[qm1:2 * qm1] = powers
+    log = np.empty(qm1 + 1, dtype=np.intc)
+    log[powers] = np.arange(qm1, dtype=np.intc)
+    log[0] = 2 * qm1
+    zech = np.zeros(4 * qm1 + 1, dtype=np.intc)
+    one_plus = powers + 1  # 1 + g^n: the lowest digit p - 1 wraps to 0, no carry
+    one_plus[one_plus % p == 0] -= p
+    zech[:qm1] = zech[-qm1:] = log[one_plus]
+    zech[-2 * qm1:-qm1] = np.arange(-2 * qm1, -qm1, dtype=np.intc)
+    return exp, log, zech
 
 
 class RepArrays:
     """A finite field's arithmetic on numpy arrays of reps.
 
     Every operation works elementwise on int arrays (or an array and a
-    scalar rep) by lookups in the exp/log/Zech tables of ``_TableField``;
-    a prime field builds the same tables the first time it is walked and
-    keeps them here only.  log[0] reads 0 in this copy, so the lanes that
-    a zero takes index the tables safely and are then overwritten.
+    scalar rep) by gathers in the tables of ``_zech_tables``: an
+    extension's ``_TableField`` buffers, or the tables a prime field
+    builds the first time it is walked and keeps here only.  Zero has a
+    log, so a sum, negative, product or quotient takes no zero mask.
     """
 
     __slots__ = ("qm1", "minus_one", "exp", "log", "zech")
@@ -660,39 +664,33 @@ class RepArrays:
     def __init__(self, p, qm1, exp, log, zech):
         self.qm1 = qm1
         self.minus_one = qm1 // 2 if p != 2 else 0  # log of -1
-        self.exp = np.frombuffer(exp, dtype=np.intc)
-        self.log = np.frombuffer(log, dtype=np.intc).copy()
-        self.log[0] = 0
-        self.zech = np.frombuffer(zech, dtype=np.intc)
+        self.exp, self.log, self.zech = (np.frombuffer(t, dtype=np.intc)
+                                         for t in (exp, log, zech))
 
     def add(self, a, b):
-        la, lb = self.log[a], self.log[b]
-        z = self.zech[(lb - la) % self.qm1]
-        total = np.where(z < 0, 0, self.exp[la + z])
-        return np.where(np.equal(a, 0), b, np.where(np.equal(b, 0), a, total))
+        la = self.log.take(a)
+        return self.exp.take(la + self.zech.take(self.log.take(b) - la))
 
     def neg(self, a):
-        return np.where(np.equal(a, 0), 0, self.exp[self.log[a] + self.minus_one])
+        return self.exp.take(self.log.take(a) + self.minus_one)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        zero = np.equal(a, 0) | np.equal(b, 0)
-        return np.where(zero, 0, self.exp[self.log[a] + self.log[b]])
+        return self.exp.take(self.log.take(a) + self.log.take(b))
 
     def div(self, a, b):
         """a / b; the lanes where b is 0 hold no meaningful value."""
-        return np.where(np.equal(a, 0), 0,
-                        self.exp[self.log[a] + self.qm1 - self.log[b]])
+        return self.exp.take(self.log.take(a) - self.log.take(b) + self.qm1)
 
     def is_square(self, a):
         """Square test in odd characteristic: 0 and the even logs."""
-        return self.log[a] % 2 == 0
+        return self.log.take(a) % 2 == 0
 
     def sqrt(self, a):
         """exp(log / 2): a root on the lanes that ``is_square`` accepts."""
-        return np.where(np.equal(a, 0), 0, self.exp[self.log[a] // 2])
+        return np.where(np.equal(a, 0), 0, self.exp.take(self.log.take(a) // 2))
 
     def eval(self, poly, x):
         """The values of the Poly ``poly`` at the array of reps x (Horner)."""

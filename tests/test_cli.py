@@ -15,7 +15,7 @@ import dynzeta.cli
 from dynzeta.automata import christol_series
 from dynzeta.cli import (JobSpec, compile_spec, main, make_parser,
                          parse_poly_string, run_job)
-from dynzeta.limits import CHRISTOL_TERMS_CAP
+from dynzeta.limits import CHRISTOL_TERMS_CAP, ENUM_CAP, EXTENSION_DEGREE_CAP
 
 
 def run_cli(argv):
@@ -230,6 +230,27 @@ class TestExitCodes:
             assert run_cli(argv + [str(terms)]) == (3, "")
             assert time.perf_counter() - start < 1.0
             assert "over the cap" in capsys.readouterr().err
+
+    def test_census_past_the_extension_degree_cap(self, capsys):
+        # F_(3^25) is refused as an invalid spec before any field is made
+        start = time.perf_counter()
+        assert run_cli(["census", "--family", "power", "--p", "3", "--d", "2",
+                        "--ext-degree", str(EXTENSION_DEGREE_CAP + 1)]) == (2, "")
+        assert time.perf_counter() - start < 1.0
+        assert f"outside [1, {EXTENSION_DEGREE_CAP}]" in capsys.readouterr().err
+
+    def test_subadditive_mu_past_the_enumeration_cap(self, capsys):
+        # d = p^2 + 1 divides p^4 - 1, so mu_d lies in F_(p^4); listing
+        # its d roots would be a walk over d > ENUM_CAP field elements
+        p = 1_000_003
+        d = p * p + 1
+        assert d > ENUM_CAP
+        start = time.perf_counter()
+        assert run_cli(["count", "--family", "subadditive", "--p", str(p),
+                        "--sigma", "1,0,0,0,1", "--d", str(d),
+                        "--n-max", "1"]) == (3, "")
+        assert time.perf_counter() - start < 1.0
+        assert f"enumeration cap {ENUM_CAP}" in capsys.readouterr().err
 
     def test_identity_iterate_rejected(self):
         code, _ = run_cli(["oracle", "--num", "1", "--den", "0,1", "--p", "3",

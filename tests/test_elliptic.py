@@ -14,7 +14,7 @@ from dynzeta.elliptic import (CurvePoint, EllipticCurve, _affine_points,
 from dynzeta.errors import ScaleExceeded, SpecError
 from dynzeta.field import extend_field, field_make
 from dynzeta.intarith import v_p
-from dynzeta.limits import ENUM_CAP
+from dynzeta.limits import ENUM_CAP, TORSION_INDEX_CAP
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +222,15 @@ class TestLattesOracle:
         start = time.perf_counter()
         with pytest.raises(ScaleExceeded, match="beyond the oracle range"):
             lattes_oracle(E51, 2, 10 ** 8)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("m,n", [(TORSION_INDEX_CAP, 1), (2, 6), (7, 3)])
+    def test_index_past_the_cap_refused(self, E51, m, n):
+        # m^n + 1 > TORSION_INDEX_CAP: refused before any torsion walk
+        assert m ** n + 1 > TORSION_INDEX_CAP
+        start = time.perf_counter()
+        with pytest.raises(ScaleExceeded, match="beyond the oracle range"):
+            lattes_oracle(E51, m, n)
         assert time.perf_counter() - start < 1.0
 
 

@@ -9,9 +9,9 @@ import numpy as np
 from dynzeta import modpoly
 from dynzeta.dynmap import cycle_census, rat_map
 from dynzeta.errors import NotPrime, ScaleExceeded, SpecError, ZeroPolynomial
-from dynzeta.field import (Poly, _flat_field, distinct_root_count,
-                           extend_field, embed, field_make, ratfunc_field,
-                           separable_radical)
+from dynzeta.field import (FieldElem, Poly, _DigitField, _flat_field,
+                           distinct_root_count, extend_field, embed,
+                           field_make, ratfunc_field, separable_radical)
 from dynzeta.limits import ENUM_CAP
 from dynzeta.orders import _norm_recurrence
 
@@ -500,6 +500,88 @@ def test_rep_arrays_match_the_boxed_arithmetic(p, k):
         assert square.tolist() == [z.is_square() for z in box]
         roots = arith.sqrt(xs)
         assert (arith.mul(roots, roots)[square] == xs[square]).all()
+
+
+def _digit_field(ctx):
+    """ctx on its digit arithmetic alone, which reads no table."""
+    if ctx.is_prime_field:
+        return _DigitField(ctx, (ctx.zero(), ctx.one()))
+    return _DigitField(ctx.base, ctx.modulus)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                 (5, 1), (5, 2), (7, 1), (7, 2), (13, 1)])
+def test_rep_arrays_match_the_digit_arithmetic(p, k):
+    # every pair of F_q, the zero lanes included, and a scalar operand
+    # on either side
+    ctx = field_make(p, k)
+    ref, arith, q = _digit_field(ctx), ctx.arrays(), ctx.order
+    xs = np.arange(q)
+    a, b = (v.ravel() for v in np.meshgrid(xs, xs))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    inv = {y: ref.inverse(y) for y in range(1, q)}
+
+    def sub(x, y):
+        return ref.add(x, ref.neg(y))
+
+    for name, op in (("add", ref.add), ("sub", sub), ("mul", ref.mul)):
+        lanes = getattr(arith, name)
+        assert lanes(a, b).tolist() == [op(x, y) for x, y in pairs]
+        for c in (0, 1, q - 1):
+            assert lanes(c, xs).tolist() == [op(c, y) for y in range(q)]
+            assert lanes(xs, c).tolist() == [op(x, c) for x in range(q)]
+    assert arith.neg(xs).tolist() == [ref.neg(x) for x in range(q)]
+    assert arith.div(a, b)[b != 0].tolist() == [
+        ref.mul(x, inv[y]) for x, y in pairs if y]
+    for c in (0, 1, q - 1):
+        assert arith.div(c, xs[1:]).tolist() == [
+            ref.mul(c, inv[y]) for y in range(1, q)]
+        if c:
+            assert arith.div(xs, c).tolist() == [ref.mul(x, inv[c]) for x in range(q)]
+    poly = Poly.from_ints(ctx, [1, p - 1, 0, 1, 1])
+
+    def horner(x):
+        acc = 0
+        for c in reversed(poly.reps.tolist()):
+            acc = ref.add(ref.mul(acc, x), c)
+        return acc
+
+    assert arith.eval(poly, xs).tolist() == [horner(x) for x in range(q)]
+    if p != 2:
+        # Euler's criterion and squaring back, on the digits
+        square = arith.is_square(xs)
+        assert square.tolist() == [FieldElem(ref, x).is_square() for x in range(q)]
+        roots = arith.sqrt(xs)
+        assert [ref.mul(r, r) for r in roots[square].tolist()] == xs[square].tolist()
+
+
+def test_rep_arrays_read_the_fields_own_tables():
+    # one buffer per table: the arrays are views of the field's tables
+    ctx = field_make(3, 4)
+    arith = ctx.arrays()
+    for lanes, table in ((arith.exp, ctx.exp_table), (arith.log, ctx.log_table),
+                         (arith.zech, ctx.zech)):
+        assert np.shares_memory(lanes, np.asarray(table))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rep_arrays_in_characteristic_two(k):
+    # 1 + 1 = 0 and -1 = 1
+    ctx = field_make(2, k)
+    arith, xs = ctx.arrays(), np.arange(ctx.order)
+    assert arith.add(1, 1) == 0 and arith.neg(1) == 1
+    assert not arith.add(xs, xs).any() and not arith.sub(xs, xs).any()
+    assert arith.neg(xs).tolist() == xs.tolist()
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 3), (13, 1)])
+def test_zero_is_its_own_square_root(p, k):
+    # zero has a log in the tables; the boxed and the array square roots
+    # still answer 0 for it
+    ctx = field_make(p, k)
+    assert ctx.zero().is_square() and ctx.zero().sqrt() == ctx.zero()
+    arith = ctx.arrays()
+    assert arith.is_square(0) and arith.sqrt(0) == 0
 
 
 def test_fields_without_tables_have_no_rep_arrays(F3u):
