@@ -199,6 +199,7 @@ def _cycle_histogram(succ):
             break
         jump[shrunk] = jump[jump[shrunk]]
         live = shrunk
+    del jump, image, shrunk  # freed before the second step's arrays: peak memory
     local = np.empty(len(succ), dtype=np.int64)
     local[live] = np.arange(len(live))
     step, low = local[succ[live]], np.arange(len(live))

@@ -322,11 +322,13 @@ class FieldElem:
 
 
 def _tonelli_shanks(ctx, z):
-    """A square root of the nonzero rep z, or None if z is not a square.
+    """A square root of the rep z (0 for 0), or None if z is not a square.
 
     Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 1.5.1;
     for q = 3 mod 4 the root is z^((q+1)/4).
     """
+    if not z:
+        return z
     e, m = ctx.qm1, 0
     while e % 2 == 0:
         e //= 2

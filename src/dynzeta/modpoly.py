@@ -8,7 +8,7 @@ nonzero, an empty array is the zero polynomial.  Its dtype is
 of two residues plus a residue fits, and object arrays of Python ints
 above that.  ``mul``, ``divrem``, ``gcd`` and ``pow_mod`` take such arrays
 (a sequence of ints is read as one) and return new ones; none writes to
-its operands.  Every product, whatever the lengths and p, is one
+its operands.  A product of two factors of two or more terms each is one
 Kronecker substitution (von zur Gathen-Gerhard, *Modern Computer
 Algebra*, section 8.4): both factors are packed into Python ints and
 CPython's big-int product does the work.  Products of zero-padded series
@@ -40,6 +40,16 @@ degree drop deg x = deg y + 1; when the bounds allow both of its quotient
 steps without a reduction, the gcd reads the two quotient coefficients
 as scalars and subtracts their multiples of y from x in place, through
 one scratch array, with no quotient list.
+
+Products and gcds pay per nonzero term too; the oracle's iterates are
+lacunary.  ``mul`` by a monomial c x^s (a power-map iterate) is one
+shifted pass over c times the other factor; two to four terms stay
+Kronecker products, faster at small p.  An odd-degree Chebyshev iterate
+minus x is x g(x^2), its derivative k(x^2), and for A(0), B(0) nonzero,
+gcd(x^s A(x^k), x^t B(x^k)) = x^min(s,t) gcd(A, B)(x^k): x -> x^k is an
+injective ring map, so Euclid's steps carry along, and ``gcd`` runs the
+chain on A and B.  An int64 array's lazy reduction is a -= a // p * p,
+which numpy's libdivide makes half the time of %; object arrays keep %.
 
 ``trim``, ``deg``, ``add``, ``sub`` and ``neg`` work on plain lists of
 ints; ``add`` also takes a product from ``mul`` for either operand, and
@@ -98,14 +108,18 @@ def neg(a: list, p: int) -> list:
 
 
 def mul(a, b, p: int):
-    """The product of a and b, as a trimmed array.  One w-byte
-    little-endian slot per coefficient; w holds the largest coefficient
-    of the integer product, min(len(a), len(b))*(p-1)^2."""
+    """The product of a and b, as a trimmed array.  Kronecker: one
+    w-byte little-endian slot per coefficient; w holds the largest
+    coefficient of the integer product, min(len(a), len(b))*(p-1)^2."""
     dtype = residue_dtype(p)
     a, b = np.asarray(a, dtype), np.asarray(b, dtype)
     if not len(a) or not len(b):
         return a[:0]
     n = len(a) + len(b) - 1
+    a, b = (b, a) if np.count_nonzero(b) == 1 else (a, b)
+    if np.count_nonzero(a) == 1:  # a = c x^s: one shifted pass over c*b
+        s = int(np.flatnonzero(a)[0])
+        return trim_array(np.concatenate((np.zeros(s, dtype), b * int(a[s]) % p)))
     w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
     data = (_pack(a, w) * _pack(b, w)).to_bytes(n * w, "little")
     if w <= 8:
@@ -191,7 +205,7 @@ def _divide(x, bx, y, by, p, limit):
                 zeros = 0
             continue
         if bx + step >= limit:
-            x[:i + ly] %= p
+            _reduce(x[:i + ly], p)
             bx = p - 1
         c = c * inv % p
         q[i] = c
@@ -216,6 +230,14 @@ def _last_nonzero(x, lo, hi, p):
     return lo - 1
 
 
+def _reduce(a, p: int):
+    """a mod p, in place."""
+    if a.dtype == object:
+        a %= p
+    else:
+        a -= a // p * p
+
+
 def _monic(a, p: int):
     if not len(a) or a[-1] == 1:
         return a
@@ -223,13 +245,28 @@ def _monic(a, p: int):
 
 
 def gcd(a, b, p: int):
-    """Monic gcd via the Euclidean remainder chain; a nonzero constant
-    anywhere in the chain ends it with [1]."""
-    dtype, limit = _dtype(p)
-    # copies: each remainder is computed in place
-    x, y = trim_array(np.array(a, dtype)), trim_array(np.array(b, dtype))
+    """Monic gcd of x^s A(x^k) and x^t B(x^k) via the Euclidean remainder
+    chain of A and B; a nonzero constant anywhere in it ends it with [1]."""
+    dtype = residue_dtype(p)
+    x, y = trim_array(np.asarray(a, dtype)), trim_array(np.asarray(b, dtype))
     if not len(x) or not len(y):
-        return _monic(x if len(x) else y, p)
+        return _monic(np.array(x if len(x) else y), p)
+    if len(x) == 1 or len(y) == 1:
+        return np.ones(1, dtype)
+    ix, iy = np.flatnonzero(x), np.flatnonzero(y)
+    s, t = int(ix[0]), int(iy[0])
+    m, k = min(s, t), int(np.gcd.reduce(np.concatenate((ix - s, iy - t))))
+    if k <= 1:  # or 0 for two monomials: strip x^m, keeping every quotient
+        s, t, k = m, m, 1
+    g = _gcd_chain(x[s::k].copy(), y[t::k].copy(), p)  # copies: it writes
+    out = np.zeros(m + k * (len(g) - 1) + 1, dtype)
+    out[m::k] = g
+    return out
+
+
+def _gcd_chain(x, y, p: int):
+    """The monic gcd of trimmed, reduced x and y, which it overwrites."""
+    dtype, limit = _dtype(p)
     if len(x) == 1 or len(y) == 1:
         return np.ones(1, dtype)
     if len(x) < len(y):
@@ -238,8 +275,8 @@ def gcd(a, b, p: int):
     scratch = np.empty(len(y), dtype)
     while True:
         if by >= p and bx + (len(x) - len(y) + 1) * (p - 1) * by + p >= limit:
-            x %= p
-            y %= p
+            _reduce(x, p)
+            _reduce(y, p)
             bx = by = p - 1
         ly = len(y)
         step = (p - 1) * by

@@ -15,7 +15,8 @@ import dynzeta.cli
 from dynzeta.automata import christol_series
 from dynzeta.cli import (JobSpec, compile_spec, main, make_parser,
                          parse_poly_string, run_job)
-from dynzeta.limits import CHRISTOL_TERMS_CAP, ENUM_CAP, EXTENSION_DEGREE_CAP
+from dynzeta.limits import (AUTOMATA_KERNEL_BUDGET, CHRISTOL_TERMS_CAP, ENUM_CAP,
+                            EXTENSION_DEGREE_CAP)
 
 
 def run_cli(argv):
@@ -238,6 +239,17 @@ class TestExitCodes:
                         "--ext-degree", str(EXTENSION_DEGREE_CAP + 1)]) == (2, "")
         assert time.perf_counter() - start < 1.0
         assert f"outside [1, {EXTENSION_DEGREE_CAP}]" in capsys.readouterr().err
+
+    def test_automata_kernel_past_its_budget(self, capsys):
+        # depth 9 over base ell = 7 would compare (7^10 - 1)/6 rows of 64
+        # terms, 3013069312 in all; the plan is refused before any term of
+        # the sequence is formed
+        start = time.perf_counter()
+        assert run_cli(["automata", "--kind", "vp-geometric", "--a", "2",
+                        "--p", "3", "--ell", "7", "--depth", "9"]) == (3, "")
+        assert time.perf_counter() - start < 1.0
+        assert (f"kernel exploration cost 3013069312 over budget "
+                f"{AUTOMATA_KERNEL_BUDGET}") in capsys.readouterr().err
 
     def test_subadditive_mu_past_the_enumeration_cap(self, capsys):
         # d = p^2 + 1 divides p^4 - 1, so mu_d lies in F_(p^4); listing

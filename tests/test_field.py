@@ -10,7 +10,7 @@ from dynzeta import modpoly
 from dynzeta.dynmap import cycle_census, rat_map
 from dynzeta.errors import NotPrime, ScaleExceeded, SpecError, ZeroPolynomial
 from dynzeta.field import (FieldElem, Poly, _DigitField, _flat_field,
-                           distinct_root_count, extend_field, embed,
+                           _tonelli_shanks, distinct_root_count, extend_field, embed,
                            field_make, ratfunc_field, separable_radical)
 from dynzeta.limits import ENUM_CAP
 from dynzeta.orders import _norm_recurrence
@@ -643,6 +643,16 @@ def test_square_roots_without_tables(p, k):
         z = ctx.elem_at(rng.randrange(ctx.order))
         _check_square_root(z)
         _check_square_root(z * z)
+
+
+@pytest.mark.parametrize("p", [13, 1_000_000_009, 7, 2 ** 61 - 1])
+def test_tonelli_shanks_roots_zero(p):
+    # p = 1 mod 4 runs the 2-power loop and p = 3 mod 4 takes z^((p+1)/4);
+    # at both, zero's t = 0 would never square to 1
+    ctx = field_make(p)
+    assert ctx.log_table is None
+    assert _tonelli_shanks(ctx, 0) == 0
+    assert _tonelli_shanks(ctx, 4) in (2, p - 2)
 
 
 def test_square_roots_need_odd_characteristic(F3u):

@@ -514,3 +514,89 @@ def test_normal_remainder_sequence_matches_reference(monkeypatch, p, steps_in_pl
         calls.clear()
         assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
         assert len(calls) == (0 if steps_in_place else length + 1)
+
+
+# -- lacunary gcds and monomial products -------------------------------------------
+
+
+def _inflate(a, k, s):
+    """x^s * a(x^k), as a coefficient list."""
+    out = [0] * (s + k * (len(a) - 1) + 1)
+    out[s::k] = a
+    return out
+
+
+def _unit_ends(rnd, p, length):
+    """A random polynomial of `length` coefficients with nonzero
+    constant and top coefficients."""
+    out = _dense(rnd, p, length)
+    out[0] = rnd.randrange(1, p)
+    return out
+
+
+@st.composite
+def _lacunary_pair(draw):
+    # a = x^s A(x^k) and b = x^t B(x^k) with A(0), B(0) nonzero, sharing a
+    # factor C(x^k) or not; A or B may be a constant, so a or b a monomial.
+    # k = p and p + 1 only below 100: the arrays hold about k * deg entries
+    p = draw(st.sampled_from(PRIMES))
+    k = draw(st.sampled_from((2, 3) + ((p, p + 1) if p < 100 else ())))
+    s, t = draw(st.sampled_from((0, 1, 5))), draw(st.sampled_from((0, 1, 5)))
+    rnd = draw(st.randoms(use_true_random=False))
+    a, b = (_unit_ends(rnd, p, draw(st.integers(1, 10))) for _ in range(2))
+    if draw(st.booleans()):
+        common = _unit_ends(rnd, p, draw(st.integers(2, 4)))
+        a, b = _ref_mul(a, common, p), _ref_mul(b, common, p)
+    return p, _inflate(a, k, s), _inflate(b, k, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lacunary_pair())
+def test_lacunary_gcd_matches_reference(case):
+    p, a, b = case
+    expected = _ref_gcd(a, b, p)
+    for x, y in ((a, b), (b, a)):
+        out = modpoly.gcd(x, y, p)
+        assert out.tolist() == expected
+        assert out.dtype == modpoly.residue_dtype(p)
+
+
+def test_a_decimated_gcd_calls_the_public_gcd_once(monkeypatch):
+    # h = x g(x^2), like an odd-degree Chebyshev iterate minus x, and
+    # h' = k(x^2): one call of modpoly.gcd, whose chain runs on g and k
+    p = 7
+    g = _unit_ends(random.Random(30), p, 30)
+    h = _inflate(g, 2, 1)
+    dh = _ref_derivative(h, p)
+    calls, chains = [], []
+    gcd, chain = modpoly.gcd, modpoly._gcd_chain
+    monkeypatch.setattr(modpoly, "gcd",
+                        lambda a, b, p: calls.append(1) or gcd(a, b, p))
+    monkeypatch.setattr(modpoly, "_gcd_chain",
+                        lambda x, y, p: chains.append((len(x), len(y))) or chain(x, y, p))
+    assert modpoly.gcd(h, dh, p).tolist() == _ref_gcd(h, dh, p)
+    assert calls == [1]
+    assert chains == [(len(g), len(g))]
+
+
+@st.composite
+def _monomial_product(draw):
+    # c x^s times a random factor, either side untrimmed; the factor may be
+    # zero or a monomial itself
+    p = draw(st.sampled_from(PRIMES))
+    rnd = draw(st.randoms(use_true_random=False))
+    s = draw(st.integers(0, 40))
+    monomial = [0] * s + [rnd.randrange(1, p)] + [0] * draw(st.integers(0, 5))
+    other = ([rnd.randrange(p) for _ in range(draw(st.integers(1, 60)))]
+             + [0] * draw(st.integers(0, 5)))
+    return (p, monomial, other) if draw(st.booleans()) else (p, other, monomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomial_product())
+def test_mul_by_a_monomial_matches_reference(case):
+    p, a, b = case
+    out = modpoly.mul(a, b, p)
+    assert out.tolist() == _ref_mul(a, b, p)
+    assert out.dtype == modpoly.residue_dtype(p)
+    assert all(type(c) is int for c in out.tolist())
