@@ -2,7 +2,10 @@
 and the cycle census.
 
 A RatMap is a reduced fraction N/D of polynomials over a finite field
-context, with the denominator monic.  Composition and iteration are exact;
+context, with the denominator monic.  Composition and iteration are exact.
+A composition evaluates f at g by the Frobenius split of f's coefficients
+by residue mod p, so that an additive map's p-polynomial composes with no
+polynomial product and a sparse f pays per nonzero class of exponents;
 the oracle counts n-periodic points over the algebraic closure by counting
 distinct roots of N(x) - x*D(x) and checking the point at infinity by
 degree comparison, never by projective coordinate arithmetic.  The census
@@ -18,6 +21,7 @@ from .errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
 from .field import Poly, distinct_root_count, embed, extend_field
 from .intarith import power
 from .limits import ENUM_CAP, POLY_DEGREE_CAP
+from .modpoly import trim_array
 
 
 @dataclass(frozen=True)
@@ -67,35 +71,79 @@ def poly_map(poly: Poly) -> RatMap:
 
 
 def compose(f: RatMap, g: RatMap) -> RatMap:
-    """Reduced composition f(g(x)); degrees multiply."""
+    """Reduced composition f(g(x)); degrees multiply.
+
+    For m = deg f and g = N/D, f(g) = D^m f.num(N/D) / D^m f.den(N/D), and
+    ``_homogenised`` evaluates numerator and denominator alike.
+    """
     if f.ctx != g.ctx:
         raise SpecError("composition across different fields")
     out_deg = f.degree * g.degree
     if out_deg > POLY_DEGREE_CAP:
         raise ScaleExceeded(f"composition degree {out_deg} exceeds cap")
     m = f.degree
-    # Q^0, ..., Q^m for Q = g.den; a polynomial g (Q = 1) needs no product
-    qpow = [Poly.one(f.ctx)]
-    for _ in range(m):
-        qpow.append(_times(qpow[-1], g.den))
-
-    def substitute(coeffs):
-        # sum coeffs[i] * P^i * Q^(m-i), Horner in P from the top
-        # coefficient, so no product has a zero factor
-        acc = None
-        for i in range(len(coeffs) - 1, -1, -1):
-            term = qpow[m - i].scale(coeffs[i])
-            acc = term if acc is None else _times(acc, g.num) + term
-        return Poly.zero(f.ctx) if acc is None else acc
-
-    num = substitute(f.num.coeffs)
-    den = substitute(f.den.coeffs)
+    # D^0, D^1, ... as far as some level of the split asks; a polynomial g
+    # (D = 1) needs none
+    powers = None if g.den.degree == 0 else [Poly.one(f.ctx)]
+    num = _homogenised(f.num, m, g, powers)
+    den = _homogenised(f.den, m, g, powers)
     # Reduced inputs compose to a reduced fraction; only renormalize.
     inv = den.leading.inverse()
     out = RatMap(num.scale(inv), den.scale(inv))
     if out.degree != out_deg:
         raise SpecError("internal error: composition degree law violated")
     return out
+
+
+def _homogenised(poly: Poly, m: int, g: RatMap, powers) -> Poly:
+    """D^m poly(N/D) for g = N/D and deg poly <= m, by the Frobenius split.
+
+    Over F_q of characteristic p, poly(y) = sum_(r<p) y^r F_r(y)^p with
+    F_r(y) = sum_i c_(ip+r)^(1/p) y^i, and h(x)^p is h's coefficients'
+    p-th powers at x^(ip) (Lidl-Niederreiter, *Finite Fields*, 3.4), a
+    strided copy; both coefficient maps are the identity over F_p.  So
+
+        D^m poly(N/D) = sum_r N^r D^(e_r) (D^(M_r) F_r(N/D))^p,
+
+    with M_r = (m - r) // p and e_r = (m - r) % p < p, and the bracket is
+    this function again at degree M_r: the powers of D follow the base-p
+    digits of m, and ``powers`` holds D^e for the digits met so far.
+    Horner in N runs from the largest r with F_r nonzero, so a p-polynomial
+    makes no product, and below p every F_r is one coefficient.
+    """
+    ctx, p, reps = poly.ctx, poly.ctx.p, poly.reps
+    acc = None
+    for r in range(min(len(reps), p) - 1, -1, -1):
+        if acc is not None:
+            acc = _times(acc, g.num)
+        part = trim_array(reps[r::p])
+        if not len(part):
+            continue
+        sub_m = (m - r) // p
+        if len(part) == 1 and (sub_m == 0 or powers is None):
+            term = Poly(ctx, part)  # the bracket's p-th power is c_r
+        else:
+            if not ctx.is_prime_field:  # the p-th roots, c^(q/p)
+                part = np.array([ctx.pow(c, ctx.order // p) for c in part.tolist()],
+                                ctx.dtype)
+            term = _frobenius(_homogenised(Poly(ctx, part), sub_m, g, powers))
+        if powers is not None:
+            e = (m - r) % p
+            while len(powers) <= e:
+                powers.append(_times(powers[-1], g.den))
+            term = _times(powers[e], term)
+        acc = term if acc is None else acc + term
+    return Poly.zero(ctx) if acc is None else acc
+
+
+def _frobenius(h: Poly) -> Poly:
+    """h^p for a nonzero h: its coefficients' p-th powers at x^(ip)."""
+    ctx, p, reps = h.ctx, h.ctx.p, h.reps
+    if not ctx.is_prime_field:
+        reps = np.array([ctx.pow(c, p) for c in reps.tolist()], ctx.dtype)
+    out = np.zeros(p * (len(reps) - 1) + 1, reps.dtype)
+    out[::p] = reps
+    return Poly(ctx, out)
 
 
 def _times(a: Poly, b: Poly) -> Poly:

@@ -41,6 +41,20 @@ steps without a reduction, the gcd reads the two quotient coefficients
 as scalars and subtracts their multiples of y from x in place, through
 one scratch array, with no quotient list.
 
+A divisor whose leading term is followed by a gap of zero coefficients
+has a quotient in blocks: subtracting c x^i y leaves the next span - 1
+tops unchanged, span being the distance from y's leading exponent to its
+next nonzero one, so ``_divide_blocks`` reads span quotient coefficients
+as one vector and subtracts the block times each lower term of y, one
+vector operation per term.  A position takes at most one product per
+term in a block, which the lazy bound counts; a division whose block
+could pass the limit even after a reduction (int64 just below p = 2^31)
+steps per coefficient.  Blocks are taken only when they issue fewer
+numpy calls: a gap of at least ``_BLOCK_GAP`` zeros, fewer lower terms
+than the gap, and a quotient of four blocks or more.  A short quotient,
+as in most steps of a gcd chain, pays one integer comparison, and a dense
+divisor one scalar test, of its second coefficient.
+
 Products and gcds pay per nonzero term too; the oracle's iterates are
 lacunary.  ``mul`` by a monomial c x^s (a power-map iterate) is one
 shifted pass over c times the other factor; two to four terms stay
@@ -68,6 +82,10 @@ _NP_SAFE = 2**62
 # next nonzero top with vector scans; scanning after every zero top costs
 # more on dense quotients than it saves.
 _ZERO_RUN = 16
+
+# The least run of zero coefficients below a divisor's leading term for
+# which a division takes its quotient in blocks (``_block_shape``).
+_BLOCK_GAP = 8
 
 
 def trim(a: list) -> list:
@@ -116,8 +134,8 @@ def mul(a, b, p: int):
     if not len(a) or not len(b):
         return a[:0]
     n = len(a) + len(b) - 1
-    a, b = (b, a) if np.count_nonzero(b) == 1 else (a, b)
-    if np.count_nonzero(a) == 1:  # a = c x^s: one shifted pass over c*b
+    a, b = (b, a) if _one_term(b) else (a, b)
+    if _one_term(a):  # a = c x^s: one shifted pass over c*b
         s = int(np.flatnonzero(a)[0])
         return trim_array(np.concatenate((np.zeros(s, dtype), b * int(a[s]) % p)))
     w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
@@ -131,6 +149,14 @@ def mul(a, b, p: int):
                         for i in range(0, n * w, w)], a.dtype)
     # p is prime, so only factors with zero tails leave a zero tail
     return trim_array(out)
+
+
+def _one_term(a) -> bool:
+    """Whether a has one nonzero entry, counted only after a zero constant
+    term: a trimmed array of two or more entries with a nonzero constant
+    term has two terms (an untrimmed c, 0, ... reads as two, and takes
+    the Kronecker product, of the same values)."""
+    return len(a) == 1 if a[0] else np.count_nonzero(a) == 1
 
 
 def trim_array(a):
@@ -192,6 +218,11 @@ def _divide(x, bx, y, by, p, limit):
     step = (p - 1) * by
     inv = pow(int(y[-1]) % p, -1, p)
     q = [0] * (len(x) - ly + 1)
+    # four blocks of at least _BLOCK_GAP + 1 coefficients, and a gap
+    if len(q) > 4 * _BLOCK_GAP and not y[-2] % p:
+        shape = _block_shape(y, p, len(q), step, limit)
+        if shape:
+            return q, _divide_blocks(x, bx, y, p, limit, q, inv, step, *shape)
     i, zeros = len(x) - ly, 0
     while i >= 0:
         c = int(x[i + ly - 1]) % p
@@ -213,6 +244,45 @@ def _divide(x, bx, y, by, p, limit):
         bx += step
         i, zeros = i - 1, 0
     return q, bx
+
+
+def _block_shape(y, p, nq, step, limit):
+    """(span, terms) when a quotient of nq coefficients by y pays in blocks
+    (module docstring), else None: span is the distance from y's leading
+    exponent down to its next nonzero one, terms the exponents of y's
+    nonzero terms below the leading one."""
+    ly = len(y)
+    if ly <= _BLOCK_GAP or (y[ly - 1 - _BLOCK_GAP:ly - 1] % p).any():
+        return None
+    terms = np.flatnonzero(y[:-1] % p)
+    span = ly - 1 - (int(terms[-1]) if len(terms) else -1)
+    if (len(terms) >= span - 1 or nq < 4 * span
+            or p - 1 + len(terms) * step >= limit):
+        return None
+    return span, terms.tolist()
+
+
+def _divide_blocks(x, bx, y, p, limit, q, inv, step, span, terms):
+    """_divide's quotient loop, span coefficients at a time; fills q and
+    returns the new bound on x.  A block's tops are left unwritten: no
+    later step reads them."""
+    ly = len(y)
+    parts = [(j, int(y[j])) for j in terms]
+    grow = len(terms) * step
+    i = len(q) - 1
+    while i >= 0:
+        lo = max(i - span + 1, 0)
+        if bx + grow >= limit:
+            _reduce(x[:i + ly], p)
+            bx = p - 1
+        c = x[lo + ly - 1:i + ly] % p * inv % p
+        if c.any():
+            q[lo:i + 1] = c.tolist()
+            for j, cy in parts:
+                x[lo + j:i + 1 + j] -= c * cy
+            bx += grow
+        i = lo - 1
+    return bx
 
 
 def _last_nonzero(x, lo, hi, p):

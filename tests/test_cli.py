@@ -15,7 +15,8 @@ import dynzeta.cli
 from dynzeta.automata import christol_series
 from dynzeta.cli import (JobSpec, compile_spec, main, make_parser,
                          parse_poly_string, run_job)
-from dynzeta.limits import (AUTOMATA_KERNEL_BUDGET, CHRISTOL_TERMS_CAP, ENUM_CAP,
+from dynzeta.limits import (AUTOMATA_KERNEL_BUDGET, CHRISTOL_TERMS_CAP,
+                            CROSSCHECK_INDEX_CAP, ELL_SEARCH_CAP, ENUM_CAP,
                             EXTENSION_DEGREE_CAP)
 
 
@@ -263,6 +264,26 @@ class TestExitCodes:
                         "--n-max", "1"]) == (3, "")
         assert time.perf_counter() - start < 1.0
         assert f"enumeration cap {ENUM_CAP}" in capsys.readouterr().err
+
+    def test_auxiliary_prime_past_the_search_cap(self, capsys):
+        # no prime ell below ELL_SEARCH_CAP is admissible for Chebyshev
+        # d = 3 at this p, and the search stops at the cap
+        start = time.perf_counter()
+        assert run_cli(["verdict", "--family", "chebyshev", "--p", "1000003",
+                        "--d", "3"]) == (3, "")
+        assert time.perf_counter() - start < 1.0
+        assert (f"no admissible prime below {ELL_SEARCH_CAP}"
+                in capsys.readouterr().err)
+
+    def test_supersingular_step_past_the_crosscheck_cap(self, capsys):
+        # p = 149 is inert here: the step no count re-derives passes
+        # CROSSCHECK_INDEX_CAP
+        start = time.perf_counter()
+        assert run_cli(["verdict", "--family", "lattes-supersingular",
+                        "--p", "149", "--sigma-tn", "1,3"]) == (3, "")
+        assert time.perf_counter() - start < 1.0
+        assert (f"crosscheck index cap {CROSSCHECK_INDEX_CAP}"
+                in capsys.readouterr().err)
 
     def test_identity_iterate_rejected(self):
         code, _ = run_cli(["oracle", "--num", "1", "--den", "0,1", "--p", "3",

@@ -109,6 +109,78 @@ class TestCompose:
         assert compose(f, g) == _reference_compose(f, g)
 
 
+# (p, k): the primes of the split's digit cases, a prime above every degree
+# here, and F_4 and F_9, whose split takes p-th roots of coefficients
+SPLIT_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2 ** 31 - 1, 1),
+                (2, 2), (3, 2)]
+
+
+@st.composite
+def _split_case(draw):
+    """(f, g) with f dense, sparse, a p-polynomial plus a translation, or
+    y h(y)^d like a subadditive map, of degree up to 3p (12 at the large
+    prime), and g a polynomial or a fraction over a monomial or a general
+    denominator."""
+    ctx = field_make(*draw(st.sampled_from(SPLIT_FIELDS)))
+    p = ctx.p
+    top = 3 * p if p <= 13 else 12
+    elem = st.integers(0, ctx.order - 1).map(ctx.elem_at)
+    unit = st.integers(1, ctx.order - 1).map(ctx.elem_at)
+
+    def coeffs(exponents):
+        out = [ctx.zero()] * (max(exponents) + 1)
+        for e in exponents:
+            out[e] = draw(unit)
+        return out
+
+    shape = draw(st.sampled_from(("dense", "sparse", "additive", "subadditive")))
+    if shape == "dense":
+        num = draw(st.lists(elem, min_size=1, max_size=top)) + [draw(unit)]
+    elif shape == "sparse":
+        num = coeffs(draw(st.sets(st.integers(0, top), min_size=1, max_size=4)))
+    elif shape == "additive" and p <= 13:  # above, x^p passes the degree cap
+        num = coeffs(draw(st.sets(st.sampled_from((1, p, p * p)), min_size=1)))
+        num[0] = draw(elem)  # the translation
+    else:
+        d = draw(st.integers(2, 3))
+        h = [draw(unit)] + draw(st.lists(elem, max_size=(top - 1) // d))
+        num = [ctx.zero()] + list((Poly.from_elems(ctx, h) ** d).coeffs)
+    den = [draw(unit)] if draw(st.booleans()) else draw(
+        st.lists(elem, min_size=1, max_size=3)) + [draw(unit)]
+    g_den = draw(st.sampled_from(("one", "monomial", "general")))
+    g_num = draw(st.lists(elem, max_size=3)) + [draw(unit)]
+    if g_den == "one":
+        g_den = [ctx.one()]
+    elif g_den == "monomial":
+        g_den = [ctx.zero()] * draw(st.integers(1, 3)) + [draw(unit)]
+    else:
+        g_den = draw(st.lists(elem, min_size=1, max_size=3)) + [draw(unit)]
+    try:
+        return rat_map(ctx, num, den), rat_map(ctx, g_num, g_den)
+    except SpecError:  # a constant map
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_split_case())
+def test_frobenius_split_matches_the_substitution(case):
+    f, g = case
+    assert compose(f, g) == _reference_compose(f, g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_p_polynomial_composes_without_products(monkeypatch, p):
+    # sum a_i x^(p^i) + c after any polynomial g: Frobenius copies and
+    # scalar passes
+    ctx = field_make(p)
+    f = rat_map(ctx, [3, 1] + [0] * (p - 2) + [2] + [0] * (p * p - p - 1) + [1])
+    g = rat_map(ctx, [1, 2, 0, 1])
+    expected = _reference_compose(f, g)
+    products = _recorded_products(monkeypatch)
+    assert compose(f, g) == expected
+    assert not products
+
+
 def _recorded_products(monkeypatch):
     """(len(a), len(b)) of every modpoly.mul(a, b, p) from now on."""
     products = []
@@ -246,7 +318,11 @@ def test_oracle_polynomials_stay_arrays(monkeypatch, fam, n_max):
     for n in range(1, n_max + 1):
         assert per_n_oracle(f, n) == per_n_closed(fam, n)
     assert calls["gcd"] > 0
-    assert calls["mul"] > 0 or fam.degree < 0
+    if isinstance(fam, AdditiveMap):
+        # a p-polynomial's iterate is Frobenius copies and scalar passes
+        assert calls["mul"] == 0
+    else:
+        assert calls["mul"] > 0 or fam.degree < 0
 
 
 class TestCycleCensus:

@@ -600,3 +600,118 @@ def test_mul_by_a_monomial_matches_reference(case):
     assert out.tolist() == _ref_mul(a, b, p)
     assert out.dtype == modpoly.residue_dtype(p)
     assert all(type(c) is int for c in out.tolist())
+
+
+# -- divisions in blocks: a gap below the divisor's leading term -----------------
+
+
+def _gapped(rnd, p, gap, terms):
+    """A divisor whose leading term is followed by `gap` zero coefficients
+    and then by terms - 1 nonzero ones, the first of them at the end of
+    the gap, the others below it."""
+    low = rnd.randrange(terms - 1, terms + 12)
+    exps = {low - 1} | set(rnd.sample(range(low - 1), terms - 2))
+    out = [0] * (low + gap + 1)
+    for e in exps | {low + gap}:
+        out[e] = rnd.randrange(1, p)
+    return out
+
+
+def _quotient(rnd, p, span, shape):
+    """A quotient shorter than one block of `span` coefficients, of one
+    block exactly, or of many blocks, some of them all zero."""
+    if shape == "short":
+        return _dense(rnd, p, rnd.randrange(1, span))
+    if shape == "one":
+        return _dense(rnd, p, span)
+    q = _dense(rnd, p, rnd.randrange(4 * span, 9 * span))
+    for _ in range(rnd.randrange(3)):
+        start = rnd.randrange(len(q) - 1)
+        stop = min(start + span + rnd.randrange(span), len(q) - 1)
+        q[start:stop] = [0] * (stop - start)
+    return q
+
+
+@st.composite
+def _gapped_division(draw):
+    p = draw(st.sampled_from(PRIMES))
+    rnd = draw(st.randoms(use_true_random=False))
+    gap, terms = draw(st.integers(2, 64)), draw(st.integers(2, 6))
+    b = _gapped(rnd, p, gap, terms)
+    q = _quotient(rnd, p, gap + 1, draw(st.sampled_from(("short", "one", "many"))))
+    r = [rnd.randrange(p) for _ in range(draw(st.integers(0, len(b) - 1)))]
+    return p, q, b, _ref_add(_ref_mul(q, b, p), r, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gapped_division())
+def test_gapped_divisor_matches_reference(case):
+    p, q, b, a = case
+    out = _divrem(a, b, p)
+    assert out == _ref_divrem(a, b, p)
+    assert out[0] == _trim(q)
+    assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gapped_divisor_takes_blocks(monkeypatch, p):
+    # gap 20 over three terms and a quotient of 150 coefficients: blocks,
+    # unless two products per position could pass the kernel's limit
+    # (just below 2^31, on int64)
+    blocks = _spy(monkeypatch, "_divide_blocks", 2)
+    rnd = random.Random(p)
+    b = _gapped(rnd, p, 20, 3)
+    q = _dense(rnd, p, 150)
+    q[40:100] = [0] * 60  # all-zero blocks
+    a = _ref_add(_ref_mul(q, b, p), _dense(rnd, p, len(b) - 1), p)
+    assert _divrem(a, b, p) == (q, _ref_divrem(a, b, p)[1])
+    _, limit = modpoly._dtype(p)
+    assert len(blocks) == (p - 1 + 2 * (p - 1) ** 2 < limit)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unreduced_gapped_divisor_in_a_gcd_chain(monkeypatch, p):
+    # a = u*b + v: Euclid's second division is by the remainder v, which the
+    # chain passes on unreduced, a gap of 30 over four terms
+    divisors = _spy(monkeypatch, "_divide_blocks", 2)
+    rnd = random.Random(p)
+    v = _gapped(rnd, p, 30, 4)
+    b = _ref_add(_ref_mul(_unit_ends(rnd, p, 200), v, p), _dense(rnd, p, 17), p)
+    a = _ref_add(_ref_mul(_dense(rnd, p, 3), b, p), v, p)
+    assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
+    _, limit = modpoly._dtype(p)
+    if p - 1 + 3 * (p - 1) ** 2 >= limit:  # p just below 2^31: no blocks
+        assert not divisors
+    elif p < 2 ** 31:
+        assert any(not 0 <= int(c) < p for y in divisors for c in y)
+    else:  # object arrays: the chain reduces before so long a division
+        assert divisors
+
+
+def test_a_dense_divisor_never_takes_blocks(monkeypatch):
+    # a divisor whose second coefficient is nonzero mod p pays one scalar
+    # test; a gcd chain asks for a block shape only below such a zero
+    shapes = _spy(monkeypatch, "_block_shape", 0)
+    rnd = random.Random(38)
+    for p in PRIMES:
+        b = [c or 1 for c in _dense(rnd, p, 40)]
+        a = _dense(rnd, p, 400)
+        assert _divrem(a, b, p) == _ref_divrem(a, b, p)
+        assert not shapes
+        a, b = _dense(rnd, p, 300), _dense(rnd, p, 290)
+        assert modpoly.gcd(a, b, p).tolist() == _ref_gcd(a, b, p)
+        assert all(y[-2] % p == 0 for y in shapes)
+        shapes.clear()
+
+
+def _spy(monkeypatch, name, at):
+    """The divisor, argument `at`, of every call of modpoly.<name> from now
+    on, copied at the call."""
+    seen, real = [], getattr(modpoly, name)
+
+    def spy(*args):
+        seen.append(list(args[at]))
+        return real(*args)
+
+    monkeypatch.setattr(modpoly, name, spy)
+    return seen
