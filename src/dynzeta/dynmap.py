@@ -1,10 +1,10 @@
 """Rational self-maps of the projective line, the periodic-point oracle
 and the cycle census.
 
-A RatMap is a reduced fraction N/D of polynomials over a finite field
-context, with the denominator monic.  Composition and iteration are exact.
-A composition evaluates f at g by the Frobenius split of f's coefficients
-by residue mod p, so that an additive map's p-polynomial composes with no
+A RatMap is a reduced fraction N/D of polynomials over F_p, with the
+denominator monic.  Composition and iteration are exact.  A composition
+evaluates f at g by the Frobenius split of f's terms by their exponents
+mod p, so that an additive map's p-polynomial composes with no
 polynomial product and a sparse f pays per nonzero class of exponents;
 the oracle counts n-periodic points over the algebraic closure by counting
 distinct roots of N(x) - x*D(x) and checking the point at infinity by
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
-from .field import Poly, distinct_root_count, embed, extend_field
+from .field import Poly, distinct_root_count, extend_field
 from .intarith import power
 from .limits import ENUM_CAP, POLY_DEGREE_CAP
 from .modpoly import trim_array
@@ -98,10 +98,9 @@ def compose(f: RatMap, g: RatMap) -> RatMap:
 def _homogenised(poly: Poly, m: int, g: RatMap, powers) -> Poly:
     """D^m poly(N/D) for g = N/D and deg poly <= m, by the Frobenius split.
 
-    Over F_q of characteristic p, poly(y) = sum_(r<p) y^r F_r(y)^p with
-    F_r(y) = sum_i c_(ip+r)^(1/p) y^i, and h(x)^p is h's coefficients'
-    p-th powers at x^(ip) (Lidl-Niederreiter, *Finite Fields*, 3.4), a
-    strided copy; both coefficient maps are the identity over F_p.  So
+    Over F_p, poly(y) = sum_(r<p) y^r F_r(y)^p with F_r(y) = sum_i
+    c_(ip+r) y^i, since c^p = c, and h(x)^p = h(x^p) (Lidl-Niederreiter,
+    *Finite Fields*, 3.4), a strided copy of h's coefficients.  So
 
         D^m poly(N/D) = sum_r N^r D^(e_r) (D^(M_r) F_r(N/D))^p,
 
@@ -123,9 +122,6 @@ def _homogenised(poly: Poly, m: int, g: RatMap, powers) -> Poly:
         if len(part) == 1 and (sub_m == 0 or powers is None):
             term = Poly(ctx, part)  # the bracket's p-th power is c_r
         else:
-            if not ctx.is_prime_field:  # the p-th roots, c^(q/p)
-                part = np.array([ctx.pow(c, ctx.order // p) for c in part.tolist()],
-                                ctx.dtype)
             term = _frobenius(_homogenised(Poly(ctx, part), sub_m, g, powers))
         if powers is not None:
             e = (m - r) % p
@@ -137,13 +133,11 @@ def _homogenised(poly: Poly, m: int, g: RatMap, powers) -> Poly:
 
 
 def _frobenius(h: Poly) -> Poly:
-    """h^p for a nonzero h: its coefficients' p-th powers at x^(ip)."""
-    ctx, p, reps = h.ctx, h.ctx.p, h.reps
-    if not ctx.is_prime_field:
-        reps = np.array([ctx.pow(c, p) for c in reps.tolist()], ctx.dtype)
+    """h^p = h(x^p) for a nonzero h: its coefficients at x^(ip)."""
+    p, reps = h.ctx.p, h.reps
     out = np.zeros(p * (len(reps) - 1) + 1, reps.dtype)
     out[::p] = reps
-    return Poly(ctx, out)
+    return Poly(h.ctx, out)
 
 
 def _times(a: Poly, b: Poly) -> Poly:
@@ -190,37 +184,34 @@ def per_n_oracle(f: RatMap, n: int) -> int:
 
 
 def cycle_census(f: RatMap, max_k: int, max_n: int):
-    """Cycle-length histogram of f on P^1(F_{q^max_k}).
+    """Cycle-length histogram of f on P^1(F_{p^max_k}).
 
     Returns a sorted list of (cycle length, number of cycles) pairs for
-    lengths <= max_n.  The q^max_k + 1 points of the projective line over
-    the degree-max_k extension are the reps 0 .. q^max_k - 1 and the index
-    q^max_k for infinity; num and den are evaluated at all of them at once
+    lengths <= max_n.  The p^max_k + 1 points of the projective line over
+    the degree-max_k extension are the reps 0 .. p^max_k - 1 and the index
+    p^max_k for infinity; num and den are evaluated at all of them at once
     (``FieldCtx.arrays``), giving the successor array of f, whose cycles
-    ``_cycle_histogram`` counts.  Tails are never counted.
+    ``_cycle_histogram`` counts.  Tails are never counted.  The reps of
+    f's F_p coefficients, and of the ratio of its leading terms, are the
+    same constants' reps in the extension, so f is read as it is.
     """
-    ctx = f.ctx
-    if ctx.flavor != "finite":
-        raise SpecError("census needs a finite base field")
-    size = ctx.order ** max_k
+    size = f.ctx.order ** max_k
     if size > ENUM_CAP:
         raise ScaleExceeded(f"census over {size} points exceeds cap")
-    ext = extend_field(ctx, max_k)
-    num = Poly.from_elems(ext, [embed(c, ext) for c in f.num.coeffs])
-    den = Poly.from_elems(ext, [embed(c, ext) for c in f.den.coeffs])
+    ext = extend_field(f.ctx, max_k)
 
     infinity = size  # index of the point at infinity
     succ = np.empty(size + 1, dtype=np.int64)
     if f.num.degree > f.den.degree:
         succ[infinity] = infinity
     elif f.num.degree == f.den.degree:
-        succ[infinity] = (num.leading / den.leading).rep
+        succ[infinity] = (f.num.leading / f.den.leading).rep
     else:
         succ[infinity] = ext.zero_rep
     arith = ext.arrays()
     xs = np.arange(size)
-    dv = arith.eval(den, xs)
-    succ[:size] = np.where(dv == 0, infinity, arith.div(arith.eval(num, xs), dv))
+    dv = arith.eval(f.den, xs)
+    succ[:size] = np.where(dv == 0, infinity, arith.div(arith.eval(f.num, xs), dv))
     del xs, dv  # freed before the histogram's arrays, which set the peak memory
     cycles = _cycle_histogram(succ)[1:max_n + 1]
     return [(length, int(c)) for length, c in enumerate(cycles, 1) if c]

@@ -156,6 +156,17 @@ class _AdditiveQuotient:
     def boundary(self, n: int) -> int:
         return 1
 
+    def _check_sigma(self):
+        """Refuse a sigma over a finite field other than F_p, and one of
+        degree below p.  A count does not depend on the field a map is
+        written over, so sigma over F_p or F_p(u) is every map there is."""
+        ctx = self.sigma.ctx
+        if ctx.flavor == "finite" and not ctx.is_prime_field:
+            raise SpecError(f"{self.name} maps need coefficients in F_p or "
+                            f"F_p(u), not {ctx!r}")
+        if self.sigma.is_zero() or self.sigma.top_index < 1:
+            raise SpecError(f"{self.name} maps need degree at least p")
+
     @property
     def degree(self) -> int:
         return self.sigma.map_degree()
@@ -180,8 +191,7 @@ class AdditiveMap(_AdditiveQuotient):
     _lift = property(lambda self: (self.sigma, (self.sigma.ctx.one(),)))
 
     def __post_init__(self):
-        if self.sigma.is_zero() or self.sigma.top_index < 1:
-            raise SpecError("additive maps need degree at least p")
+        self._check_sigma()
         if self.translation is None:
             object.__setattr__(self, "translation", self.sigma.ctx.zero())
 
@@ -198,8 +208,7 @@ class SubadditiveMap(_AdditiveQuotient):
         p = self.sigma.ctx.p
         if math.gcd(p, self.d) != 1:
             raise SpecError("quotient order must be prime to p")
-        if self.sigma.is_zero() or self.sigma.top_index < 1:
-            raise SpecError("subadditive maps need degree at least p")
+        self._check_sigma()
         for i, c in enumerate(self.sigma.coeffs):
             if not c.is_zero() and (p ** i - 1) % self.d != 0:
                 raise SubadditiveConditionViolated(

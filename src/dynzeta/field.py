@@ -17,11 +17,12 @@ Representation conventions:
   ``extend_field(ctx, b)`` on F_(p^a) returns the field of
   ``field_make(p, a*b)``, so equal fields share one set of tables, and
   a*b, like k, is at most ``limits.EXTENSION_DEGREE_CAP``.  The
-  eight most recently made extensions, each with its arithmetic, and the
-  subfield roots of the eight most recently used embeddings live in
-  ``functools.lru_cache``s, whose ``cache_info()`` counts hits and
+  eight most recently made extensions, each with its arithmetic, live in
+  a ``functools.lru_cache``, whose ``cache_info()`` counts hits and
   misses.  Making a prime field builds nothing, so each ``field_make(p)``
-  makes a new one and none takes a cache slot.
+  makes a new one and none takes a cache slot.  ``embed`` sends an
+  element of F_p to its extensions: the constant n is the rep n in every
+  finite field of characteristic p.
 * Every field an enumeration may walk, one of at most ``limits.ENUM_CAP``
   elements, also computes on numpy arrays of reps: ``ctx.arrays()`` is
   its ``RepArrays``, which adds, negates, multiplies, divides, tests
@@ -33,12 +34,6 @@ Representation conventions:
   ``RepArrays`` only: its FieldElem arithmetic stays on ints mod p, its
   square roots stay Tonelli-Shanks, and its ``log_table`` and
   ``exp_table`` stay None.
-* A subfield F_(p^a) of F_(p^(ab)) is reached by ``embed``, which sends
-  the adjoined root of the smaller field to a fixed root of its modulus
-  in the larger one (Lidl-Niederreiter, *Finite Fields*, Thm 2.14).  That
-  root is the first norm z = elem_at(i)^((Q-1)/(q-1)), i = 2, 3, ..., at
-  which the modulus vanishes; the norm maps F_Q^* onto F_q^*, which holds
-  every root, so the walk ends.
 * F_p(u) stores a reduced fraction of sparse polynomials in u: tuples of
   (exponent, coefficient) pairs with ascending exponents, denominator
   monic and coprime to the numerator.  Sparseness matters because the
@@ -51,18 +46,16 @@ Frobenius on reps; every FieldElem operator is one call to it.  Square
 roots exist in odd characteristic: halved discrete logs where there are
 tables, Euler's criterion and Tonelli-Shanks elsewhere.
 
-A Poly over a finite field keeps its coefficients as one trimmed numpy
-array of reps, lowest degree first, of the field's ``dtype`` (modpoly's:
-int64 while (q-1)^2 + q < 2^62 for the field's order q, object arrays of
-Python ints above), and boxes them only when ``coeffs`` is read.  Over
-F_p, products, division and gcds run in the array kernel ``modpoly``,
-and sums, scaling, negation, the derivative and the p-th root are each
-one array operation, so an F_p Poly never leaves its array.  Over
-F_(p^k) every operation reads the reps once as a list and loops through
-the field's rep arithmetic.  Scaling by one returns the Poly itself.
-The CLI builds every map over F_p, so only library maps over F_(p^k), as
-in ``tests/test_families.py::test_extension_coefficients``, reach these
-loops, the tower branch of ``embed`` and ``_subfield_root``.
+A Poly has its coefficients in a prime field F_p and refuses any other
+field: a count of periodic points over the algebraic closure does not
+depend on the finite field a map is written over.  It keeps them as one
+trimmed numpy array of reps, lowest degree first, of the field's
+``dtype`` (modpoly's: int64 while (p-1)^2 + p < 2^62, object arrays of
+Python ints above), and boxes them only when ``coeffs`` is read.
+Products, division and gcds run in the array kernel ``modpoly``, and
+sums, scaling, negation, the derivative and the p-th root are each one
+array operation, so a Poly never leaves its array.  Scaling by one
+returns the Poly itself.
 """
 
 import functools
@@ -592,9 +585,6 @@ class _TableField(_DigitField):
         log = self.log_table
         return self.exp_table[log[a] + log[b]]
 
-    def inverse(self, a):
-        return self.exp_table[self.qm1 - self.log_table[a]]
-
     def pow(self, a, e):
         if not a:
             return 0 if e else 1
@@ -695,7 +685,11 @@ class RepArrays:
         return np.where(np.equal(a, 0), 0, self.exp.take(self.log.take(a) // 2))
 
     def eval(self, poly, x):
-        """The values of the Poly ``poly`` at the array of reps x (Horner)."""
+        """The values of the Poly ``poly`` at the array of reps x (Horner).
+
+        Its coefficients are F_p reps, which name the same constants in
+        every extension of F_p, so they are read as reps of this field.
+        """
         reps = poly.reps.tolist()
         acc = np.full(np.shape(x), reps[-1] if reps else 0, dtype=np.int64)
         for c in reversed(reps[:-1]):
@@ -706,35 +700,19 @@ class RepArrays:
 
 
 def embed(elem, target):
-    """Image of elem under the subfield embedding into the field target."""
+    """Image of an element of F_p in the finite field target of
+    characteristic p; elements of no other field are embedded."""
     src = elem.ctx
-    if src == target:
-        return elem
-    if (src.flavor != "finite" or target.flavor != "finite"
-            or src.p != target.p or target.k % src.k):
-        raise SpecError("no embedding path to the requested field")
-    if src.is_prime_field:
-        return target.from_int(elem.rep)
-    # elem is its base-p digit polynomial at src's root
-    digits = Poly.from_ints(target, src.digits(elem.rep))
-    return digits.eval(FieldElem(target, _subfield_root(src, target)))
-
-
-@functools.lru_cache(maxsize=8)
-def _subfield_root(src, target):
-    """Rep of the root in target of src's modulus: the first norm at which
-    it vanishes."""
-    modulus = Poly.from_ints(target, [c.rep for c in src.modulus])
-    e = (target.order - 1) // (src.order - 1)
-    return next(z for z in (target.elem_at(i) ** e for i in itertools.count(2))
-                if modulus.eval(z).is_zero()).rep
+    if not (src.is_prime_field and target.flavor == "finite" and src.p == target.p):
+        raise SpecError("embed maps F_p into its extensions only")
+    return target.from_int(elem.rep)
 
 
 # -- polynomials -----------------------------------------------------------------
 
 
 class Poly:
-    """Dense univariate polynomial over a finite FieldCtx.
+    """Dense univariate polynomial over a prime field F_p.
 
     ``reps`` is the trimmed numpy array of coefficient reps, lowest degree
     first, of the field's ``dtype``.  No method writes to it, so Polys
@@ -746,13 +724,13 @@ class Poly:
     __slots__ = ("ctx", "reps")
 
     def __init__(self, ctx, reps):
-        self.ctx = _finite(ctx)
+        self.ctx = _prime(ctx)
         self.reps = reps
 
     @classmethod
     def from_reps(cls, ctx, reps):
         """The Poly of a sequence of reps, trailing zeros dropped."""
-        return cls(ctx, modpoly.trim_array(np.array(reps, _finite(ctx).dtype)))
+        return cls(ctx, modpoly.trim_array(np.array(reps, _prime(ctx).dtype)))
 
     @classmethod
     def from_elems(cls, ctx, elems):
@@ -804,26 +782,20 @@ class Poly:
     def __repr__(self):
         if not len(self.reps):
             return "Poly(0)"
-        if self.ctx.is_prime_field:
-            terms = [f"{c}*x^{i}" for i, c in enumerate(self.reps.tolist()) if c]
-            return "Poly(" + " + ".join(terms) + f" over {self.ctx!r})"
-        return f"Poly(deg {self.degree} over {self.ctx!r})"
+        terms = [f"{c}*x^{i}" for i, c in enumerate(self.reps.tolist()) if c]
+        return "Poly(" + " + ".join(terms) + f" over {self.ctx!r})"
 
-    # -- arithmetic: F_p on arrays and modpoly, extensions through the field --
+    # -- arithmetic: on arrays and modpoly ------------------------------------
 
     def __add__(self, other):
         self._check(other)
-        ctx = self.ctx
         a, b = self.reps, other.reps
         if len(a) < len(b):
             a, b = b, a
-        if ctx.is_prime_field:
-            out = a.copy()
-            out[:len(b)] += b
-            out[:len(b)] %= ctx.p
-            return Poly(ctx, modpoly.trim_array(out))
-        a, b, add = a.tolist(), b.tolist(), ctx.add
-        return Poly.from_reps(ctx, [add(x, y) for x, y in zip(a, b)] + a[len(b):])
+        out = a.copy()
+        out[:len(b)] += b
+        out[:len(b)] %= self.ctx.p
+        return Poly(self.ctx, modpoly.trim_array(out))
 
     def __sub__(self, other):
         return self + (-other)
@@ -835,20 +807,7 @@ class Poly:
         if isinstance(other, FieldElem):
             return self.scale(other)
         self._check(other)
-        ctx = self.ctx
-        if ctx.is_prime_field:
-            return Poly(ctx, modpoly.mul(self.reps, other.reps, ctx.p))
-        a, b = self.reps.tolist(), other.reps.tolist()
-        if not a or not b:
-            return Poly.zero(ctx)
-        add, mul = ctx.add, ctx.mul
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add(out[i + j], mul(x, y))
-        return Poly.from_reps(ctx, out)
+        return Poly(self.ctx, modpoly.mul(self.reps, other.reps, self.ctx.p))
 
     def scale(self, elem):
         ctx, c = self.ctx, self.ctx.elem(elem).rep
@@ -856,10 +815,7 @@ class Poly:
             return self
         if not c:
             return Poly.zero(ctx)
-        if ctx.is_prime_field:
-            return Poly(ctx, self.reps * c % ctx.p)
-        mul = ctx.mul
-        return Poly(ctx, np.array([mul(x, c) for x in self.reps.tolist()], ctx.dtype))
+        return Poly(ctx, self.reps * c % ctx.p)
 
     def __pow__(self, e):
         if e < 0:
@@ -872,32 +828,11 @@ class Poly:
         if other.is_zero():
             raise DivisionByZeroPoly("polynomial division by zero")
         ctx = self.ctx
-        if ctx.is_prime_field:
-            q, r = modpoly.divrem(self.reps, other.reps, ctx.p)
-            return Poly(ctx, q), Poly(ctx, r)
-        a, b = self.reps.tolist(), other.reps.tolist()
-        if len(a) < len(b):
-            return Poly.zero(ctx), self
-        add, mul, neg = ctx.add, ctx.mul, ctx.neg
-        inv = ctx.inverse(b[-1])
-        rem = a
-        lb = len(b)
-        q = [0] * (len(a) - lb + 1)
-        for i in range(len(a) - lb, -1, -1):
-            c = rem[i + lb - 1]
-            if not c:
-                continue
-            q[i] = c = mul(c, inv)
-            c = neg(c)
-            for j, y in enumerate(b):
-                rem[i + j] = add(rem[i + j], mul(c, y))
-        return Poly.from_reps(ctx, q), Poly.from_reps(ctx, rem[:lb - 1])
+        q, r = modpoly.divrem(self.reps, other.reps, ctx.p)
+        return Poly(ctx, q), Poly(ctx, r)
 
     def __floordiv__(self, other):
         return self.divrem(other)[0]
-
-    def __mod__(self, other):
-        return self.divrem(other)[1]
 
     def monic(self):
         return self.scale(self.leading.inverse()) if len(self.reps) else self
@@ -905,23 +840,13 @@ class Poly:
     def gcd(self, other):
         """Monic greatest common divisor."""
         self._check(other)
-        ctx = self.ctx
-        if ctx.is_prime_field:
-            return Poly(ctx, modpoly.gcd(self.reps, other.reps, ctx.p))
-        a, b = self, other
-        while len(b.reps):
-            a, b = b, a % b
-        return a.monic()
+        return Poly(self.ctx, modpoly.gcd(self.reps, other.reps, self.ctx.p))
 
     def derivative(self):
-        # the constant i has rep i mod p in every finite field; over F_p,
         # (i mod p) * c stays below p^2
-        ctx, p, reps = self.ctx, self.ctx.p, self.reps
-        if ctx.is_prime_field:
-            i = np.arange(1, len(reps), dtype=reps.dtype) % p
-            return Poly(ctx, modpoly.trim_array(i * reps[1:] % p))
-        mul = ctx.mul
-        return Poly.from_reps(ctx, [mul(i % p, c) for i, c in enumerate(reps.tolist())][1:])
+        p, reps = self.ctx.p, self.reps
+        i = np.arange(1, len(reps), dtype=reps.dtype) % p
+        return Poly(self.ctx, modpoly.trim_array(i * reps[1:] % p))
 
     def eval(self, x):
         ctx = self.ctx
@@ -945,9 +870,9 @@ class Poly:
             raise SpecError("mixed-context polynomial arithmetic")
 
 
-def _finite(ctx):
-    if ctx.flavor != "finite":
-        raise SpecError("polynomials need a finite coefficient field")
+def _prime(ctx):
+    if not ctx.is_prime_field:
+        raise SpecError(f"polynomials need a prime coefficient field, not {ctx!r}")
     return ctx
 
 
@@ -981,7 +906,7 @@ def extend_field(ctx, degree):
     """Degree-`degree` extension of a finite context, built flat over F_p.
 
     Over F_(p^a) this is the field of ``field_make(p, a*degree)``, so
-    equal contexts share their tables; elements of ctx reach it through
+    equal contexts share their tables; elements of F_p reach it through
     ``embed``.  The degree cap bounds a*degree, as it bounds field_make's
     k; callers that enumerate the field bound its size by ``ENUM_CAP``.
     """
@@ -1039,14 +964,14 @@ def ratfunc_field(p):
 def separable_radical(f: Poly) -> Poly:
     """Monic squarefree polynomial with the same closure roots as f.
 
-    Squarefree levels over a finite field (Geddes-Czapor-Labahn,
-    *Algorithms for Computer Algebra*, 1992, Alg. 8.3; von zur
-    Gathen-Gerhard, *Modern Computer Algebra*, ch. 14), one pass down and
-    one fold up.  Down: c_0 = f, c_(i+1) = gcd(c_i, c_i'), w_i = c_i /
-    c_(i+1); a level c_i = g(x^p) becomes the coefficientwise p-th root of
-    g, which has its roots since finite fields are perfect.  w_i holds
-    once each factor of c_i whose multiplicity p does not divide, and
-    c_(i+1) every other factor, so rad c_i = lcm(w_i, rad c_(i+1)).
+    Squarefree levels over F_p (Geddes-Czapor-Labahn, *Algorithms for
+    Computer Algebra*, 1992, Alg. 8.3; von zur Gathen-Gerhard, *Modern
+    Computer Algebra*, ch. 14), one pass down and one fold up.  Down:
+    c_0 = f, c_(i+1) = gcd(c_i, c_i'), w_i = c_i / c_(i+1); a level
+    c_i = g(x^p), which is g^p over F_p, becomes g, its every p-th
+    coefficient, which has its roots.  w_i holds once each factor of c_i
+    whose multiplicity p does not divide, and c_(i+1) every other
+    factor, so rad c_i = lcm(w_i, rad c_(i+1)).
     Between p-th roots w_(i+1) divides w_i, so only the first level of f
     and of each root keeps its w.  Up, from the deepest kept w:
     rad <- rad * (w / gcd(w, rad)).  Both passes are loops: (x - 1)^1500
@@ -1061,10 +986,7 @@ def separable_radical(f: Poly) -> Poly:
     while c.degree > 0:
         dc = c.derivative()
         if dc.is_zero():
-            root, reps = ctx.order // ctx.p, c.reps[::ctx.p]  # root 1 over F_p
-            if root != 1:
-                reps = np.array([ctx.pow(x, root) for x in reps.tolist()], ctx.dtype)
-            c = Poly(ctx, reps)
+            c = Poly(ctx, c.reps[::ctx.p])
             top = True
             continue
         g = c.gcd(dc)

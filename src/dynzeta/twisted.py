@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import (HypothesisViolated, InseparableSigma, Mismatch,
                      ScaleExceeded, SpecError, ZeroElement)
 from .field import Poly, check_poly_scale
-from .intarith import multiplicative_order, order_descent, power, v_p
+from .intarith import multiplicative_order, power, v_p
 from .limits import TWISTED_POWER_COEFF_CAP
 from .sentinels import INFINITY, TRANSCENDENTAL
 
@@ -177,18 +177,16 @@ def lte_ga(x: TwistedPoly, n: int):
 
 
 def constant_order(sigma: TwistedPoly):
-    """Multiplicative order of the linear coefficient, or TRANSCENDENTAL."""
+    """Multiplicative order of the linear coefficient, or TRANSCENDENTAL,
+    for a sigma over F_p or F_p(u), as the additive families hold."""
     c0 = sigma.constant_coeff()
     if c0.is_zero():
         raise InseparableSigma("separability requires a nonzero linear coefficient")
+    if not c0.is_constant():
+        return TRANSCENDENTAL
     ctx = sigma.ctx
-    if ctx.flavor == "ratfunc":
-        if not c0.is_constant():
-            return TRANSCENDENTAL
-        return multiplicative_order(c0.constant_value(), ctx.p)
-    if ctx.is_prime_field:
-        return multiplicative_order(c0.rep, ctx.p)
-    return order_descent(lambda k: (c0 ** k).is_one(), ctx.order - 1)
+    return multiplicative_order(
+        c0.constant_value() if ctx.flavor == "ratfunc" else c0.rep, ctx.p)
 
 
 def realize_additive(sigma: TwistedPoly) -> Poly:

@@ -17,13 +17,31 @@ import pytest
 
 from dynzeta.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 CORPUS = json.loads(Path(__file__).with_name("cli_corpus.json")
                     .read_text(encoding="utf-8"))
 
 
+def _run(argv):
+    out = io.StringIO()
+    code = main(argv, out=out)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("spec", list(CORPUS))
 def test_spec_keeps_its_exit_code_and_stdout(spec):
-    out = io.StringIO()
-    code = main(spec.split(), out=out)
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert (code, digest) == (CORPUS[spec]["exit"], CORPUS[spec]["stdout_sha256"])
+    assert _run(spec.split()) == (CORPUS[spec]["exit"], CORPUS[spec]["stdout_sha256"])
+
+
+def test_no_spec_is_a_job_file_or_a_pooled_job():
+    # the header record prints the params, so equal stdout means an
+    # equal spec: no corpus digest is a pooled job's pinned digest
+    # (perfbench/golden.json) or the stdout of a job file
+    taken = set(json.loads((ROOT / "perfbench" / "golden.json")
+                           .read_text(encoding="utf-8")).values())
+    for job in sorted((ROOT / "jobs").glob("*.json")):
+        code, digest = _run(["--job", str(job)])
+        assert code == 0, job
+        taken.add(digest)
+    assert [spec for spec, pin in CORPUS.items()
+            if pin["stdout_sha256"] in taken] == []

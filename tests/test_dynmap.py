@@ -109,10 +109,8 @@ class TestCompose:
         assert compose(f, g) == _reference_compose(f, g)
 
 
-# (p, k): the primes of the split's digit cases, a prime above every degree
-# here, and F_4 and F_9, whose split takes p-th roots of coefficients
-SPLIT_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2 ** 31 - 1, 1),
-                (2, 2), (3, 2)]
+# the primes of the split's digit cases and a prime above every degree here
+SPLIT_PRIMES = [2, 3, 5, 7, 13, 2 ** 31 - 1]
 
 
 @st.composite
@@ -121,7 +119,7 @@ def _split_case(draw):
     y h(y)^d like a subadditive map, of degree up to 3p (12 at the large
     prime), and g a polynomial or a fraction over a monomial or a general
     denominator."""
-    ctx = field_make(*draw(st.sampled_from(SPLIT_FIELDS)))
+    ctx = field_make(draw(st.sampled_from(SPLIT_PRIMES)))
     p = ctx.p
     top = 3 * p if p <= 13 else 12
     elem = st.integers(0, ctx.order - 1).map(ctx.elem_at)
@@ -243,7 +241,7 @@ class TestIterate:
             iterate(rat_map(F5, [0, 0, 0, 1]), 10 ** 8)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 1), (2, 1)])
     def test_degree_one_matches_repeated_composition(self, p, k):
         # Moebius maps are iterated by square-and-multiply; the reference
         # composes onto f n - 1 times
@@ -360,16 +358,17 @@ class TestCycleCensus:
         (7, [3, 1], [2, 1]),              # a Moebius map, deg num = deg den
         (7, [0, 0, 1], [1, 0, 0, 1]),     # x^2/(x^3 + 1)
         (7, [3, 0, 0, 1], [0, 0, 1]),     # (x^3 + 3)/x^2
-        # over F_9 = F_3(a), entry i is the element with base-3 digits i
+        # maps over F_3 on P^1(F_9): x^2 + 1 has its roots outside F_3
         (9, [1, 0, 1], [2, 1]),           # (x^2 + 1)/(x + 2)
-        (9, [5, 0, 1], [0, 1]),           # x + (2 + a)/x
-        (9, [0, 0, 7], [3, 0, 1]),        # (1 + 2a) x^2/(x^2 + a)
+        (9, [2, 0, 1], [0, 1]),           # x + 2/x
+        (9, [0, 0, 2], [1, 0, 1]),        # 2x^2/(x^2 + 1): poles at +-i
     ])
     def test_rational_maps_against_a_successor_walk(self, q, num, den):
-        ctx = field_make(3, 2) if q == 9 else field_make(q)
-        num, den = ([ctx.elem_at(c) for c in cs] for cs in (num, den))
+        ctx, k = (field_make(3), 2) if q == 9 else (field_make(q), 1)
+        ext = extend_field(ctx, k)
         f = rat_map(ctx, num, den)
-        assert cycle_census(f, 1, 20) == _brute_census(ctx, num, den, 20)
+        num, den = ([ext.from_int(c) for c in cs] for cs in (num, den))
+        assert cycle_census(f, k, 20) == _brute_census(ext, num, den, 20)
 
     def test_inversion_over_f5(self, F5):
         # 1/x fixes 1 and -1 and swaps 0 with infinity and 2 with 3
@@ -377,16 +376,15 @@ class TestCycleCensus:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(),
-           field=st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
-                                  (2, 3), (3, 2), (5, 2), (3, 3)]),
-           max_k=st.sampled_from([1, 1, 2]),
+           p=st.sampled_from([2, 3, 5, 7]),
+           max_k=st.sampled_from([1, 1, 2, 3]),
            degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)),
            pole_at_zero=st.booleans())
-    def test_random_maps_against_a_successor_walk(self, data, field, max_k,
+    def test_random_maps_against_a_successor_walk(self, data, p, max_k,
                                                   degrees, pole_at_zero):
         # deg num below, at and above deg den; a factor x in den puts a
         # pole at 0 unless it cancels
-        ctx = field_make(*field)
+        ctx = field_make(p)
         assume(ctx.order ** max_k <= 125)
         elem = st.integers(0, ctx.order - 1).map(ctx.elem_at)
         lead = st.integers(1, ctx.order - 1).map(ctx.elem_at)
@@ -409,16 +407,3 @@ class TestCycleCensus:
         for n in (1, 2, 3):
             total = sum(length * cnt for length, cnt in census if n % length == 0)
             assert total == per_n_oracle(sq3, n)
-
-    @pytest.mark.parametrize("p,k,num,ext_degree,max_period", [
-        (3, 2, [0, 0, 1], 2, 4), (3, 2, [0, 0, 1], 4, 3),
-        (3, 3, [0, 1, 1], 3, 3), (2, 3, [0, 0, 1], 5, 3)])
-    def test_census_over_f_p_k_is_the_census_over_f_p(self, p, k, num,
-                                                      ext_degree, max_period):
-        # a map with coefficients in F_p has the same cycles on
-        # P^1(F_(p^(k E))) written over F_(p^k) with extension degree E as
-        # written over F_p with extension degree k E
-        over_k = cycle_census(rat_map(field_make(p, k), num), ext_degree,
-                              max_period)
-        assert over_k == cycle_census(rat_map(field_make(p), num),
-                                      k * ext_degree, max_period)

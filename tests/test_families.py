@@ -131,10 +131,18 @@ class TestOracleEquivalence:
             assert per_n_closed(shifted, n) == per_n_oracle(f, n)
 
     def test_extension_coefficients(self):
-        F4 = field_make(2, 2)
-        gen = F4.elem([0, 1])
-        sigma = TwistedPoly.from_elems(F4, [gen, F4.one()])
-        fam = AdditiveMap(sigma)
+        # sigma over F_4 or F_9 is refused when the map is made; the map
+        # 1 + F written over F_2 is counted and matches the oracle
+        F4, F9 = field_make(2, 2), field_make(3, 2)
+        for F in (F4, F9):
+            sigma = TwistedPoly.from_elems(F, [F.elem([0, 1]), F.one()])
+            with pytest.raises(SpecError, match="F_p or F_p\\(u\\)"):
+                AdditiveMap(sigma)
+        with pytest.raises(SpecError, match="F_p or F_p\\(u\\)"):
+            SubadditiveMap(tw(F4, 1, 0, 1), 3)
+        with pytest.raises(SpecError, match="F_p or F_p\\(u\\)"):
+            SubadditiveMap(tw(F9, 1, 0, 1), 4)
+        fam = AdditiveMap(tw(field_make(2), 1, 1))
         f = realize(fam)
         for n in range(1, 8):
             assert per_n_closed(fam, n) == per_n_oracle(f, n)
@@ -188,13 +196,12 @@ class TestSubadditiveConstruction:
 
     def test_quotient_matches_the_power_of_psi(self):
         # the quotient read off h(y) = psi(x)/x at y = x^d equals the one
-        # read off psi^d, formed by d products, on random maps over nine
-        # fields with top index <= 4, d <= 40 and deg psi^d <= 20000
+        # read off psi^d, formed by d products, on random maps over six
+        # prime fields with top index <= 4, d <= 40 and deg psi^d <= 20000
         rng = random.Random(20261018)
         checked = 0
-        for p, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2),
-                     (7, 1), (11, 1)):
-            F = field_make(p, k)
+        for p in (2, 3, 5, 7, 11, 13):
+            F = field_make(p)
             for d in range(2, 41):
                 indices = [i for i in range(5) if (p ** i - 1) % d == 0]
                 for top in indices[1:]:
@@ -422,9 +429,9 @@ def _ref_subadditive_roots(m):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 @pytest.mark.parametrize("k", [1, 2])
 def test_mu_d_from_one_generator_matches_the_field_walk(p, k):
-    # every d >= 2 dividing q^e - 1 for some e <= 3 with q^e <= 10^4; the
-    # F_9, F_25 and F_49 lifts are among them
-    F, q = field_make(p, k), p ** k
+    # sigma over F_p and every d >= 2 dividing q^e - 1, q = p^k, for some
+    # e <= 3 with q^e <= 10^4; the F_9, F_25 and F_49 lifts are among them
+    F, q = field_make(p), p ** k
     ds = {d for e in (1, 2, 3) if q ** e <= 10 ** 4
           for d in divisors(q ** e - 1) if d >= 2}
     for d in sorted(ds):
@@ -434,10 +441,10 @@ def test_mu_d_from_one_generator_matches_the_field_walk(p, k):
         assert m.gammas == _ref_subadditive_roots(m)[1], d
 
 
-def test_subadditive_over_f9_within_budget():
-    # mu_11 lives in F_(3^10), a degree-5 extension of F_9; past n = 1 the
-    # oracle's iterate passes the degree cap
-    m = SubadditiveMap(tw(field_make(3, 2), 1, 0, 0, 0, 0, 1), 11)
+def test_subadditive_mu_11_over_f3_within_budget():
+    # mu_11 lives in F_(3^5); past n = 1 the oracle's iterate passes the
+    # degree cap
+    m = SubadditiveMap(tw(field_make(3), 1, 0, 0, 0, 0, 1), 11)
     start = time.perf_counter()
     assert list(islice(per_n_counts(m, 1), 3)) == [222, 53704, 13044462]
     f = realize(m)
@@ -448,12 +455,18 @@ def test_subadditive_over_f9_within_budget():
 
 
 def test_subadditive_roots_of_unity_past_the_enumeration_cap():
-    # mu_5 lives in F_(2^20), past the 10^6-element cap: it is the powers
-    # of one generator, so no code walks that field
-    m = SubadditiveMap(tw(field_make(2, 10), 1, 0, 0, 0, 1), 5)
-    f = realize(m)
-    assert list(islice(per_n_counts(m, 1), 3)) == [14, 206, 3329]
-    assert [per_n_oracle(f, n) for n in (1, 2, 3)] == [14, 206, 3329]
+    # mu_41 lives in F_(2^20), past the 10^6-element cap: it is the powers
+    # of one generator, so no code walks that field.  The map's degree
+    # 2^20 is past the oracle's cap, so the reference is by hand: for
+    # sigma = 1 + F^20 and w != 1, sigma^n - w has linear coefficient
+    # 1 - w != 0; (1 + F^20)^n - 1 has valuation 20 * 2^(v_2(n)), the
+    # least index of an odd binomial C(n, j)
+    m = SubadditiveMap(tw(field_make(2), 1, *[0] * 19, 1), 41)
+    assert m._lift[0].ctx == field_make(2, 20) and len(set(m.gammas)) == 41
+    assert all((z ** 41).is_one() for z in m.gammas)
+    expected = [1 + (40 * 2 ** (20 * n) + 2 ** (20 * n - 20 * 2 ** v_p(n, 2))) // 41
+                for n in range(1, 5)]
+    assert list(islice(per_n_counts(m, 1), 4)) == expected
 
 
 def _ref_per_n_closed(m, n):
