@@ -236,9 +236,6 @@ class FieldElem:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         return FieldElem(self.ctx, self.ctx.mul(self.rep, self._coerce(other).rep))
 

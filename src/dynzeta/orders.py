@@ -253,9 +253,6 @@ class QuatOrder:
     def one(self):
         return self.elem(1, 0, 0, 0)
 
-    def zero(self):
-        return self.elem(0, 0, 0, 0)
-
     def contains(self, a, b, c, d):
         """Whether doubled coordinates (a, b, c, d) lie in the order."""
         if self.p == 2:

@@ -178,13 +178,18 @@ def lte_ga(x: TwistedPoly, n: int):
 
 def constant_order(sigma: TwistedPoly):
     """Multiplicative order of the linear coefficient, or TRANSCENDENTAL,
-    for a sigma over F_p or F_p(u), as the additive families hold."""
+    for a sigma over F_p or F_p(u), as the additive families hold.  A
+    sigma over a larger finite field is refused: its reps are not
+    integers mod p."""
+    ctx = sigma.ctx
+    if ctx.flavor == "finite" and not ctx.is_prime_field:
+        raise SpecError(f"the linear-coefficient order needs coefficients "
+                        f"in F_p or F_p(u), not {ctx!r}")
     c0 = sigma.constant_coeff()
     if c0.is_zero():
         raise InseparableSigma("separability requires a nonzero linear coefficient")
     if not c0.is_constant():
         return TRANSCENDENTAL
-    ctx = sigma.ctx
     return multiplicative_order(
         c0.constant_value() if ctx.flavor == "ratfunc" else c0.rep, ctx.p)
 

@@ -1,16 +1,22 @@
-"""The pinned CLI corpus: accepted specs that no job file and no pooled
-benchmark job holds, each with the exit code and stdout it gave when it
-was pinned.
+"""The pinned CLI corpus: accepted and refused specs that no job file and
+no pooled benchmark job holds, each with the exit code and stdout it gave
+when it was pinned.
 
-tests/cli_corpus.json maps each spec, the words of one command line, to
-its exit code, its stdout sha256 and what it is there for.  The specs run
-in process; tools/reach.py runs the same ones, so the functions they
-reach count as reached.
+tests/cli_corpus.json maps each spec, one command line split as a shell
+would (``shlex.split``, so a quoted ``--poly`` stays one word), to its
+exit code, its stdout sha256 and what it is there for.  A spec with a
+``seconds`` field must also finish within that many seconds of wall
+time.  An argparse refusal raises SystemExit(2) out of main, and reads
+as exit 2.  The specs run in process; tools/reach.py runs the same ones,
+so the functions they reach count as reached.
 """
 
 import hashlib
 import io
 import json
+import math
+import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -24,13 +30,19 @@ CORPUS = json.loads(Path(__file__).with_name("cli_corpus.json")
 
 def _run(argv):
     out = io.StringIO()
-    code = main(argv, out=out)
+    try:
+        code = main(argv, out=out)
+    except SystemExit as exc:  # an argparse refusal
+        code = exc.code
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("spec", list(CORPUS))
 def test_spec_keeps_its_exit_code_and_stdout(spec):
-    assert _run(spec.split()) == (CORPUS[spec]["exit"], CORPUS[spec]["stdout_sha256"])
+    pin = CORPUS[spec]
+    start = time.perf_counter()
+    assert _run(shlex.split(spec)) == (pin["exit"], pin["stdout_sha256"])
+    assert time.perf_counter() - start <= pin.get("seconds", math.inf)
 
 
 def test_no_spec_is_a_job_file_or_a_pooled_job():

@@ -23,7 +23,8 @@ from dynzeta.families import (ChebyshevMap, LattesGenericJ, PowerMap,
                               per_n_counts)
 from dynzeta.zeta import certificate_build, verdict
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _verdict_pool():
@@ -88,6 +89,19 @@ def test_warm_stdout_equals_cold(specs, tmp_path):
             assert _verdict_stdout(params, tmp_path) == cold, params
             shared += warmer is not params
     assert len(groups) < shared
+
+
+@pytest.mark.parametrize("job", ["additive_verdict.json",
+                                 "lattes_supersingular_verdict.json"])
+def test_job_file_run_again_prints_the_first_run(job):
+    # a verdict run again in one interpreter is built from the kept
+    # evidence of its residue sequence and prints what the first run did
+    argv = ["--job", str(ROOT / "jobs" / job)]
+    first, second = io.StringIO(), io.StringIO()
+    assert main(argv, out=first) == 0
+    assert len(zeta._evidence_cache) == 1
+    assert main(argv, out=second) == 0
+    assert second.getvalue() == first.getvalue()
 
 
 def test_battery_verdicts_warm_equal_cold(F2, F3, F3u):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynzeta.dynmap import compose, poly_map
-from dynzeta.errors import HypothesisViolated, InseparableSigma
+from dynzeta.errors import HypothesisViolated, InseparableSigma, SpecError
 from dynzeta.field import distinct_root_count, field_make, ratfunc_field
 from dynzeta.sentinels import INFINITY, TRANSCENDENTAL
 from dynzeta.twisted import (TwistedPoly, constant_order, kernel_size_ga,
@@ -156,6 +156,15 @@ class TestConstantOrder:
             if c.is_zero():
                 continue
             assert constant_order(TwistedPoly.from_elems(F, [c, F.one()])) == _order(c)
+
+    def test_every_unit_of_an_extension_refused(self):
+        # a rep of F_9 is a base-3 digit string, not an integer mod 3
+        F9 = field_make(3, 2)
+        units = [c for c in F9.elements() if not c.is_zero()]
+        assert len(units) == 8
+        for c in units:
+            with pytest.raises(SpecError, match="F_p or F_p"):
+                constant_order(TwistedPoly.from_elems(F9, [c, F9.one()]))
 
 
 class TestConstantTermShortcut:

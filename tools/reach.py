@@ -9,20 +9,17 @@ It always runs the job files in jobs/, the pinned CLI corpus of
 tests/cli_corpus.json, and every pooled benchmark job of
 perfbench/jobs.py, each followed by its perfbench/checks.py check.
 
-    --ci        adds every ``dynzeta`` call of the CI workflow's
-                console-script step, recorded by running that step against
-                a stub ``dynzeta`` that only writes down its arguments
     --spec S    adds one CLI spelling, such as "count --family power --p 3
-                --d 2" (repeatable), so a run with and one without it show
-                what that spelling alone reaches
+                --d 2" (repeatable, split as a shell would), so a run with
+                and one without it show what that spelling alone reaches
 
 --list names each unreached function.  --lines MODULE also traces lines
 in that module and names, for each reached function there, the statement
 lines no spec executed, so branches never taken show.
 
-    python tools/reach.py --ci --list
+    python tools/reach.py --list
 
-tools/unreached.txt names every function that ``--ci --list`` leaves
+tools/unreached.txt names every function that ``--list`` leaves
 unreached, with what keeps it; CI checks that the two lists agree.
 
 It imports dynzeta from this checkout's src/, whatever PYTHONPATH says.
@@ -35,14 +32,13 @@ import contextlib
 import io
 import json
 import os
-import subprocess
+import shlex
 import sys
 import tempfile
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "dynzeta")
-WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 CORPUS = os.path.join(ROOT, "tests", "cli_corpus.json")
 sys.path.insert(0, os.path.join(ROOT, "src"))  # probe this checkout's package
 
@@ -129,7 +125,7 @@ def job_files():
 
 def corpus_specs():
     with open(CORPUS, encoding="utf-8") as handle:
-        return [spec.split() for spec in json.load(handle)]
+        return [shlex.split(spec) for spec in json.load(handle)]
 
 
 def run_pool(probe):
@@ -145,35 +141,6 @@ def run_pool(probe):
                     with probe.active():
                         _, stdout, _, _ = execute(job, path)
                         checks.check(job, stdout)
-
-
-def ci_specs():
-    """The argument lists of the console-script step's dynzeta calls."""
-    with open(WORKFLOW, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.strip() == "- name: Console script")
-    body = lines[start + 2:]  # past "run: |"
-    indent = len(body[0]) - len(body[0].lstrip())
-    script = []
-    for line in body:
-        if line.strip() and len(line) - len(line.lstrip()) < indent:
-            break
-        script.append(line[indent:])
-    with tempfile.TemporaryDirectory() as stub_dir:
-        log = os.path.join(stub_dir, "calls.jsonl")
-        stub = os.path.join(stub_dir, "dynzeta")
-        with open(stub, "w", encoding="utf-8") as handle:
-            handle.write(f"#!{sys.executable}\nimport json, sys\n"
-                         f"with open({log!r}, 'a') as f:\n"
-                         "    f.write(json.dumps(sys.argv[1:]) + '\\n')\n")
-        os.chmod(stub, 0o755)
-        env = dict(os.environ, PATH=stub_dir + os.pathsep + os.environ["PATH"])
-        subprocess.run(["bash", "-c", "\n".join(script)], cwd=ROOT, env=env,
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                       check=False)
-        with open(log, encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle]
 
 
 def executable_lines(node):
@@ -201,15 +168,14 @@ def _ranges(numbers):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    for flag in ("--ci", "--list"):
-        parser.add_argument(flag, action="store_true")
+    parser.add_argument("--list", action="store_true")
     parser.add_argument("--spec", action="append", default=[])
     parser.add_argument("--lines", metavar="MODULE")
     args = parser.parse_args(argv)
     line_file = args.lines and os.path.join(PACKAGE, args.lines + ".py")
     probe = Probe(line_file)
-    specs = [spec.split() for spec in args.spec] + job_files() + corpus_specs()
-    specs += ci_specs() if args.ci else []
+    specs = ([shlex.split(spec) for spec in args.spec] + job_files()
+             + corpus_specs())
     for spec in specs:
         with probe.active():
             run_cli(spec)
