@@ -1,22 +1,28 @@
 """Small elliptic curves over finite fields, used as a brute-force oracle.
 
-Curves are short Weierstrass y^2 = x^3 + Ax + B with p >= 5, so the
-chord-tangent formulas need no characteristic-2/3 special cases.  Torsion
-counts are obtained by honest point enumeration over growing extensions.
-The structural size of the N-torsion (read off the trace of Frobenius)
-only decides when an enumeration is complete; a count is never taken
-from it, so counts stay independent of the closed-form counts they are
-used to check.
+Curves are short Weierstrass y^2 = x^3 + Ax + B with p >= 5, so neither
+the chord-tangent law nor the division polynomials need characteristic-2/3
+special cases.  Torsion counts are obtained by honest point enumeration
+over growing extensions.  The structural size of the N-torsion (read off
+the trace of Frobenius) only decides when an enumeration is complete; a
+count is never taken from it, so counts stay independent of the
+closed-form counts they are used to check.
 
 Enumerations run on arrays of field reps (``FieldCtx.arrays``): one walk
 over every x finds the affine points, with square tests and roots read
-off the discrete logarithm, and [N]P is formed for all of them at once
-by a masked chord-tangent law.  ``CurvePoint``, ``add`` and ``mul_by_m``
-are the boxed point API, for single points on a curve over any finite
-field; their square roots are ``FieldElem.sqrt``.
+off the discrete logarithm.  [N]P = O is then decided for all of them at
+once by the value at P of the N-th division polynomial, which vanishes
+exactly on the affine N-torsion; the values come from the doubling
+recurrence (``_division_recurrence``) that also builds the polynomials of
+``lattes_realize``, so a count forms no point multiple.  The masked
+chord-tangent law (``_multiples``) is the independent group-law check of
+``lattes_realize``.  ``CurvePoint``, ``add`` and ``mul_by_m`` are the
+boxed point API, for single points on a curve over any finite field;
+their square roots are ``FieldElem.sqrt``.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,9 +222,12 @@ def _multiples(curve, arith, xs, ys, m: int):
 def torsion_count(E: EllipticCurve, N: int, k_max: int):
     """(count, complete): N-torsion points found over extensions up to k_max.
 
-    Each extension that can hold the full N-torsion is walked once: [N]P
-    is formed for all its points together (``_multiples``) and the ones
-    at the identity are counted.
+    Each extension that can hold the full N-torsion is walked once, and
+    its N-torsion is read off division-polynomial values: an affine point
+    P has [N]P = O exactly when psi_N(P) = 0 (``_division_lanes``), so no
+    point multiple is formed.  Two facts stand in for a check of each
+    point: the walk finds the group order that the trace of Frobenius
+    gives, and the count divides it.
 
     Over the closure the N-torsion has u^2 * p^a points (N = p^a * u) when
     the p-part survives and u^2 points when it collapses, and nothing in
@@ -255,8 +264,12 @@ def torsion_count(E: EllipticCurve, N: int, k_max: int):
             continue
         if u > 1 and (E.ctx.order ** k - 1) % u != 0:
             continue
-        multiples = _multiples(*_affine_points(E, k), N)
-        cnt = 1 + int(np.count_nonzero(multiples[2]))
+        curve, arith, xs, ys = _affine_points(E, k)
+        if len(xs) + 1 != group_orders[k]:
+            raise SpecError("enumeration misses the Frobenius group order (internal)")
+        cnt = 1 + int(np.count_nonzero(_division_lanes(curve, arith, xs, ys, N)))
+        if group_orders[k] % cnt:
+            raise SpecError("torsion count does not divide the group order (internal)")
         best = max(best, cnt)
         if cnt == target:
             return cnt, True
@@ -289,47 +302,86 @@ def lattes_oracle(E: EllipticCurve, m: int, n: int, k_max: int = 5) -> int:
 # -- multiplication-by-m on the x-line ----------------------------------------------
 
 
-def _division_t_sequence(E: EllipticCurve, upto: int):
-    """t_m: the even-index division polynomials with a factor y removed.
+def _division_recurrence(E: EllipticCurve, value, F2, mul, sub, halve):
+    """m -> t_m: the division polynomials of E, with a factor y removed
+    from the even-index ones, in a caller's arithmetic.
 
-    t_0 = 0, t_1 = 1, t_2 = 2 and the doubling/halving recurrences; all
-    entries are pure polynomials in x once y^2 is replaced by the curve
-    cubic F = x^3 + Ax + B.
+    psi_m = t_m for odd m and y * t_m for even m, so every t_m is a pure
+    polynomial in x once y^2 is replaced by the curve cubic F.  ``value``
+    turns a coefficient list (elements of E.ctx, lowest degree first) into
+    a value, ``F2`` is the value of F^2, and ``mul``, ``sub`` and
+    ``halve`` are the arithmetic of values.  t_0 = 0, t_1 = 1, t_2 = 2, t_3
+    and t_4 are seeds; the doubling recurrences give the rest, memoised,
+    so t_m forms only the O(log m) indices that it reaches.
     """
-    ctx = E.ctx
-    F = Poly.from_elems(ctx, [E.B, E.A, ctx.zero(), ctx.one()])
-    A, B = E.A, E.B
-    t = {0: Poly.zero(ctx), 1: Poly.one(ctx), 2: Poly.from_ints(ctx, [2])}
-    t[3] = Poly.from_elems(ctx, [
-        -(A * A), ctx.from_int(12) * B, ctx.from_int(6) * A,
-        ctx.zero(), ctx.from_int(3)])
-    t[4] = Poly.from_elems(ctx, [
-        ctx.from_int(-4) * (ctx.from_int(8) * B * B + A * A * A),
-        ctx.from_int(-16) * A * B,
-        ctx.from_int(-20) * A * A,
-        ctx.from_int(80) * B,
-        ctx.from_int(20) * A,
-        ctx.zero(),
-        ctx.from_int(4)])
-    half = ctx.from_int(2).inverse()
+    ctx, A, B = E.ctx, E.A, E.B
+    n = ctx.from_int
+    seeds = {
+        0: [], 1: [n(1)], 2: [n(2)],
+        3: [-(A * A), n(12) * B, n(6) * A, n(0), n(3)],
+        4: [n(-4) * (n(8) * B * B + A * A * A), n(-16) * A * B,
+            n(-20) * A * A, n(80) * B, n(20) * A, n(0), n(4)]}
+    t = {}
 
     def get(m):
         if m in t:
             return t[m]
-        j, r = divmod(m, 2)
-        if r:
-            if j % 2 == 0:
-                val = F * F * get(j + 2) * get(j) ** 3 - get(j - 1) * get(j + 1) ** 3
-            else:
-                val = get(j + 2) * get(j) ** 3 - F * F * get(j - 1) * get(j + 1) ** 3
+        if m in seeds:
+            val = value(seeds[m])
         else:
-            inner = get(j + 2) * get(j - 1) ** 2 - get(j - 2) * get(j + 1) ** 2
-            val = (get(j) * inner).scale(half)
+            j, r = divmod(m, 2)
+            if r:
+                a, b = get(j), get(j + 1)
+                left = mul(get(j + 2), mul(a, mul(a, a)))
+                right = mul(get(j - 1), mul(b, mul(b, b)))
+                if j % 2 == 0:
+                    left = mul(F2, left)
+                else:
+                    right = mul(F2, right)
+                val = sub(left, right)
+            else:
+                inner = sub(mul(get(j + 2), mul(get(j - 1), get(j - 1))),
+                            mul(get(j - 2), mul(get(j + 1), get(j + 1))))
+                val = halve(mul(get(j), inner))
         t[m] = val
         return val
 
-    for m in range(upto + 1):
-        get(m)
+    return get
+
+
+def _division_lanes(curve, arith, xs, ys, N):
+    """Whether [N]P = O, lane by lane, for the affine points (xs, ys).
+
+    psi_N(P) = 0 decides it (Washington, *Elliptic Curves*, 2nd ed.,
+    section 3.2): t_N(x) = 0 for odd N, and y = 0 or t_N(x) = 0 for even
+    N.  The t_m are evaluated lane by lane with ``RepArrays`` products and
+    differences, F^2 at a point being y^4.
+    """
+    y2 = arith.mul(ys, ys)
+    half = curve.ctx.from_int(2).inverse().rep
+
+    def value(coeffs):
+        acc = np.full(len(xs), coeffs[-1].rep if coeffs else 0)
+        for c in reversed(coeffs[:-1]):
+            acc = arith.mul(acc, xs)
+            if c.rep:
+                acc = arith.add(acc, c.rep)
+        return acc
+
+    t = _division_recurrence(curve, value, arith.mul(y2, y2), arith.mul,
+                             arith.sub, lambda v: arith.mul(v, half))
+    zero = t(N) == 0
+    return zero if N % 2 else zero | (ys == 0)
+
+
+def _division_t_sequence(E: EllipticCurve):
+    """(t, F): ``_division_recurrence`` on Polys over E's field, and the
+    curve cubic F = x^3 + Ax + B."""
+    ctx = E.ctx
+    F = Poly.from_elems(ctx, [E.B, E.A, ctx.zero(), ctx.one()])
+    half = ctx.from_int(2).inverse()
+    t = _division_recurrence(E, functools.partial(Poly.from_elems, ctx), F * F,
+                             operator.mul, operator.sub, lambda v: v.scale(half))
     return t, F
 
 
@@ -344,14 +396,14 @@ def lattes_realize(E: EllipticCurve, m: int) -> RatMap:
     if m % E.ctx.p == 0:
         raise SpecError("inseparable multiplication map not realized")
     ctx = E.ctx
-    t, F = _division_t_sequence(E, m + 1)
+    t, F = _division_t_sequence(E)
     xpoly = Poly.x_power(ctx, 1)
     if m % 2:
-        num = xpoly * t[m] * t[m] - F * t[m + 1] * t[m - 1]
-        den = t[m] * t[m]
+        num = xpoly * t(m) * t(m) - F * t(m + 1) * t(m - 1)
+        den = t(m) * t(m)
     else:
-        num = xpoly * F * t[m] * t[m] - t[m + 1] * t[m - 1]
-        den = F * t[m] * t[m]
+        num = xpoly * F * t(m) * t(m) - t(m + 1) * t(m - 1)
+        den = F * t(m) * t(m)
     f = reduced_map(num, den)
     if f.degree != m * m:
         raise SpecError("internal error: realized map has wrong degree")

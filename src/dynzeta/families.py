@@ -468,20 +468,33 @@ def per_n_closed(m, n: int) -> int:
 
 
 def chebyshev_poly(ctx, d: int) -> Poly:
-    """T_d normalized by T_d(x + 1/x) = x^d + x^(-d).
+    """T_d normalized by T_d(x + 1/x) = x^d + x^(-d), so T_0 = 2.
 
-    Built by doubling along the bits of d, keeping (T_n, T_(n+1)):
-    T_2n = T_n^2 - 2 and T_(2n+1) = T_n T_(n+1) - x.
+    T_d is the Dickson polynomial D_d(x, 1), whose coefficient of
+    x^(d-2k), k <= d/2, is c_k = (-1)^k d/(d-k) C(d-k, k).  Each c_k comes
+    from c_(k-1) by the ratio -(d-2k+2)(d-2k+1) / (k(d-k)), held as a
+    power of p times a unit mod p, so the binomials are never formed.
+    Over F_p, T_(pd)(x) = T_d(x)^p = T_d(x^p): a factor p^e of d only
+    spreads the coefficients of T_(d/p^e).
     """
-    x = Poly.x_power(ctx, 1)
-    two = Poly.from_ints(ctx, [2])
-    low, high = two, x
-    for bit in bin(d)[2:]:
-        if bit == "1":
-            low, high = low * high - x, high * high - two
-        else:
-            low, high = low * low - two, low * high - x
-    return low
+    if d == 0:
+        return Poly.from_ints(ctx, [2])
+    p, spread = ctx.p, 1
+    while d % p == 0:
+        d, spread = d // p, spread * p
+    coeffs = [0] * (d * spread + 1)
+    coeffs[-1] = unit = 1
+    valuation = 0
+    for k in range(1, d // 2 + 1):
+        num, den = (d - 2 * k + 2) * (d - 2 * k + 1), k * (d - k)
+        while num % p == 0:
+            num, valuation = num // p, valuation + 1
+        while den % p == 0:
+            den, valuation = den // p, valuation - 1
+        unit = -unit * num * pow(den, -1, p) % p
+        if not valuation:
+            coeffs[(d - 2 * k) * spread] = unit
+    return Poly.from_ints(ctx, coeffs)
 
 
 def realize(m, curve=None) -> RatMap:

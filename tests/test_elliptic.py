@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynzeta import elliptic
 from dynzeta.dynmap import per_n_oracle
 from dynzeta.elliptic import (CurvePoint, EllipticCurve, _affine_points,
-                              _multiples, add, identity, is_supersingular,
-                              lattes_oracle, lattes_realize, mul_by_m,
-                              negate, point_count, point_orders_by_trace,
-                              points_over, torsion_count,
-                              trace_of_frobenius)
+                              _division_lanes, _multiples, add, identity,
+                              is_supersingular, lattes_oracle,
+                              lattes_realize, mul_by_m, negate, point_count,
+                              point_orders_by_trace, points_over,
+                              torsion_count, trace_of_frobenius)
 from dynzeta.errors import ScaleExceeded, SpecError
 from dynzeta.field import extend_field, field_make
 from dynzeta.intarith import v_p
@@ -146,6 +147,19 @@ class TestTorsion:
         if ok2 and ok3 and ok6:
             assert c6 == c2 * c3
 
+    def test_an_enumeration_short_of_the_group_order_is_refused(
+            self, E51, monkeypatch):
+        # the Frobenius recurrence's order stands in for a per-point check
+        walk = elliptic._affine_points
+
+        def short(E, k):
+            curve, arith, xs, ys = walk(E, k)
+            return curve, arith, xs[1:], ys[1:]
+
+        monkeypatch.setattr(elliptic, "_affine_points", short)
+        with pytest.raises(SpecError, match=r"\(internal\)"):
+            torsion_count(E51, 3, 4)
+
 
 class TestArrayWalks:
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -165,6 +179,22 @@ class TestArrayWalks:
             assert o == image.is_identity
             if not o:
                 assert (x, y) == (image.x.rep, image.y.rep)
+
+    # supersingular (5, 0, 1) and (7, 1, 0); 2-torsion over F_p on
+    # (5, 0, 1), (7, 1, 0), (7, 1, 3) and (13, 2, 1)
+    @pytest.mark.parametrize("p,a,b", [(5, 0, 1), (5, 1, 1), (7, 1, 0),
+                                       (7, 1, 3), (11, 1, 6), (13, 2, 1)])
+    def test_division_values_find_the_group_laws_torsion(self, p, a, b):
+        # every field with q^k <= 2,500 and every N <= 50, p | N included
+        E = curve(field_make(p), a, b)
+        for k in range(1, 5):
+            if p ** k > 2500:
+                break
+            points = _affine_points(E, k)
+            for N in range(2, TORSION_INDEX_CAP + 1):
+                at_identity = _multiples(*points, N)[2]
+                assert (_division_lanes(*points, N) == at_identity).all(), (
+                    k, N)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(E=curves(), k=st.integers(1, 3))

@@ -161,6 +161,17 @@ class TestChebyshevNormalization:
                 assert chebyshev_poly(ctx, d) == t0, (p, d)
                 t0, t1 = t1, x * t1 - t0
 
+    def test_large_degrees_match_the_three_term_recurrence(self):
+        # p = 2 divides 256, and p = 5 divides 255 and 1000
+        for p in (2, 5, 7):
+            ctx = field_make(p)
+            x = Poly.x_power(ctx, 1)
+            t0, t1 = Poly.from_ints(ctx, [2]), x
+            for d in range(1001):
+                if d in (255, 256, 1000):
+                    assert chebyshev_poly(ctx, d) == t0, (p, d)
+                t0, t1 = t1, x * t1 - t0
+
     def test_semiconjugacy(self, F5):
         # T_d((x^2+1)/x) == (x^(2d)+1)/x^d as rational maps, d <= 12
         for d in range(2, 13):

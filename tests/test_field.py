@@ -12,7 +12,7 @@ from dynzeta.errors import NotPrime, ScaleExceeded, SpecError, ZeroPolynomial
 from dynzeta.field import (FieldElem, Poly, _DigitField, _flat_field,
                            _tonelli_shanks, distinct_root_count, extend_field, embed,
                            field_make, ratfunc_field, separable_radical)
-from dynzeta.limits import ENUM_CAP
+from dynzeta.limits import ENUM_CAP, RF_GCD_DEGREE_CAP
 from dynzeta.orders import _norm_recurrence
 
 
@@ -272,6 +272,14 @@ class TestRationalFunctionField:
         assert F3u.from_int(2).is_constant()
         assert F3u.from_int(2).constant_value() == 2
         assert not F3u.u().is_constant()
+
+    def test_a_gcd_past_the_degree_cap_is_refused(self):
+        # u^4097 + 1 and u^3 + u + 1 are no monomials, so reducing their
+        # quotient takes a gcd of degree RF_GCD_DEGREE_CAP + 1
+        u = ratfunc_field(5).u()
+        assert 4097 == RF_GCD_DEGREE_CAP + 1
+        with pytest.raises(ScaleExceeded, match="degree cap"):
+            (u ** 4097 + 1) / (u ** 3 + u + 1)
 
 
 def test_embedding_through_towers():

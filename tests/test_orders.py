@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dynzeta.errors import (HypothesisViolated, InvalidCombination,
-                            SpecError, ZeroInput)
+                            PrecisionExhausted, SpecError, ZeroInput)
+from dynzeta.limits import PADIC_PRECISION_CAP
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             _quadratic_roots_mod_p, lte_int, lte_quad,
                             lte_quat, norm_sequence, prime_context, units,
@@ -121,6 +122,14 @@ class TestSplitPrimeValuation:
             v1 = v_frak_p(x, ctx)
             v2 = v_frak_p(x.conj(), ctx)
             assert v1 + v2 == v_p_strict(x.norm(), 7)
+
+    def test_precision_past_the_cap_is_refused(self):
+        # 11 splits in Z[tau], tau^2 = tau - 11, with unit root 1 mod 11
+        ctx = prime_context(QuadRing(1, 11), 11)
+        assert PADIC_PRECISION_CAP == 1024
+        assert ctx.with_precision(1024).precision == 1024
+        with pytest.raises(PrecisionExhausted, match="precision cap 1024"):
+            ctx.with_precision(1025)
 
     def test_inert_prime_rejected(self):
         with pytest.raises(InvalidCombination):
