@@ -3,17 +3,20 @@
 Each family is a finite quotient of x -> sigma x on the multiplicative
 group, the additive group or an elliptic curve by a finite group Gamma, and
 its class states the quotient data once: ``name`` (the CLI tag), ``sigma``,
-``gammas`` (the elements of Gamma), ``boundary(n)``, ``degree``, and
-``size(x)`` and ``valuation(x)``, the degree of an endomorphism x and the
-p-power exponent of its inseparable part.  Every family is counted by
+Gamma (``gammas``, its elements, or ``d`` for mu_d on G_a),
+``boundary(n)``, ``degree``, and ``size(x)`` and ``valuation(x)``, the
+degree of an endomorphism x and the p-power exponent of its inseparable
+part.  Every family is counted by
 
     #Per_n = boundary(n) + (1/|Gamma|) * sum over gamma of #ker(sigma^n - gamma)
 
 with #ker x = size(x) / p^valuation(x): |x| and v_p(x) for integer
-multipliers, deg x and v_phi(x) (read off truncated powers by
-``v_phi_pow_minus``) for additive maps, and for ring multipliers of
-elliptic curves the norm with the valuation at the split prime (ordinary)
-or v_p of the reduced norm (supersingular).
+multipliers, deg x and v_phi(x) (read off truncated powers) for additive
+maps, and for ring multipliers of elliptic curves the norm with the
+valuation at the split prime (ordinary) or v_p of the reduced norm
+(supersingular).  On G_a every term of the sum but the one at
+gamma = c0^n, c0 the F^0 coefficient of sigma, is deg(sigma)^n, so the
+sum reads one valuation and mu_d is never listed.
 
 boundary(n) counts the period-n points outside the group: a positive power
 map fixes 0 and infinity (2), a negative one swaps them (2 for even n, 0
@@ -36,17 +39,16 @@ and reads (s^n - gamma)^2 as s^(2n) - 2 gamma s^n + gamma^2.
 
 import math
 from dataclasses import InitVar, dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import partial
 from itertools import count
 
 import numpy as np
 
 from .errors import (InvalidCombination, NonIntegerOrbitCount, NotRealizable,
-                     ScaleExceeded, SpecError, SubadditiveConditionViolated)
-from .field import Poly, check_poly_scale, embed, extend_field, field_make
+                     SpecError, SubadditiveConditionViolated)
+from .field import Poly, check_poly_scale, field_make
 from .dynmap import RatMap, poly_map, rat_map
-from .intarith import check_prime, factorize, multiplicative_order, v_p
-from .limits import ENUM_CAP
+from .intarith import check_prime, v_p
 from .orders import (PrimeContext, QuadElem, QuadRing, QuatElem, units,
                      v_frak_p)
 from .twisted import (TwistedPoly, realize_additive, truncated_valuation,
@@ -129,25 +131,29 @@ class ChebyshevMap(_Quotient):
 
 
 class _AdditiveQuotient:
-    """x -> sigma x on G_a: kernels from v_phi(sigma^n - w), formed by
-    truncated powers of sigma over a field holding the group Gamma."""
+    """x -> sigma x on G_a, quotient by mu_d (d = 1 for an additive map)."""
 
     def counts(self, first: int, step: int, _lead=None):
-        """#Per_n for n = first, first + step, ...: sigma^n mod F^K moves
-        forward by one product with sigma^step mod F^K.  A term whose
-        valuation reaches K doubles K and is formed afresh, as in
-        v_phi_pow_minus; K is kept for the terms after it."""
-        sigma, roots = self._lift
-        p, top = sigma.ctx.p, sigma.top_index
+        """#Per_n = 1 + ((d - delta) p^(top n) + delta p^(top n - v)) / d
+        for n = first, first + step, ...  The F^0 coefficient of
+        sigma^n - w is c0^n - w, so v_phi(sigma^n - w) = 0 for every w in
+        mu_d but c0^n, which is in mu_d (delta = 1) exactly when
+        c0^(nd) = 1, and never for a non-constant c0 of F_p(u); then
+        v = v_phi(sigma^n - c0^n).  sigma^n mod F^K moves forward by one
+        product with sigma^step mod F^K.  A term whose valuation reaches
+        K doubles K and is formed afresh, as in v_phi_pow_minus; K is
+        kept for the terms after it."""
+        sigma, d = self.sigma, self.d
+        p, top, c0 = sigma.ctx.p, sigma.top_index, sigma.constant_coeff()
         trunc, power, stride = 2, None, None
-
-        def kernel(w, n):
-            nonlocal trunc, power
-            v, trunc, power = truncated_valuation(sigma, n, w, trunc, power)
-            return p ** (top * n - v)
-
         for n in count(first, step):
-            yield per_n_template(self.boundary(n), roots, kernel, n)
+            full = p ** (top * n)
+            total = d * full
+            if c0.is_constant() and (c0 ** (n * d)).is_one():
+                v, trunc, power = truncated_valuation(sigma, n, c0 ** n,
+                                                      trunc, power)
+                total += full // p ** v - full
+            yield _orbit_count(self.boundary(n), total, d)
             if power is not None:
                 if stride is None or stride[0] != trunc:
                     stride = trunc, tw_pow(sigma, step, trunc)
@@ -178,17 +184,13 @@ class _AdditiveQuotient:
     def p(self):
         return self.sigma.ctx.p
 
-    @property
-    def gammas(self):
-        return self._lift[1]
-
 
 @dataclass(frozen=True)
 class AdditiveMap(_AdditiveQuotient):
     sigma: TwistedPoly
     translation: object = None
     name = "additive"
-    _lift = property(lambda self: (self.sigma, (self.sigma.ctx.one(),)))
+    d = 1
 
     def __post_init__(self):
         self._check_sigma()
@@ -213,40 +215,6 @@ class SubadditiveMap(_AdditiveQuotient):
             if not c.is_zero() and (p ** i - 1) % self.d != 0:
                 raise SubadditiveConditionViolated(
                     "every monomial degree of the additive map must be 1 mod d")
-
-    @cached_property
-    def _lift(self):
-        """sigma lifted to a field F_Q containing mu_d, plus the d roots of
-        unity sorted by rep; found once per map.
-
-        mu_d is cyclic (Lidl-Niederreiter, *Finite Fields*, Thm 2.8), so
-        it is the powers of zeta, the first a^((Q-1)/d), a = 1, 2, ...,
-        whose order is d: zeta^(d/r) != 1 for every prime r | d.  When
-        mu_d is not in F_q, d does not divide p - 1, and a^((Q-1)/d) of a
-        constant a < p has an order dividing gcd(d, p - 1) < d, so the
-        walk starts at a = p.  The list is a walk over d field elements,
-        so a d past ``limits.ENUM_CAP`` is refused before it starts.
-        """
-        if self.d > ENUM_CAP:
-            raise ScaleExceeded(f"listing the {self.d} roots of unity in mu_d "
-                                f"exceeds the enumeration cap {ENUM_CAP}")
-        ctx = self.sigma.ctx
-        if ctx.flavor != "finite":
-            # Transcendental coefficients keep all the roots of unity in the
-            # constants; separability analysis never needs them explicitly.
-            raise SpecError("explicit roots of unity need finite coefficients")
-        # mu_d lies in F_(q^e), e the order of q mod d; extend_field refuses
-        # a field F_(q^e) whose degree over F_p passes its cap
-        ext = extend_field(ctx, multiplicative_order(ctx.order, self.d))
-        sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in self.sigma.coeffs])
-        cofactor, primes = (ext.order - 1) // self.d, factorize(self.d)
-        zeta = next(z for z in (ext.elem_at(a) ** cofactor
-                                for a in range(1 if ext is ctx else ctx.p, ext.order))
-                    if not any((z ** (self.d // r)).is_one() for r in primes))
-        roots = [ext.one()]
-        for _ in range(self.d - 1):
-            roots.append(roots[-1] * zeta)
-        return sigma, tuple(sorted(roots, key=lambda z: z.rep))
 
 
 class _DegreePowers(_Quotient):
@@ -414,10 +382,16 @@ def per_n_template(boundary: int, gammas, kernel_size, n: int) -> int:
     total = 0
     for g in gammas:
         total += kernel_size(g, n)
-    if total % len(gammas):
+    return _orbit_count(boundary, total, len(gammas))
+
+
+def _orbit_count(boundary: int, total: int, order: int) -> int:
+    """boundary + total / order, for an orbit sum over a group of that
+    order; a sum that the order does not divide is refused."""
+    if total % order:
         raise NonIntegerOrbitCount(
-            f"orbit sum {total} not divisible by group order {len(gammas)}")
-    return boundary + total // len(gammas)
+            f"orbit sum {total} not divisible by group order {order}")
+    return boundary + total // order
 
 
 def map_degree(m) -> int:

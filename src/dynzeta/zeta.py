@@ -599,7 +599,7 @@ def _certificate_ga(mapping) -> Certificate:
     """
     sigma = mapping.sigma
     p = sigma.ctx.p
-    d = getattr(mapping, "d", 1)  # |Gamma|: 1 for additive maps
+    d = mapping.d  # |Gamma|: 1 for additive maps
     m = constant_order(sigma)
     if m is TRANSCENDENTAL:
         raise SpecError("transcendental linear coefficient has a rational zeta")

@@ -15,9 +15,13 @@ import dynzeta.cli
 from dynzeta.automata import christol_series
 from dynzeta.cli import (JobSpec, compile_spec, main, make_parser,
                          parse_poly_string, run_job)
+from dynzeta.errors import NonIntegerOrbitCount
+from dynzeta.families import SubadditiveMap, per_n_closed
+from dynzeta.field import field_make
 from dynzeta.limits import (AUTOMATA_KERNEL_BUDGET, CHRISTOL_TERMS_CAP,
                             CROSSCHECK_INDEX_CAP, ELL_SEARCH_CAP, ENUM_CAP,
                             EXTENSION_DEGREE_CAP)
+from dynzeta.twisted import TwistedPoly, truncated_valuation
 
 
 def run_cli(argv):
@@ -253,17 +257,42 @@ class TestExitCodes:
                 f"{AUTOMATA_KERNEL_BUDGET}") in capsys.readouterr().err
 
     def test_subadditive_mu_past_the_enumeration_cap(self, capsys):
-        # d = p^2 + 1 divides p^4 - 1, so mu_d lies in F_(p^4); listing
-        # its d roots would be a walk over d > ENUM_CAP field elements
+        # d = p^2 + 1 > ENUM_CAP divides p^4 - 1, so mu_d lies in F_(p^4),
+        # and is never listed: for sigma = 1 + F^4 only w = 1 has
+        # v_phi(sigma - w) = 4 > 0, so #Per_1 = 1 + ((d - 1) p^4 + 1) / d
+        # = 1 + (p^6 + 1) / (p^2 + 1) = p^4 - p^2 + 2
         p = 1_000_003
         d = p * p + 1
         assert d > ENUM_CAP
         start = time.perf_counter()
-        assert run_cli(["count", "--family", "subadditive", "--p", str(p),
-                        "--sigma", "1,0,0,0,1", "--d", str(d),
-                        "--n-max", "1"]) == (3, "")
+        code, text = run_cli(["count", "--family", "subadditive", "--p", str(p),
+                              "--sigma", "1,0,0,0,1", "--d", str(d),
+                              "--n-max", "1"])
         assert time.perf_counter() - start < 1.0
-        assert f"enumeration cap {ENUM_CAP}" in capsys.readouterr().err
+        assert (code, capsys.readouterr().err) == (0, "")
+        rows = [r for r in map(json.loads, text.splitlines())
+                if r["record"] == "row"]
+        assert [(r["closed"], r["oracle"]) for r in rows] == [
+            (str(p ** 4 - p ** 2 + 2), None)]
+
+    def test_non_integer_orbit_sum_exits_4(self, monkeypatch, capsys):
+        # sigma = 1 + F^2 + F^4 descends by mu_3 at p = 2 (4 = 16 = 1 mod
+        # 3); every v = v_phi(sigma^n - 1) is even, so one more than v
+        # leaves the orbit sum 2 * 16^n + 2^(4n - v - 1) = 1 mod 3
+        def off_by_one(*args):
+            v, trunc, power = truncated_valuation(*args)
+            return v + 1, trunc, power
+
+        monkeypatch.setattr("dynzeta.families.truncated_valuation", off_by_one)
+        fam = SubadditiveMap(TwistedPoly.from_ints(field_make(2),
+                                                   [1, 0, 1, 0, 1]), 3)
+        with pytest.raises(NonIntegerOrbitCount):
+            per_n_closed(fam, 1)
+        assert run_cli(["count", "--family", "subadditive", "--p", "2",
+                        "--sigma", "1,0,1,0,1", "--d", "3", "--n-max", "2"]) == (
+            4, "")
+        assert ("not divisible by group order 3"
+                in capsys.readouterr().err)
 
     def test_auxiliary_prime_past_the_search_cap(self, capsys):
         # no prime ell below ELL_SEARCH_CAP is admissible for Chebyshev
@@ -912,21 +941,57 @@ class TestTowerInputs:
         assert (rows[0]["closed"], rows[0]["oracle"]) == ("4096", "4096")
         assert elapsed < 5.0
 
-    def test_subadditive_mu_past_the_extension_cap_refused_at_once(self, capsys):
+    def test_subadditive_over_f3u_reads_as_the_additive_map(self):
+        # over F_3(u): c0 = u has no power in mu_2, so #Per_n = 1 + 3^n, and
+        # the verdict is rational; c0 = 2 reads one valuation per count
+        def records(argv):
+            code, text = run_cli(argv.split())
+            assert code == 0
+            return [json.loads(line) for line in text.splitlines()]
+
+        def closed(argv):
+            return [int(r["closed"]) for r in records(argv)
+                    if r["record"] == "row"]
+
+        sub = "--family subadditive --ratfunc --p 3 --d 2 --sigma"
+        assert closed(f"count {sub} u,1 --n-max 4") == [
+            1 + 3 ** n for n in range(1, 5)]
+        assert closed(f"count {sub} 2,u --n-max 4") == [3, 7, 15, 55]
+        assert records(f"verdict {sub} u,1")[1]["denominator"] == [
+            "1", "-4", "3"]
+        # the tower certificate's terms divide the orbit sum's d back out,
+        # so mu_2 changes no record of sigma = 2 + uF but the family
+        ours = records(f"verdict {sub} 2,u")
+        theirs = records("verdict --family additive --ratfunc --p 3 "
+                         "--sigma 2,u")
+        for record in ours + theirs:
+            record.pop("family", None)
+            record.get("params", {}).pop("family", None)
+        del ours[0]["params"]["d"]
+        assert ours == theirs
+
+    def test_subadditive_mu_past_the_extension_cap(self, capsys):
         # ord_601(2) = 25: mu_601 lives in F_(2^25), past the extension
-        # degree cap 24
+        # degree cap 24, and is never listed: for sigma = 1 + F^25 only
+        # w = 1 has v_phi(sigma^n - w) > 0, namely 25 * 2^(v_2(n)), so
+        # #Per_n = 1 + (600 * 2^(25 n) + 2^(25 n - v)) / 601, which is
+        # 1 + (600 * 2^(25 n) + 1) / 601 at n = 1 and 2
         start = time.perf_counter()
-        result = run_cli(["count", "--family", "subadditive", "--p", "2",
-                          "--sigma", ",".join(["1"] + ["0"] * 24 + ["1"]),
-                          "--d", "601", "--n-max", "1"])
+        code, text = run_cli(["count", "--family", "subadditive", "--p", "2",
+                              "--sigma", ",".join(["1"] + ["0"] * 24 + ["1"]),
+                              "--d", "601", "--n-max", "2"])
         elapsed = time.perf_counter() - start
-        assert result == (2, "")
-        assert "extension degree 25 outside [1, 24]" in capsys.readouterr().err
+        assert (code, capsys.readouterr().err) == (0, "")
+        rows = [r for r in map(json.loads, text.splitlines())
+                if r["record"] == "row"]
+        assert [int(r["closed"]) for r in rows] == [
+            33_498_602, 1_124_026_529_293_802] == [
+            1 + (600 * 2 ** (25 * n) + 1) // 601 for n in (1, 2)]
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("d,top,rows", [
         # mu_8191 lives in F_(2^13), mu_241 in F_(2^24), past the
-        # enumeration cap: each is the powers of one generator
+        # enumeration cap: neither field is made, nor mu_d listed
         (8191, 13, [("8192", "8192")]),
         (241, 24, [("16707602", None), ("280307030749202", None)])])
     def test_subadditive_mu_within_the_extension_cap(self, d, top, rows):
@@ -943,10 +1008,9 @@ class TestTowerInputs:
         assert elapsed < 5.0
 
     def test_subadditive_mu_in_a_degree_13_extension_of_a_large_prime_field(self):
-        # 10139 = 16 mod 53 has order 13: mu_53 lives in F_(10139^13), and
-        # 13 does not divide 10138, so no binomial x^13 + c is irreducible
-        # and no constant is a generator's power; stdout as when both
-        # walks ran through every candidate (64 s)
+        # 10139 = 16 mod 53 has order 13: mu_53 lives in F_(10139^13),
+        # which no count makes; stdout as when a walk of that field found
+        # each of the 53 roots (64 s)
         start = time.perf_counter()
         code, text = run_cli(["count", "--family", "subadditive", "--p", "10139",
                               "--sigma", ",".join(["1"] + ["0"] * 12 + ["1"]),

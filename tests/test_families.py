@@ -424,7 +424,14 @@ def _ref_classify_separability(m):
 
 
 def _ref_subadditive_roots(m):
+    """sigma over a field holding mu_d, and the d roots found by walking
+    that field; over F_p(u) the roots are constants, so d | p - 1."""
     ctx = m.sigma.ctx
+    if ctx.flavor == "ratfunc":
+        roots = [ctx.from_int(a) for a in range(1, ctx.p)
+                 if pow(a, m.d, ctx.p) == 1]
+        assert len(roots) == m.d
+        return m.sigma, tuple(roots)
     q = ctx.order
     e = 1
     while (q ** e - 1) % m.d != 0:
@@ -437,19 +444,57 @@ def _ref_subadditive_roots(m):
     return sigma, tuple(roots)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-@pytest.mark.parametrize("k", [1, 2])
-def test_mu_d_from_one_generator_matches_the_field_walk(p, k):
-    # sigma over F_p and every d >= 2 dividing q^e - 1, q = p^k, for some
-    # e <= 3 with q^e <= 10^4; the F_9, F_25 and F_49 lifts are among them
+def _ref_ga_count(sigma, roots, n):
+    """1 + (1/|roots|) sum over w in roots of p^(top n - v_phi(sigma^n - w))."""
+    def kernel(w, k):
+        v = v_phi_pow_minus(sigma, k, w)
+        return sigma.ctx.p ** (sigma.top_index * k - v)
+
+    return per_n_template(1, roots, kernel, n)
+
+
+def _subadditive_grid(p, k):
+    # every d >= 2 dividing q^e - 1, q = p^k, for some e <= 3 with
+    # q^e <= 10^4 (mu_d in F_9, F_25, F_49, ... among them); sigma =
+    # c + F^j with p^j = 1 mod d, so that it descends, and c = 1, 2 and -1,
+    # whose powers fall in mu_d at every n or at some n only
     F, q = field_make(p), p ** k
     ds = {d for e in (1, 2, 3) if q ** e <= 10 ** 4
           for d in divisors(q ** e - 1) if d >= 2}
     for d in sorted(ds):
-        # x + x^(p^j) descends to the degree-d quotient: p^j = 1 mod d
-        m = SubadditiveMap(tw(F, 1, *[0] * (multiplicative_order(p, d) - 1),
-                              1), d)
-        assert m.gammas == _ref_subadditive_roots(m)[1], d
+        j = multiplicative_order(p, d)
+        for c in sorted({1, 2 % p, p - 1} - {0}):
+            yield SubadditiveMap(tw(F, c, *[0] * (j - 1), 1), d)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("k", [1, 2])
+def test_subadditive_counts_match_the_mu_d_walk(p, k):
+    # runs as a certificate reads them (first >= 1, step > 1) against the
+    # orbit sum over the d roots found by walking the field that holds them
+    for m in _subadditive_grid(p, k):
+        sigma, roots = _ref_subadditive_roots(m)
+        for first, step in ((1, 2), (3, 2), (2, 3)):
+            counts = per_n_counts(m, first, step)
+            for n in range(first, first + 4 * step, step):
+                assert next(counts) == _ref_ga_count(sigma, roots, n), (m, n)
+
+
+@pytest.mark.parametrize("coeffs", [((2, 0), (0, 1)), ((1, 0), (0, 0), (1, 1)),
+                                    ((0, 1), (1, 0)), ((1, 1), (0, 2))])
+def test_subadditive_counts_over_f3u_match_the_mu_2_walk(coeffs):
+    # each coefficient a + b u; a constant c0 (2 or 1) reads one valuation,
+    # and a non-constant c0 has no power in mu_2, so that every kernel is
+    # deg(sigma)^n
+    F3u = ratfunc_field(3)
+    m = SubadditiveMap(TwistedPoly.from_elems(
+        F3u, [F3u.from_int(a) + F3u.from_int(b) * F3u.u() for a, b in coeffs]),
+        2)
+    sigma, roots = _ref_subadditive_roots(m)
+    for first, step in ((1, 1), (1, 2), (3, 2)):
+        counts = per_n_counts(m, first, step)
+        for n in range(first, first + 6 * step, step):
+            assert next(counts) == _ref_ga_count(sigma, roots, n), n
 
 
 def test_subadditive_mu_11_over_f3_within_budget():
@@ -473,8 +518,6 @@ def test_subadditive_roots_of_unity_past_the_enumeration_cap():
     # 1 - w != 0; (1 + F^20)^n - 1 has valuation 20 * 2^(v_2(n)), the
     # least index of an odd binomial C(n, j)
     m = SubadditiveMap(tw(field_make(2), 1, *[0] * 19, 1), 41)
-    assert m._lift[0].ctx == field_make(2, 20) and len(set(m.gammas)) == 41
-    assert all((z ** 41).is_one() for z in m.gammas)
     expected = [1 + (40 * 2 ** (20 * n) + 2 ** (20 * n - 20 * 2 ** v_p(n, 2))) // 41
                 for n in range(1, 5)]
     assert list(islice(per_n_counts(m, 1), 4)) == expected
@@ -491,16 +534,10 @@ def _ref_per_n_closed(m, n):
     if isinstance(m, ChebyshevMap):
         return per_n_template(
             1, (1, -1), lambda g, k: _ref_gm_kernel(m.d ** k - g, m.p), n)
-    if isinstance(m, (AdditiveMap, SubadditiveMap)):
-        sigma, roots = (_ref_subadditive_roots(m)
-                        if isinstance(m, SubadditiveMap)
-                        else (m.sigma, (m.sigma.ctx.one(),)))
-
-        def kernel(w, k):
-            v = v_phi_pow_minus(sigma, k, w)
-            return sigma.ctx.p ** (sigma.top_index * k - v)
-
-        return per_n_template(1, roots, kernel, n)
+    if isinstance(m, SubadditiveMap):
+        return _ref_ga_count(*_ref_subadditive_roots(m), n)
+    if isinstance(m, AdditiveMap):
+        return _ref_ga_count(m.sigma, (m.sigma.ctx.one(),), n)
     if isinstance(m, LattesGenericJ):
         def kernel(g, k):
             M = m.s ** k - g

@@ -3,8 +3,9 @@ exit 2 (invalid specification, empty stdout) or 3 (scale budget), and no
 count row has a closed form that disagrees with its oracle.
 
 Drawn: count, oracle, zeta, verdict and census specs over power,
-Chebyshev, Lattes-generic, additive (also over F_p(u)), subadditive,
-Lattes-ordinary and raw rational maps, and automata specs (Christol roots,
+Chebyshev, Lattes-generic, additive and subadditive (each also over
+F_p(u), and subadditive also with mu_d outside F_p), Lattes-ordinary and
+raw rational maps, and automata specs (Christol roots,
 vp-geometric and vp-tower kernels), spelled as flags or as job files.
 Left out, each an open defect with its own fix:
 - lattes-supersingular: split-prime (T, N) pairs describe no supersingular
@@ -30,6 +31,8 @@ from dynzeta.cli import main
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 SMALL = st.integers(-4, 8)
+# a coefficient of sigma over F_p(u)
+U_ENTRY = st.one_of(SMALL, st.sampled_from(["u", "u+1", "2*u^2+1", "u^3-u", "1"]))
 
 
 @st.composite
@@ -50,9 +53,7 @@ def _additive(draw):
     params = {"family": "additive", "p": p}
     if draw(st.integers(0, 3)) == 0:
         params["ratfunc"] = True
-        entry = st.one_of(SMALL, st.sampled_from(
-            ["u", "u+1", "2*u^2+1", "u^3-u", "1"]))
-        params["sigma"] = draw(st.lists(entry, min_size=1, max_size=3))
+        params["sigma"] = draw(st.lists(U_ENTRY, min_size=1, max_size=3))
     else:
         params["sigma"] = draw(st.lists(SMALL, min_size=1, max_size=4))
         if draw(st.booleans()):
@@ -64,14 +65,27 @@ def _additive(draw):
 def _subadditive(draw):
     p = draw(PRIMES)
     top = draw(st.integers(1, 3))
-    # d mostly divides p^top - 1, so the map satisfies the descent condition
-    divisors = [d for d in range(2, 41) if (p ** top - 1) % d == 0]
-    if divisors and draw(st.integers(0, 3)):
+    # d mostly divides p^top - 1, so the map satisfies the descent
+    # condition, and often not p - 1, so mu_d lies outside F_p
+    divisors = [d for d in range(2, p ** top) if (p ** top - 1) % d == 0]
+    outside = [d for d in divisors if (p - 1) % d]
+    pick = draw(st.integers(0, 3))
+    if outside and pick == 3:
+        d = draw(st.sampled_from(outside))
+    elif divisors and pick:
         d = draw(st.sampled_from(divisors))
     else:
         d = draw(st.integers(0, 12))
-    sigma = [draw(SMALL) for _ in range(top)] + [draw(st.integers(1, 4))]
-    return {"family": "subadditive", "p": p, "sigma": sigma, "d": d}
+    params = {"family": "subadditive", "p": p, "d": d}
+    entry = SMALL
+    if draw(st.integers(0, 3)) == 0:
+        params["ratfunc"] = True
+        entry = U_ENTRY
+    # a term F^i with p^i != 1 mod d breaks the descent: mostly it is 0
+    params["sigma"] = [draw(entry) if d < 2 or (p ** i - 1) % d == 0
+                       or not draw(st.integers(0, 3)) else 0
+                       for i in range(top)] + [draw(st.integers(1, 4))]
+    return params
 
 
 @st.composite
