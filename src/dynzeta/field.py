@@ -9,20 +9,22 @@ Representation conventions:
   adjoined root.  So ``rep`` is the index and ``from_int(n)`` is the
   constant n mod p.  The modulus is a monic irreducible polynomial over
   F_p, chosen deterministically so every run of the library reproduces
-  the same field.  An extension with p^k at most ``limits.ENUM_CAP``
-  builds exp/log/Zech tables to a primitive element when it is made
-  (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT, 1990);
-  products, sums, negations, inverses and powers are then table
-  lookups.  Larger fields build no tables and compute on the digits.
-  ``extend_field(ctx, b)`` on F_(p^a) returns the field of
-  ``field_make(p, a*b)``, so equal fields share one set of tables, and
-  a*b, like k, is at most ``limits.EXTENSION_DEGREE_CAP``.  The
-  eight most recently made extensions, each with its arithmetic, live in
-  a ``functools.lru_cache``, whose ``cache_info()`` counts hits and
-  misses.  Making a prime field builds nothing, so each ``field_make(p)``
-  makes a new one and none takes a cache slot.  ``embed`` sends an
-  element of F_p to its extensions: the constant n is the rep n in every
-  finite field of characteristic p.
+  the same field.  Every extension builds exp/log/Zech tables to a
+  primitive element, from the modulus's companion matrix, when it is
+  made (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT,
+  1990); products, sums, negations, inverses and powers are then table
+  lookups.  A census or a torsion walk covers at most ``limits.ENUM_CAP``
+  points, so an extension with more elements is refused with
+  ScaleExceeded before its modulus is sought.  ``extend_field(ctx, b)``
+  on F_(p^a) returns the field of ``field_make(p, a*b)``, so equal
+  fields share one set of tables, and a*b, like k, is at most
+  ``limits.EXTENSION_DEGREE_CAP``.  The eight most recently made
+  extensions, each with its tables, live in a ``functools.lru_cache``,
+  whose ``cache_info()`` counts hits and misses.  Making a prime field
+  builds nothing, so each ``field_make(p)`` makes a new one and none
+  takes a cache slot.  ``embed`` sends an element of F_p to its
+  extensions: the constant n is the rep n in every finite field of
+  characteristic p.
 * Every field an enumeration may walk, one of at most ``limits.ENUM_CAP``
   elements, also computes on numpy arrays of reps: ``ctx.arrays()`` is
   its ``RepArrays``, which adds, negates, multiplies, divides, tests
@@ -40,11 +42,11 @@ Representation conventions:
   Frobenius c(u) -> c(u)^p multiplies exponents by p.
 
 A field is one FieldCtx whose subclass is its representation
-(``_PrimeField``, ``_DigitField``, ``_TableField``, ``_RatFuncField``).
+(``_PrimeField``, ``_TableField``, ``_RatFuncField``).
 It adds, negates, multiplies, inverts, raises to powers and applies the
 Frobenius on reps; every FieldElem operator is one call to it.  Square
-roots exist in odd characteristic: halved discrete logs where there are
-tables, Euler's criterion and Tonelli-Shanks elsewhere.
+roots exist in odd characteristic: halved discrete logs over an
+extension, Euler's criterion and Tonelli-Shanks over F_p.
 
 A Poly has its coefficients in a prime field F_p and refuses any other
 field: a count of periodic points over the algebraic closure does not
@@ -60,7 +62,6 @@ returns the Poly itself.
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -142,10 +143,12 @@ class FieldCtx:
         if isinstance(value, int):
             return self.from_int(value)
         if isinstance(value, (list, tuple)) and self.base is not None:
-            vec = [self.base.elem(v) for v in value]
-            if len(vec) > self.k:
+            if len(value) > self.k:
                 raise SpecError("vector longer than extension degree")
-            return FieldElem(self, self.index([c.rep for c in vec]))
+            index = 0  # the base-p digits of the index are the coefficients
+            for c in reversed(value):
+                index = index * self.p + self.base.elem(c).rep
+            return FieldElem(self, index)
         raise SpecError(f"cannot coerce {value!r} into {self!r}")
 
     def u(self):
@@ -490,85 +493,27 @@ class _PrimeField(FieldCtx):
         # boxed square roots keep Tonelli-Shanks and their roots
         if self.p > ENUM_CAP:
             return super()._tables()
-        return _zech_tables(_DigitField(self, (self.zero(), self.one())))
+        return _zech_tables(self.p, (0,))  # the modulus x
 
 
-class _DigitField(FieldCtx):
-    """F_(p^k) on indices, through their base-p digits.
+class _TableField(FieldCtx):
+    """F_(p^k), k >= 2, on indices by exp/log/Zech table lookups.
 
-    ``low`` holds the modulus coefficients below x^k.  Exact for every p
-    and k; used as is above the table limit and to build the tables.
+    ``_zech_tables`` builds the tables from the modulus when the field
+    is made.  They are read here through memoryviews, and the field's
+    ``RepArrays`` reads the same buffers as numpy arrays.  Zero has a
+    log, so sums, negatives and products take no zero branch.
     """
 
-    __slots__ = ("low",)
+    __slots__ = ("exp_table", "log_table", "zech", "minus_one")
 
     def __init__(self, prime, modulus):
         reps = tuple(c.rep for c in modulus)
         k = len(reps) - 1
         super().__init__(prime.p, k, ("ext", prime._sig, reps), prime.p ** k,
                          prime, modulus)
-        self.low = reps[:-1]
-
-    def digits(self, n):
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            n, d = divmod(n, p)
-            out.append(d)
-        return out
-
-    def index(self, vec):
-        p = self.p
-        n = 0
-        for c in reversed(vec):
-            n = n * p + c % p
-        return n
-
-    def add(self, a, b):
-        return self.index([x + y for x, y in zip(self.digits(a), self.digits(b))])
-
-    def neg(self, a):
-        return self.index([-x for x in self.digits(a)])
-
-    def mul(self, a, b):
-        p, k, low = self.p, self.k, self.low
-        conv = [0] * (2 * k - 1)
-        ys = self.digits(b)
-        for i, x in enumerate(self.digits(a)):
-            if x:
-                for j, y in enumerate(ys):
-                    conv[i + j] += x * y
-        for i in range(2 * k - 2, k - 1, -1):
-            c = conv[i] % p
-            if c:
-                for j in range(k):
-                    conv[i - k + j] -= c * low[j]
-        return self.index(conv[:k])
-
-    def inverse(self, a):
-        return self.pow(a, self.qm1 - 1)
-
-    def pow(self, a, e):
-        if not a:
-            return 0 if e else 1
-        return power(self.mul, 1, a, e % self.qm1)
-
-
-class _TableField(_DigitField):
-    """F_(p^k) on indices by exp/log/Zech table lookups.
-
-    ``_zech_tables`` builds the tables from ``digit_field``, the same
-    field on its digits.  They are read here through memoryviews, and
-    the field's ``RepArrays`` reads the same buffers as numpy arrays.
-    Zero has a log, so sums, negatives and products take no zero branch.
-    """
-
-    __slots__ = ("exp_table", "log_table", "zech", "minus_one")
-
-    def __init__(self, digit_field):
-        super().__init__(digit_field.base, digit_field.modulus)
         self.exp_table, self.log_table, self.zech = map(
-            memoryview, _zech_tables(digit_field))
+            memoryview, _zech_tables(self.p, reps[:-1]))
         self.minus_one = self.qm1 // 2 if self.p != 2 else 0  # log of -1
 
     def add(self, a, b):
@@ -582,6 +527,9 @@ class _TableField(_DigitField):
         log = self.log_table
         return self.exp_table[log[a] + log[b]]
 
+    def inverse(self, a):
+        return self.exp_table[self.qm1 - self.log_table[a]]
+
     def pow(self, a, e):
         if not a:
             return 0 if e else 1
@@ -591,9 +539,16 @@ class _TableField(_DigitField):
         return self.exp_table, self.log_table, self.zech
 
 
-def _zech_tables(field):
-    """(exp, log, zech) intc arrays to the least primitive index g,
-    computed by the digit arithmetic of the _DigitField ``field``.
+def _zech_tables(p, low):
+    """(exp, log, zech) intc arrays of F_(p^k) to its least primitive
+    index g, read from the modulus x^k + low[k-1] x^(k-1) + ... + low[0].
+
+    Multiplication by the index a is the k x k matrix on coefficient
+    columns whose column j is a x^j, the companion matrix of the modulus
+    applied j times to a's digits; every product here is one of these
+    matrices, and powers of them come from ``intarith.power``.  The
+    constants 1 .. p - 1 have orders dividing p - 1, so for k >= 2 the
+    search for g starts at the index p, the root x.
 
     With Q = q - 1, zero's log is S = 2Q: log[0] = S and log[g^i] = i.
     exp has 4Q + 1 entries, g^(i mod Q) below S and 0 from S up, so the
@@ -605,22 +560,44 @@ def _zech_tables(field):
     both zero regions unwritten, so they add no resident memory.
 
     Over F_2 the index g is 1, the only nonzero element."""
-    p, k, qm1 = field.p, field.k, field.qm1
-    primes = list(factorize(qm1))
-    g = next(a for a in range(1, qm1 + 1)
-             if all(field.pow(a, qm1 // r) != 1 for r in primes))
-    # g^0 .. g^(step-1) one product at a time; after that each block of
-    # step powers is the previous one times g^step, a k x k matrix on
-    # coefficient columns.
-    step = math.isqrt(qm1) + 1
-    block, a = [], 1
-    for _ in range(step):
-        block.append(field.digits(a))
-        a = field.mul(a, g)
-    cols = np.array(block, dtype=np.int64).T
-    jump = np.array([field.digits(field.mul(a, p ** j)) for j in range(k)],
-                    dtype=np.int64).T
+    k = len(low)
+    qm1 = p ** k - 1
     weights = p ** np.arange(k, dtype=np.int64)
+    companion = np.eye(k, k, -1, dtype=np.int64)  # x * x^j = x^(j+1) ...
+    companion[:, -1] = [-c % p for c in low]       # ... reduced at j = k - 1
+    one = np.eye(k, dtype=np.int64)
+
+    def mul(a, b):
+        return a @ b % p
+
+    def times(indices):
+        """The matrices of multiplication by an array of indices."""
+        col = indices[..., None] // weights % p
+        cols = [col]
+        for _ in range(k - 1):
+            col = col @ companion.T % p
+            cols.append(col)
+        return np.stack(cols, axis=-1)
+
+    # g, the least primitive index, from 16 candidates at a time: the
+    # power of their stack of matrices for each prime r | Q, read off
+    # column 0, is not the identity
+    primes = list(factorize(qm1))
+    for start in itertools.count(p if k > 1 else 1, 16):
+        stack = times(np.arange(start, min(start + 16, qm1 + 1)))
+        primitive = np.ones(len(stack), dtype=bool)
+        for r in primes:
+            primitive &= power(mul, one, stack, qm1 // r)[:, :, 0] @ weights != 1
+        if primitive.any():
+            break
+    # g^0 .. g^(n-1) as coefficient columns and jump = g^n, doubled until
+    # n^2 >= Q; after that each block of n powers is the previous one
+    # times jump.
+    cols, jump = one[:, :1], stack[primitive.argmax()]
+    while cols.shape[1] ** 2 < qm1:
+        cols = np.concatenate((cols, jump @ cols % p), axis=1)
+        jump = mul(jump, jump)
+    step = cols.shape[1]
     exp = np.zeros(4 * qm1 + 1, dtype=np.intc)
     for start in range(0, qm1, step):
         exp[start:start + step] = weights @ cols
@@ -892,7 +869,9 @@ def field_make(p, k=1):
     """Deterministic field constructor.
 
     The modulus is the least monic irreducible of degree k in the
-    ascending coefficient enumeration, so runs are reproducible.
+    ascending coefficient enumeration, so runs are reproducible.  A k
+    outside [1, ``limits.EXTENSION_DEGREE_CAP``] is a SpecError, and an
+    extension of more than ``limits.ENUM_CAP`` elements a ScaleExceeded.
     """
     check_prime(p)
     _check_degree(k)
@@ -905,7 +884,8 @@ def extend_field(ctx, degree):
     Over F_(p^a) this is the field of ``field_make(p, a*degree)``, so
     equal contexts share their tables; elements of F_p reach it through
     ``embed``.  The degree cap bounds a*degree, as it bounds field_make's
-    k; callers that enumerate the field bound its size by ``ENUM_CAP``.
+    k, and a field of more than ``limits.ENUM_CAP`` elements is refused
+    with ScaleExceeded.
     """
     if ctx.flavor != "finite":
         raise SpecError("can only extend finite fields")
@@ -923,7 +903,19 @@ def _flat_field(p, k):
     """The field of field_make(p, k), k >= 2; contexts are immutable, so
     the eight most recently made are shared instead of searched again.  A
     prime field costs nothing to make and is not kept here, so it never
-    evicts an extension's tables.
+    evicts an extension's tables.  A field of more than
+    ``limits.ENUM_CAP`` elements is refused before any modulus is sought.
+    """
+    if p ** k > ENUM_CAP:
+        raise ScaleExceeded(f"extension field of {p ** k} elements exceeds cap")
+    prime = _PrimeField(p)
+    return _TableField(prime, tuple(map(prime.from_int, _least_irreducible(p, k))))
+
+
+def _least_irreducible(p, k):
+    """The coefficients, ascending, of the least monic irreducible of
+    degree k >= 2 over F_p: x^k + c_(k-1) x^(k-1) + ... + c_0 with
+    c_0 + c_1 p + ... least.
 
     The first p candidates are the binomials x^k - a, a = -m.  One is
     irreducible exactly when a != 0, every prime r | k divides p - 1 with
@@ -938,15 +930,9 @@ def _flat_field(p, k):
                           and all((p - 1) % r == 0 and pow(a, (p - 1) // r, p) != 1
                                   for r in primes)):
             continue
-        coeffs = []
-        mm = m
-        for _ in range(k):
-            coeffs.append(mm % p)
-            mm //= p
-        coeffs.append(1)
+        coeffs = [m // p ** i % p for i in range(k)] + [1]
         if _irreducible(Poly.from_ints(prime, coeffs)):
-            field = _DigitField(prime, tuple(prime.from_int(c) for c in coeffs))
-            return field if field.order > ENUM_CAP else _TableField(field)
+            return coeffs
     raise NoIrreducibleFound(f"no irreducible of degree {k} over F_{p}")
 
 

@@ -4,7 +4,8 @@ Every threshold that refuses with ScaleExceeded (exit 3) is here, so the
 CLI and the library agree on budgets.  What each cap refuses:
 
 POLY_DEGREE_CAP          a polynomial, composition or iterate of higher degree
-ENUM_CAP                 a walk over more field elements or curve points
+ENUM_CAP                 a walk over more field elements or curve points,
+                         or an extension field with more elements
 EXTENSION_DEGREE_CAP     a field of higher degree over F_p (invalid spec, exit 2)
 PADIC_PRECISION_CAP      a more precise p-adic unit-root lift (exit 2)
 ELL_SEARCH_CAP           an auxiliary prime ell, or its tower bound, past it

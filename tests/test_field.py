@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ import numpy as np
 from dynzeta import modpoly
 from dynzeta.dynmap import cycle_census, rat_map
 from dynzeta.errors import NotPrime, ScaleExceeded, SpecError, ZeroPolynomial
-from dynzeta.field import (FieldElem, Poly, _DigitField, _flat_field,
-                           _tonelli_shanks, distinct_root_count, extend_field, embed,
-                           field_make, ratfunc_field, separable_radical)
+from dynzeta.field import (Poly, _flat_field, _least_irreducible, _tonelli_shanks,
+                           distinct_root_count, extend_field, embed, field_make,
+                           ratfunc_field, separable_radical)
+from dynzeta.intarith import factorize
 from dynzeta.limits import ENUM_CAP, RF_GCD_DEGREE_CAP
 from dynzeta.orders import _norm_recurrence
 
@@ -62,8 +64,28 @@ PRIMES_BELOW_60 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 5
                          + [(p, k) for p in (101, 1009) for k in (2, 3, 4)])
 def test_modulus_is_the_least_irreducible(p, k):
     # the Rabin test runs on no binomial that Lidl-Niederreiter Thm 3.75
-    # rules out, and the modulus stays the first irreducible of the walk
-    assert [c.rep for c in field_make(p, k).modulus] == _ref_least_irreducible(p, k)
+    # rules out, and the modulus stays the first irreducible of the walk;
+    # the search is checked past ENUM_CAP too, where no field is made
+    least = _ref_least_irreducible(p, k)
+    assert _least_irreducible(p, k) == least
+    if p ** k <= ENUM_CAP:
+        assert [c.rep for c in field_make(p, k).modulus] == least
+
+
+def test_extensions_past_the_enumeration_cap_are_refused_at_once():
+    # no walk covers more than ENUM_CAP points, so no modulus is sought
+    # for such a field; a degree outside the cap stays an invalid spec
+    F37sq = field_make(37, 2)
+    for make, args in ((field_make, (101, 3)), (field_make, (1009, 2)),
+                       (field_make, (2, 20)), (field_make, (1000003, 4)),
+                       (extend_field, (F37sq, 2))):
+        start = time.perf_counter()
+        with pytest.raises(ScaleExceeded, match="exceeds cap"):
+            make(*args)
+        assert time.perf_counter() - start < 0.1
+    for make, args in ((field_make, (2, 25)), (extend_field, (field_make(2, 12), 3))):
+        with pytest.raises(SpecError, match=r"outside \[1, 24\]"):
+            make(*args)
 
 
 class TestPolyArith:
@@ -305,9 +327,11 @@ def test_extension_of_an_extension_is_the_flat_field(p, a, b):
 
 
 def test_extension_degree_cap_bounds_the_degree_over_f_p():
-    # F_(2^36) is out of reach from F_(2^12) as from F_2
+    # F_(2^36) is out of reach from F_(2^12) as from F_2; F_(2^24) is
+    # within the degree cap and past the enumeration cap
     F = field_make(2, 12)
-    assert extend_field(F, 2) == field_make(2, 24)
+    with pytest.raises(ScaleExceeded):
+        extend_field(F, 2)
     for ctx, degree in ((F, 3), (field_make(2), 25), (F, 0)):
         with pytest.raises(SpecError, match=r"outside \[1, 24\]"):
             extend_field(ctx, degree)
@@ -335,16 +359,10 @@ def test_embed_is_an_injective_ring_homomorphism(p, a, b):
 
 
 def test_embed_into_a_field_without_tables():
-    src = field_make(37)
-    target = extend_field(field_make(37, 2), 2)
-    assert target.order > ENUM_CAP and target.log_table is None
-    rng = random.Random(37)
-    for _ in range(50):
-        x, z = (src.elem_at(rng.randrange(src.order)) for _ in range(2))
-        assert embed(x * z, target) == embed(x, target) * embed(z, target)
-        assert embed(x + z, target) == embed(x, target) + embed(z, target)
-        if not z.is_zero():
-            assert embed(x / z, target) == embed(x, target) / embed(z, target)
+    # every extension has its tables: F_(37^4), past ENUM_CAP, is refused
+    # before embed could be asked to reach it
+    with pytest.raises(ScaleExceeded):
+        extend_field(field_make(37, 2), 2)
 
 
 def test_embed_refuses_a_field_that_is_not_a_subfield():
@@ -426,7 +444,7 @@ def test_flat_extension_index_round_trip(p, k):
         assert z == ctx.elem([(i // p ** j) % p for j in range(k)])
 
 
-@pytest.mark.parametrize("p,k", [(2, 3), (5, 4), (101, 4)])
+@pytest.mark.parametrize("p,k", [(2, 3), (5, 4), (997, 2)])
 def test_flat_extension_constructors_agree(p, k):
     ctx = field_make(p, k)
     for n in (0, 1, 2, p - 1, p, -1, 3 * p + 2):
@@ -435,9 +453,9 @@ def test_flat_extension_constructors_agree(p, k):
         for z in made:
             assert z == made[0] and hash(z) == hash(made[0])
             assert z == n
-    vec = [1, 0, p - 1]
-    assert ctx.elem(vec) == ctx.elem_at(1 + (p - 1) * p * p)
-    assert hash(ctx.elem(vec)) == hash(ctx.elem_at(1 + (p - 1) * p * p))
+    vec, index = [1] + [0] * (k - 2) + [p - 1], 1 + (p - 1) * p ** (k - 1)
+    assert ctx.elem(vec) == ctx.elem_at(index)
+    assert hash(ctx.elem(vec)) == hash(ctx.elem_at(index))
 
 
 def test_tables_give_logarithms_of_every_element():
@@ -447,17 +465,17 @@ def test_tables_give_logarithms_of_every_element():
     assert [ctx.exp_table[n] for n in logs] == list(range(1, ctx.order))
 
 
-def test_large_flat_extension_is_exact_without_tables():
-    ctx = field_make(101, 4)
-    assert ctx.order > ENUM_CAP and ctx.log_table is None
+def test_large_flat_extension_matches_coefficient_lists():
+    # the largest p whose quadratic extension is under ENUM_CAP
+    ctx = field_make(997, 2)
     reduce, power, elem = _reference(ctx)
-    for a, b in _samples(ctx, 60, 101):
+    for a, b in _samples(ctx, 60, 997):
         x, y = elem(a), elem(b)
         a, b = modpoly.trim(a), modpoly.trim(b)
-        assert x * y == elem(reduce(modpoly.mul(a, b, 101)))
-        assert x + y == elem(modpoly.add(a, b, 101))
-        assert -x == elem(modpoly.neg(a, 101))
-        assert x.frobenius() == elem(power(a, 101))
+        assert x * y == elem(reduce(modpoly.mul(a, b, 997)))
+        assert x + y == elem(modpoly.add(a, b, 997))
+        assert -x == elem(modpoly.neg(a, 997))
+        assert x.frobenius() == elem(power(a, 997))
         if a:
             assert x.inverse() == elem(power(a, -1))
             assert x ** -5 == elem(power(a, -5))
@@ -466,6 +484,11 @@ def test_large_flat_extension_is_exact_without_tables():
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 12), (101, 4)])
 def test_log_and_exp_are_none_without_tables(p, k):
+    # a prime field keeps no tables, and no extension is made without them
+    if p ** k > ENUM_CAP:
+        with pytest.raises(ScaleExceeded):
+            field_make(p, k)
+        return
     ctx = field_make(p, k)
     assert ctx.log_table is None and ctx.exp_table is None
 
@@ -516,57 +539,98 @@ def test_rep_arrays_match_the_boxed_arithmetic(p, k):
         assert (arith.mul(roots, roots)[square] == xs[square]).all()
 
 
-def _digit_field(ctx):
-    """ctx on its digit arithmetic alone, which reads no table."""
-    if ctx.is_prime_field:
-        return _DigitField(ctx, (ctx.zero(), ctx.one()))
-    return _DigitField(ctx.base, ctx.modulus)
+def _rep_reference(ctx):
+    """add, neg, mul and power on the reps of ctx, none of which reads a
+    table: ints mod p over F_p, and over an extension modpoly on the
+    base-p digits of each index (``_reference``)."""
+    p, k = ctx.p, ctx.k
+    if k == 1:
+        return (lambda x, y: (x + y) % p, lambda x: -x % p,
+                lambda x, y: x * y % p, lambda x, e: pow(x, e, p))
+    reduce, power, _ = _reference(ctx)
+
+    def digits(x):
+        return modpoly.trim([x // p ** j % p for j in range(k)])
+
+    def index(a):
+        return sum(c * p ** j for j, c in enumerate(a))
+
+    return (lambda x, y: index(modpoly.add(digits(x), digits(y), p)),
+            lambda x: index(modpoly.neg(digits(x), p)),
+            lambda x, y: index(reduce(modpoly.mul(digits(x), digits(y), p))),
+            lambda x, e: index(power(digits(x), e)))
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
-                                 (5, 1), (5, 2), (7, 1), (7, 2), (13, 1)])
+REP_GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+            (5, 1), (5, 2), (7, 1), (7, 2), (13, 1)]
+
+
+@pytest.mark.parametrize("p,k", REP_GRID)
 def test_rep_arrays_match_the_digit_arithmetic(p, k):
     # every pair of F_q, the zero lanes included, and a scalar operand
-    # on either side
+    # on either side, against the reference arithmetic on the digits
     ctx = field_make(p, k)
-    ref, arith, q = _digit_field(ctx), ctx.arrays(), ctx.order
+    arith, q = ctx.arrays(), ctx.order
+    add, neg, mul, power = _rep_reference(ctx)
     xs = np.arange(q)
     a, b = (v.ravel() for v in np.meshgrid(xs, xs))
     pairs = list(zip(a.tolist(), b.tolist()))
-    inv = {y: ref.inverse(y) for y in range(1, q)}
+    inv = {y: power(y, q - 2) for y in range(1, q)}
 
     def sub(x, y):
-        return ref.add(x, ref.neg(y))
+        return add(x, neg(y))
 
-    for name, op in (("add", ref.add), ("sub", sub), ("mul", ref.mul)):
+    for name, op in (("add", add), ("sub", sub), ("mul", mul)):
         lanes = getattr(arith, name)
         assert lanes(a, b).tolist() == [op(x, y) for x, y in pairs]
         for c in (0, 1, q - 1):
             assert lanes(c, xs).tolist() == [op(c, y) for y in range(q)]
             assert lanes(xs, c).tolist() == [op(x, c) for x in range(q)]
-    assert arith.neg(xs).tolist() == [ref.neg(x) for x in range(q)]
-    assert arith.div(a, b)[b != 0].tolist() == [
-        ref.mul(x, inv[y]) for x, y in pairs if y]
+    assert arith.neg(xs).tolist() == [neg(x) for x in range(q)]
+    assert arith.div(a, b)[b != 0].tolist() == [mul(x, inv[y]) for x, y in pairs if y]
     for c in (0, 1, q - 1):
-        assert arith.div(c, xs[1:]).tolist() == [
-            ref.mul(c, inv[y]) for y in range(1, q)]
+        assert arith.div(c, xs[1:]).tolist() == [mul(c, inv[y]) for y in range(1, q)]
         if c:
-            assert arith.div(xs, c).tolist() == [ref.mul(x, inv[c]) for x in range(q)]
+            assert arith.div(xs, c).tolist() == [mul(x, inv[c]) for x in range(q)]
     poly = Poly.from_ints(field_make(p), [1, p - 1, 0, 1, 1])
 
     def horner(x):
         acc = 0
         for c in reversed(poly.reps.tolist()):
-            acc = ref.add(ref.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc
 
     assert arith.eval(poly, xs).tolist() == [horner(x) for x in range(q)]
     if p != 2:
-        # Euler's criterion and squaring back, on the digits
+        # Euler's criterion and squaring back, on the reference
         square = arith.is_square(xs)
-        assert square.tolist() == [FieldElem(ref, x).is_square() for x in range(q)]
+        assert square.tolist() == [x == 0 or power(x, (q - 1) // 2) == 1 for x in range(q)]
         roots = arith.sqrt(xs)
-        assert [ref.mul(r, r) for r in roots[square].tolist()] == xs[square].tolist()
+        assert [mul(r, r) for r in roots[square].tolist()] == xs[square].tolist()
+
+
+@pytest.mark.parametrize("p,k", REP_GRID + [(2, 10), (5, 4)])
+def test_tables_match_the_digit_arithmetic(p, k):
+    # the tables of _zech_tables, read off the modulus's companion
+    # matrix, against the reference arithmetic
+    ctx = field_make(p, k)
+    arith, qm1 = ctx.arrays(), ctx.order - 1
+    add, _, mul, power = _rep_reference(ctx)
+    exp, log, zech = (t.tolist() for t in (arith.exp, arith.log, arith.zech))
+    g = exp[1]
+
+    def primitive(x):
+        return all(power(x, qm1 // r) != 1 for r in factorize(qm1))
+
+    assert primitive(g) and not any(primitive(x) for x in range(1, g))
+    assert k == 1 or g >= p  # a constant's order divides p - 1
+    x = 1
+    for i in range(qm1):
+        assert exp[i] == x
+        x = mul(x, g)
+    assert [log[exp[i]] for i in range(qm1)] == list(range(qm1))
+    assert [zech[n] for n in range(1 - qm1, qm1)] == [
+        log[add(1, exp[n % qm1])] for n in range(1 - qm1, qm1)]
 
 
 def test_rep_arrays_read_the_fields_own_tables():
@@ -648,7 +712,7 @@ def test_square_roots_of_every_element(p, k):
     assert sum(z.is_square() for z in ctx.elements()) == (ctx.order + 1) // 2
 
 
-@pytest.mark.parametrize("p,k", [(101, 4), (2 ** 61 - 1, 1), (1_000_000_009, 1)])
+@pytest.mark.parametrize("p,k", [(2 ** 61 - 1, 1), (1_000_000_009, 1)])
 def test_square_roots_without_tables(p, k):
     ctx = field_make(p, k)
     assert ctx.log_table is None
