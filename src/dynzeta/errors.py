@@ -49,10 +49,6 @@ class InseparableSigma(SpecError):
     pass
 
 
-class PrecisionExhausted(DynzetaError):
-    """p-adic working precision hit its hard cap without resolving."""
-
-
 class Mismatch(DynzetaError):
     """Two independent computations of the same quantity disagree."""
 

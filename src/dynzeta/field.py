@@ -723,8 +723,8 @@ class Poly:
         return cls(ctx, np.ones(1, ctx.dtype))
 
     @classmethod
-    def x_power(cls, ctx, n, scale=1):
-        return cls.from_ints(ctx, [0] * n + [scale])
+    def x_power(cls, ctx, n):
+        return cls.from_ints(ctx, [0] * n + [1])
 
     # -- views -------------------------------------------------------------
 

@@ -7,7 +7,6 @@ POLY_DEGREE_CAP          a polynomial, composition or iterate of higher degree
 ENUM_CAP                 a walk over more field elements or curve points,
                          or an extension field with more elements
 EXTENSION_DEGREE_CAP     a field of higher degree over F_p (invalid spec, exit 2)
-PADIC_PRECISION_CAP      a more precise p-adic unit-root lift (exit 2)
 ELL_SEARCH_CAP           an auxiliary prime ell, or its tower bound, past it
 KERNEL_BUDGET            an ell kernel over 4 budgets (kernel depths fit one)
 CROSSCHECK_INDEX_CAP     a supersingular step that no count re-derives
@@ -22,7 +21,6 @@ CHRISTOL_TERMS_CAP       a Christol root with more terms
 POLY_DEGREE_CAP = 10_000
 ENUM_CAP = 1_000_000
 EXTENSION_DEGREE_CAP = 24
-PADIC_PRECISION_CAP = 1024
 ELL_SEARCH_CAP = 10_000_000
 KERNEL_BUDGET = 5_000_000
 CROSSCHECK_INDEX_CAP = 20_000

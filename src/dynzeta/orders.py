@@ -8,13 +8,17 @@ Three kinds of ring are covered:
   T^2 = 4N the ring is Z[eps] with eps = tau - T/2 and eps^2 = 0; its norm
   (a + b*T/2)^2 is still multiplicative, which is all an integer
   multiplier given by (trace, norm) needs.  In the imaginary case the
-  prime above p attached to inseparable isogenies is represented
-  implicitly by a Hensel-lifted unit root u of x^2 - T x + N: evaluating
-  a + b*tau at u gives the conjugate prime's valuation, and v_frak(x) is
-  recovered as v_p(norm(x)) minus that.  Which unit root is "the" one is
-  an orientation choice the caller may pin; the default takes the
-  (numerically least) unit root.  A double root (T^2 = 4N) has no
-  orientation and is refused.
+  prime frak_p above p attached to inseparable isogenies is named by a
+  simple unit root u of x^2 - T x + N mod p: its conjugate is (p, tau - u),
+  and frak_p is (p, tau - (T - u)).  A simple root means p does not divide
+  T^2 - 4N, so Z[tau] (x) Z_p is Z_p x Z_p and an element that p does not
+  divide lies in at most one of the two primes.  So with x = p^c x',
+  where p divides neither coordinate of x', v_frak(x) is c when
+  a' + b' u = 0 mod p (x' lies in the conjugate prime) and
+  v_p(norm(x)) - c otherwise; no p-adic lift is needed.  Which unit root
+  is "the" one is an orientation choice the caller may pin; the default
+  takes the least.  A double root (T^2 = 4N mod p) has no orientation and
+  is refused.
 * the two explicit maximal quaternion orders that occur at p = 2 and
   p = 3: Hurwitz integers in (-1,-1 | Q), and the order with basis
   1, i, (1+j)/2, (i+k)/2 in (-1,-3 | Q).  Elements are stored by doubled
@@ -29,10 +33,9 @@ from itertools import product
 
 from . import modpoly
 from .errors import (HypothesisViolated, InvalidCombination, Mismatch,
-                     PrecisionExhausted, SpecError, ZeroInput)
+                     SpecError, ZeroInput)
 from .field import field_make
 from .intarith import check_prime, power, v_p, v_p_strict
-from .limits import PADIC_PRECISION_CAP
 
 _DIRECT_CHECK_N_CAP = 32
 
@@ -152,18 +155,12 @@ class QuadElem:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """Split prime of a quadratic ring, realized by a lifted unit root."""
+    """The split prime (p, tau - (T - unit_root)) of a quadratic ring; its
+    conjugate is (p, tau - unit_root)."""
 
     ring: QuadRing
     p: int
-    unit_root: int       # root of x^2 - T x + N modulo p**precision
-    precision: int
-
-    def with_precision(self, precision):
-        if precision > PADIC_PRECISION_CAP:
-            raise PrecisionExhausted(f"p-adic precision cap {PADIC_PRECISION_CAP} hit")
-        return prime_context(self.ring, self.p, precision=precision,
-                             unit_root=self.unit_root % self.p)
+    unit_root: int       # simple unit root of x^2 - T x + N, in [0, p)
 
 
 def _quadratic_roots_mod_p(T, N, p):
@@ -176,9 +173,9 @@ def _quadratic_roots_mod_p(T, N, p):
     return sorted({(T + s) * inv2 % p, (T - s) * inv2 % p})
 
 
-def prime_context(ring: QuadRing, p: int, precision: int = 32,
+def prime_context(ring: QuadRing, p: int, *,
                   unit_root: int | None = None) -> PrimeContext:
-    """Build the split-prime context with a Hensel-lifted unit root.
+    """Build the split-prime context from a simple unit root mod p.
 
     Requires x^2 - T x + N to have a simple unit root mod p.  When both
     roots are units the orientation is ambiguous; pass unit_root to pin it,
@@ -191,42 +188,32 @@ def prime_context(ring: QuadRing, p: int, precision: int = 32,
     if not simple_units:
         raise InvalidCombination(
             f"x^2 - {ring.trace}x + {ring.norm} has no simple unit root mod {p}")
-    if unit_root is not None:
-        if unit_root % p not in simple_units:
-            raise InvalidCombination(f"{unit_root} is not a simple unit root mod {p}")
-        u = unit_root % p
-    else:
-        u = min(simple_units)
-    modulus = p
-    target = p ** precision
-    while modulus < target:
-        modulus = min(modulus * modulus, target)
-        f = (u * u - ring.trace * u + ring.norm) % modulus
-        df_inv = pow((2 * u - ring.trace) % modulus, -1, modulus)
-        u = (u - f * df_inv) % modulus
-    return PrimeContext(ring, p, u, precision)
+    if unit_root is None:
+        return PrimeContext(ring, p, min(simple_units))
+    if unit_root % p not in simple_units:
+        raise InvalidCombination(f"{unit_root} is not a simple unit root mod {p}")
+    return PrimeContext(ring, p, unit_root % p)
 
 
 def v_frak_p(x: QuadElem, ctx: PrimeContext, norm=None) -> int:
-    """Valuation at the oriented split prime: v_p(norm) minus the
-    conjugate valuation read off from the unit root.  A caller that
-    already holds x.norm() passes it as norm."""
+    """Valuation at the oriented split prime.
+
+    With x = p^c x', where p divides neither coordinate of x', this is c
+    when x' lies in the conjugate prime (a' + b' u = 0 mod p) and
+    v_p(norm(x)) - c otherwise.  A caller that already holds x.norm()
+    passes it as norm; only the second case reads it.
+    """
+    if x.ring != ctx.ring:
+        raise SpecError("element outside the context ring")
     if x.is_zero():
         raise ZeroInput("valuation of zero")
-    if norm is None:
-        norm = x.norm()
-    if norm == 0:
-        raise ZeroInput("norm vanishes only at zero in an imaginary ring")
-    nv = v_p_strict(norm, ctx.p)
-    work = ctx
-    while work.precision <= nv:
-        work = work.with_precision(work.precision * 2)
-    residue = (x.a + x.b * work.unit_root) % (work.p ** work.precision)
-    if residue == 0:
-        raise PrecisionExhausted("conjugate valuation unresolved at max precision")
-    vbar = v_p(residue, ctx.p)
-    vbar = min(vbar, nv)
-    return nv - vbar
+    p, a, b = ctx.p, x.a, x.b
+    c = 0
+    while a % p == 0 and b % p == 0:
+        a, b, c = a // p, b // p, c + 1
+    if (a + b * ctx.unit_root) % p == 0:
+        return c
+    return v_p_strict(x.norm() if norm is None else norm, p) - c
 
 
 def lte_quad(x: QuadElem, y: QuadElem, ctx: PrimeContext, n: int) -> int:

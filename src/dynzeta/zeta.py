@@ -560,14 +560,17 @@ def _rederived(mapping, m, alpha, beta, first, stop, index_cap, term,
 
 
 def _ordinary_step(mapping) -> int:
-    """Order of sigma in the residue ring mod the prime (squared for p = 2
-    so the exponent-lift guard holds)."""
-    p = mapping.p
-    modulus = p ** (2 if p == 2 else 1)
-    lift = mapping.prime_ctx.with_precision(max(mapping.prime_ctx.precision, 4))
-    coroot = (lift.ring.trace - lift.unit_root) % modulus
+    """Order of sigma = a + b tau mod the prime (squared for p = 2 so the
+    exponent-lift guard holds): the order of a + b r, r the root T - u of
+    f = x^2 - T x + N that the prime holds.  At p = 2 one Newton step
+    lifts r to mod 4 exactly, since f'(r) = 2 r - T is odd."""
+    ctx = mapping.prime_ctx
+    p, T, N = ctx.p, ctx.ring.trace, ctx.ring.norm
+    r, modulus = (T - ctx.unit_root) % p, p
+    if p == 2:
+        r, modulus = (r - (r * r - T * r + N) * pow(2 * r - T, -1, 4)) % 4, 4
     return multiplicative_order(
-        (mapping.sigma.a + mapping.sigma.b * coroot) % modulus, modulus)
+        (mapping.sigma.a + mapping.sigma.b * r) % modulus, modulus)
 
 
 def _supersingular_step(mapping) -> int:

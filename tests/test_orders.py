@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from dynzeta.errors import (HypothesisViolated, InvalidCombination,
-                            PrecisionExhausted, SpecError, ZeroInput)
-from dynzeta.limits import PADIC_PRECISION_CAP
+                            SpecError, ZeroInput)
+from dynzeta.families import LattesOrdinary
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             _quadratic_roots_mod_p, lte_int, lte_quad,
                             lte_quat, norm_sequence, prime_context, units,
                             v_I, v_frak_p)
-from dynzeta.intarith import is_prime, v_p_strict
+from dynzeta.intarith import is_prime, v_p, v_p_strict
+from dynzeta.zeta import _ordinary_step
 
 ZI = QuadRing(0, 1)       # Z[i]
 ZW = QuadRing(-1, 1)      # Z[w], w^2 = -w - 1
@@ -96,6 +97,41 @@ class TestQuadArithmetic:
                 assert val.is_zero()
 
 
+def _split_rings(primes):
+    """(p, ring) for each imaginary Z[tau] with |T| <= 6, N in [1, 12] or
+    N = p, and a simple unit root mod p."""
+    for p in primes:
+        for T in range(-6, 7):
+            for N in sorted(set(range(1, 13)) | {p}):
+                if T * T < 4 * N and _simple_unit_roots(QuadRing(T, N), p):
+                    yield p, QuadRing(T, N)
+
+
+def _simple_unit_roots(ring, p):
+    return [r for r in _quadratic_roots_mod_p(ring.trace, ring.norm, p)
+            if r % p and (2 * r - ring.trace) % p]
+
+
+def _hensel_root(ring, p, r, k):
+    """The root of x^2 - T x + N mod p^k that is r mod p (r simple)."""
+    modulus = p
+    while modulus < p ** k:
+        modulus = min(modulus * modulus, p ** k)
+        f = r * r - ring.trace * r + ring.norm
+        r = (r - f * pow(2 * r - ring.trace, -1, modulus)) % modulus
+    return r
+
+
+def _reference_v_frak(x, ctx):
+    """v_p(N(x)) minus v_p(a + b u), u the unit root lifted to precision
+    v_p(N(x)) + 1, past the conjugate prime's valuation."""
+    nv = v_p_strict(x.norm(), ctx.p)
+    u = _hensel_root(ctx.ring, ctx.p, ctx.unit_root, nv + 1)
+    residue = (x.a + x.b * u) % ctx.p ** (nv + 1)
+    assert residue != 0
+    return nv - v_p(residue, ctx.p)
+
+
 class TestSplitPrimeValuation:
     def test_orientation_example(self):
         ctx = prime_context(ZI, 5)
@@ -123,13 +159,58 @@ class TestSplitPrimeValuation:
             v2 = v_frak_p(x.conj(), ctx)
             assert v1 + v2 == v_p_strict(x.norm(), 7)
 
-    def test_precision_past_the_cap_is_refused(self):
-        # 11 splits in Z[tau], tau^2 = tau - 11, with unit root 1 mod 11
-        ctx = prime_context(QuadRing(1, 11), 11)
-        assert PADIC_PRECISION_CAP == 1024
-        assert ctx.with_precision(1024).precision == 1024
-        with pytest.raises(PrecisionExhausted, match="precision cap 1024"):
-            ctx.with_precision(1025)
+    def test_matches_the_hensel_lifted_reference(self):
+        rng = random.Random(45)
+        checked = 0
+        for p, ring in _split_rings((2, 3, 5, 7, 11, 13, 1009)):
+            for r in _simple_unit_roots(ring, p):
+                ctx = prime_context(ring, p, unit_root=r)
+                pi = ring.elem(-r, 1)          # tau - r, in the conjugate prime
+                xs = [ring.elem(rng.randint(-50, 50), rng.randint(-50, 50))
+                      * p ** rng.randint(0, 2) for _ in range(12)]
+                e = ring.elem(rng.randint(-9, 9), rng.randint(1, 9))
+                xs += [q ** k * e for q in (pi, pi.conj()) for k in (33, 70, 130)]
+                for x in xs:
+                    if not x.is_zero():
+                        assert v_frak_p(x, ctx) == _reference_v_frak(x, ctx), (
+                            p, ring, r, x)
+                        checked += 1
+        assert checked > 9_000
+
+    def test_ordinary_step_matches_the_lifted_coroot(self):
+        # the step is the order of a + b r mod 4 at p = 2 (mod p at p = 3),
+        # r the root of x^2 - T x + N that the prime holds, lifted far
+        for p, ring in _split_rings((2, 3)):
+            modulus = 4 if p == 2 else p
+            for u in _simple_unit_roots(ring, p):
+                ctx = prime_context(ring, p, unit_root=u)
+                r = ring.trace - _hensel_root(ring, p, u, 8)
+                for a in range(-4, 5):
+                    for b in range(-4, 5):
+                        sigma = ring.elem(a, b)
+                        if (sigma.is_zero() or sigma.norm() < 2
+                                or v_frak_p(sigma, ctx) != 0):
+                            continue
+                        z = (a + b * r) % modulus
+                        order = next(k for k in range(1, modulus)
+                                     if pow(z, k, modulus) == 1)
+                        step = _ordinary_step(LattesOrdinary(ctx, sigma, 2))
+                        assert step == order, (ring, u, sigma)
+
+    def test_an_element_of_another_ring_is_refused(self):
+        # 5 is inert in Z[w], so no valuation of a Z[w] element is read
+        # under a Z[i] context
+        ctx = prime_context(ZI, 5)
+        with pytest.raises(SpecError, match="outside the context ring"):
+            v_frak_p(ZW.elem(5, 10), ctx)
+        with pytest.raises(SpecError, match="outside the context ring"):
+            lte_quad(ZW.elem(1, 1), ZW.elem(6, 1), ctx, 2)
+
+    def test_unit_root_is_keyword_only(self):
+        # an old positional precision is refused, not read as an orientation
+        with pytest.raises(TypeError):
+            prime_context(ZI, 5, 32)
+        assert prime_context(ZI, 5, unit_root=7).unit_root == 2
 
     def test_inert_prime_rejected(self):
         with pytest.raises(InvalidCombination):
