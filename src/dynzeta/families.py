@@ -14,9 +14,11 @@ with #ker x = size(x) / p^valuation(x): |x| and v_p(x) for integer
 multipliers, deg x and v_phi(x) (read off truncated powers) for additive
 maps, and for ring multipliers of elliptic curves the norm with the
 valuation at the split prime (ordinary) or v_p of the reduced norm
-(supersingular).  On G_a every term of the sum but the one at
-gamma = c0^n, c0 the F^0 coefficient of sigma, is deg(sigma)^n, so the
-sum reads one valuation and mu_d is never listed.
+(supersingular).  An inseparable map is counted so too: no count reads
+``degree``, which a rational verdict's closed form reads.  On G_a every
+term of the sum but the one at gamma = c0^n, c0 the F^0 coefficient of
+sigma, is deg(sigma)^n, so the sum reads one valuation and mu_d is never
+listed.
 
 boundary(n) counts the period-n points outside the group: a positive power
 map fixes 0 and infinity (2), a negative one swaps them (2 for even n, 0
@@ -218,12 +220,12 @@ class SubadditiveMap(_AdditiveQuotient):
 
 
 class _DegreePowers(_Quotient):
-    """A run that moves deg(sigma)^n = size(sigma^n) forward beside
+    """A run that moves size(sigma)^n = size(sigma^n) forward beside
     sigma^n, so that a kernel size reads size(sigma^n - gamma) off the
     two without squaring sigma^n."""
 
     def _power(self, sigma_n, n):
-        return sigma_n, self.degree ** n
+        return sigma_n, self.size(self.sigma) ** n
 
     def _advance(self, power, stride):
         return power[0] * stride[0], power[1] * stride[1]
@@ -406,30 +408,18 @@ def per_n_counts(m, first: int, step: int = 1, lead=None):
     """Iterator of the exact #Per_n for n = first, first + step, ...
     (step >= 1), from the family's closed form (big integers).
 
+    Every map, separable or not, is counted by its family's formula.
     Each term moves the last one's power forward by one product with the
     power of the step, which is formed only when a second term is read:
-    D^n for an inseparable map, sigma^n for an integer multiplier (and
-    sigma^(2n) for one of an elliptic curve), sigma^n and N(sigma)^n for a
-    ring multiplier, sigma^n mod F^K for an additive one.  lead, when
-    given, is sigma^first, which a caller that already holds it need not
-    have formed again; an additive map takes none.
+    sigma^n for an integer multiplier (and sigma^(2n) for one of an
+    elliptic curve), sigma^n and N(sigma)^n for a ring multiplier,
+    sigma^n mod F^K for an additive one.  lead, when given, is
+    sigma^first, which a caller that already holds it need not have
+    formed again; an additive map takes none.
     """
     if first < 1:
         raise SpecError("periods start at n = 1")
-    if classify_separability(m) == "inseparable":
-        # Inseparable iterates have squarefree fixed-point divisors, so the
-        # count is always degree^n + 1.
-        return _inseparable_counts(map_degree(m), first, step)
     return m.counts(first, step, lead)
-
-
-def _inseparable_counts(degree: int, first: int, step: int):
-    power, stride = degree ** first, None
-    while True:
-        yield power + 1
-        if stride is None:
-            stride = degree ** step
-        power *= stride
 
 
 def per_n_closed(m, n: int) -> int:

@@ -314,6 +314,39 @@ class TestExitCodes:
         assert (f"crosscheck index cap {CROSSCHECK_INDEX_CAP}"
                 in capsys.readouterr().err)
 
+    def test_a_wrong_valuation_fails_the_rational_verdict(self, monkeypatch,
+                                                          capsys):
+        # a valuation of 1 everywhere calls power d = 2 inseparable; its
+        # counts, read off the same valuation, then disagree with
+        # 1/((1 - t)(1 - 2t)) on the 30 checked terms
+        monkeypatch.setattr(dynzeta.families._Quotient, "valuation",
+                            lambda self, x: 1)
+        assert run_cli(["verdict", "--family", "power", "--p", "5",
+                        "--d", "2"]) == (4, "")
+        assert ("closed form disagrees with the count series"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("cls,argv", [
+        ("_Quotient", ["power", "--p", "3", "--d", "3"]),
+        ("_AdditiveQuotient", ["additive", "--p", "3", "--sigma", "0,1"]),
+        ("_RingMultiplier", ["lattes-ordinary", "--p", "11", "--tau", "1,11",
+                             "--sigma", "0,1"]),
+        ("LattesGenericJ", ["lattes-generic", "--p", "5", "--s", "5"]),
+    ])
+    def test_an_off_by_one_degree_fails_the_rational_verdict(
+            self, cls, argv, monkeypatch, capsys):
+        # the closed form 1/((1 - t)(1 - D t)) reads the degree D, and the
+        # counts it is checked on read only sigma, size and valuation
+        code, text = run_cli(["verdict", "--family"] + argv)
+        assert code == 0 and '"outcome":"rational"' in text
+        owner = getattr(dynzeta.families, cls)
+        degree = owner.degree
+        monkeypatch.setattr(owner, "degree",
+                            property(lambda self: degree.fget(self) + 1))
+        assert run_cli(["verdict", "--family"] + argv) == (4, "")
+        assert ("closed form disagrees with the count series"
+                in capsys.readouterr().err)
+
     def test_identity_iterate_rejected(self):
         code, _ = run_cli(["oracle", "--num", "1", "--den", "0,1", "--p", "3",
                            "--n-min", "2", "--n-max", "2"])
