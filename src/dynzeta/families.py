@@ -11,8 +11,8 @@ part.  Every family is counted by
     #Per_n = boundary(n) + (1/|Gamma|) * sum over gamma of #ker(sigma^n - gamma)
 
 with #ker x = size(x) / p^valuation(x): |x| and v_p(x) for integer
-multipliers, deg x and v_phi(x) (read off truncated powers) for additive
-maps, and for ring multipliers of elliptic curves the norm with the
+multipliers, deg x and v_phi(x) (in closed form, no power formed) for
+additive maps, and for ring multipliers of elliptic curves the norm with the
 valuation at the split prime (ordinary) or v_p of the reduced norm
 (supersingular).  An inseparable map is counted so too: no count reads
 ``degree``, which a rational verdict's closed form reads.  On G_a every
@@ -32,8 +32,9 @@ acceptance suite's torsion-enumeration oracle confirms.
 Counts come in runs along a progression n = first, first + step, ...
 (``per_n_counts``; ``per_n_closed`` is a run's first term): each term
 moves the power of sigma that the last one read forward by one product
-with sigma^step, so no term forms sigma^n from scratch.  A ring
-multiplier also moves N(sigma)^n forward, and reads each norm as
+with sigma^step, so no term forms sigma^n from scratch; an additive map
+forms no power at all.  A ring multiplier also moves N(sigma)^n forward,
+and reads each norm as
 N(sigma^n - gamma) = N(sigma)^n - Tr(sigma^n conj(gamma)) + N(gamma);
 an integer multiplier of an elliptic curve likewise moves s^(2n) forward
 and reads (s^n - gamma)^2 as s^(2n) - 2 gamma s^n + gamma^2.
@@ -53,8 +54,7 @@ from .dynmap import RatMap, poly_map, rat_map
 from .intarith import check_prime, v_p
 from .orders import (PrimeContext, QuadElem, QuadRing, QuatElem, units,
                      v_frak_p)
-from .twisted import (TwistedPoly, realize_additive, truncated_valuation,
-                      tw_mul, tw_pow, v_phi)
+from .twisted import TwistedPoly, realize_additive, v_phi, v_phi_pow_minus
 
 class _Quotient:
     """Kernel sizes #ker x = size(x) / p^valuation(x) of x = sigma^n - gamma;
@@ -141,37 +141,23 @@ class _AdditiveQuotient:
         sigma^n - w is c0^n - w, so v_phi(sigma^n - w) = 0 for every w in
         mu_d but c0^n, which is in mu_d (delta = 1) exactly when
         c0^(nd) = 1, and never for a non-constant c0 of F_p(u); then
-        v = v_phi(sigma^n - c0^n).  sigma^n mod F^K moves forward by one
-        product with sigma^step mod F^K.  A term whose valuation reaches
-        K doubles K and is formed afresh, as in v_phi_pow_minus; K is
-        kept for the terms after it."""
+        v = v_phi(sigma^n - c0^n), read off sigma by v_phi_pow_minus."""
         sigma, d = self.sigma, self.d
         p, top, c0 = sigma.ctx.p, sigma.top_index, sigma.constant_coeff()
-        trunc, power, stride = 2, None, None
         for n in count(first, step):
             full = p ** (top * n)
             total = d * full
             if c0.is_constant() and (c0 ** (n * d)).is_one():
-                v, trunc, power = truncated_valuation(sigma, n, c0 ** n,
-                                                      trunc, power)
+                v = v_phi_pow_minus(sigma, n, c0 ** n)
                 total += full // p ** v - full
             yield _orbit_count(self.boundary(n), total, d)
-            if power is not None:
-                if stride is None or stride[0] != trunc:
-                    stride = trunc, tw_pow(sigma, step, trunc)
-                power = tw_mul(power, stride[1], trunc)
 
     def boundary(self, n: int) -> int:
         return 1
 
     def _check_sigma(self):
-        """Refuse a sigma over a finite field other than F_p, and one of
-        degree below p.  A count does not depend on the field a map is
-        written over, so sigma over F_p or F_p(u) is every map there is."""
-        ctx = self.sigma.ctx
-        if ctx.flavor == "finite" and not ctx.is_prime_field:
-            raise SpecError(f"{self.name} maps need coefficients in F_p or "
-                            f"F_p(u), not {ctx!r}")
+        """Refuse a sigma of degree below p.  Its coefficients are in F_p
+        or F_p(u), as every TwistedPoly's are."""
         if self.sigma.is_zero() or self.sigma.top_index < 1:
             raise SpecError(f"{self.name} maps need degree at least p")
 
@@ -412,10 +398,10 @@ def per_n_counts(m, first: int, step: int = 1, lead=None):
     Each term moves the last one's power forward by one product with the
     power of the step, which is formed only when a second term is read:
     sigma^n for an integer multiplier (and sigma^(2n) for one of an
-    elliptic curve), sigma^n and N(sigma)^n for a ring multiplier,
-    sigma^n mod F^K for an additive one.  lead, when given, is
-    sigma^first, which a caller that already holds it need not have
-    formed again; an additive map takes none.
+    elliptic curve), and sigma^n and N(sigma)^n for a ring multiplier.
+    An additive map forms no power: each term reads one valuation off
+    sigma.  lead, when given, is sigma^first, which a caller that already
+    holds it need not have formed again; an additive map takes none.
     """
     if first < 1:
         raise SpecError("periods start at n = 1")

@@ -11,7 +11,6 @@ ELL_SEARCH_CAP           an auxiliary prime ell, or its tower bound, past it
 KERNEL_BUDGET            an ell kernel over 4 budgets (kernel depths fit one)
 CROSSCHECK_INDEX_CAP     a supersingular step that no count re-derives
 AUTOMATA_KERNEL_BUDGET   an automata-verb kernel comparing more terms
-TWISTED_POWER_COEFF_CAP  a truncated twisted power with more coefficients
 RF_GCD_DEGREE_CAP        an F_p(u) fraction reduced by a gcd of higher degree
 TORSION_INDEX_CAP        a Lattes oracle index m^n + 1, or torsion index
                          (exit 2), past it
@@ -25,7 +24,6 @@ ELL_SEARCH_CAP = 10_000_000
 KERNEL_BUDGET = 5_000_000
 CROSSCHECK_INDEX_CAP = 20_000
 AUTOMATA_KERNEL_BUDGET = 10_000_000
-TWISTED_POWER_COEFF_CAP = 32_768
 RF_GCD_DEGREE_CAP = 4096
 TORSION_INDEX_CAP = 50
 CHRISTOL_TERMS_CAP = 524_288

@@ -8,28 +8,20 @@ right factor.  The degree of a nonzero element as a polynomial map is
 p^m; only the exponent m is stored, and p^m is materialized lazily as a
 big integer where needed.
 
-Coefficients live in a finite FieldCtx or in F_p(u); the latter supports
-exactly the arithmetic, Frobenius and zero-testing that the transcendental
-linear-coefficient analysis needs.
-
-Products and powers can be truncated to the coefficients of F^0, ...,
-F^(K-1).  This is exact: F^K c = c^(p^K) F^K gives F^K R = R F^K, so the
-multiples of F^K form a two-sided ideal, and reducing mod F^K commutes
-with every product.  Concretely, the coefficient of F^k in a product only
-involves coefficients of index <= k of either factor, so a power built
-from truncated products has exactly the first K coefficients of the full
-power.  v_phi(sigma^n - omega) is read off such low coefficients, with K
-doubled until one of them is nonzero; the valuation is usually far below
-the top * n + 1 coefficients of the full power.
+Coefficients live in F_p or in F_p(u), and an element over any other
+field is refused when it is made.  The latter supports exactly the
+arithmetic, Frobenius and zero-testing that the transcendental
+linear-coefficient analysis needs.  A constant coefficient is then in
+F_p and commutes with F, so v_phi(sigma^n - omega) has a closed form
+(``v_phi_pow_minus``) and no power is formed to count.
 """
 
 from dataclasses import dataclass
 
 from .errors import (HypothesisViolated, InseparableSigma, Mismatch,
-                     ScaleExceeded, SpecError, ZeroElement)
+                     SpecError, ZeroElement)
 from .field import Poly, check_poly_scale
 from .intarith import multiplicative_order, power, v_p
-from .limits import TWISTED_POWER_COEFF_CAP
 from .sentinels import INFINITY, TRANSCENDENTAL
 
 _DIRECT_CHECK_COEFF_CAP = 4096
@@ -39,6 +31,13 @@ _DIRECT_CHECK_COEFF_CAP = 4096
 class TwistedPoly:
     ctx: object
     coeffs: tuple  # FieldElem entries, index i belongs to F^i, trimmed
+
+    def __post_init__(self):
+        # a rep of F_(p^k), k >= 2, is a base-p digit string, not an
+        # integer mod p, and a constant there need not commute with F
+        if self.ctx.flavor == "finite" and not self.ctx.is_prime_field:
+            raise SpecError(f"twisted polynomials need coefficients in F_p "
+                            f"or F_p(u), not {self.ctx!r}")
 
     @classmethod
     def from_elems(cls, ctx, elems):
@@ -98,24 +97,17 @@ def tw_sub(a: TwistedPoly, b: TwistedPoly) -> TwistedPoly:
     return tw_add(a, tw_neg(b))
 
 
-def tw_mul(a: TwistedPoly, b: TwistedPoly, trunc=None) -> TwistedPoly:
-    """Composition product with the twist rule F c = c^p F.
-
-    With ``trunc = K`` only the coefficients of F^0, ..., F^(K-1) are
-    formed; they equal those of the full product.
-    """
+def tw_mul(a: TwistedPoly, b: TwistedPoly) -> TwistedPoly:
+    """Composition product with the twist rule F c = c^p F."""
     _check(a, b)
     if a.is_zero() or b.is_zero():
         return TwistedPoly.zero(a.ctx)
-    size = len(a.coeffs) + len(b.coeffs) - 1
-    if trunc is not None:
-        size = min(size, trunc)
-    out = [a.ctx.zero()] * size
+    out = [a.ctx.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
     # nonzero (index, coefficient) pairs of b, twisted once per step in i
-    twisted = [(j, c) for j, c in enumerate(b.coeffs[:size]) if not c.is_zero()]
-    for i, ca in enumerate(a.coeffs[:size]):
+    twisted = [(j, c) for j, c in enumerate(b.coeffs) if not c.is_zero()]
+    for i, ca in enumerate(a.coeffs):
         if i > 0:
-            twisted = [(j, c.frobenius()) for j, c in twisted if i + j < size]
+            twisted = [(j, c.frobenius()) for j, c in twisted]
         if ca.is_zero():
             continue
         for j, cb in twisted:
@@ -123,11 +115,11 @@ def tw_mul(a: TwistedPoly, b: TwistedPoly, trunc=None) -> TwistedPoly:
     return TwistedPoly.from_elems(a.ctx, out)
 
 
-def tw_pow(a: TwistedPoly, n: int, trunc=None) -> TwistedPoly:
-    """a^n by repeated squaring; ``trunc`` as in :func:`tw_mul`."""
+def tw_pow(a: TwistedPoly, n: int) -> TwistedPoly:
+    """a^n by repeated squaring."""
     if n < 0:
         raise SpecError("negative twisted powers are not defined")
-    return power(lambda x, y: tw_mul(x, y, trunc), TwistedPoly.one(a.ctx), a, n)
+    return power(tw_mul, TwistedPoly.one(a.ctx), a, n)
 
 
 def tw_sub_scalar(a: TwistedPoly, omega) -> TwistedPoly:
@@ -154,21 +146,16 @@ def kernel_size_ga(sigma: TwistedPoly) -> int:
 
 
 def lte_ga(x: TwistedPoly, n: int):
-    """v_phi(x^n - 1) from v_phi(x - 1), for x congruent to 1 mod F.
-
-    Returns v_phi(x - 1) * p^(v_p(n)); cross-checked against the direct
+    """v_phi(x^n - 1) = v_phi(x - 1) * p^(v_p(n)), for x congruent to 1
+    mod F, read off ``v_phi_pow_minus``; cross-checked against the direct
     expansion whenever the coefficient count stays small.  The degenerate
-    x = 1 returns INFINITY itself, before the base is scaled, so the
-    valuation of zero is never multiplied.
+    x = 1 gives INFINITY.
     """
     ctx = x.ctx
     one = TwistedPoly.one(ctx)
-    base = v_phi(tw_sub(x, one))
-    if base is INFINITY:
-        return INFINITY
-    if base < 1:
+    if v_phi(tw_sub(x, one)) < 1:
         raise HypothesisViolated("x - 1 is not divisible by the p-power operator")
-    value = base * ctx.p ** v_p(n, ctx.p)
+    value = v_phi_pow_minus(x, n, 1)
     if (x.top_index + 1) * n <= _DIRECT_CHECK_COEFF_CAP and ctx.flavor == "finite":
         direct = v_phi(tw_sub(tw_pow(x, n), one))
         if direct != value:
@@ -177,14 +164,8 @@ def lte_ga(x: TwistedPoly, n: int):
 
 
 def constant_order(sigma: TwistedPoly):
-    """Multiplicative order of the linear coefficient, or TRANSCENDENTAL,
-    for a sigma over F_p or F_p(u), as the additive families hold.  A
-    sigma over a larger finite field is refused: its reps are not
-    integers mod p."""
+    """Multiplicative order of the linear coefficient, or TRANSCENDENTAL."""
     ctx = sigma.ctx
-    if ctx.flavor == "finite" and not ctx.is_prime_field:
-        raise SpecError(f"the linear-coefficient order needs coefficients "
-                        f"in F_p or F_p(u), not {ctx!r}")
     c0 = sigma.constant_coeff()
     if c0.is_zero():
         raise InseparableSigma("separability requires a nonzero linear coefficient")
@@ -210,42 +191,24 @@ def realize_additive(sigma: TwistedPoly) -> Poly:
 
 
 def v_phi_pow_minus(sigma: TwistedPoly, n: int, omega):
-    """v_phi(sigma^n - omega) without forming sigma^n when avoidable.
+    """v_phi(sigma^n - omega) for n >= 1, with no power formed.
 
-    The linear coefficient of sigma^n is c_0^n; when it differs from the
-    root of unity omega the valuation is zero.  Equality needs an algebraic
-    c_0: a constant in F_p(u), where F_p is algebraically closed, so no
-    power of a non-constant c_0 is formed.  Then sigma^n is formed modulo
-    F^K for K = 2, 4, 8, ... until a coefficient of index below K is
-    nonzero, or K covers all top * n + 1 coefficients of sigma^n.  A K
-    past the coefficient cap is refused rather than formed.
+    The F^0 coefficient of sigma^n - omega is c_0^n - omega, so the
+    valuation is 0 unless c_0 is constant and c_0^n = omega.  Then c_0 is
+    in F_p and commutes with F, and with tau = sigma - c_0 the binomial
+    theorem gives sigma^n - c_0^n = sum over j >= 1 of
+    C(n, j) c_0^(n - j) tau^j, whose term j has valuation j v_phi(tau).
+    The least j with a nonzero term is p^(v_p(n)) (Lucas), or n when
+    c_0 = 0.  A constant sigma = c_0 gives INFINITY, never scaled.
     """
-    return truncated_valuation(sigma, n, omega)[0]
-
-
-def truncated_valuation(sigma: TwistedPoly, n: int, omega, trunc=2,
-                        power=None):
-    """(v, K, sigma^n mod F^K) with v = v_phi(sigma^n - omega), by the
-    doubling of v_phi_pow_minus from K = trunc.
-
-    power, when given, is sigma^n mod F^trunc, and is read before any
-    power is formed; it comes back unchanged (None when none was given)
-    when c_0^n differs from omega, and formed afresh at every doubled K.
-    """
-    omega = sigma.ctx.elem(omega)
+    ctx = sigma.ctx
     c0 = sigma.constant_coeff()
-    if not c0.is_constant() or c0 ** n != omega:
-        return 0, trunc, power
-    full = sigma.top_index * n + 1
-    while True:
-        if power is None:
-            if min(trunc, full) > TWISTED_POWER_COEFF_CAP:
-                raise ScaleExceeded("twisted power too large for direct valuation")
-            power = tw_pow(sigma, n, trunc)
-        v = v_phi(tw_sub_scalar(power, omega))
-        if v is not INFINITY or trunc >= full:
-            return v, trunc, power
-        trunc, power = 2 * trunc, None
+    if not c0.is_constant() or c0 ** n != ctx.elem(omega):
+        return 0
+    v = v_phi(tw_sub_scalar(sigma, c0))
+    if v is INFINITY:
+        return v
+    return v * (n if c0.is_zero() else ctx.p ** v_p(n, ctx.p))
 
 
 def _check(a, b):

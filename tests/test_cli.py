@@ -21,7 +21,7 @@ from dynzeta.field import field_make
 from dynzeta.limits import (AUTOMATA_KERNEL_BUDGET, CHRISTOL_TERMS_CAP,
                             CROSSCHECK_INDEX_CAP, ELL_SEARCH_CAP, ENUM_CAP,
                             EXTENSION_DEGREE_CAP)
-from dynzeta.twisted import TwistedPoly, truncated_valuation
+from dynzeta.twisted import TwistedPoly, v_phi_pow_minus
 
 
 def run_cli(argv):
@@ -280,10 +280,9 @@ class TestExitCodes:
         # 3); every v = v_phi(sigma^n - 1) is even, so one more than v
         # leaves the orbit sum 2 * 16^n + 2^(4n - v - 1) = 1 mod 3
         def off_by_one(*args):
-            v, trunc, power = truncated_valuation(*args)
-            return v + 1, trunc, power
+            return v_phi_pow_minus(*args) + 1
 
-        monkeypatch.setattr("dynzeta.families.truncated_valuation", off_by_one)
+        monkeypatch.setattr("dynzeta.families.v_phi_pow_minus", off_by_one)
         fam = SubadditiveMap(TwistedPoly.from_ints(field_make(2),
                                                    [1, 0, 1, 0, 1]), 3)
         with pytest.raises(NonIntegerOrbitCount):
@@ -293,6 +292,26 @@ class TestExitCodes:
             4, "")
         assert ("not divisible by group order 3"
                 in capsys.readouterr().err)
+
+    def test_scaled_additive_valuation_exits_4(self, monkeypatch, capsys):
+        # a valuation p times too large: the tower certificate re-derives
+        # its counts off the full power sigma^m, and the count verb's
+        # oracle realizes the map, so each disagrees with the formula
+        def scaled(sigma, n, omega):
+            v = v_phi_pow_minus(sigma, n, omega)
+            return v * sigma.ctx.p if v > 0 else v
+
+        monkeypatch.setattr("dynzeta.families.v_phi_pow_minus", scaled)
+        for argv in ("verdict --family additive --p 3 --sigma 1,1",
+                     "verdict --family subadditive --p 3 --sigma 1,1 --d 2",
+                     "verdict --family additive --ratfunc --p 3 --sigma 1,u"):
+            assert run_cli(argv.split()) == (4, ""), argv
+        code, text = run_cli("count --family additive --p 3 --sigma 1,1 "
+                             "--n-max 4".split())
+        assert code == 4
+        summary = json.loads(text.splitlines()[-1])
+        assert summary["record"] == "summary" and summary["mismatches"] != "0"
+        assert "internal consistency failure" in capsys.readouterr().err
 
     def test_auxiliary_prime_past_the_search_cap(self, capsys):
         # no prime ell below ELL_SEARCH_CAP is admissible for Chebyshev
@@ -587,8 +606,8 @@ class TestFlagSpellings:
 
 class TestRegressions:
     def test_additive_p5_verdict_within_budget(self):
-        # its first re-derivation term is #Per_12544, a twisted power with
-        # 12545 coefficients unless it is truncated
+        # its first re-derivation term is #Per_12544, whose twisted power
+        # would have 12545 coefficients; the count forms none
         start = time.perf_counter()
         code, text = run_cli(["verdict", "--family", "additive", "--p", "5",
                               "--sigma", "2,1"])
@@ -618,7 +637,7 @@ class TestRegressions:
 
     def test_count_past_the_old_twisted_power_cap(self):
         # (top + 1) * n = 32800 passed the old whole-power guard; the
-        # truncated power only needs 32 coefficients
+        # valuation 5^(v_5(16400)) = 25 is read off sigma
         code, text = run_cli(["count", "--family", "additive", "--p", "5",
                               "--sigma=2,1", "--n-min", "16400",
                               "--n-max", "16400"])
@@ -626,6 +645,19 @@ class TestRegressions:
         row = next(r for r in map(json.loads, text.splitlines())
                    if r["record"] == "row")
         assert row["closed"] == str(5 ** (16400 - 25) + 1)
+
+    def test_transcendental_additive_count_at_once(self):
+        # sigma = 1 + u F over F_3(u), n = 3^10: (1 + u F)^n is not formed,
+        # and v_phi(sigma - 1) = 1 lifts to v_phi(sigma^n - 1) = 3^10 = n,
+        # so one kernel point, plus infinity
+        start = time.perf_counter()
+        code, text = run_cli("count --family additive --ratfunc --p 3 "
+                             "--sigma 1,u --n-min 59049 --n-max 59049".split())
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        row = next(r for r in map(json.loads, text.splitlines())
+                   if r["record"] == "row")
+        assert (row["n"], row["closed"], row["oracle"]) == ("59049", "2", None)
 
     def test_counts_past_the_int_string_limit(self):
         # about 5^16384: some 11,452 digits, past Python's default 4300

@@ -22,7 +22,7 @@ from dynzeta.field import (Poly, embed, extend_field, field_make,
 from dynzeta.intarith import divisors, multiplicative_order, v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
                             prime_context)
-from dynzeta.twisted import TwistedPoly, v_phi, v_phi_pow_minus
+from dynzeta.twisted import TwistedPoly, tw_pow, tw_sub_scalar, v_phi
 from dynzeta.zeta import certificate_build
 from test_acceptance import _master_grid
 
@@ -131,13 +131,12 @@ class TestOracleEquivalence:
             assert per_n_closed(shifted, n) == per_n_oracle(f, n)
 
     def test_extension_coefficients(self):
-        # sigma over F_4 or F_9 is refused when the map is made; the map
+        # sigma over F_4 or F_9 is refused when it is made; the map
         # 1 + F written over F_2 is counted and matches the oracle
         F4, F9 = field_make(2, 2), field_make(3, 2)
         for F in (F4, F9):
-            sigma = TwistedPoly.from_elems(F, [F.elem([0, 1]), F.one()])
             with pytest.raises(SpecError, match="F_p or F_p\\(u\\)"):
-                AdditiveMap(sigma)
+                AdditiveMap(TwistedPoly.from_elems(F, [F.elem([0, 1]), F.one()]))
         with pytest.raises(SpecError, match="F_p or F_p\\(u\\)"):
             SubadditiveMap(tw(F4, 1, 0, 1), 3)
         with pytest.raises(SpecError, match="F_p or F_p\\(u\\)"):
@@ -424,30 +423,37 @@ def _ref_classify_separability(m):
 
 
 def _ref_subadditive_roots(m):
-    """sigma over a field holding mu_d, and the d roots found by walking
-    that field; over F_p(u) the roots are constants, so d | p - 1."""
+    """The d roots of mu_d, found by walking a field that holds them; over
+    F_p(u) the roots are constants, so d | p - 1."""
     ctx = m.sigma.ctx
     if ctx.flavor == "ratfunc":
         roots = [ctx.from_int(a) for a in range(1, ctx.p)
                  if pow(a, m.d, ctx.p) == 1]
         assert len(roots) == m.d
-        return m.sigma, tuple(roots)
+        return tuple(roots)
     q = ctx.order
     e = 1
     while (q ** e - 1) % m.d != 0:
         e += 1
     ext = ctx if e == 1 else extend_field(ctx, e)
-    sigma = TwistedPoly.from_elems(ext, [embed(c, ext) for c in m.sigma.coeffs])
     roots = [z for z in ext.elements()
              if not z.is_zero() and (z ** m.d).is_one()]
     assert len(roots) == m.d
-    return sigma, tuple(roots)
+    return tuple(roots)
 
 
 def _ref_ga_count(sigma, roots, n):
-    """1 + (1/|roots|) sum over w in roots of p^(top n - v_phi(sigma^n - w))."""
+    """1 + (1/|roots|) sum over w in roots of p^(top n - v_phi(sigma^n - w)).
+
+    The F^0 coefficient of sigma^n - w is c0^n - w, so v_phi(sigma^n - w)
+    is 0 unless w = c0^n; then it is read off the full power sigma^n,
+    formed over sigma's own field."""
     def kernel(w, k):
-        v = v_phi_pow_minus(sigma, k, w)
+        c = sigma.constant_coeff() ** k
+        if w != (c if w.ctx == sigma.ctx else embed(c, w.ctx)):
+            v = 0
+        else:
+            v = v_phi(tw_sub_scalar(tw_pow(sigma, k), c))
         return sigma.ctx.p ** (sigma.top_index * k - v)
 
     return per_n_template(1, roots, kernel, n)
@@ -473,11 +479,11 @@ def test_subadditive_counts_match_the_mu_d_walk(p, k):
     # runs as a certificate reads them (first >= 1, step > 1) against the
     # orbit sum over the d roots found by walking the field that holds them
     for m in _subadditive_grid(p, k):
-        sigma, roots = _ref_subadditive_roots(m)
+        roots = _ref_subadditive_roots(m)
         for first, step in ((1, 2), (3, 2), (2, 3)):
             counts = per_n_counts(m, first, step)
             for n in range(first, first + 4 * step, step):
-                assert next(counts) == _ref_ga_count(sigma, roots, n), (m, n)
+                assert next(counts) == _ref_ga_count(m.sigma, roots, n), (m, n)
 
 
 @pytest.mark.parametrize("coeffs", [((2, 0), (0, 1)), ((1, 0), (0, 0), (1, 1)),
@@ -490,11 +496,11 @@ def test_subadditive_counts_over_f3u_match_the_mu_2_walk(coeffs):
     m = SubadditiveMap(TwistedPoly.from_elems(
         F3u, [F3u.from_int(a) + F3u.from_int(b) * F3u.u() for a, b in coeffs]),
         2)
-    sigma, roots = _ref_subadditive_roots(m)
+    roots = _ref_subadditive_roots(m)
     for first, step in ((1, 1), (1, 2), (3, 2)):
         counts = per_n_counts(m, first, step)
         for n in range(first, first + 6 * step, step):
-            assert next(counts) == _ref_ga_count(sigma, roots, n), n
+            assert next(counts) == _ref_ga_count(m.sigma, roots, n), n
 
 
 def test_subadditive_mu_11_over_f3_within_budget():
@@ -535,7 +541,7 @@ def _ref_per_n_closed(m, n):
         return per_n_template(
             1, (1, -1), lambda g, k: _ref_gm_kernel(m.d ** k - g, m.p), n)
     if isinstance(m, SubadditiveMap):
-        return _ref_ga_count(*_ref_subadditive_roots(m), n)
+        return _ref_ga_count(m.sigma, _ref_subadditive_roots(m), n)
     if isinstance(m, AdditiveMap):
         return _ref_ga_count(m.sigma, (m.sigma.ctx.one(),), n)
     if isinstance(m, LattesGenericJ):
@@ -652,11 +658,10 @@ def test_count_runs_match_the_reference_at_every_index(fam, first, step,
 @pytest.mark.parametrize("p,coeffs,step", [(2, (1, 1, 1), 1),
                                             (5, (1, 1, 1), 5),
                                             (3, (1, 0, 1, 1), 3)])
-def test_additive_runs_through_doubled_truncations(p, coeffs, step):
+def test_additive_runs_through_growing_valuations(p, coeffs, step):
     # v_phi(sigma^n - 1) grows as p^(v_p(n)) for sigma = 1 + ..., so a run
-    # doubles K on the way and must move the power on with sigma^step
-    # mod F^K at each new K; the last run reads a wrong count at n = 27
-    # from a step power kept at an earlier K
+    # along multiples of p reads a larger valuation at each power of p;
+    # the last run's valuation at n = 27 is nine times that at n = 3
     fam = AdditiveMap(tw(field_make(p), *coeffs))
     counts = per_n_counts(fam, step, step)
     for n in range(step, 40, step):

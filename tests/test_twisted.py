@@ -158,7 +158,8 @@ class TestConstantOrder:
             assert constant_order(TwistedPoly.from_elems(F, [c, F.one()])) == _order(c)
 
     def test_every_unit_of_an_extension_refused(self):
-        # a rep of F_9 is a base-3 digit string, not an integer mod 3
+        # a rep of F_9 is a base-3 digit string, not an integer mod 3, so
+        # no sigma over F_9 is made
         F9 = field_make(3, 2)
         units = [c for c in F9.elements() if not c.is_zero()]
         assert len(units) == 8
@@ -195,93 +196,78 @@ def _order(c):
     return order
 
 
-# F_2, F_3, F_5 and the flat extensions F_(2^3), F_(3^2), which hold the
-# lifted sigma of a subadditive map
-TRUNCATION_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2)]
-
-
-def _random_tw(F, rng, length):
-    return TwistedPoly.from_elems(
-        F, [F.elem_at(rng.randrange(F.order)) for _ in range(length)])
-
-
-class TestTruncatedProducts:
-    @pytest.mark.parametrize("p,k", TRUNCATION_FIELDS)
-    def test_mul_keeps_low_coefficients(self, p, k):
-        F = field_make(p, k)
-        rng = random.Random(100 * p + k)
-        for _ in range(40):
-            a = _random_tw(F, rng, rng.randint(0, 6))
-            b = _random_tw(F, rng, rng.randint(0, 6))
-            full = tw_mul(a, b)
-            for trunc in range(1, len(full.coeffs) + 2):
-                assert tw_mul(a, b, trunc) == TwistedPoly.from_elems(
-                    F, full.coeffs[:trunc])
-
-    @pytest.mark.parametrize("p,k", TRUNCATION_FIELDS)
-    def test_pow_keeps_low_coefficients(self, p, k):
-        F = field_make(p, k)
-        rng = random.Random(200 * p + k)
-        for _ in range(25):
-            a = _random_tw(F, rng, rng.randint(1, 4))
-            n = rng.randint(0, 2 * p * p)
-            full = tw_pow(a, n)
-            for trunc in (1, 2, 3, 5, 8, 13):
-                assert tw_pow(a, n, trunc) == TwistedPoly.from_elems(
-                    F, full.coeffs[:trunc])
-
-    def test_ratfunc_coefficients(self, F3u):
-        u = F3u.u()
-        pool = [F3u.zero(), F3u.one(), -F3u.one(), u, u + 1, u * u]
-        rng = random.Random(5)
-        for _ in range(20):
-            a = TwistedPoly.from_elems(F3u, [rng.choice(pool) for _ in range(3)])
-            b = TwistedPoly.from_elems(F3u, [rng.choice(pool) for _ in range(3)])
-            full = tw_mul(a, b)
-            for trunc in (1, 2, 3, 4):
-                assert tw_mul(a, b, trunc) == TwistedPoly.from_elems(
-                    F3u, full.coeffs[:trunc])
-
-
-class TestTruncatedValuation:
+class TestClosedFormValuation:
     """v_phi_pow_minus against the valuation of the full power."""
 
     @staticmethod
-    def _sigmas(F, rng):
-        nonzero = [z for z in F.elements() if not z.is_zero()]
-        out = [TwistedPoly.from_elems(F, [rng.choice(nonzero)])]  # top 0
+    def _sigmas(F, units, pool, rng):
+        out = [TwistedPoly.from_elems(F, [rng.choice(units)])]  # top 0
         for top in (1, 2, 3):
-            # 1 + c F^top: (sigma^(p^j) - 1) has valuation top * p^j, its
-            # top index, so the doubling has to reach every coefficient
+            # c + c' F^top: (sigma^(p^j) - c^(p^j)) has valuation top * p^j,
+            # its top index
             out.append(TwistedPoly.from_elems(
-                F, [F.one()] + [F.zero()] * (top - 1) + [rng.choice(nonzero)]))
-            for _ in range(3):
-                mid = [F.elem_at(rng.randrange(F.order)) for _ in range(top - 1)]
+                F, [rng.choice(units)] + [F.zero()] * (top - 1)
+                + [rng.choice(units)]))
+            for c0 in (rng.choice(units), rng.choice(units), F.zero()):
+                mid = [rng.choice(pool) for _ in range(top - 1)]
                 out.append(TwistedPoly.from_elems(
-                    F, [rng.choice(nonzero)] + mid + [rng.choice(nonzero)]))
+                    F, [c0] + mid + [rng.choice(units)]))
         return out
 
-    @pytest.mark.parametrize("p,k", TRUNCATION_FIELDS)
-    def test_matches_full_power(self, p, k):
-        F = field_make(p, k)
-        rng = random.Random(300 * p + k)
-        # every nonzero element is a root of unity, so omega covers mu_d
-        # for each d | q - 1, the roots a subadditive map uses
-        omegas = [z for z in F.elements() if not z.is_zero()]
+    @staticmethod
+    def _check(F, sigmas, omegas, max_top_n):
+        # every omega against every sigma: 0 unless omega = c0^n, and
+        # otherwise the valuation of the full power sigma^n - omega
         hits = 0
-        for sigma in self._sigmas(F, rng):
-            m = _order(sigma.constant_coeff())
-            exps = {1, 2, p, p * p, 2 * p}
-            exps |= {m * t for t in (1, p, p * p, 3)}
+        for sigma in sigmas:
+            p, c0 = F.p, sigma.constant_coeff()
+            exps = {1, 2, 3, p, p * p, 2 * p}
+            if c0.is_constant() and not c0.is_zero():
+                m = _order(c0)
+                exps |= {m * t for t in (1, p, p * p, 3)}
             for n in sorted(exps):
-                if sigma.top_index * n > 400:
+                if sigma.top_index * n > max_top_n:
                     continue
                 power = tw_pow(sigma, n)
                 for omega in omegas:
                     direct = v_phi(tw_sub_scalar(power, omega))
-                    assert v_phi_pow_minus(sigma, n, omega) == direct
+                    assert v_phi_pow_minus(sigma, n, omega) == direct, (
+                        sigma, n, omega)
                     hits += direct != 0
-        assert hits > 20
+        return hits
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_full_power_over_f_p(self, p):
+        F = field_make(p)
+        rng = random.Random(300 * p)
+        units = [z for z in F.elements() if not z.is_zero()]
+        # every unit is a root of unity, so omega covers mu_d for each
+        # d | p - 1, the roots a subadditive map uses; omega = 0 meets
+        # the c0 = 0 sigmas
+        sigmas = self._sigmas(F, units, list(F.elements()), rng)
+        assert self._check(F, sigmas, list(F.elements()), 400) > 20
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_full_power_over_f_p_u(self, p):
+        F = ratfunc_field(p)
+        u = F.u()
+        rng = random.Random(400 * p)
+        constants = [F.from_int(a) for a in range(1, p)]
+        units = constants + [u, u + 1, u * u - 1]
+        sigmas = self._sigmas(F, units, [F.zero()] + units, rng)
+        assert self._check(F, sigmas, [F.zero()] + constants, 12) > 10
+
+    def test_extension_coefficients_refused(self):
+        # F_8 and F_9 hold no sigma: its reps are not integers mod p
+        for F in (field_make(2, 3), field_make(3, 2)):
+            with pytest.raises(SpecError, match="F_p or F_p"):
+                TwistedPoly.from_elems(F, [F.one(), F.one()])
+
+    def test_power_of_two_at_once(self, F2):
+        # (1 + F)^(2^20) - 1 = F^(2^20), a power of 2^20 + 1 coefficients
+        start = time.perf_counter()
+        assert v_phi_pow_minus(tw(F2, 1, 1), 2 ** 20, 1) == 2 ** 20
+        assert time.perf_counter() - start < 1.0
 
     def test_additive_one_plus_frobenius(self, F2):
         # (1 + F)^(2^j) = 1 + F^(2^j) over F_2

@@ -753,7 +753,7 @@ class TestCertificates:
 
     def test_additive_top_two_certifies(self):
         # (top + 1) * m * (ell - 1) = 3 * 4 * 3136 passes the old whole-power
-        # guard, but the truncated power needs few coefficients
+        # guard, but its count reads the valuation off sigma
         cert = certificate_build(AdditiveMap(
             TwistedPoly.from_ints(field_make(5), [2, 2, 1])))
         assert (cert.m, cert.ell) == (4, 3137)
