@@ -293,19 +293,31 @@ class TestExitCodes:
         assert ("not divisible by group order 3"
                 in capsys.readouterr().err)
 
-    def test_scaled_additive_valuation_exits_4(self, monkeypatch, capsys):
-        # a valuation p times too large: the tower certificate re-derives
-        # its counts off the full power sigma^m, and the count verb's
-        # oracle realizes the map, so each disagrees with the formula
+    @staticmethod
+    def _scale_additive_valuation(monkeypatch):
+        # a valuation p times too large
         def scaled(sigma, n, omega):
             v = v_phi_pow_minus(sigma, n, omega)
             return v * sigma.ctx.p if v > 0 else v
 
         monkeypatch.setattr("dynzeta.families.v_phi_pow_minus", scaled)
-        for argv in ("verdict --family additive --p 3 --sigma 1,1",
-                     "verdict --family subadditive --p 3 --sigma 1,1 --d 2",
-                     "verdict --family additive --ratfunc --p 3 --sigma 1,u"):
-            assert run_cli(argv.split()) == (4, ""), argv
+
+    @pytest.mark.parametrize("argv", [
+        "verdict --family additive --p 3 --sigma 1,1",
+        "verdict --family subadditive --p 3 --sigma 1,1 --d 2",
+        "verdict --family additive --ratfunc --p 3 --sigma 1,u",
+    ])
+    def test_scaled_additive_valuation_exits_4(self, monkeypatch, argv):
+        # the tower certificate re-derives its counts off the full power
+        # sigma^m, so it disagrees with the scaled formula
+        self._scale_additive_valuation(monkeypatch)
+        assert run_cli(argv.split()) == (4, "")
+
+    def test_scaled_additive_valuation_fails_the_oracle(self, monkeypatch,
+                                                        capsys):
+        # the count verb's oracle realizes the map, so it disagrees with
+        # the scaled formula
+        self._scale_additive_valuation(monkeypatch)
         code, text = run_cli("count --family additive --p 3 --sigma 1,1 "
                              "--n-max 4".split())
         assert code == 4
