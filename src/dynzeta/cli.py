@@ -57,6 +57,8 @@ class JobSpec:
             raise SpecError(f"unsupported job schema {data.get('schema')!r}")
         if "command" not in data:
             raise SpecError("job file lacks a command")
+        if not isinstance(data["command"], str):
+            raise SpecError("job command must be a string")
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise SpecError("job params must be a JSON object")
@@ -625,11 +627,13 @@ def make_parser():
 def compile_spec(args) -> JobSpec:
     job = getattr(args, "job", None)
     if job:
-        with open(job, "r", encoding="utf-8") as handle:
-            try:
+        try:
+            with open(job, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise SpecError(f"job file is not JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecError(f"job file cannot be read: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"job file is not JSON: {exc}") from None
         return JobSpec.from_dict(data)
     if not args.command:
         raise SpecError("no command given (and no --job file)")

@@ -64,12 +64,11 @@ class _Quotient:
     ``_advance`` with the power of the step; ``_kernel`` reads
     #ker(sigma^n - gamma) off it."""
 
-    def counts(self, first: int, step: int, lead=None):
+    def counts(self, first: int, step: int):
         """#Per_n for n = first, first + step, ...: one product per term,
-        with sigma^step formed when the second term is read.  lead, when
-        given, is sigma^first."""
+        with sigma^step formed when the second term is read."""
         n, stride = first, None
-        power = self._power(self.sigma ** first if lead is None else lead, first)
+        power = self._power(self.sigma ** first, first)
         while True:
             yield per_n_template(self.boundary(n), self.gammas,
                                  partial(self._kernel, power), n)
@@ -135,7 +134,7 @@ class ChebyshevMap(_Quotient):
 class _AdditiveQuotient:
     """x -> sigma x on G_a, quotient by mu_d (d = 1 for an additive map)."""
 
-    def counts(self, first: int, step: int, _lead=None):
+    def counts(self, first: int, step: int):
         """#Per_n = 1 + ((d - delta) p^(top n) + delta p^(top n - v)) / d
         for n = first, first + step, ...  The F^0 coefficient of
         sigma^n - w is c0^n - w, so v_phi(sigma^n - w) = 0 for every w in
@@ -390,7 +389,7 @@ def classify_separability(m) -> str:
     return "inseparable" if m.valuation(m.sigma) != 0 else "separable"
 
 
-def per_n_counts(m, first: int, step: int = 1, lead=None):
+def per_n_counts(m, first: int, step: int = 1):
     """Iterator of the exact #Per_n for n = first, first + step, ...
     (step >= 1), from the family's closed form (big integers).
 
@@ -400,12 +399,11 @@ def per_n_counts(m, first: int, step: int = 1, lead=None):
     sigma^n for an integer multiplier (and sigma^(2n) for one of an
     elliptic curve), and sigma^n and N(sigma)^n for a ring multiplier.
     An additive map forms no power: each term reads one valuation off
-    sigma.  lead, when given, is sigma^first, which a caller that already
-    holds it need not have formed again; an additive map takes none.
+    sigma.
     """
     if first < 1:
         raise SpecError("periods start at n = 1")
-    return m.counts(first, step, lead)
+    return m.counts(first, step)
 
 
 def per_n_closed(m, n: int) -> int:

@@ -103,9 +103,6 @@ class FieldCtx:
     def int_rep(self, n):
         return n % self.p
 
-    def frobenius(self, a, times):
-        return self.pow(a, self.p ** times)
-
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other):

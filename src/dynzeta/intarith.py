@@ -5,14 +5,19 @@ import math
 
 import numpy as np
 
-from .errors import NoAdmissibleEll, NotPrime, SpecError, ZeroInput
+from .errors import (NoAdmissibleEll, NotPrime, ScaleExceeded, SpecError,
+                     ZeroInput)
+from .limits import PRIME_CAP
 from .sentinels import INFINITY
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Miller-Rabin to the first 13 prime bases: exact below PRIME_CAP =
+    psi_13 ~ 3.3e24, the least strong pseudoprime to all of them
+    (Sorenson and Webster, Math. Comp. 86, 2017), and a probable-prime
+    test at and past it."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -51,8 +56,14 @@ def power(mul, one, a, e: int):
 
 
 def check_prime(p: int) -> int:
+    """p when is_prime proves it prime; NotPrime for a composite (a
+    Miller-Rabin witness proves it at any size), ScaleExceeded for a
+    probable prime at or past PRIME_CAP."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if p >= PRIME_CAP:
+        raise ScaleExceeded(
+            f"{p} is at or past the primality proof cap {PRIME_CAP}")
     return p
 
 

@@ -15,6 +15,8 @@ RF_GCD_DEGREE_CAP        an F_p(u) fraction reduced by a gcd of higher degree
 TORSION_INDEX_CAP        a Lattes oracle index m^n + 1, or torsion index
                          (exit 2), past it
 CHRISTOL_TERMS_CAP       a Christol root with more terms
+PRIME_CAP                a prime p at or past it, where Miller-Rabin to the
+                         first 13 prime bases proves no primality
 """
 
 POLY_DEGREE_CAP = 10_000
@@ -27,3 +29,4 @@ AUTOMATA_KERNEL_BUDGET = 10_000_000
 RF_GCD_DEGREE_CAP = 4096
 TORSION_INDEX_CAP = 50
 CHRISTOL_TERMS_CAP = 524_288
+PRIME_CAP = 3_317_044_064_679_887_385_961_981  # psi_13

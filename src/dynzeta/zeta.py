@@ -20,9 +20,9 @@ certificate that fails its own consistency checks gives the weaker outcome
 "inconclusive".
 """
 
+import functools
 import math
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -50,10 +50,6 @@ MAX_ELL_DEPTH = 4
 CLASS_PREFIX = 64     # kernel prefix of the valuation classes
 MAX_P_DEPTH = 10
 EVIDENCE_CACHE_SIZE = 64  # residue sequences whose evidence is kept
-
-# (shape, ratio, a1, alpha, beta, p, ell) -> (values prefix, ell kernel,
-# p kernel, control, period scan), least recently used first
-_evidence_cache = OrderedDict()
 
 # -- series ------------------------------------------------------------------------
 
@@ -362,52 +358,50 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
     """Certificate for the sequence described by (shape, ratio, a1, alpha, beta).
 
     rederived yields (n, term) pairs computed from exact periodic-point
-    counts; each must equal the sequence's term n.
+    counts; each must equal the sequence's term n, residue_term at the
+    valuation of the n-th term of the driving progression.  An ell whose
+    kernel costs more than four budgets is refused before any count (the
+    indices m k grow with ell), and a wrong count before any evidence is
+    formed.
+    """
+    _ell_kernel_plan(ell)
+    term = residue_term(shape, ratio, a1, p, ell)[0]
+    drive_alpha, drive_beta = driving_progression(shape, alpha, beta)
+    checked = 0
+    for n, derived in rederived:
+        if derived != term(v_p(drive_alpha * n + drive_beta, p)):
+            raise Mismatch(f"{family} certificate fails count re-derivation at n={n}")
+        checked += 1
+    return Certificate(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
+                       *_evidence(shape, ratio, a1, alpha, beta, p, ell),
+                       checked)
 
-    The plan precedes every term: refuse an ell whose kernel costs more
-    than four budgets (before any count: the indices m k grow with ell),
-    choose the control (the values' own base-p kernel runs only at a depth
-    two past the value profile's period), then form one prefix of
-    max(PERIOD_TERMS, ell^depth * prefix) values for the scan's first
-    window and the base-ell kernel.  No kernel reads past four budgets: a
-    base-p kernel of depth >= 2 fits one budget, the values run only at
-    depth >= 3, and at depth 1 p < ell, whose kernel has passed.  The
-    base-p control, of the values or of the saturated valuation classes,
-    is read from the driving progression by progression_kernel, one sieve
-    row per depth, so it reads no term of the prefix and forms no
-    p^depth-row array.
 
-    The evidence (the first PERIOD_TERMS values, both kernel reports, the
-    control and the period scan) is kept per key (shape, ratio, a1,
-    alpha, beta, p, ell) in an LRU memo of EVIDENCE_CACHE_SIZE entries.
-    It is exact: the residue sequence and every plan size are functions
-    of those seven integers alone, so maps that share them share one
-    sequence, and the entry holds only immutable objects.  The plan and
-    the re-derivation are never cached: every certificate re-derives its
-    own counts, against the cached prefix on a hit (every re-derived n is
-    below 48), and on a miss before any kernel runs.  A one-shot CLI call
-    builds one certificate, so it sees no change.
+@functools.lru_cache(maxsize=EVIDENCE_CACHE_SIZE)
+def _evidence(shape, ratio, a1, alpha, beta, p, ell):
+    """(values prefix, ell kernel, p kernel, control, period scan) of the
+    residue sequence with that key; every plan size is a function of the
+    seven integers alone, so maps that share them share one evidence.
+
+    The plan precedes every term: choose the control (the values' own
+    base-p kernel runs only at a depth two past the value profile's
+    period), then form one prefix of max(PERIOD_TERMS, ell^depth *
+    prefix) values for the scan's first window and the base-ell kernel.
+    No kernel reads past four budgets: a base-p kernel of depth >= 2 fits
+    one budget, the values run only at depth >= 3, and at depth 1 p < ell,
+    whose kernel has passed.  The base-p control, of the values or of the
+    saturated valuation classes, is read from the driving progression by
+    progression_kernel, one sieve row per depth, so it reads no term of
+    the prefix and forms no p^depth-row array.
     """
     ell_prefix, ell_depth = _ell_kernel_plan(ell)
     kernel_budget = 4 * KERNEL_BUDGET
     p_depth_values = _fit_depth(p, KERNEL_PREFIX, KERNEL_BUDGET, MAX_P_DEPTH)
     depth_cap = _fit_depth(p, CLASS_PREFIX, KERNEL_BUDGET, MAX_P_DEPTH)
     try_values = _control_period(shape, ratio, a1, p, ell) + 2 <= p_depth_values
-    horizon = max(PERIOD_TERMS, ell ** ell_depth * ell_prefix)
     key = (shape, ratio, a1, alpha, beta, p, ell)
-    evidence = _evidence_cache.get(key)
-    values = (residue_sequence(*key, horizon) if evidence is None
-              else evidence[0])
-    checked = 0
-    for n, derived in rederived:
-        if derived != values[n]:
-            raise Mismatch(f"{family} certificate fails count re-derivation at n={n}")
-        checked += 1
-    if evidence is not None:
-        _evidence_cache.move_to_end(key)
-        return Certificate(family, shape, m, ell, p, ratio, alpha, beta, a1,
-                           v0, *evidence, checked)
-
+    values = residue_sequence(*key, max(PERIOD_TERMS,
+                                        ell ** ell_depth * ell_prefix))
     ell_kernel = kernel_explore(values, ell, ell_depth, ell_prefix,
                                 budget=kernel_budget)
 
@@ -442,12 +436,7 @@ def _build_detectors(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
         p_kernel = progression_kernel(*drive, p, lambda v: min(v, sat),
                                       np.min_scalar_type(sat), depth_cap,
                                       CLASS_PREFIX, budget=kernel_budget)
-    evidence = (values, ell_kernel, p_kernel, control, period)
-    _evidence_cache[key] = evidence
-    if len(_evidence_cache) > EVIDENCE_CACHE_SIZE:
-        _evidence_cache.popitem(last=False)
-    return Certificate(family, shape, m, ell, p, ratio, alpha, beta, a1, v0,
-                       *evidence, checked)
+    return values, ell_kernel, p_kernel, control, period
 
 
 def _geometric_certificate(mapping):
@@ -469,11 +458,11 @@ def _geometric_certificate(mapping):
     of terms re-derived.  The auxiliary prime ell > p is the least with
     ell = 2 mod that modulus (3 when p = 2) dividing none of the map degree,
     |Gamma|, ratio - 1 and main.  The re-derived counts are one run along
-    the progression: the first reads sigma^(m beta), formed once here for
-    main and the others, and each later one moves that power forward by
-    one product with sigma^(m alpha), formed only when a second count is
-    read.  Re-derivation stops after the term count, or once m k passes
-    the crosscheck index cap (never before n = 1).  A
+    the progression: the first forms sigma^(m beta) itself, as main and
+    the others did, and each later one moves it forward by one product
+    with sigma^(m alpha), formed only when a second count is read.
+    Re-derivation stops after the term count, or once m k passes the
+    crosscheck index cap (never before n = 1).  A
     class with no prime below the prime search cap, or whose least prime
     already has a base-ell kernel over budget, is refused before any power
     of sigma is formed.
@@ -502,7 +491,7 @@ def _geometric_certificate(mapping):
     _ell_kernel_plan(least)
     sig_m = sigma ** m
     v0 = mapping.valuation(sig_m - one)
-    lead = sig_m ** beta
+    sig_mb = sig_m ** beta
     others = []
     for g in mapping.gammas:
         if g == one:
@@ -510,9 +499,9 @@ def _geometric_certificate(mapping):
         c = mapping.valuation(one - g)
         if c >= v0:
             raise Mismatch("unit valuation not dominated (internal)")
-        others.append((mapping.size(lead - g), c))
+        others.append((mapping.size(sig_mb - g), c))
     group, ratio = len(mapping.gammas), p ** e
-    main = mapping.size(lead - one)
+    main = mapping.size(sig_mb - one)
     degree = map_degree(mapping)
 
     ell = first_prime_where(
@@ -535,23 +524,21 @@ def _geometric_certificate(mapping):
         return pow(residue, -1, ell) if residue else 0  # 0 is no unit: no term
 
     rederived = _rederived(mapping, m, alpha, beta, 0, terms,
-                           CROSSCHECK_INDEX_CAP, term, lead)
+                           CROSSCHECK_INDEX_CAP, term)
     return _build_detectors(mapping.name, "geometric", m, ell, p, ratio % ell,
                             alpha, beta, 0, v0, rederived)
 
 
-def _rederived(mapping, m, alpha, beta, first, stop, index_cap, term,
-               lead=None):
+def _rederived(mapping, m, alpha, beta, first, stop, index_cap, term):
     """Yield (n, term(k, #Per_(m k))) along k = alpha*n + beta.
 
     n runs over first <= n < stop and ends early at the first n > first
     whose count index m k passes index_cap.  The counts are one run of
     per_n_counts with step m alpha, so each moves the last one's power
     forward by one product, and a run that the cap stops after one count
-    forms no power past the first; lead, when given, is the multiplier's
-    power at the first count index.
+    forms no power past the first.
     """
-    counts = per_n_counts(mapping, m * (alpha * first + beta), m * alpha, lead)
+    counts = per_n_counts(mapping, m * (alpha * first + beta), m * alpha)
     for n in range(first, stop):
         k = alpha * n + beta
         if n > first and m * k > index_cap:

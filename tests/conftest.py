@@ -8,7 +8,7 @@ from dynzeta.field import field_make, ratfunc_field
 def cold_evidence():
     """Every test starts with no verdict evidence kept, so a test that
     watches a certificate being built sees the cold path."""
-    zeta._evidence_cache.clear()
+    zeta._evidence.cache_clear()
 
 
 @pytest.fixture(scope="session")

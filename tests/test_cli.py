@@ -20,7 +20,7 @@ from dynzeta.families import SubadditiveMap, per_n_closed
 from dynzeta.field import field_make
 from dynzeta.limits import (AUTOMATA_KERNEL_BUDGET, CHRISTOL_TERMS_CAP,
                             CROSSCHECK_INDEX_CAP, ELL_SEARCH_CAP, ENUM_CAP,
-                            EXTENSION_DEGREE_CAP)
+                            EXTENSION_DEGREE_CAP, PRIME_CAP)
 from dynzeta.twisted import TwistedPoly, v_phi_pow_minus
 
 
@@ -190,6 +190,26 @@ class TestExitCodes:
         code, _ = run_cli(["count", "--family", "power", "--p", "4", "--d",
                            "2", "--n-max", "2"])
         assert code == 2
+
+    # psi_12 and psi_13 (Sorenson and Webster 2017): the least strong
+    # pseudoprimes to the first 12 and 13 prime bases
+    PSI_12 = 399_165_290_221 * 798_330_580_441
+    PSI_13 = 1_287_836_182_261 * 2_575_672_364_521
+
+    @pytest.mark.parametrize("p,code,reason", [
+        (PSI_12, 2, "is not prime"),
+        (PSI_13, 3, "primality proof cap"),
+    ])
+    def test_strong_pseudoprimes_are_refused(self, p, code, reason, capsys):
+        assert p < PRIME_CAP if code == 2 else p == PRIME_CAP
+        assert run_cli(["count", "--family", "power", "--p", str(p), "--d",
+                        "2", "--n-max", "2"]) == (code, "")
+        assert reason in capsys.readouterr().err
+
+    def test_a_prime_below_the_proof_cap_is_accepted(self):
+        code, text = run_cli(["count", "--family", "power", "--p",
+                              str(2 ** 61 - 1), "--d", "2", "--n-max", "2"])
+        assert code == 0 and '"record":"row"' in text
 
     def test_degree_one_power_rejected(self):
         code, _ = run_cli(["count", "--family", "power", "--p", "3", "--d",
@@ -421,6 +441,22 @@ class TestSpecValidation:
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"command": "count", "params": [3, 2]}))
         assert run_cli(["--job", str(path)]) == (2, "")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8",
+                                      "list-command", "object-command"])
+    def test_unreadable_job_file_or_command_refused(self, kind, tmp_path,
+                                                    capsys):
+        path = tmp_path / "job.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b'{"command": "count\xff"}')
+        elif kind != "missing":
+            command = ["count"] if kind == "list-command" else {"c": "count"}
+            path.write_text(json.dumps({"command": command, "params": {
+                "family": "power", "p": 3, "d": 2}}))
+        assert run_cli(["--job", str(path)]) == (2, "")
+        assert capsys.readouterr().err.startswith("error: job ")
 
     def test_job_file_not_json(self, tmp_path):
         path = tmp_path / "job.json"

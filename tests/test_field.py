@@ -308,7 +308,7 @@ def test_embedding_through_towers():
     # F_81 is reached from F_9 by extend_field, but only F_3 embeds in it
     F9 = field_make(3, 2)
     F81 = extend_field(F9, 2)
-    for x in (F9.elem([0, 1]), F9.one(), F9.elem([0, 1]).frobenius()):
+    for x in (F9.elem([0, 1]), F9.one()):
         with pytest.raises(SpecError, match="F_p into its extensions"):
             embed(x, F81)
     F3 = field_make(3)
@@ -348,7 +348,6 @@ def test_embed_is_an_injective_ring_homomorphism(p, a, b):
     assert image[src.zero()].is_zero() and image[src.one()].is_one()
     for x, y in image.items():
         assert y.ctx == target
-        assert y.frobenius() == y  # the image lies in F_p
         assert embed(-x, target) == -y
         if not x.is_zero():
             assert embed(x.inverse(), target) == y.inverse()
@@ -421,8 +420,6 @@ def test_flat_extension_matches_coefficient_lists(p, k):
         assert x + y == elem(modpoly.add(a, b, p))
         assert x - y == elem(modpoly.sub(a, b, p))
         assert -x == elem(modpoly.neg(a, p))
-        assert x.frobenius() == elem(power(a, p))
-        assert x.frobenius(k - 1) == elem(power(a, p ** (k - 1)))
         e = rng.randrange(-3 * ctx.order, 3 * ctx.order)
         if b:
             assert x / y == elem(reduce(modpoly.mul(a, power(b, -1), p)))
@@ -475,7 +472,6 @@ def test_large_flat_extension_matches_coefficient_lists():
         assert x * y == elem(reduce(modpoly.mul(a, b, 997)))
         assert x + y == elem(modpoly.add(a, b, 997))
         assert -x == elem(modpoly.neg(a, 997))
-        assert x.frobenius() == elem(power(a, 997))
         if a:
             assert x.inverse() == elem(power(a, -1))
             assert x ** -5 == elem(power(a, -5))

@@ -822,7 +822,7 @@ class TestProgressionControl:
     def test_controls_match_the_materialised_arrays(self):
         controls = set()
         for fam in _certified_maps():
-            zeta._evidence_cache.clear()
+            zeta._evidence.cache_clear()
             cert = certificate_build(fam)
             assert (cert.control, cert.p_kernel) == _array_control(cert), fam
             controls.add((cert.shape, cert.control))
@@ -846,7 +846,7 @@ class TestProgressionControl:
         monkeypatch.setattr(zeta, "residue_sequence", recorded_sequence)
         monkeypatch.setattr(zeta, "eventual_period_detect", recorded_detect)
         for fam in _certified_maps():
-            zeta._evidence_cache.clear()
+            zeta._evidence.cache_clear()
             events.clear()
             cert = certificate_build(fam)
             kernel = cert.ell_kernel
