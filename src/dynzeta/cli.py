@@ -418,8 +418,9 @@ def _cmd_zeta(params):
     guess = rationality_guess(counts, params.get("max_order", 8))
     closed = guess is not None and guess.numerator is not None
     # A certified closed form equals exp(sum counts_n t^n / n) through
-    # t^terms, so its expansion is the prefix; only counts with none
-    # pay for the quadratic exponential formula.
+    # t^terms, so its expansion is the prefix; counts with none go to the
+    # exponential formula, which pays only for their defect from
+    # D^n + 1, D = #Per_1 - 1.
     coeffs = (series_of_rational(guess.numerator, guess.denominator,
                                  terms + 1) if closed
               else list(zeta_from_counts(counts).coeffs))

@@ -3,9 +3,12 @@
 A prefix of the generating function exp(sum #Per_n t^n / n) of a count
 sequence has two routes.  When the counts have a closed form num/den, it
 is the expansion of num/den, at O(T (deg num + deg den)) cost; otherwise
-it is expanded by the exact recurrence j*c_j = sum counts_i * c_{j-i},
-whose every coefficient must come out an integer (asserted, never
-assumed).  Rationality at desk scale is tested by one fraction-free
+the rational part 1/((1 - t)(1 - D t)), D = #Per_1 - 1, is divided out,
+and the exact recurrence j*c_j = sum a_i * c_{j-i} of what is left runs
+only over the multiples of the gcd of the n where the defect
+#Per_n - D^n - 1 is nonzero.
+Every coefficient must come out an integer (asserted, never assumed).
+Rationality at desk scale is tested by one fraction-free
 Berlekamp-Massey pass over the integers for the shortest recurrence,
 integer Newton steps for its characteristic roots, and partial-fraction
 residues for their multiplicities.  A closed form is accepted only with
@@ -25,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, count, islice, repeat
 
 import numpy as np
 
@@ -60,18 +63,53 @@ class ZetaSeries:
 
 
 def zeta_from_counts(counts) -> ZetaSeries:
-    """Coefficients of exp(sum counts_n t^n / n); integrality asserted."""
+    """Coefficients of Z = exp(sum counts_n t^n / n); integrality asserted.
+
+    For every integer D, Z = W / ((1 - t)(1 - D t)) with W = exp(sum r_n
+    t^n / n), r_n = counts_n - D^n - 1.  W is a series in t^g, g the gcd
+    of the n with r_n != 0 (g = 0, run as T + 1, gives W = 1), so the
+    recurrence k X_k = sum x_n X_(k-n) runs on the multiples of g only:
+    (T/g)^2 / 2 products for T counts.  D = counts_1 - 1 makes r_1 = 0;
+    for a map whose defect at n = 1 is zero that is its degree, and a map
+    with r_1 != 0 at its degree has g = 1 there, so no D gives a longer
+    stride.  The recurrence runs on X = W / (1 - D^g t^g), whose x_n =
+    counts_n + (g - 1) D^n - 1 (g | n) are >= 0 for counts >= 1: sums of
+    one sign, so g = 1 costs what the plain recurrence does.  Then Z =
+    X (1 + D t + ... + (D t)^(g-1)) / (1 - t): X_m D^i at t^(mg+i), then
+    prefix sums.  D^n is streamed, not stored.
+
+    Z / X and its inverse (1 - t)(1 - D t) / (1 - D^g t^g) are integral
+    with constant term 1, so X, W and Z are integral up to the same index,
+    where Z_k is an integer plus X_k; off the stride X_k = 0 exactly.  So
+    every Z_k is checked, and the error gives the first non-integral Z_k
+    as a Fraction.  Negative counts are refused first.
+    """
     counts = list(counts)
     for c in counts:
         if c < 0:
             raise SpecError("periodic-point counts cannot be negative")
-    coeffs = [1]
-    for j in range(1, len(counts) + 1):
-        acc = sum(map(operator.mul, counts[:j], reversed(coeffs)))
-        if acc % j:
-            raise NonIntegerCoefficient(
-                f"coefficient {Fraction(acc, j)} is not an integer")
-        coeffs.append(acc // j)
+    degree = counts[0] - 1 if counts else 0
+    stride = math.gcd(*(n for n, c, q in zip(
+        count(1), counts, accumulate(repeat(degree), operator.mul))
+        if c != q + 1)) or len(counts) + 1
+    logs = [c + (stride - 1) * q - 1 for c, q in zip(
+        counts[stride - 1::stride],
+        accumulate(repeat(degree ** stride), operator.mul))]
+    x = [1]  # X at t^0, t^g, t^2g, ...
+    end = len(counts) + 1
+    for k in range(stride, end, stride):
+        acc = sum(map(operator.mul, logs, reversed(x)))
+        if acc % k:
+            x.append(Fraction(acc, k))
+            end = k + 1  # Z ends at its first non-integral coefficient
+            break
+        x.append(acc // k)
+    head = list(accumulate(repeat(degree, stride - 1), operator.mul,
+                           initial=1))
+    coeffs = list(islice(accumulate(a * b for a in x for b in head), end))
+    if coeffs[-1].denominator != 1:
+        raise NonIntegerCoefficient(
+            f"coefficient {coeffs[-1]} is not an integer")
     return ZetaSeries(tuple(coeffs))
 
 
@@ -193,8 +231,8 @@ def rationality_guess(counts, max_order: int = 8):
     a certified closed form that go negative are refused; negative counts
     with none still give their guess.  The exponential formula never runs
     here: a caller that needs the zeta prefix expands a certified closed
-    form by series_of_rational, and only counts with none by
-    zeta_from_counts.
+    form by series_of_rational, and counts with none by zeta_from_counts,
+    whose quadratic recurrence runs on their defect from D^n + 1 alone.
     """
     counts = list(counts)
     bound = min(max_order, (len(counts) - 4) // 2)

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from dynzeta.errors import (Mismatch, NonIntegerCoefficient, ScaleExceeded,
 from dynzeta.families import (AdditiveMap, ChebyshevMap, LattesGenericJ,
                               LattesOrdinary, LattesSupersingular, PowerMap,
                               SubadditiveMap, classify_separability,
-                              per_n_closed)
+                              per_n_closed, per_n_counts)
 from dynzeta.field import field_make, ratfunc_field
 from dynzeta.intarith import divisors, multiplicative_order, v_p
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadElem, QuadRing, QuatElem,
@@ -102,6 +103,93 @@ class TestSeries:
             counts = [per_n_closed(fam, n) for n in range(1, 25)]
             series = zeta_from_counts(counts)
             assert all(isinstance(c, int) for c in series.coeffs)
+
+
+# zeta_from_counts divides out 1/((1 - t)(1 - D t)), D = counts_1 - 1, and
+# expands the rest on the stride of the defect counts_n - D^n - 1: the
+# stride changes the cost, never a coefficient or a refusal.
+
+
+def _fraction_zeta(counts):
+    """(first non-integral index or None, coefficients or refusal message)
+    of exp(sum counts_n t^n / n), in Fractions by the plain recurrence."""
+    coeffs = [Fraction(1)]
+    for j in range(1, len(counts) + 1):
+        acc = sum(counts[i - 1] * coeffs[j - i] for i in range(1, j + 1))
+        coeffs.append(Fraction(acc) / j)
+        if coeffs[-1].denominator != 1:
+            return j, f"coefficient {coeffs[-1]} is not an integer"
+    return None, tuple(int(c) for c in coeffs)
+
+
+def _zeta_or_refusal(counts):
+    try:
+        return zeta_from_counts(counts).coeffs
+    except NonIntegerCoefficient as exc:
+        return str(exc)
+
+
+@st.composite
+def _counts(draw):
+    """A pooled verdict map's counts, or random or permutation counts."""
+    length = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["family", "random", "permutation"]))
+    if kind == "family":
+        fam = cli.build_family(draw(st.sampled_from(POOL)))
+        return list(islice(per_n_counts(fam, 1), length))
+    if kind == "random":
+        return draw(st.lists(st.integers(0, 10 ** 12), min_size=length,
+                             max_size=length))
+    # a permutation with cycles[L] cycles of length L: integral zeta
+    cycles = draw(st.lists(st.integers(0, 5), min_size=length,
+                           max_size=length))
+    return [sum(L * cycles[L - 1] for L in divisors(n))
+            for n in range(1, length + 1)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_counts())
+def test_matches_the_fraction_reference_on_drawn_counts(counts):
+    assert _zeta_or_refusal(counts) == _fraction_zeta(counts)[1]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 7])
+@pytest.mark.parametrize("g", [2, 3, 4, 6])
+def test_planted_sparse_defects_match_the_fraction_reference(g, degree):
+    """Counts D^n + 1 + r_n with r_n nonzero only where g | n: a defect of
+    signed permutation counts on cycles of lengths divisible by g
+    (integral), or a random one (mostly not).  A refusal comes at a
+    multiple of g, with the reference's message."""
+    rng = random.Random(100 * g + degree)
+    fewest = -2 if degree > 1 else 0  # cycles of a length: counts stay >= 0
+    refused = whole = 0
+    for trial in range(60):
+        length = rng.randint(g, 48)
+        if trial % 2:
+            cycles = {L: rng.randint(fewest, 3)
+                      for L in range(g, length + 1, g)}
+            defect = [sum(L * cycles.get(L, 0) for L in divisors(n))
+                      for n in range(1, length + 1)]
+        else:
+            defect = [rng.randint(-degree ** n - 1, 3) if n % g == 0
+                      else 0 for n in range(1, length + 1)]
+        counts = [degree ** n + 1 + r for n, r in enumerate(defect, 1)]
+        index, expected = _fraction_zeta(counts)
+        assert _zeta_or_refusal(counts) == expected
+        if index is None:
+            whole += 1
+        else:
+            assert index % g == 0
+            refused += 1
+    assert refused >= 10 and whole >= 10
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1, 2, 5])
+def test_an_all_zero_defect_is_the_rational_part(degree):
+    counts = [degree ** n + 1 for n in range(1, 41)]
+    expected = tuple(series_of_rational([1], [1, -(degree + 1), degree], 41))
+    assert zeta_from_counts(counts).coeffs == expected
+    assert zeta_from_counts([]).coeffs == (1,)
 
 
 # References for rationality_guess and _integer_roots: a fresh exact
