@@ -85,7 +85,6 @@ class KernelReport:
     prefix_len: int
     class_counts: tuple       # cumulative distinct classes at depth 0..depth
     classification: str       # "closed" or "growing" (finite evidence only)
-    witnesses: tuple          # one (depth, residue) representative per class
 
     @property
     def closed(self):
@@ -148,9 +147,8 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
     words, and a row is a candidate when it is the first of its group or
     differs from that first row in some word (compared one word column
     at a time).  Every other row has the bytes of an earlier row of its
-    depth, so it can neither open a class nor be a class's first row:
-    the counts and witnesses are those of a byte comparison of every row,
-    whatever the hash does.
+    depth, so it cannot open a class: the counts are those of a byte
+    comparison of every row, whatever the hash does.
     """
     _check_kernel_plan(base, depth, prefix_len, budget)
     horizon = base ** depth * prefix_len
@@ -170,7 +168,7 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
     width = -(-row_bytes // 8)
     powers = np.array([pow(_ROW_HASH_MULTIPLIER, width - j, 1 << 64)
                        for j in range(width)], np.uint64)
-    signatures = {}
+    signatures = set()
     counts = []
     for e in range(depth + 1):
         ke = base ** e
@@ -191,22 +189,20 @@ def kernel_explore(seq, base: int, depth: int, prefix_len: int = 256,
         for j in range(width):
             column = words[:, j]
             candidate |= column != column[leader]
-        for r in np.flatnonzero(candidate).tolist():
-            signatures.setdefault(padded[r].tobytes(), (e, r))
+        signatures.update(padded[r].tobytes()
+                          for r in np.flatnonzero(candidate).tolist())
         counts.append(len(signatures))
-    return _kernel_report(base, depth, prefix_len, counts, signatures)
+    return _kernel_report(base, depth, prefix_len, counts)
 
 
-def _kernel_report(base, depth, prefix_len, counts, signatures):
-    """The KernelReport of cumulative class counts and of the first
-    (depth, residue) of each row signature."""
+def _kernel_report(base, depth, prefix_len, counts):
+    """The KernelReport of cumulative class counts."""
     if depth >= 2 and counts[-1] == counts[-2] == counts[-3]:
         classification = "closed"
     else:
         classification = "growing"
-    witnesses = tuple(sorted(signatures.values()))[:64]
     return KernelReport(base, depth, prefix_len, tuple(counts),
-                        classification, witnesses)
+                        classification)
 
 
 def _check_kernel_plan(base, depth, prefix_len, budget):
@@ -230,14 +226,13 @@ def progression_kernel(alpha: int, beta: int, p: int, term, dtype, depth: int,
     does not divide beta, every c has valuation v_p(beta) < a, so every
     row is that one constant.  Otherwise beta = p^a b and v_p(c) =
     a + v_p(u r + b), which is at least a + j exactly for r = -b/u mod
-    p^j.  So at depth e each valuation a + j with j < e first occurs at
-    r = -b/u mod p^j, or at that plus p^j when it is also -b/u mod
-    p^(j+1), in a constant row; the one row with v_p(c) >= a + e, r =
-    -b/u mod p^e, is a v_p_progression of prefix_len terms.  Every other
-    row of the depth repeats one of these, so inserting them in (e, r)
-    order into one signature dict gives kernel_explore's class counts
-    and witnesses: depth e costs e + 1 rows and one sieve of prefix_len
-    terms, not p^e rows of the sequence.
+    p^j.  So the rows of depth e are the constants term(a + j), j < e,
+    and the one row with v_p(c) >= a + e, r = -b/u mod p^e, a
+    v_p_progression of prefix_len terms.  Each depth adds its one new
+    constant, term(a + e - 1), and its sieve row to one signature set,
+    which gives kernel_explore's class counts: depth e costs one
+    constant row and one sieve of prefix_len terms, not p^e rows of the
+    sequence.
     """
     _check_kernel_plan(p, depth, prefix_len, budget)
     if alpha == 0:
@@ -245,31 +240,23 @@ def progression_kernel(alpha: int, beta: int, p: int, term, dtype, depth: int,
     # every row's terms lie below |alpha| p^depth prefix_len + |beta|
     top = (abs(alpha) * p ** depth * prefix_len + abs(beta)).bit_length()
     table = np.array([term(v) for v in range(top + 1)], dtype=dtype)
-
-    def constant(v):
-        return np.full(prefix_len, table[v], dtype).tobytes()
-
     a = v_p(alpha, p)
     pa = p ** a
     if beta % pa:
-        return _kernel_report(p, depth, prefix_len, [1] * (depth + 1),
-                              {constant(v_p(beta, p)): (0, 0)})
+        return _kernel_report(p, depth, prefix_len, [1] * (depth + 1))
     unit, b = alpha // pa, beta // pa
-    signatures = {}
+    signatures = set()
     counts = []
-    rows = []  # (least r with v_p(u r + b) = j, its constant row), j < e
-    rho = 0
     for e in range(depth + 1):
         pe = p ** e
-        last, rho = rho, -b * pow(unit, -1, pe) % pe
+        rho = -b * pow(unit, -1, pe) % pe
         if e:
-            rows.append((last + pe // p * (last == rho), constant(a + e - 1)))
-        sieve = v_p_progression(alpha * pe, alpha * rho + beta, p, prefix_len,
-                                table)
-        for r, row in sorted(rows + [(rho, sieve.tobytes())]):
-            signatures.setdefault(row, (e, r))
+            signatures.add(np.full(prefix_len, table[a + e - 1],
+                                   dtype).tobytes())
+        signatures.add(v_p_progression(alpha * pe, alpha * rho + beta, p,
+                                       prefix_len, table).tobytes())
         counts.append(len(signatures))
-    return _kernel_report(p, depth, prefix_len, counts, signatures)
+    return _kernel_report(p, depth, prefix_len, counts)
 
 
 PERIOD_MIN_REPEATS = 3

@@ -35,8 +35,7 @@ from .automata import (christol_series, eventual_period_detect,
                        vp_tower_sequence)
 from .orders import B3_ORDER, HURWITZ, QuadRing, QuatElem, prime_context
 from .twisted import TwistedPoly
-from .zeta import (rationality_guess, series_of_rational, verdict,
-                   zeta_from_counts)
+from .zeta import rationality_guess, verdict, zeta_from_counts
 
 SCHEMA = "dynzeta/1"
 
@@ -417,15 +416,8 @@ def _cmd_zeta(params):
     counts = list(islice(per_n_counts(fam, 1), terms))
     guess = rationality_guess(counts, params.get("max_order", 8))
     closed = guess is not None and guess.numerator is not None
-    # A certified closed form equals exp(sum counts_n t^n / n) through
-    # t^terms, so its expansion is the prefix; counts with none go to the
-    # exponential formula, which pays only for their defect from
-    # D^n + 1, D = #Per_1 - 1.
-    coeffs = (series_of_rational(guess.numerator, guess.denominator,
-                                 terms + 1) if closed
-              else list(zeta_from_counts(counts).coeffs))
     yield {"record": "zeta", "provenance": "exp-formula",
-           "coefficients": coeffs}
+           "coefficients": list(zeta_from_counts(counts).coeffs)}
     yield {"record": "rationality", "found": guess is not None,
            "order": guess.order if guess else None,
            "numerator": list(guess.numerator) if closed else None,

@@ -1,12 +1,11 @@
 """Zeta-series coefficients, rationality detection, and the verdict engine.
 
 A prefix of the generating function exp(sum #Per_n t^n / n) of a count
-sequence has two routes.  When the counts have a closed form num/den, it
-is the expansion of num/den, at O(T (deg num + deg den)) cost; otherwise
-the rational part 1/((1 - t)(1 - D t)), D = #Per_1 - 1, is divided out,
-and the exact recurrence j*c_j = sum a_i * c_{j-i} of what is left runs
-only over the multiples of the gcd of the n where the defect
-#Per_n - D^n - 1 is nonzero.
+sequence has one route: the rational part 1/((1 - t)(1 - D t)), D =
+#Per_1 - 1, is divided out, and the exact recurrence j*c_j = sum a_i *
+c_{j-i} of what is left runs only over the multiples of the gcd of the
+n where the defect #Per_n - D^n - 1 is nonzero.  A rational zeta of the
+dichotomy has no defect, so its prefix costs linear time.
 Every coefficient must come out an integer (asserted, never assumed).
 Rationality at desk scale is tested by one fraction-free
 Berlekamp-Massey pass over the integers for the shortest recurrence,
@@ -230,9 +229,9 @@ def rationality_guess(counts, max_order: int = 8):
     each n (the logarithmic derivatives agree term by term).  Counts with
     a certified closed form that go negative are refused; negative counts
     with none still give their guess.  The exponential formula never runs
-    here: a caller that needs the zeta prefix expands a certified closed
-    form by series_of_rational, and counts with none by zeta_from_counts,
-    whose quadratic recurrence runs on their defect from D^n + 1 alone.
+    here: a caller that needs the zeta prefix takes it from
+    zeta_from_counts, whose quadratic recurrence runs on the defect from
+    D^n + 1 alone, so counts with no defect cost linear time.
     """
     counts = list(counts)
     bound = min(max_order, (len(counts) - 4) // 2)
@@ -625,8 +624,7 @@ def _certificate_ga(mapping) -> Certificate:
     The auxiliary prime must exceed p^(a1 p^a1); a bound at or past the
     prime search cap is refused before that power is formed.
     """
-    sigma = mapping.sigma
-    p = sigma.ctx.p
+    sigma, p = mapping.sigma, mapping.p
     d = mapping.d  # |Gamma|: 1 for additive maps
     m = constant_order(sigma)
     if m is TRANSCENDENTAL:

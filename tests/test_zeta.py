@@ -492,8 +492,9 @@ def _exp_formula(counts):
 
 
 class TestZetaRoutes:
-    """The zeta command prints a certified closed form's expansion, and the
-    exponential formula only where there is none: the same coefficients."""
+    """The zeta command prints the exponential formula's coefficients on
+    every prefix, and a rational zeta's are the expansion of the closed
+    form its rationality record prints."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_geometric_prefixes(), st.sampled_from(MAX_ORDERS))
@@ -507,21 +508,23 @@ class TestZetaRoutes:
             self, counts, max_order):
         assert _zeta_command(counts, max_order) == _exp_formula(counts)
 
-    def test_a_rational_zeta_skips_the_exponential_formula(self,
-                                                          monkeypatch):
-        def refuse(counts):
-            raise AssertionError("exponential formula on a rational zeta")
-
-        monkeypatch.setattr(cli, "zeta_from_counts", refuse)
+    @pytest.mark.parametrize("spec", [
+        "--family power --p 3 --d 3",
+        "--family power --p 5 --d -5",
+        "--family chebyshev --p 5 --d 5",
+        "--family lattes-generic --p 7 --s 7",
+        "--family lattes-ordinary --p 11 --tau 3,11 --sigma 0,1",
+        "--family additive --ratfunc --p 3 --sigma u,1"])
+    def test_a_rational_zeta_prints_its_closed_form_expansion(self, spec):
         out = io.StringIO()
-        assert cli.main(["zeta", "--family", "power", "--p", "3", "--d", "3",
-                         "--terms", "40"], out=out) == 0
+        assert cli.main(["zeta", *spec.split(), "--terms", "400"],
+                        out=out) == 0
         *_, zeta_record, rationality = map(json.loads,
                                            out.getvalue().splitlines())
-        counts = [per_n_closed(PowerMap(3, 3), n) for n in range(1, 41)]
+        num, den = ([int(c) for c in rationality[side]]
+                    for side in ("numerator", "denominator"))
         assert ([int(c) for c in zeta_record["coefficients"]]
-                == list(zeta_from_counts(counts).coeffs))
-        assert rationality["denominator"] == ["1", "-4", "3"]
+                == series_of_rational(num, den, 401))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_zeta_prefixes().filter(lambda counts: len(counts) >= 30),
