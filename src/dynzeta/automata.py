@@ -237,13 +237,13 @@ def progression_kernel(alpha: int, beta: int, p: int, term, dtype, depth: int,
     _check_kernel_plan(p, depth, prefix_len, budget)
     if alpha == 0:
         raise SpecError("progression stride must be nonzero")
-    # every row's terms lie below |alpha| p^depth prefix_len + |beta|
-    top = (abs(alpha) * p ** depth * prefix_len + abs(beta)).bit_length()
-    table = np.array([term(v) for v in range(top + 1)], dtype=dtype)
     a = v_p(alpha, p)
     pa = p ** a
     if beta % pa:
         return _kernel_report(p, depth, prefix_len, [1] * (depth + 1))
+    # every row's terms lie below |alpha| p^depth prefix_len + |beta|
+    top = (abs(alpha) * p ** depth * prefix_len + abs(beta)).bit_length()
+    table = np.array([term(v) for v in range(top + 1)], dtype=dtype)
     unit, b = alpha // pa, beta // pa
     signatures = set()
     counts = []

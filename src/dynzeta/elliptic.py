@@ -17,8 +17,7 @@ recurrence (``_division_recurrence``) that also builds the polynomials of
 ``lattes_realize``, so a count forms no point multiple.  The masked
 chord-tangent law (``_multiples``) is the independent group-law check of
 ``lattes_realize``.  ``CurvePoint``, ``add`` and ``mul_by_m`` are the
-boxed point API, for single points on a curve over any finite field;
-their square roots are ``FieldElem.sqrt``.
+boxed point API, for single points on a curve over any finite field.
 """
 
 import functools

@@ -28,14 +28,13 @@ Representation conventions:
 * Every field an enumeration may walk, one of at most ``limits.ENUM_CAP``
   elements, also computes on numpy arrays of reps: ``ctx.arrays()`` is
   its ``RepArrays``, which adds, negates, multiplies, divides, tests
-  squares, takes square roots and evaluates a Poly lane by lane, by
-  gathers in the same table buffers.  Zero's log is 2(q-1), which the
-  tables send back to zero, so a sum, negative, product or quotient is
-  the same gathers on every lane, zero or not.  A prime field builds
-  its tables the first time it is walked and keeps them in its
-  ``RepArrays`` only: its FieldElem arithmetic stays on ints mod p, its
-  square roots stay Tonelli-Shanks, and its ``log_table`` and
-  ``exp_table`` stay None.
+  squares, takes square roots by halved logs and evaluates a Poly lane
+  by lane, by gathers in the same table buffers.  Zero's log is
+  2(q-1), which the tables send back to zero, so a sum, negative,
+  product or quotient is the same gathers on every lane, zero or not.
+  A prime field builds its tables the first time it is walked and
+  keeps them in its ``RepArrays`` only: its FieldElem arithmetic stays
+  on ints mod p.
 * F_p(u) stores a reduced fraction of sparse polynomials in u: tuples of
   (exponent, coefficient) pairs with ascending exponents, denominator
   monic and coprime to the numerator.  Sparseness matters because the
@@ -44,9 +43,7 @@ Representation conventions:
 A field is one FieldCtx whose subclass is its representation
 (``_PrimeField``, ``_TableField``, ``_RatFuncField``).
 It adds, negates, multiplies, inverts, raises to powers and applies the
-Frobenius on reps; every FieldElem operator is one call to it.  Square
-roots exist in odd characteristic: halved discrete logs over an
-extension, Euler's criterion and Tonelli-Shanks over F_p.
+Frobenius on reps; every FieldElem operator is one call to it.
 
 A Poly has its coefficients in a prime field F_p and refuses any other
 field: a count of periodic points over the algebraic closure does not
@@ -80,12 +77,11 @@ class FieldCtx:
     ``int_rep(n)``; the defaults here are the finite fields' 0, 1, n mod p.
     """
 
-    __slots__ = ("p", "k", "base", "modulus", "qm1", "nonresidue", "dtype",
-                 "_sig", "_order", "_arrays")
+    __slots__ = ("p", "k", "base", "modulus", "qm1", "dtype", "_sig",
+                 "_order", "_arrays")
     flavor = "finite"
     is_prime_field = False
     zero_rep, one_rep = 0, 1
-    log_table = exp_table = None  # exp/log tables where the field keeps them
 
     def __init__(self, p, k, sig, order, base=None, modulus=None):
         self.p = p
@@ -97,7 +93,6 @@ class FieldCtx:
         self.qm1 = None if order is None else order - 1
         # a Poly's reps: modpoly's dtype, so Polys over F_p go to it as they are
         self.dtype = None if order is None else modpoly.residue_dtype(order)
-        self.nonresidue = None  # least non-square rep, found by the first square root
         self._arrays = None
 
     def int_rep(self, n):
@@ -260,40 +255,6 @@ class FieldElem:
         """Apply c -> c^p the given number of times."""
         return FieldElem(self.ctx, self.ctx.frobenius(self.rep, times))
 
-    # -- square roots (finite fields of odd order) ------------------------------
-
-    def is_square(self):
-        """Whether this element of a field of odd order is a square."""
-        ctx = self._odd_field()
-        if not self.rep:
-            return True
-        if ctx.log_table is not None:
-            return ctx.log_table[self.rep] % 2 == 0
-        return ctx.pow(self.rep, ctx.qm1 // 2) == 1  # Euler's criterion
-
-    def sqrt(self):
-        """A square root; SpecError when there is none.
-
-        Fields with tables halve the discrete log; others run Tonelli-Shanks.
-        """
-        ctx = self._odd_field()
-        z = self.rep
-        if not z:
-            return self
-        if ctx.log_table is None:
-            root = _tonelli_shanks(ctx, z)
-        else:
-            log = ctx.log_table[z]
-            root = None if log % 2 else ctx.exp_table[log // 2]
-        if root is None:
-            raise SpecError("square root of a non-square")
-        return FieldElem(self.ctx, root)
-
-    def _odd_field(self):
-        if self.ctx.order % 2 == 0:
-            raise SpecError("square roots need a field of odd characteristic")
-        return self.ctx
-
     # -- rational-function extras ---------------------------------------------
 
     def is_constant(self):
@@ -309,37 +270,6 @@ class FieldElem:
             raise SpecError("constant_value is a rational-function accessor")
         num = self.rep[0]
         return num[0][1] if num else 0
-
-
-def _tonelli_shanks(ctx, z):
-    """A square root of the rep z (0 for 0), or None if z is not a square.
-
-    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 1.5.1;
-    for q = 3 mod 4 the root is z^((q+1)/4).
-    """
-    if not z:
-        return z
-    e, m = ctx.qm1, 0
-    while e % 2 == 0:
-        e //= 2
-        m += 1
-    if ctx.nonresidue is None:
-        half = ctx.qm1 // 2
-        ctx.nonresidue = next(g for g in itertools.count(2) if ctx.pow(g, half) != 1)
-    c = ctx.pow(ctx.nonresidue, e)
-    t = ctx.pow(z, e)
-    r = ctx.pow(z, (e + 1) // 2)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = ctx.mul(t2, t2)
-            i += 1
-        if i == m:  # t has the full 2-power order: z is not a square
-            return None
-        b = ctx.pow(c, 1 << (m - i - 1))
-        c = ctx.mul(b, b)
-        m, t, r = i, ctx.mul(t, c), ctx.mul(r, b)
-    return r
 
 
 # -- sparse F_p[u] helpers (exponent, coefficient) ------------------------------
@@ -486,8 +416,6 @@ class _PrimeField(FieldCtx):
         return a
 
     def _tables(self):
-        # the array arithmetic's tables only: log_table stays None, so the
-        # boxed square roots keep Tonelli-Shanks and their roots
         if self.p > ENUM_CAP:
             return super()._tables()
         return _zech_tables(self.p, (0,))  # the modulus x

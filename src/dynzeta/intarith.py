@@ -1,5 +1,6 @@
 """Integer number-theory helpers: primality, factoring, orders, valuations,
-and the one square-and-multiply loop that every ring of the package uses."""
+square roots mod p, and the one square-and-multiply loop that every ring
+of the package uses."""
 
 import math
 
@@ -53,6 +54,34 @@ def power(mul, one, a, e: int):
         if not e:
             return result
         a = mul(a, a)
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod the odd prime p, in [0, p): 0 for a = 0 mod
+    p, None for a non-residue (Euler's criterion).
+
+    Tonelli-Shanks (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 1.5.1): with p - 1 = 2^m e, e odd, the loop keeps
+    r^2 = a t with t of order below 2^m, and each pass lowers that order
+    by a power of the least non-residue.  At p = 3 mod 4 (m = 1) it never
+    runs: the root is a^((p+1)/4).
+    """
+    a %= p
+    if not a:
+        return 0
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        return None
+    e, m = p - 1, 0
+    while e % 2 == 0:
+        e, m = e // 2, m + 1
+    n = next(n for n in range(2, p) if pow(n, half, p) != 1)
+    c, t, r = pow(n, e, p), pow(a, e, p), pow(a, (e + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def check_prime(p: int) -> int:

@@ -34,8 +34,7 @@ from itertools import product
 from . import modpoly
 from .errors import (HypothesisViolated, InvalidCombination, Mismatch,
                      SpecError, ZeroInput)
-from .field import field_make
-from .intarith import check_prime, power, v_p, v_p_strict
+from .intarith import check_prime, power, sqrt_mod, v_p, v_p_strict
 
 _DIRECT_CHECK_N_CAP = 32
 
@@ -166,10 +165,10 @@ class PrimeContext:
 def _quadratic_roots_mod_p(T, N, p):
     if p == 2:
         return [r for r in range(2) if (r * r - T * r + N) % 2 == 0]
-    disc = field_make(p).from_int(T * T - 4 * N)
-    if not disc.is_square():
+    s = sqrt_mod(T * T - 4 * N, p)
+    if s is None:
         return []
-    s, inv2 = disc.sqrt().rep, pow(2, p - 2, p)
+    inv2 = pow(2, p - 2, p)
     return sorted({(T + s) * inv2 % p, (T - s) * inv2 % p})
 
 

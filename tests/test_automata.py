@@ -759,6 +759,27 @@ def test_progression_kernel_matches_the_materialised_sieve(case):
         assert expected[0] is ScaleExceeded
 
 
+@pytest.mark.parametrize("alpha,beta,p", [(9, 3, 3), (-8, 5, 2), (25, 10, 5),
+                                          (7 ** 3, 7 ** 2 * 2, 7)])
+def test_a_progression_below_its_strides_valuation_reads_no_term(
+        alpha, beta, p):
+    # v_p(beta) < v_p(alpha): every row is the one constant term(v_p(beta)),
+    # so the kernel counts one class per depth and evaluates no term
+    calls = []
+
+    def term(v):
+        calls.append(v)
+        return v
+
+    depth, prefix = 3, 8
+    report = progression_kernel(alpha, beta, p, term, np.uint8, depth, prefix)
+    assert calls == []
+    seq = _driving_sieve("geometric", alpha, beta, p, p ** depth * prefix,
+                         lambda v: v, np.uint8)
+    assert report == kernel_explore(seq, p, depth, prefix)
+    assert report.class_counts == (1,) * (depth + 1)
+
+
 def _vp(n, p):
     v = 0
     while n % p == 0:

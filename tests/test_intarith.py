@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dynzeta.errors import NoAdmissibleEll, ScaleExceeded, SpecError
 from dynzeta import intarith
 from dynzeta.intarith import (factorize, first_prime_where, is_prime,
-                              multiplicative_order, power, v_p,
+                              multiplicative_order, power, sqrt_mod, v_p,
                               v_p_progression)
 
 
@@ -177,3 +177,30 @@ def test_factorize_past_trial_division(n, monkeypatch):
     assert calls
     assert math.prod(q ** e for q, e in factors.items()) == n
     assert all(q > 100_000 and is_prime(q) for q in factors)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 200) if is_prime(p)])
+def test_sqrt_mod_is_none_exactly_at_the_non_residues(p):
+    # Euler's criterion decides; a root lies in [0, p) and squares back
+    for a in range(p):
+        root = sqrt_mod(a, p)
+        if a and pow(a, (p - 1) // 2, p) != 1:
+            assert root is None, a
+        else:
+            assert 0 <= root < p and root * root % p == a, a
+        assert sqrt_mod(a + 3 * p, p) == root
+
+
+@pytest.mark.parametrize("p", [998244353, 10 ** 9 + 9, 2 ** 61 - 1,
+                               2 ** 127 - 1])
+def test_sqrt_mod_at_large_primes(p):
+    # 998244353 - 1 = 119 * 2^23 runs the 2-power loop up to 23 times;
+    # 2^61 - 1 and 2^127 - 1 are 3 mod 4
+    rng = random.Random(p)
+    for _ in range(30):
+        x = rng.randrange(1, p)
+        assert sqrt_mod(x * x, p) in (x, p - x)
+    non_residues = [x for x in (rng.randrange(2, p) for _ in range(60))
+                    if pow(x, (p - 1) // 2, p) == p - 1]
+    assert len(non_residues) >= 10
+    assert all(sqrt_mod(x, p) is None for x in non_residues)
