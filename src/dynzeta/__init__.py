@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import DynzetaError
 from .field import (FieldCtx, FieldElem, Poly, distinct_root_count,
-                    extend_field, field_make, ratfunc_field,
-                    separable_radical)
+                    field_make, ratfunc_field, separable_radical)
 from .dynmap import (RatMap, compose, cycle_census, iterate, per_n_oracle,
                      poly_map, rat_map)
 from .twisted import (TwistedPoly, constant_order, kernel_size_ga, lte_ga,

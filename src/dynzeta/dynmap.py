@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfinitePeriodicPoints, ScaleExceeded, SpecError
-from .field import Poly, distinct_root_count, extend_field
+from .field import Poly, distinct_root_count, field_make
 from .intarith import power
 from .limits import ENUM_CAP, POLY_DEGREE_CAP
 from .modpoly import trim_array
@@ -198,7 +198,7 @@ def cycle_census(f: RatMap, max_k: int, max_n: int):
     size = f.ctx.order ** max_k
     if size > ENUM_CAP:
         raise ScaleExceeded(f"census over {size} points exceeds cap")
-    ext = extend_field(f.ctx, max_k)
+    ext = field_make(f.ctx.p, max_k)
 
     infinity = size  # index of the point at infinity
     succ = np.empty(size + 1, dtype=np.int64)

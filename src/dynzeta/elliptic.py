@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteEnumeration, ScaleExceeded, SpecError
-from .field import FieldElem, Poly, embed, extend_field
+from .field import FieldElem, Poly, field_make
 from .dynmap import RatMap, reduced_map
 from .intarith import power, v_p
 from .limits import ENUM_CAP, TORSION_INDEX_CAP
@@ -60,8 +60,17 @@ class EllipticCurve:
         return y * y == self.rhs(x)
 
     def lift(self, ext_ctx):
-        """Same curve with coefficients pushed into an extension."""
-        return EllipticCurve(ext_ctx, embed(self.A, ext_ctx), embed(self.B, ext_ctx))
+        """The same curve over ext_ctx, a finite field of E's characteristic.
+
+        Only a curve over F_p lifts: its A and B are constants, and the
+        constant n is the rep n in every finite field of characteristic p.
+        """
+        ctx = self.ctx
+        if not (ctx.is_prime_field and ext_ctx.flavor == "finite"
+                and ext_ctx.p == ctx.p):
+            raise SpecError("only a curve over F_p lifts, and only to its extensions")
+        return EllipticCurve(ext_ctx, ext_ctx.from_int(self.A.rep),
+                             ext_ctx.from_int(self.B.rep))
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,6 @@ def point_count(E: EllipticCurve, k: int = 1) -> int:
     return 1 + len(_affine_points(E, k)[2])
 
 
-@functools.lru_cache(maxsize=4096)
 def trace_of_frobenius(E: EllipticCurve) -> int:
     return E.ctx.order + 1 - point_count(E)
 
@@ -148,12 +156,16 @@ def _affine_points(E: EllipticCurve, k: int):
     All x are walked at once: x^3 + Ax + B is 0 (one point, y = 0), a
     nonzero square (the points y and -y, y from the halved log) or
     neither.  Points come by ascending x, each root before its negative,
-    and every root is checked to square back to its value.
+    and every root is checked to square back to its value.  Past k = 1
+    the curve must be over F_p (``EllipticCurve.lift``), which is checked
+    before the extension is made.
     """
     size = E.ctx.order ** k
     if size > ENUM_CAP:
         raise ScaleExceeded(f"enumeration over {size} elements exceeds cap")
-    curve = E if k == 1 else E.lift(extend_field(E.ctx, k))
+    if k > 1 and not E.ctx.is_prime_field:
+        raise SpecError("only a curve over F_p is walked over its extensions")
+    curve = E if k == 1 else E.lift(field_make(E.ctx.p, k))
     arith = curve.ctx.arrays()
     xs = np.arange(size)
     rhs = _rhs(curve, arith, xs)
@@ -246,12 +258,13 @@ def torsion_count(E: EllipticCurve, N: int, k_max: int):
     u = N // p ** a
     # The closure torsion is (Z/u)^2 times a p-part that is either Z/p^a
     # or trivial; which shape applies is read off the trace of Frobenius,
-    # itself a point count.  Plateau heuristics certified wrong values on
-    # concrete curves (division fields can lie past the cap), so only the
+    # q + 1 - #E(F_q), the recurrence's k = 1 order (taken even when
+    # k_max is 0).  Plateau heuristics certified wrong values on concrete
+    # curves (division fields can lie past the cap), so only the
     # structural target is accepted.
-    ordinary = trace_of_frobenius(E) % p != 0
+    group_orders = point_orders_by_trace(E, max(k_max, 1))
+    ordinary = (E.ctx.order + 1 - group_orders[1]) % p != 0
     target = u * u * (p ** a if ordinary else 1)
-    group_orders = point_orders_by_trace(E, k_max)
     best = 0
     for k in range(1, k_max + 1):
         if E.ctx.order ** k > ENUM_CAP:

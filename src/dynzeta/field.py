@@ -15,16 +15,13 @@ Representation conventions:
   1990); products, sums, negations, inverses and powers are then table
   lookups.  A census or a torsion walk covers at most ``limits.ENUM_CAP``
   points, so an extension with more elements is refused with
-  ScaleExceeded before its modulus is sought.  ``extend_field(ctx, b)``
-  on F_(p^a) returns the field of ``field_make(p, a*b)``, so equal
-  fields share one set of tables, and a*b, like k, is at most
-  ``limits.EXTENSION_DEGREE_CAP``.  The eight most recently made
-  extensions, each with its tables, live in a ``functools.lru_cache``,
-  whose ``cache_info()`` counts hits and misses.  Making a prime field
-  builds nothing, so each ``field_make(p)`` makes a new one and none
-  takes a cache slot.  ``embed`` sends an element of F_p to its
-  extensions: the constant n is the rep n in every finite field of
-  characteristic p.
+  ScaleExceeded before its modulus is sought.  The eight most recently
+  made extensions, each with its tables, live in a
+  ``functools.lru_cache``, whose ``cache_info()`` counts hits and misses.
+  Making a prime field builds nothing, so each ``field_make(p)`` makes a
+  new one and none takes a cache slot.  The constant n is the rep n in
+  every finite field of characteristic p, which is why a census and a
+  lifted curve read F_p reps in F_(p^k).
 * Every field an enumeration may walk, one of at most ``limits.ENUM_CAP``
   elements, also computes on numpy arrays of reps: ``ctx.arrays()`` is
   its ``RepArrays``, which adds, negates, multiplies, divides, tests
@@ -77,16 +74,15 @@ class FieldCtx:
     ``int_rep(n)``; the defaults here are the finite fields' 0, 1, n mod p.
     """
 
-    __slots__ = ("p", "k", "base", "modulus", "qm1", "dtype", "_sig",
-                 "_order", "_arrays")
+    __slots__ = ("p", "k", "modulus", "qm1", "dtype", "_sig", "_order",
+                 "_arrays")
     flavor = "finite"
     is_prime_field = False
     zero_rep, one_rep = 0, 1
 
-    def __init__(self, p, k, sig, order, base=None, modulus=None):
+    def __init__(self, p, k, sig, order, modulus=None):
         self.p = p
         self.k = k
-        self.base = base
         self.modulus = modulus
         self._sig = sig
         self._order = order
@@ -127,20 +123,13 @@ class FieldCtx:
         return FieldElem(self, self.int_rep(n))
 
     def elem(self, value):
-        """Coerce an int, a base-element vector, or an element of this ctx."""
+        """Coerce an int or an element of this ctx."""
         if isinstance(value, FieldElem):
             if value.ctx != self:
                 raise SpecError("element belongs to a different field")
             return value
         if isinstance(value, int):
             return self.from_int(value)
-        if isinstance(value, (list, tuple)) and self.base is not None:
-            if len(value) > self.k:
-                raise SpecError("vector longer than extension degree")
-            index = 0  # the base-p digits of the index are the coefficients
-            for c in reversed(value):
-                index = index * self.p + self.base.elem(c).rep
-            return FieldElem(self, index)
         raise SpecError(f"cannot coerce {value!r} into {self!r}")
 
     def u(self):
@@ -251,9 +240,9 @@ class FieldElem:
 
     # -- characteristic-p structure ------------------------------------------
 
-    def frobenius(self, times=1):
-        """Apply c -> c^p the given number of times."""
-        return FieldElem(self.ctx, self.ctx.frobenius(self.rep, times))
+    def frobenius(self):
+        """c -> c^p."""
+        return FieldElem(self.ctx, self.ctx.frobenius(self.rep))
 
     # -- rational-function extras ---------------------------------------------
 
@@ -383,9 +372,9 @@ class _RatFuncField(FieldCtx):
     def pow(self, a, e):
         return power(self.mul, self.one_rep, a, e)
 
-    def frobenius(self, a, times):
-        scale = self.p ** times
-        return tuple(tuple((e * scale, c) for e, c in part) for part in a)
+    def frobenius(self, a):
+        p = self.p
+        return tuple(tuple((e * p, c) for e, c in part) for part in a)
 
 
 class _PrimeField(FieldCtx):
@@ -412,7 +401,7 @@ class _PrimeField(FieldCtx):
     def pow(self, a, e):
         return pow(a, e, self.p)
 
-    def frobenius(self, a, times):
+    def frobenius(self, a):
         return a
 
     def _tables(self):
@@ -432,13 +421,11 @@ class _TableField(FieldCtx):
 
     __slots__ = ("exp_table", "log_table", "zech", "minus_one")
 
-    def __init__(self, prime, modulus):
-        reps = tuple(c.rep for c in modulus)
-        k = len(reps) - 1
-        super().__init__(prime.p, k, ("ext", prime._sig, reps), prime.p ** k,
-                         prime, modulus)
+    def __init__(self, p, modulus):
+        k = len(modulus) - 1
+        super().__init__(p, k, ("ext", p, modulus), p ** k, modulus)
         self.exp_table, self.log_table, self.zech = map(
-            memoryview, _zech_tables(self.p, reps[:-1]))
+            memoryview, _zech_tables(p, modulus[:-1]))
         self.minus_one = self.qm1 // 2 if self.p != 2 else 0  # log of -1
 
     def add(self, a, b):
@@ -596,15 +583,6 @@ class RepArrays:
             if c:
                 acc = self.add(acc, c)
         return acc
-
-
-def embed(elem, target):
-    """Image of an element of F_p in the finite field target of
-    characteristic p; elements of no other field are embedded."""
-    src = elem.ctx
-    if not (src.is_prime_field and target.flavor == "finite" and src.p == target.p):
-        raise SpecError("embed maps F_p into its extensions only")
-    return target.from_int(elem.rep)
 
 
 # -- polynomials -----------------------------------------------------------------
@@ -799,28 +777,9 @@ def field_make(p, k=1):
     extension of more than ``limits.ENUM_CAP`` elements a ScaleExceeded.
     """
     check_prime(p)
-    _check_degree(k)
-    return _PrimeField(p) if k == 1 else _flat_field(p, k)
-
-
-def extend_field(ctx, degree):
-    """Degree-`degree` extension of a finite context, built flat over F_p.
-
-    Over F_(p^a) this is the field of ``field_make(p, a*degree)``, so
-    equal contexts share their tables; elements of F_p reach it through
-    ``embed``.  The degree cap bounds a*degree, as it bounds field_make's
-    k, and a field of more than ``limits.ENUM_CAP`` elements is refused
-    with ScaleExceeded.
-    """
-    if ctx.flavor != "finite":
-        raise SpecError("can only extend finite fields")
-    _check_degree(ctx.k * degree)
-    return ctx if degree == 1 else _flat_field(ctx.p, ctx.k * degree)
-
-
-def _check_degree(k):
     if not 1 <= k <= EXTENSION_DEGREE_CAP:
         raise SpecError(f"extension degree {k} outside [1, {EXTENSION_DEGREE_CAP}]")
+    return _PrimeField(p) if k == 1 else _flat_field(p, k)
 
 
 @functools.lru_cache(maxsize=8)
@@ -833,8 +792,7 @@ def _flat_field(p, k):
     """
     if p ** k > ENUM_CAP:
         raise ScaleExceeded(f"extension field of {p ** k} elements exceeds cap")
-    prime = _PrimeField(p)
-    return _TableField(prime, tuple(map(prime.from_int, _least_irreducible(p, k))))
+    return _TableField(p, tuple(_least_irreducible(p, k)))
 
 
 def _least_irreducible(p, k):

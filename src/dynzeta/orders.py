@@ -31,7 +31,6 @@ Three kinds of ring are covered:
 from dataclasses import dataclass
 from itertools import product
 
-from . import modpoly
 from .errors import (HypothesisViolated, InvalidCombination, Mismatch,
                      SpecError, ZeroInput)
 from .intarith import check_prime, power, sqrt_mod, v_p, v_p_strict
@@ -449,11 +448,12 @@ def _norm_recurrence(T, N, ell):
     """(char, rec) for norm(sigma^n - gamma) mod ell, sigma of trace T, norm N.
 
     char lists the coefficients of (x-1)(x-N)(x^2-Tx+N) mod ell in
-    ascending order; the sequence satisfies
+    ascending order, N^2, -N(1+N+T), 2N + T(1+N), -(1+N+T) and 1; the
+    sequence satisfies
     a_n = rec[3] a_(n-1) + rec[2] a_(n-2) + rec[1] a_(n-3) + rec[0] a_(n-4).
     """
-    char = modpoly.mul(modpoly.residues([N, -(1 + N), 1], ell),
-                       modpoly.residues([N, -T, 1], ell), ell).tolist()
+    s = 1 + N + T
+    char = [N * N % ell, -N * s % ell, (2 * N + T * (1 + N)) % ell, -s % ell, 1]
     return char, [(-c) % ell for c in char[:4]]
 
 

@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from dynzeta.elliptic import (CurvePoint, EllipticCurve, _affine_points,
                               point_orders_by_trace, points_over,
                               torsion_count, trace_of_frobenius)
 from dynzeta.errors import ScaleExceeded, SpecError
-from dynzeta.field import extend_field, field_make
+from dynzeta.field import _flat_field, field_make, ratfunc_field
 from dynzeta.intarith import v_p
 from dynzeta.limits import ENUM_CAP, TORSION_INDEX_CAP
 
@@ -149,12 +151,14 @@ class TestTorsion:
 
     def test_an_enumeration_short_of_the_group_order_is_refused(
             self, E51, monkeypatch):
-        # the Frobenius recurrence's order stands in for a per-point check
+        # the Frobenius recurrence's order stands in for a per-point check;
+        # the walk of E(F_5), which gives the trace, stays whole, and the
+        # walk of E(F_25), the first that can hold E[3], misses a point
         walk = elliptic._affine_points
 
         def short(E, k):
             curve, arith, xs, ys = walk(E, k)
-            return curve, arith, xs[1:], ys[1:]
+            return (curve, arith) + ((xs, ys) if k == 1 else (xs[1:], ys[1:]))
 
         monkeypatch.setattr(elliptic, "_affine_points", short)
         with pytest.raises(SpecError, match=r"\(internal\)"):
@@ -202,7 +206,7 @@ class TestArrayWalks:
         points = points_over(E, k)
         assert point_count(E, k) == len(points)
         # against the boxed quadratic-character count
-        ext = extend_field(E.ctx, k)
+        ext = field_make(E.ctx.p, k)
         lifted = E if k == 1 else E.lift(ext)
         roots = {z * z: z for z in ext.elements()}
         rhs = [lifted.rhs(x) for x in ext.elements()]
@@ -306,3 +310,42 @@ def test_frobenius_params_consistent(F5):
     E = curve(F5, 1, 1)
     t = trace_of_frobenius(E)
     assert point_count(E) == 5 + 1 - t
+
+
+def test_lift_takes_a_curve_over_f_p_to_its_extensions(F5):
+    E = curve(F5, 1, 1)
+    F25 = field_make(5, 2)
+    assert E.lift(F25) == curve(F25, 1, 1) and E.lift(F5) == E
+    refused = ((curve(F25, 1, 1), field_make(5, 4)),   # not over F_p
+               (E, field_make(7, 2)),                   # another characteristic
+               (E, ratfunc_field(5)))                   # not a finite field
+    for over, target in refused:
+        with pytest.raises(SpecError, match="only a curve over F_p lifts"):
+            over.lift(target)
+
+
+def test_a_curve_over_an_extension_is_refused_before_any_field_is_made():
+    # F_625 would be the walk's field; it is never sought
+    _flat_field.cache_clear()
+    E = curve(field_make(5, 2), 1, 1)
+    misses = _flat_field.cache_info().misses
+    for walk in (point_count, points_over):
+        with pytest.raises(SpecError, match="over its extensions"):
+            walk(E, 2)
+    assert _flat_field.cache_info().misses == misses
+
+
+def test_trace_of_frobenius_keeps_no_curve():
+    # a curve, and with it its field's tables, is freed once it is dropped
+    E = curve(field_make(101), 1, 1)
+    assert trace_of_frobenius(E) == 101 + 1 - point_count(E)
+    curve_ref, table_ref = weakref.ref(E), weakref.ref(E.ctx.arrays().log)
+    del E
+    gc.collect()
+    assert curve_ref() is None and table_ref() is None
+
+
+def test_torsion_count_with_no_extension_walks_only_the_base(E51):
+    assert torsion_count(E51, 2, 0) == (0, False)
+    with pytest.raises(ScaleExceeded):
+        torsion_count(curve(field_make(1000003), 1, 1), 2, 0)

@@ -11,8 +11,8 @@ from dynzeta import modpoly
 from dynzeta.dynmap import rat_map
 from dynzeta.errors import NotPrime, ScaleExceeded, SpecError, ZeroPolynomial
 from dynzeta.field import (Poly, _flat_field, _least_irreducible,
-                           distinct_root_count, extend_field, embed, field_make,
-                           ratfunc_field, separable_radical)
+                           distinct_root_count, field_make, ratfunc_field,
+                           separable_radical)
 from dynzeta.intarith import factorize, sqrt_mod
 from dynzeta.limits import ENUM_CAP, RF_GCD_DEGREE_CAP
 from dynzeta.orders import _norm_recurrence
@@ -25,7 +25,7 @@ class TestFieldMake:
 
     def test_f4_modulus_is_the_unique_irreducible(self):
         ctx = field_make(2, 2)
-        assert [c.rep for c in ctx.modulus] == [1, 1, 1]
+        assert list(ctx.modulus) == [1, 1, 1]
 
     def test_composite_characteristic_rejected(self):
         with pytest.raises(NotPrime):
@@ -34,7 +34,7 @@ class TestFieldMake:
     def test_reproducible(self):
         a = field_make(5, 3)
         b = field_make(5, 3)
-        assert a == b and [c.rep for c in a.modulus] == [c.rep for c in b.modulus]
+        assert a == b and a.modulus == b.modulus
 
 
 def _ref_least_irreducible(p, k):
@@ -69,23 +69,22 @@ def test_modulus_is_the_least_irreducible(p, k):
     least = _ref_least_irreducible(p, k)
     assert _least_irreducible(p, k) == least
     if p ** k <= ENUM_CAP:
-        assert [c.rep for c in field_make(p, k).modulus] == least
+        assert list(field_make(p, k).modulus) == least
 
 
 def test_extensions_past_the_enumeration_cap_are_refused_at_once():
     # no walk covers more than ENUM_CAP points, so no modulus is sought
-    # for such a field; a degree outside the cap stays an invalid spec
-    F37sq = field_make(37, 2)
-    for make, args in ((field_make, (101, 3)), (field_make, (1009, 2)),
-                       (field_make, (2, 20)), (field_make, (1000003, 4)),
-                       (extend_field, (F37sq, 2))):
+    # for such a field; a degree outside the cap stays an invalid spec.
+    # F_(37^4) = F_(37^(2*2)) and F_(2^36) = F_(2^(12*3)) are the fields
+    # of degree a*b over F_p above F_(p^a)
+    for p, k in ((101, 3), (1009, 2), (2, 20), (1000003, 4), (37, 2 * 2)):
         start = time.perf_counter()
         with pytest.raises(ScaleExceeded, match="exceeds cap"):
-            make(*args)
+            field_make(p, k)
         assert time.perf_counter() - start < 0.1
-    for make, args in ((field_make, (2, 25)), (extend_field, (field_make(2, 12), 3))):
+    for p, k in ((2, 25), (2, 12 * 3)):
         with pytest.raises(SpecError, match=r"outside \[1, 24\]"):
-            make(*args)
+            field_make(p, k)
 
 
 class TestPolyArith:
@@ -304,73 +303,48 @@ class TestRationalFunctionField:
             (u ** 4097 + 1) / (u ** 3 + u + 1)
 
 
-def test_embedding_through_towers():
-    # F_81 is reached from F_9 by extend_field, but only F_3 embeds in it
-    F9 = field_make(3, 2)
-    F81 = extend_field(F9, 2)
-    for x in (F9.elem([0, 1]), F9.one()):
-        with pytest.raises(SpecError, match="F_p into its extensions"):
-            embed(x, F81)
-    F3 = field_make(3)
-    assert [embed(x, F81) for x in F3.elements()] == [F81.from_int(n) for n in range(3)]
-
-
-@pytest.mark.parametrize("p,a,b", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (5, 2, 2),
-                                   (7, 1, 3)])
-def test_extension_of_an_extension_is_the_flat_field(p, a, b):
-    flat, src = field_make(p, a * b), field_make(p, a)
-    ext = extend_field(src, b)
-    assert ext == flat and hash(ext) == hash(flat)
-    assert [c.rep for c in ext.modulus] == [c.rep for c in flat.modulus]
-    assert ext.base.is_prime_field and ext.k == a * b
-    assert extend_field(src, 1) is src
-
-
 def test_extension_degree_cap_bounds_the_degree_over_f_p():
-    # F_(2^36) is out of reach from F_(2^12) as from F_2; F_(2^24) is
-    # within the degree cap and past the enumeration cap
-    F = field_make(2, 12)
+    # F_(2^(12*3)) is out of reach as F_(2^25) is; F_(2^(12*2)) is within
+    # the degree cap and past the enumeration cap
     with pytest.raises(ScaleExceeded):
-        extend_field(F, 2)
-    for ctx, degree in ((F, 3), (field_make(2), 25), (F, 0)):
+        field_make(2, 12 * 2)
+    for k in (12 * 3, 25, 0):
         with pytest.raises(SpecError, match=r"outside \[1, 24\]"):
-            extend_field(ctx, degree)
+            field_make(2, k)
 
 
-@pytest.mark.parametrize("p,a,b", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 3),
-                                   (5, 2, 2)])
-def test_embed_is_an_injective_ring_homomorphism(p, a, b):
-    # F_p into the extension of F_(p^a) of degree b
-    src = field_make(p)
-    target = extend_field(field_make(p, a), b)
-    image = {x: embed(x, target) for x in src.elements()}
-    assert len(set(image.values())) == src.order
+@pytest.mark.parametrize("k", range(1, 10))
+def test_constants_are_f_p_in_every_finite_field(k):
+    # the constant n is the rep n in F_(p^k), which a census and a lifted
+    # curve rest on: from_int is an injective ring homomorphism from F_p,
+    # and the array arithmetic on reps below p is arithmetic mod p; checked
+    # on every finite field of at most 3^6 elements, and on F_(997^2)
+    primes = [p for p in range(2, 3 ** 6 + 1) if factorize(p) == {p: 1}]
+    for p in [p for p in primes if p ** k <= 3 ** 6] + ([997] if k == 2 else []):
+        _check_constants(p, k)
+
+
+def _check_constants(p, k):
+    src, target = field_make(p), field_make(p, k)
+    image = {x: target.from_int(x.rep) for x in src.elements()}
+    assert [y.rep for y in image.values()] == list(range(p))
     assert image[src.zero()].is_zero() and image[src.one()].is_one()
     for x, y in image.items():
-        assert y.ctx == target
-        assert embed(-x, target) == -y
+        assert y.ctx == target and target.from_int((-x).rep) == -y
         if not x.is_zero():
-            assert embed(x.inverse(), target) == y.inverse()
-    for x in src.elements():
-        for z in src.elements():
+            assert target.from_int(x.inverse().rep) == y.inverse()
+    sample = [src.from_int(n) for n in {0, 1, 2, 3, p // 2, p - 2, p - 1}]
+    for x in (src.elements() if p < 32 else sample):
+        for z in (src.elements() if p < 32 else sample):
             assert image[x + z] == image[x] + image[z]
             assert image[x * z] == image[x] * image[z]
-
-
-def test_embed_into_a_field_without_tables():
-    # every extension has its tables: F_(37^4), past ENUM_CAP, is refused
-    # before embed could be asked to reach it
-    with pytest.raises(ScaleExceeded):
-        extend_field(field_make(37, 2), 2)
-
-
-def test_embed_refuses_a_field_that_is_not_a_subfield():
-    with pytest.raises(SpecError):
-        embed(field_make(2, 2).elem([0, 1]), field_make(2, 3))
-    with pytest.raises(SpecError):
-        embed(field_make(3).one(), field_make(5, 2))
-    with pytest.raises(SpecError):
-        embed(field_make(3).one(), ratfunc_field(3))
+    arith = target.arrays()
+    a, b = (grid.ravel() for grid in np.meshgrid(np.arange(p), np.arange(p)))
+    inverse = np.array([0] + [pow(n, -1, p) for n in range(1, p)])
+    assert np.array_equal(arith.add(a, b), (a + b) % p)
+    assert np.array_equal(arith.mul(a, b), a * b % p)
+    assert np.array_equal(arith.neg(a), -a % p)
+    assert np.array_equal(arith.div(a, b)[b != 0], (a * inverse[b] % p)[b != 0])
 
 
 # -- flat extensions against coefficient-list arithmetic ------------------------------
@@ -379,7 +353,7 @@ def test_embed_refuses_a_field_that_is_not_a_subfield():
 def _reference(ctx):
     """Field operations on coefficient lists, computed with modpoly alone."""
     p, k = ctx.p, ctx.k
-    mod = [c.rep for c in ctx.modulus]
+    mod = list(ctx.modulus)
 
     def reduce(a):
         return modpoly.divrem(a, mod, p)[1].tolist()
@@ -392,7 +366,7 @@ def _reference(ctx):
     def elem(a):
         a = modpoly.trim([c % p for c in a])
         assert len(a) <= k
-        return ctx.elem(a)
+        return ctx.elem_at(sum(c * p ** j for j, c in enumerate(a)))
 
     return reduce, power, elem
 
@@ -437,22 +411,16 @@ def test_flat_extension_index_round_trip(p, k):
         z = ctx.elem_at(i)
         assert z.rep == i
         assert ctx.elem_at(z.rep) == z
-        # elem_at order: the base-p digits of the index are the coefficients
-        assert z == ctx.elem([(i // p ** j) % p for j in range(k)])
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (5, 4), (997, 2)])
 def test_flat_extension_constructors_agree(p, k):
     ctx = field_make(p, k)
     for n in (0, 1, 2, p - 1, p, -1, 3 * p + 2):
-        made = (ctx.from_int(n), ctx.elem([n]), ctx.elem_at(n % p),
-                ctx.elem(n), extend_field(field_make(p), k).from_int(n))
+        made = (ctx.from_int(n), ctx.elem_at(n % p), ctx.elem(n))
         for z in made:
             assert z == made[0] and hash(z) == hash(made[0])
             assert z == n
-    vec, index = [1] + [0] * (k - 2) + [p - 1], 1 + (p - 1) * p ** (k - 1)
-    assert ctx.elem(vec) == ctx.elem_at(index)
-    assert hash(ctx.elem(vec)) == hash(ctx.elem_at(index))
 
 
 def test_tables_give_logarithms_of_every_element():
@@ -741,7 +709,7 @@ def _ext_poly_pair(draw):
     a, b = (Poly.from_ints(ctx, draw(coeffs)) for _ in range(2))
 
     def lift(poly):
-        return [embed(c, ext) for c in poly.coeffs]
+        return [ext.from_int(c.rep) for c in poly.coeffs]
 
     return lift, a, b if len(b.reps) else Poly.one(ctx)
 

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 from dynzeta.errors import (HypothesisViolated, InvalidCombination,
                             SpecError, ZeroInput)
 from dynzeta.families import LattesOrdinary
+from dynzeta import orders
 from dynzeta.orders import (B3_ORDER, HURWITZ, QuadRing, QuatElem,
-                            _quadratic_roots_mod_p, lte_int, lte_quad,
+                            _norm_recurrence, _quadratic_roots_mod_p,
+                            lte_int, lte_quad,
                             lte_quat, norm_sequence, prime_context, units,
                             v_I, v_frak_p)
 from dynzeta.intarith import is_prime, v_p, v_p_strict
@@ -481,6 +485,34 @@ class TestDegenerateRing:
         for p in (5, 7, 11):
             with pytest.raises(InvalidCombination):
                 prime_context(QuadRing(4, 4), p)
+
+
+def _convolve_mod(a, b, ell):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % ell for c in out]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13, 101, 1009, 2 ** 31 - 1,
+                                 2 ** 61 - 1])
+def test_norm_recurrence_is_the_written_out_quartic(ell):
+    # (x - 1)(x - N)(x^2 - Tx + N), against a product of the two quadratics
+    for T in range(-8, 9):
+        for N in [*range(-3, 30), ell, 2 * ell, ell * ell + 1, 10 ** 30 + 7]:
+            char, rec = _norm_recurrence(T, N, ell)
+            assert char == _convolve_mod([N, -(1 + N), 1], [N, -T, 1], ell)
+            assert rec == [-c % ell for c in char[:4]]
+
+
+def test_orders_imports_only_integer_code():
+    # from .m import ... names m; from . import m names m
+    imported = set()
+    for node in ast.walk(ast.parse(pathlib.Path(orders.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    assert imported <= {"errors", "intarith"}, imported
 
 
 class TestNormSequence:
