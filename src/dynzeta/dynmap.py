@@ -210,8 +210,9 @@ def cycle_census(f: RatMap, max_k: int, max_n: int):
         succ[infinity] = ext.zero_rep
     arith = ext.arrays()
     xs = np.arange(size)
-    dv = arith.eval(f.den, xs)
-    succ[:size] = np.where(dv == 0, infinity, arith.div(arith.eval(f.num, xs), dv))
+    dv = arith.eval(f.den.reps.tolist(), xs)
+    succ[:size] = np.where(dv == 0, infinity,
+                           arith.div(arith.eval(f.num.reps.tolist(), xs), dv))
     del xs, dv  # freed before the histogram's arrays, which set the peak memory
     cycles = _cycle_histogram(succ)[1:max_n + 1]
     return [(length, int(c)) for length, c in enumerate(cycles, 1) if c]

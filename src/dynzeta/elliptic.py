@@ -1,10 +1,12 @@
 """Small elliptic curves over finite fields, used as a brute-force oracle.
 
-Curves are short Weierstrass y^2 = x^3 + Ax + B with p >= 5, so neither
-the chord-tangent law nor the division polynomials need characteristic-2/3
-special cases.  Torsion counts are obtained by honest point enumeration
-over growing extensions.  The structural size of the N-torsion (read off
-the trace of Frobenius) only decides when an enumeration is complete; a
+Curves are short Weierstrass y^2 = x^3 + Ax + B over F_p with p >= 5, so
+neither the chord-tangent law nor the division polynomials need
+characteristic-2/3 special cases.  A and B are F_p reps, which name the
+same constants in every extension of F_p, so E(F_(p^k)) is walked on E
+itself.  Torsion counts are obtained by honest point enumeration over
+growing extensions.  The structural size of the N-torsion (read off the
+trace of Frobenius) only decides when an enumeration is complete; a
 count is never taken from it, so counts stay independent of the
 closed-form counts they are used to check.
 
@@ -17,7 +19,7 @@ recurrence (``_division_recurrence``) that also builds the polynomials of
 ``lattes_realize``, so a count forms no point multiple.  The masked
 chord-tangent law (``_multiples``) is the independent group-law check of
 ``lattes_realize``.  ``CurvePoint``, ``add`` and ``mul_by_m`` are the
-boxed point API, for single points on a curve over any finite field.
+boxed point API, for single points of an F_p curve over any extension.
 """
 
 import functools
@@ -40,8 +42,8 @@ class EllipticCurve:
     B: object
 
     def __post_init__(self):
-        if self.ctx.flavor != "finite":
-            raise SpecError("curves need a finite base field")
+        if not self.ctx.is_prime_field:
+            raise SpecError(f"curves need coefficients in F_p, not {self.ctx!r}")
         if self.ctx.p < 5:
             raise SpecError("short Weierstrass curves require p >= 5")
         disc = self.ctx.from_int(4) * self.A ** 3 + self.ctx.from_int(27) * self.B ** 2
@@ -54,23 +56,11 @@ class EllipticCurve:
         return c.from_int(1728) * four_a3 / (four_a3 + c.from_int(27) * self.B ** 2)
 
     def rhs(self, x):
-        return x ** 3 + self.A * x + self.B
+        """x^3 + Ax + B at an x of any extension of F_p."""
+        return x ** 3 + x * self.A.rep + self.B.rep
 
     def contains(self, x, y):
         return y * y == self.rhs(x)
-
-    def lift(self, ext_ctx):
-        """The same curve over ext_ctx, a finite field of E's characteristic.
-
-        Only a curve over F_p lifts: its A and B are constants, and the
-        constant n is the rep n in every finite field of characteristic p.
-        """
-        ctx = self.ctx
-        if not (ctx.is_prime_field and ext_ctx.flavor == "finite"
-                and ext_ctx.p == ctx.p):
-            raise SpecError("only a curve over F_p lifts, and only to its extensions")
-        return EllipticCurve(ext_ctx, ext_ctx.from_int(self.A.rep),
-                             ext_ctx.from_int(self.B.rep))
 
 
 @dataclass(frozen=True)
@@ -105,11 +95,10 @@ def add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         return Q
     if Q.is_identity:
         return P
-    ctx = P.curve.ctx
     if P.x == Q.x:
         if P.y != Q.y or P.y.is_zero():
             return identity(P.curve)
-        slope = (ctx.from_int(3) * P.x * P.x + P.curve.A) / (ctx.from_int(2) * P.y)
+        slope = (3 * P.x * P.x + P.curve.A.rep) / (2 * P.y)
     else:
         slope = (Q.y - P.y) / (Q.x - P.x)
     x3 = slope * slope - P.x - Q.x
@@ -150,25 +139,23 @@ def is_supersingular(E: EllipticCurve) -> bool:
 
 
 def _affine_points(E: EllipticCurve, k: int):
-    """(curve, arrays, xs, ys): the affine points of E(F_(q^k)) as rep arrays.
+    """(E, arrays, xs, ys): the affine points of E(F_(p^k)) as rep arrays.
 
-    ``curve`` is E over F_(q^k) and ``arrays`` its field's ``RepArrays``.
-    All x are walked at once: x^3 + Ax + B is 0 (one point, y = 0), a
-    nonzero square (the points y and -y, y from the halved log) or
-    neither.  Points come by ascending x, each root before its negative,
-    and every root is checked to square back to its value.  Past k = 1
-    the curve must be over F_p (``EllipticCurve.lift``), which is checked
-    before the extension is made.
+    ``arrays`` is the ``RepArrays`` of F_(p^k): E.ctx's at k = 1, whose
+    tables live as long as E, and ``field_make(p, k)``'s above it, in
+    which E's coefficient reps are the same constants.  All x are walked
+    at once: x^3 + Ax + B is 0 (one point, y = 0), a nonzero square (the
+    points y and -y, y from the halved log) or neither.  Points come by
+    ascending x, each root before its negative, and every root is checked
+    to square back to its value.  A walk past ``limits.ENUM_CAP`` points
+    is refused before its field is made.
     """
     size = E.ctx.order ** k
     if size > ENUM_CAP:
         raise ScaleExceeded(f"enumeration over {size} elements exceeds cap")
-    if k > 1 and not E.ctx.is_prime_field:
-        raise SpecError("only a curve over F_p is walked over its extensions")
-    curve = E if k == 1 else E.lift(field_make(E.ctx.p, k))
-    arith = curve.ctx.arrays()
+    arith = (E.ctx if k == 1 else field_make(E.ctx.p, k)).arrays()
     xs = np.arange(size)
-    rhs = _rhs(curve, arith, xs)
+    rhs = _rhs(E, arith, xs)
     roots = arith.sqrt(rhs)
     square = arith.is_square(rhs)
     if np.any(arith.mul(roots, roots)[square] != rhs[square]):
@@ -178,7 +165,7 @@ def _affine_points(E: EllipticCurve, k: int):
     ys = np.repeat(roots, per_x)
     second = ends[per_x == 2] - 1
     ys[second] = arith.neg(ys[second])
-    return curve, arith, np.repeat(xs, per_x), ys
+    return E, arith, np.repeat(xs, per_x), ys
 
 
 def _rhs(curve, arith, xs):
@@ -187,11 +174,12 @@ def _rhs(curve, arith, xs):
 
 
 def points_over(E: EllipticCurve, k: int):
-    """All points of E(F_{q^k}): the identity, then ``_affine_points``."""
-    curve, _, xs, ys = _affine_points(E, k)
-    ctx = curve.ctx
-    return [identity(curve)] + [
-        CurvePoint(curve, FieldElem(ctx, x), FieldElem(ctx, y))
+    """All points of E(F_{p^k}): the identity, then ``_affine_points``,
+    with coordinates in ``field_make(p, k)``."""
+    _, _, xs, ys = _affine_points(E, k)
+    ctx = field_make(E.ctx.p, k)
+    return [identity(E)] + [
+        CurvePoint(E, FieldElem(ctx, x), FieldElem(ctx, y))
         for x, y in zip(xs.tolist(), ys.tolist())]
 
 
@@ -276,10 +264,10 @@ def torsion_count(E: EllipticCurve, N: int, k_max: int):
             continue
         if u > 1 and (E.ctx.order ** k - 1) % u != 0:
             continue
-        curve, arith, xs, ys = _affine_points(E, k)
+        _, arith, xs, ys = _affine_points(E, k)
         if len(xs) + 1 != group_orders[k]:
             raise SpecError("enumeration misses the Frobenius group order (internal)")
-        cnt = 1 + int(np.count_nonzero(_division_lanes(curve, arith, xs, ys, N)))
+        cnt = 1 + int(np.count_nonzero(_division_lanes(E, arith, xs, ys, N)))
         if group_orders[k] % cnt:
             raise SpecError("torsion count does not divide the group order (internal)")
         best = max(best, cnt)
@@ -361,27 +349,20 @@ def _division_recurrence(E: EllipticCurve, value, F2, mul, sub, halve):
     return get
 
 
-def _division_lanes(curve, arith, xs, ys, N):
+def _division_lanes(E, arith, xs, ys, N):
     """Whether [N]P = O, lane by lane, for the affine points (xs, ys).
 
     psi_N(P) = 0 decides it (Washington, *Elliptic Curves*, 2nd ed.,
     section 3.2): t_N(x) = 0 for odd N, and y = 0 or t_N(x) = 0 for even
     N.  The t_m are evaluated lane by lane with ``RepArrays`` products and
-    differences, F^2 at a point being y^4.
+    differences, F^2 at a point being y^4.  The seeds and 1/2 are formed
+    over F_p, whose reps name the same constants in the walked field.
     """
     y2 = arith.mul(ys, ys)
-    half = curve.ctx.from_int(2).inverse().rep
-
-    def value(coeffs):
-        acc = np.full(len(xs), coeffs[-1].rep if coeffs else 0)
-        for c in reversed(coeffs[:-1]):
-            acc = arith.mul(acc, xs)
-            if c.rep:
-                acc = arith.add(acc, c.rep)
-        return acc
-
-    t = _division_recurrence(curve, value, arith.mul(y2, y2), arith.mul,
-                             arith.sub, lambda v: arith.mul(v, half))
+    half = E.ctx.from_int(2).inverse().rep
+    t = _division_recurrence(
+        E, lambda coeffs: arith.eval([c.rep for c in coeffs], xs),
+        arith.mul(y2, y2), arith.mul, arith.sub, lambda v: arith.mul(v, half))
     zero = t(N) == 0
     return zero if N % 2 else zero | (ys == 0)
 
@@ -424,12 +405,12 @@ def lattes_realize(E: EllipticCurve, m: int) -> RatMap:
 
 
 def _verify_realization(E, m, f):
-    curve, arith, xs, ys = _affine_points(E, 1)
-    image_xs, _, at_identity = _multiples(curve, arith, xs, ys, m)
-    dv = arith.eval(f.den, xs)
+    _, arith, xs, ys = _affine_points(E, 1)
+    image_xs, _, at_identity = _multiples(E, arith, xs, ys, m)
+    dv = arith.eval(f.den.reps.tolist(), xs)
     if np.any(at_identity & (dv != 0)):
         raise SpecError("realization misses a pole")
     hit = ~at_identity
-    values = arith.div(arith.eval(f.num, xs), dv)
+    values = arith.div(arith.eval(f.num.reps.tolist(), xs), dv)
     if np.any(dv[hit] == 0) or np.any(values[hit] != image_xs[hit]):
         raise SpecError("realization disagrees with the group law")

@@ -21,14 +21,15 @@ Representation conventions:
   Making a prime field builds nothing, so each ``field_make(p)`` makes a
   new one and none takes a cache slot.  The constant n is the rep n in
   every finite field of characteristic p, which is why a census and a
-  lifted curve read F_p reps in F_(p^k).
+  torsion walk read F_p reps in F_(p^k).
 * Every field an enumeration may walk, one of at most ``limits.ENUM_CAP``
   elements, also computes on numpy arrays of reps: ``ctx.arrays()`` is
   its ``RepArrays``, which adds, negates, multiplies, divides, tests
-  squares, takes square roots by halved logs and evaluates a Poly lane
-  by lane, by gathers in the same table buffers.  Zero's log is
-  2(q-1), which the tables send back to zero, so a sum, negative,
-  product or quotient is the same gathers on every lane, zero or not.
+  squares, takes square roots by halved logs and evaluates a polynomial
+  with F_p coefficients lane by lane, by gathers in the same table
+  buffers.  Zero's log is 2(q-1), which the tables send back to zero, so
+  a sum, negative, product or quotient is the same gathers on every
+  lane, zero or not.
   A prime field builds its tables the first time it is walked and
   keeps them in its ``RepArrays`` only: its FieldElem arithmetic stays
   on ints mod p.
@@ -570,13 +571,13 @@ class RepArrays:
         """exp(log / 2): a root on the lanes that ``is_square`` accepts."""
         return np.where(np.equal(a, 0), 0, self.exp.take(self.log.take(a) // 2))
 
-    def eval(self, poly, x):
-        """The values of the Poly ``poly`` at the array of reps x (Horner).
+    def eval(self, reps, x):
+        """The values at the array of reps x (Horner) of the polynomial
+        whose coefficient reps, ascending, are the ints ``reps``.
 
-        Its coefficients are F_p reps, which name the same constants in
-        every extension of F_p, so they are read as reps of this field.
+        They are F_p reps, which name the same constants in every
+        extension of F_p, so they are read as reps of this field.
         """
-        reps = poly.reps.tolist()
         acc = np.full(np.shape(x), reps[-1] if reps else 0, dtype=np.int64)
         for c in reversed(reps[:-1]):
             acc = self.mul(acc, x)

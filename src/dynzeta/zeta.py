@@ -41,8 +41,7 @@ from .intarith import (divisors, first_prime_where, multiplicative_order,
 from .limits import CROSSCHECK_INDEX_CAP, ELL_SEARCH_CAP, KERNEL_BUDGET
 from .orders import norm_sequence
 from .sentinels import TRANSCENDENTAL
-from .twisted import (TwistedPoly, constant_order, tw_pow, tw_sub_scalar,
-                      v_phi)
+from .twisted import TwistedPoly, constant_order, v_phi_pow_minus
 
 # Evidence sizes (see _build_detectors and _rational_verdict)
 SERIES_TERMS = 30     # counts a rational closed form is checked on
@@ -629,8 +628,8 @@ def _certificate_ga(mapping) -> Certificate:
     m = constant_order(sigma)
     if m is TRANSCENDENTAL:
         raise SpecError("transcendental linear coefficient has a rational zeta")
-    sig_m = tw_pow(sigma, m)
-    v0 = v_phi(tw_sub_scalar(sig_m, 1))
+    # m | p - 1, so v_p(m) = 0 and this is v_phi(sigma - c0), no power formed
+    v0 = v_phi_pow_minus(sigma, m, 1)
     a1 = v0 * (2 if p == 2 else 1)
     bound = tower_bound(p, a1, ELL_SEARCH_CAP)
     if bound is None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynzeta import elliptic
+from dynzeta import elliptic, field
 from dynzeta.dynmap import per_n_oracle
 from dynzeta.elliptic import (CurvePoint, EllipticCurve, _affine_points,
                               _division_lanes, _multiples, add, identity,
@@ -205,11 +205,12 @@ class TestArrayWalks:
     def test_point_count_is_the_number_of_points(self, E, k):
         points = points_over(E, k)
         assert point_count(E, k) == len(points)
-        # against the boxed quadratic-character count
+        assert all(P.curve is E for P in points)
+        # against the boxed quadratic-character count, with E's rhs read
+        # at every x of F_(p^k)
         ext = field_make(E.ctx.p, k)
-        lifted = E if k == 1 else E.lift(ext)
         roots = {z * z: z for z in ext.elements()}
-        rhs = [lifted.rhs(x) for x in ext.elements()]
+        rhs = [E.rhs(x) for x in ext.elements()]
         assert len(points) == 1 + sum(1 if r.is_zero() else 2 * (r in roots)
                                       for r in rhs)
 
@@ -226,13 +227,14 @@ class TestArrayWalks:
         E = curve(field_make(p), a, b)
         points = points_over(E, k)
         assert points[0].is_identity
+        assert all(P.curve is E for P in points)
         xs = [P.x.rep for P in points[1:]]
         assert xs == sorted(xs)
-        lifted = points[0].curve
-        roots = {z * z: z for z in lifted.ctx.elements()}
+        ext = field_make(p, k)
+        roots = {z * z: z for z in ext.elements()}
         expected = set()
-        for x in lifted.ctx.elements():
-            y = roots.get(lifted.rhs(x))
+        for x in ext.elements():
+            y = roots.get(E.rhs(x))
             if y is not None:
                 expected |= {(x.rep, y.rep), (x.rep, (-y).rep)}
         assert {(P.x.rep, P.y.rep) for P in points[1:]} == expected
@@ -312,26 +314,22 @@ def test_frobenius_params_consistent(F5):
     assert point_count(E) == 5 + 1 - t
 
 
-def test_lift_takes_a_curve_over_f_p_to_its_extensions(F5):
-    E = curve(F5, 1, 1)
-    F25 = field_make(5, 2)
-    assert E.lift(F25) == curve(F25, 1, 1) and E.lift(F5) == E
-    refused = ((curve(F25, 1, 1), field_make(5, 4)),   # not over F_p
-               (E, field_make(7, 2)),                   # another characteristic
-               (E, ratfunc_field(5)))                   # not a finite field
-    for over, target in refused:
-        with pytest.raises(SpecError, match="only a curve over F_p lifts"):
-            over.lift(target)
+@pytest.mark.parametrize("ctx", [field_make(5, 2), field_make(7, 2),
+                                 ratfunc_field(5)], ids=repr)
+def test_a_curve_needs_coefficients_in_f_p(ctx):
+    # F_25, F_49 and F_5(u): nonsingular y^2 = x^3 + x + 1 over each
+    with pytest.raises(SpecError, match="curves need coefficients in F_p"):
+        EllipticCurve(ctx, ctx.from_int(1), ctx.from_int(1))
 
 
 def test_a_curve_over_an_extension_is_refused_before_any_field_is_made():
-    # F_625 would be the walk's field; it is never sought
+    # the refusal is at construction: no walk is reached, and F_625, the
+    # field a walk of E(F_(25^2)) would have needed, is never sought
     _flat_field.cache_clear()
-    E = curve(field_make(5, 2), 1, 1)
+    F25 = field_make(5, 2)
     misses = _flat_field.cache_info().misses
-    for walk in (point_count, points_over):
-        with pytest.raises(SpecError, match="over its extensions"):
-            walk(E, 2)
+    with pytest.raises(SpecError, match="curves need coefficients in F_p"):
+        curve(F25, 1, 1)
     assert _flat_field.cache_info().misses == misses
 
 
@@ -349,3 +347,18 @@ def test_torsion_count_with_no_extension_walks_only_the_base(E51):
     assert torsion_count(E51, 2, 0) == (0, False)
     with pytest.raises(ScaleExceeded):
         torsion_count(curve(field_make(1000003), 1, 1), 2, 0)
+
+
+def test_walks_over_extensions_use_no_boxed_extension_arithmetic(monkeypatch):
+    # a torsion count, a point count and the Lattes oracle read E's F_p
+    # reps in F_(7^k)'s rep arrays; no element of an extension is boxed
+    def refuse(*args):
+        raise AssertionError("boxed extension-field arithmetic")
+
+    for name in ("add", "neg", "mul", "inverse", "pow"):
+        monkeypatch.setattr(field._TableField, name, refuse)
+    E = curve(field_make(7), 1, 3)
+    assert torsion_count(E, 3, 4) == (9, True)
+    assert torsion_count(E, 5, 3) == (0, False)
+    assert point_count(E, 2) == 60
+    assert lattes_oracle(E, 2, 2, k_max=4) == 17

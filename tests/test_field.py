@@ -315,8 +315,8 @@ def test_extension_degree_cap_bounds_the_degree_over_f_p():
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_constants_are_f_p_in_every_finite_field(k):
-    # the constant n is the rep n in F_(p^k), which a census and a lifted
-    # curve rest on: from_int is an injective ring homomorphism from F_p,
+    # the constant n is the rep n in F_(p^k), which a census and a torsion
+    # walk rest on: from_int is an injective ring homomorphism from F_p,
     # and the array arithmetic on reps below p is arithmetic mod p; checked
     # on every finite field of at most 3^6 elements, and on F_(997^2)
     primes = [p for p in range(2, 3 ** 6 + 1) if factorize(p) == {p: 1}]
@@ -489,7 +489,7 @@ def test_rep_arrays_match_the_boxed_arithmetic(p, k):
     # the census's evaluation: F_p coefficients at every point of F_q
     coeffs = [1, p - 1, 0, 1, 1]
     poly = Poly.from_ints(field_make(p), coeffs)
-    assert arith.eval(poly, np.arange(q)).tolist() == [
+    assert arith.eval(poly.reps.tolist(), np.arange(q)).tolist() == [
         sum((c * z ** i for i, c in enumerate(coeffs)), ctx.zero()).rep for z in box]
     if p != 2:
         xs = np.arange(q)
@@ -561,7 +561,7 @@ def test_rep_arrays_match_the_digit_arithmetic(p, k):
             acc = add(mul(acc, x), c)
         return acc
 
-    assert arith.eval(poly, xs).tolist() == [horner(x) for x in range(q)]
+    assert arith.eval(poly.reps.tolist(), xs).tolist() == [horner(x) for x in range(q)]
     if p != 2:
         # Euler's criterion and squaring back, on the reference
         square = arith.is_square(xs)

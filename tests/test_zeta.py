@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynzeta import cli, zeta
+from dynzeta import cli, twisted, zeta
 from dynzeta.automata import _driving_sieve, kernel_explore, residue_sequence
 from dynzeta.errors import (Mismatch, NonIntegerCoefficient, ScaleExceeded,
                             SpecError)
@@ -786,6 +787,31 @@ class TestCertificates:
             vs = [v_p(i, p) if i else 0 for i in range(2000)]
             assert all(cert.values[i] == pow(p, a1 * pow(p, v, ordp) % ordp, ell)
                        for i, v in enumerate(vs)), fam
+
+    # sha256 of repr(certificate) for the verdict pool's additive and
+    # d = 2 subadditive maps at p = 3, by (family, m = ord(c0))
+    TOWER_DIGESTS = {
+        ("additive", 1): "bf15369259ba566eb00999b51bcaa8cfc2d2797342cfd9ab1e45c75c92fdc191",
+        ("additive", 2): "e0e1715053d8880441510f0757d130343fb40cf1584a3cc2e49bcf723a49aa78",
+        ("subadditive", 1): "cdff4f31ba10a60008e4f0caa4f3086b8dab01914c097a0223cbb23b25293445",
+        ("subadditive", 2): "4992b570b66add7cb153cad50f8384a10ab4a422bcff5b2c094dc1b4cf83a077"}
+
+    @pytest.mark.parametrize("sigma", [[1, 1], [-1, 1], [1, 1, 1], [1, -1, 1],
+                                       [1, 2, 1]], ids=str)
+    def test_tower_certificate_forms_no_twisted_power(self, F3, sigma,
+                                                      monkeypatch):
+        # v0 is read off sigma in closed form (twisted.v_phi_pow_minus),
+        # and the certificates are the ones the twisted power gave
+        def refuse(*args):
+            raise AssertionError("twisted power formed")
+
+        monkeypatch.setattr(twisted, "tw_pow", refuse)
+        monkeypatch.setattr(twisted, "tw_mul", refuse)
+        sig = TwistedPoly.from_ints(F3, sigma)
+        for fam in (AdditiveMap(sig), SubadditiveMap(sig, 2)):
+            cert = certificate_build(fam)
+            digest = hashlib.sha256(repr(cert).encode()).hexdigest()
+            assert digest == self.TOWER_DIGESTS[fam.name, cert.m]
 
     def test_tower_values_match_module_sequence(self, F3):
         from dynzeta.automata import vp_tower_sequence
